@@ -227,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=_positive_int, default=50)
     p.add_argument("--min-size", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive_int, default=0)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("search", help="radius search against a tree")

@@ -90,6 +90,11 @@ class Dataset:
         if arr.size != self.dim:
             raise DimensionError(
                 f"point has dim {arr.size}, dataset has dim {self.dim}")
+        if self.kind is DatasetKind.DENSE_VECTORS:
+            finite = np.isfinite(arr)
+            if not finite.all():
+                i = int(np.flatnonzero(~finite)[0])
+                raise DimensionError(f"non-finite coordinate {arr[i]} at index {i}")
         return arr
 
     def append_point(self, p) -> int:

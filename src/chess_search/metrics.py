@@ -6,6 +6,11 @@ alphabet ``A C G T -``. Euclidean, Hamming, and Levenshtein are true
 metrics; cosine distance (1 - cosine similarity) violates the triangle
 inequality and therefore cannot guarantee exact pruning.
 
+Levenshtein is computed exactly by Myers' bit-vector DP (Myers 1999, in
+Hyyro's 2003 global edit-distance form) over a packed block: every row
+of the block is a pattern in its own segment of one Python int, so one
+pass over the query's characters yields the distance to every row.
+
 Every distance evaluation that matters for cost accounting goes through
 a :class:`ComparisonCounter`. Bulk evaluations of one query against many
 stored points use the same per-row arithmetic as single-pair calls, so a
@@ -37,6 +42,7 @@ __all__ = [
 STRING_ALPHABET = b"ACGT-"
 
 _ALPHABET_SET = frozenset(STRING_ALPHABET)
+_ALPHABET_CODES = np.frombuffer(STRING_ALPHABET, dtype=np.uint8)
 
 
 class MetricKind(enum.Enum):
@@ -136,30 +142,48 @@ def as_codes(p) -> np.ndarray:
     return arr
 
 
-def _levenshtein_row(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Edit distance from q to every row of points (classic DP, one row each)."""
-    out = np.empty(len(points), dtype=np.float64)
-    for i, row in enumerate(points):
-        out[i] = _levenshtein_pair(row, q)
-    return out
+def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Edit distance from q to every row of points, all rows at once.
 
-
-def _levenshtein_pair(a: np.ndarray, b: np.ndarray) -> int:
-    if a.size < b.size:
-        a, b = b, a
-    n = b.size
-    offsets = np.arange(1, n + 1)
-    prev = np.arange(n + 1, dtype=np.int64)
-    for i, ca in enumerate(a, start=1):
-        # substitution/deletion first, then a prefix-min pass for insertions:
-        # cur[j] = min over k<=j of cand[k] + (j - k).
-        cand = np.minimum(prev[1:] + 1, prev[:-1] + (b != ca))
-        cand = np.minimum(cand, i + offsets)
-        cur = np.empty(n + 1, dtype=np.int64)
-        cur[0] = i
-        cur[1:] = np.minimum.accumulate(cand - offsets) + offsets
-        prev = cur
-    return int(prev[-1])
+    Myers' bit-vector DP in Hyyro's global form: row ``k`` of the block
+    is the pattern held in bits ``k*(m+1) .. k*(m+1)+m-1`` of one Python
+    int, and each query character advances every row's DP column with a
+    fixed number of big-integer operations. ``pv``/``mv`` hold the +1/-1
+    vertical deltas of the current column, so the last column's bottom
+    cell is ``len(q) + popcount(pv) - popcount(mv)`` per segment.
+    """
+    rows, m = points.shape
+    seg = m + 1
+    # One zero guard bit tops each segment: it absorbs the carry out of
+    # ``(eq & pv) + pv`` and the bit that ``<< 1`` pushes out of the
+    # pattern, so neither leaks into the next row; ``full`` clears it.
+    low = ((1 << rows * seg) - 1) // ((1 << seg) - 1)
+    full = low * ((1 << m) - 1)
+    padded = np.zeros((rows, seg), dtype=np.uint8)
+    padded[:, :m] = points  # the zero guard column matches no letter
+    packed = np.packbits(padded.reshape(-1) == _ALPHABET_CODES[:, None],
+                         axis=1, bitorder="little")
+    peq = {c: int.from_bytes(mask.tobytes(), "little")
+           for c, mask in zip(STRING_ALPHABET, packed)}
+    pv, mv = full, 0
+    for c in q.tolist():
+        eq = peq[c]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        # Shifting ``low`` in makes the top DP row 0, 1, 2, ... (global
+        # distance) instead of all zeros (the substring-search form).
+        ph = (ph << 1) | low
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    nbytes = packed.shape[1]
+    deltas = np.unpackbits(
+        np.frombuffer(pv.to_bytes(nbytes, "little") + mv.to_bytes(nbytes, "little"),
+                      dtype=np.uint8).reshape(2, nbytes),
+        axis=1, count=rows * seg, bitorder="little")
+    counts = deltas.reshape(2, rows, seg).sum(axis=2)
+    return (q.size + counts[0] - counts[1]).astype(np.float64)
 
 
 def distances_to(points: np.ndarray, q, kind: MetricKind,
@@ -199,7 +223,7 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
                     f"{points.shape[1]} vs {q.size}")
             result = (points != q).sum(axis=1).astype(np.float64)
         else:
-            result = _levenshtein_row(points, q)
+            result = _levenshtein_block(points, q)
     if counter is not None:
         counter.add(len(points))
     return result

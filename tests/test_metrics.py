@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chess_search import (ComparisonCounter, DegenerateInputError,
                           DimensionError, MetricKind, counted_distance,
@@ -71,6 +73,17 @@ def test_bulk_kernel_matches_single_pair_bitwise():
         bulk = distances_to(points, q, kind)
         for i in range(64):
             assert bulk[i] == distance(points[i], q, kind)
+    alphabet = np.frombuffer(b"ACGT-", dtype=np.uint8)
+    # a mostly-A block lets carries run the whole segment; lengths 70 and
+    # 130 put segment boundaries inside and across 64-bit words
+    for length, probs in ((12, None), (70, None), (130, None),
+                          (70, [0.96, 0.01, 0.01, 0.01, 0.01])):
+        block = rng.choice(alphabet, (9, length), p=probs)
+        q = rng.choice(alphabet, length, p=probs)
+        for kind in (H, L):
+            bulk = distances_to(block, q, kind)
+            for i in range(len(block)):
+                assert bulk[i] == distance(block[i], q, kind)
 
 
 def test_symmetry_exact():
@@ -115,22 +128,46 @@ def test_distance_bounds_for_strings():
             assert distance(a, b, H) <= n
 
 
-def test_levenshtein_matches_reference_dp():
-    def reference(a: str, b: str) -> int:
-        prev = list(range(len(b) + 1))
-        for i, ca in enumerate(a, 1):
-            cur = [i]
-            for j, cb in enumerate(b, 1):
-                cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                               prev[j - 1] + (ca != cb)))
-            prev = cur
-        return prev[-1]
+def reference_levenshtein(a: str, b: str) -> int:
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
 
+
+def levenshtein_block(rows: list[str], q: str) -> list[float]:
+    points = np.frombuffer("".join(rows).encode(), dtype=np.uint8)
+    return distances_to(points.reshape(len(rows), -1), q, L).tolist()
+
+
+def test_levenshtein_matches_reference_dp():
     rng = np.random.default_rng(29)
     for _ in range(150):
         a = "".join(rng.choice(list("ACGT-"), rng.integers(1, 15)))
         b = "".join(rng.choice(list("ACGT-"), rng.integers(1, 15)))
-        assert distance(a, b, L) == reference(a, b)
+        assert distance(a, b, L) == reference_levenshtein(a, b)
+    # whole blocks, rows up to 130 long, queries of equal and other lengths
+    for _ in range(60):
+        length = int(rng.integers(1, 131))
+        rows = ["".join(rng.choice(list("ACGT-"), length))
+                for _ in range(int(rng.integers(1, 8)))]
+        for q_len in (length, int(rng.integers(1, 131))):
+            q = "".join(rng.choice(list("ACGT-"), q_len))
+            assert levenshtein_block(rows, q) == [
+                reference_levenshtein(row, q) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+           st.text("ACGT-", min_size=n, max_size=n), min_size=1, max_size=6)),
+       st.text("ACGT-", min_size=1, max_size=40))
+def test_levenshtein_block_property(rows, q):
+    assert levenshtein_block(rows, q) == [
+        reference_levenshtein(row, q) for row in rows]
 
 
 def test_shape_and_kind_errors():

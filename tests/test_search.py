@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from chess_search import (BuildConfig, Dataset, MetricKind, build, knn_search,
-                          naive_search, rho_search, synth_manifold)
+from chess_search import (BuildConfig, Dataset, DimensionError, MetricKind,
+                          build, insert_point, knn_search, naive_search,
+                          rho_search, synth_manifold)
 from chess_search.metrics import distances_to
+from chess_search.tree import tree_to_bytes
 
 from conftest import brute_force_knn
 
@@ -41,6 +43,30 @@ def test_negative_radius_rejected(small_manifold):
     ds, tree = small_manifold
     with pytest.raises(ValueError):
         rho_search(tree, ds.values[0], -1.0, ds)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_query_rejected(small_manifold, bad):
+    ds, tree = small_manifold
+    q = ds.values[5].copy()
+    q[3] = bad
+    with pytest.raises(DimensionError, match="index 3"):
+        rho_search(tree, q, 1.0, ds)
+    with pytest.raises(DimensionError, match="index 3"):
+        knn_search(tree, q, 3, ds)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_insert_leaves_tree_unchanged(bad):
+    ds = synth_manifold(120, 6, 1, 0.05, seed=14)
+    tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=0))
+    before = tree_to_bytes(tree)
+    point = ds.values[0].copy()
+    point[0] = bad
+    with pytest.raises(DimensionError, match="index 0"):
+        insert_point(tree, point, ds)
+    assert ds.n == 120
+    assert tree_to_bytes(tree) == before
 
 
 def test_report_invariants(small_manifold):
