@@ -12,7 +12,6 @@ fixed header and parse back losslessly.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -70,27 +69,18 @@ def hold_out(dataset: Dataset, num_queries: int, seed: int,
     return held_in, dataset.values[query_idx].copy()
 
 
-def _single_leaf(tree: ClusterTree) -> ClusterTree:
-    # depth-0 baseline: exact root statistics, no children, no pruning
-    root = tree.root
-    root.left = root.right = None
-    root.members = np.arange(root.cardinality, dtype=np.int64)
-    return tree
-
-
 def _build_at_depth(dataset: Dataset, metric: MetricKind, depth: int,
                     min_size: int, seed: int) -> ClusterTree:
     if depth == 0:
-        return _single_leaf(build(dataset, metric,
-                                  BuildConfig(max_depth=1, min_size=min_size,
-                                              seed=seed)))
+        # depth-0 baseline: one leaf over every point, so no pruning
+        depth, min_size = 1, dataset.n
     return build(dataset, metric,
                  BuildConfig(max_depth=depth, min_size=min_size, seed=seed))
 
 
 def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
-                  num_queries: int = 50, seed: int = 0, *, min_size: int = 10,
-                  threads: int = 1) -> list[BenchmarkRow]:
+                  num_queries: int = 50, seed: int = 0, *,
+                  min_size: int = 10) -> list[BenchmarkRow]:
     """One row per (depth, radius): comparison counts, wall times,
     fraction searched, speedup, output sizes, and exactness tallies."""
     radii = [float(r) for r in radii]
@@ -106,16 +96,7 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
     for depth in depths:
         tree = _build_at_depth(held_in, metric, depth, min_size, seed)
         for radius in radii:
-
-            def run_query(q):
-                return rho_search(tree, q, radius, held_in)
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    reports = list(pool.map(run_query, queries))
-            else:
-                reports = [run_query(q) for q in queries]
-
+            reports = [rho_search(tree, q, radius, held_in) for q in queries]
             oracle = naive[radius]
             comparisons = np.array([r.comparisons for r in reports], dtype=float)
             times = np.array([r.wall_time for r in reports])

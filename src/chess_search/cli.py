@@ -9,7 +9,6 @@ success, 1 on data or runtime errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -54,13 +53,6 @@ def _int_list(text: str) -> list[int]:
 
 def _eprint(*parts) -> None:
     print(*parts, file=sys.stderr)
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("CHESS_THREADS", "")
-    return int(env) if env.isdigit() and int(env) > 0 else 1
 
 
 def _load_any(path) -> Dataset:
@@ -151,7 +143,7 @@ def cmd_bench(args) -> int:
     metric = MetricKind.from_name(args.metric)
     rows = run_benchmark(dataset, metric, args.radii, args.depths,
                          num_queries=args.queries, seed=args.seed,
-                         min_size=args.min_size, threads=_resolve_threads(args))
+                         min_size=args.min_size)
     _emit(rows_to_csv(rows), args.out)
     return 0
 
@@ -166,8 +158,7 @@ def cmd_compress(args) -> int:
         tree = build(dataset, MetricKind.from_name(args.metric),
                      BuildConfig(max_depth=args.max_depth,
                                  min_size=args.min_size, seed=args.seed))
-    compress_tree(tree, dataset, Quantizer(args.quantum), args.out,
-                  threads=_resolve_threads(args))
+    compress_tree(tree, dataset, Quantizer(args.quantum), args.out)
     raw = Path(args.input).stat().st_size
     archived = Path(args.out).stat().st_size
     _eprint(f"n={dataset.n} raw_bytes={raw} archive_bytes={archived} "
@@ -187,7 +178,7 @@ def cmd_decompress(args) -> int:
 
 def cmd_info(args) -> int:
     tree, _ = tree_from_bytes(Path(args.tree).read_bytes())
-    _eprint(f"metric={tree.metric.value} n={tree.root.cardinality} "
+    _eprint(f"metric={tree.metric.value} n={tree.cardinality[0]} "
             f"depth={tree.depth} leaves={metric_entropy(tree)} "
             f"mean_leaf_radius={tree.mean_leaf_radius()!r} "
             f"median_leaf_radius={tree.median_leaf_radius()!r} "
@@ -255,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-size", type=_positive_int, default=10)
-    p.add_argument("--threads", type=_positive_int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
@@ -268,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=_positive_int, default=50)
     p.add_argument("--min-size", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive_int, default=0)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="rebuild the dataset from an archive")

@@ -9,6 +9,10 @@ lands every value on the quantization grid, so a first roundtrip is
 lossy by at most half a quantum per coordinate and every subsequent
 roundtrip is the identity.
 
+An archive is the tree's CHESSTREE stream, the quantum and the leaf
+centers verbatim under one CRC32, then one delta block per leaf in
+pre-order. Every byte is covered by a checksum.
+
 The default quantum is the measurement resolution of magnitude-12.2
 photometry, ``10 ** (-12.2 / 2.5)``.
 """
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,13 +28,12 @@ import numpy as np
 
 from .data import VEC_MAGIC, VEC_VERSION, Dataset, DatasetKind, _VEC_HEADER
 from .errors import ChessError, FormatError
-from .tree import ClusterNode, ClusterTree, tree_from_bytes, tree_to_bytes
+from .tree import ClusterTree, tree_from_bytes, tree_to_bytes
 
 __all__ = [
     "DEFAULT_QUANTUM",
     "Quantizer",
     "quantize",
-    "dequantize",
     "LeafDeltaBlock",
     "encode_leaf",
     "decode_leaf",
@@ -61,20 +63,9 @@ class Quantizer:
                              f"got {self.quantum}")
 
 
-def quantize(value: float, quantum: float) -> int:
-    """Nearest grid index of value, rounding halves away from zero."""
-    if not np.isfinite(value):
-        raise ValueError(f"cannot quantize non-finite value {value}")
-    if not (quantum > 0 and np.isfinite(quantum)):
-        raise ValueError(f"quantum must be positive and finite, got {quantum}")
-    return int(np.sign(value) * np.floor(abs(value) / quantum + 0.5))
-
-
-def dequantize(q: int, quantum: float) -> float:
-    return float(q * quantum)
-
-
-def _quantize_block(values: np.ndarray, quantum: float) -> np.ndarray:
+def quantize(values: np.ndarray, quantum: float) -> np.ndarray:
+    """Nearest grid index of every value, rounding halves away from zero;
+    ``index * quantum`` is the value on the grid."""
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
     return (np.sign(values) * np.floor(np.abs(values) / quantum + 0.5)).astype(np.int64)
@@ -143,6 +134,8 @@ class LeafDeltaBlock:
         pos += _U64.size
         if len(raw) - pos < length + _U32.size:
             raise FormatError(f"truncated block at byte offset {pos}")
+        if length < _BLOCK_HEADER.size:
+            raise FormatError(f"block shorter than its header at byte offset {pos}")
         payload = raw[pos:pos + length]
         (crc,) = _U32.unpack_from(raw, pos + length)
         if zlib.crc32(payload) != crc:
@@ -168,34 +161,34 @@ def _inflate(body: bytes) -> bytes:
         raise FormatError(f"corrupt deflate stream: {exc}") from None
 
 
-def encode_leaf(leaf: ClusterNode, dataset: Dataset,
-                quantizer: Quantizer) -> LeafDeltaBlock:
-    """Encode one leaf's members as differences from the leaf center."""
-    if leaf.members is None:
-        raise ValueError("encode_leaf requires a leaf node")
-    members = leaf.members
+def encode_leaf(center: int, members: np.ndarray, radius: float,
+                dataset: Dataset, quantizer: Quantizer) -> LeafDeltaBlock:
+    """Encode one leaf's members as differences from the leaf center.
+
+    String members are edit lists, which the leaf radius bounds when the
+    tree's distance is Hamming.
+    """
     if dataset.kind is DatasetKind.DENSE_VECTORS:
-        grid = _quantize_block(dataset.values[members], quantizer.quantum)
-        center_grid = _quantize_block(dataset.values[leaf.center],
-                                      quantizer.quantum)
+        grid = quantize(dataset.values[members], quantizer.quantum)
+        center_grid = quantize(dataset.values[center], quantizer.quantum)
         body = _encode_varints(_zigzag((grid - center_grid).ravel()))
     else:
-        center_row = dataset.values[leaf.center]
+        center_row = dataset.values[center]
         parts = []
         for idx in members.tolist():
             row = dataset.values[idx]
             positions = np.flatnonzero(row != center_row)
-            if positions.size > leaf.radius:
+            if positions.size > radius:
                 raise ChessError(
                     f"leaf invariant violated: {positions.size} edits for point "
-                    f"{idx} exceed leaf radius {leaf.radius}")
+                    f"{idx} exceed leaf radius {radius}")
             parts.append(_encode_varints(np.array([positions.size],
                                                   dtype=np.uint64)))
             for p in positions.tolist():
                 parts.append(_U32.pack(p))
                 parts.append(row[p].tobytes())
         body = b"".join(parts)
-    return LeafDeltaBlock(kind=dataset.kind, center_index=int(leaf.center),
+    return LeafDeltaBlock(kind=dataset.kind, center_index=int(center),
                           member_count=int(members.size),
                           compressed_body=_deflate(body))
 
@@ -220,7 +213,7 @@ def decode_leaf(block: LeafDeltaBlock, centers: Dataset,
         if pos != len(body):
             raise FormatError(f"trailing bytes in block body at offset {pos}")
         deltas = _unzigzag(raw).reshape(block.member_count, dim)
-        center_grid = _quantize_block(row, quantizer.quantum)
+        center_grid = quantize(row, quantizer.quantum)
         return (center_grid + deltas) * quantizer.quantum
     out = np.tile(row, (block.member_count, 1))
     pos = 0
@@ -230,7 +223,11 @@ def decode_leaf(block: LeafDeltaBlock, centers: Dataset,
             if len(body) - pos < _U32.size + 1:
                 raise FormatError(f"truncated edit at byte offset {pos}")
             (position,) = _U32.unpack_from(body, pos)
-            out[i, position] = body[pos + _U32.size]
+            try:
+                out[i, position] = body[pos + _U32.size]
+            except IndexError:
+                raise FormatError(f"edit position {position} out of range at "
+                                  f"byte offset {pos}") from None
             pos += _U32.size + 1
     if pos != len(body):
         raise FormatError(f"trailing bytes in block body at offset {pos}")
@@ -239,82 +236,66 @@ def decode_leaf(block: LeafDeltaBlock, centers: Dataset,
 
 def compress_tree(tree: ClusterTree, dataset: Dataset, quantizer: Quantizer,
                   path, threads: int = 1) -> None:
-    """Write an archive: the tree, the leaf centers verbatim, then one
-    delta block per leaf in pre-order."""
+    """Write an archive: the tree, the quantum and the leaf centers
+    verbatim under one CRC32, then one delta block per leaf in pre-order.
+
+    ``threads`` is accepted for existing callers and ignored: encoding
+    runs Python code that holds the interpreter lock.
+    """
     if tree.dataset_hash != dataset.content_hash():
         raise ValueError("tree was not built over this dataset")
-    leaves = list(tree.root.iter_leaves())
-    chunks = [tree_to_bytes(tree), _F64.pack(quantizer.quantum)]
-
-    center_rows = dataset.values[np.array([leaf.center for leaf in leaves])]
+    leaves, members = tree.leaf_members()
+    centers = tree.center[leaves]
+    center_rows = dataset.values[centers]
     if dataset.kind is DatasetKind.DENSE_VECTORS:
-        chunks.append(_VEC_HEADER.pack(VEC_MAGIC, VEC_VERSION, len(leaves),
-                                       dataset.dim))
-        chunks.append(np.ascontiguousarray(center_rows, dtype="<f8").tobytes())
+        header = _VEC_HEADER.pack(VEC_MAGIC, VEC_VERSION, leaves.size, dataset.dim)
+        center_rows = np.ascontiguousarray(center_rows, dtype="<f8")
     else:
-        chunks.append(_STR_SECTION.pack(len(leaves), dataset.dim))
-        chunks.append(center_rows.tobytes())
-
-    def encode(leaf: ClusterNode) -> bytes:
-        return encode_leaf(leaf, dataset, quantizer).to_bytes()
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks.extend(pool.map(encode, leaves))
-    else:
-        chunks.extend(encode(leaf) for leaf in leaves)
+        header = _STR_SECTION.pack(leaves.size, dataset.dim)
+    section = _F64.pack(quantizer.quantum) + header + center_rows.tobytes()
+    chunks = [tree_to_bytes(tree), section, _U32.pack(zlib.crc32(section))]
+    chunks.extend(encode_leaf(c, m, r, dataset, quantizer).to_bytes()
+                  for c, m, r in zip(centers.tolist(), members,
+                                     tree.radius[leaves].tolist()))
     Path(path).write_bytes(b"".join(chunks))
 
 
 def decompress(path) -> Dataset:
     """Rebuild the dataset from an archive, in original point order."""
     raw = Path(path).read_bytes()
-    tree, pos = tree_from_bytes(raw)
-    if len(raw) - pos < _F64.size:
-        raise FormatError(f"truncated quantum field at byte offset {pos}")
-    (quantum,) = _F64.unpack_from(raw, pos)
-    pos += _F64.size
+    tree, start = tree_from_bytes(raw)
     dense = tree.metric.for_vectors
-    leaves = list(tree.root.iter_leaves())
-
-    if dense:
-        if len(raw) - pos < _VEC_HEADER.size:
-            raise FormatError(f"truncated centers header at byte offset {pos}")
-        magic, version, count, dim = _VEC_HEADER.unpack_from(raw, pos)
-        if magic != VEC_MAGIC or version != VEC_VERSION:
-            raise FormatError(f"bad centers section at byte offset {pos}")
-        pos += _VEC_HEADER.size
-        centers = np.frombuffer(raw, dtype="<f8", count=count * dim,
-                                offset=pos).reshape(count, dim)
-        pos += 8 * count * dim
-        centers_ds = Dataset(DatasetKind.DENSE_VECTORS,
-                             centers.astype(np.float64))
-        quantizer = Quantizer(quantum)
-        out = np.empty((tree.root.cardinality, dim), dtype=np.float64)
-    else:
-        count, dim = _STR_SECTION.unpack_from(raw, pos)
-        pos += _STR_SECTION.size
-        centers = np.frombuffer(raw, dtype=np.uint8, count=count * dim,
-                                offset=pos).reshape(count, dim)
-        pos += count * dim
-        centers_ds = Dataset(DatasetKind.ALIGNED_STRINGS, centers.copy())
-        quantizer = None
-        out = np.empty((tree.root.cardinality, dim), dtype=np.uint8)
-    if count != len(leaves):
+    kind = DatasetKind.DENSE_VECTORS if dense else DatasetKind.ALIGNED_STRINGS
+    header, dtype = ((_VEC_HEADER, np.dtype("<f8")) if dense
+                     else (_STR_SECTION, np.dtype(np.uint8)))
+    pos = start + _F64.size + header.size
+    if len(raw) < pos:
+        raise FormatError(f"truncated centers header at byte offset {len(raw)}")
+    (quantum,) = _F64.unpack_from(raw, start)
+    *tag, count, dim = header.unpack_from(raw, start + _F64.size)
+    if tag not in ([], [VEC_MAGIC, VEC_VERSION]):
+        raise FormatError(f"bad centers section at byte offset {start}")
+    end = pos + count * dim * dtype.itemsize
+    if len(raw) < end + _U32.size:
+        raise FormatError(f"truncated centers section at byte offset {len(raw)}")
+    if zlib.crc32(memoryview(raw)[start:end]) != _U32.unpack_from(raw, end)[0]:
+        raise FormatError(f"centers section checksum mismatch at byte offset {end}")
+    leaves, members = tree.leaf_members()
+    if count != leaves.size:
         raise FormatError(f"centers section holds {count} rows for "
-                          f"{len(leaves)} leaves")
+                          f"{leaves.size} leaves")
+    centers = np.frombuffer(raw, dtype=dtype, count=count * dim, offset=pos)
+    centers_ds = Dataset(kind, centers.reshape(count, dim).astype(
+        np.float64 if dense else np.uint8))
+    quantizer = Quantizer(quantum) if dense else None
+    pos = end + _U32.size
 
-    filled = np.zeros(tree.root.cardinality, dtype=bool)
-    for i, leaf in enumerate(leaves):
+    out = np.empty((tree.order.size, dim), dtype=centers_ds.values.dtype)
+    for i, (leaf, m) in enumerate(zip(leaves.tolist(), members)):
         block, pos = LeafDeltaBlock.from_bytes(raw, pos)
-        if block.center_index != leaf.center or block.member_count != leaf.members.size:
+        if block.center_index != tree.center[leaf] or block.member_count != m.size:
             raise FormatError(f"block {i} does not match leaf {i} of the tree")
-        points = decode_leaf(block, centers_ds, quantizer, center_row=i)
-        out[leaf.members] = points
-        filled[leaf.members] = True
+        out[m] = decode_leaf(block, centers_ds, quantizer, center_row=i)
     if pos != len(raw):
         raise FormatError(f"trailing bytes at offset {pos}")
-    if not filled.all():
-        raise FormatError("archive does not cover every point index")
-    kind = DatasetKind.DENSE_VECTORS if dense else DatasetKind.ALIGNED_STRINGS
     return Dataset(kind, out)

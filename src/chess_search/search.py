@@ -1,12 +1,13 @@
 """Range and k-nearest-neighbor queries over a cluster tree.
 
-``rho_search`` walks the hierarchy, descending into a child only when
-the query ball of radius r can intersect it, i.e. when the child center
-lies within ``r + child.radius`` of the query. Reached leaves are
-scanned exhaustively. When the distance obeys the triangle inequality
-this returns exactly the naive linear-scan result; false positives are
-impossible for any distance because every hit is an explicit pairwise
-comparison against r.
+``rho_search`` walks the flat pre-order tree with an explicit stack,
+descending into a child only when the query ball of radius r can
+intersect it, i.e. when the child center lies within
+``r + radius[child]`` of the query. Reached leaves are scanned
+exhaustively as their slices of the tree's member permutation. When the
+distance obeys the triangle inequality this returns exactly the naive
+linear-scan result; false positives are impossible for any distance
+because every hit is an explicit pairwise comparison against r.
 
 ``knn_search`` wraps the range search in a radius-doubling/halving loop
 started at the median leaf radius, then keeps the k nearest candidates
@@ -24,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .metrics import ComparisonCounter, MetricKind, distances_to
-from .tree import ClusterNode, ClusterTree
+from .tree import ClusterTree
 
 __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_search"]
 
@@ -67,7 +68,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     """All points within distance r of q, found by pruned tree descent.
 
     The root is always explored; an internal node's child (leaf or not)
-    is explored only if ``d(q, child.center) <= r + child.radius``.
+    is explored only if ``d(q, center[child]) <= r + radius[child]``.
     Comparisons count every distance evaluation, pruning tests included.
     """
     if r < 0 or not math.isfinite(r):
@@ -82,24 +83,30 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     points_scanned = 0
     started = time.perf_counter()
 
-    def visit(node: ClusterNode) -> None:
-        nonlocal leaves_visited, points_scanned
-        if node.is_leaf:
+    # ``item`` reads Python scalars, which keeps the walk's per-node cost
+    # close to that of attribute access
+    center, radius, size = tree.center.item, tree.radius.item, tree.size.item
+    card, order = tree.cardinality.item, tree.order
+    stack = [(0, 0)]  # (node, offset of its slice of order)
+    while stack:
+        node, off = stack.pop()
+        if size(node) == 1:
+            members = order[off:off + card(node)]
             leaves_visited += 1
-            points_scanned += node.members.size
-            dists = distances_to(values[node.members], query, metric, counter)
+            points_scanned += members.size
+            dists = distances_to(values[members], query, metric, counter)
             within = dists <= r
             if within.any():
-                hit_idx.append(node.members[within])
+                hit_idx.append(members[within])
                 hit_dist.append(dists[within])
-            return
-        for child in (node.left, node.right):
-            d_center = float(distances_to(values[child.center][np.newaxis, :],
-                                          query, metric, counter)[0])
-            if d_center <= r + child.radius:
-                visit(child)
+            continue
+        left = node + 1
+        for child, child_off in ((left, off), (left + size(left), off + card(left))):
+            c = center(child)
+            d_center = float(distances_to(values[c:c + 1], query, metric, counter)[0])
+            if d_center <= r + radius(child):
+                stack.append((child, child_off))
 
-    visit(tree.root)
     if hit_idx:
         hits = _sorted_hits(np.concatenate(hit_idx), np.concatenate(hit_dist))
     else:
@@ -150,7 +157,7 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
             cache[radius] = report
         return cache[radius]
 
-    root_radius = tree.root.radius
+    root_radius = tree.radius[0]
     rho = tree.median_leaf_radius()
     report = ball(rho)
     steps = 0

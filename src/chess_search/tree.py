@@ -1,31 +1,41 @@
-"""Divisive binary cluster hierarchy over a dataset.
+"""Divisive binary cluster hierarchy over a dataset, stored as flat arrays.
 
 The build picks two maximally separated seed points (poles) from a
 random sample of roughly sqrt(m) members, assigns every member to the
-nearer pole, and recurses. A node stops splitting at the configured
-maximum depth, at or below the minimum size, or when its radius is zero
-(all members identical). Per-node geometry is exact: the radius is the
-maximum member distance to the center, and the local fractal dimension
-is the log2 ratio of member counts within the full radius and half the
-radius.
+nearer pole, and splits each side again. A node stops splitting at the
+configured maximum depth, at or below the minimum size, or when its
+radius is zero (all members identical). Per-node geometry is exact: the
+radius is the maximum member distance to the center, and the local
+fractal dimension is the log2 ratio of member counts within the full
+radius and half the radius.
 
 Member distances to the freshly chosen child center fall out of the
 partitioning step, so radii and fractal dimensions cost no additional
 distance evaluations; the total build cost stays within
 ``3 * (depth + 1) * n + n`` comparisons.
 
-Each node draws randomness from its own seeded stream, so a tree is a
-pure function of (dataset, metric, config) regardless of evaluation
-order.
+Each node draws randomness from its own seeded stream (heap numbering),
+so a tree is a pure function of (dataset, metric, config) regardless of
+evaluation order.
+
+A tree is a struct of arrays, one entry per node in pre-order:
+``center``, ``radius``, ``lfd``, ``cardinality`` and ``size`` (nodes in
+the subtree, 1 for a leaf). Node ``i``'s children are ``i + 1`` and
+``i + 1 + size[i + 1]``. Every node's members are one contiguous slice
+of the permutation ``order``: the left child's slice starts at its
+parent's and the right child's follows it. No walk recurses, so depth
+is bounded by memory, not by the interpreter's recursion limit. The
+CHESSTREE v2 stream stores the columns (flags in place of ``size``),
+``order`` and a CRC32; parsing checks the checksum and the structure.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -35,12 +45,9 @@ from .metrics import ComparisonCounter, MetricKind, distances_to
 
 __all__ = [
     "BuildConfig",
-    "ClusterNode",
     "ClusterTree",
     "build",
     "select_poles",
-    "partition",
-    "local_fractal_dimension",
     "metric_entropy",
     "lfd_depth_profile",
     "insert_point",
@@ -51,10 +58,14 @@ __all__ = [
 ]
 
 TREE_MAGIC = b"CHESSTREE"
-TREE_VERSION = 1
-_TREE_HEADER = struct.Struct("<9sBBQQQ32s")
-_NODE_RECORD = struct.Struct("<BQddQ")
-_U64 = struct.Struct("<Q")
+TREE_VERSION = 2
+# magic, version, metric, max_depth, min_size, seed, dataset hash,
+# node count, point count
+_TREE_HEADER = struct.Struct("<9sBBQQQ32sQQ")
+_U32 = struct.Struct("<I")
+# columns in stream order: one entry per node, then one per point
+_COLUMNS = (("flags", "u1"), ("center", "<u8"), ("radius", "<f8"),
+            ("lfd", "<f8"), ("cardinality", "<u8"), ("order", "<u8"))
 
 #: Multiple of the leaf radius beyond which an inserted point starts a
 #: new sibling cluster instead of joining the leaf.
@@ -77,67 +88,64 @@ class BuildConfig:
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass
-class ClusterNode:
-    """One cluster: a center point index, exact radius, and either two
-    children or an explicit member list (leaves only)."""
-
-    center: int
-    radius: float
-    cardinality: int
-    lfd: float
-    depth: int
-    left: "ClusterNode | None" = None
-    right: "ClusterNode | None" = None
-    members: np.ndarray | None = None  # int64 point indices, leaves only
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def iter_nodes(self) -> Iterator["ClusterNode"]:
-        """Pre-order traversal of this subtree."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-
-    def iter_leaves(self) -> Iterator["ClusterNode"]:
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                yield node
-
-    def member_indices(self) -> np.ndarray:
-        """All point indices in this cluster, gathered from descendant leaves."""
-        if self.is_leaf:
-            return self.members
-        return np.concatenate([leaf.members for leaf in self.iter_leaves()])
-
-
-@dataclass
+@dataclass(eq=False)
 class ClusterTree:
-    root: ClusterNode
+    """Pre-order node columns plus the member permutation ``order``."""
+
+    center: np.ndarray       # int64 point index of each node's center
+    radius: np.ndarray       # float64 exact radius
+    lfd: np.ndarray          # float64 local fractal dimension
+    cardinality: np.ndarray  # int64 member count
+    size: np.ndarray         # int64 nodes in the subtree, 1 for a leaf
+    order: np.ndarray        # int64 permutation of the point indices
     metric: MetricKind
     config: BuildConfig
     dataset_hash: bytes
     build_comparisons: int = 0
 
+    def leaf_members(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Pre-order leaf node indices and each leaf's slice of ``order``."""
+        leaves = np.flatnonzero(self.size == 1)
+        return leaves, np.split(self.order,
+                                np.cumsum(self.cardinality[leaves])[:-1])
+
+    def depths(self) -> np.ndarray:
+        """Depth of every node; the root is at depth 0. A node's depth is
+        the number of internal nodes whose subtree span covers it."""
+        internal = np.flatnonzero(self.size > 1)
+        step = np.zeros(self.size.size + 1, dtype=np.int64)
+        np.add.at(step, internal + 1, 1)
+        np.add.at(step, internal + self.size[internal], -1)
+        return np.cumsum(step[:-1])
+
     @property
     def depth(self) -> int:
         """Deepest leaf level actually reached."""
-        return max(leaf.depth for leaf in self.root.iter_leaves())
-
-    def leaf_radii(self) -> np.ndarray:
-        return np.array([leaf.radius for leaf in self.root.iter_leaves()])
+        return int(self.depths().max())
 
     def mean_leaf_radius(self) -> float:
-        return float(self.leaf_radii().mean())
+        return float(self.radius[self.size == 1].mean())
 
     def median_leaf_radius(self) -> float:
-        return float(np.median(self.leaf_radii()))
+        return float(np.median(self.radius[self.size == 1]))
+
+
+def _subtree_sizes(internal: np.ndarray) -> np.ndarray:
+    """Nodes in every subtree of a full binary tree given in pre-order by
+    its internal-node flags.
+
+    ``level`` counts internal minus leaf nodes so far; the subtree of node
+    ``i`` ends at the first ``k >= i`` where ``level`` is one below its
+    value before ``i``. Keys ``(level + 1, k)`` sorted in one array let a
+    single ``searchsorted`` find that ``k`` for every ``i``.
+    """
+    step = np.where(internal, 1, -1)
+    level = np.cumsum(step)
+    n = level.size
+    index = np.arange(n)
+    keys = np.sort((level + 1) * (n + 1) + index)
+    ends = keys[np.searchsorted(keys, (level - step) * (n + 1) + index)] % (n + 1)
+    return ends - index + 1
 
 
 def _node_rng(seed: int, stream: int) -> np.random.Generator:
@@ -180,8 +188,13 @@ def select_poles(member_indices, dataset: Dataset, metric: MetricKind,
 def _partition_core(member_indices: np.ndarray, dataset: Dataset,
                     metric: MetricKind, counter: ComparisonCounter,
                     rng: np.random.Generator):
-    """Partition members between two poles, returning each side's indices
-    together with every member's distance to its own side's center."""
+    """Split members between two poles chosen by :func:`select_poles`.
+
+    A member goes left when its distance to the left pole is less than
+    or equal to its distance to the right pole; each pole always lands
+    on its own side. Returns each side's indices and center, together
+    with every member's distance to its own side's center.
+    """
     idx = np.asarray(member_indices, dtype=np.int64)
     if idx.size < 2:
         raise ValueError("partition requires at least 2 members")
@@ -206,21 +219,9 @@ def _partition_core(member_indices: np.ndarray, dataset: Dataset,
             d_left[goes_left], d_right[~goes_left])
 
 
-def partition(member_indices, dataset: Dataset, metric: MetricKind,
-              counter: ComparisonCounter, rng: np.random.Generator):
-    """Split members between two poles chosen by :func:`select_poles`.
-
-    A member goes left when its distance to the left pole is less than
-    or equal to its distance to the right pole; each pole always lands
-    on its own side. Returns (left_indices, right_indices, left_center,
-    right_center).
-    """
-    left_idx, right_idx, lc, rc, _, _ = _partition_core(
-        np.asarray(member_indices, dtype=np.int64), dataset, metric, counter, rng)
-    return left_idx, right_idx, lc, rc
-
-
 def _lfd_from_dists(cardinality: int, radius: float, dists: np.ndarray) -> float:
+    """log2 of the member count within the radius over the count within
+    half the radius; zero for singletons and zero-radius clusters."""
     if cardinality <= 1 or radius == 0.0:
         return 0.0
     inner = int(np.count_nonzero(dists <= radius / 2.0))
@@ -241,13 +242,6 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     counter = ComparisonCounter()
     n = dataset.n
     all_idx = np.arange(n, dtype=np.int64)
-
-    if n == 1:
-        root = ClusterNode(center=0, radius=0.0, cardinality=1, lfd=0.0,
-                           depth=0, members=all_idx)
-        return ClusterTree(root, metric, config, dataset.content_hash(),
-                           counter.count)
-
     values = dataset.values
     rng0 = _node_rng(config.seed, 0)
     seeds = np.sort(rng0.choice(all_idx, size=_sample_size(n), replace=False))
@@ -264,44 +258,36 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     root_dists[others] = distances_to(values[others], values[root_center],
                                       metric, counter)
 
-    def grow(idx: np.ndarray, center: int, dists: np.ndarray,
-             depth: int, stream: int) -> ClusterNode:
-        cardinality = idx.size
+    rows, leaf_members = [], []  # rows: (center, radius, lfd, cardinality, split)
+    # pending nodes: (members, center, member distances to it, depth, stream);
+    # the left child is pushed last so nodes come off in pre-order
+    stack = [(all_idx, root_center, root_dists, 0, 1)]
+    while stack:
+        idx, center, dists, depth, stream = stack.pop()
         radius = float(dists.max())
-        lfd = _lfd_from_dists(cardinality, radius, dists)
-        node = ClusterNode(center=center, radius=radius,
-                           cardinality=cardinality, lfd=lfd, depth=depth)
-        if (depth >= config.max_depth or cardinality <= config.min_size
-                or radius == 0.0):
-            node.members = idx
-            return node
+        split = not (depth >= config.max_depth or idx.size <= config.min_size
+                     or radius == 0.0)
+        rows.append((center, radius, _lfd_from_dists(idx.size, radius, dists),
+                     idx.size, split))
+        if not split:
+            leaf_members.append(idx)
+            continue
         left_idx, right_idx, lc, rc, dl, dr = _partition_core(
             idx, dataset, metric, counter, _node_rng(config.seed, stream))
-        node.left = grow(left_idx, lc, dl, depth + 1, 2 * stream)
-        node.right = grow(right_idx, rc, dr, depth + 1, 2 * stream + 1)
-        return node
+        stack.append((right_idx, rc, dr, depth + 1, 2 * stream + 1))
+        stack.append((left_idx, lc, dl, depth + 1, 2 * stream))
 
-    root = grow(all_idx, root_center, root_dists, 0, 1)
-    return ClusterTree(root, metric, config, dataset.content_hash(), counter.count)
-
-
-def local_fractal_dimension(node: ClusterNode, dataset: Dataset,
-                            metric: MetricKind) -> float:
-    """log2 of the member count within the node radius over the count
-    within half the radius, both balls centered on the node center and
-    counting node members only. Zero for singletons and zero-radius
-    clusters."""
-    members = node.member_indices()
-    if members.size <= 1 or node.radius == 0.0:
-        return 0.0
-    dists = distances_to(dataset.values[members], dataset.values[node.center],
-                         metric)
-    return _lfd_from_dists(members.size, node.radius, dists)
+    centers, radii, lfds, cards, internal = map(np.array, zip(*rows))
+    return ClusterTree(
+        center=centers.astype(np.int64), radius=radii, lfd=lfds,
+        cardinality=cards.astype(np.int64), size=_subtree_sizes(internal),
+        order=np.concatenate(leaf_members), metric=metric, config=config,
+        dataset_hash=dataset.content_hash(), build_comparisons=counter.count)
 
 
 def metric_entropy(tree: ClusterTree) -> int:
     """Number of leaf clusters."""
-    return sum(1 for _ in tree.root.iter_leaves())
+    return int(np.count_nonzero(tree.size == 1))
 
 
 def lfd_depth_profile(tree: ClusterTree) -> list[tuple[int, int, float]]:
@@ -312,13 +298,14 @@ def lfd_depth_profile(tree: ClusterTree) -> list[tuple[int, int, float]]:
     depth then decile, and decile means are nondecreasing within a
     depth by construction.
     """
-    by_depth: dict[int, list[float]] = {}
-    for node in tree.root.iter_nodes():
-        by_depth.setdefault(node.depth, []).append(node.lfd)
+    depths = tree.depths()
+    ranked = np.lexsort((tree.lfd, depths))
+    depths, lfds = depths[ranked], tree.lfd[ranked]
+    starts = np.flatnonzero(np.diff(depths)) + 1
     rows: list[tuple[int, int, float]] = []
-    for depth in sorted(by_depth):
-        ranked = np.sort(np.array(by_depth[depth]))
-        for decile, bucket in enumerate(np.array_split(ranked, 10)):
+    for depth, group in zip(depths[np.r_[0, starts]].tolist(),
+                            np.split(lfds, starts)):
+        for decile, bucket in enumerate(np.array_split(group, 10)):
             if bucket.size:
                 rows.append((depth, decile, float(bucket.mean())))
     return rows
@@ -329,82 +316,87 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset,
     """Add one point to the dataset and thread it into the tree.
 
     Descends from the root following the nearer child center (ties going
-    left), updating cardinality and radius along the path. When the
-    point lands farther than ``split_factor`` times the leaf radius from
-    the leaf center (and the radius is positive), the leaf is split into
-    the old leaf plus a new singleton under a fresh internal node.
+    left), updating cardinality and radius along the path. The point
+    joins the end of the leaf's slice of ``order``. When it lands farther
+    than ``split_factor`` times the leaf radius from the leaf center (and
+    the radius is positive), the leaf becomes an internal node over the
+    old leaf and a new singleton: two pre-order rows are inserted after
+    it.
 
     Requires exclusive access: no concurrent searches during mutation.
     """
     arr = dataset.coerce_point(point)
     new_index = dataset.append_point(arr)
     values = dataset.values
+    center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
 
-    def dist_to(center: int) -> float:
-        return float(distances_to(values[center][np.newaxis, :], arr,
-                                  tree.metric)[0])
+    def dist_to(c) -> float:
+        return float(distances_to(values[c][np.newaxis, :], arr, tree.metric)[0])
 
-    parent: ClusterNode | None = None
-    node = tree.root
-    while not node.is_leaf:
-        node.cardinality += 1
-        node.radius = max(node.radius, dist_to(node.center))
-        parent = node
-        node = (node.left
-                if dist_to(node.left.center) <= dist_to(node.right.center)
-                else node.right)
-
-    d_leaf = dist_to(node.center)
-    if node.radius > 0.0 and d_leaf > split_factor * node.radius:
-        singleton = ClusterNode(center=new_index, radius=0.0, cardinality=1,
-                                lfd=0.0, depth=node.depth + 1,
-                                members=np.array([new_index], dtype=np.int64))
-        replacement = ClusterNode(center=node.center,
-                                  radius=max(node.radius, d_leaf),
-                                  cardinality=node.cardinality + 1,
-                                  lfd=0.0, depth=node.depth,
-                                  left=node, right=singleton)
-        node.depth += 1
-        replacement.lfd = local_fractal_dimension(replacement, dataset, tree.metric)
-        if parent is None:
-            tree.root = replacement
-        elif parent.left is node:
-            parent.left = replacement
+    path = []
+    node = off = 0
+    while size[node] > 1:
+        path.append(node)
+        radius[node] = max(radius[node], dist_to(center[node]))
+        left = node + 1
+        right = left + int(size[left])
+        if dist_to(center[left]) <= dist_to(center[right]):
+            node = left
         else:
-            parent.right = replacement
-    else:
-        node.members = np.append(node.members, np.int64(new_index))
-        node.cardinality += 1
-        node.radius = max(node.radius, d_leaf)
+            node, off = right, off + int(card[left])
+    d_leaf = dist_to(center[node])
+    split = radius[node] > 0.0 and d_leaf > split_factor * radius[node]
+    if split:  # the leaf becomes the parent of its old self and a singleton
+        tree.center, tree.radius, tree.lfd, tree.cardinality, tree.size = (
+            np.concatenate((column[:node + 1], [column[node], new], column[node + 1:]))
+            for column, new in ((center, new_index), (radius, 0.0),
+                                (tree.lfd, 0.0), (card, 1), (size, 1)))
+        tree.size[path + [node]] += 2
+    path.append(node)
+    tree.cardinality[path] += 1
+    tree.radius[node] = max(tree.radius[node], d_leaf)
+    end = off + int(tree.cardinality[node])
+    tree.order = np.concatenate((tree.order[:end - 1], [new_index],
+                                 tree.order[end - 1:]))
+    if split:
+        members = tree.order[off:end]
+        tree.lfd[node] = _lfd_from_dists(
+            members.size, tree.radius[node],
+            distances_to(values[members], values[center[node]], tree.metric))
 
     tree.dataset_hash = dataset.content_hash()
     return tree
 
 
 def tree_to_bytes(tree: ClusterTree) -> bytes:
-    """Serialize to the CHESSTREE wire format (pre-order node records)."""
-    chunks = [_TREE_HEADER.pack(TREE_MAGIC, TREE_VERSION, tree.metric.wire_id,
-                                tree.config.max_depth, tree.config.min_size,
-                                tree.config.seed, tree.dataset_hash)]
-    for node in tree.root.iter_nodes():
-        flags = 0 if node.is_leaf else 1
-        chunks.append(_NODE_RECORD.pack(flags, node.center, node.radius,
-                                        node.lfd, node.cardinality))
-        if node.is_leaf:
-            chunks.append(_U64.pack(node.members.size))
-            chunks.append(np.ascontiguousarray(node.members, dtype="<u8").tobytes())
-    return b"".join(chunks)
+    """Serialize to the CHESSTREE v2 wire format: header, one column per
+    node field, ``order``, CRC32."""
+    body = b"".join([
+        _TREE_HEADER.pack(TREE_MAGIC, TREE_VERSION, tree.metric.wire_id,
+                          tree.config.max_depth, tree.config.min_size,
+                          tree.config.seed, tree.dataset_hash,
+                          tree.size.size, tree.order.size),
+        (tree.size > 1).astype("u1").tobytes(),
+        tree.center.astype("<u8").tobytes(),
+        tree.radius.astype("<f8").tobytes(),
+        tree.lfd.astype("<f8").tobytes(),
+        tree.cardinality.astype("<u8").tobytes(),
+        tree.order.astype("<u8").tobytes(),
+    ])
+    return body + _U32.pack(zlib.crc32(body))
 
 
 def tree_from_bytes(raw: bytes, offset: int = 0) -> tuple[ClusterTree, int]:
     """Parse a CHESSTREE byte stream; returns the tree and the end offset.
 
-    The returned tree is not yet bound to a dataset: callers are
-    responsible for checking ``dataset_hash`` (see :func:`deserialize`).
+    Checks the checksum and the tree's structure; any fault raises
+    :class:`FormatError` naming a byte offset. The returned tree is not
+    yet bound to a dataset: callers are responsible for checking
+    ``dataset_hash`` (see :func:`deserialize`).
     """
     if len(raw) - offset < _TREE_HEADER.size:
         raise FormatError(f"truncated tree header at byte offset {len(raw)}")
-    magic, version, metric_id, max_depth, min_size, seed, digest = \
+    magic, version, metric_id, max_depth, min_size, seed, digest, nodes, points = \
         _TREE_HEADER.unpack_from(raw, offset)
     if magic != TREE_MAGIC:
         raise FormatError(f"bad tree magic at byte offset {offset}")
@@ -413,36 +405,79 @@ def tree_from_bytes(raw: bytes, offset: int = 0) -> tuple[ClusterTree, int]:
                           f"{offset + len(TREE_MAGIC)}")
     try:
         metric = MetricKind.from_wire_id(metric_id)
+        config = BuildConfig(max_depth=max_depth, min_size=min_size, seed=seed)
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    config = BuildConfig(max_depth=max_depth, min_size=min_size, seed=seed)
+        raise FormatError(f"{exc} in tree header at byte offset {offset}") from None
     pos = offset + _TREE_HEADER.size
+    counts = {name: points if name == "order" else nodes for name, _ in _COLUMNS}
+    end = pos + sum(np.dtype(wire).itemsize * counts[name] for name, wire in _COLUMNS)
+    if len(raw) < end + _U32.size:
+        raise FormatError(f"truncated tree at byte offset {len(raw)}")
+    if zlib.crc32(memoryview(raw)[offset:end]) != _U32.unpack_from(raw, end)[0]:
+        raise FormatError(f"tree checksum mismatch at byte offset {end}")
 
-    def read_node(depth: int) -> ClusterNode:
-        nonlocal pos
-        if len(raw) - pos < _NODE_RECORD.size:
-            raise FormatError(f"truncated node record at byte offset {len(raw)}")
-        flags, center, radius, lfd, cardinality = _NODE_RECORD.unpack_from(raw, pos)
-        pos += _NODE_RECORD.size
-        node = ClusterNode(center=center, radius=radius, cardinality=cardinality,
-                           lfd=lfd, depth=depth)
-        if flags & 1:
-            node.left = read_node(depth + 1)
-            node.right = read_node(depth + 1)
-        else:
-            if len(raw) - pos < _U64.size:
-                raise FormatError(f"truncated member count at byte offset {len(raw)}")
-            (count,) = _U64.unpack_from(raw, pos)
-            pos += _U64.size
-            if len(raw) - pos < 8 * count:
-                raise FormatError(f"truncated member list at byte offset {len(raw)}")
-            node.members = np.frombuffer(raw, dtype="<u8", count=count,
-                                         offset=pos).astype(np.int64)
-            pos += 8 * count
-        return node
+    columns: dict[str, np.ndarray] = {}
+    starts: dict[str, tuple[int, int]] = {}  # byte offset and width of entries
+    for name, wire in _COLUMNS:
+        column = np.frombuffer(raw, dtype=wire, count=counts[name], offset=pos)
+        starts[name] = (pos, column.itemsize)
+        pos += column.nbytes
+        columns[name] = column.astype(np.float64 if column.dtype.kind == "f"
+                                      else np.int64)
+    size = _check_structure(columns, starts)
+    del columns["flags"]
+    return (ClusterTree(size=size, metric=metric, config=config,
+                        dataset_hash=digest, **columns), end + _U32.size)
 
-    root = read_node(0)
-    return ClusterTree(root, metric, config, digest), pos
+
+def _check_structure(columns: dict[str, np.ndarray],
+                     starts: dict[str, tuple[int, int]]) -> np.ndarray:
+    """Raise :class:`FormatError` at the first entry that breaks the tree's
+    structure; return the subtree sizes."""
+
+    def fail(name: str, k: int, what: str):
+        start, width = starts[name]
+        raise FormatError(f"{what} (entry {k}) at byte offset {start + k * width}")
+
+    def check(ok: np.ndarray, name: str, what: str) -> None:
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            fail(name, int(bad[0]), what)
+
+    flags, center, card, order = (columns[name] for name in
+                                  ("flags", "center", "cardinality", "order"))
+    nodes, n = flags.size, order.size
+    if nodes == 0:
+        fail("flags", 0, "tree without nodes")
+    check(flags <= 1, "flags", "bad node flag")
+    # a pre-order full binary tree closes exactly at its last node
+    level = np.cumsum(np.where(flags == 1, 1, -1))
+    check(np.r_[True, level[:-1] >= 0], "flags", "node beyond the end of the tree")
+    if level[-1] != -1:
+        fail("flags", nodes - 1, "tree unfinished at its last node")
+    size = _subtree_sizes(flags == 1)
+
+    check((card >= 1) & (card <= n), "cardinality", "cardinality out of range")
+    if card[0] != n:
+        fail("cardinality", 0, f"root cardinality differs from the {n} points")
+    left = np.minimum(np.arange(1, nodes + 1), nodes - 1)
+    right = np.minimum(left + size[left], nodes - 1)
+    check((flags == 0) | (card == card[left] + card[right]), "cardinality",
+          "cardinality differs from the sum of its children")
+    radius = columns["radius"]
+    check(np.isfinite(radius) & (radius >= 0), "radius", "bad radius")
+    check(np.isfinite(columns["lfd"]), "lfd", "non-finite fractal dimension")
+
+    check((order >= 0) & (order < n), "order", "point index out of range")
+    check(np.bincount(order, minlength=n)[order] == 1, "order", "repeated point index")
+    check((center >= 0) & (center < n), "center", "center index out of range")
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    # a node's slice starts after the members of the leaves before it
+    leaf_card = np.where(flags == 0, card, 0)
+    off, at = np.cumsum(leaf_card) - leaf_card, position[center]
+    check((off <= at) & (at < off + card), "center", "center outside its own cluster")
+    return size
 
 
 def serialize(tree: ClusterTree, path) -> None:

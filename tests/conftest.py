@@ -54,6 +54,13 @@ def brute_force_knn(values: np.ndarray, q: np.ndarray, k: int,
     return [int(i) for i in order[:k]]
 
 
+def node_members(tree, node: int) -> np.ndarray:
+    """Point indices of one node's cluster: its slice of ``tree.order``,
+    which starts after the members of the leaves before it."""
+    off = int(tree.cardinality[:node][tree.size[:node] == 1].sum())
+    return tree.order[off:off + int(tree.cardinality[node])]
+
+
 @pytest.fixture(scope="session")
 def corpus_a_extended() -> Dataset:
     n = CORPUS_A_N + CORPUS_A_INSERTS + CORPUS_A_FRESH_QUERIES

@@ -212,16 +212,17 @@ def test_criterion_5_lfd_sanity(split_a, trees_a):
         assert below / len(ninth) >= 0.8
         details.append(f"9th decile < 2 at {below}/{len(ninth)} depths")
 
-        singles = [leaf for leaf in trees_a[50].root.iter_leaves()
-                   if leaf.cardinality == 1]
-        if not singles:
+        def singleton_lfds(tree):
+            return tree.lfd[(tree.size == 1) & (tree.cardinality == 1)]
+
+        singles = singleton_lfds(trees_a[50])
+        if not singles.size:
             aux = build(Dataset(DatasetKind.DENSE_VECTORS,
                                 held_in.values[:64].copy()),
                         E, BuildConfig(max_depth=10, min_size=1, seed=2))
-            singles = [leaf for leaf in aux.root.iter_leaves()
-                       if leaf.cardinality == 1]
-        assert singles
-        assert all(leaf.lfd == 0.0 for leaf in singles)
+            singles = singleton_lfds(aux)
+        assert singles.size
+        assert (singles == 0.0).all()
         details.append(f"{len(singles)} singleton leaves, all LFD 0")
 
 
@@ -242,7 +243,7 @@ def test_criterion_6_knn_exactness(split_a, trees_a, split_b, trees_b):
                         if got.used_fallback or got.final_radius <= 0:
                             continue
                         bound = math.ceil(math.log2(
-                            trees[depth].root.radius / got.final_radius)) + 2
+                            trees[depth].radius[0] / got.final_radius)) + 2
                         if depth == 10:
                             assert got.invocations <= bound
                         elif got.invocations > bound:
@@ -321,7 +322,7 @@ def test_criterion_9_live_insertion(corpus_a_extended, split_a, trees_a,
         for p in new_points:
             insert_point(tree, p, dataset)
         assert dataset.n == held_in.n + CORPUS_A_INSERTS
-        assert tree.root.cardinality == dataset.n
+        assert tree.cardinality[0] == dataset.n
 
         fresh = corpus_a_extended.values[
             CORPUS_A_N + CORPUS_A_INSERTS:

@@ -82,17 +82,6 @@ def test_identical_seeds_reproduce_everything_but_time(bench_dataset):
                 assert getattr(a, f.name) == getattr(b, f.name)
 
 
-def test_threads_do_not_change_results(bench_dataset):
-    kwargs = dict(radii=[0.8], depths=[6], num_queries=12, seed=13)
-    serial = run_benchmark(bench_dataset, E, **kwargs, threads=1)
-    threaded = run_benchmark(bench_dataset, E, **kwargs, threads=4)
-    timing = {"time_mean_s", "time_std_s"}
-    for a, b in zip(serial, threaded):
-        for f in dataclasses.fields(a):
-            if f.name not in timing:
-                assert getattr(a, f.name) == getattr(b, f.name)
-
-
 def test_pruning_wins_when_fraction_is_low(bench_dataset):
     rows = run_benchmark(bench_dataset, E, radii=[0.2, 1.0], depths=[8, 14],
                          num_queries=20, seed=17)

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from chess_search import (BuildConfig, Dataset, DimensionError, MetricKind,
-                          build, insert_point, knn_search, naive_search,
-                          rho_search, synth_manifold)
+from chess_search import (BuildConfig, ClusterTree, Dataset, DimensionError,
+                          MetricKind, build, insert_point, knn_search,
+                          naive_search, rho_search, synth_manifold)
 from chess_search.metrics import distances_to
-from chess_search.tree import tree_to_bytes
+from chess_search.tree import tree_from_bytes, tree_to_bytes
 
-from conftest import brute_force_knn
+from conftest import brute_force_knn, node_members
 
 E = MetricKind.EUCLIDEAN
 
@@ -33,7 +33,7 @@ def test_zero_radius_finds_stored_point(small_manifold):
 def test_ball_covering_everything_returns_all(small_manifold):
     ds, tree = small_manifold
     q = ds.values[0]
-    r = tree.root.radius + float(np.linalg.norm(q - ds.values[tree.root.center]))
+    r = tree.radius[0] + float(np.linalg.norm(q - ds.values[tree.center[0]]))
     report = rho_search(tree, q, r, ds)
     assert len(report.hits) == ds.n
     assert report.fraction_searched == 1.0
@@ -124,19 +124,19 @@ def test_pruned_subtrees_hold_no_hits(small_manifold):
     q = ds.values[77] + 0.05
     r = 0.4
 
-    def audit(node):
-        if node.is_leaf:
-            return
-        for child in (node.left, node.right):
-            d = float(distances_to(ds.values[child.center][None, :], q, E)[0])
-            if d > r + child.radius:
-                members = child.member_indices()
-                dists = distances_to(ds.values[members], q, E)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        if tree.size[node] == 1:
+            continue
+        left = node + 1
+        for child in (left, left + tree.size[left]):
+            d = float(distances_to(ds.values[tree.center[child]][None, :], q, E)[0])
+            if d > r + tree.radius[child]:
+                dists = distances_to(ds.values[node_members(tree, child)], q, E)
                 assert (dists > r).all()
             else:
-                audit(child)
-
-    audit(tree.root)
+                stack.append(child)
 
 
 def test_cosine_never_false_positive():
@@ -227,6 +227,59 @@ def test_knn_invocations_are_logarithmically_bounded(small_manifold):
         report = knn_search(tree, ds.values[qi] + 1e-3, 10, ds)
         if report.used_fallback or report.final_radius <= 0:
             continue
-        span = tree.root.radius / min(report.final_radius,
+        span = tree.radius[0] / min(report.final_radius,
                                       tree.median_leaf_radius())
         assert report.invocations <= math.ceil(math.log2(span)) + 2
+
+
+def caterpillar(ds: Dataset, rng: np.random.Generator) -> ClusterTree:
+    """A tree over points on a line in which every internal node has a
+    singleton leaf child, so the internal nodes form one chain of depth
+    ``n - 1``. Each internal node is centered on the extreme point it
+    splits off; which end, and which side the leaf takes, are random."""
+    x = ds.values[:, 0]
+    remaining = np.argsort(x).tolist()
+    head, tail = [], []  # pre-order rows (center, radius, card, size)
+    while len(remaining) > 1:
+        split_off = remaining.pop(-1 if rng.random() < 0.5 else 0)
+        m = len(remaining) + 1
+        radius = float(np.abs(x[remaining + [split_off]] - x[split_off]).max())
+        head.append((split_off, radius, m, 2 * m - 1))
+        leaf = (split_off, 0.0, 1, 1)
+        if rng.random() < 0.5:
+            head.append(leaf)
+        else:
+            tail.append(leaf)  # comes after the chain below this node
+    rows = head + [(remaining[0], 0.0, 1, 1)] + tail[::-1]
+    center, radius, card, size = (np.array(col) for col in zip(*rows))
+    return ClusterTree(center=center, radius=radius, lfd=np.zeros(len(rows)),
+                       cardinality=card, size=size, order=center[size == 1],
+                       metric=E, config=BuildConfig(max_depth=ds.n, min_size=1),
+                       dataset_hash=ds.content_hash())
+
+
+def test_depth_1500_tree_loads_searches_and_grows():
+    rng = np.random.default_rng(1500)
+    ds = Dataset.from_vectors(rng.uniform(0, 100, (1501, 1)))
+    raw = tree_to_bytes(caterpillar(ds, rng))
+    tree, end = tree_from_bytes(raw)
+    assert end == len(raw) and tree_to_bytes(tree) == raw
+    assert tree.depth == 1500
+
+    def check(tree):
+        for q in rng.uniform(-5, 105, (4, 1)):
+            for r in (0.0, 0.5, 5.0, 50.0):
+                got = rho_search(tree, q, r, ds)
+                want = naive_search(ds, q, r, E)
+                assert got.hits == want.hits
+            got = knn_search(tree, q, 5, ds)
+            dists = distances_to(ds.values, q, E)
+            assert [i for i, _ in got.hits] == brute_force_knn(ds.values, q, 5, dists)
+
+    check(tree)
+    for p in rng.uniform(0, 100, (10, 1)):
+        insert_point(tree, p, ds)
+    assert tree.cardinality[0] == ds.n == 1511
+    check(tree)
+    again, _ = tree_from_bytes(tree_to_bytes(tree))
+    assert tree_to_bytes(again) == tree_to_bytes(tree)

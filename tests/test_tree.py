@@ -1,13 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
                           FormatError, MetricKind, build, deserialize,
-                          insert_point, lfd_depth_profile,
-                          local_fractal_dimension, metric_entropy, naive_search,
-                          partition, rho_search, select_poles, serialize,
+                          insert_point, lfd_depth_profile, metric_entropy,
+                          naive_search, rho_search, select_poles, serialize,
                           synth_manifold)
-from chess_search.tree import ClusterNode, tree_to_bytes
+from chess_search.metrics import distances_to
+from chess_search.tree import (_TREE_HEADER, _lfd_from_dists, _partition_core,
+                               tree_from_bytes, tree_to_bytes)
+
+from conftest import node_members
 
 E = MetricKind.EUCLIDEAN
 
@@ -55,10 +62,15 @@ def test_select_poles_near_maximal_on_random_points():
     assert rank >= 0.95
 
 
+def partition(member_indices, ds, rng):
+    left, right, lc, rc, _, _ = _partition_core(member_indices, ds, E,
+                                                ComparisonCounter(), rng)
+    return left, right, lc, rc
+
+
 def test_partition_two_points():
     ds = line_dataset([0.0, 10.0])
-    left, right, lc, rc = partition([0, 1], ds, E, ComparisonCounter(),
-                                    np.random.default_rng(0))
+    left, right, lc, rc = partition([0, 1], ds, np.random.default_rng(0))
     assert left.tolist() == [0] and right.tolist() == [1]
     assert (lc, rc) == (0, 1)
 
@@ -66,8 +78,7 @@ def test_partition_two_points():
 def test_partition_equidistant_point_goes_left():
     # seed picked so the poles are the endpoints; index 2 sits midway
     ds = line_dataset([0.0, 8.0, 4.0])
-    left, right, lc, rc = partition([0, 1, 2], ds, E, ComparisonCounter(),
-                                    np.random.default_rng(1))
+    left, right, lc, rc = partition([0, 1, 2], ds, np.random.default_rng(1))
     assert (lc, rc) == (0, 1)
     assert 2 in left.tolist()
     assert right.tolist() == [1]
@@ -76,8 +87,7 @@ def test_partition_equidistant_point_goes_left():
 def test_partition_is_disjoint_and_exhaustive():
     rng = np.random.default_rng(13)
     ds = Dataset.from_vectors(rng.random((500, 2)))
-    left, right, lc, rc = partition(np.arange(500), ds, E, ComparisonCounter(),
-                                    np.random.default_rng(3))
+    left, right, lc, rc = partition(np.arange(500), ds, np.random.default_rng(3))
     assert len(left) > 0 and len(right) > 0
     assert set(left.tolist()) | set(right.tolist()) == set(range(500))
     assert set(left.tolist()) & set(right.tolist()) == set()
@@ -87,18 +97,19 @@ def test_partition_is_disjoint_and_exhaustive():
 def test_identical_points_build_single_leaf():
     ds = Dataset.from_vectors(np.ones((5, 3)))
     tree = build(ds, E, BuildConfig(max_depth=10, min_size=1, seed=0))
-    assert tree.root.is_leaf
-    assert tree.root.radius == 0.0
-    assert tree.root.depth == 0
+    assert tree.size.tolist() == [1]
+    assert tree.radius[0] == 0.0
+    assert tree.depth == 0
     assert metric_entropy(tree) == 1
 
 
 def test_leaves_partition_all_points():
     ds = line_dataset([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
     tree = build(ds, E, BuildConfig(max_depth=10, min_size=1, seed=0))
-    gathered = sorted(tree.root.member_indices().tolist())
+    gathered = sorted(node_members(tree, 0).tolist())
     assert gathered == list(range(8))
-    leaf_sets = [set(leaf.members.tolist()) for leaf in tree.root.iter_leaves()]
+    _, leaf_members = tree.leaf_members()
+    leaf_sets = [set(m.tolist()) for m in leaf_members]
     assert sum(len(s) for s in leaf_sets) == 8
 
 
@@ -133,39 +144,36 @@ def test_tree_invariants_on_built_trees(corpus_b):
     ]
     for ds, metric in datasets:
         tree = build(ds, metric, BuildConfig(max_depth=25, min_size=8, seed=2))
-        for node in tree.root.iter_nodes():
-            members = node.member_indices()
-            assert node.cardinality == members.size
-            from chess_search.metrics import distances_to
-            dists = distances_to(ds.values[members], ds.values[node.center],
+        depths = tree.depths()
+        for node in range(tree.size.size):
+            members = node_members(tree, node)
+            assert tree.cardinality[node] == members.size
+            dists = distances_to(ds.values[members], ds.values[tree.center[node]],
                                  metric)
             tol = 0.0 if metric is MetricKind.HAMMING else 1e-9
-            assert dists.max() <= node.radius + tol
-            assert node.radius == dists.max()  # radius is exact, not padded
-            if not node.is_leaf:
-                l = set(node.left.member_indices().tolist())
-                r = set(node.right.member_indices().tolist())
+            assert dists.max() <= tree.radius[node] + tol
+            assert tree.radius[node] == dists.max()  # radius is exact, not padded
+            if tree.size[node] > 1:
+                left = node + 1
+                right = left + tree.size[left]
+                assert tree.size[node] == 1 + tree.size[left] + tree.size[right]
+                l = set(node_members(tree, left).tolist())
+                r = set(node_members(tree, right).tolist())
                 assert l | r == set(members.tolist())
                 assert not l & r
             else:
-                assert (node.depth == 25 or node.cardinality <= 8
-                        or node.radius == 0.0)
+                assert (depths[node] == 25 or tree.cardinality[node] <= 8
+                        or tree.radius[node] == 0.0)
 
 
 def test_lfd_singleton_is_zero():
-    ds = line_dataset([1.0, 5.0])
-    node = ClusterNode(center=0, radius=0.0, cardinality=1, lfd=0.0, depth=0,
-                       members=np.array([0], dtype=np.int64))
-    assert local_fractal_dimension(node, ds, E) == 0.0
+    assert _lfd_from_dists(1, 0.0, np.zeros(1)) == 0.0
 
 
 def test_lfd_arithmetic():
     # 8 members, 2 of them (center plus one) within half the radius
     coords = [0.0, 0.4, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0]
-    ds = line_dataset(coords)
-    node = ClusterNode(center=0, radius=1.0, cardinality=8, lfd=0.0, depth=0,
-                       members=np.arange(8, dtype=np.int64))
-    assert local_fractal_dimension(node, ds, E) == 2.0
+    assert _lfd_from_dists(8, 1.0, np.array(coords)) == 2.0
 
 
 def test_lfd_of_uniform_segment_is_about_one():
@@ -175,17 +183,15 @@ def test_lfd_of_uniform_segment_is_about_one():
     ds = line_dataset(np.linspace(0.0, 100.0, 4096))
     tree = build(ds, E, BuildConfig(max_depth=30, min_size=32, seed=0))
     measured = []
-    for node in tree.root.iter_nodes():
-        if node.cardinality >= 64:
-            lfd = local_fractal_dimension(node, ds, E)
-            assert lfd == node.lfd  # build caches the same value
-            # brute-force ball counts are the oracle
-            dists = np.abs(ds.values[node.member_indices(), 0]
-                           - ds.values[node.center, 0])
-            inner = int((dists <= node.radius / 2).sum())
-            import math
-            assert lfd == math.log2(node.cardinality / inner)
-            measured.append(lfd)
+    for node in np.flatnonzero(tree.cardinality >= 64):
+        lfd = tree.lfd[node]
+        # brute-force ball counts are the oracle
+        dists = np.abs(ds.values[node_members(tree, node), 0]
+                       - ds.values[tree.center[node], 0])
+        inner = int((dists <= tree.radius[node] / 2).sum())
+        import math
+        assert lfd == math.log2(tree.cardinality[node] / inner)
+        measured.append(lfd)
     measured = np.array(measured)
     assert len(measured) > 10
     assert measured.min() >= np.log2(3 / 2) - 0.02
@@ -200,8 +206,7 @@ def test_metric_entropy_counts():
     ds4 = line_dataset([0.0, 1.0, 10.0, 11.0])
     tree = build(ds4, E, BuildConfig(max_depth=5, min_size=1, seed=1))
     assert metric_entropy(tree) == 4
-    assert metric_entropy(tree) == sum(1 for n in tree.root.iter_nodes()
-                                       if n.is_leaf)
+    assert metric_entropy(tree) == tree.size.tolist().count(1)
 
 
 def test_lfd_profile_single_leaf():
@@ -225,12 +230,13 @@ def test_lfd_profile_deciles_nondecreasing():
 def test_insert_center_copy_keeps_radius():
     ds = synth_manifold(120, 6, 1, 0.05, seed=14)
     tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=0))
-    leaf = next(tree.root.iter_leaves())
-    before_radius, before_card = leaf.radius, leaf.cardinality
-    insert_point(tree, ds.values[leaf.center].copy(), ds)
-    assert leaf.cardinality == before_card + 1
-    assert leaf.radius == before_radius
-    assert tree.root.cardinality == 121
+    leaf = int(np.flatnonzero(tree.size == 1)[0])
+    before_radius, before_card = tree.radius[leaf], tree.cardinality[leaf]
+    insert_point(tree, ds.values[tree.center[leaf]].copy(), ds)
+    assert tree.cardinality[leaf] == before_card + 1
+    assert tree.radius[leaf] == before_radius
+    assert node_members(tree, leaf)[-1] == 120
+    assert tree.cardinality[0] == 121
 
 
 def test_insert_far_outlier_creates_new_leaf():
@@ -240,7 +246,7 @@ def test_insert_far_outlier_creates_new_leaf():
     outlier = ds.values.max(axis=0) * 50 + 1000.0
     insert_point(tree, outlier, ds)
     assert metric_entropy(tree) == leaves_before + 1
-    assert tree.root.cardinality == ds.n
+    assert tree.cardinality[0] == ds.n
 
 
 def test_search_stays_exact_after_inserts():
@@ -300,3 +306,85 @@ def test_serialized_trees_search_identically(tmp_path):
             r = float(rng.random() * 0.8)
             assert (rho_search(tree, q, r, ds).hits
                     == rho_search(loaded, q, r, ds).hits)
+
+
+def fuzz_tree_bytes() -> bytes:
+    ds = synth_manifold(60, 4, 1, 0.05, seed=3)
+    return tree_to_bytes(build(ds, E, BuildConfig(max_depth=6, min_size=3, seed=1)))
+
+
+FUZZ_TREE = fuzz_tree_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 8 * len(FUZZ_TREE) - 1), min_size=1, max_size=3,
+                unique=True))
+def test_tree_bit_flips_fail_loudly(bits):
+    raw = bytearray(FUZZ_TREE)
+    for bit in bits:
+        raw[bit // 8] ^= 1 << (bit % 8)
+    try:
+        tree, _ = tree_from_bytes(bytes(raw))
+    except FormatError:
+        return
+    assert tree_to_bytes(tree) == FUZZ_TREE
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(FUZZ_TREE) - 1))
+def test_truncated_tree_fails_loudly(length):
+    with pytest.raises(FormatError):
+        tree_from_bytes(FUZZ_TREE[:length])
+
+
+def test_version_1_stream_is_refused():
+    raw = bytearray(FUZZ_TREE)
+    raw[len(b"CHESSTREE")] = 1
+    with pytest.raises(FormatError, match="unsupported tree version"):
+        tree_from_bytes(bytes(raw))
+
+
+def _leaf_centers_swapped(tree):
+    center = tree.center.copy()
+    leaves = np.flatnonzero(tree.size == 1)
+    center[leaves[0]], center[leaves[-1]] = center[leaves[-1]], center[leaves[0]]
+    return {"center": center}
+
+
+def _with(column, index, value):
+    def change(tree):
+        array = getattr(tree, column).copy()
+        array[index] = value
+        return {column: array}
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_with("size", 0, 1), "node beyond the end of the tree"),
+    (_with("size", -1, 3), "tree unfinished"),
+    (_with("cardinality", 0, 61), "cardinality out of range"),
+    (_with("cardinality", 1, 1), "sum of its children"),
+    (_with("radius", 2, -1.0), "bad radius"),
+    (_with("radius", 2, np.nan), "bad radius"),
+    (_with("lfd", 2, np.inf), "non-finite fractal dimension"),
+    (_with("order", 0, 60), "point index out of range"),
+    (_with("order", 1, 0), "repeated point index"),
+    (_leaf_centers_swapped, "center outside its own cluster"),
+])
+def test_structural_faults_name_a_byte_offset(change, message):
+    tree, _ = tree_from_bytes(FUZZ_TREE)
+    # tree_to_bytes writes a valid checksum, so only the structure is wrong
+    raw = tree_to_bytes(dataclasses.replace(tree, **change(tree)))
+    with pytest.raises(FormatError, match=f"{message}.* at byte offset \\d+"):
+        tree_from_bytes(raw)
+
+
+def test_bad_radius_offset_points_at_the_entry():
+    tree, _ = tree_from_bytes(FUZZ_TREE)
+    nodes = tree.size.size
+    raw = tree_to_bytes(dataclasses.replace(tree, **_with("radius", 2, -1.0)(tree)))
+    # header, then flags (1 byte per node) and centers (8 bytes per node)
+    at = _TREE_HEADER.size + 9 * nodes + 8 * 2
+    with pytest.raises(FormatError, match=f"at byte offset {at}$"):
+        tree_from_bytes(raw)
+    assert raw[at:at + 8] == np.array([-1.0], dtype="<f8").tobytes()
