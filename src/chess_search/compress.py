@@ -19,6 +19,7 @@ photometry, ``10 ** (-12.2 / 2.5)``.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ class Quantizer:
     quantum: float = DEFAULT_QUANTUM
 
     def __post_init__(self) -> None:
-        if not (self.quantum > 0 and np.isfinite(self.quantum)):
+        if not (self.quantum > 0 and math.isfinite(self.quantum)):
             raise ValueError(f"quantum must be positive and finite, "
                              f"got {self.quantum}")
 
@@ -66,6 +67,8 @@ class Quantizer:
 def quantize(values: np.ndarray, quantum: float) -> np.ndarray:
     """Nearest grid index of every value, rounding halves away from zero;
     ``index * quantum`` is the value on the grid."""
+    if not (quantum > 0 and math.isfinite(quantum)):
+        raise ValueError(f"quantum must be positive and finite, got {quantum}")
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
     return (np.sign(values) * np.floor(np.abs(values) / quantum + 0.5)).astype(np.int64)

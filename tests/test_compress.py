@@ -37,6 +37,9 @@ def test_quantize_examples():
 def test_quantize_rejects_bad_input():
     with pytest.raises(ValueError):
         quantize(np.array([1.0, float("nan")]), 1.0)
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            quantize(np.array([1.0]), bad)
     with pytest.raises(ValueError):
         Quantizer(0.0)
     with pytest.raises(ValueError):

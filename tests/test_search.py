@@ -232,39 +232,57 @@ def test_knn_invocations_are_logarithmically_bounded(small_manifold):
         assert report.invocations <= math.ceil(math.log2(span)) + 2
 
 
-def caterpillar(ds: Dataset, rng: np.random.Generator) -> ClusterTree:
+def caterpillar(ds: Dataset, rng: np.random.Generator,
+                leaf_size: int = 1) -> ClusterTree:
     """A tree over points on a line in which every internal node has a
-    singleton leaf child, so the internal nodes form one chain of depth
-    ``n - 1``. Each internal node is centered on the extreme point it
-    splits off; which end, and which side the leaf takes, are random."""
+    leaf child holding the ``leaf_size`` points at one end of its range,
+    so the internal nodes form one chain. Each node is centered on the
+    extreme point of the points it splits off; which end, and which
+    side the leaf takes, are random."""
     x = ds.values[:, 0]
     remaining = np.argsort(x).tolist()
-    head, tail = [], []  # pre-order rows (center, radius, card, size)
-    while len(remaining) > 1:
-        split_off = remaining.pop(-1 if rng.random() < 0.5 else 0)
-        m = len(remaining) + 1
-        radius = float(np.abs(x[remaining + [split_off]] - x[split_off]).max())
-        head.append((split_off, radius, m, 2 * m - 1))
-        leaf = (split_off, 0.0, 1, 1)
+    head, tail = [], []  # pre-order rows (center, radius, card, members)
+    while len(remaining) > leaf_size:
+        if rng.random() < 0.5:
+            split_off, remaining = remaining[-leaf_size:], remaining[:-leaf_size]
+            c = split_off[-1]
+        else:
+            split_off, remaining = remaining[:leaf_size], remaining[leaf_size:]
+            c = split_off[0]
+        members = remaining + split_off
+        head.append((c, float(np.abs(x[members] - x[c]).max()), len(members), None))
+        leaf = (c, float(np.abs(x[split_off] - x[c]).max()), leaf_size, split_off)
         if rng.random() < 0.5:
             head.append(leaf)
         else:
             tail.append(leaf)  # comes after the chain below this node
-    rows = head + [(remaining[0], 0.0, 1, 1)] + tail[::-1]
-    center, radius, card, size = (np.array(col) for col in zip(*rows))
+    last = (remaining[0], float(x[remaining[-1]] - x[remaining[0]]),
+            len(remaining), remaining)  # centered on its lowest point
+    rows = head + [last] + tail[::-1]
+    is_leaf = np.array([m is not None for *_, m in rows])
+    # an internal node at chain position j has chain - j internal nodes below
+    chain = int((~is_leaf).sum())
+    size = np.ones(len(rows), dtype=np.int64)
+    size[~is_leaf] = 2 * (chain - np.arange(chain)) + 1
+    center, radius, card = (np.array(col) for col in list(zip(*rows))[:3])
+    order = np.array([i for *_, m in rows if m is not None for i in m])
     return ClusterTree(center=center, radius=radius, lfd=np.zeros(len(rows)),
-                       cardinality=card, size=size, order=center[size == 1],
+                       cardinality=card, size=size, order=order,
                        metric=E, config=BuildConfig(max_depth=ds.n, min_size=1),
                        dataset_hash=ds.content_hash())
 
 
-def test_depth_1500_tree_loads_searches_and_grows():
-    rng = np.random.default_rng(1500)
-    ds = Dataset.from_vectors(rng.uniform(0, 100, (1501, 1)))
-    raw = tree_to_bytes(caterpillar(ds, rng))
+def grow_deep_tree(leaf_size: int, seed: int) -> list:
+    """Load a depth-1,500 caterpillar from v2 bytes, round-trip it, check
+    range and k-NN search against the oracle, insert 10 points and check
+    again. Returns every k-NN report."""
+    rng = np.random.default_rng(seed)
+    ds = Dataset.from_vectors(rng.uniform(0, 100, (1500 * leaf_size + 1, 1)))
+    raw = tree_to_bytes(caterpillar(ds, rng, leaf_size))
     tree, end = tree_from_bytes(raw)
     assert end == len(raw) and tree_to_bytes(tree) == raw
     assert tree.depth == 1500
+    knn_reports = []
 
     def check(tree):
         for q in rng.uniform(-5, 105, (4, 1)):
@@ -272,14 +290,33 @@ def test_depth_1500_tree_loads_searches_and_grows():
                 got = rho_search(tree, q, r, ds)
                 want = naive_search(ds, q, r, E)
                 assert got.hits == want.hits
-            got = knn_search(tree, q, 5, ds)
-            dists = distances_to(ds.values, q, E)
-            assert [i for i, _ in got.hits] == brute_force_knn(ds.values, q, 5, dists)
+            for k in (1, 5):
+                got = knn_search(tree, q, k, ds)
+                dists = distances_to(ds.values, q, E)
+                assert [i for i, _ in got.hits] == brute_force_knn(ds.values, q, k, dists)
+                knn_reports.append(got)
 
     check(tree)
+    n0 = ds.n
     for p in rng.uniform(0, 100, (10, 1)):
         insert_point(tree, p, ds)
-    assert tree.cardinality[0] == ds.n == 1511
+    assert tree.cardinality[0] == ds.n == n0 + 10
     check(tree)
     again, _ = tree_from_bytes(tree_to_bytes(tree))
     assert tree_to_bytes(again) == tree_to_bytes(tree)
+    return knn_reports
+
+
+def test_depth_1500_tree_loads_searches_and_grows():
+    # singleton leaves: the median leaf radius is 0, so every k-NN query
+    # settles by the naive scan after one ball(0) walk
+    reports = grow_deep_tree(leaf_size=1, seed=1500)
+    assert all(r.used_fallback and r.invocations == 1 for r in reports)
+
+
+def test_depth_1500_tree_with_pair_leaves_runs_knn_radius_loop():
+    # two-point leaves give a positive median leaf radius, so k-NN
+    # doubles (and halves) its radius over the deep walk
+    reports = grow_deep_tree(leaf_size=2, seed=1501)
+    assert not any(r.used_fallback for r in reports)
+    assert max(r.invocations for r in reports) > 2
