@@ -51,12 +51,23 @@ class Dataset:
 
     Immutable under normal use; :meth:`append_point` exists only to
     support live insertion into an already-built tree and must not run
-    concurrently with readers.
+    concurrently with readers. Appends cost amortized O(1): rows go into
+    a buffer whose capacity doubles when full, and ``values`` is the
+    ``[:n]`` view of it. An append may therefore replace ``values`` with
+    a view of a new buffer; a view taken earlier keeps its contents,
+    because rows already written are never written again. A fresh or
+    copied dataset holds no spare capacity until its first append.
+
+    :meth:`content_hash` is computed on first use and cached until the
+    next append.
     """
 
     kind: DatasetKind
     values: np.ndarray  # (n, dim); float64 for vectors, uint8 for strings
     _hash: bytes | None = field(default=None, repr=False, compare=False)
+    # the buffer ``values`` views after an append; None until then
+    _buffer: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
@@ -97,12 +108,21 @@ class Dataset:
                 raise DimensionError(f"non-finite coordinate {arr[i]} at index {i}")
         return arr
 
+    def __getstate__(self) -> dict:
+        # copies and pickles hold the n rows of ``values``, not the buffer
+        return {**self.__dict__, "_buffer": None}
+
     def append_point(self, p) -> int:
         """Append one point, returning its index. Invalidates the cached hash."""
         arr = self.coerce_point(p)
-        self.values = np.vstack([self.values, arr[np.newaxis, :]])
+        n = self.n
+        if self._buffer is None or n == len(self._buffer):
+            self._buffer = np.empty((2 * n, self.dim), dtype=self.values.dtype)
+            self._buffer[:n] = self.values
+        self._buffer[n] = arr
+        self.values = self._buffer[:n + 1]
         self._hash = None
-        return self.n - 1
+        return n
 
     def content_hash(self) -> bytes:
         """SHA-256 of the canonical serialized bytes of this dataset.

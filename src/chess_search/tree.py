@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,13 @@ class BuildConfig:
 
 @dataclass(eq=False)
 class ClusterTree:
-    """Pre-order node columns plus the member permutation ``order``."""
+    """Pre-order node columns plus the member permutation ``order``.
+
+    ``dataset_hash`` is the SHA-256 of the dataset the tree covers. After
+    :func:`insert_point` it is the grown dataset's, worked out on the
+    first read (serialization, the checks of :func:`deserialize` and
+    ``compress_tree``) instead of on every insert.
+    """
 
     center: np.ndarray       # int64 point index of each node's center
     radius: np.ndarray       # float64 exact radius
@@ -100,8 +106,10 @@ class ClusterTree:
     order: np.ndarray        # int64 permutation of the point indices
     metric: MetricKind
     config: BuildConfig
-    dataset_hash: bytes
+    dataset_hash: bytes      # a property over _hash and _grown, set below
     build_comparisons: int = 0
+    # the dataset insert_point grew since the hash was last read or set
+    _grown: Dataset | None = field(default=None, init=False, repr=False)
 
     def leaf_members(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Pre-order leaf node indices and each leaf's slice of ``order``."""
@@ -128,6 +136,21 @@ class ClusterTree:
 
     def median_leaf_radius(self) -> float:
         return float(np.median(self.radius[self.size == 1]))
+
+
+def _read_hash(tree: ClusterTree) -> bytes:
+    if tree._grown is not None:
+        tree._hash, tree._grown = tree._grown.content_hash(), None
+    return tree._hash
+
+
+def _write_hash(tree: ClusterTree, digest: bytes) -> None:
+    tree._hash, tree._grown = digest, None
+
+
+# Installed after the dataclass is made, so the constructor and
+# dataclasses.replace still take and copy ``dataset_hash`` as a field.
+ClusterTree.dataset_hash = property(_read_hash, _write_hash)
 
 
 def _subtree_sizes(internal: np.ndarray) -> np.ndarray:
@@ -323,6 +346,14 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset,
     old leaf and a new singleton: two pre-order rows are inserted after
     it.
 
+    Cost: one distance to the root center, then one kernel call per level
+    on the two child centers; the chosen child's distance serves the next
+    level's radius update and, at the leaf, the split test. Besides the
+    descent, an insert appends to the dataset (amortized O(1)), shifts the
+    tail of ``order`` by one and, on a split, the node columns by two;
+    the dataset hash is left to its first reader (see
+    :class:`ClusterTree`).
+
     Requires exclusive access: no concurrent searches during mutation.
     """
     arr = dataset.coerce_point(point)
@@ -330,22 +361,21 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset,
     values = dataset.values
     center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
 
-    def dist_to(c) -> float:
-        return float(distances_to(values[c][np.newaxis, :], arr, tree.metric)[0])
-
     path = []
     node = off = 0
+    d_node = float(distances_to(values[center[:1]], arr, tree.metric)[0])
     while size[node] > 1:
         path.append(node)
-        radius[node] = max(radius[node], dist_to(center[node]))
+        radius[node] = max(radius[node], d_node)
         left = node + 1
         right = left + int(size[left])
-        if dist_to(center[left]) <= dist_to(center[right]):
-            node = left
+        d_left, d_right = distances_to(values[center[[left, right]]], arr,
+                                       tree.metric).tolist()
+        if d_left <= d_right:
+            node, d_node = left, d_left
         else:
-            node, off = right, off + int(card[left])
-    d_leaf = dist_to(center[node])
-    split = radius[node] > 0.0 and d_leaf > split_factor * radius[node]
+            node, d_node, off = right, d_right, off + int(card[left])
+    split = radius[node] > 0.0 and d_node > split_factor * radius[node]
     if split:  # the leaf becomes the parent of its old self and a singleton
         tree.center, tree.radius, tree.lfd, tree.cardinality, tree.size = (
             np.concatenate((column[:node + 1], [column[node], new], column[node + 1:]))
@@ -354,7 +384,7 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset,
         tree.size[path + [node]] += 2
     path.append(node)
     tree.cardinality[path] += 1
-    tree.radius[node] = max(tree.radius[node], d_leaf)
+    tree.radius[node] = max(tree.radius[node], d_node)
     end = off + int(tree.cardinality[node])
     tree.order = np.concatenate((tree.order[:end - 1], [new_index],
                                  tree.order[end - 1:]))
@@ -364,7 +394,7 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset,
             members.size, tree.radius[node],
             distances_to(values[members], values[center[node]], tree.metric))
 
-    tree.dataset_hash = dataset.content_hash()
+    tree._grown = dataset
     return tree
 
 

@@ -1,5 +1,10 @@
+import copy
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chess_search import (Dataset, DatasetKind, DimensionError, FormatError,
                           load_dense, load_sequences, save_dense, synth_manifold)
@@ -155,3 +160,82 @@ def test_low_intrinsic_dimension_shows_in_lfd_profile():
     profile = lfd_depth_profile(tree)
     low = sum(1 for _, _, lfd in profile if lfd < 2.0)
     assert low / len(profile) > 0.9
+
+
+def test_appends_reallocate_values_logarithmically():
+    ds = Dataset.from_vectors([[0.0, 0.0]])
+    k = 200
+    reallocations = 0
+    for i in range(1, k + 1):
+        before = ds.values
+        assert ds.append_point([float(i), 1.0]) == i
+        reallocations += not np.shares_memory(ds.values, before)
+    assert reallocations <= math.ceil(math.log2(k)) + 1
+    expected = np.column_stack([np.arange(k + 1.0), np.r_[0.0, np.ones(k)]])
+    assert np.array_equal(ds.values, expected)
+
+
+def test_values_view_survives_appends():
+    ds = Dataset.from_vectors(np.arange(6.0).reshape(3, 2))
+    ds.append_point([6.0, 7.0])  # the buffer now has spare rows
+    view = ds.values
+    snapshot = view.copy()
+    for i in range(20):  # fills the buffer, then moves to a larger one
+        ds.append_point([float(i), -1.0])
+        assert np.array_equal(view, snapshot)
+    assert np.array_equal(ds.values[:4], snapshot)
+
+
+def test_deep_copy_of_grown_dataset_is_independent():
+    ds = synth_manifold(30, 4, 1, 0.1, seed=5)
+    for i in range(5):
+        ds.append_point(np.full(4, float(i)))
+    n, values, digest = ds.n, ds.values.copy(), ds.content_hash()
+    clone = copy.deepcopy(ds)
+    for i in range(40):
+        clone.append_point(np.full(4, 100.0 + i))
+    assert ds.n == n
+    assert np.array_equal(ds.values, values)
+    assert ds.content_hash() == digest
+    assert np.array_equal(clone.values[:n], values)
+    ds.append_point(np.full(4, -1.0))
+    assert clone.n == n + 40 and clone.values[n, 0] == 100.0
+
+
+CHESSVEC = Dataset.from_vectors(np.arange(12.0).reshape(4, 3) / 7).to_canonical_bytes()
+HEADER_BITS = 8 * 25
+
+
+def _load_or_equal(tmp_path, raw: bytes) -> None:
+    """A CHESSVEC stream loads to the original values or fails loudly.
+
+    The format has no checksum, so flips that trade bits between ``n``
+    and ``dim`` while keeping ``n * dim`` (4 x 3 read as 12 x 1) load the
+    same values, row major, in another shape; nothing else may load.
+    """
+    path = tmp_path / "fuzz.vec"
+    path.write_bytes(raw)
+    try:
+        ds = load_dense(path)
+    except FormatError:
+        return
+    assert ds.values.astype("<f8").tobytes() == CHESSVEC[25:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, HEADER_BITS - 1), min_size=1, max_size=3, unique=True))
+@example([8 * 9 + 3, 8 * 17 + 1])  # n 4 -> 12 and dim 3 -> 1: the same values
+def test_chessvec_header_bit_flips_fail_loudly(tmp_path_factory, bits):
+    raw = bytearray(CHESSVEC)
+    for bit in bits:
+        raw[bit // 8] ^= 1 << (bit % 8)
+    _load_or_equal(tmp_path_factory.mktemp("flip"), bytes(raw))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(CHESSVEC) - 1))
+def test_truncated_chessvec_fails_loudly(tmp_path_factory, length):
+    path = tmp_path_factory.mktemp("cut") / "cut.vec"
+    path.write_bytes(CHESSVEC[:length])
+    with pytest.raises(FormatError):
+        load_dense(path)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
-                          FormatError, MetricKind, build, deserialize,
-                          insert_point, lfd_depth_profile, metric_entropy,
-                          naive_search, rho_search, select_poles, serialize,
+                          FormatError, MetricKind, Quantizer, build,
+                          compress_tree, decompress, deserialize, insert_point,
+                          lfd_depth_profile, metric_entropy, naive_search,
+                          rho_search, save_dense, select_poles, serialize,
                           synth_manifold)
+from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
 from chess_search.tree import (_TREE_HEADER, _lfd_from_dists, _partition_core,
                                tree_from_bytes, tree_to_bytes)
@@ -261,6 +264,34 @@ def test_search_stays_exact_after_inserts():
             got = rho_search(tree, q, r, ds).hit_indices()
             want = naive_search(ds, q, r, E).hit_indices()
             assert got == want
+
+
+def test_inserts_leave_the_dataset_hash_to_its_reader(tmp_path, monkeypatch):
+    ds = synth_manifold(300, 6, 1, 0.05, seed=16)
+    tree = build(ds, E, BuildConfig(max_depth=12, min_size=5, seed=2))
+    leaves = metric_entropy(tree)
+    hashes = []
+    content_hash = Dataset.content_hash
+    monkeypatch.setattr(Dataset, "content_hash",
+                        lambda self: hashes.append(None) or content_hash(self))
+    rng = np.random.default_rng(62)
+    for _ in range(100):  # far from the manifold, so many leaves split
+        insert_point(tree, np.abs(rng.normal(0.0, 80.0, ds.dim)), ds)
+    assert len(hashes) == 0
+    assert metric_entropy(tree) > leaves + 10
+
+    path = tmp_path / "grown.tree"
+    serialize(tree, path)
+    assert tree_to_bytes(deserialize(path, ds)) == tree_to_bytes(tree)
+    save_dense(ds, tmp_path / "grown.vec")
+    digest = hashlib.sha256((tmp_path / "grown.vec").read_bytes()).digest()
+    assert _TREE_HEADER.unpack_from(path.read_bytes())[6] == digest
+    assert tree.dataset_hash == digest
+    archive = tmp_path / "grown.chess"
+    compress_tree(tree, ds, Quantizer(), archive)
+    back = decompress(archive)
+    assert back.n == ds.n == 400
+    assert np.abs(back.values - ds.values).max() <= DEFAULT_QUANTUM / 2 * (1 + 1e-9)
 
 
 def test_serialize_roundtrip_small(tmp_path):
