@@ -93,9 +93,10 @@ class ClusterTree:
     """Pre-order node columns plus the member permutation ``order``.
 
     ``dataset_hash`` is the SHA-256 of the dataset the tree covers. After
-    :func:`insert_point` it is the grown dataset's, worked out on the
-    first read (serialization, the checks of :func:`deserialize` and
-    ``compress_tree``) instead of on every insert.
+    :func:`insert_point` it is the hash of the rows the dataset held at
+    the tree's last insert, worked out on the first read (serialization,
+    the checks of :func:`deserialize` and ``compress_tree``) instead of
+    on every insert.
     """
 
     center: np.ndarray       # int64 point index of each node's center
@@ -106,10 +107,14 @@ class ClusterTree:
     order: np.ndarray        # int64 permutation of the point indices
     metric: MetricKind
     config: BuildConfig
-    dataset_hash: bytes      # a property over _hash and _grown, set below
+    # a property over _hash and _grown, installed below
+    dataset_hash: bytes = field(repr=False)
     build_comparisons: int = 0
-    # the dataset insert_point grew since the hash was last read or set
-    _grown: Dataset | None = field(default=None, init=False, repr=False)
+    _hash: bytes | None = field(default=None, init=False, repr=False)
+    # the grown dataset and its ``values`` at the tree's last insert, if
+    # the hash has not been read or set since
+    _grown: tuple[Dataset, np.ndarray] | None = field(default=None, init=False,
+                                                     repr=False)
 
     def leaf_members(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Pre-order leaf node indices and each leaf's slice of ``order``."""
@@ -140,7 +145,10 @@ class ClusterTree:
 
 def _read_hash(tree: ClusterTree) -> bytes:
     if tree._grown is not None:
-        tree._hash, tree._grown = tree._grown.content_hash(), None
+        dataset, values = tree._grown
+        if dataset.values is not values:  # appended to since: hash the snapshot
+            dataset = Dataset(dataset.kind, values)
+        tree._hash, tree._grown = dataset.content_hash(), None
     return tree._hash
 
 
@@ -394,7 +402,8 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset,
             members.size, tree.radius[node],
             distances_to(values[members], values[center[node]], tree.metric))
 
-    tree._grown = dataset
+    # rows of ``values`` are never rewritten, so the view is a snapshot
+    tree._grown = dataset, dataset.values
     return tree
 
 

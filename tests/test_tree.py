@@ -294,6 +294,36 @@ def test_inserts_leave_the_dataset_hash_to_its_reader(tmp_path, monkeypatch):
     assert np.abs(back.values - ds.values).max() <= DEFAULT_QUANTUM / 2 * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("grow", ["append", "other tree"])
+def test_dataset_grown_after_last_insert_fails_checks(tmp_path, grow):
+    ds = synth_manifold(200, 4, 1, 0.05, seed=17)
+    tree = build(ds, E, BuildConfig(max_depth=10, min_size=5, seed=3))
+    other = build(ds, E, BuildConfig(max_depth=10, min_size=5, seed=4))
+    insert_point(tree, np.full(4, 0.5), ds)
+    covered = Dataset(ds.kind, ds.values.copy())
+    if grow == "append":
+        ds.append_point(np.full(4, 0.25))
+    else:
+        insert_point(other, np.full(4, 0.25), ds)
+    assert tree.dataset_hash == covered.content_hash() != ds.content_hash()
+    with pytest.raises(ValueError, match="not built over this dataset"):
+        compress_tree(tree, ds, Quantizer(), tmp_path / "stale.chess")
+    path = tmp_path / "stale.tree"
+    serialize(tree, path)
+    with pytest.raises(FormatError, match="different dataset"):
+        deserialize(path, ds)
+    assert tree_to_bytes(deserialize(path, covered)) == tree_to_bytes(tree)
+
+
+def test_repr_of_grown_tree_does_not_hash(monkeypatch):
+    ds = synth_manifold(100, 4, 1, 0.05, seed=18)
+    tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=1))
+    insert_point(tree, np.full(4, 0.5), ds)
+    monkeypatch.setattr(Dataset, "content_hash", lambda self: pytest.fail("hashed"))
+    assert "dataset_hash" not in repr(tree)
+    assert tree._grown is not None
+
+
 def test_serialize_roundtrip_small(tmp_path):
     ds = line_dataset([0.0, 1.0, 10.0])
     tree = build(ds, E, BuildConfig(max_depth=3, min_size=1, seed=9))
