@@ -64,10 +64,9 @@ class Dataset:
 
     kind: DatasetKind
     values: np.ndarray  # (n, dim); float64 for vectors, uint8 for strings
-    _hash: bytes | None = field(default=None, repr=False, compare=False)
+    _hash: bytes | None = field(default=None, repr=False)
     # the buffer ``values`` views after an append; None until then
-    _buffer: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    _buffer: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
@@ -75,6 +74,13 @@ class Dataset:
         n, dim = self.values.shape
         if n < 1 or dim < 1:
             raise DimensionError(f"dataset must have n >= 1 and dim >= 1, got {n}x{dim}")
+
+    def __eq__(self, other: object) -> bool:
+        """Same kind and same values; the cached hash and spare buffer
+        capacity do not count."""
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.kind is other.kind and np.array_equal(self.values, other.values)
 
     @property
     def n(self) -> int:

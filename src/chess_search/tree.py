@@ -116,11 +116,17 @@ class ClusterTree:
     _grown: tuple[Dataset, np.ndarray] | None = field(default=None, init=False,
                                                      repr=False)
 
+    def leaf_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pre-order leaf node indices, and where each leaf's slice of
+        ``order`` starts followed by where the last one ends (pre-order
+        leaves tile ``order``)."""
+        leaves = np.flatnonzero(self.size == 1)
+        return leaves, np.concatenate(([0], np.cumsum(self.cardinality[leaves])))
+
     def leaf_members(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Pre-order leaf node indices and each leaf's slice of ``order``."""
-        leaves = np.flatnonzero(self.size == 1)
-        return leaves, np.split(self.order,
-                                np.cumsum(self.cardinality[leaves])[:-1])
+        leaves, offsets = self.leaf_offsets()
+        return leaves, np.split(self.order, offsets[1:-1])
 
     def depths(self) -> np.ndarray:
         """Depth of every node; the root is at depth 0. A node's depth is

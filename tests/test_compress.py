@@ -1,15 +1,23 @@
+import hashlib
+import struct
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chess_search import (BuildConfig, ChessError, Dataset, DatasetKind,
                           FormatError, MetricKind, Quantizer, build,
                           compress_tree, decode_leaf, decompress, encode_leaf,
                           naive_search, quantize, save_dense, synth_manifold)
-from chess_search.compress import DEFAULT_QUANTUM, LeafDeltaBlock
+from chess_search import compress
+from chess_search.compress import (DEFAULT_QUANTUM, LeafDeltaBlock, _batches,
+                                   _decode_strings, _decode_varints,
+                                   _dense_blocks, _encode_varints, _read_varint,
+                                   _strings_body)
+from chess_search.data import _VEC_HEADER
+from chess_search.tree import tree_from_bytes, tree_to_bytes
 
 from conftest import synth_aligned_strings
 
@@ -19,6 +27,60 @@ H = MetricKind.HAMMING
 
 def grid(values: np.ndarray, quantum: float) -> np.ndarray:
     return np.sign(values) * np.floor(np.abs(values) / quantum + 0.5) * quantum
+
+
+def reference_encode_varints(values: np.ndarray) -> bytes:
+    """Value-at-a-time LEB128, as the codec wrote before it was batched."""
+    out = bytearray()
+    for v in values.tolist():
+        while v >= 0x80:
+            out.append((v & 0x7F) | 0x80)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
+def reference_decode_varints(buf: bytes, pos: int,
+                             count: int) -> tuple[np.ndarray, int]:
+    """Byte-at-a-time LEB128, as the codec read before it was batched."""
+    out = np.empty(count, dtype=np.uint64)
+    end = len(buf)
+    for i in range(count):
+        value = 0
+        shift = 0
+        while True:
+            if pos >= end:
+                raise FormatError(f"truncated varint at byte offset {pos}")
+            byte = buf[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+            shift += 7
+        out[i] = value
+    return out, pos
+
+
+def decode_bodies(bodies: list[bytes], counts: list[int]) -> np.ndarray:
+    buf = np.frombuffer(b"".join(bodies), dtype=np.uint8)
+    return _decode_varints(buf, np.cumsum([len(b) for b in bodies], dtype=np.int64),
+                           np.array(counts, dtype=np.int64))
+
+
+def deflate(body: bytes) -> bytes:
+    enc = zlib.compressobj(wbits=-15)
+    return enc.compress(body) + enc.flush()
+
+
+def archive_layout(raw: bytes) -> tuple[int, int, int]:
+    """Offsets of an archive's centers section, of its first center row
+    and of its first leaf block."""
+    tree, start = tree_from_bytes(raw)
+    header, itemsize = ((_VEC_HEADER, 8) if tree.metric.for_vectors
+                        else (struct.Struct("<QQ"), 1))
+    *_, count, dim = header.unpack_from(raw, start + 8)
+    rows = start + 8 + header.size
+    return start, rows, rows + count * dim * itemsize + 4
 
 
 def test_default_quantum_value():
@@ -57,30 +119,32 @@ def test_quantize_roundtrip_error_bound():
         assert quantize(np.array([x]), q)[0] * q == g
 
 
-def test_encode_all_members_equal_center_is_tiny():
+def test_encode_all_members_equal_center_is_tiny(tmp_path):
     ds = Dataset.from_vectors(np.tile([3.0, 4.0, 5.0], (50, 1)))
     tree = build(ds, E, BuildConfig(seed=0))
-    block = encode_leaf(tree.center[0], tree.order, tree.radius[0], ds, Quantizer())
+    [block] = _dense_blocks(tree, ds, DEFAULT_QUANTUM)
     assert block.member_count == 50
     assert len(block.compressed_body) < 40  # deflate of 150 zero varints
-    decoded = decode_leaf(block, ds, Quantizer())
-    assert np.array_equal(decoded, grid(ds.values, DEFAULT_QUANTUM))
+    path = tmp_path / "a.chess"
+    compress_tree(tree, ds, Quantizer(), path)
+    assert np.array_equal(decompress(path).values, grid(ds.values, DEFAULT_QUANTUM))
 
 
 def test_string_edit_list_length_equals_hamming_distance():
     rows = ["ACGTACGT", "ACGAACGT", "ACGTAC--", "ACGTACGT"[::-1]]
     ds = Dataset.from_strings(rows)
     tree = build(ds, H, BuildConfig(min_size=10, seed=0))
-    block = encode_leaf(tree.center[0], tree.order, tree.radius[0], ds, Quantizer())
-    decoded = decode_leaf(block, ds, Quantizer())
+    center, n = int(tree.center[0]), tree.order.size
+    body = _strings_body(ds, center, tree.order, tree.radius[0])
+    block = encode_leaf(DatasetKind.ALIGNED_STRINGS, center, n, body)
+    assert decode_leaf(block, 0, center, n) == body
+    decoded = _decode_strings(body, ds.values[center], n)
     assert np.array_equal(decoded, ds.values[tree.order])
     # per-member edit counts are the Hamming distances to the center
-    body = zlib.decompress(block.compressed_body, wbits=-15)
-    center = ds.values[tree.center[0]]
     pos = 0
     for idx in tree.order.tolist():
         count = body[pos]  # single-byte varints here
-        expected = int((ds.values[idx] != center).sum())
+        expected = int((ds.values[idx] != ds.values[center]).sum())
         assert count == expected
         pos += 1 + 5 * count
 
@@ -90,7 +154,7 @@ def test_edit_bound_violation_is_detected():
     tree = build(ds, H, BuildConfig(seed=0))
     # lie about the radius: a member sits at Hamming distance 4
     with pytest.raises(ChessError, match="exceed leaf radius"):
-        encode_leaf(tree.center[0], tree.order, 1.0, ds, Quantizer())
+        _strings_body(ds, tree.center[0], tree.order, 1.0)
 
 
 def test_dense_roundtrip_lands_on_grid_and_is_idempotent(tmp_path):
@@ -154,13 +218,16 @@ def test_compress_requires_matching_dataset(tmp_path):
 
 
 def test_block_wire_roundtrip():
-    ds = Dataset.from_vectors(np.arange(12.0).reshape(4, 3))
-    tree = build(ds, E, BuildConfig(min_size=10, seed=0))
-    block = encode_leaf(tree.center[0], tree.order, tree.radius[0], ds, Quantizer())
+    body, _ = _encode_varints(np.arange(12, dtype=np.uint64) * 1000)
+    block = encode_leaf(DatasetKind.DENSE_VECTORS, 2, 4, body.tobytes())
     raw = block.to_bytes()
     parsed, end = LeafDeltaBlock.from_bytes(raw, 0)
     assert end == len(raw)
     assert parsed == block
+    assert decode_leaf(parsed, 0, 2, 4) == body.tobytes()
+    for center, count in ((3, 4), (2, 5)):
+        with pytest.raises(FormatError, match="block 7 does not match leaf 7"):
+            decode_leaf(parsed, 7, center, count)
 
 
 def test_search_agrees_on_decompressed_corpus(tmp_path):
@@ -192,11 +259,9 @@ def test_malformed_blocks_raise_format_error():
     ds = Dataset.from_strings(["ACGT"])
     # one member with one edit at position 9 of a length-4 string
     body = bytes([1]) + (9).to_bytes(4, "little") + b"A"
-    deflate = zlib.compressobj(wbits=-15)
-    block = LeafDeltaBlock(DatasetKind.ALIGNED_STRINGS, 0, 1,
-                           deflate.compress(body) + deflate.flush())
+    block = LeafDeltaBlock(DatasetKind.ALIGNED_STRINGS, 0, 1, deflate(body))
     with pytest.raises(FormatError, match="edit position 9 out of range"):
-        decode_leaf(block, ds)
+        _decode_strings(decode_leaf(block, 0, 0, 1), ds.values[0], 1)
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +307,217 @@ def test_truncated_archive_fails_loudly(fuzz_archives, tmp_path_factory, which, 
     path.write_bytes(raw[:int(where * len(raw))])
     with pytest.raises(FormatError):
         decompress(path)
+
+
+SPECIAL_U64 = [0, 1, 127, 128, 16_383, 16_384, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(SPECIAL_U64), st.integers(0, 300),
+                          st.integers(0, 2**64 - 1)), max_size=40))
+@example([])
+@example(SPECIAL_U64)
+def test_varint_codec_matches_reference(values):
+    arr = np.array(values, dtype=np.uint64)
+    buf, ends = _encode_varints(arr)
+    want = reference_encode_varints(arr)
+    assert buf.dtype == np.uint8 and buf.tobytes() == want
+    assert ends.tolist() == np.cumsum(
+        [len(reference_encode_varints(arr[i:i + 1])) for i in range(arr.size)],
+        dtype=np.int64).tolist()
+    assert np.array_equal(reference_decode_varints(want, 0, arr.size)[0], arr)
+    got = decode_bodies([want], [arr.size])
+    assert got.dtype == np.uint64 and np.array_equal(got, arr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.sampled_from(SPECIAL_U64),
+                                   st.integers(0, 2**64 - 1)), max_size=6),
+                min_size=1, max_size=5))
+def test_varint_bodies_decode_as_one_batch(groups):
+    bodies = [reference_encode_varints(np.array(g, dtype=np.uint64)) for g in groups]
+    got = decode_bodies(bodies, [len(g) for g in groups])
+    assert got.tolist() == [v for g in groups for v in g]
+
+
+STREAM = np.array([0, 127, 128, 300, 2**63, 2**64 - 1, 5], dtype=np.uint64)
+
+
+def test_truncated_varints_name_the_reference_offset():
+    stream = reference_encode_varints(STREAM)
+    head = reference_encode_varints(STREAM[:2])
+    for cut in range(len(stream)):
+        with pytest.raises(FormatError) as want:
+            reference_decode_varints(stream[:cut], 0, STREAM.size)
+        assert str(want.value) == f"truncated varint at byte offset {cut}"
+        # alone, and as the middle body of a batch: offsets are per body
+        for bodies, counts in (([stream[:cut]], [STREAM.size]),
+                               ([head, stream[:cut], head], [2, STREAM.size, 2])):
+            with pytest.raises(FormatError) as got:
+                decode_bodies(bodies, counts)
+            assert str(got.value) == str(want.value)
+
+
+def test_trailing_varint_bytes_name_their_offset():
+    stream = reference_encode_varints(STREAM)
+    for extra in (b"\x00", b"\x81", b"\x81\x01"):
+        with pytest.raises(FormatError, match="trailing bytes in block body at "
+                                              f"offset {len(stream)}$"):
+            decode_bodies([stream, stream + extra], [STREAM.size, STREAM.size])
+    with pytest.raises(FormatError, match="trailing bytes in block body at offset 0$"):
+        decode_bodies([b"\x05"], [0])
+
+
+@pytest.mark.parametrize("varint", [bytes([0xFF] * 10 + [0x01]),  # 11 bytes
+                                    bytes([0x80] * 9 + [0x02]),   # a 65th bit
+                                    bytes([0x80] * 12),           # unterminated
+                                    bytes([0x80] * 15 + [0x00])])
+def test_over_long_varint_is_a_format_error(varint):
+    head = reference_encode_varints(STREAM)
+    with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
+                                          f"offset {len(head)}$"):
+        decode_bodies([head, head + varint + head], [STREAM.size, 2 * STREAM.size + 1])
+    with pytest.raises(FormatError, match="longer than 64 bits at byte offset 3$"):
+        _read_varint(b"\x00\x00\x00" + varint, 3)
+    # a varint past the member's count is trailing, not over-long
+    with pytest.raises(FormatError, match=f"trailing bytes .* offset {len(head)}$"):
+        decode_bodies([head + varint], [STREAM.size])
+
+
+def test_longest_varint_decodes():
+    assert reference_encode_varints(STREAM[5:6]) == bytes([0xFF] * 9 + [0x01])
+    assert _read_varint(bytes([0xFF] * 9 + [0x01]), 0) == (2**64 - 1, 10)
+    assert decode_bodies([bytes([0xFF] * 9 + [0x01])], [1]).tolist() == [2**64 - 1]
+
+
+def small_archive(tmp_path) -> bytes:
+    ds = synth_manifold(150, 6, 1, 0.1, seed=31)
+    tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=4))
+    path = tmp_path / "c.chess"
+    compress_tree(tree, ds, Quantizer(), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("leaf", [0, 3])
+def test_over_long_varint_in_archive_is_a_format_error(tmp_path, leaf):
+    raw = small_archive(tmp_path)
+    *_, pos = archive_layout(raw)
+    for _ in range(leaf):
+        _, pos = LeafDeltaBlock.from_bytes(raw, pos)
+    block, end = LeafDeltaBlock.from_bytes(raw, pos)
+    body = zlib.decompress(block.compressed_body, wbits=-15)
+    _, first = reference_decode_varints(body, 0, 1)
+    forged = LeafDeltaBlock(block.kind, block.center_index, block.member_count,
+                            deflate(body[:first] + bytes([0xFF] * 10 + [0x01])
+                                    + body[first:]))
+    path = tmp_path / "forged.chess"
+    path.write_bytes(raw[:pos] + forged.to_bytes() + raw[end:])  # CRC-valid
+    with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
+                                          f"offset {first}$"):
+        decompress(path)
+
+
+def rewrite_centers(raw: bytes, offset: int, field: bytes) -> bytes:
+    """The archive with ``field`` written at ``offset`` of its centers
+    section and that section's CRC fixed."""
+    start, _, blocks = archive_layout(raw)
+    forged = bytearray(raw)
+    forged[offset:offset + len(field)] = field
+    forged[blocks - 4:blocks] = struct.pack("<I", zlib.crc32(forged[start:blocks - 4]))
+    return bytes(forged)
+
+
+@pytest.mark.parametrize("quantum", [0.0, -1e-3, float("nan"), float("inf")])
+def test_bad_quantum_in_archive_is_a_format_error(tmp_path, quantum):
+    raw = small_archive(tmp_path)
+    start, _, _ = archive_layout(raw)
+    path = tmp_path / "forged.chess"
+    path.write_bytes(rewrite_centers(raw, start, struct.pack("<d", quantum)))
+    with pytest.raises(FormatError, match=f"at byte offset {start}$"):
+        decompress(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_non_finite_center_in_archive_is_a_format_error(tmp_path, value):
+    raw = small_archive(tmp_path)
+    _, rows, _ = archive_layout(raw)
+    offset = rows + 8 * 7  # the second center's second coordinate (dim 6)
+    path = tmp_path / "forged.chess"
+    path.write_bytes(rewrite_centers(raw, offset, struct.pack("<d", value)))
+    with pytest.raises(FormatError, match="non-finite center coordinate at byte "
+                                          f"offset {offset}$"):
+        decompress(path)
+
+
+def pinned_corpus(metric: MetricKind):
+    """A tree and dataset whose archive is pinned. Dense coordinates are
+    multiples of 1/64 drawn as integers, so every distance, and with it
+    the tree, is exact on any platform."""
+    if metric is E:
+        rng = np.random.default_rng(53)
+        t = rng.integers(0, 2000, size=(400, 1))
+        ds = Dataset.from_vectors((t * rng.integers(-3, 4, size=(1, 12))
+                                   + rng.integers(-40, 41, size=(400, 12))) / 64)
+        return build(ds, E, BuildConfig(max_depth=12, min_size=6, seed=1)), ds
+    ds = synth_aligned_strings(600, 80, 6, 0.02, seed=23)
+    return build(ds, H, BuildConfig(max_depth=20, min_size=8, seed=2)), ds
+
+
+#: SHA-256 of everything an archive holds after its tree stream, as the
+#: leaf-at-a-time codec wrote it
+PINNED = {
+    E: "f3a339beb81946ee749d8e6aa8e217457797e69b476fef242c41df48b101f371",
+    H: "b4b869ba7b6332eaaaa5ae5665d05bf80422eca3fa5321558db6cb728abd666f",
+}
+
+
+@pytest.mark.parametrize("metric", [E, H], ids=["dense", "hamming"])
+def test_archive_bytes_are_pinned(tmp_path, metric):
+    # the tree stream is checked against the tree instead: it carries
+    # fractal dimensions from np.log, whose last bit may vary by platform
+    tree, ds = pinned_corpus(metric)
+    path = tmp_path / "p.chess"
+    compress_tree(tree, ds, Quantizer(), path)
+    raw = path.read_bytes()
+    start, _, _ = archive_layout(raw)
+    assert raw[:start] == tree_to_bytes(tree)
+    assert hashlib.sha256(raw[start:]).hexdigest() == PINNED[metric]
+    back = decompress(path)
+    assert np.array_equal(back.values, ds.values if metric is H
+                          else grid(ds.values, DEFAULT_QUANTUM))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 600, 5_000])
+def test_archive_bytes_do_not_depend_on_batch_size(tmp_path, monkeypatch, batch):
+    tree, ds = pinned_corpus(E)
+    path = tmp_path / "p.chess"
+    compress_tree(tree, ds, Quantizer(), path)
+    want = path.read_bytes()
+    monkeypatch.setattr(compress, "_BATCH_VALUES", batch)
+    compress_tree(tree, ds, Quantizer(), path)
+    assert path.read_bytes() == want
+    assert np.array_equal(decompress(path).values, grid(ds.values, DEFAULT_QUANTUM))
+
+
+def test_batches_are_bounded_by_values(monkeypatch):
+    monkeypatch.setattr(compress, "_BATCH_VALUES", 10)
+    # leaves of 3, 2, 95, 1, 1 and 2 points with two values each
+    offsets = np.array([0, 3, 5, 100, 101, 102, 104])
+    assert _batches(offsets, 2) == [(0, 2), (2, 3), (3, 6)]
+    assert _batches(offsets, 20) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+
+
+def test_encode_and_decode_leaf_run_once_per_leaf(tmp_path, monkeypatch):
+    calls = {"encode_leaf": 0, "decode_leaf": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(compress, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(compress, name, counted)
+    for metric in (E, H):
+        tree, ds = pinned_corpus(metric)
+        compress_tree(tree, ds, Quantizer(), tmp_path / "p.chess")
+        decompress(tmp_path / "p.chess")
+        leaves = int((tree.size == 1).sum())
+        assert calls == {"encode_leaf": leaves, "decode_leaf": leaves}
+        calls.update(encode_leaf=0, decode_leaf=0)

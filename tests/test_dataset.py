@@ -202,6 +202,28 @@ def test_deep_copy_of_grown_dataset_is_independent():
     assert clone.n == n + 40 and clone.values[n, 0] == 100.0
 
 
+
+def test_dataset_equality_compares_kind_and_values():
+    ds = synth_manifold(10, 3, 1, 0.1, seed=1)
+    assert ds == synth_manifold(10, 3, 1, 0.1, seed=1)
+    assert ds != synth_manifold(10, 3, 1, 0.1, seed=2)
+    assert ds != Dataset.from_vectors(ds.values[:9])  # another shape
+    assert ds != Dataset.from_vectors(ds.values.T)
+    assert ds != "not a dataset"
+    strings = Dataset.from_strings(["ACGT", "AC-T"])
+    assert strings == Dataset.from_strings(["ACGT", "AC-T"])
+    assert strings != Dataset(DatasetKind.DENSE_VECTORS,
+                              strings.values.astype(np.float64))
+    # a cached hash and spare buffer capacity do not count
+    ds.content_hash()
+    ds.append_point(np.zeros(3))
+    clone = copy.deepcopy(ds)
+    assert clone._buffer is None and ds._buffer is not None
+    assert clone == ds and ds == clone
+    clone.append_point(np.ones(3))
+    assert clone != ds
+
+
 CHESSVEC = Dataset.from_vectors(np.arange(12.0).reshape(4, 3) / 7).to_canonical_bytes()
 HEADER_BITS = 8 * 25
 
