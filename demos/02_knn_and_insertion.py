@@ -1,15 +1,26 @@
 """Exact k-nearest-neighbor search and live point insertion.
 
-k-NN wraps the range search in a radius-halving/doubling ladder started
-at the median leaf radius, then keeps the k best with a bounded
-selection. Inserting a point is a zero-radius descent; a point landing
-far outside its leaf starts a new sibling cluster.
+k-NN descends toward the query to a cluster of at least k points, takes
+the k-th smallest distance in it as a bound radius, and keeps the first
+k hits of one range search at that radius. Inserting a point is a
+zero-radius descent; a point landing far outside its leaf starts a new
+sibling cluster. Exits nonzero if any k-NN answer differs from brute
+force.
 """
+
+import sys
 
 import numpy as np
 
 from chess_search import (BuildConfig, MetricKind, build, insert_point,
                           knn_search, metric_entropy, synth_manifold)
+
+
+def matches_brute_force(report, query, k) -> bool:
+    dists = np.linalg.norm(dataset.values - query, axis=1)
+    exact = np.lexsort((np.arange(dataset.n), dists))[:k]
+    return [i for i, _ in report.hits] == exact.tolist()
+
 
 dataset = synth_manifold(n=8_000, embed_dim=40, intrinsic_dim=2, noise=0.01,
                          seed=3)
@@ -20,14 +31,14 @@ print(f"{dataset.n} points, tree depth {tree.depth}, "
 rng = np.random.default_rng(9)
 query = dataset.point(int(rng.integers(dataset.n))) + 0.001
 
+all_exact = True
 for k in (1, 10, 100):
     report = knn_search(tree, query, k, dataset)
-    dists = np.linalg.norm(dataset.values - query, axis=1)
-    exact = set(np.argsort(dists)[:k].tolist())
-    print(f"k={k:>3}: {report.invocations} range searches, "
-          f"final radius {report.final_radius:.4f}, "
-          f"{report.comparisons} comparisons, "
-          f"matches brute force: {set(i for i, _ in report.hits) == exact}")
+    exact = matches_brute_force(report, query, k)
+    all_exact &= exact
+    print(f"k={k:>3}: bound radius {report.final_radius:.4f}, "
+          f"{report.comparisons} comparisons of n = {dataset.n}, "
+          f"matches brute force: {exact}")
 
 print("\ninserting 50 on-manifold points and 3 far outliers...")
 leaves_before = metric_entropy(tree)
@@ -41,6 +52,7 @@ print(f"leaves {leaves_before} -> {metric_entropy(tree)} "
       f"n = {dataset.n}")
 
 report = knn_search(tree, query, 5, dataset)
-dists = np.linalg.norm(dataset.values - query, axis=1)
-print(f"post-insert 5-NN still exact: "
-      f"{set(i for i, _ in report.hits) == set(np.argsort(dists)[:5].tolist())}")
+exact = matches_brute_force(report, query, 5)
+all_exact &= exact
+print(f"post-insert 5-NN still exact: {exact}")
+sys.exit(0 if all_exact else 1)

@@ -62,6 +62,8 @@ _STR_SECTION = struct.Struct("<QQ")
 
 _KIND_DENSE = 0
 _KIND_STRINGS = 1
+_KINDS = {_KIND_DENSE: DatasetKind.DENSE_VECTORS,
+          _KIND_STRINGS: DatasetKind.ALIGNED_STRINGS}
 
 #: values per batch of the dense codec; a batch is a run of whole leaves.
 #: This bounds the codec's scratch memory: the 64 KiB temporaries of a
@@ -83,12 +85,19 @@ class Quantizer:
 
 def quantize(values: np.ndarray, quantum: float) -> np.ndarray:
     """Nearest grid index of every value, rounding halves away from zero;
-    ``index * quantum`` is the value on the grid."""
+    ``index * quantum`` is the value on the grid. An index beyond the
+    int64 range (a magnitude above about 1.2e14 at the default quantum)
+    is a ValueError."""
     if not (quantum > 0 and math.isfinite(quantum)):
         raise ValueError(f"quantum must be positive and finite, got {quantum}")
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
-    return (np.sign(values) * np.floor(np.abs(values) / quantum + 0.5)).astype(np.int64)
+    grid = np.floor(np.abs(values) / quantum + 0.5)
+    if grid.size and grid.max() >= 2.0 ** 63:
+        worst = float(np.abs(values).max())
+        raise ValueError(f"cannot quantize magnitude {worst:.6g} at quantum "
+                         f"{quantum!r}: its grid index exceeds the int64 range")
+    return (np.sign(values) * grid).astype(np.int64)
 
 
 def _zigzag(values: np.ndarray) -> np.ndarray:
@@ -224,7 +233,10 @@ class LeafDeltaBlock:
         return _U64.pack(len(payload)) + payload + _U32.pack(zlib.crc32(payload))
 
     @classmethod
-    def from_bytes(cls, raw: bytes, pos: int) -> tuple["LeafDeltaBlock", int]:
+    def from_bytes(cls, raw: bytes, pos: int,
+                   kind: DatasetKind) -> tuple["LeafDeltaBlock", int]:
+        """The block at ``pos`` and the offset after it; a block of another
+        kind than the archive's ``kind`` is a :class:`FormatError`."""
         if len(raw) - pos < _U64.size:
             raise FormatError(f"truncated block length at byte offset {pos}")
         (length,) = _U64.unpack_from(raw, pos)
@@ -238,9 +250,13 @@ class LeafDeltaBlock:
         if zlib.crc32(payload) != crc:
             raise FormatError(f"block checksum mismatch at byte offset {pos}")
         kind_flag, center_index, member_count = _BLOCK_HEADER.unpack_from(payload, 0)
-        kind = DatasetKind.DENSE_VECTORS if kind_flag == _KIND_DENSE \
-            else DatasetKind.ALIGNED_STRINGS
-        block = cls(kind=kind, center_index=center_index,
+        block_kind = _KINDS.get(kind_flag)
+        if block_kind is None:
+            raise FormatError(f"unknown block kind {kind_flag} at byte offset {pos}")
+        if block_kind is not kind:
+            raise FormatError(f"{block_kind.value} block in a {kind.value} "
+                              f"archive at byte offset {pos}")
+        block = cls(kind=block_kind, center_index=center_index,
                     member_count=member_count,
                     compressed_body=payload[_BLOCK_HEADER.size:])
         return block, pos + length + _U32.size
@@ -357,7 +373,7 @@ def _dense_members(raw: bytes, pos: int, tree: ClusterTree, centers: np.ndarray,
         counts = np.diff(offsets[a:b + 1])
         bodies = []
         for i in range(b - a):
-            block, pos = LeafDeltaBlock.from_bytes(raw, pos)
+            block, pos = LeafDeltaBlock.from_bytes(raw, pos, DatasetKind.DENSE_VECTORS)
             bodies.append(decode_leaf(block, a + i, center_index[a + i], int(counts[i])))
         deltas = _unzigzag(_decode_varints(
             np.frombuffer(b"".join(bodies), dtype=np.uint8),
@@ -428,16 +444,20 @@ def decompress(path) -> Dataset:
         if not (quantum > 0 and math.isfinite(quantum)):
             raise FormatError(f"quantum {quantum} is not positive and finite "
                               f"at byte offset {start}")
-        bad = np.flatnonzero(~np.isfinite(centers))
+        # a center must quantize (see ``quantize``); the negated test
+        # also catches NaN
+        bad = np.flatnonzero(~(np.abs(centers) / quantum < 2.0 ** 63))
         if bad.size:
-            raise FormatError(f"non-finite center coordinate at byte offset "
+            what = "non-finite" if not np.isfinite(centers.flat[bad[0]]) \
+                else "out-of-range"
+            raise FormatError(f"{what} center coordinate at byte offset "
                               f"{pos + int(bad[0]) * dtype.itemsize}")
         out, pos = _dense_members(raw, blocks, tree, centers, quantum)
     else:
         out, pos = np.empty((tree.order.size, dim), dtype=np.uint8), blocks
         for i, c in enumerate(tree.center[leaves].tolist()):
             m = tree.order[offsets[i]:offsets[i + 1]]
-            block, pos = LeafDeltaBlock.from_bytes(raw, pos)
+            block, pos = LeafDeltaBlock.from_bytes(raw, pos, kind)
             out[m] = _decode_strings(decode_leaf(block, i, c, m.size), centers[i], m.size)
     if pos != len(raw):
         raise FormatError(f"trailing bytes at offset {pos}")

@@ -13,6 +13,7 @@ per-criterion lines while running).
 
 import copy
 import dataclasses
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -143,6 +144,22 @@ def test_criterion_1_exactness_metric_distances(split_a, trees_a, radii_a,
           f"(budget {RUNTIME_BUDGET_S:.0f}s)", flush=True)
 
 
+@pytest.mark.parametrize("split, trees, n_queries", [
+    ("split_a", "trees_a", 50), ("split_b", "trees_b", 10)])
+def test_range_search_is_exact_at_stored_distances(request, split, trees,
+                                                   n_queries):
+    # a radius equal to a stored distance puts that point on the ball's
+    # edge; on the collinear corpus (a) its cluster's center can then sit
+    # at exactly r + radius, which rounding must not prune
+    held_in, queries = request.getfixturevalue(split)
+    tree = request.getfixturevalue(trees)[50]
+    for q in queries[:n_queries]:
+        everything = naive_search(held_in, q, math.inf, tree.metric).hits
+        for _, r in everything[:20]:
+            want = list(itertools.takewhile(lambda h: h[1] <= r, everything))
+            assert rho_search(tree, q, r, held_in).hits == want
+
+
 def test_criterion_2_cosine_no_false_positives(split_cos, trees_cos, radii_cos):
     held_in, queries = split_cos
     rates = {}
@@ -228,8 +245,7 @@ def test_criterion_5_lfd_sanity(split_a, trees_a):
 
 def test_criterion_6_knn_exactness(split_a, trees_a, split_b, trees_b):
     details = []
-    with criterion("6 k-NN equals brute force; invocation budget", details):
-        overruns = []
+    with criterion("6 k-NN equals brute force; one range search", details):
         for (held_in, queries), trees in ((split_a, trees_a),
                                           (split_b, trees_b)):
             metric = trees[10].metric
@@ -240,17 +256,9 @@ def test_criterion_6_knn_exactness(split_a, trees_a, split_b, trees_b):
                     for depth in (10, 50):
                         got = knn_search(trees[depth], q, k, held_in)
                         assert [i for i, _ in got.hits] == want
-                        if got.used_fallback or got.final_radius <= 0:
-                            continue
-                        bound = math.ceil(math.log2(
-                            trees[depth].radius[0] / got.final_radius)) + 2
-                        if depth == 10:
-                            assert got.invocations <= bound
-                        elif got.invocations > bound:
-                            overruns.append(got.invocations - bound)
+                        assert got.invocations == 1
+                        assert got.final_radius >= dists[want[-1]]
         details.append("exact at depths 10 and 50 for k in {1,10,100}")
-        details.append(f"depth-50 ladder overruns: {len(overruns)} "
-                       f"(max {max(overruns, default=0)})")
 
 
 def test_criterion_7_compression(corpus_b, tmp_path_factory):

@@ -221,7 +221,7 @@ def test_block_wire_roundtrip():
     body, _ = _encode_varints(np.arange(12, dtype=np.uint64) * 1000)
     block = encode_leaf(DatasetKind.DENSE_VECTORS, 2, 4, body.tobytes())
     raw = block.to_bytes()
-    parsed, end = LeafDeltaBlock.from_bytes(raw, 0)
+    parsed, end = LeafDeltaBlock.from_bytes(raw, 0, DatasetKind.DENSE_VECTORS)
     assert end == len(raw)
     assert parsed == block
     assert decode_leaf(parsed, 0, 2, 4) == body.tobytes()
@@ -255,7 +255,7 @@ def test_malformed_blocks_raise_format_error():
     raw = len(payload).to_bytes(8, "little") + payload \
         + zlib.crc32(payload).to_bytes(4, "little")
     with pytest.raises(FormatError, match="shorter than its header"):
-        LeafDeltaBlock.from_bytes(raw, 0)
+        LeafDeltaBlock.from_bytes(raw, 0, DatasetKind.DENSE_VECTORS)
     ds = Dataset.from_strings(["ACGT"])
     # one member with one edit at position 9 of a length-4 string
     body = bytes([1]) + (9).to_bytes(4, "little") + b"A"
@@ -403,8 +403,8 @@ def test_over_long_varint_in_archive_is_a_format_error(tmp_path, leaf):
     raw = small_archive(tmp_path)
     *_, pos = archive_layout(raw)
     for _ in range(leaf):
-        _, pos = LeafDeltaBlock.from_bytes(raw, pos)
-    block, end = LeafDeltaBlock.from_bytes(raw, pos)
+        _, pos = LeafDeltaBlock.from_bytes(raw, pos, DatasetKind.DENSE_VECTORS)
+    block, end = LeafDeltaBlock.from_bytes(raw, pos, DatasetKind.DENSE_VECTORS)
     body = zlib.decompress(block.compressed_body, wbits=-15)
     _, first = reference_decode_varints(body, 0, 1)
     forged = LeafDeltaBlock(block.kind, block.center_index, block.member_count,
@@ -415,6 +415,30 @@ def test_over_long_varint_in_archive_is_a_format_error(tmp_path, leaf):
     with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
                                           f"offset {first}$"):
         decompress(path)
+
+
+@pytest.mark.parametrize("which, flag, message", [
+    (0, 7, "unknown block kind 7"), (0, 1, "strings block in a dense archive"),
+    (1, 0, "dense block in a strings archive")])
+def test_block_kind_must_match_the_archive(fuzz_archives, tmp_path, which, flag,
+                                           message):
+    raw, _ = fuzz_archives[which]
+    *_, pos = archive_layout(raw)
+    (length,) = struct.unpack_from("<Q", raw, pos)
+    kind_at, end = pos + 8, pos + 8 + length
+    payload = bytes([flag]) + raw[kind_at + 1:end]
+    path = tmp_path / "forged.chess"  # the first block rewritten, CRC-valid
+    path.write_bytes(raw[:kind_at] + payload + struct.pack("<I", zlib.crc32(payload))
+                     + raw[end + 4:])
+    with pytest.raises(FormatError, match=f"{message} at byte offset {kind_at}$"):
+        decompress(path)
+
+
+def test_compress_rejects_values_beyond_the_int64_grid(tmp_path):
+    ds = Dataset.from_vectors([[1e15, 1], [2e15, 2], [3e15, 5]])
+    tree = build(ds, E, BuildConfig(seed=0))
+    with pytest.raises(ValueError, match="magnitude 3e\\+15"):
+        compress_tree(tree, ds, Quantizer(), tmp_path / "big.chess")
 
 
 def rewrite_centers(raw: bytes, offset: int, field: bytes) -> bytes:
@@ -446,6 +470,16 @@ def test_non_finite_center_in_archive_is_a_format_error(tmp_path, value):
     path.write_bytes(rewrite_centers(raw, offset, struct.pack("<d", value)))
     with pytest.raises(FormatError, match="non-finite center coordinate at byte "
                                           f"offset {offset}$"):
+        decompress(path)
+
+
+def test_out_of_range_center_in_archive_is_a_format_error(tmp_path):
+    raw = small_archive(tmp_path)
+    _, rows, _ = archive_layout(raw)
+    path = tmp_path / "forged.chess"  # beyond the int64 grid of any quantum
+    path.write_bytes(rewrite_centers(raw, rows, struct.pack("<d", 1e300)))
+    with pytest.raises(FormatError, match="out-of-range center coordinate at "
+                                          f"byte offset {rows}$"):
         decompress(path)
 
 

@@ -211,7 +211,7 @@ def test_knn_k_out_of_range(small_manifold):
         knn_search(tree, ds.values[0], ds.n + 1, ds)
 
 
-def test_knn_far_query_falls_back_and_stays_exact():
+def test_knn_far_query_stays_exact():
     ds = synth_manifold(300, 6, 1, 0.01, seed=81)
     tree = build(ds, E, BuildConfig(max_depth=15, min_size=5, seed=3))
     q = ds.values.max(axis=0) + 1e6
@@ -220,16 +220,33 @@ def test_knn_far_query_falls_back_and_stays_exact():
     assert [i for i, _ in report.hits] == brute_force_knn(ds.values, q, 7, dists)
 
 
-def test_knn_invocations_are_logarithmically_bounded(small_manifold):
+def test_knn_makes_one_range_search_at_an_upper_bound(small_manifold):
     ds, tree = small_manifold
     rng = np.random.default_rng(91)
     for qi in rng.choice(ds.n, 20, replace=False):
-        report = knn_search(tree, ds.values[qi] + 1e-3, 10, ds)
-        if report.used_fallback or report.final_radius <= 0:
-            continue
-        span = tree.radius[0] / min(report.final_radius,
-                                      tree.median_leaf_radius())
-        assert report.invocations <= math.ceil(math.log2(span)) + 2
+        q = ds.values[qi] + 1e-3
+        report = knn_search(tree, q, 10, ds)
+        dists = distances_to(ds.values, q, E)
+        want = brute_force_knn(ds.values, q, 10, dists)
+        assert [i for i, _ in report.hits] == want
+        assert report.invocations == 1 and not report.used_fallback
+        assert report.final_radius >= dists[want[-1]]
+
+
+def test_knn_on_singleton_leaves_scans_far_fewer_than_n():
+    # min_size=1 leaves are mostly singletons, so the median leaf radius
+    # is 0; the descent must still find a small cluster to bound from
+    ds = synth_manifold(2000, 10, 1, 0.05, seed=3)
+    tree = build(ds, E, BuildConfig(50, 1, 0))
+    rng = np.random.default_rng(3)
+    comparisons = []
+    for qi in rng.choice(ds.n, 20, replace=False):
+        q = ds.values[qi] + 1e-3
+        report = knn_search(tree, q, 10, ds)
+        dists = distances_to(ds.values, q, E)
+        assert [i for i, _ in report.hits] == brute_force_knn(ds.values, q, 10, dists)
+        comparisons.append(report.comparisons)
+    assert np.mean(comparisons) < ds.n / 5
 
 
 def caterpillar(ds: Dataset, rng: np.random.Generator,
@@ -308,15 +325,12 @@ def grow_deep_tree(leaf_size: int, seed: int) -> list:
 
 
 def test_depth_1500_tree_loads_searches_and_grows():
-    # singleton leaves: the median leaf radius is 0, so every k-NN query
-    # settles by the naive scan after one ball(0) walk
+    # singleton leaves: every k-NN query still makes one range search
     reports = grow_deep_tree(leaf_size=1, seed=1500)
-    assert all(r.used_fallback and r.invocations == 1 for r in reports)
+    assert all(r.invocations == 1 and not r.used_fallback for r in reports)
 
 
-def test_depth_1500_tree_with_pair_leaves_runs_knn_radius_loop():
-    # two-point leaves give a positive median leaf radius, so k-NN
-    # doubles (and halves) its radius over the deep walk
+def test_depth_1500_tree_with_pair_leaves_loads_searches_and_grows():
+    # two-point leaves: k=1 bounds from a leaf, k=5 from a chain node
     reports = grow_deep_tree(leaf_size=2, seed=1501)
-    assert not any(r.used_fallback for r in reports)
-    assert max(r.invocations for r in reports) > 2
+    assert all(r.invocations == 1 and not r.used_fallback for r in reports)
