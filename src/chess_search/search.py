@@ -1,14 +1,17 @@
 """Range and k-nearest-neighbor queries over a cluster tree.
 
 ``rho_search`` walks the flat pre-order tree with an explicit stack,
-descending into a child only when the query ball of radius r can
-intersect it, i.e. when the child center lies within
-``r + radius[child]`` of the query, up to the rounding of a
-floating-point distance. Reached leaves are scanned exhaustively as
-their slices of the tree's member permutation. When the distance obeys
-the triangle inequality this returns exactly the naive linear-scan
-result; false positives are impossible for any distance because every
-hit is an explicit pairwise comparison against r.
+testing each child center against the query and applying three rules:
+a child the query ball of radius r cannot intersect (center farther
+than ``r + radius[child]``, up to the rounding of a floating-point
+distance) is pruned; a child the ball wholly contains
+(``d + radius[child] <= r``) has every leaf of its subtree scanned
+without testing any center below it; any other child is descended into.
+Reached leaves are scanned exhaustively as their slices of the tree's
+member permutation. When the distance obeys the triangle inequality
+this returns exactly the naive linear-scan result; false positives are
+impossible for any distance because every hit is an explicit pairwise
+comparison against r.
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
@@ -64,20 +67,32 @@ class KnnReport:
 
 def _sorted_hits(indices: np.ndarray, dists: np.ndarray) -> list[tuple[int, float]]:
     order = np.lexsort((indices, dists))
-    return [(int(indices[i]), float(dists[i])) for i in order]
+    return list(zip(indices[order].tolist(), dists[order].tolist()))
 
 
 def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport:
     """All points within distance r of q, found by pruned tree descent.
 
-    The root is always explored; an internal node's child (leaf or not)
-    is explored only if ``d(q, center[child]) <= r + radius[child]``.
+    The root is always explored. Each child of an explored internal node
+    has its center tested once, and with ``d = d(q, center[child])``:
+
+    - if ``d + radius[child] <= r`` the ball holds the whole cluster, so
+      under the triangle inequality every descendant would pass its own
+      test: the leaves of the child's subtree are scanned and no center
+      below the child is tested;
+    - else if ``d <= r + radius[child]`` the child is explored;
+    - else it is pruned.
+
     Computed vector distances carry rounding error, so a center that lies
     exactly at ``r + radius`` (collinear points) can read a few ulps
-    beyond it; the test therefore allows a relative slack that bounds
-    the kernel's rounding, ``4 (dim + 2)`` units of 2**-52. Hamming and
-    Levenshtein distances are exact integers and get none.
-    Comparisons count every distance evaluation, pruning tests included.
+    beyond it; the pruning test therefore allows a relative slack that
+    bounds the kernel's rounding, ``4 (dim + 2)`` units of 2**-52.
+    Hamming and Levenshtein distances are exact integers and get none.
+    The containment test needs no slack: a leaf's points still each
+    pass ``<= r`` on their own, and under a distance that breaks the
+    triangle inequality (cosine) it can only add scanned leaves.
+    Comparisons count the center tests actually made plus the points
+    scanned, one kernel call per test and one per leaf.
     """
     if r < 0 or not math.isfinite(r):
         raise ValueError(f"search radius must be finite and nonnegative, got {r}")
@@ -96,6 +111,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     # close to that of attribute access
     center, radius, size = tree.center.item, tree.radius.item, tree.size.item
     card, order = tree.cardinality.item, tree.order
+    sizes, cards = tree.size, tree.cardinality
     stack = [(0, 0)]  # (node, offset of its slice of order)
     while stack:
         node, off = stack.pop()
@@ -113,7 +129,17 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
         for child, child_off in ((left, off), (left + size(left), off + card(left))):
             c = center(child)
             d_center = float(distances_to(values[c:c + 1], query, metric, counter)[0])
-            if d_center <= (r + radius(child)) * slack:
+            rad = radius(child)
+            if d_center + rad <= r and size(child) > 1:
+                # contained (a contained leaf takes the plain branch): push
+                # the subtree's leaves, whose slices of order follow one
+                # another from the child's offset
+                subtree = sizes[child:child + size(child)]
+                leaves = child + np.flatnonzero(subtree == 1)
+                leaf_cards = cards[leaves]
+                starts = child_off + np.cumsum(leaf_cards) - leaf_cards
+                stack.extend(zip(leaves.tolist(), starts.tolist()))
+            elif d_center <= (r + rad) * slack:
                 stack.append((child, child_off))
 
     if hit_idx:

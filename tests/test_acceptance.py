@@ -26,15 +26,17 @@ from chess_search import (BuildConfig, Dataset, DatasetKind, MetricKind,
                           hold_out, knn_search, lfd_depth_profile,
                           metric_entropy, naive_search, rho_search,
                           rows_to_csv, run_benchmark, save_dense,
-                          verify_exactness)
+                          synth_manifold, verify_exactness)
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
 from chess_search.tree import insert_point
 
 from conftest import (CORPUS_A_FRESH_QUERIES, CORPUS_A_INSERTS, CORPUS_A_N,
-                      HOLDOUT_SEED, brute_force_knn)
+                      HOLDOUT_SEED, STRINGS_SEED, brute_force_knn,
+                      synth_aligned_strings)
 
 E, C, H = MetricKind.EUCLIDEAN, MetricKind.COSINE, MetricKind.HAMMING
+L = MetricKind.LEVENSHTEIN
 DEPTHS = (10, 30, 50)
 BUILD_SEED = 1
 RUNTIME_BUDGET_S = 300.0
@@ -120,6 +122,20 @@ def trees_b(split_b):
 RADII_B = (0.5, 5.0)
 
 
+@pytest.fixture(scope="module")
+def split_lev():
+    # shorter strings than corpus (b): a Levenshtein pair costs far more
+    # than a Hamming one
+    strings = synth_aligned_strings(400, 64, 10, 0.05, seed=STRINGS_SEED)
+    return hold_out(strings, 20, seed=HOLDOUT_SEED)
+
+
+@pytest.fixture(scope="module")
+def trees_lev(split_lev):
+    held_in, _ = split_lev
+    return {50: build(held_in, L, BuildConfig(max_depth=50, seed=BUILD_SEED))}
+
+
 # ---------------------------------------------------------------- criteria
 
 def test_criterion_1_exactness_metric_distances(split_a, trees_a, radii_a,
@@ -158,6 +174,24 @@ def test_range_search_is_exact_at_stored_distances(request, split, trees,
         for _, r in everything[:20]:
             want = list(itertools.takewhile(lambda h: h[1] <= r, everything))
             assert rho_search(tree, q, r, held_in).hits == want
+
+
+@pytest.mark.parametrize("split, trees", [
+    ("split_a", "trees_a"), ("split_b", "trees_b"), ("split_lev", "trees_lev")])
+def test_range_search_is_exact_at_containment_radii(request, split, trees):
+    # a radius of d(q, center) + radius puts a cluster's farthest member
+    # on the ball's edge, and the search takes that cluster whole at
+    # equality (exactly so for the integer distances)
+    held_in, queries = request.getfixturevalue(split)
+    tree = request.getfixturevalue(trees)[50]
+    values, metric = held_in.values, tree.metric
+    nodes = np.random.default_rng(7).choice(tree.size.size, 20, replace=False)
+    for q in queries[:5]:
+        for i in nodes:
+            c = tree.center[i]
+            r = float(distances_to(values[c:c + 1], q, metric)[0] + tree.radius[i])
+            assert rho_search(tree, q, r, held_in).hits == \
+                naive_search(held_in, q, r, metric).hits
 
 
 def test_criterion_2_cosine_no_false_positives(split_cos, trees_cos, radii_cos):
@@ -341,3 +375,23 @@ def test_criterion_9_live_insertion(corpus_a_extended, split_a, trees_a,
                 want = naive_search(dataset, q, r, E)
                 assert got.hits == want.hits
         details.append(f"leaves {leaves_before} -> {metric_entropy(tree)}")
+
+
+def test_knn_cost_scales_with_dimension_not_size():
+    # the paper's entropy-scaling claim, on the manifolds of
+    # demos/06_entropy_scaling.py: k-NN with a fixed k, whose output does
+    # not grow with n, must cost about the same at 8x the points and more
+    # at a higher intrinsic dimension
+    mean_comps = {}
+    for d in (1, 2, 3):
+        for n in (5_000, 40_000):
+            dataset = synth_manifold(n, 20, d, 0, seed=7)
+            tree = build(dataset, E, BuildConfig(50, 10, 0))
+            queries = np.linspace(0, n - 1, 50).astype(int)
+            mean_comps[d, n] = np.mean([
+                knn_search(tree, dataset.point(int(i)), 10, dataset).comparisons
+                for i in queries])
+    for d in (1, 2, 3):
+        assert mean_comps[d, 40_000] < 2 * mean_comps[d, 5_000]
+    for n in (5_000, 40_000):
+        assert mean_comps[1, n] < mean_comps[2, n] < mean_comps[3, n]

@@ -37,6 +37,11 @@ def test_ball_covering_everything_returns_all(small_manifold):
     report = rho_search(tree, q, r, ds)
     assert len(report.hits) == ds.n
     assert report.fraction_searched == 1.0
+    # well past covering, both root children lie inside the ball: their
+    # two center tests are the only ones, then every leaf is scanned
+    report = rho_search(tree, q, 4 * r, ds)
+    assert len(report.hits) == ds.n
+    assert report.comparisons == ds.n + 2
 
 
 def test_negative_radius_rejected(small_manifold):
@@ -75,8 +80,8 @@ def test_report_invariants(small_manifold):
     assert all(d <= 3.0 for _, d in report.hits)
     assert report.fraction_searched <= 1.0
     assert report.comparisons > 0
-    dists = [d for _, d in report.hits]
-    assert dists == sorted(dists)
+    assert all(type(i) is int and type(d) is float for i, d in report.hits)
+    assert report.hits == sorted(report.hits, key=lambda h: (h[1], h[0]))
 
 
 def test_naive_comparisons_equal_n(small_manifold):
@@ -170,8 +175,8 @@ def test_knn_k_equals_n(small_manifold):
     q = ds.values[13]
     report = knn_search(tree, q, ds.n, ds)
     assert len(report.hits) == ds.n
-    dists = [d for _, d in report.hits]
-    assert dists == sorted(dists)
+    assert all(type(i) is int and type(d) is float for i, d in report.hits)
+    assert report.hits == sorted(report.hits, key=lambda h: (h[1], h[0]))
 
 
 def test_knn_k1_on_stored_point(small_manifold):
