@@ -9,6 +9,7 @@ success, 1 on data or runtime errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -38,8 +39,8 @@ def _positive_int(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    if value < 0 or not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
     return value
 
 

@@ -13,9 +13,10 @@ pass over the query's characters yields the distance to every row.
 
 Every distance evaluation that matters for cost accounting goes through
 a :class:`ComparisonCounter`. Bulk evaluations of one query against many
-stored points use the same per-row arithmetic as single-pair calls, so a
-distance computed during a leaf scan is bit-identical to the same pair
-computed in isolation.
+stored points, and paired evaluations of a block of queries against a
+block of points row by row, use the same per-row arithmetic as
+single-pair calls, so a distance computed during a leaf scan or a tree
+build is bit-identical to the same pair computed in isolation.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ STRING_ALPHABET = b"ACGT-"
 
 _ALPHABET_SET = frozenset(STRING_ALPHABET)
 _ALPHABET_CODES = np.frombuffer(STRING_ALPHABET, dtype=np.uint8)
+_IN_ALPHABET = np.zeros(256, dtype=bool)
+_IN_ALPHABET[_ALPHABET_CODES] = True
+_LETTER_INDEX = np.zeros(256, dtype=np.intp)
+_LETTER_INDEX[_ALPHABET_CODES] = np.arange(_ALPHABET_CODES.size)
+#: Bytes of packed match masks a paired Levenshtein block gathers at once.
+_MASK_BYTES = 96 * 1024
 
 
 class MetricKind(enum.Enum):
@@ -142,32 +149,63 @@ def as_codes(p) -> np.ndarray:
     return arr
 
 
+def _paired_masks(padded: np.ndarray, q: np.ndarray):
+    """Match masks of a paired block, one per query column: bit
+    ``k*seg + i`` of mask ``j`` is set when ``padded[k, i] == q[k, j]``.
+
+    Segments are whole bytes wide, so row ``k``'s part of a mask is its
+    packed mask for one letter, and a step's mask gathers one per row
+    from a table of ``5 * rows`` packed masks. Steps are gathered a few
+    at a time, so the bytes held at once stay near ``_MASK_BYTES``.
+    """
+    rows, seg = padded.shape
+    width = seg // 8
+    table = np.packbits(padded == _ALPHABET_CODES[:, None, None], axis=2,
+                        bitorder="little").reshape(-1, width)
+    pick = _LETTER_INDEX[q.T] * rows + np.arange(rows)  # one table row per (step, row)
+    step = max(1, rows * width)
+    chunk = max(1, _MASK_BYTES // step)
+    for a in range(0, len(pick), chunk):
+        masks = memoryview(table[pick[a:a + chunk]].tobytes())
+        for b in range(0, len(masks), step):
+            yield int.from_bytes(masks[b:b + step], "little")
+
+
 def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Edit distance from q to every row of points, all rows at once.
+    """Edit distance from q to every row of points, all rows at once; a
+    2-D q holds one query per row.
 
     Myers' bit-vector DP in Hyyro's global form: row ``k`` of the block
-    is the pattern held in bits ``k*(m+1) .. k*(m+1)+m-1`` of one Python
-    int, and each query character advances every row's DP column with a
-    fixed number of big-integer operations. ``pv``/``mv`` hold the +1/-1
-    vertical deltas of the current column, so the last column's bottom
-    cell is ``len(q) + popcount(pv) - popcount(mv)`` per segment.
+    is the pattern held in bits ``k*seg .. k*seg+m-1`` of one Python int,
+    and each query character advances every row's DP column with a fixed
+    number of big-integer operations. The match mask of a step holds,
+    for every row, where its pattern has that row's query character: one
+    mask per letter for a single query, one per column for a query block
+    (whose segments are rounded up to whole bytes, see
+    :func:`_paired_masks`). ``pv``/``mv`` hold the +1/-1 vertical deltas
+    of the current column, so the last column's bottom cell is
+    ``len(q) + popcount(pv) - popcount(mv)`` per segment.
     """
     rows, m = points.shape
-    seg = m + 1
-    # One zero guard bit tops each segment: it absorbs the carry out of
+    paired = q.ndim == 2
+    seg = 8 * (m // 8 + 1) if paired else m + 1
+    # Zero guard bits top each segment: they absorb the carry out of
     # ``(eq & pv) + pv`` and the bit that ``<< 1`` pushes out of the
-    # pattern, so neither leaks into the next row; ``full`` clears it.
+    # pattern, so neither leaks into the next row; ``full`` clears them.
     low = ((1 << rows * seg) - 1) // ((1 << seg) - 1)
     full = low * ((1 << m) - 1)
     padded = np.zeros((rows, seg), dtype=np.uint8)
-    padded[:, :m] = points  # the zero guard column matches no letter
-    packed = np.packbits(padded.reshape(-1) == _ALPHABET_CODES[:, None],
-                         axis=1, bitorder="little")
-    peq = {c: int.from_bytes(mask.tobytes(), "little")
-           for c, mask in zip(STRING_ALPHABET, packed)}
+    padded[:, :m] = points  # the zero guard columns match no letter
+    if paired:
+        masks = _paired_masks(padded, q)
+    else:
+        packed = np.packbits(padded.reshape(-1) == _ALPHABET_CODES[:, None],
+                             axis=1, bitorder="little")
+        peq = {c: int.from_bytes(mask.tobytes(), "little")
+               for c, mask in zip(STRING_ALPHABET, packed)}
+        masks = map(peq.__getitem__, q.tolist())
     pv, mv = full, 0
-    for c in q.tolist():
-        eq = peq[c]
+    for eq in masks:
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (~(xh | pv) & full)
@@ -177,47 +215,80 @@ def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
         ph = (ph << 1) | low
         pv = ((mh << 1) | ~(xv | ph)) & full
         mv = ph & xv
-    nbytes = packed.shape[1]
+    nbytes = -(-rows * seg // 8)
     deltas = np.unpackbits(
         np.frombuffer(pv.to_bytes(nbytes, "little") + mv.to_bytes(nbytes, "little"),
                       dtype=np.uint8).reshape(2, nbytes),
         axis=1, count=rows * seg, bitorder="little")
     counts = deltas.reshape(2, rows, seg).sum(axis=2)
-    return (q.size + counts[0] - counts[1]).astype(np.float64)
+    return (q.shape[-1] + counts[0] - counts[1]).astype(np.float64)
+
+
+def _query_block(q: np.ndarray, points: np.ndarray, for_vectors: bool) -> np.ndarray:
+    """Check a paired query block: the shape of ``points``, float64 for
+    vectors, codes of ``A C G T -`` for strings."""
+    if q.shape != points.shape:
+        raise DimensionError(f"query block has shape {q.shape}, "
+                             f"points have shape {points.shape}")
+    if for_vectors:
+        return np.asarray(q, dtype=np.float64)
+    if q.dtype != np.uint8:
+        raise DimensionError(f"expected a string point block, got dtype {q.dtype}")
+    bad = np.flatnonzero(~_IN_ALPHABET[q.reshape(-1)])
+    if bad.size:
+        raise DimensionError(f"illegal character {chr(q.flat[bad[0]])!r}; "
+                             f"alphabet is A, C, G, T, -")
+    return q
 
 
 def distances_to(points: np.ndarray, q, kind: MetricKind,
                  counter: ComparisonCounter | None = None) -> np.ndarray:
     """Distances from a query point to every row of a 2-D point block.
 
-    This is the single arithmetic path for all bulk and single-pair
-    evaluations; the result for a given row does not depend on which
-    other rows are in the block. The counter, when given, is charged one
-    comparison per row.
+    A 2-D array ``q`` of the same shape as ``points`` is a block of
+    queries paired with the rows: row ``k`` of the result is
+    ``d(points[k], q[k])``. This is the single arithmetic path for all
+    bulk, paired and single-pair evaluations; the result for a given row
+    does not depend on which other rows are in the block, nor on whether
+    its query came alone or in a block. The counter, when given, is
+    charged one comparison per row.
     """
+    paired = isinstance(q, np.ndarray) and q.ndim == 2
     if kind.for_vectors:
-        q = as_vector(q)
-        if points.ndim != 2 or points.shape[1] != q.size:
-            raise DimensionError(
-                f"dimension mismatch: points have dim {points.shape[-1]}, "
-                f"query has dim {q.size}")
+        if paired:
+            q = _query_block(q, points, True)
+        else:
+            q = as_vector(q)
+            if points.ndim != 2 or points.shape[1] != q.size:
+                raise DimensionError(
+                    f"dimension mismatch: points have dim {points.shape[-1]}, "
+                    f"query has dim {q.size}")
         if kind is MetricKind.EUCLIDEAN:
             diff = points - q
-            result = np.sqrt((diff * diff).sum(axis=1))
+            diff *= diff  # in place: one block-sized temporary, not two
+            result = np.sqrt(diff.sum(axis=1))
         else:
-            qn = math.sqrt(float((q * q).sum()))
-            if qn == 0.0:
+            if paired:
+                qn = np.sqrt((q * q).sum(axis=1))
+                degenerate = bool(np.any(qn == 0.0))
+            else:
+                qn = math.sqrt(float((q * q).sum()))
+                degenerate = qn == 0.0
+            if degenerate:
                 raise DegenerateInputError("cosine distance undefined for the zero vector")
             norms = np.sqrt((points * points).sum(axis=1))
             if np.any(norms == 0.0):
                 raise DegenerateInputError("cosine distance undefined for the zero vector")
             result = 1.0 - (points * q).sum(axis=1) / (norms * qn)
     else:
-        q = as_codes(q)
-        if points.ndim != 2:
-            raise DimensionError("expected a 2-D block of string points")
+        if paired:
+            q = _query_block(q, points, False)
+        else:
+            q = as_codes(q)
+            if points.ndim != 2:
+                raise DimensionError("expected a 2-D block of string points")
         if kind is MetricKind.HAMMING:
-            if points.shape[1] != q.size:
+            if points.shape[1] != q.shape[-1]:
                 raise DimensionError(
                     f"Hamming distance requires equal lengths: "
                     f"{points.shape[1]} vs {q.size}")

@@ -70,6 +70,11 @@ def _sorted_hits(indices: np.ndarray, dists: np.ndarray) -> list[tuple[int, floa
     return list(zip(indices[order].tolist(), dists[order].tolist()))
 
 
+def _check_radius(r: float) -> None:
+    if r < 0 or not math.isfinite(r):
+        raise ValueError(f"search radius must be finite and nonnegative, got {r}")
+
+
 def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport:
     """All points within distance r of q, found by pruned tree descent.
 
@@ -94,8 +99,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     Comparisons count the center tests actually made plus the points
     scanned, one kernel call per test and one per leaf.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ValueError(f"search radius must be finite and nonnegative, got {r}")
+    _check_radius(r)
     query = dataset.coerce_point(q)
     values = dataset.values
     metric = tree.metric
@@ -155,8 +159,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
 def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchReport:
     """Linear-scan oracle: compares the query to every point, exactly n
     comparisons."""
-    if r < 0:
-        raise ValueError(f"search radius must be nonnegative, got {r}")
+    _check_radius(r)
     query = dataset.coerce_point(q)
     counter = ComparisonCounter()
     started = time.perf_counter()

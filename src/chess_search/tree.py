@@ -16,7 +16,12 @@ distance evaluations; the total build cost stays within
 
 Each node draws randomness from its own seeded stream (heap numbering),
 so a tree is a pure function of (dataset, metric, config) regardless of
-evaluation order.
+evaluation order. The build exploits that: it works one depth at a time,
+and every distance of a depth (all seed pairs of its nodes, then all
+members against their own node's two poles) is evaluated in row-paired
+kernel calls over cache-sized blocks. :func:`select_poles` and
+``_partition_core`` are the pole and partition steps of one node.
+``build_comparisons_by_depth`` splits the build's cost by depth.
 
 A tree is a struct of arrays, one entry per node in pre-order:
 ``center``, ``radius``, ``lfd``, ``cardinality`` and ``size`` (nodes in
@@ -31,6 +36,7 @@ CHESSTREE v2 stream stores the columns (flags in place of ``size``),
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
@@ -66,6 +72,10 @@ _U32 = struct.Struct("<I")
 # columns in stream order: one entry per node, then one per point
 _COLUMNS = (("flags", "u1"), ("center", "<u8"), ("radius", "<f8"),
             ("lfd", "<f8"), ("cardinality", "<u8"), ("order", "<u8"))
+
+#: Bytes of the rows gathered for one kernel call of a build pass; the
+#: call also gathers as many bytes of queries.
+_BLOCK_BYTES = 80 * 1024
 
 #: Multiple of the leaf radius beyond which an inserted point starts a
 #: new sibling cluster instead of joining the leaf.
@@ -110,6 +120,9 @@ class ClusterTree:
     # a property over _hash and _grown, installed below
     dataset_hash: bytes = field(repr=False)
     build_comparisons: int = 0
+    #: comparisons spent on each depth's nodes (the root's center and
+    #: distances count toward depth 0); set by :func:`build`, not serialized
+    build_comparisons_by_depth: list[int] = field(default_factory=list, repr=False)
     _hash: bytes | None = field(default=None, init=False, repr=False)
     # the grown dataset and its ``values`` at the tree's last insert, if
     # the hash has not been read or set since
@@ -195,6 +208,88 @@ def _sample_size(m: int) -> int:
     return min(m, max(2, math.isqrt(m - 1) + 1))  # ceil(sqrt(m)), clamped to [2, m]
 
 
+def _paired_pass(values: np.ndarray, rows: np.ndarray, queries: np.ndarray,
+                 metric: MetricKind, counter: ComparisonCounter) -> np.ndarray:
+    """``d(values[rows[k]], values[queries[k]])`` for every ``k``, one
+    paired kernel call per block of rows.
+
+    Each temporary of one call (gathered rows, gathered queries, their
+    differences) stays near ``_BLOCK_BYTES``, in cache and below glibc's
+    default 128 KiB mmap threshold, instead of being mapped and faulted
+    in anew on every call. On the ``vec-query`` corpus (2-core x86 VM,
+    mmap threshold pinned as the benchmark pins it), whole builds with 48
+    to 88 KiB blocks took about the same time; 96 KiB and more measured
+    10-20% slower.
+    """
+    block = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[1]))
+    out = np.empty(rows.size)
+    for a in range(0, rows.size, block):
+        out[a:a + block] = distances_to(values[rows[a:a + block]],
+                                        values[queries[a:a + block]], metric, counter)
+    return out
+
+
+def _draw_seeds(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``ceil(sqrt(m))`` distinct members (at least two), in ascending
+    point-index order."""
+    return np.sort(rng.choice(members, size=_sample_size(members.size), replace=False))
+
+
+def _level_poles(values: np.ndarray, seeds: list[np.ndarray], metric: MetricKind,
+                 counter: ComparisonCounter) -> tuple[np.ndarray, np.ndarray]:
+    """The two poles of every node of a level from its seeds.
+
+    Every seed pair ``i < j`` of every node is evaluated in one paired
+    pass, node after node and row-major within a node; a node's poles
+    are its first pair at the maximum distance, so ties go to the
+    smallest seed positions and the left pole has the lower index.
+    """
+    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    firsts, seconds = [], []
+    for node_seeds in seeds:
+        k = node_seeds.size
+        if k not in pairs:
+            pairs[k] = np.triu_indices(k, 1)
+        i, j = pairs[k]
+        firsts.append(node_seeds[i])
+        seconds.append(node_seeds[j])
+    counts = np.array([f.size for f in firsts])
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    d = _paired_pass(values, second, first, metric, counter)
+    starts = np.cumsum(counts) - counts
+    segment = np.repeat(np.arange(counts.size), counts)
+    at_max = np.flatnonzero(d == np.maximum.reduceat(d, starts)[segment])
+    best = at_max[np.searchsorted(segment[at_max], np.arange(counts.size))]
+    return first[best], second[best]
+
+
+def _level_partition(values: np.ndarray, members: np.ndarray, node_of: np.ndarray,
+                     left: np.ndarray, right: np.ndarray, metric: MetricKind,
+                     counter: ComparisonCounter) -> tuple[np.ndarray, np.ndarray]:
+    """Assign the members of a level's nodes to their node's poles.
+
+    ``node_of`` gives each member's node, whose poles are ``left`` and
+    ``right`` at that position. A member goes left when its distance to
+    the left pole is less than or equal to its distance to the right
+    pole; each pole always lands on its own side and is not compared.
+    One paired pass evaluates every other member against both its poles.
+    Returns the left-going mask and every member's distance to its own
+    side's pole.
+    """
+    is_left = members == left[node_of]
+    is_right = members == right[node_of]
+    rest = np.flatnonzero(~(is_left | is_right))
+    rest_nodes = node_of[rest]
+    d = _paired_pass(values, np.concatenate((members[rest], members[rest])),
+                     np.concatenate((left[rest_nodes], right[rest_nodes])),
+                     metric, counter)
+    d_left = np.zeros(members.size)
+    d_right = np.zeros(members.size)
+    d_left[rest], d_right[rest] = d[:rest.size], d[rest.size:]
+    goes_left = (d_left <= d_right) & ~is_right  # ties go left
+    return goes_left, np.where(goes_left, d_left, d_right)
+
+
 def select_poles(member_indices, dataset: Dataset, metric: MetricKind,
                  counter: ComparisonCounter, rng: np.random.Generator,
                  ) -> tuple[int, int]:
@@ -203,66 +298,49 @@ def select_poles(member_indices, dataset: Dataset, metric: MetricKind,
     Draws ``max(2, ceil(sqrt(m)))`` distinct seeds and returns the seed
     pair at maximum pairwise distance, ties broken toward the smallest
     point indices. The first element of the returned pair is always the
-    lower point index.
+    lower point index. This is the build's pole step for one node.
     """
     idx = np.asarray(member_indices, dtype=np.int64)
-    m = idx.size
-    if m < 2:
+    if idx.size < 2:
         raise ValueError("select_poles requires at least 2 members")
-    seeds = np.sort(rng.choice(idx, size=_sample_size(m), replace=False))
-    values = dataset.values
-    best_i = best_j = 0
-    best_d = -1.0
-    for i in range(seeds.size - 1):
-        row = distances_to(values[seeds[i + 1:]], values[seeds[i]], metric, counter)
-        j = int(np.argmax(row))
-        if row[j] > best_d:
-            best_d = float(row[j])
-            best_i, best_j = i, i + 1 + j
-    return int(seeds[best_i]), int(seeds[best_j])
+    left, right = _level_poles(dataset.values, [_draw_seeds(idx, rng)], metric, counter)
+    return int(left[0]), int(right[0])
 
 
 def _partition_core(member_indices: np.ndarray, dataset: Dataset,
                     metric: MetricKind, counter: ComparisonCounter,
                     rng: np.random.Generator):
-    """Split members between two poles chosen by :func:`select_poles`.
+    """Split members between two poles chosen by :func:`select_poles`: the
+    build's pole and partition steps for one node.
 
-    A member goes left when its distance to the left pole is less than
-    or equal to its distance to the right pole; each pole always lands
-    on its own side. Returns each side's indices and center, together
-    with every member's distance to its own side's center.
+    Returns each side's indices and center, together with every member's
+    distance to its own side's center.
     """
     idx = np.asarray(member_indices, dtype=np.int64)
     if idx.size < 2:
         raise ValueError("partition requires at least 2 members")
-    left_center, right_center = select_poles(idx, dataset, metric, counter, rng)
-    values = dataset.values
-    pos_l = int(np.flatnonzero(idx == left_center)[0])
-    pos_r = int(np.flatnonzero(idx == right_center)[0])
-    rest = np.ones(idx.size, dtype=bool)
-    rest[pos_l] = rest[pos_r] = False
+    left, right = select_poles(idx, dataset, metric, counter, rng)
+    goes_left, own = _level_partition(dataset.values, idx, np.zeros(idx.size, np.int64),
+                                      np.array([left]), np.array([right]),
+                                      metric, counter)
+    return idx[goes_left], idx[~goes_left], left, right, own[goes_left], own[~goes_left]
 
-    d_left = np.zeros(idx.size)
-    d_right = np.zeros(idx.size)
-    if rest.any():
-        rest_rows = values[idx[rest]]
-        d_left[rest] = distances_to(rest_rows, values[left_center], metric, counter)
-        d_right[rest] = distances_to(rest_rows, values[right_center], metric, counter)
 
-    goes_left = d_left <= d_right  # ties go left
-    goes_left[pos_l] = True
-    goes_left[pos_r] = False
-    return (idx[goes_left], idx[~goes_left], left_center, right_center,
-            d_left[goes_left], d_right[~goes_left])
+def _lfd(cardinality: int, radius: float, inner: int) -> float:
+    """log2 of the member count within the radius over the count
+    ``inner`` within half the radius; zero for singletons and
+    zero-radius clusters."""
+    if cardinality <= 1 or radius == 0.0:
+        return 0.0
+    return math.log2(cardinality / inner)
 
 
 def _lfd_from_dists(cardinality: int, radius: float, dists: np.ndarray) -> float:
-    """log2 of the member count within the radius over the count within
-    half the radius; zero for singletons and zero-radius clusters."""
-    if cardinality <= 1 or radius == 0.0:
-        return 0.0
-    inner = int(np.count_nonzero(dists <= radius / 2.0))
-    return math.log2(cardinality / inner)
+    return _lfd(cardinality, radius, int(np.count_nonzero(dists <= radius / 2.0)))
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.column_stack((a, b)).reshape(-1)
 
 
 def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterTree:
@@ -272,54 +350,105 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     to a sqrt(n) sample (an approximate geometric median); child centers
     are the poles of their parent's partition. Identical inputs produce
     identical trees.
+
+    The build goes one depth at a time. A level holds the members of its
+    nodes, node after node, each node's in ascending point-index order,
+    with their distances to the node's center. Radii and fractal
+    dimensions are reductions over those segments. Every splitting node
+    draws its seeds from its own stream; one paired pass evaluates all
+    seed pairs of the level and one more all partition distances, and the
+    members regroup stably into the next level, left child before right.
+    Leaves write their members into ``order`` at their offset; the
+    pre-order columns are assembled at the end from the child links (the
+    children of a level's ``r``-th splitting node are nodes ``2r`` and
+    ``2r + 1`` of the next level).
     """
     if not dataset.compatible_with(metric):
         raise DimensionError(
             f"metric {metric.value} does not apply to {dataset.kind.value} data")
     counter = ComparisonCounter()
     n = dataset.n
-    all_idx = np.arange(n, dtype=np.int64)
     values = dataset.values
-    rng0 = _node_rng(config.seed, 0)
-    seeds = np.sort(rng0.choice(all_idx, size=_sample_size(n), replace=False))
-    s = seeds.size
-    pair = np.zeros((s, s))
-    for i in range(s - 1):
-        row = distances_to(values[seeds[i + 1:]], values[seeds[i]], metric, counter)
-        pair[i, i + 1:] = row
-        pair[i + 1:, i] = row
-    root_center = int(seeds[int(np.argmin(pair.sum(axis=1)))])
+    seeds = _draw_seeds(np.arange(n, dtype=np.int64), _node_rng(config.seed, 0))
+    i, j = np.triu_indices(seeds.size, 1)
+    pair = np.zeros((seeds.size, seeds.size))
+    pair[i, j] = pair[j, i] = _paired_pass(values, seeds[j], seeds[i], metric, counter)
+    root = int(seeds[int(np.argmin(pair.sum(axis=1)))])
+    others = np.flatnonzero(np.arange(n) != root)
+    dists = np.zeros(n)
+    dists[others] = _paired_pass(values, others, np.full(others.size, root),
+                                 metric, counter)
 
-    root_dists = np.zeros(n)
-    others = all_idx != root_center
-    root_dists[others] = distances_to(values[others], values[root_center],
-                                      metric, counter)
+    # the current level: members, distances to their own center, member
+    # count, center, stream (heap numbering) and offset in ``order`` per node
+    members = np.arange(n, dtype=np.int64)
+    counts, centers, streams, offsets = (np.array([n]), np.array([root]), [1],
+                                         np.array([0]))
+    order = np.empty(n, dtype=np.int64)
+    levels, spent = [], [0]  # spent: the comparison count after each depth
+    for depth in itertools.count():
+        starts = np.cumsum(counts) - counts
+        radius = np.maximum.reduceat(dists, starts)
+        inner = np.add.reduceat(dists <= np.repeat(radius / 2.0, counts), starts,
+                                dtype=np.int64)
+        lfd = np.array([_lfd(*node) for node in zip(counts.tolist(), radius.tolist(),
+                                                    inner.tolist())])
+        split = (counts > config.min_size) & (radius != 0.0)
+        if depth >= config.max_depth:
+            split[:] = False
+        levels.append((centers, radius, lfd, counts, split))
+        leaf = np.repeat(~split, counts)
+        order[np.flatnonzero(leaf) + np.repeat(offsets - starts, counts)[leaf]] = \
+            members[leaf]
+        if not split.any():
+            break
 
-    rows, leaf_members = [], []  # rows: (center, radius, lfd, cardinality, split)
-    # pending nodes: (members, center, member distances to it, depth, stream);
-    # the left child is pushed last so nodes come off in pre-order
-    stack = [(all_idx, root_center, root_dists, 0, 1)]
-    while stack:
-        idx, center, dists, depth, stream = stack.pop()
-        radius = float(dists.max())
-        split = not (depth >= config.max_depth or idx.size <= config.min_size
-                     or radius == 0.0)
-        rows.append((center, radius, _lfd_from_dists(idx.size, radius, dists),
-                     idx.size, split))
-        if not split:
-            leaf_members.append(idx)
-            continue
-        left_idx, right_idx, lc, rc, dl, dr = _partition_core(
-            idx, dataset, metric, counter, _node_rng(config.seed, stream))
-        stack.append((right_idx, rc, dr, depth + 1, 2 * stream + 1))
-        stack.append((left_idx, lc, dl, depth + 1, 2 * stream))
+        inside = np.repeat(split, counts)
+        members, counts, offsets = members[inside], counts[split], offsets[split]
+        starts = np.cumsum(counts) - counts
+        streams = [s for s, f in zip(streams, split.tolist()) if f]
+        left, right = _level_poles(values, [
+            _draw_seeds(members[a:a + c], _node_rng(config.seed, s))
+            for a, c, s in zip(starts.tolist(), counts.tolist(), streams)],
+            metric, counter)
+        node_of = np.repeat(np.arange(counts.size), counts)
+        goes_left, own = _level_partition(values, members, node_of, left, right,
+                                          metric, counter)
+        child = 2 * node_of + ~goes_left
+        regroup = np.argsort(child, kind="stable")
+        members, dists = members[regroup], own[regroup]
+        counts = np.bincount(child, minlength=2 * counts.size)
+        centers = _interleave(left, right)
+        streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
+        offsets = _interleave(offsets, offsets + counts[0::2])
+        spent.append(counter.count)
+    spent.append(counter.count)
 
-    centers, radii, lfds, cards, internal = map(np.array, zip(*rows))
+    # subtree sizes bottom-up, then pre-order positions top-down
+    sizes, below = [], None
+    for *_, split in reversed(levels):
+        size = np.ones(split.size, dtype=np.int64)
+        if below is not None:
+            size[split] += below[0::2] + below[1::2]
+        sizes.append(size)
+        below = size
+    sizes.reverse()
+    nodes = int(sizes[0][0])
+    columns = (np.empty(nodes, np.int64), np.empty(nodes), np.empty(nodes),
+               np.empty(nodes, np.int64), np.empty(nodes, np.int64))
+    position = np.zeros(1, dtype=np.int64)
+    for (*fields, split), size, below in zip(levels, sizes, sizes[1:] + [None]):
+        for column, value in zip(columns, (*fields, size)):
+            column[position] = value
+        if below is not None:
+            first = position[split] + 1
+            position = _interleave(first, first + below[0::2])
+    center, radius, lfd, cardinality, size = columns
     return ClusterTree(
-        center=centers.astype(np.int64), radius=radii, lfd=lfds,
-        cardinality=cards.astype(np.int64), size=_subtree_sizes(internal),
-        order=np.concatenate(leaf_members), metric=metric, config=config,
-        dataset_hash=dataset.content_hash(), build_comparisons=counter.count)
+        center=center, radius=radius, lfd=lfd, cardinality=cardinality, size=size,
+        order=order, metric=metric, config=config,
+        dataset_hash=dataset.content_hash(), build_comparisons=counter.count,
+        build_comparisons_by_depth=np.diff(spent).tolist())
 
 
 def metric_entropy(tree: ClusterTree) -> int:

@@ -14,7 +14,7 @@ per-criterion lines while running).
 import copy
 import dataclasses
 import itertools
-import math
+import sys
 import time
 from contextlib import contextmanager
 
@@ -170,7 +170,8 @@ def test_range_search_is_exact_at_stored_distances(request, split, trees,
     held_in, queries = request.getfixturevalue(split)
     tree = request.getfixturevalue(trees)[50]
     for q in queries[:n_queries]:
-        everything = naive_search(held_in, q, math.inf, tree.metric).hits
+        # every point: the largest finite radius (the scan rejects inf)
+        everything = naive_search(held_in, q, sys.float_info.max, tree.metric).hits
         for _, r in everything[:20]:
             want = list(itertools.takewhile(lambda h: h[1] <= r, everything))
             assert rho_search(tree, q, r, held_in).hits == want

@@ -95,6 +95,25 @@ def test_search_zero_radius_finds_the_query_itself(dense_file, tmp_path, capsys)
     assert "0,5,0.0" in lines[1:]
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+def test_non_finite_radius_is_usage_error(dense_file, tmp_path, capsys, radius):
+    tree_path = tmp_path / "t.tree"
+    run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
+        "--out", str(tree_path))
+    # the linear scan used to answer nan with an empty hit list
+    for naive in ([], ["--naive"]):
+        code, out, err = run(capsys, "search", "--tree", str(tree_path),
+                             "--input", str(dense_file), "--holdout", "5",
+                             "--radius", radius, *naive)
+        assert code == 2
+        assert out == ""
+        assert "must be finite and nonnegative" in err
+    code, _, err = run(capsys, "synth", "--n", "50", "--embed", "3", "--intrinsic",
+                       "1", "--noise", radius, "--out", str(tmp_path / "s.vec"))
+    assert code == 2
+    assert "must be finite and nonnegative" in err
+
+
 def test_naive_flag_output_is_byte_identical(dense_file, tmp_path, capsys):
     tree_path = tmp_path / "t.tree"
     run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chess_search import (ComparisonCounter, DegenerateInputError,
@@ -188,3 +188,66 @@ def test_cosine_rejects_zero_vector():
         distance((0.0, 0.0), (1.0, 2.0), C)
     with pytest.raises(DegenerateInputError):
         distance((1.0, 2.0), (0.0, 0.0), C)
+
+
+def paired_block(kind, rows: int, width: int, seed: int, integral: bool):
+    """Points and a query block of the same shape: Gaussian or small-integer
+    vectors (integers give ties and repeated rows), or ACGT- strings."""
+    rng = np.random.default_rng(seed)
+    if kind.for_vectors:
+        if integral:
+            draw = lambda: rng.integers(-2, 3, (rows, width)).astype(float)
+        else:
+            scale = 10.0 ** rng.uniform(-3, 3)
+            draw = lambda: rng.normal(size=(rows, width)) * scale
+        points, queries = draw(), draw()
+        if kind is C:  # cosine is undefined on zero rows
+            points[:, 0] += (points == 0).all(axis=1)
+            queries[:, 0] += (queries == 0).all(axis=1)
+        return points, queries
+    letters = np.frombuffer(b"ACGT-", dtype=np.uint8)
+    alphabet = 2 if integral else 5  # a two-letter alphabet gives many ties
+    return (letters[rng.integers(0, alphabet, (rows, width))],
+            letters[rng.integers(0, alphabet, (rows, width))])
+
+
+@pytest.mark.parametrize("kind", [E, C, H, L])
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 9), width=st.integers(1, 130),
+       seed=st.integers(0, 2**32 - 1), integral=st.booleans())
+@example(rows=5, width=130, seed=1, integral=False)
+@example(rows=1, width=1, seed=2, integral=True)
+def test_paired_rows_equal_single_queries(kind, rows, width, seed, integral):
+    points, queries = paired_block(kind, rows, width, seed, integral)
+    counter = ComparisonCounter()
+    got = distances_to(points, queries, kind, counter)
+    assert counter.count == rows
+    want = np.concatenate([distances_to(points[k:k + 1], queries[k], kind)
+                           for k in range(rows)])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", [E, C, H, L])
+def test_paired_shape_mismatch_is_a_dimension_error(kind):
+    points, queries = paired_block(kind, 4, 6, seed=3, integral=False)
+    for bad in (queries[:, :-1], queries[:-1], np.vstack((queries, queries))):
+        with pytest.raises(DimensionError):
+            distances_to(points, bad, kind)
+
+
+def test_paired_strings_are_checked():
+    points, queries = paired_block(L, 3, 8, seed=4, integral=False)
+    queries[1, 5] = ord("N")
+    with pytest.raises(DimensionError, match="illegal character 'N'"):
+        distances_to(points, queries, L)
+    with pytest.raises(DimensionError):
+        distances_to(points, queries.astype(np.int64), H)
+
+
+def test_paired_cosine_rejects_zero_rows():
+    points, queries = paired_block(C, 4, 3, seed=5, integral=False)
+    for block in (points, queries):
+        block[2] = 0.0
+        with pytest.raises(DegenerateInputError):
+            distances_to(points, queries, C)
+        block[2] = 1.0

@@ -50,6 +50,16 @@ def test_negative_radius_rejected(small_manifold):
         rho_search(tree, ds.values[0], -1.0, ds)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+def test_naive_search_rejects_bad_radius(small_manifold, r):
+    # the same check, and message, as rho_search
+    ds, tree = small_manifold
+    for search in (lambda: naive_search(ds, ds.values[0], r, E),
+                   lambda: rho_search(tree, ds.values[0], r, ds)):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            search()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_query_rejected(small_manifold, bad):
     ds, tree = small_manifold

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
 from chess_search.tree import (_TREE_HEADER, _lfd_from_dists, _partition_core,
+                               _sample_size, _subtree_sizes,
                                tree_from_bytes, tree_to_bytes)
 
 from conftest import node_members
@@ -137,6 +139,148 @@ def test_build_is_deterministic():
     assert tree_to_bytes(t1) == tree_to_bytes(t2)
     t3 = build(ds, E, BuildConfig(max_depth=20, min_size=4, seed=43))
     assert tree_to_bytes(t1) != tree_to_bytes(t3)
+
+
+def reference_build(dataset, metric, config):
+    """The node-at-a-time build that preceded the level-synchronous one:
+    a stack of nodes in pre-order, one kernel call per seed row and two
+    per partition. Trees and comparison counts must match it exactly."""
+    def node_rng(stream):
+        return np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, stream)))
+
+    def sample_size(m):
+        return min(m, max(2, math.isqrt(m - 1) + 1))
+
+    def poles(idx, counter, rng):
+        seeds = np.sort(rng.choice(idx, size=sample_size(idx.size), replace=False))
+        best_i = best_j = 0
+        best_d = -1.0
+        for i in range(seeds.size - 1):
+            row = distances_to(values[seeds[i + 1:]], values[seeds[i]], metric, counter)
+            j = int(np.argmax(row))
+            if row[j] > best_d:
+                best_d = float(row[j])
+                best_i, best_j = i, i + 1 + j
+        return int(seeds[best_i]), int(seeds[best_j])
+
+    def lfd(cardinality, radius, dists):
+        if cardinality <= 1 or radius == 0.0:
+            return 0.0
+        return math.log2(cardinality / int(np.count_nonzero(dists <= radius / 2.0)))
+
+    counter = ComparisonCounter()
+    n = dataset.n
+    all_idx = np.arange(n, dtype=np.int64)
+    values = dataset.values
+    seeds = np.sort(node_rng(0).choice(all_idx, size=sample_size(n), replace=False))
+    s = seeds.size
+    pair = np.zeros((s, s))
+    for i in range(s - 1):
+        row = distances_to(values[seeds[i + 1:]], values[seeds[i]], metric, counter)
+        pair[i, i + 1:] = row
+        pair[i + 1:, i] = row
+    root_center = int(seeds[int(np.argmin(pair.sum(axis=1)))])
+    root_dists = np.zeros(n)
+    others = all_idx != root_center
+    root_dists[others] = distances_to(values[others], values[root_center],
+                                      metric, counter)
+
+    rows, leaf_members = [], []
+    stack = [(all_idx, root_center, root_dists, 0, 1)]
+    while stack:
+        idx, center, dists, depth, stream = stack.pop()
+        radius = float(dists.max())
+        split = not (depth >= config.max_depth or idx.size <= config.min_size
+                     or radius == 0.0)
+        rows.append((center, radius, lfd(idx.size, radius, dists), idx.size, split))
+        if not split:
+            leaf_members.append(idx)
+            continue
+        lc, rc = poles(idx, counter, node_rng(stream))
+        pos_l = int(np.flatnonzero(idx == lc)[0])
+        pos_r = int(np.flatnonzero(idx == rc)[0])
+        rest = np.ones(idx.size, dtype=bool)
+        rest[pos_l] = rest[pos_r] = False
+        d_left = np.zeros(idx.size)
+        d_right = np.zeros(idx.size)
+        if rest.any():
+            d_left[rest] = distances_to(values[idx[rest]], values[lc], metric, counter)
+            d_right[rest] = distances_to(values[idx[rest]], values[rc], metric, counter)
+        goes_left = d_left <= d_right
+        goes_left[pos_l] = True
+        goes_left[pos_r] = False
+        stack.append((idx[~goes_left], rc, d_right[~goes_left], depth + 1, 2 * stream + 1))
+        stack.append((idx[goes_left], lc, d_left[goes_left], depth + 1, 2 * stream))
+
+    centers, radii, lfds, cards, internal = map(np.array, zip(*rows))
+    return dict(center=centers.astype(np.int64), radius=radii, lfd=lfds,
+                cardinality=cards.astype(np.int64), size=_subtree_sizes(internal),
+                order=np.concatenate(leaf_members), build_comparisons=counter.count)
+
+
+def identity_corpora():
+    rng = np.random.default_rng(41)
+    letters = np.frombuffer(b"ACGT-", dtype=np.uint8)
+    strings = Dataset(DatasetKind.ALIGNED_STRINGS, letters[rng.integers(0, 5, (250, 24))])
+    cases = []
+    for seed in (0, 3, 11):
+        cases += [
+            (f"euclidean-{seed}", synth_manifold(700, 12, 2, 0.05, seed=seed), E,
+             BuildConfig(50, 10, seed)),
+            (f"cosine-{seed}", synth_manifold(500, 8, 2, 0.5, seed=seed),
+             MetricKind.COSINE, BuildConfig(50, 5, seed)),
+            (f"hamming-{seed}", strings, MetricKind.HAMMING, BuildConfig(50, 4, seed)),
+            (f"levenshtein-{seed}", strings, MetricKind.LEVENSHTEIN,
+             BuildConfig(6, 6, seed)),
+            (f"min-size-1-{seed}", synth_manifold(300, 4, 1, 0.0, seed=seed), E,
+             BuildConfig(50, 1, seed)),
+            (f"max-depth-3-{seed}", synth_manifold(400, 4, 2, 0.1, seed=seed), E,
+             BuildConfig(3, 1, seed)),
+            # repeated points: zero-radius nodes above min_size
+            (f"duplicates-{seed}", Dataset.from_vectors(
+                np.repeat(rng.integers(0, 3, (30, 2)).astype(float), 6, axis=0)), E,
+             BuildConfig(50, 1, seed)),
+            # few distinct distances: ties among seed pairs and partitions
+            (f"ties-{seed}", Dataset.from_vectors(
+                rng.integers(0, 4, (150, 1)).astype(float)), E, BuildConfig(50, 1, seed)),
+            (f"ties-hamming-{seed}", Dataset(DatasetKind.ALIGNED_STRINGS,
+                                             letters[rng.integers(0, 2, (120, 3))]),
+             MetricKind.HAMMING, BuildConfig(50, 1, seed)),
+        ]
+        cases += [(f"n{n}-{seed}", Dataset.from_vectors(rng.random((n, 3))), E,
+                   BuildConfig(50, 1, seed)) for n in (1, 2, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("name, ds, metric, config", identity_corpora(),
+                         ids=[case[0] for case in identity_corpora()])
+def test_build_matches_the_node_at_a_time_reference(name, ds, metric, config):
+    tree = build(ds, metric, config)
+    want = reference_build(ds, metric, config)
+    assert tree.build_comparisons == want.pop("build_comparisons")
+    for column, expected in want.items():
+        got = getattr(tree, column)
+        assert got.dtype == expected.dtype, column
+        assert got.tobytes() == expected.tobytes(), column
+
+
+def test_build_comparisons_by_depth():
+    for ds, metric, config in [
+            (synth_manifold(2000, 30, 2, 0.1, seed=4), E, BuildConfig(40, 5, 4)),
+            (synth_manifold(500, 6, 1, 0.0, seed=5), E, BuildConfig(50, 1, 5)),
+            (synth_manifold(300, 6, 2, 0.0, seed=6), E, BuildConfig(4, 1, 6))]:
+        tree = build(ds, metric, config)
+        by_depth = tree.build_comparisons_by_depth
+        n = ds.n
+        s = _sample_size(n)
+        assert len(by_depth) == tree.depth + 1
+        assert sum(by_depth) == tree.build_comparisons
+        # depth 0 also pays for the root: its medoid sample and distances
+        assert by_depth[0] <= 3 * n + s * (s - 1) // 2 + n - 1
+        assert all(0 <= cost <= 3 * n for cost in by_depth[1:])
+        assert by_depth[-1] == 0  # the deepest level holds only leaves
+        again, _ = tree_from_bytes(tree_to_bytes(tree))
+        assert again.build_comparisons_by_depth == []  # not serialized
 
 
 def test_tree_invariants_on_built_trees(corpus_b):
