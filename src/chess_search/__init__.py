@@ -11,30 +11,28 @@ profiles), quantized delta compression, and live insertion.
 
 from .bench import (BenchmarkRow, CSV_HEADER, hold_out, rows_from_csv,
                     rows_to_csv, run_benchmark, verify_exactness)
-from .compress import (DEFAULT_QUANTUM, LeafDeltaBlock, Quantizer, compress_tree,
-                       decode_leaf, decompress, encode_leaf, quantize)
+from .compress import (DEFAULT_QUANTUM, Quantizer, compress_tree, decode_leaf,
+                       decompress, encode_leaf, quantize)
 from .data import (Dataset, DatasetKind, load_dense, load_sequences, save_dense,
-                   synth_line, synth_manifold)
+                   synth_manifold)
 from .errors import ChessError, DegenerateInputError, DimensionError, FormatError
-from .metrics import (ComparisonCounter, MetricKind, counted_distance, distance,
-                      distances_to)
+from .metrics import ComparisonCounter, MetricKind, distance, distances_to
 from .search import KnnReport, SearchReport, knn_search, naive_search, rho_search
 from .tree import (BuildConfig, ClusterTree, build, deserialize, insert_point,
-                   lfd_depth_profile, metric_entropy, select_poles, serialize)
+                   lfd_depth_profile, metric_entropy, serialize)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkRow", "CSV_HEADER", "hold_out", "rows_from_csv", "rows_to_csv",
     "run_benchmark", "verify_exactness",
-    "DEFAULT_QUANTUM", "LeafDeltaBlock", "Quantizer", "compress_tree",
-    "decode_leaf", "decompress", "encode_leaf", "quantize",
+    "DEFAULT_QUANTUM", "Quantizer", "compress_tree", "decode_leaf",
+    "decompress", "encode_leaf", "quantize",
     "Dataset", "DatasetKind", "load_dense", "load_sequences", "save_dense",
-    "synth_line", "synth_manifold",
+    "synth_manifold",
     "ChessError", "DegenerateInputError", "DimensionError", "FormatError",
-    "ComparisonCounter", "MetricKind", "counted_distance", "distance",
-    "distances_to",
+    "ComparisonCounter", "MetricKind", "distance", "distances_to",
     "KnnReport", "SearchReport", "knn_search", "naive_search", "rho_search",
     "BuildConfig", "ClusterTree", "build", "deserialize", "insert_point",
-    "lfd_depth_profile", "metric_entropy", "select_poles", "serialize",
+    "lfd_depth_profile", "metric_entropy", "serialize",
 ]

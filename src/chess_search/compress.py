@@ -14,10 +14,11 @@ difference, zigzag and varint pass over the batch's slice of the tree's
 ``order``, whose bytes are then cut at leaf boundaries; decoding
 reverses the pass over a batch's inflated bodies and writes the batch's
 rows in one assignment. String members are coded one at a time. Either
-way each leaf's body is deflated (RFC 1951) on its own and framed as a
-block with its center, member count and a CRC32 (:func:`encode_leaf`,
-:func:`decode_leaf`), so batching changes how the bytes are computed,
-not what they are.
+way each leaf's body goes through :func:`encode_leaf` on its own, which
+deflates it (RFC 1951) and frames the block: length prefix, kind flag,
+center, member count, body, CRC32. :func:`decode_leaf` checks that
+framing against the tree's leaf and inflates the body. Batching
+therefore changes how the bytes are computed, not what they are.
 
 An archive is the tree's CHESSTREE stream, the quantum and the leaf
 centers verbatim under one CRC32, then one delta block per leaf in
@@ -45,7 +46,6 @@ __all__ = [
     "DEFAULT_QUANTUM",
     "Quantizer",
     "quantize",
-    "LeafDeltaBlock",
     "encode_leaf",
     "decode_leaf",
     "compress_tree",
@@ -60,10 +60,9 @@ _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 _STR_SECTION = struct.Struct("<QQ")
 
-_KIND_DENSE = 0
-_KIND_STRINGS = 1
-_KINDS = {_KIND_DENSE: DatasetKind.DENSE_VECTORS,
-          _KIND_STRINGS: DatasetKind.ALIGNED_STRINGS}
+#: block kind flags
+_KINDS = {0: DatasetKind.DENSE_VECTORS, 1: DatasetKind.ALIGNED_STRINGS}
+_FLAGS = {kind: flag for flag, kind in _KINDS.items()}
 
 #: values per batch of the dense codec; a batch is a run of whole leaves.
 #: This bounds the codec's scratch memory: the 64 KiB temporaries of a
@@ -159,7 +158,7 @@ def _decode_varints(buf: np.ndarray, ends: np.ndarray,
     if faulty.any():
         j = int(np.argmax(faulty))
         begin = int(ends[j - 1]) if j else 0
-        raise _body_fault(buf[begin:ends[j]], int(counts[j]))
+        raise _body_fault(buf[begin:ends[j]].tobytes(), int(counts[j]))
     # one pass per byte position: add the next 7 bits of every varint
     # that has them
     values = (buf[starts] & 0x7F).astype(np.uint64)
@@ -170,26 +169,16 @@ def _decode_varints(buf: np.ndarray, ends: np.ndarray,
     return values
 
 
-def _body_fault(body: np.ndarray, count: int) -> FormatError:
+def _body_fault(body: bytes, count: int) -> FormatError:
     """The error a byte-by-byte reader of ``count`` varints meets first in
     a faulty body."""
-    stops = np.flatnonzero(body < 0x80)
-    starts = np.concatenate(([0], stops + 1))
-    read = min(count, stops.size)
-    lengths = stops[:read] - starts[:read] + 1
-    too_long = np.flatnonzero((lengths > _MAX_VARINT)
-                              | ((lengths == _MAX_VARINT) & (body[stops[:read]] > 1)))
-    if too_long.size:
-        return _too_long(int(starts[too_long[0]]))
-    if read < count:
-        if body.size - starts[read] >= _MAX_VARINT:
-            return _too_long(int(starts[read]))
-        return FormatError(f"truncated varint at byte offset {body.size}")
-    return FormatError(f"trailing bytes in block body at offset {starts[count]}")
-
-
-def _too_long(offset: int) -> FormatError:
-    return FormatError(f"varint longer than 64 bits at byte offset {offset}")
+    pos = 0
+    try:
+        for _ in range(count):
+            _, pos = _read_varint(body, pos)
+    except FormatError as exc:
+        return exc
+    return FormatError(f"trailing bytes in block body at offset {pos}")
 
 
 def _write_varint(value: int) -> bytes:
@@ -213,53 +202,7 @@ def _read_varint(buf: bytes, start: int) -> tuple[int, int]:
             if pos - start == _MAX_VARINT - 1 and byte > 1:
                 break
             return value, pos + 1
-    raise _too_long(start)
-
-
-@dataclass
-class LeafDeltaBlock:
-    """Compressed members of one leaf, decodable given the center point."""
-
-    kind: DatasetKind
-    center_index: int
-    member_count: int
-    compressed_body: bytes  # raw deflate stream
-
-    def to_bytes(self) -> bytes:
-        kind_flag = _KIND_DENSE if self.kind is DatasetKind.DENSE_VECTORS \
-            else _KIND_STRINGS
-        payload = _BLOCK_HEADER.pack(kind_flag, self.center_index,
-                                     self.member_count) + self.compressed_body
-        return _U64.pack(len(payload)) + payload + _U32.pack(zlib.crc32(payload))
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, pos: int,
-                   kind: DatasetKind) -> tuple["LeafDeltaBlock", int]:
-        """The block at ``pos`` and the offset after it; a block of another
-        kind than the archive's ``kind`` is a :class:`FormatError`."""
-        if len(raw) - pos < _U64.size:
-            raise FormatError(f"truncated block length at byte offset {pos}")
-        (length,) = _U64.unpack_from(raw, pos)
-        pos += _U64.size
-        if len(raw) - pos < length + _U32.size:
-            raise FormatError(f"truncated block at byte offset {pos}")
-        if length < _BLOCK_HEADER.size:
-            raise FormatError(f"block shorter than its header at byte offset {pos}")
-        payload = raw[pos:pos + length]
-        (crc,) = _U32.unpack_from(raw, pos + length)
-        if zlib.crc32(payload) != crc:
-            raise FormatError(f"block checksum mismatch at byte offset {pos}")
-        kind_flag, center_index, member_count = _BLOCK_HEADER.unpack_from(payload, 0)
-        block_kind = _KINDS.get(kind_flag)
-        if block_kind is None:
-            raise FormatError(f"unknown block kind {kind_flag} at byte offset {pos}")
-        if block_kind is not kind:
-            raise FormatError(f"{block_kind.value} block in a {kind.value} "
-                              f"archive at byte offset {pos}")
-        block = cls(kind=block_kind, center_index=center_index,
-                    member_count=member_count,
-                    compressed_body=payload[_BLOCK_HEADER.size:])
-        return block, pos + length + _U32.size
+    raise FormatError(f"varint longer than 64 bits at byte offset {start}")
 
 
 def _deflate(body: bytes) -> bytes:
@@ -275,20 +218,42 @@ def _inflate(body: bytes) -> bytes:
 
 
 def encode_leaf(kind: DatasetKind, center: int, member_count: int,
-                body: bytes) -> LeafDeltaBlock:
-    """Deflate one leaf's delta body into its block."""
-    return LeafDeltaBlock(kind=kind, center_index=int(center),
-                          member_count=int(member_count),
-                          compressed_body=_deflate(body))
+                body: bytes) -> bytes:
+    """One leaf's block: the kind flag, center and member count, then the
+    deflated delta body, all length-prefixed and closed by a CRC32."""
+    payload = _BLOCK_HEADER.pack(_FLAGS[kind], int(center),
+                                 int(member_count)) + _deflate(body)
+    return _U64.pack(len(payload)) + payload + _U32.pack(zlib.crc32(payload))
 
 
-def decode_leaf(block: LeafDeltaBlock, leaf: int, center: int,
-                member_count: int) -> bytes:
-    """Check that a block holds pre-order leaf ``leaf`` of the tree, with
-    its center and member count, and return the inflated delta body."""
-    if block.center_index != center or block.member_count != member_count:
+def decode_leaf(raw: bytes, pos: int, kind: DatasetKind, leaf: int, center: int,
+                member_count: int) -> tuple[bytes, int]:
+    """The inflated delta body of the block at ``pos`` and the offset after
+    it. The block must be of the archive's ``kind`` and hold pre-order
+    leaf ``leaf`` of the tree, with its center and member count; any
+    fault is a :class:`FormatError`."""
+    if len(raw) - pos < _U64.size:
+        raise FormatError(f"truncated block length at byte offset {pos}")
+    (length,) = _U64.unpack_from(raw, pos)
+    pos += _U64.size
+    if len(raw) - pos < length + _U32.size:
+        raise FormatError(f"truncated block at byte offset {pos}")
+    if length < _BLOCK_HEADER.size:
+        raise FormatError(f"block shorter than its header at byte offset {pos}")
+    payload = raw[pos:pos + length]
+    (crc,) = _U32.unpack_from(raw, pos + length)
+    if zlib.crc32(payload) != crc:
+        raise FormatError(f"block checksum mismatch at byte offset {pos}")
+    flag, block_center, block_count = _BLOCK_HEADER.unpack_from(payload, 0)
+    block_kind = _KINDS.get(flag)
+    if block_kind is None:
+        raise FormatError(f"unknown block kind {flag} at byte offset {pos}")
+    if block_kind is not kind:
+        raise FormatError(f"{block_kind.value} block in a {kind.value} "
+                          f"archive at byte offset {pos}")
+    if block_center != center or block_count != member_count:
         raise FormatError(f"block {leaf} does not match leaf {leaf} of the tree")
-    return _inflate(block.compressed_body)
+    return _inflate(payload[_BLOCK_HEADER.size:]), pos + length + _U32.size
 
 
 def _batches(offsets: np.ndarray, dim: int) -> list[tuple[int, int]]:
@@ -373,8 +338,9 @@ def _dense_members(raw: bytes, pos: int, tree: ClusterTree, centers: np.ndarray,
         counts = np.diff(offsets[a:b + 1])
         bodies = []
         for i in range(b - a):
-            block, pos = LeafDeltaBlock.from_bytes(raw, pos, DatasetKind.DENSE_VECTORS)
-            bodies.append(decode_leaf(block, a + i, center_index[a + i], int(counts[i])))
+            body, pos = decode_leaf(raw, pos, DatasetKind.DENSE_VECTORS, a + i,
+                                    center_index[a + i], int(counts[i]))
+            bodies.append(body)
         deltas = _unzigzag(_decode_varints(
             np.frombuffer(b"".join(bodies), dtype=np.uint8),
             np.cumsum([len(body) for body in bodies]), counts * dim))
@@ -409,7 +375,7 @@ def compress_tree(tree: ClusterTree, dataset: Dataset, quantizer: Quantizer,
                                      tree.radius[leaves].tolist()))
     section = _F64.pack(quantizer.quantum) + header + center_rows.tobytes()
     chunks = [tree_to_bytes(tree), section, _U32.pack(zlib.crc32(section))]
-    chunks.extend(block.to_bytes() for block in blocks)
+    chunks.extend(blocks)
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -457,8 +423,8 @@ def decompress(path) -> Dataset:
         out, pos = np.empty((tree.order.size, dim), dtype=np.uint8), blocks
         for i, c in enumerate(tree.center[leaves].tolist()):
             m = tree.order[offsets[i]:offsets[i + 1]]
-            block, pos = LeafDeltaBlock.from_bytes(raw, pos, kind)
-            out[m] = _decode_strings(decode_leaf(block, i, c, m.size), centers[i], m.size)
+            body, pos = decode_leaf(raw, pos, kind, i, c, m.size)
+            out[m] = _decode_strings(body, centers[i], m.size)
     if pos != len(raw):
         raise FormatError(f"trailing bytes at offset {pos}")
     return Dataset(kind, out)

@@ -31,7 +31,6 @@ __all__ = [
     "save_dense",
     "load_sequences",
     "synth_manifold",
-    "synth_line",
 ]
 
 VEC_MAGIC = b"CHESSVEC"
@@ -276,8 +275,3 @@ def synth_manifold(n: int, embed_dim: int, intrinsic_dim: int, noise: float,
     points -= points.min()
     return Dataset.from_vectors(points)
 
-
-def synth_line(n: int, embed_dim: int, noise: float, seed: int,
-               density_power: float = 3.0) -> Dataset:
-    """Convenience wrapper: a one-dimensional manifold with skewed density."""
-    return synth_manifold(n, embed_dim, 1, noise, seed, density_power=density_power)

@@ -12,17 +12,19 @@ of the block is a pattern in its own segment of one Python int, so one
 pass over the query's characters yields the distance to every row.
 
 Every distance evaluation that matters for cost accounting goes through
-a :class:`ComparisonCounter`. Bulk evaluations of one query against many
-stored points, and paired evaluations of a block of queries against a
-block of points row by row, use the same per-row arithmetic as
-single-pair calls, so a distance computed during a leaf scan or a tree
-build is bit-identical to the same pair computed in isolation.
+a :class:`ComparisonCounter`. :func:`distances_to` takes its queries as
+rows: a block of queries paired with a block of points row by row stays
+as it is, and a single query (a leaf scan, a center test) is one 1-D
+row that numpy broadcasts over the points, which costs nothing, where
+reshaping it to ``(1, dim)`` would add work to each of the hundreds of
+such calls a search makes. One formula per metric serves both, so a
+distance computed during a leaf scan or a tree build is bit-identical
+to the same pair computed in isolation.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,6 @@ __all__ = [
     "MetricKind",
     "ComparisonCounter",
     "distance",
-    "counted_distance",
     "distances_to",
     "as_vector",
     "as_codes",
@@ -42,7 +43,6 @@ __all__ = [
 #: Alphabet accepted for string points (gap character included).
 STRING_ALPHABET = b"ACGT-"
 
-_ALPHABET_SET = frozenset(STRING_ALPHABET)
 _ALPHABET_CODES = np.frombuffer(STRING_ALPHABET, dtype=np.uint8)
 _IN_ALPHABET = np.zeros(256, dtype=bool)
 _IN_ALPHABET[_ALPHABET_CODES] = True
@@ -110,9 +110,6 @@ class ComparisonCounter:
     def add(self, n: int = 1) -> None:
         self.count += n
 
-    def reset(self) -> None:
-        self.count = 0
-
 
 def as_vector(p) -> np.ndarray:
     """Coerce a dense point to a 1-D float64 array."""
@@ -126,6 +123,17 @@ def as_vector(p) -> np.ndarray:
     return arr
 
 
+def _check_codes(arr: np.ndarray, what: str) -> None:
+    """Raise unless ``arr`` holds codes of ``A C G T -``; ``what`` names
+    it in the error."""
+    if arr.dtype != np.uint8:
+        raise DimensionError(f"expected a {what}, got dtype {arr.dtype}")
+    bad = np.flatnonzero(~_IN_ALPHABET[arr.reshape(-1)])
+    if bad.size:
+        raise DimensionError(f"illegal character {chr(arr.flat[bad[0]])!r}; "
+                             f"alphabet is A, C, G, T, -")
+
+
 def as_codes(p) -> np.ndarray:
     """Coerce a string point to a 1-D uint8 array of character codes.
 
@@ -135,17 +143,11 @@ def as_codes(p) -> np.ndarray:
     if isinstance(p, str):
         p = p.upper().encode("ascii", errors="replace")
     if isinstance(p, (bytes, bytearray)):
-        arr = np.frombuffer(bytes(p), dtype=np.uint8)
-    else:
-        arr = np.asarray(p)
-        if arr.dtype != np.uint8:
-            raise DimensionError(f"expected a string point, got dtype {arr.dtype}")
+        p = np.frombuffer(bytes(p), dtype=np.uint8)
+    arr = np.asarray(p)
+    _check_codes(arr, "string point")
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError(f"expected a 1-D string point, got shape {arr.shape}")
-    bad = [c for c in set(arr.tolist()) if c not in _ALPHABET_SET]
-    if bad:
-        raise DimensionError(
-            f"illegal character {chr(bad[0])!r}; alphabet is A, C, G, T, -")
     return arr
 
 
@@ -172,23 +174,24 @@ def _paired_masks(padded: np.ndarray, q: np.ndarray):
 
 
 def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Edit distance from q to every row of points, all rows at once; a
-    2-D q holds one query per row.
+    """Edit distance from the query rows q to the rows of points, all rows
+    at once: a 1-D q is the query of every row (a search), a 2-D q pairs
+    one query with each row (a build).
 
     Myers' bit-vector DP in Hyyro's global form: row ``k`` of the block
     is the pattern held in bits ``k*seg .. k*seg+m-1`` of one Python int,
     and each query character advances every row's DP column with a fixed
     number of big-integer operations. The match mask of a step holds,
     for every row, where its pattern has that row's query character: one
-    mask per letter for a single query, one per column for a query block
+    mask per letter for a shared query, one per column for paired rows
     (whose segments are rounded up to whole bytes, see
     :func:`_paired_masks`). ``pv``/``mv`` hold the +1/-1 vertical deltas
     of the current column, so the last column's bottom cell is
     ``len(q) + popcount(pv) - popcount(mv)`` per segment.
     """
     rows, m = points.shape
-    paired = q.ndim == 2
-    seg = 8 * (m // 8 + 1) if paired else m + 1
+    shared = q.ndim == 1
+    seg = m + 1 if shared else 8 * (m // 8 + 1)
     # Zero guard bits top each segment: they absorb the carry out of
     # ``(eq & pv) + pv`` and the bit that ``<< 1`` pushes out of the
     # pattern, so neither leaks into the next row; ``full`` clears them.
@@ -196,14 +199,14 @@ def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     full = low * ((1 << m) - 1)
     padded = np.zeros((rows, seg), dtype=np.uint8)
     padded[:, :m] = points  # the zero guard columns match no letter
-    if paired:
-        masks = _paired_masks(padded, q)
-    else:
+    if shared:
         packed = np.packbits(padded.reshape(-1) == _ALPHABET_CODES[:, None],
                              axis=1, bitorder="little")
         peq = {c: int.from_bytes(mask.tobytes(), "little")
                for c, mask in zip(STRING_ALPHABET, packed)}
         masks = map(peq.__getitem__, q.tolist())
+    else:
+        masks = _paired_masks(padded, q)
     pv, mv = full, 0
     for eq in masks:
         xv = eq | mv
@@ -224,77 +227,53 @@ def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (q.shape[-1] + counts[0] - counts[1]).astype(np.float64)
 
 
-def _query_block(q: np.ndarray, points: np.ndarray, for_vectors: bool) -> np.ndarray:
-    """Check a paired query block: the shape of ``points``, float64 for
-    vectors, codes of ``A C G T -`` for strings."""
-    if q.shape != points.shape:
-        raise DimensionError(f"query block has shape {q.shape}, "
-                             f"points have shape {points.shape}")
-    if for_vectors:
-        return np.asarray(q, dtype=np.float64)
-    if q.dtype != np.uint8:
-        raise DimensionError(f"expected a string point block, got dtype {q.dtype}")
-    bad = np.flatnonzero(~_IN_ALPHABET[q.reshape(-1)])
-    if bad.size:
-        raise DimensionError(f"illegal character {chr(q.flat[bad[0]])!r}; "
-                             f"alphabet is A, C, G, T, -")
-    return q
-
-
 def distances_to(points: np.ndarray, q, kind: MetricKind,
                  counter: ComparisonCounter | None = None) -> np.ndarray:
     """Distances from a query point to every row of a 2-D point block.
 
-    A 2-D array ``q`` of the same shape as ``points`` is a block of
-    queries paired with the rows: row ``k`` of the result is
-    ``d(points[k], q[k])``. This is the single arithmetic path for all
-    bulk, paired and single-pair evaluations; the result for a given row
-    does not depend on which other rows are in the block, nor on whether
-    its query came alone or in a block. The counter, when given, is
-    charged one comparison per row.
+    The query comes as rows. A 2-D array ``q`` of the same shape as
+    ``points`` is a block of queries paired with the rows: row ``k`` of
+    the result is ``d(points[k], q[k])``. A single query is one 1-D row
+    that broadcasts over them. One formula per metric serves both, so
+    the result for a given row does not depend on which other rows are
+    in the block, nor on whether its query came alone or in a block. The
+    counter, when given, is charged one comparison per row.
     """
-    paired = isinstance(q, np.ndarray) and q.ndim == 2
-    if kind.for_vectors:
-        if paired:
-            q = _query_block(q, points, True)
-        else:
-            q = as_vector(q)
-            if points.ndim != 2 or points.shape[1] != q.size:
-                raise DimensionError(
-                    f"dimension mismatch: points have dim {points.shape[-1]}, "
-                    f"query has dim {q.size}")
+    for_vectors = kind.for_vectors
+    if not (isinstance(q, np.ndarray) and q.ndim == 2):
+        q = as_vector(q) if for_vectors else as_codes(q)
+    elif q.shape != points.shape:
+        raise DimensionError(f"query block has shape {q.shape}, "
+                             f"points have shape {points.shape}")
+    elif for_vectors:
+        q = np.asarray(q, dtype=np.float64)
+    else:
+        _check_codes(q, "string point block")
+    if for_vectors:
+        if points.ndim != 2 or points.shape[1] != q.shape[-1]:
+            raise DimensionError(
+                f"dimension mismatch: points have dim {points.shape[-1]}, "
+                f"query has dim {q.shape[-1]}")
         if kind is MetricKind.EUCLIDEAN:
             diff = points - q
             diff *= diff  # in place: one block-sized temporary, not two
             result = np.sqrt(diff.sum(axis=1))
         else:
-            if paired:
-                qn = np.sqrt((q * q).sum(axis=1))
-                degenerate = bool(np.any(qn == 0.0))
-            else:
-                qn = math.sqrt(float((q * q).sum()))
-                degenerate = qn == 0.0
-            if degenerate:
-                raise DegenerateInputError("cosine distance undefined for the zero vector")
+            qn = np.sqrt((q * q).sum(axis=-1))
             norms = np.sqrt((points * points).sum(axis=1))
-            if np.any(norms == 0.0):
+            if not (qn.all() and norms.all()):
                 raise DegenerateInputError("cosine distance undefined for the zero vector")
             result = 1.0 - (points * q).sum(axis=1) / (norms * qn)
+    elif points.ndim != 2:
+        raise DimensionError("expected a 2-D block of string points")
+    elif kind is MetricKind.HAMMING:
+        if points.shape[1] != q.shape[-1]:
+            raise DimensionError(
+                f"Hamming distance requires equal lengths: "
+                f"{points.shape[1]} vs {q.shape[-1]}")
+        result = (points != q).sum(axis=1).astype(np.float64)
     else:
-        if paired:
-            q = _query_block(q, points, False)
-        else:
-            q = as_codes(q)
-            if points.ndim != 2:
-                raise DimensionError("expected a 2-D block of string points")
-        if kind is MetricKind.HAMMING:
-            if points.shape[1] != q.shape[-1]:
-                raise DimensionError(
-                    f"Hamming distance requires equal lengths: "
-                    f"{points.shape[1]} vs {q.size}")
-            result = (points != q).sum(axis=1).astype(np.float64)
-        else:
-            result = _levenshtein_block(points, q)
+        result = _levenshtein_block(points, q)
     if counter is not None:
         counter.add(len(points))
     return result
@@ -309,22 +288,5 @@ def distance(a, b, kind: MetricKind) -> float:
     strings; Levenshtein is the minimum number of single-character
     edits (lengths may differ).
     """
-    if kind.for_vectors:
-        a = as_vector(a)
-        b = as_vector(b)
-        if a.size != b.size:
-            raise DimensionError(f"dimension mismatch: {a.size} vs {b.size}")
-        return float(distances_to(b[np.newaxis, :], a, kind)[0])
-    a = as_codes(a)
-    b = as_codes(b)
-    if kind is MetricKind.HAMMING and a.size != b.size:
-        raise DimensionError(
-            f"Hamming distance requires equal lengths: {a.size} vs {b.size}")
-    return float(distances_to(b[np.newaxis, :], a, kind)[0])
-
-
-def counted_distance(a, b, kind: MetricKind, counter: ComparisonCounter) -> float:
-    """Same as :func:`distance`, charging exactly one comparison."""
-    value = distance(a, b, kind)
-    counter.add(1)
-    return value
+    coerce = as_vector if kind.for_vectors else as_codes
+    return float(distances_to(coerce(a)[np.newaxis], coerce(b), kind)[0])

@@ -22,12 +22,14 @@ search at that bound are the answer.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
+from .errors import DimensionError
 from .metrics import ComparisonCounter, MetricKind, distances_to
 from .tree import ClusterTree
 
@@ -75,6 +77,12 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"search radius must be finite and nonnegative, got {r}")
 
 
+def _check_covered(tree: ClusterTree, dataset: Dataset) -> None:
+    if dataset.n < tree.order.size:
+        raise DimensionError(f"tree covers {tree.order.size} points, "
+                             f"dataset holds {dataset.n}")
+
+
 def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport:
     """All points within distance r of q, found by pruned tree descent.
 
@@ -97,9 +105,11 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     pass ``<= r`` on their own, and under a distance that breaks the
     triangle inequality (cosine) it can only add scanned leaves.
     Comparisons count the center tests actually made plus the points
-    scanned, one kernel call per test and one per leaf.
+    scanned, one kernel call per test and one per leaf. A dataset with
+    fewer points than the tree covers is a :class:`DimensionError`.
     """
     _check_radius(r)
+    _check_covered(tree, dataset)
     query = dataset.coerce_point(q)
     values = dataset.values
     metric = tree.metric
@@ -185,8 +195,10 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
     breaks the triangle inequality, the range search may miss points
     within ``b``, so the answer may be inexact or hold fewer than k.
     """
-    if not 1 <= k <= dataset.n:
-        raise ValueError(f"k must be in [1, {dataset.n}], got {k}")
+    _check_covered(tree, dataset)
+    n = tree.order.size
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= n):
+        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     query = dataset.coerce_point(q)
     values, metric = dataset.values, tree.metric
     center, size, card = tree.center, tree.size, tree.cardinality

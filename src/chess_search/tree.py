@@ -19,19 +19,22 @@ so a tree is a pure function of (dataset, metric, config) regardless of
 evaluation order. The build exploits that: it works one depth at a time,
 and every distance of a depth (all seed pairs of its nodes, then all
 members against their own node's two poles) is evaluated in row-paired
-kernel calls over cache-sized blocks. :func:`select_poles` and
-``_partition_core`` are the pole and partition steps of one node.
-``build_comparisons_by_depth`` splits the build's cost by depth.
+kernel calls over cache-sized blocks. ``build_comparisons_by_depth``
+splits the build's cost by depth.
 
 A tree is a struct of arrays, one entry per node in pre-order:
 ``center``, ``radius``, ``lfd``, ``cardinality`` and ``size`` (nodes in
 the subtree, 1 for a leaf). Node ``i``'s children are ``i + 1`` and
 ``i + 1 + size[i + 1]``. Every node's members are one contiguous slice
 of the permutation ``order``: the left child's slice starts at its
-parent's and the right child's follows it. No walk recurses, so depth
-is bounded by memory, not by the interpreter's recursion limit. The
-CHESSTREE v2 stream stores the columns (flags in place of ``size``),
-``order`` and a CRC32; parsing checks the checksum and the structure.
+parent's and the right child's follows it. Pre-order is therefore the
+order of the slices' offsets, the shallower node first where offsets
+are equal; the build sorts its nodes so, and the subtree sizes follow
+from which nodes are internal, both in the build and in the parser. No
+walk recurses, so depth is bounded by memory, not by the interpreter's
+recursion limit. The CHESSTREE v2 stream stores the columns (flags in
+place of ``size``), ``order`` and a CRC32; parsing checks the checksum
+and the structure.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "BuildConfig",
     "ClusterTree",
     "build",
-    "select_poles",
     "metric_entropy",
     "lfd_depth_profile",
     "insert_point",
@@ -79,7 +81,7 @@ _BLOCK_BYTES = 80 * 1024
 
 #: Multiple of the leaf radius beyond which an inserted point starts a
 #: new sibling cluster instead of joining the leaf.
-DEFAULT_SPLIT_FACTOR = 2.0
+SPLIT_FACTOR = 2.0
 
 
 @dataclass
@@ -91,10 +93,12 @@ class BuildConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_depth <= 0:
-            raise ValueError(f"max_depth must be positive, got {self.max_depth}")
-        if self.min_size <= 0:
-            raise ValueError(f"min_size must be positive, got {self.min_size}")
+        for name in ("max_depth", "min_size"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if value >= 2 ** 64:  # CHESSTREE stores both as u64
+                raise ValueError(f"{name} must be below 2**64, got {value}")
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
 
 
@@ -307,25 +311,6 @@ def select_poles(member_indices, dataset: Dataset, metric: MetricKind,
     return int(left[0]), int(right[0])
 
 
-def _partition_core(member_indices: np.ndarray, dataset: Dataset,
-                    metric: MetricKind, counter: ComparisonCounter,
-                    rng: np.random.Generator):
-    """Split members between two poles chosen by :func:`select_poles`: the
-    build's pole and partition steps for one node.
-
-    Returns each side's indices and center, together with every member's
-    distance to its own side's center.
-    """
-    idx = np.asarray(member_indices, dtype=np.int64)
-    if idx.size < 2:
-        raise ValueError("partition requires at least 2 members")
-    left, right = select_poles(idx, dataset, metric, counter, rng)
-    goes_left, own = _level_partition(dataset.values, idx, np.zeros(idx.size, np.int64),
-                                      np.array([left]), np.array([right]),
-                                      metric, counter)
-    return idx[goes_left], idx[~goes_left], left, right, own[goes_left], own[~goes_left]
-
-
 def _lfd(cardinality: int, radius: float, inner: int) -> float:
     """log2 of the member count within the radius over the count
     ``inner`` within half the radius; zero for singletons and
@@ -358,10 +343,10 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     draws its seeds from its own stream; one paired pass evaluates all
     seed pairs of the level and one more all partition distances, and the
     members regroup stably into the next level, left child before right.
-    Leaves write their members into ``order`` at their offset; the
-    pre-order columns are assembled at the end from the child links (the
-    children of a level's ``r``-th splitting node are nodes ``2r`` and
-    ``2r + 1`` of the next level).
+    Leaves write their members into ``order`` at their offset. The
+    pre-order columns are the levels' columns sorted by offset, the
+    shallower node first among equal offsets, and the subtree sizes
+    follow from which nodes split.
     """
     if not dataset.compatible_with(metric):
         raise DimensionError(
@@ -396,7 +381,8 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
         split = (counts > config.min_size) & (radius != 0.0)
         if depth >= config.max_depth:
             split[:] = False
-        levels.append((centers, radius, lfd, counts, split))
+        levels.append((centers, radius, lfd, counts, split, offsets,
+                       np.full(counts.size, depth)))
         leaf = np.repeat(~split, counts)
         order[np.flatnonzero(leaf) + np.repeat(offsets - starts, counts)[leaf]] = \
             members[leaf]
@@ -424,29 +410,14 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
         spent.append(counter.count)
     spent.append(counter.count)
 
-    # subtree sizes bottom-up, then pre-order positions top-down
-    sizes, below = [], None
-    for *_, split in reversed(levels):
-        size = np.ones(split.size, dtype=np.int64)
-        if below is not None:
-            size[split] += below[0::2] + below[1::2]
-        sizes.append(size)
-        below = size
-    sizes.reverse()
-    nodes = int(sizes[0][0])
-    columns = (np.empty(nodes, np.int64), np.empty(nodes), np.empty(nodes),
-               np.empty(nodes, np.int64), np.empty(nodes, np.int64))
-    position = np.zeros(1, dtype=np.int64)
-    for (*fields, split), size, below in zip(levels, sizes, sizes[1:] + [None]):
-        for column, value in zip(columns, (*fields, size)):
-            column[position] = value
-        if below is not None:
-            first = position[split] + 1
-            position = _interleave(first, first + below[0::2])
-    center, radius, lfd, cardinality, size = columns
+    # pre-order: a node's slice of ``order`` starts at its offset, and a
+    # node shares its offset only with its leftmost descendants
+    *columns, internal, offset, depth = map(np.concatenate, zip(*levels))
+    pre = np.lexsort((depth, offset))
+    center, radius, lfd, cardinality = (column[pre] for column in columns)
     return ClusterTree(
-        center=center, radius=radius, lfd=lfd, cardinality=cardinality, size=size,
-        order=order, metric=metric, config=config,
+        center=center, radius=radius, lfd=lfd, cardinality=cardinality,
+        size=_subtree_sizes(internal[pre]), order=order, metric=metric, config=config,
         dataset_hash=dataset.content_hash(), build_comparisons=counter.count,
         build_comparisons_by_depth=np.diff(spent).tolist())
 
@@ -477,17 +448,21 @@ def lfd_depth_profile(tree: ClusterTree) -> list[tuple[int, int, float]]:
     return rows
 
 
-def insert_point(tree: ClusterTree, point, dataset: Dataset,
-                 split_factor: float = DEFAULT_SPLIT_FACTOR) -> ClusterTree:
+def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     """Add one point to the dataset and thread it into the tree.
 
     Descends from the root following the nearer child center (ties going
     left), updating cardinality and radius along the path. The point
     joins the end of the leaf's slice of ``order``. When it lands farther
-    than ``split_factor`` times the leaf radius from the leaf center (and
+    than ``SPLIT_FACTOR`` times the leaf radius from the leaf center (and
     the radius is positive), the leaf becomes an internal node over the
     old leaf and a new singleton: two pre-order rows are inserted after
     it.
+
+    The dataset must hold exactly the points the tree covers, or the
+    insert is a :class:`DimensionError`. The point is checked and its
+    distance to the root center computed before anything changes, so an
+    insert that fails leaves the tree and the dataset as they were.
 
     Cost: one distance to the root center, then one kernel call per level
     on the two child centers; the chosen child's distance serves the next
@@ -500,13 +475,16 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset,
     Requires exclusive access: no concurrent searches during mutation.
     """
     arr = dataset.coerce_point(point)
+    if dataset.n != tree.order.size:
+        raise DimensionError(f"tree covers {tree.order.size} points, "
+                             f"dataset holds {dataset.n}")
+    center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
+    d_node = float(distances_to(dataset.values[center[:1]], arr, tree.metric)[0])
     new_index = dataset.append_point(arr)
     values = dataset.values
-    center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
 
     path = []
     node = off = 0
-    d_node = float(distances_to(values[center[:1]], arr, tree.metric)[0])
     while size[node] > 1:
         path.append(node)
         radius[node] = max(radius[node], d_node)
@@ -518,7 +496,7 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset,
             node, d_node = left, d_left
         else:
             node, d_node, off = right, d_right, off + int(card[left])
-    split = radius[node] > 0.0 and d_node > split_factor * radius[node]
+    split = radius[node] > 0.0 and d_node > SPLIT_FACTOR * radius[node]
     if split:  # the leaf becomes the parent of its old self and a singleton
         tree.center, tree.radius, tree.lfd, tree.cardinality, tree.size = (
             np.concatenate((column[:node + 1], [column[node], new], column[node + 1:]))

@@ -72,6 +72,18 @@ def test_max_depth_zero_is_usage_error(dense_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_max_depth_beyond_u64_is_runtime_error(dense_file, tmp_path, capsys):
+    tree_path = tmp_path / "t.tree"
+    code, out, err = run(capsys, "build", "--input", str(dense_file),
+                         "--metric", "euclidean", "--out", str(tree_path),
+                         "--max-depth", "99999999999999999999999")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: max_depth must be below 2**64, got 99999999999999999999999"]
+    assert not tree_path.exists()
+
+
 def test_unknown_metric_is_runtime_error(dense_file, tmp_path, capsys):
     code, _, err = run(capsys, "build", "--input", str(dense_file),
                        "--metric", "manhattan", "--out", str(tmp_path / "t"))

@@ -12,7 +12,7 @@ from chess_search import (BuildConfig, ChessError, Dataset, DatasetKind,
                           compress_tree, decode_leaf, decompress, encode_leaf,
                           naive_search, quantize, save_dense, synth_manifold)
 from chess_search import compress
-from chess_search.compress import (DEFAULT_QUANTUM, LeafDeltaBlock, _batches,
+from chess_search.compress import (_BLOCK_HEADER, DEFAULT_QUANTUM, _batches,
                                    _decode_strings, _decode_varints,
                                    _dense_blocks, _encode_varints, _read_varint,
                                    _strings_body)
@@ -67,11 +67,6 @@ def decode_bodies(bodies: list[bytes], counts: list[int]) -> np.ndarray:
                            np.array(counts, dtype=np.int64))
 
 
-def deflate(body: bytes) -> bytes:
-    enc = zlib.compressobj(wbits=-15)
-    return enc.compress(body) + enc.flush()
-
-
 def archive_layout(raw: bytes) -> tuple[int, int, int]:
     """Offsets of an archive's centers section, of its first center row
     and of its first leaf block."""
@@ -123,8 +118,10 @@ def test_encode_all_members_equal_center_is_tiny(tmp_path):
     ds = Dataset.from_vectors(np.tile([3.0, 4.0, 5.0], (50, 1)))
     tree = build(ds, E, BuildConfig(seed=0))
     [block] = _dense_blocks(tree, ds, DEFAULT_QUANTUM)
-    assert block.member_count == 50
-    assert len(block.compressed_body) < 40  # deflate of 150 zero varints
+    _, _, member_count = _BLOCK_HEADER.unpack_from(block, 8)  # after the length
+    assert member_count == 50
+    compressed_body = len(block) - 8 - _BLOCK_HEADER.size - 4
+    assert compressed_body < 40  # deflate of 150 zero varints
     path = tmp_path / "a.chess"
     compress_tree(tree, ds, Quantizer(), path)
     assert np.array_equal(decompress(path).values, grid(ds.values, DEFAULT_QUANTUM))
@@ -137,7 +134,8 @@ def test_string_edit_list_length_equals_hamming_distance():
     center, n = int(tree.center[0]), tree.order.size
     body = _strings_body(ds, center, tree.order, tree.radius[0])
     block = encode_leaf(DatasetKind.ALIGNED_STRINGS, center, n, body)
-    assert decode_leaf(block, 0, center, n) == body
+    assert decode_leaf(block, 0, DatasetKind.ALIGNED_STRINGS, 0, center, n) \
+        == (body, len(block))
     decoded = _decode_strings(body, ds.values[center], n)
     assert np.array_equal(decoded, ds.values[tree.order])
     # per-member edit counts are the Hamming distances to the center
@@ -219,15 +217,14 @@ def test_compress_requires_matching_dataset(tmp_path):
 
 def test_block_wire_roundtrip():
     body, _ = _encode_varints(np.arange(12, dtype=np.uint64) * 1000)
-    block = encode_leaf(DatasetKind.DENSE_VECTORS, 2, 4, body.tobytes())
-    raw = block.to_bytes()
-    parsed, end = LeafDeltaBlock.from_bytes(raw, 0, DatasetKind.DENSE_VECTORS)
+    raw = encode_leaf(DatasetKind.DENSE_VECTORS, 2, 4, body.tobytes())
+    parsed, end = decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 2, 4)
     assert end == len(raw)
-    assert parsed == block
-    assert decode_leaf(parsed, 0, 2, 4) == body.tobytes()
+    assert encode_leaf(DatasetKind.DENSE_VECTORS, 2, 4, parsed) == raw
+    assert parsed == body.tobytes()
     for center, count in ((3, 4), (2, 5)):
         with pytest.raises(FormatError, match="block 7 does not match leaf 7"):
-            decode_leaf(parsed, 7, center, count)
+            decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 7, center, count)
 
 
 def test_search_agrees_on_decompressed_corpus(tmp_path):
@@ -255,13 +252,14 @@ def test_malformed_blocks_raise_format_error():
     raw = len(payload).to_bytes(8, "little") + payload \
         + zlib.crc32(payload).to_bytes(4, "little")
     with pytest.raises(FormatError, match="shorter than its header"):
-        LeafDeltaBlock.from_bytes(raw, 0, DatasetKind.DENSE_VECTORS)
+        decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 0, 0)
     ds = Dataset.from_strings(["ACGT"])
     # one member with one edit at position 9 of a length-4 string
     body = bytes([1]) + (9).to_bytes(4, "little") + b"A"
-    block = LeafDeltaBlock(DatasetKind.ALIGNED_STRINGS, 0, 1, deflate(body))
+    block = encode_leaf(DatasetKind.ALIGNED_STRINGS, 0, 1, body)
     with pytest.raises(FormatError, match="edit position 9 out of range"):
-        _decode_strings(decode_leaf(block, 0, 0, 1), ds.values[0], 1)
+        _decode_strings(decode_leaf(block, 0, DatasetKind.ALIGNED_STRINGS, 0, 0, 1)[0],
+                        ds.values[0], 1)
 
 
 @pytest.fixture(scope="module")
@@ -401,17 +399,20 @@ def small_archive(tmp_path) -> bytes:
 @pytest.mark.parametrize("leaf", [0, 3])
 def test_over_long_varint_in_archive_is_a_format_error(tmp_path, leaf):
     raw = small_archive(tmp_path)
+    tree, _ = tree_from_bytes(raw)
+    leaves, offsets = tree.leaf_offsets()
+    centers, counts = tree.center[leaves], np.diff(offsets)
     *_, pos = archive_layout(raw)
-    for _ in range(leaf):
-        _, pos = LeafDeltaBlock.from_bytes(raw, pos, DatasetKind.DENSE_VECTORS)
-    block, end = LeafDeltaBlock.from_bytes(raw, pos, DatasetKind.DENSE_VECTORS)
-    body = zlib.decompress(block.compressed_body, wbits=-15)
+    for i in range(leaf):
+        _, pos = decode_leaf(raw, pos, DatasetKind.DENSE_VECTORS, i, centers[i],
+                             counts[i])
+    body, end = decode_leaf(raw, pos, DatasetKind.DENSE_VECTORS, leaf,
+                            centers[leaf], counts[leaf])
     _, first = reference_decode_varints(body, 0, 1)
-    forged = LeafDeltaBlock(block.kind, block.center_index, block.member_count,
-                            deflate(body[:first] + bytes([0xFF] * 10 + [0x01])
-                                    + body[first:]))
+    forged = encode_leaf(DatasetKind.DENSE_VECTORS, centers[leaf], counts[leaf],
+                         body[:first] + bytes([0xFF] * 10 + [0x01]) + body[first:])
     path = tmp_path / "forged.chess"
-    path.write_bytes(raw[:pos] + forged.to_bytes() + raw[end:])  # CRC-valid
+    path.write_bytes(raw[:pos] + forged + raw[end:])  # CRC-valid
     with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
                                           f"offset {first}$"):
         decompress(path)

@@ -224,6 +224,21 @@ def test_knn_k_out_of_range(small_manifold):
         knn_search(tree, ds.values[0], 0, ds)
     with pytest.raises(ValueError):
         knn_search(tree, ds.values[0], ds.n + 1, ds)
+    with pytest.raises(ValueError, match="k must be an integer in"):
+        knn_search(tree, ds.values[0], 2.5, ds)
+    assert len(knn_search(tree, ds.values[0], np.int64(3), ds).hits) == 3
+
+
+def test_search_refuses_a_dataset_smaller_than_the_tree():
+    ds = synth_manifold(300, 4, 1, 0.05, seed=20)
+    tree = build(ds, E, BuildConfig(max_depth=10, min_size=5, seed=6))
+    small = Dataset.from_vectors(ds.values[:50])
+    q = ds.values[0]
+    for search in (lambda: rho_search(tree, q, 1.0, small),
+                   lambda: knn_search(tree, q, 3, small)):
+        with pytest.raises(DimensionError,
+                           match="tree covers 300 points, dataset holds 50"):
+            search()
 
 
 def test_knn_far_query_stays_exact():

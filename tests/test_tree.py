@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
-                          FormatError, MetricKind, Quantizer, build,
-                          compress_tree, decompress, deserialize, insert_point,
+                          DegenerateInputError, DimensionError, FormatError,
+                          MetricKind, Quantizer, build, compress_tree,
+                          decompress, deserialize, insert_point,
                           lfd_depth_profile, metric_entropy, naive_search,
-                          rho_search, save_dense, select_poles, serialize,
-                          synth_manifold)
+                          rho_search, save_dense, serialize, synth_manifold)
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
-from chess_search.tree import (_TREE_HEADER, _lfd_from_dists, _partition_core,
-                               _sample_size, _subtree_sizes,
+from chess_search.tree import (_TREE_HEADER, _level_partition, _lfd_from_dists,
+                               _sample_size, _subtree_sizes, select_poles,
                                tree_from_bytes, tree_to_bytes)
 
 from conftest import node_members
@@ -34,6 +34,11 @@ def test_build_config_validation():
     with pytest.raises(ValueError):
         BuildConfig(min_size=0)
     assert BuildConfig(seed=-1).seed == 2**64 - 1
+    # CHESSTREE stores both as u64
+    for name in ("max_depth", "min_size"):
+        assert getattr(BuildConfig(**{name: 2**64 - 1}), name) == 2**64 - 1
+        with pytest.raises(ValueError, match=rf"{name} must be below 2\*\*64"):
+            BuildConfig(**{name: 2**64})
 
 
 def test_select_poles_two_members():
@@ -68,9 +73,12 @@ def test_select_poles_near_maximal_on_random_points():
 
 
 def partition(member_indices, ds, rng):
-    left, right, lc, rc, _, _ = _partition_core(member_indices, ds, E,
-                                                ComparisonCounter(), rng)
-    return left, right, lc, rc
+    idx = np.asarray(member_indices, dtype=np.int64)
+    lc, rc = select_poles(idx, ds, E, ComparisonCounter(), rng)
+    goes_left, _ = _level_partition(ds.values, idx, np.zeros(idx.size, np.int64),
+                                    np.array([lc]), np.array([rc]), E,
+                                    ComparisonCounter())
+    return idx[goes_left], idx[~goes_left], lc, rc
 
 
 def test_partition_two_points():
@@ -445,10 +453,16 @@ def test_dataset_grown_after_last_insert_fails_checks(tmp_path, grow):
     other = build(ds, E, BuildConfig(max_depth=10, min_size=5, seed=4))
     insert_point(tree, np.full(4, 0.5), ds)
     covered = Dataset(ds.kind, ds.values.copy())
-    if grow == "append":
-        ds.append_point(np.full(4, 0.25))
-    else:
-        insert_point(other, np.full(4, 0.25), ds)
+    if grow == "other tree":
+        # ``other`` covers 200 of the 201 points: its insert is refused
+        other_bytes = tree_to_bytes(other)
+        with pytest.raises(DimensionError,
+                           match="tree covers 200 points, dataset holds 201"):
+            insert_point(other, np.full(4, 0.25), ds)
+        assert ds == covered
+        assert tree_to_bytes(other) == other_bytes
+        return
+    ds.append_point(np.full(4, 0.25))
     assert tree.dataset_hash == covered.content_hash() != ds.content_hash()
     with pytest.raises(ValueError, match="not built over this dataset"):
         compress_tree(tree, ds, Quantizer(), tmp_path / "stale.chess")
@@ -457,6 +471,30 @@ def test_dataset_grown_after_last_insert_fails_checks(tmp_path, grow):
     with pytest.raises(FormatError, match="different dataset"):
         deserialize(path, ds)
     assert tree_to_bytes(deserialize(path, covered)) == tree_to_bytes(tree)
+
+
+def test_failed_insert_leaves_tree_and_dataset_unchanged(tmp_path):
+    ds = synth_manifold(300, 6, 1, 0.05, seed=19)
+    tree = build(ds, MetricKind.COSINE, BuildConfig(max_depth=10, min_size=5, seed=5))
+    tree_bytes = tree_to_bytes(tree)
+    compress_tree(tree, ds, Quantizer(), tmp_path / "before.chess")
+    with pytest.raises(DegenerateInputError):
+        insert_point(tree, np.zeros(6), ds)
+    assert ds.n == 300
+    assert tree_to_bytes(tree) == tree_bytes
+    compress_tree(tree, ds, Quantizer(), tmp_path / "after.chess")
+    assert (tmp_path / "after.chess").read_bytes() \
+        == (tmp_path / "before.chess").read_bytes()
+
+
+def test_insert_refuses_a_dataset_the_tree_does_not_cover():
+    ds = synth_manifold(100, 4, 1, 0.05, seed=21)
+    tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=1))
+    small = Dataset.from_vectors(ds.values[:50])
+    with pytest.raises(DimensionError,
+                       match="tree covers 100 points, dataset holds 50"):
+        insert_point(tree, np.full(4, 0.5), small)
+    assert small.n == 50 and tree.order.size == 100
 
 
 def test_repr_of_grown_tree_does_not_hash(monkeypatch):
