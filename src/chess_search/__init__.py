@@ -9,10 +9,9 @@ search, cluster-geometry diagnostics (radii, fractal-dimension
 profiles), quantized delta compression, and live insertion.
 """
 
-from .bench import (BenchmarkRow, CSV_HEADER, hold_out, rows_from_csv,
-                    rows_to_csv, run_benchmark, verify_exactness)
-from .compress import (DEFAULT_QUANTUM, Quantizer, compress_tree, decode_leaf,
-                       decompress, encode_leaf, quantize)
+from .bench import (BenchmarkRow, hold_out, rows_to_csv, run_benchmark,
+                    verify_exactness)
+from .compress import DEFAULT_QUANTUM, Quantizer, compress_tree, decompress
 from .data import (Dataset, DatasetKind, load_dense, load_sequences, save_dense,
                    synth_manifold)
 from .errors import ChessError, DegenerateInputError, DimensionError, FormatError
@@ -24,10 +23,9 @@ from .tree import (BuildConfig, ClusterTree, build, deserialize, insert_point,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkRow", "CSV_HEADER", "hold_out", "rows_from_csv", "rows_to_csv",
-    "run_benchmark", "verify_exactness",
-    "DEFAULT_QUANTUM", "Quantizer", "compress_tree", "decode_leaf",
-    "decompress", "encode_leaf", "quantize",
+    "BenchmarkRow", "hold_out", "rows_to_csv", "run_benchmark",
+    "verify_exactness",
+    "DEFAULT_QUANTUM", "Quantizer", "compress_tree", "decompress",
     "Dataset", "DatasetKind", "load_dense", "load_sequences", "save_dense",
     "synth_manifold",
     "ChessError", "DegenerateInputError", "DimensionError", "FormatError",

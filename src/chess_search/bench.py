@@ -5,14 +5,16 @@ builds one tree per requested depth on the remainder, and runs both the
 pruned search and the naive linear scan for every (query, radius) cell.
 Speedup is reported on the comparison-count basis (naive comparisons
 divided by pruned-search comparisons), which is hardware independent;
-wall-clock time is reported alongside. Rows serialize to CSV with a
-fixed header and parse back losslessly.
+wall-clock time of each pruned search is reported alongside. Rows
+serialize to CSV under a header of :class:`BenchmarkRow`'s field names,
+in field order; floats are written in shortest round-trip form, so
+``float()`` of a cell gives back every bit of the value.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, fields
+import time
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -23,17 +25,11 @@ from .tree import BuildConfig, ClusterTree, build
 
 __all__ = [
     "BenchmarkRow",
-    "CSV_HEADER",
     "run_benchmark",
     "verify_exactness",
     "hold_out",
     "rows_to_csv",
-    "rows_from_csv",
 ]
-
-CSV_HEADER = ("depth,radius,metric,comparisons_mean,comparisons_std,"
-              "time_mean_s,time_std_s,fraction_mean,fraction_std,"
-              "speedup_mean,output_mean,output_std,false_pos,false_neg")
 
 
 @dataclass
@@ -96,10 +92,13 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
     for depth in depths:
         tree = _build_at_depth(held_in, metric, depth, min_size, seed)
         for radius in radii:
-            reports = [rho_search(tree, q, radius, held_in) for q in queries]
+            reports, times = [], np.empty(len(queries))
+            for i, q in enumerate(queries):
+                started = time.perf_counter()
+                reports.append(rho_search(tree, q, radius, held_in))
+                times[i] = time.perf_counter() - started
             oracle = naive[radius]
             comparisons = np.array([r.comparisons for r in reports], dtype=float)
-            times = np.array([r.wall_time for r in reports])
             fractions = np.array([r.fraction_searched for r in reports])
             outputs = np.array([len(o.hits) for o in oracle], dtype=float)
             speedups = np.array([o.comparisons / r.comparisons
@@ -145,29 +144,9 @@ def verify_exactness(tree: ClusterTree, dataset: Dataset, queries, radii,
 
 
 def rows_to_csv(rows: list[BenchmarkRow]) -> str:
-    """Render rows under the fixed header; floats use shortest-roundtrip
-    formatting so parsing them back is lossless."""
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for row in rows:
-        cells = []
-        for f in fields(BenchmarkRow):
-            value = getattr(row, f.name)
-            cells.append(repr(value) if isinstance(value, float) else str(value))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
-
-
-def rows_from_csv(text: str) -> list[BenchmarkRow]:
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized benchmark CSV header")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        kwargs = {}
-        for f, cell in zip(fields(BenchmarkRow), cells):
-            kwargs[f.name] = (int(cell) if f.type == "int"
-                              else float(cell) if f.type == "float" else cell)
-        rows.append(BenchmarkRow(**kwargs))
-    return rows
+    """Render rows under a header of the field names; floats use their
+    shortest round-trip ``repr``, so parsing them back is lossless."""
+    lines = [",".join(f.name for f in fields(BenchmarkRow))]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v)
+                       for v in astuple(row)) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -38,16 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import VEC_MAGIC, VEC_VERSION, Dataset, DatasetKind, _VEC_HEADER
+from .data import (VEC_MAGIC, VEC_VERSION, Dataset, DatasetKind, _dense_bytes,
+                   _VEC_HEADER)
 from .errors import ChessError, FormatError
 from .tree import ClusterTree, tree_from_bytes, tree_to_bytes
 
 __all__ = [
     "DEFAULT_QUANTUM",
     "Quantizer",
-    "quantize",
-    "encode_leaf",
-    "decode_leaf",
     "compress_tree",
     "decompress",
 ]
@@ -360,20 +358,20 @@ def compress_tree(tree: ClusterTree, dataset: Dataset, quantizer: Quantizer,
     """
     if tree.dataset_hash != dataset.content_hash():
         raise ValueError("tree was not built over this dataset")
-    leaves, _ = tree.leaf_offsets()
+    leaves, offsets = tree.leaf_offsets()
     centers = tree.center[leaves]
     center_rows = dataset.values[centers]
     if dataset.kind is DatasetKind.DENSE_VECTORS:
-        header = _VEC_HEADER.pack(VEC_MAGIC, VEC_VERSION, leaves.size, dataset.dim)
-        center_rows = np.ascontiguousarray(center_rows, dtype="<f8")
+        center_section = _dense_bytes(center_rows)
         blocks = _dense_blocks(tree, dataset, quantizer.quantum)
     else:
-        header = _STR_SECTION.pack(leaves.size, dataset.dim)
-        _, members = tree.leaf_members()
+        center_section = (_STR_SECTION.pack(leaves.size, dataset.dim)
+                          + center_rows.tobytes())
+        members = np.split(tree.order, offsets[1:-1])
         blocks = (encode_leaf(dataset.kind, c, m.size, _strings_body(dataset, c, m, r))
                   for c, m, r in zip(centers.tolist(), members,
                                      tree.radius[leaves].tolist()))
-    section = _F64.pack(quantizer.quantum) + header + center_rows.tobytes()
+    section = _F64.pack(quantizer.quantum) + center_section
     chunks = [tree_to_bytes(tree), section, _U32.pack(zlib.crc32(section))]
     chunks.extend(blocks)
     Path(path).write_bytes(b"".join(chunks))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .metrics import STRING_ALPHABET, MetricKind, as_codes, as_vector
+from .metrics import _IN_ALPHABET, MetricKind, as_codes, as_vector
 
 __all__ = [
     "Dataset",
@@ -36,7 +36,6 @@ __all__ = [
 VEC_MAGIC = b"CHESSVEC"
 VEC_VERSION = 1
 _VEC_HEADER = struct.Struct("<8sBQQ")
-_ALPHABET_CODES = np.frombuffer(STRING_ALPHABET, dtype=np.uint8)
 
 
 class DatasetKind(enum.Enum):
@@ -143,7 +142,7 @@ class Dataset:
 
     def to_canonical_bytes(self) -> bytes:
         if self.kind is DatasetKind.DENSE_VECTORS:
-            return _dense_bytes(self)
+            return _dense_bytes(self.values)
         newlines = np.full((self.n, 1), ord("\n"), dtype=np.uint8)
         return np.hstack([self.values, newlines]).tobytes()
 
@@ -157,7 +156,7 @@ class Dataset:
         return cls(DatasetKind.DENSE_VECTORS, arr)
 
     @classmethod
-    def from_strings(cls, records, deduplicate: bool = False) -> "Dataset":
+    def from_strings(cls, records) -> "Dataset":
         rows = [as_codes(r) for r in records]
         if not rows:
             raise DimensionError("dataset must contain at least one record")
@@ -166,24 +165,21 @@ class Dataset:
             if r.size != dim:
                 raise DimensionError(
                     f"record {i + 1} has length {r.size}, expected {dim}")
-        if deduplicate:
-            seen: dict[bytes, None] = {}
-            for r in rows:
-                seen.setdefault(r.tobytes())
-            rows = [np.frombuffer(b, dtype=np.uint8) for b in seen]
         return cls(DatasetKind.ALIGNED_STRINGS, np.vstack(rows))
 
 
-def _dense_bytes(dataset: Dataset) -> bytes:
-    header = _VEC_HEADER.pack(VEC_MAGIC, VEC_VERSION, dataset.n, dataset.dim)
-    return header + np.ascontiguousarray(dataset.values, dtype="<f8").tobytes()
+def _dense_bytes(values: np.ndarray) -> bytes:
+    """The CHESSVEC stream of an ``(n, dim)`` array: the bytes of a dense
+    dataset's file and hash, and of an archive's dense centers section."""
+    header = _VEC_HEADER.pack(VEC_MAGIC, VEC_VERSION, *values.shape)
+    return header + np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
 def save_dense(dataset: Dataset, path) -> None:
     """Write a dense dataset as a CHESSVEC file (exact inverse of load_dense)."""
     if dataset.kind is not DatasetKind.DENSE_VECTORS:
         raise DimensionError("save_dense requires a dense-vector dataset")
-    Path(path).write_bytes(_dense_bytes(dataset))
+    Path(path).write_bytes(_dense_bytes(dataset.values))
 
 
 def load_dense(path) -> Dataset:
@@ -219,28 +215,29 @@ def load_sequences(path) -> Dataset:
     records are dropped keeping the first occurrence.
     """
     text = Path(path).read_bytes().decode("utf-8")
-    rows: list[np.ndarray] = []
+    records: dict[bytes, None] = {}  # keeps the first occurrence's place
     dim: int | None = None
     for lineno, line in enumerate(text.split("\n"), start=1):
         record = line.rstrip("\r").upper()
         if not record or record.startswith(">"):
             continue
-        arr = np.frombuffer(record.encode("ascii", errors="replace"), dtype=np.uint8)
-        bad = ~np.isin(arr, _ALPHABET_CODES)
-        if bad.any():
-            col = int(np.flatnonzero(bad)[0])
+        codes = record.encode("ascii", errors="replace")
+        bad = np.flatnonzero(~_IN_ALPHABET[np.frombuffer(codes, dtype=np.uint8)])
+        if bad.size:
+            col = int(bad[0])
             raise FormatError(
                 f"{path}: illegal character {record[col]!r} at line {lineno}, "
                 f"column {col + 1}")
         if dim is None:
-            dim = arr.size
-        elif arr.size != dim:
+            dim = len(codes)
+        elif len(codes) != dim:
             raise FormatError(
-                f"{path}: line {lineno} has length {arr.size}, expected {dim}")
-        rows.append(arr)
-    if not rows:
+                f"{path}: line {lineno} has length {len(codes)}, expected {dim}")
+        records.setdefault(codes)
+    if not records:
         raise FormatError(f"{path}: no records found")
-    return Dataset.from_strings(rows, deduplicate=True)
+    values = np.frombuffer(bytearray(b"".join(records)), dtype=np.uint8)
+    return Dataset(DatasetKind.ALIGNED_STRINGS, values.reshape(len(records), dim))
 
 
 def synth_manifold(n: int, embed_dim: int, intrinsic_dim: int, noise: float,
@@ -264,8 +261,9 @@ def synth_manifold(n: int, embed_dim: int, intrinsic_dim: int, noise: float,
         raise ValueError(f"need n >= 2, got {n}")
     if noise < 0 or not math.isfinite(noise):
         raise ValueError(f"noise must be finite and nonnegative, got {noise}")
-    if density_power <= 0:
-        raise ValueError(f"density_power must be positive, got {density_power}")
+    if not (density_power > 0 and math.isfinite(density_power)):
+        raise ValueError(f"density_power must be finite and positive, "
+                         f"got {density_power}")
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((embed_dim, intrinsic_dim)))
     coords = rng.random((n, intrinsic_dim)) ** density_power * 100.0

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ class SearchReport:
     comparisons: int
     leaves_visited: int
     fraction_searched: float
-    wall_time: float
 
     def hit_indices(self) -> set[int]:
         return {i for i, _ in self.hits}
@@ -119,7 +117,6 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     hit_dist: list[np.ndarray] = []
     leaves_visited = 0
     points_scanned = 0
-    started = time.perf_counter()
 
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
     # close to that of attribute access
@@ -162,8 +159,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
         hits = []
     return SearchReport(hits=hits, comparisons=counter.count,
                         leaves_visited=leaves_visited,
-                        fraction_searched=points_scanned / dataset.n,
-                        wall_time=time.perf_counter() - started)
+                        fraction_searched=points_scanned / dataset.n)
 
 
 def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchReport:
@@ -172,13 +168,11 @@ def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchRep
     _check_radius(r)
     query = dataset.coerce_point(q)
     counter = ComparisonCounter()
-    started = time.perf_counter()
     dists = distances_to(dataset.values, query, metric, counter)
     within = dists <= r
     hits = _sorted_hits(np.flatnonzero(within), dists[within])
     return SearchReport(hits=hits, comparisons=counter.count, leaves_visited=0,
-                        fraction_searched=1.0,
-                        wall_time=time.perf_counter() - started)
+                        fraction_searched=1.0)
 
 
 def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:

@@ -71,7 +71,8 @@ TREE_VERSION = 2
 # node count, point count
 _TREE_HEADER = struct.Struct("<9sBBQQQ32sQQ")
 _U32 = struct.Struct("<I")
-# columns in stream order: one entry per node, then one per point
+# the columns in stream order, for writer and parser alike: one entry per
+# node (``flags`` is 1 where ``size > 1``), then one per point
 _COLUMNS = (("flags", "u1"), ("center", "<u8"), ("radius", "<f8"),
             ("lfd", "<f8"), ("cardinality", "<u8"), ("order", "<u8"))
 
@@ -139,11 +140,6 @@ class ClusterTree:
         leaves tile ``order``)."""
         leaves = np.flatnonzero(self.size == 1)
         return leaves, np.concatenate(([0], np.cumsum(self.cardinality[leaves])))
-
-    def leaf_members(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Pre-order leaf node indices and each leaf's slice of ``order``."""
-        leaves, offsets = self.leaf_offsets()
-        return leaves, np.split(self.order, offsets[1:-1])
 
     def depths(self) -> np.ndarray:
         """Depth of every node; the root is at depth 0. A node's depth is
@@ -215,7 +211,10 @@ def _sample_size(m: int) -> int:
 def _paired_pass(values: np.ndarray, rows: np.ndarray, queries: np.ndarray,
                  metric: MetricKind, counter: ComparisonCounter) -> np.ndarray:
     """``d(values[rows[k]], values[queries[k]])`` for every ``k``, one
-    paired kernel call per block of rows.
+    paired kernel call per block of rows. A block whose rows all share
+    one query (most partition blocks near the root) passes it as a single
+    1-D row instead: nothing is gathered for it, and the Levenshtein
+    kernel builds its match masks once instead of once per row.
 
     Each temporary of one call (gathered rows, gathered queries, their
     differences) stays near ``_BLOCK_BYTES``, in cache and below glibc's
@@ -228,8 +227,10 @@ def _paired_pass(values: np.ndarray, rows: np.ndarray, queries: np.ndarray,
     block = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[1]))
     out = np.empty(rows.size)
     for a in range(0, rows.size, block):
+        q = queries[a:a + block]
+        shared = (q == q[0]).all()
         out[a:a + block] = distances_to(values[rows[a:a + block]],
-                                        values[queries[a:a + block]], metric, counter)
+                                        values[q[0] if shared else q], metric, counter)
     return out
 
 
@@ -521,24 +522,20 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
 
 
 def tree_to_bytes(tree: ClusterTree) -> bytes:
-    """Serialize to the CHESSTREE v2 wire format: header, one column per
-    node field, ``order``, CRC32."""
-    body = b"".join([
-        _TREE_HEADER.pack(TREE_MAGIC, TREE_VERSION, tree.metric.wire_id,
-                          tree.config.max_depth, tree.config.min_size,
-                          tree.config.seed, tree.dataset_hash,
-                          tree.size.size, tree.order.size),
-        (tree.size > 1).astype("u1").tobytes(),
-        tree.center.astype("<u8").tobytes(),
-        tree.radius.astype("<f8").tobytes(),
-        tree.lfd.astype("<f8").tobytes(),
-        tree.cardinality.astype("<u8").tobytes(),
-        tree.order.astype("<u8").tobytes(),
-    ])
+    """Serialize to the CHESSTREE v2 wire format: header, the columns of
+    ``_COLUMNS`` in order, CRC32."""
+    header = _TREE_HEADER.pack(TREE_MAGIC, TREE_VERSION, tree.metric.wire_id,
+                               tree.config.max_depth, tree.config.min_size,
+                               tree.config.seed, tree.dataset_hash,
+                               tree.size.size, tree.order.size)
+    flags = tree.size > 1
+    columns = [(flags if name == "flags" else getattr(tree, name)).astype(wire)
+               for name, wire in _COLUMNS]
+    body = b"".join([header, *(column.tobytes() for column in columns)])
     return body + _U32.pack(zlib.crc32(body))
 
 
-def tree_from_bytes(raw: bytes, offset: int = 0) -> tuple[ClusterTree, int]:
+def tree_from_bytes(raw: bytes) -> tuple[ClusterTree, int]:
     """Parse a CHESSTREE byte stream; returns the tree and the end offset.
 
     Checks the checksum and the tree's structure; any fault raises
@@ -546,26 +543,26 @@ def tree_from_bytes(raw: bytes, offset: int = 0) -> tuple[ClusterTree, int]:
     yet bound to a dataset: callers are responsible for checking
     ``dataset_hash`` (see :func:`deserialize`).
     """
-    if len(raw) - offset < _TREE_HEADER.size:
+    if len(raw) < _TREE_HEADER.size:
         raise FormatError(f"truncated tree header at byte offset {len(raw)}")
     magic, version, metric_id, max_depth, min_size, seed, digest, nodes, points = \
-        _TREE_HEADER.unpack_from(raw, offset)
+        _TREE_HEADER.unpack_from(raw)
     if magic != TREE_MAGIC:
-        raise FormatError(f"bad tree magic at byte offset {offset}")
+        raise FormatError("bad tree magic at byte offset 0")
     if version != TREE_VERSION:
         raise FormatError(f"unsupported tree version {version} at byte offset "
-                          f"{offset + len(TREE_MAGIC)}")
+                          f"{len(TREE_MAGIC)}")
     try:
         metric = MetricKind.from_wire_id(metric_id)
         config = BuildConfig(max_depth=max_depth, min_size=min_size, seed=seed)
     except ValueError as exc:
-        raise FormatError(f"{exc} in tree header at byte offset {offset}") from None
-    pos = offset + _TREE_HEADER.size
+        raise FormatError(f"{exc} in tree header at byte offset 0") from None
+    pos = _TREE_HEADER.size
     counts = {name: points if name == "order" else nodes for name, _ in _COLUMNS}
     end = pos + sum(np.dtype(wire).itemsize * counts[name] for name, wire in _COLUMNS)
     if len(raw) < end + _U32.size:
         raise FormatError(f"truncated tree at byte offset {len(raw)}")
-    if zlib.crc32(memoryview(raw)[offset:end]) != _U32.unpack_from(raw, end)[0]:
+    if zlib.crc32(memoryview(raw)[:end]) != _U32.unpack_from(raw, end)[0]:
         raise FormatError(f"tree checksum mismatch at byte offset {end}")
 
     columns: dict[str, np.ndarray] = {}

@@ -1,11 +1,13 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
 from chess_search import (BuildConfig, MetricKind, build, hold_out,
-                          rows_from_csv, rows_to_csv, run_benchmark,
-                          synth_manifold, verify_exactness)
+                          rows_to_csv, run_benchmark, synth_manifold,
+                          verify_exactness)
 
 E = MetricKind.EUCLIDEAN
 
@@ -64,11 +66,20 @@ def test_rows_roundtrip_csv(bench_dataset):
     rows = run_benchmark(bench_dataset, E, radii=[0.25, 2.5], depths=[3, 9],
                          num_queries=10, seed=7)
     text = rows_to_csv(rows)
-    parsed = rows_from_csv(text)
+    header, *parsed = csv.reader(io.StringIO(text))
+    assert ",".join(header) == (
+        "depth,radius,metric,comparisons_mean,comparisons_std,"
+        "time_mean_s,time_std_s,fraction_mean,fraction_std,"
+        "speedup_mean,output_mean,output_std,false_pos,false_neg")
     assert len(parsed) == 4
-    for a, b in zip(rows, parsed):
-        for f in dataclasses.fields(a):
-            assert getattr(a, f.name) == getattr(b, f.name)
+    for row, cells in zip(rows, parsed):
+        assert len(cells) == len(header)
+        for name, cell in zip(header, cells):
+            value = getattr(row, name)
+            if isinstance(value, float):
+                assert float(cell).hex() == value.hex()  # every bit, -0.0 too
+            else:
+                assert cell == str(value)
 
 
 def test_identical_seeds_reproduce_everything_but_time(bench_dataset):

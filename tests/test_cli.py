@@ -126,6 +126,20 @@ def test_non_finite_radius_is_usage_error(dense_file, tmp_path, capsys, radius):
     assert "must be finite and nonnegative" in err
 
 
+@pytest.mark.parametrize("power", ["inf", "nan", "0"])
+def test_bad_density_power_is_runtime_error(tmp_path, capsys, power):
+    out = tmp_path / "s.vec"
+    # inf used to write an all-zero dataset and exit 0
+    code, stdout, err = run(capsys, "synth", "--n", "50", "--embed", "3",
+                            "--intrinsic", "1", "--density-power", power,
+                            "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "density_power" in err
+    assert not out.exists()
+
+
 def test_naive_flag_output_is_byte_identical(dense_file, tmp_path, capsys):
     tree_path = tmp_path / "t.tree"
     run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from chess_search import (BuildConfig, ChessError, Dataset, DatasetKind,
                           FormatError, MetricKind, Quantizer, build,
-                          compress_tree, decode_leaf, decompress, encode_leaf,
-                          naive_search, quantize, save_dense, synth_manifold)
+                          compress_tree, decompress, naive_search, save_dense,
+                          synth_manifold)
 from chess_search import compress
 from chess_search.compress import (_BLOCK_HEADER, DEFAULT_QUANTUM, _batches,
                                    _decode_strings, _decode_varints,
                                    _dense_blocks, _encode_varints, _read_varint,
-                                   _strings_body)
+                                   _strings_body, decode_leaf, encode_leaf,
+                                   quantize)
 from chess_search.data import _VEC_HEADER
 from chess_search.tree import tree_from_bytes, tree_to_bytes
 

@@ -81,6 +81,10 @@ def test_sequences_duplicates_removed(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("ACGT\nACGT\n")
     assert load_sequences(path).n == 1
+    # the first occurrence keeps its place
+    path.write_text("ACGT\nAC-T\nACGT\nGGGG\n")
+    ds = load_sequences(path)
+    assert [ds.string(i) for i in range(ds.n)] == ["ACGT", "AC-T", "GGGG"]
 
 
 def test_sequences_basic(tmp_path):
@@ -143,6 +147,9 @@ def test_synth_parameter_validation():
         synth_manifold(1, 5, 1, 0.0, seed=0)
     with pytest.raises(ValueError):
         synth_manifold(10, 5, 1, -0.1, seed=0)
+    for power in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="density_power"):
+            synth_manifold(10, 5, 1, 0.0, seed=0, density_power=power)
 
 
 def test_content_hash_matches_file_bytes(tmp_path):

@@ -121,8 +121,8 @@ def test_leaves_partition_all_points():
     tree = build(ds, E, BuildConfig(max_depth=10, min_size=1, seed=0))
     gathered = sorted(node_members(tree, 0).tolist())
     assert gathered == list(range(8))
-    _, leaf_members = tree.leaf_members()
-    leaf_sets = [set(m.tolist()) for m in leaf_members]
+    _, offsets = tree.leaf_offsets()
+    leaf_sets = [set(tree.order[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
     assert sum(len(s) for s in leaf_sets) == 8
 
 
