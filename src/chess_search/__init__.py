@@ -9,8 +9,7 @@ search, cluster-geometry diagnostics (radii, fractal-dimension
 profiles), quantized delta compression, and live insertion.
 """
 
-from .bench import (BenchmarkRow, hold_out, rows_to_csv, run_benchmark,
-                    verify_exactness)
+from .bench import BenchmarkRow, hold_out, rows_to_csv, run_benchmark
 from .compress import DEFAULT_QUANTUM, Quantizer, compress_tree, decompress
 from .data import (Dataset, DatasetKind, load_dense, load_sequences, save_dense,
                    synth_manifold)
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkRow", "hold_out", "rows_to_csv", "run_benchmark",
-    "verify_exactness",
     "DEFAULT_QUANTUM", "Quantizer", "compress_tree", "decompress",
     "Dataset", "DatasetKind", "load_dense", "load_sequences", "save_dense",
     "synth_manifold",

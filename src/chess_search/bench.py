@@ -1,4 +1,4 @@
-"""Benchmark harness: held-out queries, per-depth sweeps, exactness audits.
+"""Benchmark harness: held-out queries and per-depth sweeps.
 
 The protocol holds out a seeded random sample of points as queries,
 builds one tree per requested depth on the remainder, and runs both the
@@ -26,7 +26,6 @@ from .tree import BuildConfig, ClusterTree, build
 __all__ = [
     "BenchmarkRow",
     "run_benchmark",
-    "verify_exactness",
     "hold_out",
     "rows_to_csv",
 ]
@@ -120,27 +119,6 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
                 output_std=float(outputs.std()),
                 false_pos=false_pos, false_neg=false_neg))
     return rows
-
-
-def verify_exactness(tree: ClusterTree, dataset: Dataset, queries, radii,
-                     ) -> tuple[int, int, float]:
-    """Count hit-set differences between the pruned search and the naive
-    scan over all (query, radius) cells.
-
-    Returns (false positives, false negatives, false-negative rate); the
-    rate is false negatives over total naive hits, zero when there are
-    no hits at all.
-    """
-    false_pos = false_neg = total_hits = 0
-    for q in queries:
-        for r in radii:
-            got = rho_search(tree, q, float(r), dataset).hit_indices()
-            want = naive_search(dataset, q, float(r), tree.metric).hit_indices()
-            false_pos += len(got - want)
-            false_neg += len(want - got)
-            total_hits += len(want)
-    rate = false_neg / total_hits if total_hits else 0.0
-    return false_pos, false_neg, rate
 
 
 def rows_to_csv(rows: list[BenchmarkRow]) -> str:

@@ -72,17 +72,11 @@ def _emit(text: str, out_path) -> None:
 
 def _read_tree_with_dataset(args) -> tuple:
     dataset = _load_any(args.input)
-    queries = None
-    if args.holdout:
-        from .bench import hold_out
-        dataset, queries = hold_out(dataset, args.holdout, args.seed)
     tree = deserialize(args.tree, dataset)
-    if queries is None:
-        qs = _load_any(args.queries)
-        if qs.kind is not dataset.kind:
-            raise UsageError("query file kind does not match the dataset")
-        queries = qs.values
-    return tree, dataset, queries
+    queries = _load_any(args.queries)
+    if queries.kind is not dataset.kind:
+        raise UsageError("query file kind does not match the dataset")
+    return tree, dataset, queries.values
 
 
 def _hits_csv(per_query_hits) -> str:
@@ -151,14 +145,7 @@ def cmd_bench(args) -> int:
 
 def cmd_compress(args) -> int:
     dataset = _load_any(args.input)
-    if args.tree:
-        tree = deserialize(args.tree, dataset)
-    else:
-        if not args.metric:
-            raise UsageError("--metric is required when no --tree is given")
-        tree = build(dataset, MetricKind.from_name(args.metric),
-                     BuildConfig(max_depth=args.max_depth,
-                                 min_size=args.min_size, seed=args.seed))
+    tree = deserialize(args.tree, dataset)
     compress_tree(tree, dataset, Quantizer(args.quantum), args.out)
     raw = Path(args.input).stat().st_size
     archived = Path(args.out).stat().st_size
@@ -206,12 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hierarchical entropy-scaling metric-space search")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_query_source(p):
-        p.add_argument("--queries", help="CHESSVEC or sequence file of query points")
-        p.add_argument("--holdout", type=_positive_int, default=0,
-                       help="hold N seeded queries out of the input instead")
-        p.add_argument("--seed", type=int, default=0)
-
     p = sub.add_parser("build", help="cluster a dataset and write a tree file")
     p.add_argument("--input", required=True)
     p.add_argument("--metric", required=True)
@@ -228,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--naive", action="store_true",
                    help="run the linear-scan oracle instead of the tree")
     p.add_argument("--out")
-    add_query_source(p)
+    p.add_argument("--queries", required=True,
+                   help="CHESSVEC or sequence file of query points")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("knn", help="k-nearest-neighbor search against a tree")
@@ -236,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--out")
-    add_query_source(p)
+    p.add_argument("--queries", required=True,
+                   help="CHESSVEC or sequence file of query points")
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser("bench", help="held-out query benchmark, CSV report")
@@ -253,12 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="delta-compress a dataset into an archive")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tree", help="existing tree file (otherwise one is built)")
-    p.add_argument("--metric")
+    p.add_argument("--tree", required=True, help="tree file built over --input")
     p.add_argument("--quantum", type=float, default=Quantizer().quantum)
-    p.add_argument("--max-depth", type=_positive_int, default=50)
-    p.add_argument("--min-size", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="rebuild the dataset from an archive")
@@ -293,9 +272,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "queries", None) is None and hasattr(args, "holdout") \
-                and not args.holdout:
-            raise UsageError("provide --queries FILE or --holdout N")
         return args.func(args)
     except UsageError as exc:
         _eprint(f"usage error: {exc}")

@@ -45,7 +45,7 @@ class DatasetKind(enum.Enum):
 
 @dataclass
 class Dataset:
-    """An ordered, fixed-shape point collection.
+    """An ordered, fixed-shape point collection; dense values must be finite.
 
     Immutable under normal use; :meth:`append_point` exists only to
     support live insertion into an already-built tree and must not run
@@ -62,7 +62,7 @@ class Dataset:
 
     kind: DatasetKind
     values: np.ndarray  # (n, dim); float64 for vectors, uint8 for strings
-    _hash: bytes | None = field(default=None, repr=False)
+    _hash: bytes | None = field(default=None, init=False, repr=False)
     # the buffer ``values`` views after an append; None until then
     _buffer: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -72,6 +72,8 @@ class Dataset:
         n, dim = self.values.shape
         if n < 1 or dim < 1:
             raise DimensionError(f"dataset must have n >= 1 and dim >= 1, got {n}x{dim}")
+        if self.kind is DatasetKind.DENSE_VECTORS and not np.isfinite(self.values).all():
+            raise DimensionError("dense values must be finite")
 
     def __eq__(self, other: object) -> bool:
         """Same kind and same values; the cached hash and spare buffer
@@ -149,10 +151,6 @@ class Dataset:
     @classmethod
     def from_vectors(cls, array) -> "Dataset":
         arr = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise DimensionError("dense values must be finite")
         return cls(DatasetKind.DENSE_VECTORS, arr)
 
     @classmethod

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chess_search import (BuildConfig, MetricKind, build, hold_out,
-                          rows_to_csv, run_benchmark, synth_manifold,
-                          verify_exactness)
+                          naive_search, rho_search, rows_to_csv, run_benchmark,
+                          synth_manifold)
 
 E = MetricKind.EUCLIDEAN
 
@@ -52,14 +52,20 @@ def test_speedup_grows_with_depth(bench_dataset):
 def test_exactness_zero_for_metric_distances(bench_dataset, corpus_b):
     held_in, queries = hold_out(bench_dataset, 20, seed=5)
     tree = build(held_in, E, BuildConfig(max_depth=20, min_size=8, seed=1))
-    assert verify_exactness(tree, held_in, queries, [0.1, 1.0, 5.0]) == (0, 0, 0.0)
+    for q in queries:
+        for r in (0.1, 1.0, 5.0):
+            assert rho_search(tree, q, r, held_in).hits == \
+                naive_search(held_in, q, r, E).hits
 
     from chess_search import Dataset, DatasetKind
     small_b = Dataset(DatasetKind.ALIGNED_STRINGS, corpus_b.values[:600].copy())
     held_in_b, queries_b = hold_out(small_b, 20, seed=6)
     tree_b = build(held_in_b, MetricKind.HAMMING,
                    BuildConfig(max_depth=20, min_size=8, seed=1))
-    assert verify_exactness(tree_b, held_in_b, queries_b, [0.5, 5.0]) == (0, 0, 0.0)
+    for q in queries_b:
+        for r in (0.5, 5.0):
+            assert rho_search(tree_b, q, r, held_in_b).hits == \
+                naive_search(held_in_b, q, r, MetricKind.HAMMING).hits
 
 
 def test_rows_roundtrip_csv(bench_dataset):

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -115,8 +118,8 @@ def test_non_finite_radius_is_usage_error(dense_file, tmp_path, capsys, radius):
     # the linear scan used to answer nan with an empty hit list
     for naive in ([], ["--naive"]):
         code, out, err = run(capsys, "search", "--tree", str(tree_path),
-                             "--input", str(dense_file), "--holdout", "5",
-                             "--radius", radius, *naive)
+                             "--input", str(dense_file), "--queries",
+                             str(dense_file), "--radius", radius, *naive)
         assert code == 2
         assert out == ""
         assert "must be finite and nonnegative" in err
@@ -156,21 +159,6 @@ def test_naive_flag_output_is_byte_identical(dense_file, tmp_path, capsys):
     assert len(out_tree.strip().split("\n")) > 1
 
 
-def test_search_with_holdout_queries(dense_file, tmp_path, capsys):
-    # tree must be built over the post-holdout remainder for hashes to match
-    from chess_search import BuildConfig, MetricKind, build, hold_out, serialize
-    ds = load_dense(dense_file)
-    held_in, _ = hold_out(ds, 10, seed=4)
-    tree_path = tmp_path / "t.tree"
-    serialize(build(held_in, MetricKind.EUCLIDEAN, BuildConfig(seed=1)),
-              tree_path)
-    code, out, _ = run(capsys, "search", "--tree", str(tree_path),
-                       "--input", str(dense_file), "--holdout", "10",
-                       "--seed", "4", "--radius", "1.0")
-    assert code == 0
-    assert out.startswith("query_id,point_index,distance")
-
-
 def test_dataset_hash_mismatch_exits_one(dense_file, tmp_path, capsys):
     tree_path = tmp_path / "t.tree"
     run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
@@ -190,10 +178,20 @@ def test_missing_query_source_is_usage_error(dense_file, tmp_path, capsys):
     tree_path = tmp_path / "t.tree"
     run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
         "--out", str(tree_path))
-    code, _, err = run(capsys, "search", "--tree", str(tree_path),
-                       "--input", str(dense_file), "--radius", "1.0")
-    assert code == 2
-    assert "usage error" in err
+    for sub in (["search", "--radius", "1.0"], ["knn", "--k", "1"]):
+        out_file = tmp_path / "hits.csv"
+        code, _, err = run(capsys, *sub, "--tree", str(tree_path),
+                           "--input", str(dense_file), "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("usage: chess")
+        assert "--queries" in err
+        assert not out_file.exists()
+        # the removed held-out query source is an unknown flag
+        code, _, err = run(capsys, *sub, "--tree", str(tree_path),
+                           "--input", str(dense_file), "--queries",
+                           str(dense_file), "--holdout", "5")
+        assert code == 2
+        assert "unrecognized arguments: --holdout 5" in err
 
 
 def test_knn_one_row_per_query(dense_file, tmp_path, capsys):
@@ -231,11 +229,15 @@ def test_bench_csv_deterministic(dense_file, capsys):
 
 def test_compress_decompress_sequences_diff_identical(fasta_file, tmp_path,
                                                       capsys):
+    tree_path = tmp_path / "seqs.tree"
     archive = tmp_path / "seqs.chess"
     out_file = tmp_path / "restored.txt"
-    code, _, _ = run(capsys, "compress", "--input", str(fasta_file),
-                     "--metric", "hamming", "--out", str(archive),
+    code, _, _ = run(capsys, "build", "--input", str(fasta_file),
+                     "--metric", "hamming", "--out", str(tree_path),
                      "--max-depth", "15", "--min-size", "5")
+    assert code == 0
+    code, _, _ = run(capsys, "compress", "--input", str(fasta_file),
+                     "--tree", str(tree_path), "--out", str(archive))
     assert code == 0
     code, _, _ = run(capsys, "decompress", "--input", str(archive),
                      "--out", str(out_file))
@@ -244,10 +246,14 @@ def test_compress_decompress_sequences_diff_identical(fasta_file, tmp_path,
 
 
 def test_compress_dense_roundtrip_via_cli(dense_file, tmp_path, capsys):
+    tree_path = tmp_path / "d.tree"
     archive = tmp_path / "d.chess"
     restored = tmp_path / "restored.vec"
+    code, _, _ = run(capsys, "build", "--input", str(dense_file),
+                     "--metric", "euclidean", "--out", str(tree_path))
+    assert code == 0
     code, _, err = run(capsys, "compress", "--input", str(dense_file),
-                       "--out", str(archive), "--metric", "euclidean")
+                       "--tree", str(tree_path), "--out", str(archive))
     assert code == 0
     assert "ratio=" in err
     code, _, _ = run(capsys, "decompress", "--input", str(archive),
@@ -260,10 +266,35 @@ def test_compress_dense_roundtrip_via_cli(dense_file, tmp_path, capsys):
 
 def test_compress_without_metric_or_tree_is_usage_error(dense_file, tmp_path,
                                                         capsys):
+    archive = tmp_path / "x.chess"
     code, _, err = run(capsys, "compress", "--input", str(dense_file),
-                       "--out", str(tmp_path / "x.chess"))
+                       "--out", str(archive))
     assert code == 2
-    assert "usage error" in err
+    assert err.startswith("usage: chess")
+    assert "--tree" in err
+    assert not archive.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``chess`` lines of README's "Command line" block, continuations
+    joined, as argument lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("chess ")]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    # every subcommand is documented by a line that runs
+    assert {argv[0] for argv in commands} == {
+        "build", "search", "knn", "bench", "compress", "decompress", "info",
+        "synth"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_module_entry_point():

@@ -71,6 +71,28 @@ def test_empty_dataset_rejected():
         Dataset.from_strings([])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite_dense_values(bad):
+    # NaN used to end a build in a bare ZeroDivisionError, and inf in a
+    # tree whose root radius its own file format refuses
+    values = synth_manifold(20, 3, 1, 0.1, seed=1).values.copy()
+    values[7, 1] = bad
+    for make in (lambda: Dataset(DatasetKind.DENSE_VECTORS, values),
+                 lambda: Dataset.from_vectors(values)):
+        with pytest.raises(DimensionError, match="dense values must be finite"):
+            make()
+
+
+def test_constructor_takes_no_hash():
+    # a planted digest let a tree built over other data search this one
+    a = synth_manifold(20, 3, 1, 0.1, seed=1)
+    b = synth_manifold(20, 3, 1, 0.1, seed=2)
+    with pytest.raises(TypeError):
+        Dataset(DatasetKind.DENSE_VECTORS, b.values, a.content_hash())
+    assert Dataset(DatasetKind.DENSE_VECTORS, b.values).content_hash() == \
+        b.content_hash()
+
+
 def test_save_dense_rejects_strings(tmp_path):
     ds = Dataset.from_strings(["ACGT"])
     with pytest.raises(DimensionError):
