@@ -3,7 +3,7 @@
 Every leaf stores its members as differences from the leaf center:
 dense vectors as per-coordinate integer deltas on a fixed quantization
 grid (zigzag + LEB128 varint coded), strings as (position, character)
-edit lists whose length is bounded by the leaf radius. Dense decoding
+substitution lists, which a Hamming leaf radius bounds. Dense decoding
 lands every value on the quantization grid, so a first roundtrip is
 lossy by at most half a quantum per coordinate and every subsequent
 roundtrip is the identity.
@@ -41,6 +41,7 @@ import numpy as np
 from .data import (VEC_MAGIC, VEC_VERSION, Dataset, DatasetKind, _dense_bytes,
                    _VEC_HEADER)
 from .errors import ChessError, FormatError
+from .metrics import MetricKind
 from .tree import ClusterTree, tree_from_bytes, tree_to_bytes
 
 __all__ = [
@@ -268,8 +269,8 @@ def _batches(offsets: np.ndarray, dim: int) -> list[tuple[int, int]]:
 
 def _strings_body(dataset: Dataset, center: int, members: np.ndarray,
                   radius: float) -> bytes:
-    """Edit lists of a leaf's string members against its center, which the
-    leaf radius bounds when the tree's distance is Hamming."""
+    """Edit lists of a leaf's string members against its center, each at
+    most ``radius`` long: a Hamming tree's leaf radius, else ``inf``."""
     center_row = dataset.values[center]
     parts = []
     for idx in members.tolist():
@@ -368,9 +369,11 @@ def compress_tree(tree: ClusterTree, dataset: Dataset, quantizer: Quantizer,
         center_section = (_STR_SECTION.pack(leaves.size, dataset.dim)
                           + center_rows.tobytes())
         members = np.split(tree.order, offsets[1:-1])
+        # edit lists count substitutions, which only a Hamming radius bounds
+        radii = (tree.radius[leaves] if tree.metric is MetricKind.HAMMING
+                 else np.full(leaves.size, math.inf))
         blocks = (encode_leaf(dataset.kind, c, m.size, _strings_body(dataset, c, m, r))
-                  for c, m, r in zip(centers.tolist(), members,
-                                     tree.radius[leaves].tolist()))
+                  for c, m, r in zip(centers.tolist(), members, radii.tolist()))
     section = _F64.pack(quantizer.quantum) + center_section
     chunks = [tree_to_bytes(tree), section, _U32.pack(zlib.crc32(section))]
     chunks.extend(blocks)

@@ -5,11 +5,11 @@ testing each child center against the query and applying three rules:
 a child the query ball of radius r cannot intersect (center farther
 than ``r + radius[child]``, up to the rounding of a floating-point
 distance) is pruned; a child the ball wholly contains
-(``d + radius[child] <= r``) has every leaf of its subtree scanned
-without testing any center below it; any other child is descended into.
-Reached leaves are scanned exhaustively as their slices of the tree's
-member permutation. When the distance obeys the triangle inequality
-this returns exactly the naive linear-scan result; false positives are
+(``d + radius[child] <= r``) is scanned without testing any center
+below it; any other child is descended into. Contained clusters and
+reached leaves are scanned exhaustively, each as its one slice of the
+tree's member permutation. When the distance obeys the triangle
+inequality this returns exactly the naive linear-scan result; false positives are
 impossible for any distance because every hit is an explicit pairwise
 comparison against r.
 
@@ -37,7 +37,9 @@ __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_searc
 
 @dataclass
 class SearchReport:
-    """Hits plus instrumentation for one range query."""
+    """Hits plus instrumentation for one range query. ``leaves_visited``
+    counts the slices of ``order`` scanned, one kernel call each: leaves
+    reached and clusters the ball contains (the benchmark reads the name)."""
 
     hits: list[tuple[int, float]]  # (point index, distance), sorted by distance
     comparisons: int
@@ -89,8 +91,8 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
 
     - if ``d + radius[child] <= r`` the ball holds the whole cluster, so
       under the triangle inequality every descendant would pass its own
-      test: the leaves of the child's subtree are scanned and no center
-      below the child is tested;
+      test: the child's slice of ``order`` is scanned whole and no
+      center below the child is tested;
     - else if ``d <= r + radius[child]`` the child is explored;
     - else it is pruned.
 
@@ -99,12 +101,13 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     beyond it; the pruning test therefore allows a relative slack that
     bounds the kernel's rounding, ``4 (dim + 2)`` units of 2**-52.
     Hamming and Levenshtein distances are exact integers and get none.
-    The containment test needs no slack: a leaf's points still each
-    pass ``<= r`` on their own, and under a distance that breaks the
-    triangle inequality (cosine) it can only add scanned leaves.
-    Comparisons count the center tests actually made plus the points
-    scanned, one kernel call per test and one per leaf. A dataset with
-    fewer points than the tree covers is a :class:`DimensionError`.
+    The containment test needs no slack: a contained cluster's points
+    still each pass ``<= r`` on their own, and under a distance that
+    breaks the triangle inequality (cosine) it can only add scanned
+    points. Comparisons count the center tests actually made plus the
+    points scanned, one kernel call per test and one per scanned slice.
+    A dataset with fewer points than the tree covers is a
+    :class:`DimensionError`.
     """
     _check_radius(r)
     _check_covered(tree, dataset)
@@ -115,20 +118,19 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     counter = ComparisonCounter()
     hit_idx: list[np.ndarray] = []
     hit_dist: list[np.ndarray] = []
-    leaves_visited = 0
+    slices_scanned = 0
     points_scanned = 0
 
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
     # close to that of attribute access
     center, radius, size = tree.center.item, tree.radius.item, tree.size.item
     card, order = tree.cardinality.item, tree.order
-    sizes, cards = tree.size, tree.cardinality
-    stack = [(0, 0)]  # (node, offset of its slice of order)
+    stack = [(0, 0, False)]  # (node, offset of its slice of order, contained)
     while stack:
-        node, off = stack.pop()
-        if size(node) == 1:
+        node, off, contained = stack.pop()
+        if contained or size(node) == 1:
             members = order[off:off + card(node)]
-            leaves_visited += 1
+            slices_scanned += 1
             points_scanned += members.size
             dists = distances_to(values[members], query, metric, counter)
             within = dists <= r
@@ -141,24 +143,15 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
             c = center(child)
             d_center = float(distances_to(values[c:c + 1], query, metric, counter)[0])
             rad = radius(child)
-            if d_center + rad <= r and size(child) > 1:
-                # contained (a contained leaf takes the plain branch): push
-                # the subtree's leaves, whose slices of order follow one
-                # another from the child's offset
-                subtree = sizes[child:child + size(child)]
-                leaves = child + np.flatnonzero(subtree == 1)
-                leaf_cards = cards[leaves]
-                starts = child_off + np.cumsum(leaf_cards) - leaf_cards
-                stack.extend(zip(leaves.tolist(), starts.tolist()))
-            elif d_center <= (r + rad) * slack:
-                stack.append((child, child_off))
+            if d_center <= (r + rad) * slack:  # explored, or scanned if contained
+                stack.append((child, child_off, d_center + rad <= r))
 
     if hit_idx:
         hits = _sorted_hits(np.concatenate(hit_idx), np.concatenate(hit_dist))
     else:
         hits = []
     return SearchReport(hits=hits, comparisons=counter.count,
-                        leaves_visited=leaves_visited,
+                        leaves_visited=slices_scanned,
                         fraction_searched=points_scanned / dataset.n)
 
 

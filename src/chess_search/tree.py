@@ -634,8 +634,11 @@ def serialize(tree: ClusterTree, path) -> None:
 
 
 def deserialize(path, dataset: Dataset) -> ClusterTree:
-    """Load a CHESSTREE file, refusing trees built over a different dataset."""
-    tree, end = tree_from_bytes(Path(path).read_bytes())
+    """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees."""
+    raw = Path(path).read_bytes()
+    tree, end = tree_from_bytes(raw)
+    if end != len(raw):
+        raise FormatError(f"{path}: trailing bytes after the tree at byte offset {end}")
     if tree.dataset_hash != dataset.content_hash():
         raise FormatError(
             f"{path}: tree was built over a different dataset "

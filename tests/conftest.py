@@ -47,6 +47,24 @@ def synth_aligned_strings(n: int, length: int, n_ancestors: int,
     return Dataset(DatasetKind.ALIGNED_STRINGS, np.vstack(rows))
 
 
+def shifted_strings(n: int, length: int, seed: int) -> Dataset:
+    """Unique aligned strings, each one random base string with one segment
+    rotated by a place: at most 2 Levenshtein edits from the base but up
+    to the segment's length in substitutions."""
+    rng = np.random.default_rng(seed)
+    base = ALPHABET[rng.integers(0, 4, size=length)]
+    seen: set[bytes] = set()
+    rows = []
+    while len(rows) < n:
+        a, b = np.sort(rng.choice(length + 1, size=2, replace=False))
+        row = base.copy()
+        row[a:b] = np.roll(base[a:b], int(rng.choice([-1, 1])))
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            rows.append(row)
+    return Dataset(DatasetKind.ALIGNED_STRINGS, np.vstack(rows))
+
+
 def brute_force_knn(values: np.ndarray, q: np.ndarray, k: int,
                     dists: np.ndarray) -> list[int]:
     """The k nearest row indices, distance ties broken by lower index."""

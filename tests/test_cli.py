@@ -174,6 +174,23 @@ def test_dataset_hash_mismatch_exits_one(dense_file, tmp_path, capsys):
     assert "different dataset" in err
 
 
+def test_tree_with_trailing_bytes_exits_one(dense_file, tmp_path, capsys):
+    tree_path, archive = tmp_path / "t.tree", tmp_path / "a.chess"
+    run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
+        "--out", str(tree_path))
+    run(capsys, "compress", "--input", str(dense_file), "--tree",
+        str(tree_path), "--out", str(archive))
+    end = tree_path.stat().st_size
+    tree_path.write_bytes(tree_path.read_bytes() + b"\0")
+    # an archive starts with the tree's stream, then holds the leaves
+    for sub, path in ((["knn", "--k", "1"], tree_path),
+                      (["search", "--radius", "1.0"], archive)):
+        code, _, err = run(capsys, *sub, "--tree", str(path), "--input",
+                           str(dense_file), "--queries", str(dense_file))
+        assert code == 1
+        assert f"{path}: trailing bytes after the tree at byte offset {end}" in err
+
+
 def test_missing_query_source_is_usage_error(dense_file, tmp_path, capsys):
     tree_path = tmp_path / "t.tree"
     run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",

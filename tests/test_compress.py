@@ -20,7 +20,7 @@ from chess_search.compress import (_BLOCK_HEADER, DEFAULT_QUANTUM, _batches,
 from chess_search.data import _VEC_HEADER
 from chess_search.tree import tree_from_bytes, tree_to_bytes
 
-from conftest import synth_aligned_strings
+from conftest import shifted_strings, synth_aligned_strings
 
 E = MetricKind.EUCLIDEAN
 H = MetricKind.HAMMING
@@ -154,6 +154,22 @@ def test_edit_bound_violation_is_detected():
     # lie about the radius: a member sits at Hamming distance 4
     with pytest.raises(ChessError, match="exceed leaf radius"):
         _strings_body(ds, tree.center[0], tree.order, 1.0)
+
+
+def test_levenshtein_tree_strings_roundtrip_bit_exact(tmp_path):
+    # an edit list holds a member's Hamming distance to its center, which
+    # a Levenshtein leaf radius does not bound: a rotated segment is 2
+    # Levenshtein edits but many substitutions
+    ds = shifted_strings(120, 40, seed=0)
+    tree = build(ds, MetricKind.LEVENSHTEIN, BuildConfig(8, 4, 0))
+    path = tmp_path / "l.chess"
+    compress_tree(tree, ds, Quantizer(), path)
+    assert np.array_equal(decompress(path).values, ds.values)
+    # under a Hamming tree the leaf radius is still the bound
+    tree = build(ds, H, BuildConfig(8, 4, 0))
+    tree.radius[tree.size == 1] = 0.0
+    with pytest.raises(ChessError, match="exceed leaf radius 0.0"):
+        compress_tree(tree, ds, Quantizer(), path)
 
 
 def test_dense_roundtrip_lands_on_grid_and_is_idempotent(tmp_path):

@@ -6,10 +6,11 @@ import pytest
 from chess_search import (BuildConfig, ClusterTree, Dataset, DimensionError,
                           MetricKind, build, insert_point, knn_search,
                           naive_search, rho_search, synth_manifold)
+from chess_search import search
 from chess_search.metrics import distances_to
 from chess_search.tree import tree_from_bytes, tree_to_bytes
 
-from conftest import brute_force_knn, node_members
+from conftest import brute_force_knn, node_members, synth_aligned_strings
 
 E = MetricKind.EUCLIDEAN
 
@@ -42,6 +43,55 @@ def test_ball_covering_everything_returns_all(small_manifold):
     report = rho_search(tree, q, 4 * r, ds)
     assert len(report.hits) == ds.n
     assert report.comparisons == ds.n + 2
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The row count of every kernel call the search module makes."""
+    rows: list[int] = []
+
+    def counted(points, q, kind, counter=None):
+        rows.append(len(points))
+        return distances_to(points, q, kind, counter)
+
+    monkeypatch.setattr(search, "distances_to", counted)
+    return rows
+
+
+def test_contained_cluster_is_one_kernel_call(small_manifold, kernel_calls):
+    # both root children lie inside the ball: two center tests, then each
+    # child's slice of order in one call
+    ds, tree = small_manifold
+    q = ds.values[5]
+    report = rho_search(tree, q, 2 * tree.radius[0], ds)
+    assert len(kernel_calls) == 4
+    assert report.leaves_visited == 2
+    assert report.comparisons == ds.n + 2
+    assert report.hits == naive_search(ds, q, 2 * tree.radius[0], E).hits
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.HAMMING])
+def test_walk_reconciles_kernel_calls(metric, kernel_calls):
+    # the identities the benchmark harness checks on traced range reads:
+    # every kernel call is a center test or a scanned slice, and kernel
+    # rows are comparisons
+    if metric is E:
+        ds = synth_manifold(600, 10, 1, 0.02, seed=13, density_power=2.0)
+    else:
+        ds = synth_aligned_strings(300, 60, 4, 0.05, seed=13)
+    tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
+    top = 4 * tree.radius[0]  # contains both root children for any stored query
+    radii = [0.0, *(top * 2.0 ** -np.arange(12, -1, -1))]
+    for i in (0, 101, 277):
+        for r in radii:
+            kernel_calls.clear()
+            report = rho_search(tree, ds.values[i], r, ds)
+            scanned = round(report.fraction_searched * ds.n)
+            assert len(kernel_calls) - report.leaves_visited + scanned \
+                == report.comparisons
+            assert sum(kernel_calls) == report.comparisons
+            assert report.hits == naive_search(ds, ds.values[i], r, metric).hits
+        assert report.leaves_visited == 2
 
 
 def test_negative_radius_rejected(small_manifold):
