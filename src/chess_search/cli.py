@@ -22,8 +22,8 @@ from .data import (VEC_MAGIC, Dataset, DatasetKind, load_dense, load_sequences,
 from .errors import ChessError
 from .metrics import MetricKind
 from .search import knn_search, naive_search, rho_search
-from .tree import (BuildConfig, build, deserialize, lfd_depth_profile,
-                   metric_entropy, serialize, tree_from_bytes)
+from .tree import (BuildConfig, _read_tree_file, build, deserialize,
+                   lfd_depth_profile, metric_entropy, serialize)
 
 
 class UsageError(Exception):
@@ -165,7 +165,7 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_info(args) -> int:
-    tree, _ = tree_from_bytes(Path(args.tree).read_bytes())
+    tree = _read_tree_file(args.tree)
     _eprint(f"metric={tree.metric.value} n={tree.cardinality[0]} "
             f"depth={tree.depth} leaves={metric_entropy(tree)} "
             f"mean_leaf_radius={tree.mean_leaf_radius()!r} "

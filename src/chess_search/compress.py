@@ -1,28 +1,30 @@
 """Quantized delta compression of leaf clusters.
 
-Every leaf stores its members as differences from the leaf center:
-dense vectors as per-coordinate integer deltas on a fixed quantization
-grid (zigzag + LEB128 varint coded), strings as (position, character)
-substitution lists, which a Hamming leaf radius bounds. Dense decoding
-lands every value on the quantization grid, so a first roundtrip is
-lossy by at most half a quantum per coordinate and every subsequent
-roundtrip is the identity.
-
-The dense codec runs on a batch of consecutive leaves at a time, about
-``2 ** 13`` values (a larger leaf is a batch of its own): one quantize,
-difference, zigzag and varint pass over the batch's slice of the tree's
-``order``, whose bytes are then cut at leaf boundaries; decoding
-reverses the pass over a batch's inflated bodies and writes the batch's
-rows in one assignment. String members are coded one at a time. Either
-way each leaf's body goes through :func:`encode_leaf` on its own, which
-deflates it (RFC 1951) and frames the block: length prefix, kind flag,
-center, member count, body, CRC32. :func:`decode_leaf` checks that
-framing against the tree's leaf and inflates the body. Batching
+Every leaf stores its members as differences from the leaf center on an
+integer grid: a dense value's grid index is its nearest multiple of the
+quantum, a string character's is its byte code. One pass serves both
+kinds. It runs on a batch of consecutive leaves at a time, about
+``2 ** 13`` values (a larger leaf is a batch of its own): grid indices
+of the batch's slice of the tree's ``order``, differences from the
+leaf centers' indices, zigzag, LEB128 varints, then a cut of the bytes
+at leaf boundaries. Each leaf's body goes through :func:`encode_leaf`
+on its own, which deflates it (RFC 1951) and frames the block: length
+prefix, kind flag, center, member count, body, CRC32. Batching
 therefore changes how the bytes are computed, not what they are.
+
+Decoding checks each block's framing against the tree's leaf in
+:func:`decode_leaf`, inflates the bodies and reverses the pass; the
+kind chooses only how grid indices turn back into values. Dense values
+land on the quantization grid, so a first roundtrip is lossy by at most
+half a quantum per coordinate and every later one is the identity.
+Strings decode bit-exactly; a code outside ``A C G T -`` is a
+:class:`FormatError`.
 
 An archive is the tree's CHESSTREE stream, the quantum and the leaf
 centers verbatim under one CRC32, then one delta block per leaf in
-pre-order. Every byte is covered by a checksum.
+pre-order. Every byte is covered by a checksum. Block kind flag 0 is
+dense, 2 is strings; flag 1, the retired per-member edit-list string
+codec, is refused as an unknown kind.
 
 The default quantum is the measurement resolution of magnitude-12.2
 photometry, ``10 ** (-12.2 / 2.5)``.
@@ -40,8 +42,8 @@ import numpy as np
 
 from .data import (VEC_MAGIC, VEC_VERSION, Dataset, DatasetKind, _dense_bytes,
                    _VEC_HEADER)
-from .errors import ChessError, FormatError
-from .metrics import MetricKind
+from .errors import FormatError
+from .metrics import _ALPHABET_CODES
 from .tree import ClusterTree, tree_from_bytes, tree_to_bytes
 
 __all__ = [
@@ -60,10 +62,10 @@ _F64 = struct.Struct("<d")
 _STR_SECTION = struct.Struct("<QQ")
 
 #: block kind flags
-_KINDS = {0: DatasetKind.DENSE_VECTORS, 1: DatasetKind.ALIGNED_STRINGS}
+_KINDS = {0: DatasetKind.DENSE_VECTORS, 2: DatasetKind.ALIGNED_STRINGS}
 _FLAGS = {kind: flag for flag, kind in _KINDS.items()}
 
-#: values per batch of the dense codec; a batch is a run of whole leaves.
+#: values per batch of the codec; a batch is a run of whole leaves.
 #: This bounds the codec's scratch memory: the 64 KiB temporaries of a
 #: 2**13-value batch come from the heap and are reused batch after batch,
 #: where 2**16 values (512 KiB each) would be mapped fresh by allocators
@@ -180,15 +182,6 @@ def _body_fault(body: bytes, count: int) -> FormatError:
     return FormatError(f"trailing bytes in block body at offset {pos}")
 
 
-def _write_varint(value: int) -> bytes:
-    out = bytearray()
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-    return bytes(out)
-
-
 def _read_varint(buf: bytes, start: int) -> tuple[int, int]:
     """The varint at ``start`` and the offset after it."""
     value = 0
@@ -267,85 +260,62 @@ def _batches(offsets: np.ndarray, dim: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _strings_body(dataset: Dataset, center: int, members: np.ndarray,
-                  radius: float) -> bytes:
-    """Edit lists of a leaf's string members against its center, each at
-    most ``radius`` long: a Hamming tree's leaf radius, else ``inf``."""
-    center_row = dataset.values[center]
-    parts = []
-    for idx in members.tolist():
-        row = dataset.values[idx]
-        positions = np.flatnonzero(row != center_row)
-        if positions.size > radius:
-            raise ChessError(
-                f"leaf invariant violated: {positions.size} edits for point "
-                f"{idx} exceed leaf radius {radius}")
-        parts.append(_write_varint(positions.size))
-        for p in positions.tolist():
-            parts.append(_U32.pack(p))
-            parts.append(row[p].tobytes())
-    return b"".join(parts)
+def _grid(values: np.ndarray, kind: DatasetKind, quantum: float) -> np.ndarray:
+    """Integer grid indices of rows: dense values quantized, string codes
+    as they are."""
+    if kind is DatasetKind.DENSE_VECTORS:
+        return quantize(values, quantum)
+    return values.astype(np.int64)
 
 
-def _decode_strings(body: bytes, center_row: np.ndarray, count: int) -> np.ndarray:
-    out = np.tile(center_row, (count, 1))
-    pos = 0
-    for i in range(count):
-        edits, pos = _read_varint(body, pos)
-        for _ in range(edits):
-            if len(body) - pos < _U32.size + 1:
-                raise FormatError(f"truncated edit at byte offset {pos}")
-            (position,) = _U32.unpack_from(body, pos)
-            try:
-                out[i, position] = body[pos + _U32.size]
-            except IndexError:
-                raise FormatError(f"edit position {position} out of range at "
-                                  f"byte offset {pos}") from None
-            pos += _U32.size + 1
-    if pos != len(body):
-        raise FormatError(f"trailing bytes in block body at offset {pos}")
-    return out
-
-
-def _dense_blocks(tree: ClusterTree, dataset: Dataset, quantum: float):
-    """The leaves' blocks, each batch of leaves quantized, differenced and
+def _leaf_blocks(tree: ClusterTree, dataset: Dataset, quantum: float):
+    """The leaves' blocks, each batch of leaves gridded, differenced and
     varint coded in one pass."""
     leaves, offsets = tree.leaf_offsets()
-    centers, dim = tree.center[leaves], dataset.dim
+    centers, dim, kind = tree.center[leaves], dataset.dim, dataset.kind
     for a, b in _batches(offsets, dim):
         counts = np.diff(offsets[a:b + 1])
-        deltas = quantize(dataset.values[tree.order[offsets[a]:offsets[b]]], quantum)
-        deltas -= np.repeat(quantize(dataset.values[centers[a:b]], quantum),
+        deltas = _grid(dataset.values[tree.order[offsets[a]:offsets[b]]], kind, quantum)
+        deltas -= np.repeat(_grid(dataset.values[centers[a:b]], kind, quantum),
                             counts, axis=0)
         buf, ends = _encode_varints(_zigzag(deltas.ravel()))
         cuts = [0, *ends[np.cumsum(counts) * dim - 1].tolist()]
         raw = buf.tobytes()
         for i in range(b - a):
-            yield encode_leaf(dataset.kind, centers[a + i], counts[i],
-                              raw[cuts[i]:cuts[i + 1]])
+            yield encode_leaf(kind, centers[a + i], counts[i], raw[cuts[i]:cuts[i + 1]])
 
 
-def _dense_members(raw: bytes, pos: int, tree: ClusterTree, centers: np.ndarray,
-                   quantum: float) -> tuple[np.ndarray, int]:
+def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
+                  centers: np.ndarray, quantum: float) -> tuple[np.ndarray, int]:
     """Members of every leaf in original point order, from the blocks at
     ``pos``, each batch of leaves varint decoded in one pass; and the
-    offset after the last block."""
+    offset after the last block. A decoded string code outside the
+    alphabet is a :class:`FormatError` naming its block's offset."""
     leaves, offsets = tree.leaf_offsets()
     center_index, dim = tree.center[leaves].tolist(), centers.shape[1]
-    out = np.empty((tree.order.size, dim))
+    out = np.empty((tree.order.size, dim), dtype=centers.dtype)
     for a, b in _batches(offsets, dim):
         counts = np.diff(offsets[a:b + 1])
-        bodies = []
+        starts, bodies = [], []
         for i in range(b - a):
-            body, pos = decode_leaf(raw, pos, DatasetKind.DENSE_VECTORS, a + i,
-                                    center_index[a + i], int(counts[i]))
+            starts.append(pos)
+            body, pos = decode_leaf(raw, pos, kind, a + i, center_index[a + i],
+                                    int(counts[i]))
             bodies.append(body)
-        deltas = _unzigzag(_decode_varints(
+        grid = _unzigzag(_decode_varints(
             np.frombuffer(b"".join(bodies), dtype=np.uint8),
             np.cumsum([len(body) for body in bodies]), counts * dim))
-        deltas = deltas.reshape(-1, dim)
-        deltas += np.repeat(quantize(centers[a:b], quantum), counts, axis=0)
-        out[tree.order[offsets[a]:offsets[b]]] = deltas * quantum
+        grid = grid.reshape(-1, dim)
+        grid += np.repeat(_grid(centers[a:b], kind, quantum), counts, axis=0)
+        if kind is DatasetKind.DENSE_VECTORS:
+            out[tree.order[offsets[a]:offsets[b]]] = grid * quantum
+            continue
+        bad = np.flatnonzero(~np.isin(grid, _ALPHABET_CODES))
+        if bad.size:
+            leaf = int(np.searchsorted(np.cumsum(counts) * dim, bad[0], side="right"))
+            raise FormatError(f"decoded code {grid.flat[bad[0]]} is not in A, C, "
+                              f"G, T, - in the block at byte offset {starts[leaf]}")
+        out[tree.order[offsets[a]:offsets[b]]] = grid
     return out, pos
 
 
@@ -359,24 +329,15 @@ def compress_tree(tree: ClusterTree, dataset: Dataset, quantizer: Quantizer,
     """
     if tree.dataset_hash != dataset.content_hash():
         raise ValueError("tree was not built over this dataset")
-    leaves, offsets = tree.leaf_offsets()
-    centers = tree.center[leaves]
-    center_rows = dataset.values[centers]
+    leaves, _ = tree.leaf_offsets()
+    center_rows = dataset.values[tree.center[leaves]]
     if dataset.kind is DatasetKind.DENSE_VECTORS:
         center_section = _dense_bytes(center_rows)
-        blocks = _dense_blocks(tree, dataset, quantizer.quantum)
     else:
-        center_section = (_STR_SECTION.pack(leaves.size, dataset.dim)
-                          + center_rows.tobytes())
-        members = np.split(tree.order, offsets[1:-1])
-        # edit lists count substitutions, which only a Hamming radius bounds
-        radii = (tree.radius[leaves] if tree.metric is MetricKind.HAMMING
-                 else np.full(leaves.size, math.inf))
-        blocks = (encode_leaf(dataset.kind, c, m.size, _strings_body(dataset, c, m, r))
-                  for c, m, r in zip(centers.tolist(), members, radii.tolist()))
+        center_section = _STR_SECTION.pack(*center_rows.shape) + center_rows.tobytes()
     section = _F64.pack(quantizer.quantum) + center_section
     chunks = [tree_to_bytes(tree), section, _U32.pack(zlib.crc32(section))]
-    chunks.extend(blocks)
+    chunks.extend(_leaf_blocks(tree, dataset, quantizer.quantum))
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -400,13 +361,12 @@ def decompress(path) -> Dataset:
         raise FormatError(f"truncated centers section at byte offset {len(raw)}")
     if zlib.crc32(memoryview(raw)[start:end]) != _U32.unpack_from(raw, end)[0]:
         raise FormatError(f"centers section checksum mismatch at byte offset {end}")
-    leaves, offsets = tree.leaf_offsets()
+    leaves, _ = tree.leaf_offsets()
     if count != leaves.size:
         raise FormatError(f"centers section holds {count} rows for "
                           f"{leaves.size} leaves")
     centers = np.frombuffer(raw, dtype=dtype, count=count * dim,
                             offset=pos).reshape(count, dim)
-    blocks = end + _U32.size
     if dense:
         if not (quantum > 0 and math.isfinite(quantum)):
             raise FormatError(f"quantum {quantum} is not positive and finite "
@@ -419,13 +379,7 @@ def decompress(path) -> Dataset:
                 else "out-of-range"
             raise FormatError(f"{what} center coordinate at byte offset "
                               f"{pos + int(bad[0]) * dtype.itemsize}")
-        out, pos = _dense_members(raw, blocks, tree, centers, quantum)
-    else:
-        out, pos = np.empty((tree.order.size, dim), dtype=np.uint8), blocks
-        for i, c in enumerate(tree.center[leaves].tolist()):
-            m = tree.order[offsets[i]:offsets[i + 1]]
-            body, pos = decode_leaf(raw, pos, kind, i, c, m.size)
-            out[m] = _decode_strings(body, centers[i], m.size)
+    out, pos = _leaf_members(raw, end + _U32.size, tree, kind, centers, quantum)
     if pos != len(raw):
         raise FormatError(f"trailing bytes at offset {pos}")
     return Dataset(kind, out)

@@ -633,12 +633,19 @@ def serialize(tree: ClusterTree, path) -> None:
     Path(path).write_bytes(tree_to_bytes(tree))
 
 
-def deserialize(path, dataset: Dataset) -> ClusterTree:
-    """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees."""
+def _read_tree_file(path) -> ClusterTree:
+    """Parse a CHESSTREE file, refusing bytes after the stream (an archive
+    starts with one)."""
     raw = Path(path).read_bytes()
     tree, end = tree_from_bytes(raw)
     if end != len(raw):
         raise FormatError(f"{path}: trailing bytes after the tree at byte offset {end}")
+    return tree
+
+
+def deserialize(path, dataset: Dataset) -> ClusterTree:
+    """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees."""
+    tree = _read_tree_file(path)
     if tree.dataset_hash != dataset.content_hash():
         raise FormatError(
             f"{path}: tree was built over a different dataset "

@@ -191,6 +191,18 @@ def test_tree_with_trailing_bytes_exits_one(dense_file, tmp_path, capsys):
         assert f"{path}: trailing bytes after the tree at byte offset {end}" in err
 
 
+def test_info_refuses_an_archive(dense_file, tmp_path, capsys):
+    tree_path, archive = tmp_path / "t.tree", tmp_path / "a.chess"
+    run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
+        "--out", str(tree_path))
+    run(capsys, "compress", "--input", str(dense_file), "--tree",
+        str(tree_path), "--out", str(archive))
+    end = tree_path.stat().st_size
+    code, out, err = run(capsys, "info", "--tree", str(archive))
+    assert (code, out) == (1, "")
+    assert f"{archive}: trailing bytes after the tree at byte offset {end}" in err
+
+
 def test_missing_query_source_is_usage_error(dense_file, tmp_path, capsys):
     tree_path = tmp_path / "t.tree"
     run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chess_search import (BuildConfig, ChessError, Dataset, DatasetKind,
+from chess_search import (BuildConfig, Dataset, DatasetKind,
                           FormatError, MetricKind, Quantizer, build,
                           compress_tree, decompress, naive_search, save_dense,
                           synth_manifold)
 from chess_search import compress
 from chess_search.compress import (_BLOCK_HEADER, DEFAULT_QUANTUM, _batches,
-                                   _decode_strings, _decode_varints,
-                                   _dense_blocks, _encode_varints, _read_varint,
-                                   _strings_body, decode_leaf, encode_leaf,
-                                   quantize)
+                                   _decode_varints, _encode_varints,
+                                   _leaf_blocks, _read_varint, decode_leaf,
+                                   encode_leaf, quantize)
 from chess_search.data import _VEC_HEADER
 from chess_search.tree import tree_from_bytes, tree_to_bytes
 
@@ -118,7 +117,7 @@ def test_quantize_roundtrip_error_bound():
 def test_encode_all_members_equal_center_is_tiny(tmp_path):
     ds = Dataset.from_vectors(np.tile([3.0, 4.0, 5.0], (50, 1)))
     tree = build(ds, E, BuildConfig(seed=0))
-    [block] = _dense_blocks(tree, ds, DEFAULT_QUANTUM)
+    [block] = _leaf_blocks(tree, ds, DEFAULT_QUANTUM)
     _, _, member_count = _BLOCK_HEADER.unpack_from(block, 8)  # after the length
     assert member_count == 50
     compressed_body = len(block) - 8 - _BLOCK_HEADER.size - 4
@@ -128,48 +127,19 @@ def test_encode_all_members_equal_center_is_tiny(tmp_path):
     assert np.array_equal(decompress(path).values, grid(ds.values, DEFAULT_QUANTUM))
 
 
-def test_string_edit_list_length_equals_hamming_distance():
-    rows = ["ACGTACGT", "ACGAACGT", "ACGTAC--", "ACGTACGT"[::-1]]
-    ds = Dataset.from_strings(rows)
-    tree = build(ds, H, BuildConfig(min_size=10, seed=0))
-    center, n = int(tree.center[0]), tree.order.size
-    body = _strings_body(ds, center, tree.order, tree.radius[0])
-    block = encode_leaf(DatasetKind.ALIGNED_STRINGS, center, n, body)
-    assert decode_leaf(block, 0, DatasetKind.ALIGNED_STRINGS, 0, center, n) \
-        == (body, len(block))
-    decoded = _decode_strings(body, ds.values[center], n)
-    assert np.array_equal(decoded, ds.values[tree.order])
-    # per-member edit counts are the Hamming distances to the center
-    pos = 0
-    for idx in tree.order.tolist():
-        count = body[pos]  # single-byte varints here
-        expected = int((ds.values[idx] != ds.values[center]).sum())
-        assert count == expected
-        pos += 1 + 5 * count
-
-
-def test_edit_bound_violation_is_detected():
-    ds = Dataset.from_strings(["AAAA", "CCCC"])
-    tree = build(ds, H, BuildConfig(seed=0))
-    # lie about the radius: a member sits at Hamming distance 4
-    with pytest.raises(ChessError, match="exceed leaf radius"):
-        _strings_body(ds, tree.center[0], tree.order, 1.0)
-
-
 def test_levenshtein_tree_strings_roundtrip_bit_exact(tmp_path):
-    # an edit list holds a member's Hamming distance to its center, which
-    # a Levenshtein leaf radius does not bound: a rotated segment is 2
-    # Levenshtein edits but many substitutions
+    # the codec reads no leaf radius: a rotated segment is 2 Levenshtein
+    # edits but many substitutions, and an understated Hamming radius
+    # changes nothing either
     ds = shifted_strings(120, 40, seed=0)
     tree = build(ds, MetricKind.LEVENSHTEIN, BuildConfig(8, 4, 0))
     path = tmp_path / "l.chess"
     compress_tree(tree, ds, Quantizer(), path)
     assert np.array_equal(decompress(path).values, ds.values)
-    # under a Hamming tree the leaf radius is still the bound
     tree = build(ds, H, BuildConfig(8, 4, 0))
     tree.radius[tree.size == 1] = 0.0
-    with pytest.raises(ChessError, match="exceed leaf radius 0.0"):
-        compress_tree(tree, ds, Quantizer(), path)
+    compress_tree(tree, ds, Quantizer(), path)
+    assert np.array_equal(decompress(path).values, ds.values)
 
 
 def test_dense_roundtrip_lands_on_grid_and_is_idempotent(tmp_path):
@@ -270,13 +240,6 @@ def test_malformed_blocks_raise_format_error():
         + zlib.crc32(payload).to_bytes(4, "little")
     with pytest.raises(FormatError, match="shorter than its header"):
         decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 0, 0)
-    ds = Dataset.from_strings(["ACGT"])
-    # one member with one edit at position 9 of a length-4 string
-    body = bytes([1]) + (9).to_bytes(4, "little") + b"A"
-    block = encode_leaf(DatasetKind.ALIGNED_STRINGS, 0, 1, body)
-    with pytest.raises(FormatError, match="edit position 9 out of range"):
-        _decode_strings(decode_leaf(block, 0, DatasetKind.ALIGNED_STRINGS, 0, 0, 1)[0],
-                        ds.values[0], 1)
 
 
 @pytest.fixture(scope="module")
@@ -436,8 +399,10 @@ def test_over_long_varint_in_archive_is_a_format_error(tmp_path, leaf):
 
 
 @pytest.mark.parametrize("which, flag, message", [
-    (0, 7, "unknown block kind 7"), (0, 1, "strings block in a dense archive"),
-    (1, 0, "dense block in a strings archive")])
+    (0, 7, "unknown block kind 7"), (0, 2, "strings block in a dense archive"),
+    (1, 0, "dense block in a strings archive"),
+    # flag 1 is the retired edit-list string codec
+    (1, 1, "unknown block kind 1")])
 def test_block_kind_must_match_the_archive(fuzz_archives, tmp_path, which, flag,
                                            message):
     raw, _ = fuzz_archives[which]
@@ -449,6 +414,32 @@ def test_block_kind_must_match_the_archive(fuzz_archives, tmp_path, which, flag,
     path.write_bytes(raw[:kind_at] + payload + struct.pack("<I", zlib.crc32(payload))
                      + raw[end + 4:])
     with pytest.raises(FormatError, match=f"{message} at byte offset {kind_at}$"):
+        decompress(path)
+
+
+@pytest.mark.parametrize("leaf", [0, 3])
+def test_out_of_alphabet_string_code_is_a_format_error(fuzz_archives, tmp_path,
+                                                       leaf):
+    raw, values = fuzz_archives[1]
+    tree, _ = tree_from_bytes(raw)
+    leaves, offsets = tree.leaf_offsets()
+    centers, counts = tree.center[leaves], np.diff(offsets)
+    *_, pos = archive_layout(raw)
+    for i in range(leaf):
+        _, pos = decode_leaf(raw, pos, DatasetKind.ALIGNED_STRINGS, i, centers[i],
+                             counts[i])
+    body, end = decode_leaf(raw, pos, DatasetKind.ALIGNED_STRINGS, leaf,
+                            centers[leaf], counts[leaf])
+    # the first member's first character becomes a Z: one zigzag varint
+    # of its difference from the center's
+    delta = ord("Z") - int(values[centers[leaf], 0])
+    forged = encode_leaf(DatasetKind.ALIGNED_STRINGS, centers[leaf], counts[leaf],
+                         bytes([2 * delta if delta >= 0 else -2 * delta - 1])
+                         + body[1:])
+    path = tmp_path / "forged.chess"
+    path.write_bytes(raw[:pos] + forged + raw[end:])  # CRC-valid
+    with pytest.raises(FormatError, match=f"decoded code {ord('Z')} .* in the "
+                                          f"block at byte offset {pos}$"):
         decompress(path)
 
 
@@ -515,11 +506,11 @@ def pinned_corpus(metric: MetricKind):
     return build(ds, H, BuildConfig(max_depth=20, min_size=8, seed=2)), ds
 
 
-#: SHA-256 of everything an archive holds after its tree stream, as the
-#: leaf-at-a-time codec wrote it
+#: SHA-256 of everything an archive holds after its tree stream, as a
+#: leaf-at-a-time codec writes it
 PINNED = {
     E: "f3a339beb81946ee749d8e6aa8e217457797e69b476fef242c41df48b101f371",
-    H: "b4b869ba7b6332eaaaa5ae5665d05bf80422eca3fa5321558db6cb728abd666f",
+    H: "e0f9446d354c53cd86f6309a159b22bcaa46b9b192ecec6a0e64207c53f390d4",
 }
 
 
@@ -539,16 +530,25 @@ def test_archive_bytes_are_pinned(tmp_path, metric):
                           else grid(ds.values, DEFAULT_QUANTUM))
 
 
-@pytest.mark.parametrize("batch", [1, 7, 600, 5_000])
-def test_archive_bytes_do_not_depend_on_batch_size(tmp_path, monkeypatch, batch):
-    tree, ds = pinned_corpus(E)
+BATCHES = [1, 7, 600, 5_000]
+
+
+# the dense cases keep their bare batch-size ids
+@pytest.mark.parametrize("metric, batch", [(E, b) for b in BATCHES]
+                         + [(H, b) for b in BATCHES],
+                         ids=[str(b) for b in BATCHES]
+                         + [f"hamming-{b}" for b in BATCHES])
+def test_archive_bytes_do_not_depend_on_batch_size(tmp_path, monkeypatch, metric,
+                                                   batch):
+    tree, ds = pinned_corpus(metric)
     path = tmp_path / "p.chess"
     compress_tree(tree, ds, Quantizer(), path)
     want = path.read_bytes()
     monkeypatch.setattr(compress, "_BATCH_VALUES", batch)
     compress_tree(tree, ds, Quantizer(), path)
     assert path.read_bytes() == want
-    assert np.array_equal(decompress(path).values, grid(ds.values, DEFAULT_QUANTUM))
+    assert np.array_equal(decompress(path).values, ds.values if metric is H
+                          else grid(ds.values, DEFAULT_QUANTUM))
 
 
 def test_batches_are_bounded_by_values(monkeypatch):
