@@ -1,7 +1,8 @@
 """Quantized delta compression of leaf clusters.
 
-Members are stored as integer differences from their leaf center: on a
-quantization grid for dense data, between character codes for strings.
+Members are stored as integer differences from their leaf center, and
+each center as a difference from the previous leaf's: on a quantization
+grid for dense data, between character codes for strings.
 Redundant data compresses far below the raw representation, and dense
 decoding is exact after the first quantization pass.
 """
@@ -61,7 +62,8 @@ stree = build(strings, MetricKind.HAMMING, BuildConfig(seed=0))
 spath = os.path.join(workdir, "strings.chess")
 compress_tree(stree, strings, Quantizer(), spath)
 text = len(strings.to_canonical_bytes())  # one line per read
+sarchived = os.path.getsize(spath)
 print(f"\n{strings.n} reads of length {strings.dim}: {text:,} bytes of text, "
-      f"{os.path.getsize(spath):,} bytes of archive")
+      f"{sarchived:,} bytes of archive ({sarchived / text:.1%} of the text)")
 print(f"string roundtrip bit-exact: "
       f"{np.array_equal(decompress(spath).values, strings.values)}")

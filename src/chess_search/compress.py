@@ -1,30 +1,26 @@
 """Quantized delta compression of leaf clusters.
 
-Every leaf stores its members as differences from the leaf center on an
+Every leaf stores its center and its members as differences on an
 integer grid: a dense value's grid index is its nearest multiple of the
-quantum, a string character's is its byte code. One pass serves both
-kinds. It runs on a batch of consecutive leaves at a time, about
-``2 ** 13`` values (a larger leaf is a batch of its own): grid indices
-of the batch's slice of the tree's ``order``, differences from the
-leaf centers' indices, zigzag, LEB128 varints, then a cut of the bytes
-at leaf boundaries. Each leaf's body goes through :func:`encode_leaf`
-on its own, which deflates it (RFC 1951) and frames the block: length
-prefix, kind flag, center, member count, body, CRC32. Batching
-therefore changes how the bytes are computed, not what they are.
+quantum, a string character's is its byte code. A leaf's center row is
+differenced from the previous leaf's center (the first from zero), its
+members' rows from its center. One pass serves both kinds, on a batch of
+consecutive leaves at a time (about ``2 ** 13`` values; a larger leaf is
+a batch of its own): grid indices, differences, zigzag, LEB128 varints,
+then one block per batch through :func:`encode_leaf`: each leaf's byte
+length, so that a fault names its leaf, and the varints, in one deflate
+stream (RFC 1951).
 
-Decoding checks each block's framing against the tree's leaf in
-:func:`decode_leaf`, inflates the bodies and reverses the pass; the
-kind chooses only how grid indices turn back into values. Dense values
-land on the quantization grid, so a first roundtrip is lossy by at most
-half a quantum per coordinate and every later one is the identity.
-Strings decode bit-exactly; a code outside ``A C G T -`` is a
-:class:`FormatError`.
-
-An archive is the tree's CHESSTREE stream, the quantum and the leaf
-centers verbatim under one CRC32, then one delta block per leaf in
-pre-order. Every byte is covered by a checksum. Block kind flag 0 is
-dense, 2 is strings; flag 1, the retired per-member edit-list string
-codec, is refused as an unknown kind.
+An archive is the magic ``CHESSARC``, a header (version, quantum,
+dimension, the tree's CHESSTREE stream deflated), then the blocks in
+pre-order of their leaves; header and blocks are framed by a length
+prefix and a CRC32. Block kind flag 0 is dense, 2 is strings; flag 1,
+the retired edit-list string codec, is refused. Decoding takes each
+block's run of leaves from the block, checks it against the tree in
+:func:`decode_leaf` and reverses the pass. Dense values land on the
+grid, so a first roundtrip is lossy by at most half a quantum per
+coordinate and every later one is the identity; strings decode
+bit-exactly.
 
 The default quantum is the measurement resolution of magnitude-12.2
 photometry, ``10 ** (-12.2 / 2.5)``.
@@ -32,7 +28,6 @@ photometry, ``10 ** (-12.2 / 2.5)``.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -40,32 +35,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (VEC_MAGIC, VEC_VERSION, Dataset, DatasetKind, _dense_bytes,
-                   _VEC_HEADER)
+from .data import Dataset, DatasetKind
 from .errors import FormatError
 from .metrics import _ALPHABET_CODES
 from .tree import ClusterTree, tree_from_bytes, tree_to_bytes
 
-__all__ = [
-    "DEFAULT_QUANTUM",
-    "Quantizer",
-    "compress_tree",
-    "decompress",
-]
+__all__ = ["DEFAULT_QUANTUM", "Quantizer", "compress_tree", "decompress"]
 
 DEFAULT_QUANTUM = 10.0 ** (-12.2 / 2.5)
+_MAX_QUANTUM = 2.0 ** 960  # times any int64 grid index, still finite
 
+ARC_MAGIC = b"CHESSARC"
+ARC_VERSION = 1
+#: version, quantum, dimension; the deflated tree stream follows
+_ARC_HEADER = struct.Struct("<BdQ")
+#: kind flag, first leaf, leaf count
 _BLOCK_HEADER = struct.Struct("<BQQ")
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
-_STR_SECTION = struct.Struct("<QQ")
 
 #: block kind flags
 _KINDS = {0: DatasetKind.DENSE_VECTORS, 2: DatasetKind.ALIGNED_STRINGS}
 _FLAGS = {kind: flag for flag, kind in _KINDS.items()}
 
-#: values per batch of the codec; a batch is a run of whole leaves.
+#: values per batch of the encoder, a run of whole leaves and one block.
 #: This bounds the codec's scratch memory: the 64 KiB temporaries of a
 #: 2**13-value batch come from the heap and are reused batch after batch,
 #: where 2**16 values (512 KiB each) would be mapped fresh by allocators
@@ -78,25 +71,24 @@ class Quantizer:
     quantum: float = DEFAULT_QUANTUM
 
     def __post_init__(self) -> None:
-        if not (self.quantum > 0 and math.isfinite(self.quantum)):
-            raise ValueError(f"quantum must be positive and finite, "
+        if not 0 < self.quantum < _MAX_QUANTUM:
+            raise ValueError(f"quantum must be positive and below 2**960, "
                              f"got {self.quantum}")
 
 
 def quantize(values: np.ndarray, quantum: float) -> np.ndarray:
     """Nearest grid index of every value, rounding halves away from zero;
-    ``index * quantum`` is the value on the grid. An index beyond the
-    int64 range (a magnitude above about 1.2e14 at the default quantum)
-    is a ValueError."""
-    if not (quantum > 0 and math.isfinite(quantum)):
-        raise ValueError(f"quantum must be positive and finite, got {quantum}")
+    ``index * quantum`` is the value on the grid. An index of 2**62 or
+    more in magnitude (above about 6e13 at the default quantum) is a
+    ValueError, so that the difference of two indices fits in int64."""
+    Quantizer(quantum)  # checks the quantum
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
     grid = np.floor(np.abs(values) / quantum + 0.5)
-    if grid.size and grid.max() >= 2.0 ** 63:
+    if grid.size and grid.max() >= 2.0 ** 62:
         worst = float(np.abs(values).max())
         raise ValueError(f"cannot quantize magnitude {worst:.6g} at quantum "
-                         f"{quantum!r}: its grid index exceeds the int64 range")
+                         f"{quantum!r}: its grid index reaches 2**62")
     return (np.sign(values) * grid).astype(np.int64)
 
 
@@ -138,13 +130,14 @@ def _encode_varints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, ends
 
 
-def _decode_varints(buf: np.ndarray, ends: np.ndarray,
-                    counts: np.ndarray) -> np.ndarray:
+def _decode_varints(buf: np.ndarray, ends: np.ndarray, counts: np.ndarray,
+                    where=None) -> np.ndarray:
     """Values of consecutive bodies of LEB128 varints.
 
     Body ``j`` is ``buf[ends[j - 1]:ends[j]]`` and must hold exactly
     ``counts[j]`` varints of at most 64 bits. Errors name the offset in
-    the first faulty body at which a byte-by-byte reader would stop.
+    the first faulty body at which a byte-by-byte reader would stop,
+    followed by ``where(j)`` if given.
     """
     stops = np.flatnonzero(buf < 0x80)  # the last byte of every varint
     lengths = np.diff(stops, prepend=-1)
@@ -159,7 +152,8 @@ def _decode_varints(buf: np.ndarray, ends: np.ndarray,
     if faulty.any():
         j = int(np.argmax(faulty))
         begin = int(ends[j - 1]) if j else 0
-        raise _body_fault(buf[begin:ends[j]].tobytes(), int(counts[j]))
+        exc = _body_fault(buf[begin:ends[j]].tobytes(), int(counts[j]))
+        raise exc if where is None else FormatError(f"{exc} {where(j)}")
     # one pass per byte position: add the next 7 bits of every varint
     # that has them
     values = (buf[starts] & 0x7F).astype(np.uint64)
@@ -197,8 +191,8 @@ def _read_varint(buf: bytes, start: int) -> tuple[int, int]:
     raise FormatError(f"varint longer than 64 bits at byte offset {start}")
 
 
-def _deflate(body: bytes) -> bytes:
-    enc = zlib.compressobj(level=6, wbits=-15)
+def _deflate(body: bytes, level: int) -> bytes:
+    enc = zlib.compressobj(level=level, wbits=-15)
     return enc.compress(body) + enc.flush()
 
 
@@ -209,43 +203,64 @@ def _inflate(body: bytes) -> bytes:
         raise FormatError(f"corrupt deflate stream: {exc}") from None
 
 
-def encode_leaf(kind: DatasetKind, center: int, member_count: int,
-                body: bytes) -> bytes:
-    """One leaf's block: the kind flag, center and member count, then the
-    deflated delta body, all length-prefixed and closed by a CRC32."""
-    payload = _BLOCK_HEADER.pack(_FLAGS[kind], int(center),
-                                 int(member_count)) + _deflate(body)
+def _frame(payload: bytes) -> bytes:
     return _U64.pack(len(payload)) + payload + _U32.pack(zlib.crc32(payload))
 
 
-def decode_leaf(raw: bytes, pos: int, kind: DatasetKind, leaf: int, center: int,
-                member_count: int) -> tuple[bytes, int]:
-    """The inflated delta body of the block at ``pos`` and the offset after
-    it. The block must be of the archive's ``kind`` and hold pre-order
-    leaf ``leaf`` of the tree, with its center and member count; any
-    fault is a :class:`FormatError`."""
+def _unframe(raw: bytes, pos: int, what: str, header: struct.Struct):
+    """The payload of the frame at ``pos``, a ``header`` or longer, and the end."""
     if len(raw) - pos < _U64.size:
-        raise FormatError(f"truncated block length at byte offset {pos}")
+        raise FormatError(f"truncated {what} length at byte offset {pos}")
     (length,) = _U64.unpack_from(raw, pos)
     pos += _U64.size
     if len(raw) - pos < length + _U32.size:
-        raise FormatError(f"truncated block at byte offset {pos}")
-    if length < _BLOCK_HEADER.size:
-        raise FormatError(f"block shorter than its header at byte offset {pos}")
+        raise FormatError(f"truncated {what} at byte offset {pos}")
+    if length < header.size:
+        raise FormatError(f"{what} shorter than its header at byte offset {pos}")
     payload = raw[pos:pos + length]
-    (crc,) = _U32.unpack_from(raw, pos + length)
-    if zlib.crc32(payload) != crc:
-        raise FormatError(f"block checksum mismatch at byte offset {pos}")
-    flag, block_center, block_count = _BLOCK_HEADER.unpack_from(payload, 0)
-    block_kind = _KINDS.get(flag)
+    if zlib.crc32(payload) != _U32.unpack_from(raw, pos + length)[0]:
+        raise FormatError(f"{what} checksum mismatch at byte offset {pos}")
+    return payload, pos + length + _U32.size
+
+
+def encode_leaf(kind: DatasetKind, first: int, lengths: np.ndarray, body: bytes) -> bytes:
+    """The block of the leaves from pre-order leaf ``first`` on, whose
+    varints take ``lengths`` bytes each of ``body``: kind flag, first leaf
+    and leaf count, then the lengths as varints and the body, deflated."""
+    table, _ = _encode_varints(lengths)
+    return _frame(_BLOCK_HEADER.pack(_FLAGS[kind], first, len(lengths))
+                  + _deflate(table.tobytes() + body, 6))
+
+
+def decode_leaf(raw: bytes, pos: int, kind: DatasetKind, leaf: int,
+                leaves: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The byte length of each leaf's varints in the block at ``pos``, the
+    varints and the offset after the block, which must be of ``kind`` and
+    start at pre-order leaf ``leaf`` of ``leaves``."""
+    payload, end = _unframe(raw, pos, "block", _BLOCK_HEADER)
+    flag, first, count = _BLOCK_HEADER.unpack_from(payload)
+    block_kind, at = _KINDS.get(flag), pos + _U64.size
     if block_kind is None:
-        raise FormatError(f"unknown block kind {flag} at byte offset {pos}")
+        raise FormatError(f"unknown block kind {flag} at byte offset {at}")
     if block_kind is not kind:
         raise FormatError(f"{block_kind.value} block in a {kind.value} "
-                          f"archive at byte offset {pos}")
-    if block_center != center or block_count != member_count:
-        raise FormatError(f"block {leaf} does not match leaf {leaf} of the tree")
-    return _inflate(payload[_BLOCK_HEADER.size:]), pos + length + _U32.size
+                          f"archive at byte offset {at}")
+    if first != leaf or not 0 < count <= leaves - leaf:
+        raise FormatError(f"the block at byte offset {pos} holds {count} "
+                          f"leaves from leaf {first}, where leaf {leaf} of "
+                          f"{leaves} is next")
+    body = _inflate(payload[_BLOCK_HEADER.size:])
+    lengths, cut = [], 0
+    try:
+        for _ in range(count):
+            size, cut = _read_varint(body, cut)
+            lengths.append(size)
+    except FormatError as exc:
+        raise FormatError(f"{exc} in the leaf lengths of the block at byte "
+                          f"offset {pos}") from None
+    if sum(lengths) != len(body) - cut:
+        raise FormatError(f"leaf lengths do not fit the block at byte offset {pos}")
+    return np.array(lengths, dtype=np.int64), np.frombuffer(body, np.uint8, offset=cut), end
 
 
 def _batches(offsets: np.ndarray, dim: int) -> list[tuple[int, int]]:
@@ -260,83 +275,84 @@ def _batches(offsets: np.ndarray, dim: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _grid(values: np.ndarray, kind: DatasetKind, quantum: float) -> np.ndarray:
-    """Integer grid indices of rows: dense values quantized, string codes
-    as they are."""
-    if kind is DatasetKind.DENSE_VECTORS:
-        return quantize(values, quantum)
-    return values.astype(np.int64)
+def _runs(offsets: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each leaf's center row is among the rows of leaves ``[a, b)``
+    (before its members' rows), and how many rows in turn are differenced
+    from the center before leaf ``a``, then from each leaf's center."""
+    heads = offsets[a:b] - offsets[a] + np.arange(b - a)
+    return heads, np.diff(heads, prepend=-1, append=offsets[b] - offsets[a] + b - a - 1)
 
 
 def _leaf_blocks(tree: ClusterTree, dataset: Dataset, quantum: float):
-    """The leaves' blocks, each batch of leaves gridded, differenced and
-    varint coded in one pass."""
+    """The archive's blocks, each batch of leaves coded in one pass."""
     leaves, offsets = tree.leaf_offsets()
-    centers, dim, kind = tree.center[leaves], dataset.dim, dataset.kind
+    dim, kind = dataset.dim, dataset.kind
+    center = np.zeros((1, dim), dtype=np.int64)  # the previous leaf's
     for a, b in _batches(offsets, dim):
-        counts = np.diff(offsets[a:b + 1])
-        deltas = _grid(dataset.values[tree.order[offsets[a]:offsets[b]]], kind, quantum)
-        deltas -= np.repeat(_grid(dataset.values[centers[a:b]], kind, quantum),
-                            counts, axis=0)
-        buf, ends = _encode_varints(_zigzag(deltas.ravel()))
-        cuts = [0, *ends[np.cumsum(counts) * dim - 1].tolist()]
-        raw = buf.tobytes()
-        for i in range(b - a):
-            yield encode_leaf(kind, centers[a + i], counts[i], raw[cuts[i]:cuts[i + 1]])
+        heads, reps = _runs(offsets, a, b)
+        points = np.insert(tree.order[offsets[a]:offsets[b]], heads - np.arange(b - a),
+                           tree.center[leaves[a:b]])
+        values = dataset.values[points]
+        grid = (quantize(values, quantum) if kind is DatasetKind.DENSE_VECTORS
+                else values.astype(np.int64))
+        centers = np.concatenate((center, grid[heads]))
+        rows = grid - np.repeat(centers, reps, axis=0)
+        center = centers[-1:]
+        buf, ends = _encode_varints(_zigzag(rows.ravel()))
+        leaf_ends = ends[np.append(heads[1:], len(rows)) * dim - 1]
+        yield encode_leaf(kind, a, np.diff(leaf_ends, prepend=0), buf.tobytes())
 
 
 def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
-                  centers: np.ndarray, quantum: float) -> tuple[np.ndarray, int]:
-    """Members of every leaf in original point order, from the blocks at
-    ``pos``, each batch of leaves varint decoded in one pass; and the
-    offset after the last block. A decoded string code outside the
-    alphabet is a :class:`FormatError` naming its block's offset."""
+                  dim: int, quantum: float) -> tuple[np.ndarray, int]:
+    """Every point, in original order, from the blocks at ``pos``; and their end."""
     leaves, offsets = tree.leaf_offsets()
-    center_index, dim = tree.center[leaves].tolist(), centers.shape[1]
-    out = np.empty((tree.order.size, dim), dtype=centers.dtype)
-    for a, b in _batches(offsets, dim):
-        counts = np.diff(offsets[a:b + 1])
-        starts, bodies = [], []
-        for i in range(b - a):
-            starts.append(pos)
-            body, pos = decode_leaf(raw, pos, kind, a + i, center_index[a + i],
-                                    int(counts[i]))
-            bodies.append(body)
-        grid = _unzigzag(_decode_varints(
-            np.frombuffer(b"".join(bodies), dtype=np.uint8),
-            np.cumsum([len(body) for body in bodies]), counts * dim))
-        grid = grid.reshape(-1, dim)
-        grid += np.repeat(_grid(centers[a:b], kind, quantum), counts, axis=0)
-        if kind is DatasetKind.DENSE_VECTORS:
-            out[tree.order[offsets[a]:offsets[b]]] = grid * quantum
-            continue
-        bad = np.flatnonzero(~np.isin(grid, _ALPHABET_CODES))
-        if bad.size:
-            leaf = int(np.searchsorted(np.cumsum(counts) * dim, bad[0], side="right"))
-            raise FormatError(f"decoded code {grid.flat[bad[0]]} is not in A, C, "
-                              f"G, T, - in the block at byte offset {starts[leaf]}")
-        out[tree.order[offsets[a]:offsets[b]]] = grid
+    dense = kind is DatasetKind.DENSE_VECTORS
+    out = np.empty((tree.order.size, dim), dtype=np.float64 if dense else np.uint8)
+    center = np.zeros((1, dim), dtype=np.int64)  # the previous leaf's
+    a = 0
+    while a < leaves.size:
+        start = pos
+        lengths, body, pos = decode_leaf(raw, pos, kind, a, leaves.size)
+        b = a + lengths.size
+
+        def where(j):
+            return f"in leaf {a + j} of the block at byte offset {start}"
+
+        cards = np.diff(offsets[a:b + 1])
+        rows = _unzigzag(_decode_varints(body, np.cumsum(lengths), (cards + 1) * dim,
+                                         where)).reshape(-1, dim)
+        heads, reps = _runs(offsets, a, b)
+        centers = np.cumsum(np.concatenate((center, rows[heads])), axis=0)
+        refs = np.repeat(centers, reps, axis=0)
+        total = rows + refs
+        # a wrapped sum differs in sign from both addends; the running sum of
+        # centers first wraps in the center row that makes it wrap
+        if ((total ^ rows) & (total ^ refs)).min() < 0:
+            raise FormatError(f"decoded grid index leaves the int64 range in the "
+                              f"block at byte offset {start}")
+        center = centers[-1:]
+        grid = np.delete(total, heads, axis=0)
+        if not dense:
+            bad = np.flatnonzero(~np.isin(grid, _ALPHABET_CODES))
+            if bad.size:
+                leaf = int(np.searchsorted(np.cumsum(cards), bad[0] // dim, side="right"))
+                raise FormatError(f"decoded code {grid.flat[bad[0]]} is not in "
+                                  f"A, C, G, T, - {where(leaf)}")
+        out[tree.order[offsets[a]:offsets[b]]] = grid * quantum if dense else grid
+        a = b
     return out, pos
 
 
 def compress_tree(tree: ClusterTree, dataset: Dataset, quantizer: Quantizer,
                   path, threads: int = 1) -> None:
-    """Write an archive: the tree, the quantum and the leaf centers
-    verbatim under one CRC32, then one delta block per leaf in pre-order.
-
-    ``threads`` is accepted for existing callers and ignored: encoding
-    runs Python code that holds the interpreter lock.
-    """
+    """Write an archive of the dataset in ``tree``'s leaf order. ``threads``
+    is ignored: encoding runs Python code that holds the interpreter lock."""
     if tree.dataset_hash != dataset.content_hash():
         raise ValueError("tree was not built over this dataset")
-    leaves, _ = tree.leaf_offsets()
-    center_rows = dataset.values[tree.center[leaves]]
-    if dataset.kind is DatasetKind.DENSE_VECTORS:
-        center_section = _dense_bytes(center_rows)
-    else:
-        center_section = _STR_SECTION.pack(*center_rows.shape) + center_rows.tobytes()
-    section = _F64.pack(quantizer.quantum) + center_section
-    chunks = [tree_to_bytes(tree), section, _U32.pack(zlib.crc32(section))]
+    header = _ARC_HEADER.pack(ARC_VERSION, quantizer.quantum, dataset.dim)
+    # level 6 shrinks a tree stream under 5% more than level 1, at 5x the time
+    chunks = [ARC_MAGIC, _frame(header + _deflate(tree_to_bytes(tree), 1))]
     chunks.extend(_leaf_blocks(tree, dataset, quantizer.quantum))
     Path(path).write_bytes(b"".join(chunks))
 
@@ -344,42 +360,25 @@ def compress_tree(tree: ClusterTree, dataset: Dataset, quantizer: Quantizer,
 def decompress(path) -> Dataset:
     """Rebuild the dataset from an archive, in original point order."""
     raw = Path(path).read_bytes()
-    tree, start = tree_from_bytes(raw)
+    if raw[:len(ARC_MAGIC)] != ARC_MAGIC:
+        raise FormatError("bad archive magic at byte offset 0")
+    header, pos = _unframe(raw, len(ARC_MAGIC), "archive header", _ARC_HEADER)
+    version, quantum, dim = _ARC_HEADER.unpack_from(header)
+    at = len(ARC_MAGIC) + _U64.size  # the version's offset
+    if version != ARC_VERSION:
+        raise FormatError(f"unsupported archive version {version} at byte offset {at}")
+    if not 0 < dim <= len(raw):  # a point takes at least a byte per coordinate
+        raise FormatError(f"dimension {dim} out of range at byte offset {at + 9}")
+    stream = _inflate(header[_ARC_HEADER.size:])
+    tree, end = tree_from_bytes(stream)
+    if end != len(stream):
+        raise FormatError(f"trailing bytes in the tree stream at byte offset "
+                          f"{at + _ARC_HEADER.size}")
     dense = tree.metric.for_vectors
+    if dense and not 0 < quantum < _MAX_QUANTUM:
+        raise FormatError(f"quantum {quantum} is out of range at byte offset {at + 1}")
     kind = DatasetKind.DENSE_VECTORS if dense else DatasetKind.ALIGNED_STRINGS
-    header, dtype = ((_VEC_HEADER, np.dtype("<f8")) if dense
-                     else (_STR_SECTION, np.dtype(np.uint8)))
-    pos = start + _F64.size + header.size
-    if len(raw) < pos:
-        raise FormatError(f"truncated centers header at byte offset {len(raw)}")
-    (quantum,) = _F64.unpack_from(raw, start)
-    *tag, count, dim = header.unpack_from(raw, start + _F64.size)
-    if tag not in ([], [VEC_MAGIC, VEC_VERSION]):
-        raise FormatError(f"bad centers section at byte offset {start}")
-    end = pos + count * dim * dtype.itemsize
-    if len(raw) < end + _U32.size:
-        raise FormatError(f"truncated centers section at byte offset {len(raw)}")
-    if zlib.crc32(memoryview(raw)[start:end]) != _U32.unpack_from(raw, end)[0]:
-        raise FormatError(f"centers section checksum mismatch at byte offset {end}")
-    leaves, _ = tree.leaf_offsets()
-    if count != leaves.size:
-        raise FormatError(f"centers section holds {count} rows for "
-                          f"{leaves.size} leaves")
-    centers = np.frombuffer(raw, dtype=dtype, count=count * dim,
-                            offset=pos).reshape(count, dim)
-    if dense:
-        if not (quantum > 0 and math.isfinite(quantum)):
-            raise FormatError(f"quantum {quantum} is not positive and finite "
-                              f"at byte offset {start}")
-        # a center must quantize (see ``quantize``); the negated test
-        # also catches NaN
-        bad = np.flatnonzero(~(np.abs(centers) / quantum < 2.0 ** 63))
-        if bad.size:
-            what = "non-finite" if not np.isfinite(centers.flat[bad[0]]) \
-                else "out-of-range"
-            raise FormatError(f"{what} center coordinate at byte offset "
-                              f"{pos + int(bad[0]) * dtype.itemsize}")
-    out, pos = _leaf_members(raw, end + _U32.size, tree, kind, centers, quantum)
+    out, pos = _leaf_members(raw, pos, tree, kind, dim, quantum)
     if pos != len(raw):
         raise FormatError(f"trailing bytes at offset {pos}")
     return Dataset(kind, out)

@@ -93,11 +93,6 @@ class Dataset:
     def point(self, i: int) -> np.ndarray:
         return self.values[i]
 
-    def string(self, i: int) -> str:
-        if self.kind is not DatasetKind.ALIGNED_STRINGS:
-            raise DimensionError("string() applies to string datasets only")
-        return self.values[i].tobytes().decode("ascii")
-
     def compatible_with(self, metric: MetricKind) -> bool:
         return metric.for_vectors == (self.kind is DatasetKind.DENSE_VECTORS)
 
@@ -168,7 +163,7 @@ class Dataset:
 
 def _dense_bytes(values: np.ndarray) -> bytes:
     """The CHESSVEC stream of an ``(n, dim)`` array: the bytes of a dense
-    dataset's file and hash, and of an archive's dense centers section."""
+    dataset's file and of its hash."""
     header = _VEC_HEADER.pack(VEC_MAGIC, VEC_VERSION, *values.shape)
     return header + np.ascontiguousarray(values, dtype="<f8").tobytes()
 
@@ -198,12 +193,12 @@ def load_dense(path) -> Dataset:
             f"{path}: payload size mismatch (expected {expected} bytes, "
             f"got {len(raw)}) at byte offset {min(len(raw), expected)}")
     values = np.frombuffer(raw, dtype="<f8", offset=_VEC_HEADER.size).reshape(n, dim)
-    finite = np.isfinite(values)
-    if not finite.all():
-        flat = int(np.flatnonzero(~finite.ravel())[0])
-        raise FormatError(
-            f"{path}: non-finite value at byte offset {_VEC_HEADER.size + 8 * flat}")
-    return Dataset(DatasetKind.DENSE_VECTORS, values.astype(np.float64, copy=True))
+    try:  # the constructor's scan is the one pass over the values
+        return Dataset(DatasetKind.DENSE_VECTORS, values.astype(np.float64, copy=True))
+    except DimensionError:
+        flat = int(np.argmin(np.isfinite(values.ravel())))
+        raise FormatError(f"{path}: non-finite value at byte offset "
+                          f"{_VEC_HEADER.size + 8 * flat}") from None
 
 
 def load_sequences(path) -> Dataset:

@@ -634,8 +634,7 @@ def serialize(tree: ClusterTree, path) -> None:
 
 
 def _read_tree_file(path) -> ClusterTree:
-    """Parse a CHESSTREE file, refusing bytes after the stream (an archive
-    starts with one)."""
+    """Parse a CHESSTREE file, refusing bytes after the stream."""
     raw = Path(path).read_bytes()
     tree, end = tree_from_bytes(raw)
     if end != len(raw):

@@ -182,13 +182,15 @@ def test_tree_with_trailing_bytes_exits_one(dense_file, tmp_path, capsys):
         str(tree_path), "--out", str(archive))
     end = tree_path.stat().st_size
     tree_path.write_bytes(tree_path.read_bytes() + b"\0")
-    # an archive starts with the tree's stream, then holds the leaves
-    for sub, path in ((["knn", "--k", "1"], tree_path),
-                      (["search", "--radius", "1.0"], archive)):
+    # an archive is not a tree file either
+    for sub, path, why in (
+            (["knn", "--k", "1"], tree_path,
+             f"{tree_path}: trailing bytes after the tree at byte offset {end}"),
+            (["search", "--radius", "1.0"], archive, "bad tree magic at byte offset 0")):
         code, _, err = run(capsys, *sub, "--tree", str(path), "--input",
                            str(dense_file), "--queries", str(dense_file))
         assert code == 1
-        assert f"{path}: trailing bytes after the tree at byte offset {end}" in err
+        assert why in err
 
 
 def test_info_refuses_an_archive(dense_file, tmp_path, capsys):
@@ -197,10 +199,19 @@ def test_info_refuses_an_archive(dense_file, tmp_path, capsys):
         "--out", str(tree_path))
     run(capsys, "compress", "--input", str(dense_file), "--tree",
         str(tree_path), "--out", str(archive))
-    end = tree_path.stat().st_size
     code, out, err = run(capsys, "info", "--tree", str(archive))
     assert (code, out) == (1, "")
-    assert f"{archive}: trailing bytes after the tree at byte offset {end}" in err
+    assert "bad tree magic at byte offset 0" in err
+
+
+def test_decompress_refuses_a_tree_file(dense_file, tmp_path, capsys):
+    tree_path = tmp_path / "t.tree"
+    run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
+        "--out", str(tree_path))
+    code, out, err = run(capsys, "decompress", "--input", str(tree_path),
+                         "--out", str(tmp_path / "x.vec"))
+    assert (code, out) == (1, "")
+    assert "bad archive magic at byte offset 0" in err
 
 
 def test_missing_query_source_is_usage_error(dense_file, tmp_path, capsys):

@@ -12,12 +12,11 @@ from chess_search import (BuildConfig, Dataset, DatasetKind,
                           compress_tree, decompress, naive_search, save_dense,
                           synth_manifold)
 from chess_search import compress
-from chess_search.compress import (_BLOCK_HEADER, DEFAULT_QUANTUM, _batches,
-                                   _decode_varints, _encode_varints,
+from chess_search.compress import (_ARC_HEADER, _BLOCK_HEADER, DEFAULT_QUANTUM,
+                                   _batches, _decode_varints, _encode_varints,
                                    _leaf_blocks, _read_varint, decode_leaf,
                                    encode_leaf, quantize)
-from chess_search.data import _VEC_HEADER
-from chess_search.tree import tree_from_bytes, tree_to_bytes
+from chess_search.tree import serialize, tree_from_bytes, tree_to_bytes
 
 from conftest import shifted_strings, synth_aligned_strings
 
@@ -67,15 +66,49 @@ def decode_bodies(bodies: list[bytes], counts: list[int]) -> np.ndarray:
                            np.array(counts, dtype=np.int64))
 
 
-def archive_layout(raw: bytes) -> tuple[int, int, int]:
-    """Offsets of an archive's centers section, of its first center row
-    and of its first leaf block."""
-    tree, start = tree_from_bytes(raw)
-    header, itemsize = ((_VEC_HEADER, 8) if tree.metric.for_vectors
-                        else (struct.Struct("<QQ"), 1))
-    *_, count, dim = header.unpack_from(raw, start + 8)
-    rows = start + 8 + header.size
-    return start, rows, rows + count * dim * itemsize + 4
+#: offset of an archive's header: after the magic and the header's length
+HEADER = 16
+
+
+def first_block(raw: bytes) -> int:
+    """Offset of an archive's first block: after its header and CRC32."""
+    return HEADER + struct.unpack_from("<Q", raw, 8)[0] + 4
+
+
+def archive_tree(raw: bytes):
+    """The tree an archive holds, and its CHESSTREE stream."""
+    stream = zlib.decompress(raw[HEADER + _ARC_HEADER.size:first_block(raw) - 4],
+                             wbits=-15)
+    return tree_from_bytes(stream)[0], stream
+
+
+def archive_blocks(raw: bytes) -> list[tuple[int, int, int, list[bytes]]]:
+    """(offset, end, first leaf, leaf bodies) of every block of an archive."""
+    tree, _ = archive_tree(raw)
+    kind = (DatasetKind.DENSE_VECTORS if tree.metric.for_vectors
+            else DatasetKind.ALIGNED_STRINGS)
+    leaves = int((tree.size == 1).sum())
+    out, pos, leaf = [], first_block(raw), 0
+    while pos < len(raw):
+        lengths, body, end = decode_leaf(raw, pos, kind, leaf, leaves)
+        cuts = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        out.append((pos, end, leaf, [body[i:j].tobytes()
+                                     for i, j in zip(cuts[:-1], cuts[1:])]))
+        pos, leaf = end, leaf + lengths.size
+    return out
+
+
+def forge_leaf(raw: bytes, leaf: int, edit) -> tuple[bytes, int]:
+    """The archive with ``edit(body)`` in place of leaf ``leaf``'s varints,
+    its block re-encoded under a valid CRC; and that block's offset."""
+    for pos, end, first, bodies in archive_blocks(raw):
+        if first <= leaf < first + len(bodies):
+            bodies[leaf - first] = edit(bodies[leaf - first])
+            kind = compress._KINDS[raw[pos + 8]]  # the flag, after the length
+            block = encode_leaf(kind, first, np.array([len(b) for b in bodies]),
+                                b"".join(bodies))
+            return raw[:pos] + block + raw[end:], pos
+    raise AssertionError(f"no block holds leaf {leaf}")
 
 
 def test_default_quantum_value():
@@ -94,7 +127,9 @@ def test_quantize_examples():
 def test_quantize_rejects_bad_input():
     with pytest.raises(ValueError):
         quantize(np.array([1.0, float("nan")]), 1.0)
-    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+    # 2**960 is the first quantum whose products with int64 grid indices
+    # may overflow
+    for bad in (0.0, -1e-3, float("nan"), float("inf"), 2.0 ** 960):
         with pytest.raises(ValueError):
             quantize(np.array([1.0]), bad)
     with pytest.raises(ValueError):
@@ -118,10 +153,10 @@ def test_encode_all_members_equal_center_is_tiny(tmp_path):
     ds = Dataset.from_vectors(np.tile([3.0, 4.0, 5.0], (50, 1)))
     tree = build(ds, E, BuildConfig(seed=0))
     [block] = _leaf_blocks(tree, ds, DEFAULT_QUANTUM)
-    _, _, member_count = _BLOCK_HEADER.unpack_from(block, 8)  # after the length
-    assert member_count == 50
+    _, first, leaves = _BLOCK_HEADER.unpack_from(block, 8)  # after the length
+    assert (first, leaves) == (0, 1)
     compressed_body = len(block) - 8 - _BLOCK_HEADER.size - 4
-    assert compressed_body < 40  # deflate of 150 zero varints
+    assert compressed_body < 40  # deflate of the center row and 150 zero varints
     path = tmp_path / "a.chess"
     compress_tree(tree, ds, Quantizer(), path)
     assert np.array_equal(decompress(path).values, grid(ds.values, DEFAULT_QUANTUM))
@@ -203,15 +238,30 @@ def test_compress_requires_matching_dataset(tmp_path):
 
 
 def test_block_wire_roundtrip():
-    body, _ = _encode_varints(np.arange(12, dtype=np.uint64) * 1000)
-    raw = encode_leaf(DatasetKind.DENSE_VECTORS, 2, 4, body.tobytes())
-    parsed, end = decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 2, 4)
+    body, ends = _encode_varints(np.arange(12, dtype=np.uint64) * 1000)
+    lengths = np.diff(ends[[4, 11]], prepend=0)  # leaves of 5 and 7 varints
+    raw = encode_leaf(DatasetKind.DENSE_VECTORS, 2, lengths, body.tobytes())
+    got, parsed, end = decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 2, 4)
     assert end == len(raw)
-    assert encode_leaf(DatasetKind.DENSE_VECTORS, 2, 4, parsed) == raw
-    assert parsed == body.tobytes()
-    for center, count in ((3, 4), (2, 5)):
-        with pytest.raises(FormatError, match="block 7 does not match leaf 7"):
-            decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 7, center, count)
+    assert got.tolist() == lengths.tolist()
+    assert encode_leaf(DatasetKind.DENSE_VECTORS, 2, got, parsed.tobytes()) == raw
+    assert parsed.tobytes() == body.tobytes()
+    # the block must hold the next leaves of the tree, and no more than it has
+    for leaf, leaves in ((7, 9), (2, 3)):
+        with pytest.raises(FormatError, match=f"the block at byte offset 0 holds "
+                                              f"2 leaves from leaf 2, where leaf "
+                                              f"{leaf} of {leaves} is next$"):
+            decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, leaf, leaves)
+
+
+def test_leaf_lengths_must_add_up_to_the_block_body():
+    body, _ = _encode_varints(np.arange(12, dtype=np.uint64))
+    for lengths in ([5, 6], [5, 8]):
+        raw = encode_leaf(DatasetKind.DENSE_VECTORS, 0, np.array(lengths),
+                          body.tobytes())
+        with pytest.raises(FormatError, match="leaf lengths do not fit the block "
+                                              "at byte offset 0$"):
+            decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 2)
 
 
 def test_search_agrees_on_decompressed_corpus(tmp_path):
@@ -239,7 +289,7 @@ def test_malformed_blocks_raise_format_error():
     raw = len(payload).to_bytes(8, "little") + payload \
         + zlib.crc32(payload).to_bytes(4, "little")
     with pytest.raises(FormatError, match="shorter than its header"):
-        decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 0, 0)
+        decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -379,22 +429,34 @@ def small_archive(tmp_path) -> bytes:
 @pytest.mark.parametrize("leaf", [0, 3])
 def test_over_long_varint_in_archive_is_a_format_error(tmp_path, leaf):
     raw = small_archive(tmp_path)
-    tree, _ = tree_from_bytes(raw)
-    leaves, offsets = tree.leaf_offsets()
-    centers, counts = tree.center[leaves], np.diff(offsets)
-    *_, pos = archive_layout(raw)
-    for i in range(leaf):
-        _, pos = decode_leaf(raw, pos, DatasetKind.DENSE_VECTORS, i, centers[i],
-                             counts[i])
-    body, end = decode_leaf(raw, pos, DatasetKind.DENSE_VECTORS, leaf,
-                            centers[leaf], counts[leaf])
-    _, first = reference_decode_varints(body, 0, 1)
-    forged = encode_leaf(DatasetKind.DENSE_VECTORS, centers[leaf], counts[leaf],
-                         body[:first] + bytes([0xFF] * 10 + [0x01]) + body[first:])
+    [(_, _, _, bodies)] = archive_blocks(raw)
+    assert len(bodies) > leaf + 1  # one block of several leaves
+    _, first = reference_decode_varints(bodies[leaf], 0, 1)
+    forged, pos = forge_leaf(raw, leaf, lambda body: body[:first]
+                             + bytes([0xFF] * 10 + [0x01]) + body[first:])
     path = tmp_path / "forged.chess"
-    path.write_bytes(raw[:pos] + forged + raw[end:])  # CRC-valid
+    path.write_bytes(forged)
     with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
-                                          f"offset {first}$"):
+                                          f"offset {first} in leaf {leaf} of the "
+                                          f"block at byte offset {pos}$"):
+        decompress(path)
+
+
+def test_bad_leaf_length_varint_names_its_block(tmp_path):
+    raw = small_archive(tmp_path)
+    pos = first_block(raw)
+    (length,) = struct.unpack_from("<Q", raw, pos)
+    flag, first, leaves = _BLOCK_HEADER.unpack_from(raw, pos + 8)
+    body = zlib.decompress(raw[pos + 8 + _BLOCK_HEADER.size:pos + 8 + length],
+                           wbits=-15)
+    _, cut = reference_decode_varints(body, 0, leaves)
+    payload = _BLOCK_HEADER.pack(flag, first, leaves) + compress._deflate(
+        bytes([0x80] * 11) + body[cut:], 6)
+    path = tmp_path / "forged.chess"  # CRC-valid
+    path.write_bytes(raw[:pos] + compress._frame(payload) + raw[pos + 12 + length:])
+    with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
+                                          "offset 0 in the leaf lengths of the "
+                                          f"block at byte offset {pos}$"):
         decompress(path)
 
 
@@ -406,7 +468,7 @@ def test_over_long_varint_in_archive_is_a_format_error(tmp_path, leaf):
 def test_block_kind_must_match_the_archive(fuzz_archives, tmp_path, which, flag,
                                            message):
     raw, _ = fuzz_archives[which]
-    *_, pos = archive_layout(raw)
+    pos = first_block(raw)
     (length,) = struct.unpack_from("<Q", raw, pos)
     kind_at, end = pos + 8, pos + 8 + length
     payload = bytes([flag]) + raw[kind_at + 1:end]
@@ -421,25 +483,22 @@ def test_block_kind_must_match_the_archive(fuzz_archives, tmp_path, which, flag,
 def test_out_of_alphabet_string_code_is_a_format_error(fuzz_archives, tmp_path,
                                                        leaf):
     raw, values = fuzz_archives[1]
-    tree, _ = tree_from_bytes(raw)
-    leaves, offsets = tree.leaf_offsets()
-    centers, counts = tree.center[leaves], np.diff(offsets)
-    *_, pos = archive_layout(raw)
-    for i in range(leaf):
-        _, pos = decode_leaf(raw, pos, DatasetKind.ALIGNED_STRINGS, i, centers[i],
-                             counts[i])
-    body, end = decode_leaf(raw, pos, DatasetKind.ALIGNED_STRINGS, leaf,
-                            centers[leaf], counts[leaf])
+    tree, _ = archive_tree(raw)
+    center = tree.center[np.flatnonzero(tree.size == 1)[leaf]]
+    dim = values.shape[1]
+    [(_, _, _, bodies)] = archive_blocks(raw)
     # the first member's first character becomes a Z: one zigzag varint
-    # of its difference from the center's
-    delta = ord("Z") - int(values[centers[leaf], 0])
-    forged = encode_leaf(DatasetKind.ALIGNED_STRINGS, centers[leaf], counts[leaf],
-                         bytes([2 * delta if delta >= 0 else -2 * delta - 1])
-                         + body[1:])
+    # of its difference from the center's, after the center's row
+    _, row = reference_decode_varints(bodies[leaf], 0, dim)
+    _, end = reference_decode_varints(bodies[leaf], row, 1)
+    delta = ord("Z") - int(values[center, 0])
+    zigzag = bytes([2 * delta if delta >= 0 else -2 * delta - 1])
+    forged, pos = forge_leaf(raw, leaf, lambda body: body[:row] + zigzag + body[end:])
     path = tmp_path / "forged.chess"
-    path.write_bytes(raw[:pos] + forged + raw[end:])  # CRC-valid
-    with pytest.raises(FormatError, match=f"decoded code {ord('Z')} .* in the "
-                                          f"block at byte offset {pos}$"):
+    path.write_bytes(forged)  # CRC-valid
+    with pytest.raises(FormatError, match=f"decoded code {ord('Z')} .* in leaf "
+                                          f"{leaf} of the block at byte offset "
+                                          f"{pos}$"):
         decompress(path)
 
 
@@ -450,45 +509,81 @@ def test_compress_rejects_values_beyond_the_int64_grid(tmp_path):
         compress_tree(tree, ds, Quantizer(), tmp_path / "big.chess")
 
 
-def rewrite_centers(raw: bytes, offset: int, field: bytes) -> bytes:
-    """The archive with ``field`` written at ``offset`` of its centers
-    section and that section's CRC fixed."""
-    start, _, blocks = archive_layout(raw)
+def rewrite_header(raw: bytes, offset: int, field: bytes) -> bytes:
+    """The archive with ``field`` written at ``offset`` of its header and
+    the header's CRC fixed."""
+    crc_at = first_block(raw) - 4
     forged = bytearray(raw)
     forged[offset:offset + len(field)] = field
-    forged[blocks - 4:blocks] = struct.pack("<I", zlib.crc32(forged[start:blocks - 4]))
+    forged[crc_at:crc_at + 4] = struct.pack("<I", zlib.crc32(forged[HEADER:crc_at]))
     return bytes(forged)
 
 
-@pytest.mark.parametrize("quantum", [0.0, -1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("quantum", [0.0, -1e-3, float("nan"), float("inf"),
+                                     2.0 ** 960])
 def test_bad_quantum_in_archive_is_a_format_error(tmp_path, quantum):
     raw = small_archive(tmp_path)
-    start, _, _ = archive_layout(raw)
     path = tmp_path / "forged.chess"
-    path.write_bytes(rewrite_centers(raw, start, struct.pack("<d", quantum)))
-    with pytest.raises(FormatError, match=f"at byte offset {start}$"):
+    path.write_bytes(rewrite_header(raw, HEADER + 1, struct.pack("<d", quantum)))
+    with pytest.raises(FormatError, match=f"at byte offset {HEADER + 1}$"):
         decompress(path)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
-def test_non_finite_center_in_archive_is_a_format_error(tmp_path, value):
+@pytest.mark.parametrize("offset, field, message", [
+    (HEADER, b"\x02", "unsupported archive version 2"),
+    (HEADER + 9, struct.pack("<Q", 0), "dimension 0 out of range"),
+    (HEADER + 9, struct.pack("<Q", 2**64 - 1), f"dimension {2**64 - 1} out of range")])
+def test_bad_header_field_is_a_format_error(tmp_path, offset, field, message):
     raw = small_archive(tmp_path)
-    _, rows, _ = archive_layout(raw)
-    offset = rows + 8 * 7  # the second center's second coordinate (dim 6)
     path = tmp_path / "forged.chess"
-    path.write_bytes(rewrite_centers(raw, offset, struct.pack("<d", value)))
-    with pytest.raises(FormatError, match="non-finite center coordinate at byte "
-                                          f"offset {offset}$"):
+    path.write_bytes(rewrite_header(raw, offset, field))
+    with pytest.raises(FormatError, match=f"^{message} at byte offset {offset}$"):
         decompress(path)
 
 
-def test_out_of_range_center_in_archive_is_a_format_error(tmp_path):
+def test_trailing_bytes_in_the_header_tree_stream_are_refused(tmp_path):
     raw = small_archive(tmp_path)
-    _, rows, _ = archive_layout(raw)
-    path = tmp_path / "forged.chess"  # beyond the int64 grid of any quantum
-    path.write_bytes(rewrite_centers(raw, rows, struct.pack("<d", 1e300)))
-    with pytest.raises(FormatError, match="out-of-range center coordinate at "
-                                          f"byte offset {rows}$"):
+    _, stream = archive_tree(raw)
+    header = raw[HEADER:HEADER + _ARC_HEADER.size] + compress._deflate(stream + b"\0", 1)
+    path = tmp_path / "forged.chess"  # CRC-valid
+    path.write_bytes(raw[:8] + compress._frame(header) + raw[first_block(raw):])
+    with pytest.raises(FormatError, match="trailing bytes in the tree stream at "
+                                          f"byte offset {HEADER + _ARC_HEADER.size}$"):
+        decompress(path)
+
+
+def test_old_format_archive_is_refused(tmp_path):
+    # the format before CHESSARC opened with the tree's CHESSTREE stream
+    ds = synth_manifold(150, 6, 1, 0.1, seed=31)
+    tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=4))
+    path = tmp_path / "old.chess"
+    serialize(tree, path)
+    for raw in (path.read_bytes(), path.read_bytes() + small_archive(tmp_path)):
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="^bad archive magic at byte offset 0$"):
+            decompress(path)
+
+
+@pytest.mark.parametrize("row", ["center", "member"])
+def test_decoded_sum_beyond_int64_is_a_format_error(tmp_path, row):
+    raw = small_archive(tmp_path)
+    tree, _ = archive_tree(raw)
+    ds = synth_manifold(150, 6, 1, 0.1, seed=31)
+    leaves = np.flatnonzero(tree.size == 1)
+    # the first coordinates of leaf 2's and leaf 3's centers are positive
+    # on the grid, so adding 2**63 - 1 to either leaves the int64 range
+    assert quantize(ds.values[tree.center[leaves[2:4]], 0], DEFAULT_QUANTUM).min() > 0
+    [(_, _, _, bodies)] = archive_blocks(raw)
+    dim = ds.dim
+    _, at = reference_decode_varints(bodies[3], 0, dim if row == "member" else 0)
+    _, end = reference_decode_varints(bodies[3], at, 1)
+    huge = reference_encode_varints(np.array([2**64 - 2], dtype=np.uint64))
+    forged, pos = forge_leaf(raw, 3, lambda body: body[:at] + huge + body[end:])
+    path = tmp_path / "forged.chess"
+    path.write_bytes(forged)  # CRC-valid
+    with pytest.raises(FormatError, match="decoded grid index leaves the int64 "
+                                          f"range in the block at byte offset "
+                                          f"{pos}$"):
         decompress(path)
 
 
@@ -506,28 +601,44 @@ def pinned_corpus(metric: MetricKind):
     return build(ds, H, BuildConfig(max_depth=20, min_size=8, seed=2)), ds
 
 
-#: SHA-256 of everything an archive holds after its tree stream, as a
-#: leaf-at-a-time codec writes it
+#: SHA-256 of everything an archive holds after its header
 PINNED = {
-    E: "f3a339beb81946ee749d8e6aa8e217457797e69b476fef242c41df48b101f371",
-    H: "e0f9446d354c53cd86f6309a159b22bcaa46b9b192ecec6a0e64207c53f390d4",
+    E: "3d1e1cee3947abf0ce1d72a3feb2beb9d5ba90c70dbc8727e858c7dc338c005a",
+    H: "eeea0104fbb95257f86a6cf59ee03e0768bdc6d88e7135587bc1fa0054962dab",
 }
 
 
 @pytest.mark.parametrize("metric", [E, H], ids=["dense", "hamming"])
 def test_archive_bytes_are_pinned(tmp_path, metric):
-    # the tree stream is checked against the tree instead: it carries
-    # fractal dimensions from np.log, whose last bit may vary by platform
+    # the header's tree stream is checked against the tree instead: it
+    # carries fractal dimensions from np.log, whose last bit may vary by
+    # platform
     tree, ds = pinned_corpus(metric)
     path = tmp_path / "p.chess"
     compress_tree(tree, ds, Quantizer(), path)
     raw = path.read_bytes()
-    start, _, _ = archive_layout(raw)
-    assert raw[:start] == tree_to_bytes(tree)
-    assert hashlib.sha256(raw[start:]).hexdigest() == PINNED[metric]
+    assert archive_tree(raw)[1] == tree_to_bytes(tree)
+    assert hashlib.sha256(raw[first_block(raw):]).hexdigest() == PINNED[metric]
     back = decompress(path)
     assert np.array_equal(back.values, ds.values if metric is H
                           else grid(ds.values, DEFAULT_QUANTUM))
+
+
+#: SHA-256 of the values each pinned archive decodes to; they must not
+#: change when the archive format does
+PINNED_VALUES = {
+    E: "eecdd40dfb76c8429beb434cf67d98caf1dd384014d332b523c6da74229878f0",
+    H: "77663eeac35cb446aabf3033acab4c3687e4b23b7e130570aeb113744b22285c",
+}
+
+
+@pytest.mark.parametrize("metric", [E, H], ids=["dense", "hamming"])
+def test_decoded_values_are_pinned(tmp_path, metric):
+    tree, ds = pinned_corpus(metric)
+    path = tmp_path / "p.chess"
+    compress_tree(tree, ds, Quantizer(), path)
+    values = decompress(path).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_VALUES[metric]
 
 
 BATCHES = [1, 7, 600, 5_000]
@@ -540,13 +651,21 @@ BATCHES = [1, 7, 600, 5_000]
                          + [f"hamming-{b}" for b in BATCHES])
 def test_archive_bytes_do_not_depend_on_batch_size(tmp_path, monkeypatch, metric,
                                                    batch):
+    # the batch size only groups leaves into blocks: every leaf's varints
+    # are the same, and the archive decodes under the default batch size
     tree, ds = pinned_corpus(metric)
     path = tmp_path / "p.chess"
     compress_tree(tree, ds, Quantizer(), path)
-    want = path.read_bytes()
-    monkeypatch.setattr(compress, "_BATCH_VALUES", batch)
-    compress_tree(tree, ds, Quantizer(), path)
-    assert path.read_bytes() == want
+    want = [body for *_, bodies in archive_blocks(path.read_bytes())
+            for body in bodies]
+    with monkeypatch.context() as patch:
+        patch.setattr(compress, "_BATCH_VALUES", batch)
+        compress_tree(tree, ds, Quantizer(), path)
+        runs = _batches(tree.leaf_offsets()[1], ds.dim)
+    blocks = archive_blocks(path.read_bytes())
+    assert [(first, len(bodies)) for _, _, first, bodies in blocks] == \
+        [(a, b - a) for a, b in runs]
+    assert [body for *_, bodies in blocks for body in bodies] == want
     assert np.array_equal(decompress(path).values, ds.values if metric is H
                           else grid(ds.values, DEFAULT_QUANTUM))
 
@@ -559,7 +678,7 @@ def test_batches_are_bounded_by_values(monkeypatch):
     assert _batches(offsets, 20) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
 
 
-def test_encode_and_decode_leaf_run_once_per_leaf(tmp_path, monkeypatch):
+def test_encode_and_decode_leaf_run_once_per_block(tmp_path, monkeypatch):
     calls = {"encode_leaf": 0, "decode_leaf": 0}
     for name in calls:
         def counted(*args, _f=getattr(compress, name), _name=name):
@@ -570,6 +689,7 @@ def test_encode_and_decode_leaf_run_once_per_leaf(tmp_path, monkeypatch):
         tree, ds = pinned_corpus(metric)
         compress_tree(tree, ds, Quantizer(), tmp_path / "p.chess")
         decompress(tmp_path / "p.chess")
-        leaves = int((tree.size == 1).sum())
-        assert calls == {"encode_leaf": leaves, "decode_leaf": leaves}
+        blocks = len(_batches(tree.leaf_offsets()[1], ds.dim))
+        assert blocks < int((tree.size == 1).sum())
+        assert calls == {"encode_leaf": blocks, "decode_leaf": blocks}
         calls.update(encode_leaf=0, decode_leaf=0)

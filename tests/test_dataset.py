@@ -106,7 +106,7 @@ def test_sequences_duplicates_removed(tmp_path):
     # the first occurrence keeps its place
     path.write_text("ACGT\nAC-T\nACGT\nGGGG\n")
     ds = load_sequences(path)
-    assert [ds.string(i) for i in range(ds.n)] == ["ACGT", "AC-T", "GGGG"]
+    assert [row.tobytes() for row in ds.values] == [b"ACGT", b"AC-T", b"GGGG"]
 
 
 def test_sequences_basic(tmp_path):
@@ -114,7 +114,7 @@ def test_sequences_basic(tmp_path):
     path.write_text("ACGT\nAC-T\n")
     ds = load_sequences(path)
     assert (ds.n, ds.dim) == (2, 4)
-    assert ds.string(1) == "AC-T"
+    assert ds.values[1].tobytes() == b"AC-T"
 
 
 def test_sequences_illegal_character_names_column(tmp_path):
@@ -136,7 +136,7 @@ def test_sequences_fasta_headers_case_and_crlf(tmp_path):
     path.write_bytes(b">record one\r\nacgt\r\n>record two\nAC-T\n")
     ds = load_sequences(path)
     assert ds.n == 2
-    assert ds.string(0) == "ACGT"
+    assert ds.values[0].tobytes() == b"ACGT"
 
 
 def test_synth_deterministic():
