@@ -130,14 +130,13 @@ def _encode_varints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, ends
 
 
-def _decode_varints(buf: np.ndarray, ends: np.ndarray, counts: np.ndarray,
-                    where=None) -> np.ndarray:
+def _decode_varints(buf: np.ndarray, ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Values of consecutive bodies of LEB128 varints.
 
     Body ``j`` is ``buf[ends[j - 1]:ends[j]]`` and must hold exactly
     ``counts[j]`` varints of at most 64 bits. Errors name the offset in
-    the first faulty body at which a byte-by-byte reader would stop,
-    followed by ``where(j)`` if given.
+    the first faulty body at which a byte-by-byte reader would stop, and
+    carry that body's index ``j`` as their ``body`` attribute.
     """
     stops = np.flatnonzero(buf < 0x80)  # the last byte of every varint
     lengths = np.diff(stops, prepend=-1)
@@ -153,7 +152,8 @@ def _decode_varints(buf: np.ndarray, ends: np.ndarray, counts: np.ndarray,
         j = int(np.argmax(faulty))
         begin = int(ends[j - 1]) if j else 0
         exc = _body_fault(buf[begin:ends[j]].tobytes(), int(counts[j]))
-        raise exc if where is None else FormatError(f"{exc} {where(j)}")
+        exc.body = j
+        raise exc
     # one pass per byte position: add the next 7 bits of every varint
     # that has them
     values = (buf[starts] & 0x7F).astype(np.uint64)
@@ -192,8 +192,7 @@ def _read_varint(buf: bytes, start: int) -> tuple[int, int]:
 
 
 def _deflate(body: bytes, level: int) -> bytes:
-    enc = zlib.compressobj(level=level, wbits=-15)
-    return enc.compress(body) + enc.flush()
+    return zlib.compress(body, level, wbits=-15)
 
 
 def _inflate(body: bytes) -> bytes:
@@ -250,11 +249,10 @@ def decode_leaf(raw: bytes, pos: int, kind: DatasetKind, leaf: int,
                           f"leaves from leaf {first}, where leaf {leaf} of "
                           f"{leaves} is next")
     body = _inflate(payload[_BLOCK_HEADER.size:])
-    lengths, cut = [], 0
+    lengths, cut = [0] * count, 0
     try:
-        for _ in range(count):
-            size, cut = _read_varint(body, cut)
-            lengths.append(size)
+        for i in range(count):
+            lengths[i], cut = _read_varint(body, cut)
     except FormatError as exc:
         raise FormatError(f"{exc} in the leaf lengths of the block at byte "
                           f"offset {pos}") from None
@@ -308,20 +306,23 @@ def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
     """Every point, in original order, from the blocks at ``pos``; and their end."""
     leaves, offsets = tree.leaf_offsets()
     dense = kind is DatasetKind.DENSE_VECTORS
-    out = np.empty((tree.order.size, dim), dtype=np.float64 if dense else np.uint8)
-    center = np.zeros((1, dim), dtype=np.int64)  # the previous leaf's
-    a = 0
+    out, a = None, 0
     while a < leaves.size:
         start = pos
         lengths, body, pos = decode_leaf(raw, pos, kind, a, leaves.size)
-        b = a + lengths.size
-
-        def where(j):
-            return f"in leaf {a + j} of the block at byte offset {start}"
-
+        b, block = a + lengths.size, f"the block at byte offset {start}"
         cards = np.diff(offsets[a:b + 1])
-        rows = _unzigzag(_decode_varints(body, np.cumsum(lengths), (cards + 1) * dim,
-                                         where)).reshape(-1, dim)
+        if out is None:
+            # each varint takes a byte: bound a forged dim before it sizes arrays
+            if (int(cards.sum()) + b - a) * dim > body.size:
+                raise FormatError(f"dimension {dim} does not fit {block}")
+            out = np.empty((tree.order.size, dim), dtype=np.float64 if dense else np.uint8)
+            center = np.zeros((1, dim), dtype=np.int64)  # the previous leaf's
+        try:
+            values = _decode_varints(body, np.cumsum(lengths), (cards + 1) * dim)
+        except FormatError as exc:
+            raise FormatError(f"{exc} in leaf {a + exc.body} of {block}") from None
+        rows = _unzigzag(values).reshape(-1, dim)
         heads, reps = _runs(offsets, a, b)
         centers = np.cumsum(np.concatenate((center, rows[heads])), axis=0)
         refs = np.repeat(centers, reps, axis=0)
@@ -329,8 +330,7 @@ def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
         # a wrapped sum differs in sign from both addends; the running sum of
         # centers first wraps in the center row that makes it wrap
         if ((total ^ rows) & (total ^ refs)).min() < 0:
-            raise FormatError(f"decoded grid index leaves the int64 range in the "
-                              f"block at byte offset {start}")
+            raise FormatError(f"decoded grid index leaves the int64 range in {block}")
         center = centers[-1:]
         grid = np.delete(total, heads, axis=0)
         if not dense:
@@ -338,7 +338,7 @@ def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
             if bad.size:
                 leaf = int(np.searchsorted(np.cumsum(cards), bad[0] // dim, side="right"))
                 raise FormatError(f"decoded code {grid.flat[bad[0]]} is not in "
-                                  f"A, C, G, T, - {where(leaf)}")
+                                  f"A, C, G, T, - in leaf {a + leaf} of {block}")
         out[tree.order[offsets[a]:offsets[b]]] = grid * quantum if dense else grid
         a = b
     return out, pos
@@ -367,7 +367,7 @@ def decompress(path) -> Dataset:
     at = len(ARC_MAGIC) + _U64.size  # the version's offset
     if version != ARC_VERSION:
         raise FormatError(f"unsupported archive version {version} at byte offset {at}")
-    if not 0 < dim <= len(raw):  # a point takes at least a byte per coordinate
+    if dim == 0:
         raise FormatError(f"dimension {dim} out of range at byte offset {at + 9}")
     stream = _inflate(header[_ARC_HEADER.size:])
     tree, end = tree_from_bytes(stream)

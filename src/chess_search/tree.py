@@ -636,7 +636,10 @@ def serialize(tree: ClusterTree, path) -> None:
 def _read_tree_file(path) -> ClusterTree:
     """Parse a CHESSTREE file, refusing bytes after the stream."""
     raw = Path(path).read_bytes()
-    tree, end = tree_from_bytes(raw)
+    try:
+        tree, end = tree_from_bytes(raw)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if end != len(raw):
         raise FormatError(f"{path}: trailing bytes after the tree at byte offset {end}")
     return tree

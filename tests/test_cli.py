@@ -186,7 +186,8 @@ def test_tree_with_trailing_bytes_exits_one(dense_file, tmp_path, capsys):
     for sub, path, why in (
             (["knn", "--k", "1"], tree_path,
              f"{tree_path}: trailing bytes after the tree at byte offset {end}"),
-            (["search", "--radius", "1.0"], archive, "bad tree magic at byte offset 0")):
+            (["search", "--radius", "1.0"], archive,
+             f"{archive}: bad tree magic at byte offset 0")):
         code, _, err = run(capsys, *sub, "--tree", str(path), "--input",
                            str(dense_file), "--queries", str(dense_file))
         assert code == 1
@@ -201,7 +202,7 @@ def test_info_refuses_an_archive(dense_file, tmp_path, capsys):
         str(tree_path), "--out", str(archive))
     code, out, err = run(capsys, "info", "--tree", str(archive))
     assert (code, out) == (1, "")
-    assert "bad tree magic at byte offset 0" in err
+    assert f"{archive}: bad tree magic at byte offset 0" in err
 
 
 def test_decompress_refuses_a_tree_file(dense_file, tmp_path, capsys):

@@ -531,14 +531,42 @@ def test_bad_quantum_in_archive_is_a_format_error(tmp_path, quantum):
 
 @pytest.mark.parametrize("offset, field, message", [
     (HEADER, b"\x02", "unsupported archive version 2"),
-    (HEADER + 9, struct.pack("<Q", 0), "dimension 0 out of range"),
-    (HEADER + 9, struct.pack("<Q", 2**64 - 1), f"dimension {2**64 - 1} out of range")])
+    (HEADER + 9, struct.pack("<Q", 0), "dimension 0 out of range")])
 def test_bad_header_field_is_a_format_error(tmp_path, offset, field, message):
     raw = small_archive(tmp_path)
     path = tmp_path / "forged.chess"
     path.write_bytes(rewrite_header(raw, offset, field))
     with pytest.raises(FormatError, match=f"^{message} at byte offset {offset}$"):
         decompress(path)
+
+
+@pytest.mark.parametrize("dim", [2**64 - 1, 2**40])
+def test_dimension_beyond_the_first_block_is_a_format_error(tmp_path, dim):
+    # refused before it sizes the output: 2**40 columns of every point
+    # take more memory than there is
+    raw = small_archive(tmp_path)
+    path = tmp_path / "forged.chess"
+    path.write_bytes(rewrite_header(raw, HEADER + 9, struct.pack("<Q", dim)))
+    with pytest.raises(FormatError, match=f"^dimension {dim} does not fit the block "
+                                          f"at byte offset {first_block(raw)}$"):
+        decompress(path)
+
+
+@pytest.mark.parametrize("values", [
+    # one aligned read: its archive is smaller than its length
+    Dataset.from_strings(["".join(np.random.default_rng(3).choice(list("ACGT"), 2000))]),
+    Dataset.from_vectors(np.tile(np.tile([1.0, 2.0], 10_000), (20, 1)))],
+    ids=["one-long-string", "identical-wide-rows"])
+def test_archive_smaller_than_its_dimension_roundtrips(tmp_path, values):
+    metric = E if values.kind is DatasetKind.DENSE_VECTORS else H
+    tree = build(values, metric, BuildConfig(seed=0))
+    path = tmp_path / "a.chess"
+    compress_tree(tree, values, Quantizer(), path)
+    assert path.stat().st_size < values.dim
+    back = decompress(path)
+    expected = (grid(values.values, DEFAULT_QUANTUM)
+                if metric is E else values.values)
+    assert np.array_equal(back.values, expected)
 
 
 def test_trailing_bytes_in_the_header_tree_stream_are_refused(tmp_path):
