@@ -33,7 +33,7 @@ print(f"\nrange query, r = {radius}")
 print(f"  pruned search: {len(pruned.hits)} hits, "
       f"{pruned.comparisons} comparisons, "
       f"{pruned.fraction_searched:.2%} of data scanned, "
-      f"{pruned.leaves_visited} clusters scanned")
+      f"{pruned.leaves_visited} blocks scanned")
 print(f"  linear scan:   {len(oracle.hits)} hits, "
       f"{oracle.comparisons} comparisons")
 print(f"  hit sets identical: {pruned.hits == oracle.hits}")

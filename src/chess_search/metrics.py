@@ -239,7 +239,9 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
     in the block, nor on whether its query came alone or in a block. The
     counter, when given, is charged one comparison per row.
     """
-    for_vectors = kind.for_vectors
+    # identity tests and ``np.add.reduce`` skip the per-call cost of the
+    # enum property and of ``ndarray.sum``'s wrapper; results are the same
+    for_vectors = kind is MetricKind.EUCLIDEAN or kind is MetricKind.COSINE
     if not (isinstance(q, np.ndarray) and q.ndim == 2):
         q = as_vector(q) if for_vectors else as_codes(q)
     elif q.shape != points.shape:
@@ -257,13 +259,13 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
         if kind is MetricKind.EUCLIDEAN:
             diff = points - q
             diff *= diff  # in place: one block-sized temporary, not two
-            result = np.sqrt(diff.sum(axis=1))
+            result = np.sqrt(np.add.reduce(diff, axis=1))
         else:
-            qn = np.sqrt((q * q).sum(axis=-1))
-            norms = np.sqrt((points * points).sum(axis=1))
+            qn = np.sqrt(np.add.reduce(q * q, axis=-1))
+            norms = np.sqrt(np.add.reduce(points * points, axis=1))
             if not (qn.all() and norms.all()):
                 raise DegenerateInputError("cosine distance undefined for the zero vector")
-            result = 1.0 - (points * q).sum(axis=1) / (norms * qn)
+            result = 1.0 - np.add.reduce(points * q, axis=1) / (norms * qn)
     elif points.ndim != 2:
         raise DimensionError("expected a 2-D block of string points")
     elif kind is MetricKind.HAMMING:
@@ -271,7 +273,7 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
             raise DimensionError(
                 f"Hamming distance requires equal lengths: "
                 f"{points.shape[1]} vs {q.shape[-1]}")
-        result = (points != q).sum(axis=1).astype(np.float64)
+        result = np.add.reduce(points != q, axis=1).astype(np.float64)
     else:
         result = _levenshtein_block(points, q)
     if counter is not None:

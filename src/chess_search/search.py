@@ -7,11 +7,12 @@ than ``r + radius[child]``, up to the rounding of a floating-point
 distance) is pruned; a child the ball wholly contains
 (``d + radius[child] <= r``) is scanned without testing any center
 below it; any other child is descended into. Contained clusters and
-reached leaves are scanned exhaustively, each as its one slice of the
-tree's member permutation. When the distance obeys the triangle
-inequality this returns exactly the naive linear-scan result; false positives are
-impossible for any distance because every hit is an explicit pairwise
-comparison against r.
+reached leaves are scanned exhaustively, each as its slice of the
+tree's member permutation, one kernel call per block of at most
+``_BLOCK_BYTES`` of rows (the build's block size). When the distance
+obeys the triangle inequality this returns exactly the naive
+linear-scan result; false positives are impossible for any distance
+because every hit is an explicit pairwise comparison against r.
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
@@ -30,7 +31,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionError
 from .metrics import ComparisonCounter, MetricKind, distances_to
-from .tree import ClusterTree
+from .tree import ClusterTree, _block_rows
 
 __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_search"]
 
@@ -38,8 +39,10 @@ __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_searc
 @dataclass
 class SearchReport:
     """Hits plus instrumentation for one range query. ``leaves_visited``
-    counts the slices of ``order`` scanned, one kernel call each: leaves
-    reached and clusters the ball contains (the benchmark reads the name)."""
+    counts the kernel calls that scanned points: each leaf reached and
+    each cluster the ball contains is its slice of ``order``, scanned one
+    block of at most ``_BLOCK_BYTES`` of rows per call (the benchmark
+    reads the name)."""
 
     hits: list[tuple[int, float]]  # (point index, distance), sorted by distance
     comparisons: int
@@ -68,8 +71,39 @@ class KnnReport:
 
 
 def _sorted_hits(indices: np.ndarray, dists: np.ndarray) -> list[tuple[int, float]]:
-    order = np.lexsort((indices, dists))
-    return list(zip(indices[order].tolist(), dists[order].tolist()))
+    """``(index, distance)`` pairs of distinct indices, ordered by
+    distance and then index."""
+    # the methods and ``count_nonzero`` skip wrappers that cost more than
+    # the sort itself on the few hits of a narrow query
+    order = dists.argsort()
+    indices, dists = indices[order], dists[order]
+    tied = dists[1:] == dists[:-1]
+    if np.count_nonzero(tied):
+        # number the runs of equal distances, then order by (run, index)
+        run = np.concatenate(([0], np.cumsum(~tied)))
+        order = (run * (int(indices.max()) + 1) + indices).argsort()
+        indices, dists = indices[order], dists[order]
+    return list(zip(indices.tolist(), dists.tolist()))
+
+
+def _scan(values: np.ndarray, members: np.ndarray | None, query, metric: MetricKind,
+          counter: ComparisonCounter, block: int) -> np.ndarray:
+    """Distances from ``query`` to ``values[members]``, or to every row of
+    ``values`` when ``members`` is None, one kernel call per ``block``
+    rows. Blocks of ``_block_rows(values)`` keep each call's gathered
+    rows and temporaries in cache and below glibc's mmap threshold, as
+    the build's do, instead of mapping and faulting them in anew.
+    """
+    rows = len(values) if members is None else members.size
+    if rows <= block:
+        return distances_to(values if members is None else values[members],
+                            query, metric, counter)
+    out = np.empty(rows)
+    for a in range(0, rows, block):
+        points = values[a:a + block] if members is None \
+            else values[members[a:a + block]]
+        out[a:a + block] = distances_to(points, query, metric, counter)
+    return out
 
 
 def _check_radius(r: float) -> None:
@@ -105,7 +139,8 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     still each pass ``<= r`` on their own, and under a distance that
     breaks the triangle inequality (cosine) it can only add scanned
     points. Comparisons count the center tests actually made plus the
-    points scanned, one kernel call per test and one per scanned slice.
+    points scanned, one kernel call per test and one per block of a
+    scanned slice.
     A dataset with fewer points than the tree covers is a
     :class:`DimensionError`.
     """
@@ -118,7 +153,8 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     counter = ComparisonCounter()
     hit_idx: list[np.ndarray] = []
     hit_dist: list[np.ndarray] = []
-    slices_scanned = 0
+    block = _block_rows(values)
+    blocks_scanned = 0
     points_scanned = 0
 
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
@@ -130,9 +166,9 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
         node, off, contained = stack.pop()
         if contained or size(node) == 1:
             members = order[off:off + card(node)]
-            slices_scanned += 1
+            blocks_scanned += -(-members.size // block)
             points_scanned += members.size
-            dists = distances_to(values[members], query, metric, counter)
+            dists = _scan(values, members, query, metric, counter, block)
             within = dists <= r
             if within.any():
                 hit_idx.append(members[within])
@@ -151,17 +187,18 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     else:
         hits = []
     return SearchReport(hits=hits, comparisons=counter.count,
-                        leaves_visited=slices_scanned,
+                        leaves_visited=blocks_scanned,
                         fraction_searched=points_scanned / dataset.n)
 
 
 def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchReport:
     """Linear-scan oracle: compares the query to every point, exactly n
-    comparisons."""
+    comparisons, scanning ``values`` in the blocks a search scans in."""
     _check_radius(r)
     query = dataset.coerce_point(q)
+    values = dataset.values
     counter = ComparisonCounter()
-    dists = distances_to(dataset.values, query, metric, counter)
+    dists = _scan(values, None, query, metric, counter, _block_rows(values))
     within = dists <= r
     hits = _sorted_hits(np.flatnonzero(within), dists[within])
     return SearchReport(hits=hits, comparisons=counter.count, leaves_visited=0,
@@ -204,7 +241,7 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
         node, off = child, child_off
 
     members = tree.order[off:off + int(card[node])]
-    dists = distances_to(values[members], query, metric, counter)
+    dists = _scan(values, members, query, metric, counter, _block_rows(values))
     bound = float(np.partition(dists, k - 1)[k - 1])
     report = rho_search(tree, query, bound, dataset)
     return KnnReport(hits=report.hits[:k], invocations=1, final_radius=bound,

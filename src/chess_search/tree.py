@@ -76,8 +76,8 @@ _U32 = struct.Struct("<I")
 _COLUMNS = (("flags", "u1"), ("center", "<u8"), ("radius", "<f8"),
             ("lfd", "<f8"), ("cardinality", "<u8"), ("order", "<u8"))
 
-#: Bytes of the rows gathered for one kernel call of a build pass; the
-#: call also gathers as many bytes of queries.
+#: Bytes of the rows gathered for one kernel call of a build pass or a
+#: search scan; a build call also gathers as many bytes of queries.
 _BLOCK_BYTES = 80 * 1024
 
 #: Multiple of the leaf radius beyond which an inserted point starts a
@@ -208,6 +208,11 @@ def _sample_size(m: int) -> int:
     return min(m, max(2, math.isqrt(m - 1) + 1))  # ceil(sqrt(m)), clamped to [2, m]
 
 
+def _block_rows(values: np.ndarray) -> int:
+    """Rows of ``values`` that fit ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (values.itemsize * values.shape[1]))
+
+
 def _paired_pass(values: np.ndarray, rows: np.ndarray, queries: np.ndarray,
                  metric: MetricKind, counter: ComparisonCounter) -> np.ndarray:
     """``d(values[rows[k]], values[queries[k]])`` for every ``k``, one
@@ -224,7 +229,7 @@ def _paired_pass(values: np.ndarray, rows: np.ndarray, queries: np.ndarray,
     to 88 KiB blocks took about the same time; 96 KiB and more measured
     10-20% slower.
     """
-    block = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[1]))
+    block = _block_rows(values)
     out = np.empty(rows.size)
     for a in range(0, rows.size, block):
         q = queries[a:a + block]

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chess_search import (BuildConfig, ClusterTree, Dataset, DimensionError,
                           MetricKind, build, insert_point, knn_search,
                           naive_search, rho_search, synth_manifold)
 from chess_search import search
 from chess_search.metrics import distances_to
-from chess_search.tree import tree_from_bytes, tree_to_bytes
+from chess_search.tree import _block_rows, tree_from_bytes, tree_to_bytes
 
 from conftest import brute_force_knn, node_members, synth_aligned_strings
 
@@ -58,40 +60,86 @@ def kernel_calls(monkeypatch):
     return rows
 
 
-def test_contained_cluster_is_one_kernel_call(small_manifold, kernel_calls):
+def root_child_blocks(tree: ClusterTree, block: int) -> int:
+    """Blocks of at most ``block`` rows in the slices of the root's children."""
+    children = (1, 1 + int(tree.size[1]))
+    return sum(-(-int(tree.cardinality[c]) // block) for c in children)
+
+
+def test_contained_cluster_is_scanned_in_blocks(small_manifold, kernel_calls):
     # both root children lie inside the ball: two center tests, then each
-    # child's slice of order in one call
+    # child's slice of order, one kernel call per block of rows
     ds, tree = small_manifold
     q = ds.values[5]
-    report = rho_search(tree, q, 2 * tree.radius[0], ds)
-    assert len(kernel_calls) == 4
-    assert report.leaves_visited == 2
+    r = 2 * tree.radius[0]
+    block = _block_rows(ds.values)
+    blocks = root_child_blocks(tree, block)
+    assert blocks > 2  # each slice spans more than one block
+    report = rho_search(tree, q, r, ds)
+    assert len(kernel_calls) == 2 + blocks
+    assert max(kernel_calls) <= block
+    assert report.leaves_visited == blocks
     assert report.comparisons == ds.n + 2
-    assert report.hits == naive_search(ds, q, 2 * tree.radius[0], E).hits
+    assert report.hits == naive_search(ds, q, r, E).hits
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.HAMMING])
 def test_walk_reconciles_kernel_calls(metric, kernel_calls):
     # the identities the benchmark harness checks on traced range reads:
-    # every kernel call is a center test or a scanned slice, and kernel
-    # rows are comparisons
+    # every kernel call is a center test or a block of a scanned slice,
+    # and kernel rows are comparisons. In 120 dimensions a block holds 85
+    # rows, so contained slices span several blocks
     if metric is E:
-        ds = synth_manifold(600, 10, 1, 0.02, seed=13, density_power=2.0)
+        corpora = [synth_manifold(600, dim, 1, 0.02, seed=13, density_power=2.0)
+                   for dim in (10, 120)]
     else:
-        ds = synth_aligned_strings(300, 60, 4, 0.05, seed=13)
-    tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
-    top = 4 * tree.radius[0]  # contains both root children for any stored query
-    radii = [0.0, *(top * 2.0 ** -np.arange(12, -1, -1))]
-    for i in (0, 101, 277):
-        for r in radii:
-            kernel_calls.clear()
-            report = rho_search(tree, ds.values[i], r, ds)
-            scanned = round(report.fraction_searched * ds.n)
-            assert len(kernel_calls) - report.leaves_visited + scanned \
-                == report.comparisons
-            assert sum(kernel_calls) == report.comparisons
-            assert report.hits == naive_search(ds, ds.values[i], r, metric).hits
-        assert report.leaves_visited == 2
+        corpora = [synth_aligned_strings(300, 60, 4, 0.05, seed=13)]
+    for ds in corpora:
+        tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
+        block = _block_rows(ds.values)
+        top = 4 * tree.radius[0]  # contains both root children for any stored query
+        radii = [0.0, *(top * 2.0 ** -np.arange(12, -1, -1))]
+        for i in (0, 101, 277):
+            for r in radii:
+                kernel_calls.clear()
+                report = rho_search(tree, ds.values[i], r, ds)
+                scanned = round(report.fraction_searched * ds.n)
+                assert len(kernel_calls) - report.leaves_visited + scanned \
+                    == report.comparisons
+                assert sum(kernel_calls) == report.comparisons
+                assert max(kernel_calls) <= block
+                assert report.hits == naive_search(ds, ds.values[i], r, metric).hits
+            assert report.leaves_visited == root_child_blocks(tree, block)
+        if ds.dim > 100:
+            assert report.leaves_visited > 2
+
+
+HITS = st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 4), st.floats(0, 100)),
+                max_size=60, unique_by=lambda hit: hit[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(HITS, st.sampled_from(["float", "integral float", "int"]))
+@example([], "float")
+@example([(7, 3, 0.5)], "float")
+@example([(7, 3, 0.5)], "int")
+def test_sorted_hits_match_a_lexsort(hits, kind):
+    # (distance, index) order, ties to the lower index. Small integers make
+    # ties common; a float distance is one of 0, 0.5 and 1 half the time
+    indices = np.array([i for i, _, _ in hits], dtype=np.intp)
+    small = np.array([t for _, t, _ in hits], dtype=np.int64)
+    if kind == "int":
+        dists = small
+    elif kind == "integral float":
+        dists = small.astype(np.float64)
+    else:
+        floats = np.array([f for _, _, f in hits], dtype=np.float64)
+        dists = np.where(small % 2 == 0, small / 4, floats)
+    order = np.lexsort((indices, dists))
+    want = list(zip(indices[order].tolist(), dists[order].tolist()))
+    got = search._sorted_hits(indices, dists)
+    assert got == want
+    assert [type(d) for _, d in got] == [type(d) for _, d in want]
 
 
 def test_negative_radius_rejected(small_manifold):
