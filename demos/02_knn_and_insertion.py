@@ -3,9 +3,10 @@
 k-NN descends toward the query to a cluster of at least k points, takes
 the k-th smallest distance in it as a bound radius, and keeps the first
 k hits of one range search at that radius. Inserting a point is a
-zero-radius descent; a point landing far outside its leaf starts a new
-sibling cluster. Exits nonzero if any k-NN answer differs from brute
-force.
+zero-radius descent into its leaf, however far outside it the point
+lands; a leaf that outgrows twice the build's ``min_size`` splits by
+the build's own step. Exits nonzero if any k-NN answer differs from
+brute force.
 """
 
 import sys
@@ -40,16 +41,18 @@ for k in (1, 10, 100):
           f"{report.comparisons} comparisons of n = {dataset.n}, "
           f"matches brute force: {exact}")
 
-print("\ninserting 50 on-manifold points and 3 far outliers...")
+print("\ninserting 200 points beside 5 stored ones and 3 far outliers...")
 leaves_before = metric_entropy(tree)
-for i in range(50):
-    insert_point(tree, dataset.point(int(rng.integers(dataset.n))) + 0.01,
-                 dataset)
+spots = rng.choice(dataset.n, 5, replace=False)
+for i in range(200):
+    near = dataset.point(int(spots[i % 5]))
+    insert_point(tree, near + rng.normal(0, 0.01, dataset.dim), dataset)
 for offset in (1e3, 2e3, 3e3):
     insert_point(tree, dataset.point(0) + offset, dataset)
-print(f"leaves {leaves_before} -> {metric_entropy(tree)} "
-      f"(a point beyond twice its leaf radius starts a new cluster), "
-      f"n = {dataset.n}")
+# a split turns one leaf into two
+print(f"the inserts split {metric_entropy(tree) - leaves_before} leaves "
+      f"(a leaf splits once it holds more than 2 * min_size = "
+      f"{2 * tree.config.min_size} points), n = {dataset.n}")
 
 report = knn_search(tree, query, 5, dataset)
 exact = matches_brute_force(report, query, 5)

@@ -1,8 +1,9 @@
 """Reproduce the benchmark protocol: held-out queries, per-depth sweep.
 
-Fifty points are held out as queries, one tree is built per depth, and
-every cell reports comparison counts, fraction of data scanned, and the
-speedup over a naive linear scan. Deeper trees prune harder until the
+Fifty points are held out as queries, one tree is built at the deepest
+depth and cut at each shallower one (a tree built to depth d is the
+depth-d cut of a deeper one), and every cell reports comparison counts,
+fraction of data scanned, and the speedup over a naive linear scan. Deeper trees prune harder until the
 leaf granularity bottoms out.
 """
 

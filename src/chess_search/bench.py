@@ -1,8 +1,10 @@
 """Benchmark harness: held-out queries and per-depth sweeps.
 
 The protocol holds out a seeded random sample of points as queries,
-builds one tree per requested depth on the remainder, and runs both the
-pruned search and the naive linear scan for every (query, radius) cell.
+builds one tree on the remainder at the deepest requested depth, cuts it
+at each requested depth (depth 0 is the root as one leaf), and runs both
+the pruned search and the naive linear scan for every (query, radius)
+cell.
 Speedup is reported on the comparison-count basis (naive comparisons
 divided by pruned-search comparisons), which is hardware independent;
 wall-clock time of each pruned search is reported alongside. Rows
@@ -21,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .metrics import MetricKind
 from .search import naive_search, rho_search
-from .tree import BuildConfig, ClusterTree, build
+from .tree import BuildConfig, _truncated, build
 
 __all__ = [
     "BenchmarkRow",
@@ -64,15 +66,6 @@ def hold_out(dataset: Dataset, num_queries: int, seed: int,
     return held_in, dataset.values[query_idx].copy()
 
 
-def _build_at_depth(dataset: Dataset, metric: MetricKind, depth: int,
-                    min_size: int, seed: int) -> ClusterTree:
-    if depth == 0:
-        # depth-0 baseline: one leaf over every point, so no pruning
-        depth, min_size = 1, dataset.n
-    return build(dataset, metric,
-                 BuildConfig(max_depth=depth, min_size=min_size, seed=seed))
-
-
 def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
                   num_queries: int = 50, seed: int = 0, *,
                   min_size: int = 10) -> list[BenchmarkRow]:
@@ -81,15 +74,21 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
     radii = [float(r) for r in radii]
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
+    depths = [int(d) for d in depths]
+    if any(d < 0 for d in depths):
+        raise ValueError("depths must be nonnegative")
     held_in, queries = hold_out(dataset, num_queries, seed)
 
     # the oracle does not depend on tree depth: one scan per (query, radius)
     naive = {r: [naive_search(held_in, q, r, metric) for q in queries]
              for r in radii}
 
+    # a tree built with max_depth d is the depth-d cut of a deeper one
+    deepest = build(held_in, metric, BuildConfig(max_depth=max([1, *depths]),
+                                                 min_size=min_size, seed=seed))
     rows = []
     for depth in depths:
-        tree = _build_at_depth(held_in, metric, depth, min_size, seed)
+        tree = _truncated(deepest, depth)
         for radius in radii:
             reports, times = [], np.empty(len(queries))
             for i, q in enumerate(queries):
@@ -108,7 +107,7 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
                 false_pos += len(got - want)
                 false_neg += len(want - got)
             rows.append(BenchmarkRow(
-                depth=int(depth), radius=radius, metric=metric.value,
+                depth=depth, radius=radius, metric=metric.value,
                 comparisons_mean=float(comparisons.mean()),
                 comparisons_std=float(comparisons.std()),
                 time_mean_s=float(times.mean()), time_std_s=float(times.std()),

@@ -61,10 +61,6 @@ class MetricKind(enum.Enum):
     LEVENSHTEIN = "levenshtein"
 
     @property
-    def obeys_triangle_inequality(self) -> bool:
-        return self is not MetricKind.COSINE
-
-    @property
     def for_vectors(self) -> bool:
         """True when the distance applies to dense vectors, False for strings."""
         return self in (MetricKind.EUCLIDEAN, MetricKind.COSINE)

@@ -39,6 +39,7 @@ and the structure.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import struct
@@ -49,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionError, FormatError
+from .errors import DegenerateInputError, DimensionError, FormatError
 from .metrics import ComparisonCounter, MetricKind, distances_to
 
 __all__ = [
@@ -79,10 +80,6 @@ _COLUMNS = (("flags", "u1"), ("center", "<u8"), ("radius", "<f8"),
 #: Bytes of the rows gathered for one kernel call of a build pass or a
 #: search scan; a build call also gathers as many bytes of queries.
 _BLOCK_BYTES = 80 * 1024
-
-#: Multiple of the leaf radius beyond which an inserted point starts a
-#: new sibling cluster instead of joining the leaf.
-SPLIT_FACTOR = 2.0
 
 
 @dataclass
@@ -214,7 +211,7 @@ def _block_rows(values: np.ndarray) -> int:
 
 
 def _paired_pass(values: np.ndarray, rows: np.ndarray, queries: np.ndarray,
-                 metric: MetricKind, counter: ComparisonCounter) -> np.ndarray:
+                 metric: MetricKind, counter: ComparisonCounter | None) -> np.ndarray:
     """``d(values[rows[k]], values[queries[k]])`` for every ``k``, one
     paired kernel call per block of rows. A block whose rows all share
     one query (most partition blocks near the root) passes it as a single
@@ -246,7 +243,7 @@ def _draw_seeds(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _level_poles(values: np.ndarray, seeds: list[np.ndarray], metric: MetricKind,
-                 counter: ComparisonCounter) -> tuple[np.ndarray, np.ndarray]:
+                 counter: ComparisonCounter | None) -> tuple[np.ndarray, np.ndarray]:
     """The two poles of every node of a level from its seeds.
 
     Every seed pair ``i < j`` of every node is evaluated in one paired
@@ -275,7 +272,7 @@ def _level_poles(values: np.ndarray, seeds: list[np.ndarray], metric: MetricKind
 
 def _level_partition(values: np.ndarray, members: np.ndarray, node_of: np.ndarray,
                      left: np.ndarray, right: np.ndarray, metric: MetricKind,
-                     counter: ComparisonCounter) -> tuple[np.ndarray, np.ndarray]:
+                     counter: ComparisonCounter | None) -> tuple[np.ndarray, np.ndarray]:
     """Assign the members of a level's nodes to their node's poles.
 
     ``node_of`` gives each member's node, whose poles are ``left`` and
@@ -326,12 +323,47 @@ def _lfd(cardinality: int, radius: float, inner: int) -> float:
     return math.log2(cardinality / inner)
 
 
-def _lfd_from_dists(cardinality: int, radius: float, dists: np.ndarray) -> float:
-    return _lfd(cardinality, radius, int(np.count_nonzero(dists <= radius / 2.0)))
+def _level_stats(dists: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and local fractal dimension of every node of a level, from
+    its members' distances to their own node's center, node after node
+    (``counts`` members each)."""
+    starts = np.cumsum(counts) - counts
+    radius = np.maximum.reduceat(dists, starts)
+    inner = np.add.reduceat(dists <= np.repeat(radius / 2.0, counts), starts,
+                            dtype=np.int64)
+    lfd = np.array([_lfd(*node) for node in zip(counts.tolist(), radius.tolist(),
+                                                inner.tolist())])
+    return radius, lfd
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack((a, b)).reshape(-1)
+
+
+def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
+                 streams: list[int], seed: int, metric: MetricKind,
+                 counter: ComparisonCounter | None,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split every node of a level in two: the one step that splits a node,
+    in :func:`build` and :func:`insert_point` alike.
+
+    ``members`` holds the nodes' members node after node, ``counts`` each
+    in ascending point-index order; node ``k`` draws its seeds from stream
+    ``streams[k]``. Returns the children's centers, members (stable within
+    each child), distances to their own center and counts, left child first.
+    """
+    starts = np.cumsum(counts) - counts
+    left, right = _level_poles(values, [
+        _draw_seeds(members[a:a + c], _node_rng(seed, s))
+        for a, c, s in zip(starts.tolist(), counts.tolist(), streams)],
+        metric, counter)
+    node_of = np.repeat(np.arange(counts.size), counts)
+    goes_left, own = _level_partition(values, members, node_of, left, right,
+                                      metric, counter)
+    child = 2 * node_of + ~goes_left
+    regroup = np.argsort(child, kind="stable")
+    return (_interleave(left, right), members[regroup], own[regroup],
+            np.bincount(child, minlength=2 * counts.size))
 
 
 def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterTree:
@@ -378,41 +410,26 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     order = np.empty(n, dtype=np.int64)
     levels, spent = [], [0]  # spent: the comparison count after each depth
     for depth in itertools.count():
-        starts = np.cumsum(counts) - counts
-        radius = np.maximum.reduceat(dists, starts)
-        inner = np.add.reduceat(dists <= np.repeat(radius / 2.0, counts), starts,
-                                dtype=np.int64)
-        lfd = np.array([_lfd(*node) for node in zip(counts.tolist(), radius.tolist(),
-                                                    inner.tolist())])
+        radius, lfd = _level_stats(dists, counts)
         split = (counts > config.min_size) & (radius != 0.0)
         if depth >= config.max_depth:
             split[:] = False
         levels.append((centers, radius, lfd, counts, split, offsets,
                        np.full(counts.size, depth)))
         leaf = np.repeat(~split, counts)
+        starts = np.cumsum(counts) - counts
         order[np.flatnonzero(leaf) + np.repeat(offsets - starts, counts)[leaf]] = \
             members[leaf]
         if not split.any():
             break
 
         inside = np.repeat(split, counts)
-        members, counts, offsets = members[inside], counts[split], offsets[split]
-        starts = np.cumsum(counts) - counts
         streams = [s for s, f in zip(streams, split.tolist()) if f]
-        left, right = _level_poles(values, [
-            _draw_seeds(members[a:a + c], _node_rng(config.seed, s))
-            for a, c, s in zip(starts.tolist(), counts.tolist(), streams)],
-            metric, counter)
-        node_of = np.repeat(np.arange(counts.size), counts)
-        goes_left, own = _level_partition(values, members, node_of, left, right,
-                                          metric, counter)
-        child = 2 * node_of + ~goes_left
-        regroup = np.argsort(child, kind="stable")
-        members, dists = members[regroup], own[regroup]
-        counts = np.bincount(child, minlength=2 * counts.size)
-        centers = _interleave(left, right)
+        centers, members, dists, counts = _level_split(
+            values, members[inside], counts[split], streams, config.seed, metric,
+            counter)
         streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
-        offsets = _interleave(offsets, offsets + counts[0::2])
+        offsets = _interleave(offsets[split], offsets[split] + counts[0::2])
         spent.append(counter.count)
     spent.append(counter.count)
 
@@ -426,6 +443,28 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
         size=_subtree_sizes(internal[pre]), order=order, metric=metric, config=config,
         dataset_hash=dataset.content_hash(), build_comparisons=counter.count,
         build_comparisons_by_depth=np.diff(spent).tolist())
+
+
+def _truncated(tree: ClusterTree, depth: int) -> ClusterTree:
+    """The tree cut at ``depth``, each new leaf's slice of ``order`` sorted
+    as the build leaves it. Every node draws from its own stream, so for
+    ``depth >= 1`` this is byte for byte the tree a build with ``max_depth
+    = depth`` makes; depth 0 is the root as one leaf. The build's
+    comparison counts are not carried over.
+    """
+    depths = tree.depths()
+    keep = depths <= depth
+    internal = ((tree.size > 1) & (depths < depth))[keep]
+    cardinality = tree.cardinality[keep]
+    leaf_card = cardinality[~internal]
+    leaf_of = np.repeat(np.arange(leaf_card.size), leaf_card)
+    return ClusterTree(
+        center=tree.center[keep], radius=tree.radius[keep], lfd=tree.lfd[keep],
+        cardinality=cardinality, size=_subtree_sizes(internal),
+        order=tree.order[np.lexsort((tree.order, leaf_of))], metric=tree.metric,
+        # a config holds no depth 0
+        config=dataclasses.replace(tree.config, max_depth=max(depth, 1)),
+        dataset_hash=tree.dataset_hash)
 
 
 def metric_entropy(tree: ClusterTree) -> int:
@@ -459,67 +498,93 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
 
     Descends from the root following the nearer child center (ties going
     left), updating cardinality and radius along the path. The point
-    joins the end of the leaf's slice of ``order``. When it lands farther
-    than ``SPLIT_FACTOR`` times the leaf radius from the leaf center (and
-    the radius is positive), the leaf becomes an internal node over the
-    old leaf and a new singleton: two pre-order rows are inserted after
-    it.
+    joins the end of its leaf's slice of ``order``, however far from the
+    leaf's center it lands. A leaf that then holds more than ``2 *
+    min_size`` members, lies below ``max_depth`` and has a radius above 0
+    splits by the build's level step, on its members in ascending
+    point-index order and seeded as the build seeds that node: two child
+    rows go in after it, and its slice of ``order`` becomes the left
+    child's members followed by the right child's. Should the new point's
+    child still outgrow that rule (only a leaf of duplicates can leave one
+    so), it splits in turn.
 
     The dataset must hold exactly the points the tree covers, or the
-    insert is a :class:`DimensionError`. The point is checked and its
-    distance to the root center computed before anything changes, so an
-    insert that fails leaves the tree and the dataset as they were.
+    insert is a :class:`DimensionError`. :meth:`Dataset.append_point` is
+    the one check of the point; a point that fails it, or whose distance
+    to the root center is undefined (a cosine zero vector), leaves the
+    tree and the dataset as they were.
 
     Cost: one distance to the root center, then one kernel call per level
     on the two child centers; the chosen child's distance serves the next
-    level's radius update and, at the leaf, the split test. Besides the
-    descent, an insert appends to the dataset (amortized O(1)), shifts the
-    tail of ``order`` by one and, on a split, the node columns by two;
-    the dataset hash is left to its first reader (see
+    level's radius update. A split adds the build's cost for one node of
+    ``2 * min_size + 1`` members, about ``min_size`` inserts apart.
+    Besides that, an insert appends to the dataset (amortized O(1)),
+    shifts the tail of ``order`` by one and, on a split, the node columns
+    by two; the dataset hash is left to its first reader (see
     :class:`ClusterTree`).
 
     Requires exclusive access: no concurrent searches during mutation.
     """
-    arr = dataset.coerce_point(point)
     if dataset.n != tree.order.size:
         raise DimensionError(f"tree covers {tree.order.size} points, "
                              f"dataset holds {dataset.n}")
-    center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
-    d_node = float(distances_to(dataset.values[center[:1]], arr, tree.metric)[0])
-    new_index = dataset.append_point(arr)
+    metric, config = tree.metric, tree.config
+    before = dataset.values, dataset._hash
+    new_index = dataset.append_point(point)
     values = dataset.values
+    arr = values[new_index]
+    center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
+    try:
+        d_node = float(distances_to(values[center[:1]], arr, metric)[0])
+    except DegenerateInputError:  # a cosine zero vector: take the point back out
+        dataset.values, dataset._hash = before
+        raise
 
     path = []
     node = off = 0
+    stream = 1  # the node's seed stream, numbered as the build numbers it
     while size[node] > 1:
         path.append(node)
         radius[node] = max(radius[node], d_node)
         left = node + 1
         right = left + int(size[left])
         d_left, d_right = distances_to(values[center[[left, right]]], arr,
-                                       tree.metric).tolist()
+                                       metric).tolist()
         if d_left <= d_right:
-            node, d_node = left, d_left
+            node, d_node, stream = left, d_left, 2 * stream
         else:
-            node, d_node, off = right, d_right, off + int(card[left])
-    split = radius[node] > 0.0 and d_node > SPLIT_FACTOR * radius[node]
-    if split:  # the leaf becomes the parent of its old self and a singleton
-        tree.center, tree.radius, tree.lfd, tree.cardinality, tree.size = (
-            np.concatenate((column[:node + 1], [column[node], new], column[node + 1:]))
-            for column, new in ((center, new_index), (radius, 0.0),
-                                (tree.lfd, 0.0), (card, 1), (size, 1)))
-        tree.size[path + [node]] += 2
+            node, d_node, stream = right, d_right, 2 * stream + 1
+            off += int(card[left])
     path.append(node)
-    tree.cardinality[path] += 1
-    tree.radius[node] = max(tree.radius[node], d_node)
-    end = off + int(tree.cardinality[node])
+    card[path] += 1
+    radius[node] = max(radius[node], d_node)
+    end = off + int(card[node])
     tree.order = np.concatenate((tree.order[:end - 1], [new_index],
                                  tree.order[end - 1:]))
-    if split:
-        members = tree.order[off:end]
-        tree.lfd[node] = _lfd_from_dists(
-            members.size, tree.radius[node],
-            distances_to(values[members], values[center[node]], tree.metric))
+
+    # The build splits above ``min_size``; an insert waits for twice that.
+    # A split costs about four plain inserts (0.25 against 0.065 ms, medians
+    # on a 2-core x86 VM). At the build's threshold a leaf would split again
+    # after a few inserts and lift the slowest inserts; at twice it, each
+    # split is spread over about ``min_size`` inserts.
+    while (card[node] > 2 * config.min_size and radius[node] > 0.0
+           and len(path) <= config.max_depth):
+        members = np.sort(tree.order[off:off + int(card[node])])
+        centers, members, dists, counts = _level_split(
+            values, members, card[node:node + 1], [stream], config.seed, metric, None)
+        child_radius, child_lfd = _level_stats(dists, counts)
+        tree.order[off:off + members.size] = members
+        size[path] += 2
+        tree.center, tree.radius, tree.lfd, tree.cardinality, tree.size = (
+            np.insert(column, node + 1, rows) for column, rows in
+            ((center, centers), (radius, child_radius), (tree.lfd, child_lfd),
+             (card, counts), (size, [1, 1])))
+        center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
+        if new_index in members[:counts[0]]:  # on into the new point's child
+            node, stream = node + 1, 2 * stream
+        else:
+            node, stream, off = node + 2, 2 * stream + 1, off + int(counts[0])
+        path.append(node)
 
     # rows of ``values`` are never rewritten, so the view is a snapshot
     tree._grown = dataset, dataset.values

@@ -115,3 +115,6 @@ def test_bad_parameters_rejected(bench_dataset):
     with pytest.raises(ValueError):
         run_benchmark(bench_dataset, E, radii=[1.0], depths=[3],
                       num_queries=bench_dataset.n, seed=0)
+    with pytest.raises(ValueError, match="depths must be nonnegative"):
+        run_benchmark(bench_dataset, E, radii=[1.0], depths=[3, -1],
+                      num_queries=5, seed=0)

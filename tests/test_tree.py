@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
                           DegenerateInputError, DimensionError, FormatError,
                           MetricKind, Quantizer, build, compress_tree,
-                          decompress, deserialize, insert_point,
+                          decompress, deserialize, insert_point, knn_search,
                           lfd_depth_profile, metric_entropy, naive_search,
                           rho_search, save_dense, serialize, synth_manifold)
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
-from chess_search.tree import (_TREE_HEADER, _level_partition, _lfd_from_dists,
-                               _sample_size, _subtree_sizes, select_poles,
-                               tree_from_bytes, tree_to_bytes)
+from chess_search.tree import (_TREE_HEADER, _level_partition, _level_stats,
+                               _sample_size, _subtree_sizes, _truncated,
+                               select_poles, tree_from_bytes, tree_to_bytes)
 
 from conftest import node_members
 
@@ -322,13 +322,17 @@ def test_tree_invariants_on_built_trees(corpus_b):
 
 
 def test_lfd_singleton_is_zero():
-    assert _lfd_from_dists(1, 0.0, np.zeros(1)) == 0.0
+    radius, lfd = _level_stats(np.zeros(1), np.array([1]))
+    assert radius.tolist() == [0.0] and lfd.tolist() == [0.0]
 
 
 def test_lfd_arithmetic():
-    # 8 members, 2 of them (center plus one) within half the radius
-    coords = [0.0, 0.4, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0]
-    assert _lfd_from_dists(8, 1.0, np.array(coords)) == 2.0
+    # 8 members, 2 of them (center plus one) within half the radius; then
+    # a node of three duplicates, whose radius and dimension are zero
+    coords = [0.0, 0.4, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0, 0.0, 0.0, 0.0]
+    radius, lfd = _level_stats(np.array(coords), np.array([8, 3]))
+    assert radius.tolist() == [1.0, 0.0]
+    assert lfd.tolist() == [2.0, 0.0]
 
 
 def test_lfd_of_uniform_segment_is_about_one():
@@ -394,14 +398,93 @@ def test_insert_center_copy_keeps_radius():
     assert tree.cardinality[0] == 121
 
 
-def test_insert_far_outlier_creates_new_leaf():
+def test_insert_far_outlier_joins_its_leaf():
     ds = synth_manifold(120, 6, 1, 0.05, seed=14)
     tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=0))
     leaves_before = metric_entropy(tree)
     outlier = ds.values.max(axis=0) * 50 + 1000.0
     insert_point(tree, outlier, ds)
-    assert metric_entropy(tree) == leaves_before + 1
-    assert tree.cardinality[0] == ds.n
+    assert metric_entropy(tree) == leaves_before
+    assert tree.cardinality[0] == ds.n == 121
+    # the outlier ends its leaf's slice, and every radius on its path
+    # grew to reach it
+    path = [node for node in range(tree.size.size) if 120 in node_members(tree, node)]
+    leaf = path[-1]
+    assert tree.size[leaf] == 1 and node_members(tree, leaf)[-1] == 120
+    for node in path:
+        assert tree.radius[node] >= distances_to(
+            ds.values[tree.center[node]][None], outlier, E)[0]
+    assert rho_search(tree, outlier, 0.0, ds).hit_indices() == {120}
+    assert knn_search(tree, outlier, 1, ds).hits == [(120, 0.0)]
+
+
+def test_grown_tree_costs_about_what_a_fresh_build_costs():
+    # built on a tenth of the points with the rest inserted, leaves stay
+    # as small as a build keeps them, so queries cost about the same
+    n = 12_000
+    values = synth_manifold(n, 20, 2, 0.0, 5).values
+    values = values[np.random.default_rng(0).permutation(n)]
+    config = BuildConfig(max_depth=50, min_size=10, seed=0)
+    fresh_ds = Dataset.from_vectors(values)
+    fresh = build(fresh_ds, E, config)
+    grown_ds = Dataset.from_vectors(values[:n // 10])
+    grown = build(grown_ds, E, config)
+    for point in values[n // 10:]:
+        insert_point(grown, point, grown_ds)
+    assert tree_to_bytes(tree_from_bytes(tree_to_bytes(grown))[0]) == tree_to_bytes(grown)
+    assert grown.cardinality[grown.size == 1].max() <= 2 * config.min_size
+
+    def mean_costs(tree, ds):
+        queries = ds.values[::n // 100]
+        return (np.mean([knn_search(tree, q, 10, ds).comparisons for q in queries]),
+                np.mean([rho_search(tree, q, 1.0, ds).comparisons for q in queries]))
+
+    (fresh_knn, fresh_range), (grown_knn, grown_range) = (
+        mean_costs(fresh, fresh_ds), mean_costs(grown, grown_ds))
+    assert grown_knn <= 1.3 * fresh_knn
+    assert grown_range <= 1.3 * fresh_range
+
+
+LETTERS = np.frombuffer(b"ACGT-", dtype=np.uint8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["dense", "levenshtein"]), st.integers(0, 2**32 - 1),
+       st.integers(1, 4), st.sampled_from([2, 4, 50]),
+       st.lists(st.sampled_from(["near", "duplicate", "far"]), min_size=1,
+                max_size=60))
+def test_random_insert_streams_keep_leaves_small_and_search_exact(
+        kind, seed, min_size, max_depth, stream):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        metric = E
+        ds = Dataset.from_vectors(rng.normal(size=(20, 3)))
+    else:
+        metric = MetricKind.LEVENSHTEIN
+        ds = Dataset(DatasetKind.ALIGNED_STRINGS, LETTERS[rng.integers(0, 4, (20, 8))])
+    config = BuildConfig(max_depth=max_depth, min_size=min_size, seed=seed)
+    tree = build(ds, metric, config)
+    for step in stream:
+        point = ds.values[rng.integers(ds.n)].copy()
+        if step == "near" and kind == "dense":
+            point += rng.normal(0.0, 0.1, ds.dim)
+        elif step == "near":
+            point[rng.integers(ds.dim)] = LETTERS[rng.integers(5)]
+        elif step == "far":  # one far point, so far inserts are duplicates too
+            point = np.full(ds.dim, 1e3) if kind == "dense" else "-" * ds.dim
+        insert_point(tree, point, ds)
+
+    outgrown = ((tree.size == 1) & (tree.depths() < max_depth) & (tree.radius > 0)
+                & (tree.cardinality > 2 * min_size))
+    assert not outgrown.any()
+    raw = tree_to_bytes(tree)
+    assert tree_to_bytes(tree_from_bytes(raw)[0]) == raw
+    for q in ds.values[rng.choice(ds.n, 4, replace=False)]:
+        everything = naive_search(ds, q, 1e9, metric).hits
+        for r in (0.0, everything[ds.n // 3][1], everything[-1][1]):
+            assert rho_search(tree, q, r, ds).hits == naive_search(ds, q, r, metric).hits
+        for k in (1, 5):
+            assert knn_search(tree, q, k, ds).hits == everything[:k]
 
 
 def test_search_stays_exact_after_inserts():
@@ -427,8 +510,10 @@ def test_inserts_leave_the_dataset_hash_to_its_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(Dataset, "content_hash",
                         lambda self: hashes.append(None) or content_hash(self))
     rng = np.random.default_rng(62)
-    for _ in range(100):  # far from the manifold, so many leaves split
-        insert_point(tree, np.abs(rng.normal(0.0, 80.0, ds.dim)), ds)
+    near = rng.choice(ds.n, 10, replace=False)
+    for i in range(100):  # ten inserts beside each of ten points: leaves split
+        point = ds.values[near[i % 10]] + rng.normal(0.0, 0.01, ds.dim)
+        insert_point(tree, np.abs(point), ds)
     assert len(hashes) == 0
     assert metric_entropy(tree) > leaves + 10
 
@@ -485,6 +570,52 @@ def test_failed_insert_leaves_tree_and_dataset_unchanged(tmp_path):
     compress_tree(tree, ds, Quantizer(), tmp_path / "after.chess")
     assert (tmp_path / "after.chess").read_bytes() \
         == (tmp_path / "before.chess").read_bytes()
+
+
+@pytest.mark.parametrize("kind, point", [
+    ("dense", np.zeros(5)), ("strings", "ACGTACGT-N"), ("strings", "ACGT")])
+def test_refused_point_leaves_tree_and_dataset_unchanged(kind, point):
+    if kind == "dense":  # the wrong dimension
+        ds, metric = synth_manifold(100, 6, 1, 0.05, seed=21), E
+    else:  # a bad letter, the wrong length
+        ds = Dataset(DatasetKind.ALIGNED_STRINGS, LETTERS[np.random.default_rng(
+            3).integers(0, 5, (100, 10))])
+        metric = MetricKind.LEVENSHTEIN
+    tree = build(ds, metric, BuildConfig(max_depth=8, min_size=3, seed=1))
+    tree_bytes, values, digest = tree_to_bytes(tree), ds.values.copy(), ds.content_hash()
+    with pytest.raises(DimensionError):
+        insert_point(tree, point, ds)
+    assert np.array_equal(ds.values, values) and ds.content_hash() == digest
+    assert tree_to_bytes(tree) == tree_bytes
+
+
+def test_insert_checks_the_point_once(monkeypatch):
+    ds = synth_manifold(100, 4, 1, 0.05, seed=21)
+    tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=1))
+    calls = []
+    coerce_point = Dataset.coerce_point
+    monkeypatch.setattr(Dataset, "coerce_point",
+                        lambda self, p: calls.append(p) or coerce_point(self, p))
+    insert_point(tree, np.full(4, 0.5), ds)
+    assert len(calls) == 1
+
+
+def test_truncated_tree_is_the_shallower_build():
+    ds = synth_manifold(1500, 8, 1, 0.02, seed=23)
+    deep = build(ds, E, BuildConfig(max_depth=50, min_size=4, seed=6))
+    for depth in range(1, deep.depth + 1):
+        assert tree_to_bytes(_truncated(deep, depth)) == tree_to_bytes(
+            build(ds, E, BuildConfig(max_depth=depth, min_size=4, seed=6)))
+    # depth 0 is the root as one leaf, the tree a build with one leaf of
+    # every point makes
+    root = _truncated(deep, 0)
+    whole = build(ds, E, BuildConfig(max_depth=1, min_size=ds.n, seed=6))
+    assert root.size.tolist() == [1]
+    for q in ds.values[::150]:
+        for r in (0.05, 0.5):
+            got, want = rho_search(root, q, r, ds), rho_search(whole, q, r, ds)
+            assert got.hits == want.hits
+            assert got.comparisons == want.comparisons
 
 
 def test_insert_refuses_a_dataset_the_tree_does_not_cover():
