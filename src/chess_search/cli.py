@@ -248,7 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="print statistics of a tree file")
     p.add_argument("--tree", required=True)
     p.add_argument("--lfd-profile", action="store_true",
-                   help="also emit the per-depth fractal-dimension deciles as CSV")
+                   help="also emit the per-depth fractal-dimension deciles as "
+                        "CSV; on a tree grown by inserts, the nodes on an "
+                        "insert's path keep their build-time values and only "
+                        "the children of a split get fresh ones")
     p.add_argument("--out")
     p.set_defaults(func=cmd_info)
 

@@ -9,7 +9,11 @@ inequality and therefore cannot guarantee exact pruning.
 Levenshtein is computed exactly by Myers' bit-vector DP (Myers 1999, in
 Hyyro's 2003 global edit-distance form) over a packed block: every row
 of the block is a pattern in its own segment of one Python int, so one
-pass over the query's characters yields the distance to every row.
+pass over the query's characters yields the distance to every row. A
+call costs about 6 us plus 17 big-integer operations per query
+character: one or two 32-long rows take about 25 us, 32 rows about
+40 us and 512 rows about 235 us (thread CPU time, 2-core x86 VM,
+CPython 3.11), so small calls pay mostly for the loop over the query.
 
 Every distance evaluation that matters for cost accounting goes through
 a :class:`ComparisonCounter`. :func:`distances_to` takes its queries as
@@ -50,6 +54,20 @@ _LETTER_INDEX = np.zeros(256, dtype=np.intp)
 _LETTER_INDEX[_ALPHABET_CODES] = np.arange(_ALPHABET_CODES.size)
 #: Bytes of packed match masks a paired Levenshtein block gathers at once.
 _MASK_BYTES = 96 * 1024
+#: Largest shared-query Levenshtein block, in bits, whose match masks
+#: come from ``bytes.translate`` and ``int(..., 2)``, a cost that grows
+#: with the bits; larger blocks pay one ``np.packbits`` of about 5 us.
+#: Timed alone (thread CPU time, best of 25, 2-core x86 VM) on rows of
+#: 32 and 130: translate led up to 132 bits and trailed from 198 on.
+_TRANSLATE_BITS = 160
+#: Most rows a Levenshtein block reads out with ``int.bit_count`` per
+#: row; larger blocks unpack their bits with numpy, about 6 us a call.
+#: Timed the same way: per-row counts led up to 16 rows of 32 or 130
+#: and trailed at 24 rows of 130 and 32 rows of 32.
+_BIT_COUNT_ROWS = 16
+#: Per letter, the table that ``bytes.translate`` uses to write a block's
+#: codes as the binary digits of that letter's match mask.
+_DIGITS = {c: bytes(b"01"[i == c] for i in range(256)) for c in STRING_ALPHABET}
 
 
 class MetricKind(enum.Enum):
@@ -124,8 +142,8 @@ def _check_codes(arr: np.ndarray, what: str) -> None:
     it in the error."""
     if arr.dtype != np.uint8:
         raise DimensionError(f"expected a {what}, got dtype {arr.dtype}")
-    bad = np.flatnonzero(~_IN_ALPHABET[arr.reshape(-1)])
-    if bad.size:
+    if arr.tobytes().translate(None, STRING_ALPHABET):
+        bad = np.flatnonzero(~_IN_ALPHABET[arr.reshape(-1)])
         raise DimensionError(f"illegal character {chr(arr.flat[bad[0]])!r}; "
                              f"alphabet is A, C, G, T, -")
 
@@ -169,6 +187,29 @@ def _paired_masks(padded: np.ndarray, q: np.ndarray):
             yield int.from_bytes(masks[b:b + step], "little")
 
 
+def _shared_masks(padded: np.ndarray, q: np.ndarray):
+    """Match masks of a block whose rows share the 1-D query ``q``, one
+    per query character: bit ``k*seg + i`` of a letter's mask is set when
+    ``padded[k, i]`` is that letter.
+
+    A small block writes its codes as the digits of one binary numeral,
+    most significant first, and ``bytes.translate`` turns them into each
+    used letter's mask for ``int(..., 2)``. Past ``_TRANSLATE_BITS`` bits
+    one ``np.packbits`` of all five letters costs less.
+    """
+    rows, seg = padded.shape
+    letters = q.tobytes()
+    if rows * seg <= _TRANSLATE_BITS:
+        digits = padded[::-1, ::-1].tobytes()
+        peq = {c: int(digits.translate(_DIGITS[c]), 2) for c in set(letters)}
+    else:
+        packed = np.packbits(padded.reshape(-1) == _ALPHABET_CODES[:, None],
+                             axis=1, bitorder="little")
+        peq = {c: int.from_bytes(mask.tobytes(), "little")
+               for c, mask in zip(STRING_ALPHABET, packed)}
+    return map(peq.__getitem__, letters)
+
+
 def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Edit distance from the query rows q to the rows of points, all rows
     at once: a 1-D q is the query of every row (a search), a 2-D q pairs
@@ -179,11 +220,20 @@ def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     and each query character advances every row's DP column with a fixed
     number of big-integer operations. The match mask of a step holds,
     for every row, where its pattern has that row's query character: one
-    mask per letter for a shared query, one per column for paired rows
-    (whose segments are rounded up to whole bytes, see
-    :func:`_paired_masks`). ``pv``/``mv`` hold the +1/-1 vertical deltas
-    of the current column, so the last column's bottom cell is
-    ``len(q) + popcount(pv) - popcount(mv)`` per segment.
+    mask per letter for a shared query (:func:`_shared_masks`), one per
+    column for paired rows (whose segments are rounded up to whole
+    bytes, see :func:`_paired_masks`). ``pv``/``mv`` hold the +1/-1
+    vertical deltas of the current column, so the last column's bottom
+    cell is ``len(q) + popcount(pv) - popcount(mv)`` per segment.
+
+    Every integer in the loop stays nonnegative: ``~x`` is written
+    ``x ^ full``, which spares CPython the sign handling of negative big
+    ints and nearly halves the loop on 512 rows. Up to
+    ``_TRANSLATE_BITS`` bits the shared masks come from
+    ``bytes.translate``, and up to ``_BIT_COUNT_ROWS`` rows the distances
+    from ``int.bit_count``; past them numpy packs and counts the bits.
+    What is left of a call besides the loop is about 6 us, so a call of
+    one or two 32-long rows (about 25 us) is mostly its 32 steps.
     """
     rows, m = points.shape
     shared = q.ndim == 1
@@ -195,32 +245,34 @@ def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     full = low * ((1 << m) - 1)
     padded = np.zeros((rows, seg), dtype=np.uint8)
     padded[:, :m] = points  # the zero guard columns match no letter
-    if shared:
-        packed = np.packbits(padded.reshape(-1) == _ALPHABET_CODES[:, None],
-                             axis=1, bitorder="little")
-        peq = {c: int.from_bytes(mask.tobytes(), "little")
-               for c, mask in zip(STRING_ALPHABET, packed)}
-        masks = map(peq.__getitem__, q.tolist())
-    else:
-        masks = _paired_masks(padded, q)
+    masks = _shared_masks(padded, q) if shared else _paired_masks(padded, q)
     pv, mv = full, 0
     for eq in masks:
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & full)
+        # ``x ^ full`` is ``~x`` on the pattern bits and stays
+        # nonnegative. Elsewhere it keeps the bits of ``x``: guard bits
+        # that ``& xv`` and ``& full`` clear, or that ``<< 1`` moves onto
+        # the next row's ``low`` bit, which is set anyway.
+        ph = mv | ((xh | pv) ^ full)
         mh = pv & xh
         # Shifting ``low`` in makes the top DP row 0, 1, 2, ... (global
         # distance) instead of all zeros (the substring-search form).
         ph = (ph << 1) | low
-        pv = ((mh << 1) | ~(xv | ph)) & full
+        pv = ((mh << 1) | ((xv | ph) ^ full)) & full
         mv = ph & xv
+    n = q.shape[-1]
+    if rows <= _BIT_COUNT_ROWS:
+        row = (1 << seg) - 1
+        return np.array([n + ((pv >> s) & row).bit_count() - ((mv >> s) & row).bit_count()
+                         for s in range(0, rows * seg, seg)], dtype=np.float64)
     nbytes = -(-rows * seg // 8)
     deltas = np.unpackbits(
         np.frombuffer(pv.to_bytes(nbytes, "little") + mv.to_bytes(nbytes, "little"),
                       dtype=np.uint8).reshape(2, nbytes),
         axis=1, count=rows * seg, bitorder="little")
     counts = deltas.reshape(2, rows, seg).sum(axis=2)
-    return (q.shape[-1] + counts[0] - counts[1]).astype(np.float64)
+    return (n + counts[0] - counts[1]).astype(np.float64)
 
 
 def distances_to(points: np.ndarray, q, kind: MetricKind,

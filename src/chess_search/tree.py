@@ -479,6 +479,11 @@ def lfd_depth_profile(tree: ClusterTree) -> list[tuple[int, int, float]]:
     into ten rank buckets; empty buckets are omitted. Rows are sorted by
     depth then decile, and decile means are nondecreasing within a
     depth by construction.
+
+    On a tree grown by :func:`insert_point` the profile is not that of a
+    fresh build: the nodes on an insert's path keep their build-time
+    ``lfd``, and only the children of a split get fresh values from
+    their members (an exact update would cost O(n) per insert).
     """
     depths = tree.depths()
     ranked = np.lexsort((tree.lfd, depths))
@@ -522,6 +527,13 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     shifts the tail of ``order`` by one and, on a split, the node columns
     by two; the dataset hash is left to its first reader (see
     :class:`ClusterTree`).
+
+    Fractal dimensions are not kept current: the nodes on an insert's
+    path keep their build-time ``lfd``, and only the two children of a
+    split get fresh values, from their own members. An exact update
+    would rescan the members of every node on the path, O(n) per insert,
+    so :func:`lfd_depth_profile` on a grown tree reports build-time
+    values for every node the build made.
 
     Requires exclusive access: no concurrent searches during mutation.
     """

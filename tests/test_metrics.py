@@ -1,3 +1,6 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from chess_search import (ComparisonCounter, DegenerateInputError,
                           DimensionError, MetricKind, distance)
+from chess_search import metrics
 from chess_search.metrics import distances_to
 
 E, C, H, L = (MetricKind.EUCLIDEAN, MetricKind.COSINE, MetricKind.HAMMING,
@@ -160,9 +164,49 @@ def test_levenshtein_matches_reference_dp():
 @given(st.integers(1, 40).flatmap(lambda n: st.lists(
            st.text("ACGT-", min_size=n, max_size=n), min_size=1, max_size=6)),
        st.text("ACGT-", min_size=1, max_size=40))
+@example(rows=["A"], q="A")
+@example(rows=["A"], q="C")
+@example(rows=["A"], q="ACGT-")
+@example(rows=["ACGT-"], q="T")
+@example(rows=["A" * 64], q="A" * 63 + "C")  # a carry runs the whole pattern
+@example(rows=["ACGT" * 8], q="CGTA" * 8)
+@example(rows=["-" * 33], q="ACGT" * 17)
 def test_levenshtein_block_property(rows, q):
     assert levenshtein_block(rows, q) == [
         reference_levenshtein(row, q) for row in rows]
+
+
+@functools.cache
+def cached_reference(row: bytes, q: bytes) -> int:
+    return reference_levenshtein(row.decode(), q.decode())
+
+
+def crossover_rows(length: int) -> list[int]:
+    """Row counts of a block of ``length``-long rows on each side of the
+    kernel's two small-block crossovers, and 1, 2 and 512 rows (512 only
+    for short rows, where the reference DP stays cheap)."""
+    translate = metrics._TRANSLATE_BITS // (length + 1)  # most rows translated
+    count = metrics._BIT_COUNT_ROWS
+    sizes = {1, 2, translate, translate + 1, count, count + 1}
+    if length <= 32:
+        sizes.add(512)
+    return sorted(sizes - {0})
+
+
+@pytest.mark.parametrize("length", [1, 8, 32, 130])
+def test_block_sizes_match_reference(length):
+    rng = np.random.default_rng(length)
+    letters = np.frombuffer(b"ACGT-", dtype=np.uint8)
+    # a mostly-A block lets carries run the whole segment
+    for probs in (None, [0.96, 0.01, 0.01, 0.01, 0.01]):
+        # rows come from a pool of 64, so the reference DP runs once a pair
+        pool = rng.choice(letters, (64, length), p=probs)
+        for rows in crossover_rows(length):
+            block = pool[rng.integers(0, 64, rows)]
+            for q_len in sorted({max(1, length // 2), length, 2 * length + 3}):
+                q = rng.choice(letters, q_len, p=probs)
+                want = [cached_reference(row.tobytes(), q.tobytes()) for row in block]
+                assert distances_to(block, q, L).tolist() == want
 
 
 def test_shape_and_kind_errors():
@@ -212,6 +256,9 @@ def paired_block(kind, rows: int, width: int, seed: int, integral: bool):
        seed=st.integers(0, 2**32 - 1), integral=st.booleans())
 @example(rows=5, width=130, seed=1, integral=False)
 @example(rows=1, width=1, seed=2, integral=True)
+@example(rows=16, width=32, seed=3, integral=False)  # 16 and 17 straddle
+@example(rows=17, width=130, seed=4, integral=False)  # _BIT_COUNT_ROWS
+@example(rows=512, width=32, seed=5, integral=True)
 def test_paired_rows_equal_single_queries(kind, rows, width, seed, integral):
     points, queries = paired_block(kind, rows, width, seed, integral)
     counter = ComparisonCounter()
@@ -235,8 +282,25 @@ def test_paired_strings_are_checked():
     queries[1, 5] = ord("N")
     with pytest.raises(DimensionError, match="illegal character 'N'"):
         distances_to(points, queries, L)
-    with pytest.raises(DimensionError):
-        distances_to(points, queries.astype(np.int64), H)
+    for kind in (H, L):
+        for bad in (queries.astype(np.int64), queries[0].astype(np.uint16)):
+            with pytest.raises(DimensionError, match=f"got dtype {bad.dtype}"):
+                distances_to(points, bad, kind)
+
+
+@pytest.mark.parametrize("kind", [H, L])
+@pytest.mark.parametrize("code", [0x00, ord("a"), ord("N")])
+@pytest.mark.parametrize("where", [0, -1])
+def test_illegal_codes_are_refused_at_either_end(kind, code, where):
+    points, queries = paired_block(kind, 3, 8, seed=6, integral=False)
+    message = re.escape(f"illegal character {chr(code)!r}")
+    query = queries[0].copy()
+    query[where] = code
+    with pytest.raises(DimensionError, match=message):
+        distances_to(points, query, kind)
+    queries.flat[where] = code  # the block's first or last position
+    with pytest.raises(DimensionError, match=message):
+        distances_to(points, queries, kind)
 
 
 def test_paired_cosine_rejects_zero_rows():
