@@ -1,18 +1,20 @@
 """Range and k-nearest-neighbor queries over a cluster tree.
 
-``rho_search`` walks the flat pre-order tree with an explicit stack,
+``rho_search`` has two stages, as entropy-scaling search does. The
+coarse stage walks the flat pre-order tree with an explicit stack,
 testing each child center against the query and applying three rules:
 a child the query ball of radius r cannot intersect (center farther
 than ``r + radius[child]``, up to the rounding of a floating-point
 distance) is pruned; a child the ball wholly contains
-(``d + radius[child] <= r``) is scanned without testing any center
-below it; any other child is descended into. Contained clusters and
-reached leaves are scanned exhaustively, each as its slice of the
-tree's member permutation, one kernel call per block of at most
-``_BLOCK_BYTES`` of rows (the build's block size). When the distance
-obeys the triangle inequality this returns exactly the naive
-linear-scan result; false positives are impossible for any distance
-because every hit is an explicit pairwise comparison against r.
+(``d + radius[child] <= r``) is kept without testing any center below
+it; any other child is descended into. Each contained cluster and each
+leaf reached is a slice of the tree's member permutation. The fine
+stage joins those slices and scans them in one pass, one kernel call per
+block of at most ``_BLOCK_BYTES`` of rows (the build's block size).
+When the distance obeys the triangle inequality this returns exactly
+the naive linear-scan result; false positives are impossible for any
+distance because every hit is an explicit pairwise comparison against
+r.
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
@@ -39,10 +41,9 @@ __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_searc
 @dataclass
 class SearchReport:
     """Hits plus instrumentation for one range query. ``leaves_visited``
-    counts the kernel calls that scanned points: each leaf reached and
-    each cluster the ball contains is its slice of ``order``, scanned one
-    block of at most ``_BLOCK_BYTES`` of rows per call (the benchmark
-    reads the name)."""
+    counts the kernel calls that scanned points: the scanned points go to
+    the kernel in blocks of at most ``_BLOCK_BYTES`` of rows, one call per
+    block (the benchmark reads the name)."""
 
     hits: list[tuple[int, float]]  # (point index, distance), sorted by distance
     comparisons: int
@@ -138,9 +139,11 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     The containment test needs no slack: a contained cluster's points
     still each pass ``<= r`` on their own, and under a distance that
     breaks the triangle inequality (cosine) it can only add scanned
-    points. Comparisons count the center tests actually made plus the
-    points scanned, one kernel call per test and one per block of a
-    scanned slice.
+    points. The walk scans nothing: it records the slice of ``order`` of
+    each leaf reached and each contained cluster, and after it one scan
+    covers them all. Comparisons count the center tests actually made
+    plus the points scanned, one kernel call per test and one per block
+    of the scanned points.
     A dataset with fewer points than the tree covers is a
     :class:`DimensionError`.
     """
@@ -151,11 +154,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     metric = tree.metric
     slack = 1.0 + 4 * (dataset.dim + 2) * 2.0 ** -52 if metric.for_vectors else 1.0
     counter = ComparisonCounter()
-    hit_idx: list[np.ndarray] = []
-    hit_dist: list[np.ndarray] = []
-    block = _block_rows(values)
-    blocks_scanned = 0
-    points_scanned = 0
+    slices: list[np.ndarray] = []
 
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
     # close to that of attribute access
@@ -165,14 +164,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     while stack:
         node, off, contained = stack.pop()
         if contained or size(node) == 1:
-            members = order[off:off + card(node)]
-            blocks_scanned += -(-members.size // block)
-            points_scanned += members.size
-            dists = _scan(values, members, query, metric, counter, block)
-            within = dists <= r
-            if within.any():
-                hit_idx.append(members[within])
-                hit_dist.append(dists[within])
+            slices.append(order[off:off + card(node)])
             continue
         left = node + 1
         for child, child_off in ((left, off), (left + size(left), off + card(left))):
@@ -182,13 +174,17 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
             if d_center <= (r + rad) * slack:  # explored, or scanned if contained
                 stack.append((child, child_off, d_center + rad <= r))
 
-    if hit_idx:
-        hits = _sorted_hits(np.concatenate(hit_idx), np.concatenate(hit_dist))
-    else:
-        hits = []
-    return SearchReport(hits=hits, comparisons=counter.count,
-                        leaves_visited=blocks_scanned,
-                        fraction_searched=points_scanned / dataset.n)
+    if not slices:
+        return SearchReport(hits=[], comparisons=counter.count, leaves_visited=0,
+                            fraction_searched=0.0)
+    members = np.concatenate(slices)
+    block = _block_rows(values)
+    dists = _scan(values, members, query, metric, counter, block)
+    within = dists <= r
+    return SearchReport(hits=_sorted_hits(members[within], dists[within]),
+                        comparisons=counter.count,
+                        leaves_visited=-(-members.size // block),
+                        fraction_searched=members.size / dataset.n)
 
 
 def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchReport:
@@ -198,11 +194,12 @@ def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchRep
     query = dataset.coerce_point(q)
     values = dataset.values
     counter = ComparisonCounter()
-    dists = _scan(values, None, query, metric, counter, _block_rows(values))
+    block = _block_rows(values)
+    dists = _scan(values, None, query, metric, counter, block)
     within = dists <= r
     hits = _sorted_hits(np.flatnonzero(within), dists[within])
-    return SearchReport(hits=hits, comparisons=counter.count, leaves_visited=0,
-                        fraction_searched=1.0)
+    return SearchReport(hits=hits, comparisons=counter.count,
+                        leaves_visited=-(-len(values) // block), fraction_searched=1.0)
 
 
 def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:

@@ -60,35 +60,49 @@ def kernel_calls(monkeypatch):
     return rows
 
 
-def root_child_blocks(tree: ClusterTree, block: int) -> int:
-    """Blocks of at most ``block`` rows in the slices of the root's children."""
-    children = (1, 1 + int(tree.size[1]))
-    return sum(-(-int(tree.cardinality[c]) // block) for c in children)
+def scan_blocks(scanned: int, block: int) -> list[int]:
+    """Row counts of the kernel calls of one pass over ``scanned`` points
+    in blocks of ``block`` rows: every call a full block but the last."""
+    return [min(block, scanned - a) for a in range(0, scanned, block)]
 
 
 def test_contained_cluster_is_scanned_in_blocks(small_manifold, kernel_calls):
-    # both root children lie inside the ball: two center tests, then each
-    # child's slice of order, one kernel call per block of rows
+    # both root children lie inside the ball: two center tests, then one
+    # pass over both children's slices of order, one kernel call per block
+    # of rows. Scanned slice by slice, the pass would take more calls
     ds, tree = small_manifold
     q = ds.values[5]
     r = 2 * tree.radius[0]
     block = _block_rows(ds.values)
-    blocks = root_child_blocks(tree, block)
-    assert blocks > 2  # each slice spans more than one block
+    blocks = -(-ds.n // block)
+    children = (1, 1 + int(tree.size[1]))
+    assert 2 < blocks < sum(-(-int(tree.cardinality[c]) // block) for c in children)
     report = rho_search(tree, q, r, ds)
-    assert len(kernel_calls) == 2 + blocks
+    assert kernel_calls == [1, 1] + scan_blocks(ds.n, block)
     assert max(kernel_calls) <= block
     assert report.leaves_visited == blocks
     assert report.comparisons == ds.n + 2
     assert report.hits == naive_search(ds, q, r, E).hits
 
 
-@pytest.mark.parametrize("metric", [E, MetricKind.HAMMING])
+def test_query_pruned_at_the_root_makes_no_scan_call(small_manifold, kernel_calls):
+    # both root children pruned: two center tests and no scan, not an
+    # empty one, so kernel calls less leaves visited still count the tests
+    ds, tree = small_manifold
+    report = rho_search(tree, ds.values[0] + 100.0, 0.5, ds)
+    assert kernel_calls == [1, 1]
+    assert report.hits == []
+    assert (report.comparisons, report.leaves_visited, report.fraction_searched) \
+        == (2, 0, 0.0)
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.HAMMING, MetricKind.LEVENSHTEIN])
 def test_walk_reconciles_kernel_calls(metric, kernel_calls):
     # the identities the benchmark harness checks on traced range reads:
-    # every kernel call is a center test or a block of a scanned slice,
-    # and kernel rows are comparisons. In 120 dimensions a block holds 85
-    # rows, so contained slices span several blocks
+    # every kernel call is a center test or a block of the one scan pass,
+    # which follows the last center test, and kernel rows are comparisons.
+    # In 120 dimensions a block holds 85 rows, so the pass spans several
+    # blocks; a string block holds every point, so the pass is one call
     if metric is E:
         corpora = [synth_manifold(600, dim, 1, 0.02, seed=13, density_power=2.0)
                    for dim in (10, 120)]
@@ -104,12 +118,14 @@ def test_walk_reconciles_kernel_calls(metric, kernel_calls):
                 kernel_calls.clear()
                 report = rho_search(tree, ds.values[i], r, ds)
                 scanned = round(report.fraction_searched * ds.n)
-                assert len(kernel_calls) - report.leaves_visited + scanned \
-                    == report.comparisons
+                center_tests = len(kernel_calls) - report.leaves_visited
+                assert center_tests + scanned == report.comparisons
+                assert report.leaves_visited == -(-scanned // block)
+                assert kernel_calls == [1] * center_tests + scan_blocks(scanned, block)
                 assert sum(kernel_calls) == report.comparisons
                 assert max(kernel_calls) <= block
                 assert report.hits == naive_search(ds, ds.values[i], r, metric).hits
-            assert report.leaves_visited == root_child_blocks(tree, block)
+            assert report.leaves_visited == -(-ds.n // block)
         if ds.dim > 100:
             assert report.leaves_visited > 2
 
@@ -192,12 +208,16 @@ def test_report_invariants(small_manifold):
     assert report.hits == sorted(report.hits, key=lambda h: (h[1], h[0]))
 
 
-def test_naive_comparisons_equal_n(small_manifold):
+def test_naive_comparisons_equal_n(small_manifold, kernel_calls):
     ds, _ = small_manifold
+    block = _block_rows(ds.values)
     for r in (0.0, 1.0, 1e9):
+        kernel_calls.clear()
         report = naive_search(ds, ds.values[3], r, E)
         assert report.comparisons == ds.n
         assert report.fraction_searched == 1.0
+        assert kernel_calls == scan_blocks(ds.n, block)
+        assert report.leaves_visited == -(-ds.n // block) == 4
 
 
 def test_naive_zero_radius_held_out_query_is_empty():
