@@ -44,12 +44,18 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return _nonempty([float(part) for part in text.split(",") if part])
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return _nonempty([int(part) for part in text.split(",") if part])
 
 
 def _eprint(*parts) -> None:
@@ -165,7 +171,13 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_info(args) -> int:
-    tree = _read_tree_file(args.tree)
+    if args.lfd_profile and not args.input:
+        raise UsageError("--lfd-profile needs --input, the dataset of the tree")
+    for flag, given in (("--input", args.input), ("--out", args.out)):
+        if given and not args.lfd_profile:
+            raise UsageError(f"{flag} is used only with --lfd-profile")
+    dataset = _load_any(args.input) if args.input else None
+    tree = deserialize(args.tree, dataset) if dataset else _read_tree_file(args.tree)
     _eprint(f"metric={tree.metric.value} n={tree.cardinality[0]} "
             f"depth={tree.depth} leaves={metric_entropy(tree)} "
             f"mean_leaf_radius={tree.mean_leaf_radius()!r} "
@@ -174,7 +186,7 @@ def cmd_info(args) -> int:
             f"seed={tree.config.seed}")
     if args.lfd_profile:
         lines = ["depth,decile,mean_lfd"]
-        lines += [f"{d},{dec},{lfd!r}" for d, dec, lfd in lfd_depth_profile(tree)]
+        lines += [f"{d},{dec},{lfd!r}" for d, dec, lfd in lfd_depth_profile(tree, dataset)]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -249,10 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--lfd-profile", action="store_true",
                    help="also emit the per-depth fractal-dimension deciles as "
-                        "CSV; on a tree grown by inserts, the nodes on an "
-                        "insert's path keep their build-time values and only "
-                        "the children of a split get fresh ones")
-    p.add_argument("--out")
+                        "CSV, computed from the tree and --input")
+    p.add_argument("--input", help="the dataset the tree was built over; "
+                                   "needed by --lfd-profile")
+    p.add_argument("--out", help="where --lfd-profile writes its CSV")
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("synth", help="generate a synthetic manifold dataset")

@@ -4,15 +4,14 @@ The build picks two maximally separated seed points (poles) from a
 random sample of roughly sqrt(m) members, assigns every member to the
 nearer pole, and splits each side again. A node stops splitting at the
 configured maximum depth, at or below the minimum size, or when its
-radius is zero (all members identical). Per-node geometry is exact: the
-radius is the maximum member distance to the center, and the local
-fractal dimension is the log2 ratio of member counts within the full
-radius and half the radius.
+radius is zero (all members identical). A node's radius is exact: the
+maximum member distance to its center.
 
 Member distances to the freshly chosen child center fall out of the
-partitioning step, so radii and fractal dimensions cost no additional
-distance evaluations; the total build cost stays within
-``3 * (depth + 1) * n + n`` comparisons.
+partitioning step, so radii cost no additional distance evaluations; the
+total build cost stays within ``3 * (depth + 1) * n + n`` comparisons.
+A node's local fractal dimension is not stored: :func:`lfd_depth_profile`
+computes it from the tree and the dataset when it is read.
 
 Each node draws randomness from its own seeded stream (heap numbering),
 so a tree is a pure function of (dataset, metric, config) regardless of
@@ -23,7 +22,7 @@ kernel calls over cache-sized blocks. ``build_comparisons_by_depth``
 splits the build's cost by depth.
 
 A tree is a struct of arrays, one entry per node in pre-order:
-``center``, ``radius``, ``lfd``, ``cardinality`` and ``size`` (nodes in
+``center``, ``radius``, ``cardinality`` and ``size`` (nodes in
 the subtree, 1 for a leaf). Node ``i``'s children are ``i + 1`` and
 ``i + 1 + size[i + 1]``. Every node's members are one contiguous slice
 of the permutation ``order``: the left child's slice starts at its
@@ -32,7 +31,7 @@ order of the slices' offsets, the shallower node first where offsets
 are equal; the build sorts its nodes so, and the subtree sizes follow
 from which nodes are internal, both in the build and in the parser. No
 walk recurses, so depth is bounded by memory, not by the interpreter's
-recursion limit. The CHESSTREE v2 stream stores the columns (flags in
+recursion limit. The CHESSTREE v3 stream stores the columns (flags in
 place of ``size``), ``order`` and a CRC32; parsing checks the checksum
 and the structure.
 """
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 TREE_MAGIC = b"CHESSTREE"
-TREE_VERSION = 2
+TREE_VERSION = 3
 # magic, version, metric, max_depth, min_size, seed, dataset hash,
 # node count, point count
 _TREE_HEADER = struct.Struct("<9sBBQQQ32sQQ")
@@ -75,7 +74,7 @@ _U32 = struct.Struct("<I")
 # the columns in stream order, for writer and parser alike: one entry per
 # node (``flags`` is 1 where ``size > 1``), then one per point
 _COLUMNS = (("flags", "u1"), ("center", "<u8"), ("radius", "<f8"),
-            ("lfd", "<f8"), ("cardinality", "<u8"), ("order", "<u8"))
+            ("cardinality", "<u8"), ("order", "<u8"))
 
 #: Bytes of the rows gathered for one kernel call of a build pass or a
 #: search scan; a build call also gathers as many bytes of queries.
@@ -113,7 +112,6 @@ class ClusterTree:
 
     center: np.ndarray       # int64 point index of each node's center
     radius: np.ndarray       # float64 exact radius
-    lfd: np.ndarray          # float64 local fractal dimension
     cardinality: np.ndarray  # int64 member count
     size: np.ndarray         # int64 nodes in the subtree, 1 for a leaf
     order: np.ndarray        # int64 permutation of the point indices
@@ -314,25 +312,16 @@ def select_poles(member_indices, dataset: Dataset, metric: MetricKind,
     return int(left[0]), int(right[0])
 
 
-def _lfd(cardinality: int, radius: float, inner: int) -> float:
-    """log2 of the member count within the radius over the count
-    ``inner`` within half the radius; zero for singletons and
-    zero-radius clusters."""
-    if cardinality <= 1 or radius == 0.0:
-        return 0.0
-    return math.log2(cardinality / inner)
-
-
 def _level_stats(dists: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and local fractal dimension of every node of a level, from
-    its members' distances to their own node's center, node after node
-    (``counts`` members each)."""
+    """Radius and local fractal dimension of every node, from its members'
+    distances to its center, node after node (``counts`` members each)."""
     starts = np.cumsum(counts) - counts
     radius = np.maximum.reduceat(dists, starts)
     inner = np.add.reduceat(dists <= np.repeat(radius / 2.0, counts), starts,
                             dtype=np.int64)
-    lfd = np.array([_lfd(*node) for node in zip(counts.tolist(), radius.tolist(),
-                                                inner.tolist())])
+    # math.log2 per node: np.log2 differs from it in the last bit on some ratios
+    lfd = np.array([math.log2(c / i) if c > 1 and r != 0.0 else 0.0 for c, r, i
+                    in zip(counts.tolist(), radius.tolist(), inner.tolist())])
     return radius, lfd
 
 
@@ -350,7 +339,7 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
     ``members`` holds the nodes' members node after node, ``counts`` each
     in ascending point-index order; node ``k`` draws its seeds from stream
     ``streams[k]``. Returns the children's centers, members (stable within
-    each child), distances to their own center and counts, left child first.
+    each child), radii and counts, left child first.
     """
     starts = np.cumsum(counts) - counts
     left, right = _level_poles(values, [
@@ -362,8 +351,9 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
                                       metric, counter)
     child = 2 * node_of + ~goes_left
     regroup = np.argsort(child, kind="stable")
-    return (_interleave(left, right), members[regroup], own[regroup],
-            np.bincount(child, minlength=2 * counts.size))
+    children = np.bincount(child, minlength=2 * counts.size)  # each at least 1
+    return (_interleave(left, right), members[regroup],
+            np.maximum.reduceat(own[regroup], np.cumsum(children) - children), children)
 
 
 def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterTree:
@@ -376,10 +366,10 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
 
     The build goes one depth at a time. A level holds the members of its
     nodes, node after node, each node's in ascending point-index order,
-    with their distances to the node's center. Radii and fractal
-    dimensions are reductions over those segments. Every splitting node
-    draws its seeds from its own stream; one paired pass evaluates all
-    seed pairs of the level and one more all partition distances, and the
+    and each node's radius, the maximum of its members' distances to its
+    center. Every splitting node draws its seeds from its own stream; one
+    paired pass evaluates all seed pairs of the level and one more all
+    partition distances, which also give the children's radii, and the
     members regroup stably into the next level, left child before right.
     Leaves write their members into ``order`` at their offset. The
     pre-order columns are the levels' columns sorted by offset, the
@@ -398,23 +388,21 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     pair[i, j] = pair[j, i] = _paired_pass(values, seeds[j], seeds[i], metric, counter)
     root = int(seeds[int(np.argmin(pair.sum(axis=1)))])
     others = np.flatnonzero(np.arange(n) != root)
-    dists = np.zeros(n)
-    dists[others] = _paired_pass(values, others, np.full(others.size, root),
-                                 metric, counter)
+    radius = np.array([_paired_pass(values, others, np.full(others.size, root),
+                                    metric, counter).max(initial=0.0)])
 
-    # the current level: members, distances to their own center, member
-    # count, center, stream (heap numbering) and offset in ``order`` per node
+    # the current level: its members, then per node member count, center,
+    # radius, stream (heap numbering) and offset in ``order``
     members = np.arange(n, dtype=np.int64)
     counts, centers, streams, offsets = (np.array([n]), np.array([root]), [1],
                                          np.array([0]))
     order = np.empty(n, dtype=np.int64)
     levels, spent = [], [0]  # spent: the comparison count after each depth
     for depth in itertools.count():
-        radius, lfd = _level_stats(dists, counts)
         split = (counts > config.min_size) & (radius != 0.0)
         if depth >= config.max_depth:
             split[:] = False
-        levels.append((centers, radius, lfd, counts, split, offsets,
+        levels.append((centers, radius, counts, split, offsets,
                        np.full(counts.size, depth)))
         leaf = np.repeat(~split, counts)
         starts = np.cumsum(counts) - counts
@@ -425,7 +413,7 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
 
         inside = np.repeat(split, counts)
         streams = [s for s, f in zip(streams, split.tolist()) if f]
-        centers, members, dists, counts = _level_split(
+        centers, members, radius, counts = _level_split(
             values, members[inside], counts[split], streams, config.seed, metric,
             counter)
         streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
@@ -437,9 +425,9 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     # node shares its offset only with its leftmost descendants
     *columns, internal, offset, depth = map(np.concatenate, zip(*levels))
     pre = np.lexsort((depth, offset))
-    center, radius, lfd, cardinality = (column[pre] for column in columns)
+    center, radius, cardinality = (column[pre] for column in columns)
     return ClusterTree(
-        center=center, radius=radius, lfd=lfd, cardinality=cardinality,
+        center=center, radius=radius, cardinality=cardinality,
         size=_subtree_sizes(internal[pre]), order=order, metric=metric, config=config,
         dataset_hash=dataset.content_hash(), build_comparisons=counter.count,
         build_comparisons_by_depth=np.diff(spent).tolist())
@@ -459,12 +447,11 @@ def _truncated(tree: ClusterTree, depth: int) -> ClusterTree:
     leaf_card = cardinality[~internal]
     leaf_of = np.repeat(np.arange(leaf_card.size), leaf_card)
     return ClusterTree(
-        center=tree.center[keep], radius=tree.radius[keep], lfd=tree.lfd[keep],
-        cardinality=cardinality, size=_subtree_sizes(internal),
-        order=tree.order[np.lexsort((tree.order, leaf_of))], metric=tree.metric,
+        center=tree.center[keep], radius=tree.radius[keep], cardinality=cardinality,
+        size=_subtree_sizes(internal), order=tree.order[np.lexsort((tree.order, leaf_of))],
+        metric=tree.metric, dataset_hash=tree.dataset_hash,
         # a config holds no depth 0
-        config=dataclasses.replace(tree.config, max_depth=max(depth, 1)),
-        dataset_hash=tree.dataset_hash)
+        config=dataclasses.replace(tree.config, max_depth=max(depth, 1)))
 
 
 def metric_entropy(tree: ClusterTree) -> int:
@@ -472,22 +459,44 @@ def metric_entropy(tree: ClusterTree) -> int:
     return int(np.count_nonzero(tree.size == 1))
 
 
-def lfd_depth_profile(tree: ClusterTree) -> list[tuple[int, int, float]]:
+def _node_stats(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and local fractal dimension of every node in pre-order, from
+    one paired pass over its members against its center. The center is at
+    0 and not compared, as in the build, whose radii this reproduces."""
+    card = tree.cardinality
+    leaf_card = np.where(tree.size == 1, card, 0)
+    # every node's slice of ``order``: it starts after the leaves before it
+    shift = np.repeat(np.cumsum(leaf_card) - leaf_card - np.cumsum(card) + card, card)
+    members = tree.order[np.arange(shift.size) + shift]
+    centers = np.repeat(tree.center, card)
+    rest = np.flatnonzero(members != centers)
+    dists = np.zeros(members.size)
+    dists[rest] = _paired_pass(values, members[rest], centers[rest], tree.metric, None)
+    return _level_stats(dists, card)
+
+
+def lfd_depth_profile(tree: ClusterTree, dataset: Dataset) -> list[tuple[int, int, float]]:
     """Mean local fractal dimension per (depth, decile).
+
+    A node's local fractal dimension is log2 of its member count over the
+    count within half its radius of its center, 0 for a singleton or a
+    zero radius. It is computed here from the tree and ``dataset``, so it
+    is exact on a grown tree too, at one distance per member of every
+    node: 294,306 pairs and about 0.1 s on the ``vec-query`` corpus, a
+    quarter of its build (2-core x86 VM).
 
     Clusters at each depth are ranked by fractal dimension and split
     into ten rank buckets; empty buckets are omitted. Rows are sorted by
     depth then decile, and decile means are nondecreasing within a
     depth by construction.
-
-    On a tree grown by :func:`insert_point` the profile is not that of a
-    fresh build: the nodes on an insert's path keep their build-time
-    ``lfd``, and only the children of a split get fresh values from
-    their members (an exact update would cost O(n) per insert).
     """
+    if dataset.n != tree.order.size:
+        raise DimensionError(f"tree covers {tree.order.size} points, "
+                             f"dataset holds {dataset.n}")
+    _, lfd = _node_stats(tree, dataset.values)
     depths = tree.depths()
-    ranked = np.lexsort((tree.lfd, depths))
-    depths, lfds = depths[ranked], tree.lfd[ranked]
+    ranked = np.lexsort((lfd, depths))
+    depths, lfds = depths[ranked], lfd[ranked]
     starts = np.flatnonzero(np.diff(depths)) + 1
     rows: list[tuple[int, int, float]] = []
     for depth, group in zip(depths[np.r_[0, starts]].tolist(),
@@ -527,13 +536,6 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     shifts the tail of ``order`` by one and, on a split, the node columns
     by two; the dataset hash is left to its first reader (see
     :class:`ClusterTree`).
-
-    Fractal dimensions are not kept current: the nodes on an insert's
-    path keep their build-time ``lfd``, and only the two children of a
-    split get fresh values, from their own members. An exact update
-    would rescan the members of every node on the path, O(n) per insert,
-    so :func:`lfd_depth_profile` on a grown tree reports build-time
-    values for every node the build made.
 
     Requires exclusive access: no concurrent searches during mutation.
     """
@@ -582,15 +584,13 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     while (card[node] > 2 * config.min_size and radius[node] > 0.0
            and len(path) <= config.max_depth):
         members = np.sort(tree.order[off:off + int(card[node])])
-        centers, members, dists, counts = _level_split(
+        centers, members, child_radius, counts = _level_split(
             values, members, card[node:node + 1], [stream], config.seed, metric, None)
-        child_radius, child_lfd = _level_stats(dists, counts)
         tree.order[off:off + members.size] = members
         size[path] += 2
-        tree.center, tree.radius, tree.lfd, tree.cardinality, tree.size = (
+        tree.center, tree.radius, tree.cardinality, tree.size = (
             np.insert(column, node + 1, rows) for column, rows in
-            ((center, centers), (radius, child_radius), (tree.lfd, child_lfd),
-             (card, counts), (size, [1, 1])))
+            ((center, centers), (radius, child_radius), (card, counts), (size, [1, 1])))
         center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
         if new_index in members[:counts[0]]:  # on into the new point's child
             node, stream = node + 1, 2 * stream
@@ -604,7 +604,7 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
 
 
 def tree_to_bytes(tree: ClusterTree) -> bytes:
-    """Serialize to the CHESSTREE v2 wire format: header, the columns of
+    """Serialize to the CHESSTREE v3 wire format: header, the columns of
     ``_COLUMNS`` in order, CRC32."""
     header = _TREE_HEADER.pack(TREE_MAGIC, TREE_VERSION, tree.metric.wire_id,
                                tree.config.max_depth, tree.config.min_size,
@@ -697,7 +697,6 @@ def _check_structure(columns: dict[str, np.ndarray],
           "cardinality differs from the sum of its children")
     radius = columns["radius"]
     check(np.isfinite(radius) & (radius >= 0), "radius", "bad radius")
-    check(np.isfinite(columns["lfd"]), "lfd", "non-finite fractal dimension")
 
     check((order >= 0) & (order < n), "order", "point index out of range")
     check(np.bincount(order, minlength=n)[order] == 1, "order", "repeated point index")

@@ -29,7 +29,7 @@ from chess_search import (BuildConfig, Dataset, DatasetKind, MetricKind,
                           synth_manifold)
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
-from chess_search.tree import insert_point
+from chess_search.tree import _node_stats, insert_point
 
 from conftest import (CORPUS_A_FRESH_QUERIES, CORPUS_A_INSERTS, CORPUS_A_N,
                       HOLDOUT_SEED, STRINGS_SEED, brute_force_knn,
@@ -256,7 +256,7 @@ def test_criterion_5_lfd_sanity(split_a, trees_a):
     held_in, _ = split_a
     details = []
     with criterion("5 fractal-dimension profile sanity", details):
-        profile = lfd_depth_profile(trees_a[50])
+        profile = lfd_depth_profile(trees_a[50], held_in)
         ninth = {}
         for depth, decile, lfd in profile:
             if decile == 8:
@@ -269,15 +269,15 @@ def test_criterion_5_lfd_sanity(split_a, trees_a):
         assert below / len(ninth) >= 0.8
         details.append(f"9th decile < 2 at {below}/{len(ninth)} depths")
 
-        def singleton_lfds(tree):
-            return tree.lfd[(tree.size == 1) & (tree.cardinality == 1)]
+        def singleton_lfds(tree, ds):
+            singleton = (tree.size == 1) & (tree.cardinality == 1)
+            return _node_stats(tree, ds.values)[1][singleton]
 
-        singles = singleton_lfds(trees_a[50])
+        singles = singleton_lfds(trees_a[50], held_in)
         if not singles.size:
-            aux = build(Dataset(DatasetKind.DENSE_VECTORS,
-                                held_in.values[:64].copy()),
-                        E, BuildConfig(max_depth=10, min_size=1, seed=2))
-            singles = singleton_lfds(aux)
+            aux_ds = Dataset(DatasetKind.DENSE_VECTORS, held_in.values[:64].copy())
+            aux = build(aux_ds, E, BuildConfig(max_depth=10, min_size=1, seed=2))
+            singles = singleton_lfds(aux, aux_ds)
         assert singles.size
         assert (singles == 0.0).all()
         details.append(f"{len(singles)} singleton leaves, all LFD 0")

@@ -61,11 +61,40 @@ def test_info_lfd_profile_csv(dense_file, tmp_path, capsys):
     tree_path = tmp_path / "t.tree"
     run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
         "--out", str(tree_path))
-    code, out, _ = run(capsys, "info", "--tree", str(tree_path), "--lfd-profile")
+    code, out, _ = run(capsys, "info", "--tree", str(tree_path), "--input",
+                       str(dense_file), "--lfd-profile")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "depth,decile,mean_lfd"
     assert lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lfd-profile"],  # no dataset to compute it from
+    ["--input", "{data}"],
+    ["--out", "{out}"],
+    ["--input", "{data}", "--out", "{out}"]])
+def test_info_flags_without_their_partner_are_usage_errors(dense_file, tmp_path,
+                                                           capsys, flags):
+    tree_path, out_path = tmp_path / "t.tree", tmp_path / "profile.csv"
+    run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
+        "--out", str(tree_path))
+    argv = [flag.format(data=dense_file, out=out_path) for flag in flags]
+    code, out, err = run(capsys, "info", "--tree", str(tree_path), *argv)
+    assert code == 2, err
+    assert err.startswith("usage error:") and out == ""
+    assert not out_path.exists()
+
+
+def test_info_lfd_profile_of_another_dataset_exits_one(dense_file, tmp_path, capsys):
+    tree_path, other = tmp_path / "t.tree", tmp_path / "other.vec"
+    run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
+        "--out", str(tree_path))
+    save_dense(synth_manifold(300, 8, 1, 0.05, seed=78), other)
+    code, out, err = run(capsys, "info", "--tree", str(tree_path), "--input",
+                         str(other), "--lfd-profile")
+    assert code == 1
+    assert "different dataset" in err and out == ""
 
 
 def test_max_depth_zero_is_usage_error(dense_file, tmp_path, capsys):
@@ -249,6 +278,18 @@ def test_knn_one_row_per_query(dense_file, tmp_path, capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 5
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1", "2", "3"]
+
+
+@pytest.mark.parametrize("radii, depths", [("", "3"), ("0.5", ""), (",", "3"),
+                                           ("0.5", ",")])
+def test_bench_empty_list_is_usage_error(dense_file, tmp_path, capsys, radii, depths):
+    report = tmp_path / "report.csv"
+    code, _, err = run(capsys, "bench", "--input", str(dense_file), "--metric",
+                       "euclidean", "--radii", radii, "--depths", depths,
+                       "--out", str(report))
+    assert code == 2
+    assert "needs at least one value" in err
+    assert not report.exists()
 
 
 def test_bench_csv_deterministic(dense_file, capsys):

@@ -580,6 +580,18 @@ def test_trailing_bytes_in_the_header_tree_stream_are_refused(tmp_path):
         decompress(path)
 
 
+def test_archive_of_an_old_tree_version_is_refused(tmp_path):
+    # the archive version stays 1: the tree stream carries its own version
+    raw = small_archive(tmp_path)
+    _, stream = archive_tree(raw)
+    stream = stream[:len(b"CHESSTREE")] + b"\x02" + stream[len(b"CHESSTREE") + 1:]
+    header = raw[HEADER:HEADER + _ARC_HEADER.size] + compress._deflate(stream, 1)
+    path = tmp_path / "forged.chess"  # CRC-valid
+    path.write_bytes(raw[:8] + compress._frame(header) + raw[first_block(raw):])
+    with pytest.raises(FormatError, match="^unsupported tree version 2 at byte offset"):
+        decompress(path)
+
+
 def test_old_format_archive_is_refused(tmp_path):
     # the format before CHESSARC opened with the tree's CHESSTREE stream
     ds = synth_manifold(150, 6, 1, 0.1, seed=31)
@@ -638,9 +650,8 @@ PINNED = {
 
 @pytest.mark.parametrize("metric", [E, H], ids=["dense", "hamming"])
 def test_archive_bytes_are_pinned(tmp_path, metric):
-    # the header's tree stream is checked against the tree instead: it
-    # carries fractal dimensions from np.log, whose last bit may vary by
-    # platform
+    # the header's tree stream is checked against the tree instead, so
+    # the pins hold across CHESSTREE versions
     tree, ds = pinned_corpus(metric)
     path = tmp_path / "p.chess"
     compress_tree(tree, ds, Quantizer(), path)

@@ -186,7 +186,7 @@ def test_low_intrinsic_dimension_shows_in_lfd_profile():
     from chess_search import BuildConfig, MetricKind, build, lfd_depth_profile
     ds = synth_manifold(2000, 100, 1, 0.0, seed=21)
     tree = build(ds, MetricKind.EUCLIDEAN, BuildConfig(max_depth=30, seed=4))
-    profile = lfd_depth_profile(tree)
+    profile = lfd_depth_profile(tree, ds)
     low = sum(1 for _, _, lfd in profile if lfd < 2.0)
     assert low / len(profile) > 0.9
 

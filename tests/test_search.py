@@ -431,14 +431,14 @@ def caterpillar(ds: Dataset, rng: np.random.Generator,
     size[~is_leaf] = 2 * (chain - np.arange(chain)) + 1
     center, radius, card = (np.array(col) for col in list(zip(*rows))[:3])
     order = np.array([i for *_, m in rows if m is not None for i in m])
-    return ClusterTree(center=center, radius=radius, lfd=np.zeros(len(rows)),
-                       cardinality=card, size=size, order=order,
-                       metric=E, config=BuildConfig(max_depth=ds.n, min_size=1),
+    return ClusterTree(center=center, radius=radius, cardinality=card, size=size,
+                       order=order, metric=E,
+                       config=BuildConfig(max_depth=ds.n, min_size=1),
                        dataset_hash=ds.content_hash())
 
 
 def grow_deep_tree(leaf_size: int, seed: int) -> list:
-    """Load a depth-1,500 caterpillar from v2 bytes, round-trip it, check
+    """Load a depth-1,500 caterpillar from v3 bytes, round-trip it, check
     range and k-NN search against the oracle, insert 10 points and check
     again. Returns every k-NN report."""
     rng = np.random.default_rng(seed)

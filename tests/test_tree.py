@@ -16,8 +16,9 @@ from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
 from chess_search.tree import (_TREE_HEADER, _level_partition, _level_stats,
-                               _sample_size, _subtree_sizes, _truncated,
-                               select_poles, tree_from_bytes, tree_to_bytes)
+                               _node_stats, _sample_size, _subtree_sizes,
+                               _truncated, select_poles, tree_from_bytes,
+                               tree_to_bytes)
 
 from conftest import node_members
 
@@ -266,6 +267,10 @@ def test_build_matches_the_node_at_a_time_reference(name, ds, metric, config):
     tree = build(ds, metric, config)
     want = reference_build(ds, metric, config)
     assert tree.build_comparisons == want.pop("build_comparisons")
+    # the one pass that computes fractal dimensions also reproduces the radii
+    radius, lfd = _node_stats(tree, ds.values)
+    assert lfd.tobytes() == want.pop("lfd").tobytes()
+    assert radius.tobytes() == tree.radius.tobytes()
     for column, expected in want.items():
         got = getattr(tree, column)
         assert got.dtype == expected.dtype, column
@@ -341,9 +346,10 @@ def test_lfd_of_uniform_segment_is_about_one():
     # most clusters still land within 1 +- 0.3.
     ds = line_dataset(np.linspace(0.0, 100.0, 4096))
     tree = build(ds, E, BuildConfig(max_depth=30, min_size=32, seed=0))
+    _, lfds = _node_stats(tree, ds.values)
     measured = []
     for node in np.flatnonzero(tree.cardinality >= 64):
-        lfd = tree.lfd[node]
+        lfd = lfds[node]
         # brute-force ball counts are the oracle
         dists = np.abs(ds.values[node_members(tree, node), 0]
                        - ds.values[tree.center[node], 0])
@@ -371,13 +377,15 @@ def test_metric_entropy_counts():
 def test_lfd_profile_single_leaf():
     ds = Dataset.from_vectors(np.ones((4, 2)))
     tree = build(ds, E, BuildConfig())
-    assert lfd_depth_profile(tree) == [(0, 0, 0.0)]
+    assert lfd_depth_profile(tree, ds) == [(0, 0, 0.0)]
+    with pytest.raises(DimensionError, match="tree covers 4 points, dataset holds 5"):
+        lfd_depth_profile(tree, Dataset.from_vectors(np.ones((5, 2))))
 
 
 def test_lfd_profile_deciles_nondecreasing():
     ds = synth_manifold(1200, 15, 2, 0.05, seed=12)
     tree = build(ds, E, BuildConfig(max_depth=20, min_size=5, seed=3))
-    profile = lfd_depth_profile(tree)
+    profile = lfd_depth_profile(tree, ds)
     by_depth = {}
     for depth, decile, lfd in profile:
         by_depth.setdefault(depth, []).append((decile, lfd))
@@ -477,6 +485,8 @@ def test_random_insert_streams_keep_leaves_small_and_search_exact(
     outgrown = ((tree.size == 1) & (tree.depths() < max_depth) & (tree.radius > 0)
                 & (tree.cardinality > 2 * min_size))
     assert not outgrown.any()
+    # inserts keep every radius exact
+    assert _node_stats(tree, ds.values)[0].tobytes() == tree.radius.tobytes()
     raw = tree_to_bytes(tree)
     assert tree_to_bytes(tree_from_bytes(raw)[0]) == raw
     for q in ds.values[rng.choice(ds.n, 4, replace=False)]:
@@ -485,6 +495,36 @@ def test_random_insert_streams_keep_leaves_small_and_search_exact(
             assert rho_search(tree, q, r, ds).hits == naive_search(ds, q, r, metric).hits
         for k in (1, 5):
             assert knn_search(tree, q, k, ds).hits == everything[:k]
+
+
+def grown_tree(kind: str):
+    """A tree built on a tenth of its points, the rest inserted."""
+    if kind == "euclidean":
+        metric, values = E, synth_manifold(1000, 6, 2, 0.0, seed=5).values
+        ds, config = Dataset.from_vectors(values[:100]), BuildConfig(50, 5, 2)
+    else:
+        rng = np.random.default_rng(6)
+        metric = MetricKind.LEVENSHTEIN
+        values = LETTERS[rng.integers(0, 4, (300, 12))]
+        ds = Dataset(DatasetKind.ALIGNED_STRINGS, values[:30])
+        config = BuildConfig(50, 3, 2)
+    tree = build(ds, metric, config)
+    for point in values[ds.n:]:
+        insert_point(tree, point, ds)
+    return tree, ds
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "levenshtein"])
+def test_fractal_dimensions_of_a_grown_tree_are_exact(kind):
+    tree, ds = grown_tree(kind)
+    radius, lfd = _node_stats(tree, ds.values)
+    assert radius.tobytes() == tree.radius.tobytes()
+    for node in range(tree.size.size):  # brute-force ball counts, node by node
+        members = node_members(tree, node)
+        dists = distances_to(ds.values[members], ds.values[tree.center[node]], tree.metric)
+        r, card = dists.max(), members.size
+        inner = int(np.count_nonzero(dists <= r / 2))
+        assert lfd[node] == (math.log2(card / inner) if card > 1 and r > 0 else 0.0)
 
 
 def test_search_stays_exact_after_inserts():
@@ -711,10 +751,12 @@ def test_truncated_tree_fails_loudly(length):
         tree_from_bytes(FUZZ_TREE[:length])
 
 
-def test_version_1_stream_is_refused():
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_tree_versions_are_refused(version):
+    # version 2 carried a fractal-dimension column; tree files must be rebuilt
     raw = bytearray(FUZZ_TREE)
-    raw[len(b"CHESSTREE")] = 1
-    with pytest.raises(FormatError, match="unsupported tree version"):
+    raw[len(b"CHESSTREE")] = version
+    with pytest.raises(FormatError, match=f"unsupported tree version {version}"):
         tree_from_bytes(bytes(raw))
 
 
@@ -740,7 +782,6 @@ def _with(column, index, value):
     (_with("cardinality", 1, 1), "sum of its children"),
     (_with("radius", 2, -1.0), "bad radius"),
     (_with("radius", 2, np.nan), "bad radius"),
-    (_with("lfd", 2, np.inf), "non-finite fractal dimension"),
     (_with("order", 0, 60), "point index out of range"),
     (_with("order", 1, 0), "repeated point index"),
     (_leaf_centers_swapped, "center outside its own cluster"),
