@@ -6,21 +6,23 @@ quantum, a string character's is its byte code. A leaf's center row is
 differenced from the previous leaf's center (the first from zero), its
 members' rows from its center. One pass serves both kinds, on a batch of
 consecutive leaves at a time (about ``2 ** 13`` values; a larger leaf is
-a batch of its own): grid indices, differences, zigzag, LEB128 varints,
-then one block per batch through :func:`encode_leaf`: each leaf's byte
-length, so that a fault names its leaf, and the varints, in one deflate
-stream (RFC 1951).
+a batch of its own): grid indices, differences, zigzag, then one block
+per batch through :func:`encode_leaf`. A block stores its values in the
+fewest whole bytes its largest zigzag value needs, 1 to 8, as byte
+planes: every value's low byte, then every value's next byte, and so on,
+in one deflate stream (RFC 1951).
 
 An archive is the magic ``CHESSARC``, a header (version, quantum,
 dimension, the tree's CHESSTREE stream deflated), then the blocks in
 pre-order of their leaves; header and blocks are framed by a length
 prefix and a CRC32. Block kind flag 0 is dense, 2 is strings; flag 1,
 the retired edit-list string codec, is refused. Decoding takes each
-block's run of leaves from the block, checks it against the tree in
-:func:`decode_leaf` and reverses the pass. Dense values land on the
-grid, so a first roundtrip is lossy by at most half a quantum per
-coordinate and every later one is the identity; strings decode
-bit-exactly.
+block's run of leaves from the block; :func:`decode_leaf` checks it
+against the tree, which also fixes the block's value count, so the body
+must be exactly that many values of the block's width. Then the pass is
+reversed. Dense values land on the grid, so a first roundtrip is lossy
+by at most half a quantum per coordinate and every later one is the
+identity; strings decode bit-exactly.
 
 The default quantum is the measurement resolution of magnitude-12.2
 photometry, ``10 ** (-12.2 / 2.5)``.
@@ -46,11 +48,11 @@ DEFAULT_QUANTUM = 10.0 ** (-12.2 / 2.5)
 _MAX_QUANTUM = 2.0 ** 960  # times any int64 grid index, still finite
 
 ARC_MAGIC = b"CHESSARC"
-ARC_VERSION = 1
+ARC_VERSION = 2
 #: version, quantum, dimension; the deflated tree stream follows
 _ARC_HEADER = struct.Struct("<BdQ")
-#: kind flag, first leaf, leaf count
-_BLOCK_HEADER = struct.Struct("<BQQ")
+#: kind flag, first leaf, leaf count, bytes per value
+_BLOCK_HEADER = struct.Struct("<BQQB")
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
@@ -102,95 +104,6 @@ def _unzigzag(values: np.ndarray) -> np.ndarray:
     return (v >> np.uint64(1)).astype(np.int64) ^ -(v & np.uint64(1)).astype(np.int64)
 
 
-#: 2**7, 2**14, ..., 2**63: a value takes one byte more than the number
-#: of these it is at least
-_VARINT_LIMITS = np.uint64(1) << np.arange(7, 64, 7, dtype=np.uint64)
-_LOW7 = np.uint64(0x7F)
-_FLAG = np.uint64(0x80)
-_SEVEN = np.uint64(7)
-#: bytes of the longest varint a u64 needs; its last byte is 0 or 1
-_MAX_VARINT = 10
-
-
-def _encode_varints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LEB128 bytes of unsigned values, and the end offset of each value's
-    bytes."""
-    values = np.asarray(values, dtype=np.uint64)
-    lengths = np.searchsorted(_VARINT_LIMITS, values, side="right") + 1
-    ends = np.cumsum(lengths)
-    out = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    # one pass per byte position: write the next 7 bits of every value
-    # that has any left, each with its continuation flag
-    at, rest = ends - lengths, values
-    while rest.size:
-        out[at] = rest & _LOW7 | _FLAG
-        more = rest > _LOW7
-        at, rest = at[more] + 1, rest[more] >> _SEVEN
-    out[ends - 1] &= 0x7F
-    return out, ends
-
-
-def _decode_varints(buf: np.ndarray, ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Values of consecutive bodies of LEB128 varints.
-
-    Body ``j`` is ``buf[ends[j - 1]:ends[j]]`` and must hold exactly
-    ``counts[j]`` varints of at most 64 bits. Errors name the offset in
-    the first faulty body at which a byte-by-byte reader would stop, and
-    carry that body's index ``j`` as their ``body`` attribute.
-    """
-    stops = np.flatnonzero(buf < 0x80)  # the last byte of every varint
-    lengths = np.diff(stops, prepend=-1)
-    starts = stops - lengths + 1
-    # a sound body ends on a terminator and holds its count of them; a
-    # varint that spans two bodies leaves the first one unterminated
-    closed = np.concatenate(([True], buf < 0x80))[ends]
-    faulty = (np.diff(np.searchsorted(stops, ends), prepend=0) != counts) | ~closed
-    long = np.flatnonzero(lengths >= _MAX_VARINT)
-    long = long[(lengths[long] > _MAX_VARINT) | (buf[stops[long]] > 1)]
-    faulty[np.searchsorted(ends, stops[long], side="right")] = True
-    if faulty.any():
-        j = int(np.argmax(faulty))
-        begin = int(ends[j - 1]) if j else 0
-        exc = _body_fault(buf[begin:ends[j]].tobytes(), int(counts[j]))
-        exc.body = j
-        raise exc
-    # one pass per byte position: add the next 7 bits of every varint
-    # that has them
-    values = (buf[starts] & 0x7F).astype(np.uint64)
-    for k in range(1, int(lengths.max(initial=0))):
-        more = np.flatnonzero(lengths > k)
-        values[more] |= ((buf[starts[more] + k] & 0x7F).astype(np.uint64)
-                         << np.uint64(7 * k))
-    return values
-
-
-def _body_fault(body: bytes, count: int) -> FormatError:
-    """The error a byte-by-byte reader of ``count`` varints meets first in
-    a faulty body."""
-    pos = 0
-    try:
-        for _ in range(count):
-            _, pos = _read_varint(body, pos)
-    except FormatError as exc:
-        return exc
-    return FormatError(f"trailing bytes in block body at offset {pos}")
-
-
-def _read_varint(buf: bytes, start: int) -> tuple[int, int]:
-    """The varint at ``start`` and the offset after it."""
-    value = 0
-    for pos in range(start, start + _MAX_VARINT):
-        if pos >= len(buf):
-            raise FormatError(f"truncated varint at byte offset {pos}")
-        byte = buf[pos]
-        value |= (byte & 0x7F) << 7 * (pos - start)
-        if byte < 0x80:
-            if pos - start == _MAX_VARINT - 1 and byte > 1:
-                break
-            return value, pos + 1
-    raise FormatError(f"varint longer than 64 bits at byte offset {start}")
-
-
 def _deflate(body: bytes, level: int) -> bytes:
     return zlib.compress(body, level, wbits=-15)
 
@@ -222,23 +135,26 @@ def _unframe(raw: bytes, pos: int, what: str, header: struct.Struct):
     return payload, pos + length + _U32.size
 
 
-def encode_leaf(kind: DatasetKind, first: int, lengths: np.ndarray, body: bytes) -> bytes:
-    """The block of the leaves from pre-order leaf ``first`` on, whose
-    varints take ``lengths`` bytes each of ``body``: kind flag, first leaf
-    and leaf count, then the lengths as varints and the body, deflated."""
-    table, _ = _encode_varints(lengths)
-    return _frame(_BLOCK_HEADER.pack(_FLAGS[kind], first, len(lengths))
-                  + _deflate(table.tobytes() + body, 6))
+def encode_leaf(kind: DatasetKind, first: int, leaves: int, rows: np.ndarray) -> bytes:
+    """The block of ``leaves`` leaves from pre-order leaf ``first`` on,
+    whose int64 delta rows are ``rows``: kind flag, first leaf, leaf count
+    and value width, then the zigzag values as little-endian byte planes
+    of that width, deflated."""
+    values = _zigzag(rows.ravel())
+    width = max(1, (int(values.max()).bit_length() + 7) // 8)
+    planes = values.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width].T
+    return _frame(_BLOCK_HEADER.pack(_FLAGS[kind], first, leaves, width)
+                  + _deflate(planes.tobytes(), 6))
 
 
-def decode_leaf(raw: bytes, pos: int, kind: DatasetKind, leaf: int,
-                leaves: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The byte length of each leaf's varints in the block at ``pos``, the
-    varints and the offset after the block, which must be of ``kind`` and
-    start at pre-order leaf ``leaf`` of ``leaves``."""
+def decode_leaf(raw: bytes, pos: int, kind: DatasetKind, offsets: np.ndarray,
+                leaf: int, dim: int) -> tuple[int, np.ndarray, int]:
+    """The leaf count of the block at ``pos``, its delta rows and the offset
+    after the block, which must be of ``kind`` and start at pre-order leaf
+    ``leaf`` of the leaves whose slices end at ``offsets``."""
     payload, end = _unframe(raw, pos, "block", _BLOCK_HEADER)
-    flag, first, count = _BLOCK_HEADER.unpack_from(payload)
-    block_kind, at = _KINDS.get(flag), pos + _U64.size
+    flag, first, count, width = _BLOCK_HEADER.unpack_from(payload)
+    block_kind, at, leaves = _KINDS.get(flag), pos + _U64.size, offsets.size - 1
     if block_kind is None:
         raise FormatError(f"unknown block kind {flag} at byte offset {at}")
     if block_kind is not kind:
@@ -248,17 +164,20 @@ def decode_leaf(raw: bytes, pos: int, kind: DatasetKind, leaf: int,
         raise FormatError(f"the block at byte offset {pos} holds {count} "
                           f"leaves from leaf {first}, where leaf {leaf} of "
                           f"{leaves} is next")
+    if not 1 <= width <= 8:
+        raise FormatError(f"value width {width} out of range at byte offset "
+                          f"{at + _BLOCK_HEADER.size - 1}")
     body = _inflate(payload[_BLOCK_HEADER.size:])
-    lengths, cut = [0] * count, 0
-    try:
-        for i in range(count):
-            lengths[i], cut = _read_varint(body, cut)
-    except FormatError as exc:
-        raise FormatError(f"{exc} in the leaf lengths of the block at byte "
-                          f"offset {pos}") from None
-    if sum(lengths) != len(body) - cut:
-        raise FormatError(f"leaf lengths do not fit the block at byte offset {pos}")
-    return np.array(lengths, dtype=np.int64), np.frombuffer(body, np.uint8, offset=cut), end
+    rows = int(offsets[leaf + count] - offsets[leaf]) + count
+    if len(body) != rows * dim * width:
+        if len(body) % (rows * width) == 0:  # whole rows of another dimension
+            raise FormatError(f"dimension {dim} does not fit the block at byte "
+                              f"offset {pos}")
+        raise FormatError(f"block body of {len(body)} bytes is not {rows * dim} "
+                          f"values of {width} bytes at byte offset {pos}")
+    values = np.zeros((rows * dim, 8), dtype=np.uint8)
+    values[:, :width] = np.frombuffer(body, np.uint8).reshape(width, -1).T
+    return count, _unzigzag(values.view("<u8")).reshape(rows, dim), end
 
 
 def _batches(offsets: np.ndarray, dim: int) -> list[tuple[int, int]]:
@@ -296,9 +215,7 @@ def _leaf_blocks(tree: ClusterTree, dataset: Dataset, quantum: float):
         centers = np.concatenate((center, grid[heads]))
         rows = grid - np.repeat(centers, reps, axis=0)
         center = centers[-1:]
-        buf, ends = _encode_varints(_zigzag(rows.ravel()))
-        leaf_ends = ends[np.append(heads[1:], len(rows)) * dim - 1]
-        yield encode_leaf(kind, a, np.diff(leaf_ends, prepend=0), buf.tobytes())
+        yield encode_leaf(kind, a, b - a, rows)
 
 
 def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
@@ -309,20 +226,13 @@ def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
     out, a = None, 0
     while a < leaves.size:
         start = pos
-        lengths, body, pos = decode_leaf(raw, pos, kind, a, leaves.size)
-        b, block = a + lengths.size, f"the block at byte offset {start}"
+        count, rows, pos = decode_leaf(raw, pos, kind, offsets, a, dim)
+        b, block = a + count, f"the block at byte offset {start}"
         cards = np.diff(offsets[a:b + 1])
         if out is None:
-            # each varint takes a byte: bound a forged dim before it sizes arrays
-            if (int(cards.sum()) + b - a) * dim > body.size:
-                raise FormatError(f"dimension {dim} does not fit {block}")
+            # sized only now: the block's length check refuses a forged dim
             out = np.empty((tree.order.size, dim), dtype=np.float64 if dense else np.uint8)
             center = np.zeros((1, dim), dtype=np.int64)  # the previous leaf's
-        try:
-            values = _decode_varints(body, np.cumsum(lengths), (cards + 1) * dim)
-        except FormatError as exc:
-            raise FormatError(f"{exc} in leaf {a + exc.body} of {block}") from None
-        rows = _unzigzag(values).reshape(-1, dim)
         heads, reps = _runs(offsets, a, b)
         centers = np.cumsum(np.concatenate((center, rows[heads])), axis=0)
         refs = np.repeat(centers, reps, axis=0)
@@ -370,7 +280,11 @@ def decompress(path) -> Dataset:
     if dim == 0:
         raise FormatError(f"dimension {dim} out of range at byte offset {at + 9}")
     stream = _inflate(header[_ARC_HEADER.size:])
-    tree, end = tree_from_bytes(stream)
+    try:
+        tree, end = tree_from_bytes(stream)
+    except FormatError as exc:
+        raise FormatError(f"{exc} of the header's tree stream, inflated from "
+                          f"byte offset {at + _ARC_HEADER.size}") from None
     if end != len(stream):
         raise FormatError(f"trailing bytes in the tree stream at byte offset "
                           f"{at + _ARC_HEADER.size}")

@@ -13,8 +13,7 @@ from chess_search import (BuildConfig, Dataset, DatasetKind,
                           synth_manifold)
 from chess_search import compress
 from chess_search.compress import (_ARC_HEADER, _BLOCK_HEADER, DEFAULT_QUANTUM,
-                                   _batches, _decode_varints, _encode_varints,
-                                   _leaf_blocks, _read_varint, decode_leaf,
+                                   _batches, _leaf_blocks, _runs, decode_leaf,
                                    encode_leaf, quantize)
 from chess_search.tree import serialize, tree_from_bytes, tree_to_bytes
 
@@ -26,44 +25,6 @@ H = MetricKind.HAMMING
 
 def grid(values: np.ndarray, quantum: float) -> np.ndarray:
     return np.sign(values) * np.floor(np.abs(values) / quantum + 0.5) * quantum
-
-
-def reference_encode_varints(values: np.ndarray) -> bytes:
-    """Value-at-a-time LEB128, as the codec wrote before it was batched."""
-    out = bytearray()
-    for v in values.tolist():
-        while v >= 0x80:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-    return bytes(out)
-
-
-def reference_decode_varints(buf: bytes, pos: int,
-                             count: int) -> tuple[np.ndarray, int]:
-    """Byte-at-a-time LEB128, as the codec read before it was batched."""
-    out = np.empty(count, dtype=np.uint64)
-    end = len(buf)
-    for i in range(count):
-        value = 0
-        shift = 0
-        while True:
-            if pos >= end:
-                raise FormatError(f"truncated varint at byte offset {pos}")
-            byte = buf[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        out[i] = value
-    return out, pos
-
-
-def decode_bodies(bodies: list[bytes], counts: list[int]) -> np.ndarray:
-    buf = np.frombuffer(b"".join(bodies), dtype=np.uint8)
-    return _decode_varints(buf, np.cumsum([len(b) for b in bodies], dtype=np.int64),
-                           np.array(counts, dtype=np.int64))
 
 
 #: offset of an archive's header: after the magic and the header's length
@@ -82,32 +43,32 @@ def archive_tree(raw: bytes):
     return tree_from_bytes(stream)[0], stream
 
 
-def archive_blocks(raw: bytes) -> list[tuple[int, int, int, list[bytes]]]:
-    """(offset, end, first leaf, leaf bodies) of every block of an archive."""
+def archive_blocks(raw: bytes) -> list[tuple[int, int, int, int, np.ndarray]]:
+    """(offset, end, first leaf, leaf count, delta rows) of every block of
+    an archive."""
     tree, _ = archive_tree(raw)
     kind = (DatasetKind.DENSE_VECTORS if tree.metric.for_vectors
             else DatasetKind.ALIGNED_STRINGS)
-    leaves = int((tree.size == 1).sum())
+    dim = _ARC_HEADER.unpack_from(raw, HEADER)[2]
+    offsets = tree.leaf_offsets()[1]
     out, pos, leaf = [], first_block(raw), 0
     while pos < len(raw):
-        lengths, body, end = decode_leaf(raw, pos, kind, leaf, leaves)
-        cuts = np.concatenate(([0], np.cumsum(lengths))).tolist()
-        out.append((pos, end, leaf, [body[i:j].tobytes()
-                                     for i, j in zip(cuts[:-1], cuts[1:])]))
-        pos, leaf = end, leaf + lengths.size
+        count, rows, end = decode_leaf(raw, pos, kind, offsets, leaf, dim)
+        out.append((pos, end, leaf, count, rows))
+        pos, leaf = end, leaf + count
     return out
 
 
-def forge_leaf(raw: bytes, leaf: int, edit) -> tuple[bytes, int]:
-    """The archive with ``edit(body)`` in place of leaf ``leaf``'s varints,
-    its block re-encoded under a valid CRC; and that block's offset."""
-    for pos, end, first, bodies in archive_blocks(raw):
-        if first <= leaf < first + len(bodies):
-            bodies[leaf - first] = edit(bodies[leaf - first])
+def forge_block(raw: bytes, leaf: int, edit) -> tuple[bytes, int]:
+    """The archive with ``edit(rows, head)`` applied to the delta rows of
+    the block that holds leaf ``leaf``, whose center row is ``rows[head]``,
+    and the block re-encoded under a valid CRC; and that block's offset."""
+    offsets = archive_tree(raw)[0].leaf_offsets()[1]
+    for pos, end, first, count, rows in archive_blocks(raw):
+        if first <= leaf < first + count:
+            edit(rows, _runs(offsets, first, first + count)[0][leaf - first])
             kind = compress._KINDS[raw[pos + 8]]  # the flag, after the length
-            block = encode_leaf(kind, first, np.array([len(b) for b in bodies]),
-                                b"".join(bodies))
-            return raw[:pos] + block + raw[end:], pos
+            return raw[:pos] + encode_leaf(kind, first, count, rows) + raw[end:], pos
     raise AssertionError(f"no block holds leaf {leaf}")
 
 
@@ -153,10 +114,12 @@ def test_encode_all_members_equal_center_is_tiny(tmp_path):
     ds = Dataset.from_vectors(np.tile([3.0, 4.0, 5.0], (50, 1)))
     tree = build(ds, E, BuildConfig(seed=0))
     [block] = _leaf_blocks(tree, ds, DEFAULT_QUANTUM)
-    _, first, leaves = _BLOCK_HEADER.unpack_from(block, 8)  # after the length
+    _, first, leaves, width = _BLOCK_HEADER.unpack_from(block, 8)  # after the length
     assert (first, leaves) == (0, 1)
     compressed_body = len(block) - 8 - _BLOCK_HEADER.size - 4
-    assert compressed_body < 40  # deflate of the center row and 150 zero varints
+    # deflate of the byte planes: each holds the center row's 3 bytes and
+    # the members' 150 zeros
+    assert compressed_body < 40
     path = tmp_path / "a.chess"
     compress_tree(tree, ds, Quantizer(), path)
     assert np.array_equal(decompress(path).values, grid(ds.values, DEFAULT_QUANTUM))
@@ -238,30 +201,89 @@ def test_compress_requires_matching_dataset(tmp_path):
 
 
 def test_block_wire_roundtrip():
-    body, ends = _encode_varints(np.arange(12, dtype=np.uint64) * 1000)
-    lengths = np.diff(ends[[4, 11]], prepend=0)  # leaves of 5 and 7 varints
-    raw = encode_leaf(DatasetKind.DENSE_VECTORS, 2, lengths, body.tobytes())
-    got, parsed, end = decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 2, 4)
-    assert end == len(raw)
-    assert got.tolist() == lengths.tolist()
-    assert encode_leaf(DatasetKind.DENSE_VECTORS, 2, got, parsed.tobytes()) == raw
-    assert parsed.tobytes() == body.tobytes()
+    # leaves 2 and 3, of 6 and 5 points, each after its center row
+    rows = np.arange(26, dtype=np.int64).reshape(13, 2) * 1000 - 12_000
+    offsets = np.array([0, 4, 9, 15, 20])
+    raw = encode_leaf(DatasetKind.DENSE_VECTORS, 2, 2, rows)
+    assert _BLOCK_HEADER.unpack_from(raw, 8) == (0, 2, 2, 2)
+    count, got, end = decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, offsets, 2, 2)
+    assert (count, end) == (2, len(raw))
+    assert got.dtype == np.int64 and np.array_equal(got, rows)
+    assert encode_leaf(DatasetKind.DENSE_VECTORS, 2, count, got) == raw
     # the block must hold the next leaves of the tree, and no more than it has
     for leaf, leaves in ((7, 9), (2, 3)):
         with pytest.raises(FormatError, match=f"the block at byte offset 0 holds "
                                               f"2 leaves from leaf 2, where leaf "
                                               f"{leaf} of {leaves} is next$"):
-            decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, leaf, leaves)
+            decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, np.arange(leaves + 1),
+                        leaf, 2)
 
 
-def test_leaf_lengths_must_add_up_to_the_block_body():
-    body, _ = _encode_varints(np.arange(12, dtype=np.uint64))
-    for lengths in ([5, 6], [5, 8]):
-        raw = encode_leaf(DatasetKind.DENSE_VECTORS, 0, np.array(lengths),
-                          body.tobytes())
-        with pytest.raises(FormatError, match="leaf lengths do not fit the block "
-                                              "at byte offset 0$"):
-            decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 2)
+SPECIAL_I64 = [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]
+
+
+def zigzag_width(values: list[int]) -> int:
+    """The bytes of the largest zigzag value, at least one."""
+    top = max(2 * v if v >= 0 else -2 * v - 1 for v in values)
+    return max(1, -(-top.bit_length() // 8))
+
+
+# values below 2**bits in magnitude, so that every width from 1 to 8 occurs
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 63).flatmap(lambda bits: st.lists(
+    st.one_of(st.sampled_from(SPECIAL_I64), st.integers(-2**bits, 2**bits - 1)),
+    min_size=1, max_size=40)))
+@example(SPECIAL_I64)
+@example([0])
+def test_block_roundtrips_int64_rows(values):
+    # one leaf: a center row and a member row per further value
+    rows = np.array(values, dtype=np.int64).reshape(-1, 1)
+    raw = encode_leaf(DatasetKind.DENSE_VECTORS, 0, 1, rows)
+    assert raw[8 + _BLOCK_HEADER.size - 1] == zigzag_width(values)
+    count, got, end = decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS,
+                                  np.array([0, len(values) - 1]), 0, 1)
+    assert (count, end) == (1, len(raw))
+    assert got.dtype == np.int64 and got.ravel().tolist() == values
+
+
+#: a block of one leaf of 11 points and dimension 2, after 5 other bytes
+ROWS = np.arange(24, dtype=np.int64).reshape(12, 2) * 300
+OFFSETS = np.array([0, 11])
+AT = 5
+
+
+def reframe_block(raw: bytes, width: int | None = None, edit=None) -> bytes:
+    """The block with ``width`` in its width byte, or ``edit(body)`` as its
+    inflated body, under a valid CRC."""
+    header = bytearray(raw[8:8 + _BLOCK_HEADER.size])
+    if width is not None:
+        header[-1] = width
+    body = zlib.decompress(raw[8 + _BLOCK_HEADER.size:-4], wbits=-15)
+    if edit is not None:
+        body = edit(body)
+    return compress._frame(bytes(header) + compress._deflate(body, 6))
+
+
+@pytest.mark.parametrize("width", [0, 9])
+def test_width_byte_out_of_range_is_refused(width):
+    raw = encode_leaf(DatasetKind.DENSE_VECTORS, 0, 1, ROWS)
+    assert raw[8 + _BLOCK_HEADER.size - 1] == 2
+    forged = bytes(AT) + reframe_block(raw, width=width)
+    with pytest.raises(FormatError, match=f"^value width {width} out of range at "
+                                          f"byte offset {AT + 8 + 17}$"):
+        decode_leaf(forged, AT, DatasetKind.DENSE_VECTORS, OFFSETS, 0, 2)
+
+
+# 12 rows of 2 values of 2 bytes make a body of 48 bytes
+@pytest.mark.parametrize("edit, size", [(lambda body: body[:-1], 47),
+                                        (lambda body: body + b"\0", 49)],
+                         ids=["short", "long"])
+def test_block_body_must_hold_exactly_its_values(edit, size):
+    raw = encode_leaf(DatasetKind.DENSE_VECTORS, 0, 1, ROWS)
+    forged = bytes(AT) + reframe_block(raw, edit=edit)
+    with pytest.raises(FormatError, match=f"^block body of {size} bytes is not 24 "
+                                          f"values of 2 bytes at byte offset {AT}$"):
+        decode_leaf(forged, AT, DatasetKind.DENSE_VECTORS, OFFSETS, 0, 2)
 
 
 def test_search_agrees_on_decompressed_corpus(tmp_path):
@@ -289,7 +311,7 @@ def test_malformed_blocks_raise_format_error():
     raw = len(payload).to_bytes(8, "little") + payload \
         + zlib.crc32(payload).to_bytes(4, "little")
     with pytest.raises(FormatError, match="shorter than its header"):
-        decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, 0, 1)
+        decode_leaf(raw, 0, DatasetKind.DENSE_VECTORS, np.array([0, 1]), 0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -337,127 +359,12 @@ def test_truncated_archive_fails_loudly(fuzz_archives, tmp_path_factory, which, 
         decompress(path)
 
 
-SPECIAL_U64 = [0, 1, 127, 128, 16_383, 16_384, 2**63 - 1, 2**63, 2**64 - 1]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.sampled_from(SPECIAL_U64), st.integers(0, 300),
-                          st.integers(0, 2**64 - 1)), max_size=40))
-@example([])
-@example(SPECIAL_U64)
-def test_varint_codec_matches_reference(values):
-    arr = np.array(values, dtype=np.uint64)
-    buf, ends = _encode_varints(arr)
-    want = reference_encode_varints(arr)
-    assert buf.dtype == np.uint8 and buf.tobytes() == want
-    assert ends.tolist() == np.cumsum(
-        [len(reference_encode_varints(arr[i:i + 1])) for i in range(arr.size)],
-        dtype=np.int64).tolist()
-    assert np.array_equal(reference_decode_varints(want, 0, arr.size)[0], arr)
-    got = decode_bodies([want], [arr.size])
-    assert got.dtype == np.uint64 and np.array_equal(got, arr)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.one_of(st.sampled_from(SPECIAL_U64),
-                                   st.integers(0, 2**64 - 1)), max_size=6),
-                min_size=1, max_size=5))
-def test_varint_bodies_decode_as_one_batch(groups):
-    bodies = [reference_encode_varints(np.array(g, dtype=np.uint64)) for g in groups]
-    got = decode_bodies(bodies, [len(g) for g in groups])
-    assert got.tolist() == [v for g in groups for v in g]
-
-
-STREAM = np.array([0, 127, 128, 300, 2**63, 2**64 - 1, 5], dtype=np.uint64)
-
-
-def test_truncated_varints_name_the_reference_offset():
-    stream = reference_encode_varints(STREAM)
-    head = reference_encode_varints(STREAM[:2])
-    for cut in range(len(stream)):
-        with pytest.raises(FormatError) as want:
-            reference_decode_varints(stream[:cut], 0, STREAM.size)
-        assert str(want.value) == f"truncated varint at byte offset {cut}"
-        # alone, and as the middle body of a batch: offsets are per body
-        for bodies, counts in (([stream[:cut]], [STREAM.size]),
-                               ([head, stream[:cut], head], [2, STREAM.size, 2])):
-            with pytest.raises(FormatError) as got:
-                decode_bodies(bodies, counts)
-            assert str(got.value) == str(want.value)
-
-
-def test_trailing_varint_bytes_name_their_offset():
-    stream = reference_encode_varints(STREAM)
-    for extra in (b"\x00", b"\x81", b"\x81\x01"):
-        with pytest.raises(FormatError, match="trailing bytes in block body at "
-                                              f"offset {len(stream)}$"):
-            decode_bodies([stream, stream + extra], [STREAM.size, STREAM.size])
-    with pytest.raises(FormatError, match="trailing bytes in block body at offset 0$"):
-        decode_bodies([b"\x05"], [0])
-
-
-@pytest.mark.parametrize("varint", [bytes([0xFF] * 10 + [0x01]),  # 11 bytes
-                                    bytes([0x80] * 9 + [0x02]),   # a 65th bit
-                                    bytes([0x80] * 12),           # unterminated
-                                    bytes([0x80] * 15 + [0x00])])
-def test_over_long_varint_is_a_format_error(varint):
-    head = reference_encode_varints(STREAM)
-    with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
-                                          f"offset {len(head)}$"):
-        decode_bodies([head, head + varint + head], [STREAM.size, 2 * STREAM.size + 1])
-    with pytest.raises(FormatError, match="longer than 64 bits at byte offset 3$"):
-        _read_varint(b"\x00\x00\x00" + varint, 3)
-    # a varint past the member's count is trailing, not over-long
-    with pytest.raises(FormatError, match=f"trailing bytes .* offset {len(head)}$"):
-        decode_bodies([head + varint], [STREAM.size])
-
-
-def test_longest_varint_decodes():
-    assert reference_encode_varints(STREAM[5:6]) == bytes([0xFF] * 9 + [0x01])
-    assert _read_varint(bytes([0xFF] * 9 + [0x01]), 0) == (2**64 - 1, 10)
-    assert decode_bodies([bytes([0xFF] * 9 + [0x01])], [1]).tolist() == [2**64 - 1]
-
-
 def small_archive(tmp_path) -> bytes:
     ds = synth_manifold(150, 6, 1, 0.1, seed=31)
     tree = build(ds, E, BuildConfig(max_depth=8, min_size=5, seed=4))
     path = tmp_path / "c.chess"
     compress_tree(tree, ds, Quantizer(), path)
     return path.read_bytes()
-
-
-@pytest.mark.parametrize("leaf", [0, 3])
-def test_over_long_varint_in_archive_is_a_format_error(tmp_path, leaf):
-    raw = small_archive(tmp_path)
-    [(_, _, _, bodies)] = archive_blocks(raw)
-    assert len(bodies) > leaf + 1  # one block of several leaves
-    _, first = reference_decode_varints(bodies[leaf], 0, 1)
-    forged, pos = forge_leaf(raw, leaf, lambda body: body[:first]
-                             + bytes([0xFF] * 10 + [0x01]) + body[first:])
-    path = tmp_path / "forged.chess"
-    path.write_bytes(forged)
-    with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
-                                          f"offset {first} in leaf {leaf} of the "
-                                          f"block at byte offset {pos}$"):
-        decompress(path)
-
-
-def test_bad_leaf_length_varint_names_its_block(tmp_path):
-    raw = small_archive(tmp_path)
-    pos = first_block(raw)
-    (length,) = struct.unpack_from("<Q", raw, pos)
-    flag, first, leaves = _BLOCK_HEADER.unpack_from(raw, pos + 8)
-    body = zlib.decompress(raw[pos + 8 + _BLOCK_HEADER.size:pos + 8 + length],
-                           wbits=-15)
-    _, cut = reference_decode_varints(body, 0, leaves)
-    payload = _BLOCK_HEADER.pack(flag, first, leaves) + compress._deflate(
-        bytes([0x80] * 11) + body[cut:], 6)
-    path = tmp_path / "forged.chess"  # CRC-valid
-    path.write_bytes(raw[:pos] + compress._frame(payload) + raw[pos + 12 + length:])
-    with pytest.raises(FormatError, match="varint longer than 64 bits at byte "
-                                          "offset 0 in the leaf lengths of the "
-                                          f"block at byte offset {pos}$"):
-        decompress(path)
 
 
 @pytest.mark.parametrize("which, flag, message", [
@@ -485,15 +392,11 @@ def test_out_of_alphabet_string_code_is_a_format_error(fuzz_archives, tmp_path,
     raw, values = fuzz_archives[1]
     tree, _ = archive_tree(raw)
     center = tree.center[np.flatnonzero(tree.size == 1)[leaf]]
-    dim = values.shape[1]
-    [(_, _, _, bodies)] = archive_blocks(raw)
-    # the first member's first character becomes a Z: one zigzag varint
-    # of its difference from the center's, after the center's row
-    _, row = reference_decode_varints(bodies[leaf], 0, dim)
-    _, end = reference_decode_varints(bodies[leaf], row, 1)
     delta = ord("Z") - int(values[center, 0])
-    zigzag = bytes([2 * delta if delta >= 0 else -2 * delta - 1])
-    forged, pos = forge_leaf(raw, leaf, lambda body: body[:row] + zigzag + body[end:])
+
+    def edit(rows, head):  # the first member's first character becomes a Z
+        rows[head + 1, 0] = delta
+    forged, pos = forge_block(raw, leaf, edit)
     path = tmp_path / "forged.chess"
     path.write_bytes(forged)  # CRC-valid
     with pytest.raises(FormatError, match=f"decoded code {ord('Z')} .* in leaf "
@@ -530,7 +433,7 @@ def test_bad_quantum_in_archive_is_a_format_error(tmp_path, quantum):
 
 
 @pytest.mark.parametrize("offset, field, message", [
-    (HEADER, b"\x02", "unsupported archive version 2"),
+    (HEADER, b"\x01", "unsupported archive version 1"),
     (HEADER + 9, struct.pack("<Q", 0), "dimension 0 out of range")])
 def test_bad_header_field_is_a_format_error(tmp_path, offset, field, message):
     raw = small_archive(tmp_path)
@@ -581,14 +484,17 @@ def test_trailing_bytes_in_the_header_tree_stream_are_refused(tmp_path):
 
 
 def test_archive_of_an_old_tree_version_is_refused(tmp_path):
-    # the archive version stays 1: the tree stream carries its own version
+    # the tree stream carries its own version, and its faults name offsets
+    # inside the inflated stream
     raw = small_archive(tmp_path)
     _, stream = archive_tree(raw)
     stream = stream[:len(b"CHESSTREE")] + b"\x02" + stream[len(b"CHESSTREE") + 1:]
     header = raw[HEADER:HEADER + _ARC_HEADER.size] + compress._deflate(stream, 1)
     path = tmp_path / "forged.chess"  # CRC-valid
     path.write_bytes(raw[:8] + compress._frame(header) + raw[first_block(raw):])
-    with pytest.raises(FormatError, match="^unsupported tree version 2 at byte offset"):
+    with pytest.raises(FormatError, match="^unsupported tree version 2 at byte offset "
+                                          "9 of the header's tree stream, inflated "
+                                          f"from byte offset {HEADER + _ARC_HEADER.size}$"):
         decompress(path)
 
 
@@ -613,12 +519,10 @@ def test_decoded_sum_beyond_int64_is_a_format_error(tmp_path, row):
     # the first coordinates of leaf 2's and leaf 3's centers are positive
     # on the grid, so adding 2**63 - 1 to either leaves the int64 range
     assert quantize(ds.values[tree.center[leaves[2:4]], 0], DEFAULT_QUANTUM).min() > 0
-    [(_, _, _, bodies)] = archive_blocks(raw)
-    dim = ds.dim
-    _, at = reference_decode_varints(bodies[3], 0, dim if row == "member" else 0)
-    _, end = reference_decode_varints(bodies[3], at, 1)
-    huge = reference_encode_varints(np.array([2**64 - 2], dtype=np.uint64))
-    forged, pos = forge_leaf(raw, 3, lambda body: body[:at] + huge + body[end:])
+
+    def edit(rows, head):  # leaf 3's center row, or its first member's
+        rows[head + (row == "member"), 0] = 2**63 - 1
+    forged, pos = forge_block(raw, 3, edit)
     path = tmp_path / "forged.chess"
     path.write_bytes(forged)  # CRC-valid
     with pytest.raises(FormatError, match="decoded grid index leaves the int64 "
@@ -643,8 +547,8 @@ def pinned_corpus(metric: MetricKind):
 
 #: SHA-256 of everything an archive holds after its header
 PINNED = {
-    E: "3d1e1cee3947abf0ce1d72a3feb2beb9d5ba90c70dbc8727e858c7dc338c005a",
-    H: "eeea0104fbb95257f86a6cf59ee03e0768bdc6d88e7135587bc1fa0054962dab",
+    E: "e2fcf12a75e773e0b36c14c31291edb63a80a5955f19f43ce3d4845fc748838b",
+    H: "f1adb065c0e1258da8feec758ce056399180c0245ae22aa8241c0ed84341c2a2",
 }
 
 
@@ -690,21 +594,21 @@ BATCHES = [1, 7, 600, 5_000]
                          + [f"hamming-{b}" for b in BATCHES])
 def test_archive_bytes_do_not_depend_on_batch_size(tmp_path, monkeypatch, metric,
                                                    batch):
-    # the batch size only groups leaves into blocks: every leaf's varints
-    # are the same, and the archive decodes under the default batch size
+    # the batch size only groups leaves into blocks: the blocks follow
+    # _batches, every leaf's delta rows are the same, and the archive
+    # decodes to the same values under the default batch size
     tree, ds = pinned_corpus(metric)
     path = tmp_path / "p.chess"
     compress_tree(tree, ds, Quantizer(), path)
-    want = [body for *_, bodies in archive_blocks(path.read_bytes())
-            for body in bodies]
+    want = np.concatenate([rows for *_, rows in archive_blocks(path.read_bytes())])
     with monkeypatch.context() as patch:
         patch.setattr(compress, "_BATCH_VALUES", batch)
         compress_tree(tree, ds, Quantizer(), path)
         runs = _batches(tree.leaf_offsets()[1], ds.dim)
     blocks = archive_blocks(path.read_bytes())
-    assert [(first, len(bodies)) for _, _, first, bodies in blocks] == \
+    assert [(first, count) for _, _, first, count, _ in blocks] == \
         [(a, b - a) for a, b in runs]
-    assert [body for *_, bodies in blocks for body in bodies] == want
+    assert np.array_equal(np.concatenate([rows for *_, rows in blocks]), want)
     assert np.array_equal(decompress(path).values, ds.values if metric is H
                           else grid(ds.values, DEFAULT_QUANTUM))
 
