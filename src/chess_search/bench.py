@@ -10,7 +10,8 @@ divided by pruned-search comparisons), which is hardware independent;
 wall-clock time of each pruned search is reported alongside. Rows
 serialize to CSV under a header of :class:`BenchmarkRow`'s field names,
 in field order; floats are written in shortest round-trip form, so
-``float()`` of a cell gives back every bit of the value.
+``float()`` of a cell gives back every bit of the value. Radii are in
+the metric's distance: chord distances are lengths in [0, 2].
 """
 
 from __future__ import annotations

@@ -217,7 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="radius search against a tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--radius", type=_nonneg_float, required=True)
+    p.add_argument("--radius", type=_nonneg_float, required=True,
+                   help="in the tree's distance: chord distances are lengths "
+                        "in [0, 2]")
     p.add_argument("--naive", action="store_true",
                    help="run the linear-scan oracle instead of the tree")
     p.add_argument("--out")
@@ -237,7 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="held-out query benchmark, CSV report")
     p.add_argument("--input", required=True)
     p.add_argument("--metric", required=True)
-    p.add_argument("--radii", type=_float_list, required=True)
+    p.add_argument("--radii", type=_float_list, required=True,
+                   help="comma-separated, in the metric's distance: chord "
+                        "distances are lengths in [0, 2]")
     p.add_argument("--depths", type=_int_list, required=True)
     p.add_argument("--queries", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)

@@ -108,11 +108,12 @@ def _deflate(body: bytes, level: int) -> bytes:
     return zlib.compress(body, level, wbits=-15)
 
 
-def _inflate(body: bytes) -> bytes:
+def _inflate(body: bytes, at: int) -> bytes:
+    """The inflated ``body``, whose deflate data starts at byte ``at``."""
     try:
         return zlib.decompress(body, wbits=-15)
     except zlib.error as exc:
-        raise FormatError(f"corrupt deflate stream: {exc}") from None
+        raise FormatError(f"corrupt deflate stream at byte offset {at}: {exc}") from None
 
 
 def _frame(payload: bytes) -> bytes:
@@ -167,7 +168,7 @@ def decode_leaf(raw: bytes, pos: int, kind: DatasetKind, offsets: np.ndarray,
     if not 1 <= width <= 8:
         raise FormatError(f"value width {width} out of range at byte offset "
                           f"{at + _BLOCK_HEADER.size - 1}")
-    body = _inflate(payload[_BLOCK_HEADER.size:])
+    body = _inflate(payload[_BLOCK_HEADER.size:], at + _BLOCK_HEADER.size)
     rows = int(offsets[leaf + count] - offsets[leaf]) + count
     if len(body) != rows * dim * width:
         if len(body) % (rows * width) == 0:  # whole rows of another dimension
@@ -279,7 +280,7 @@ def decompress(path) -> Dataset:
         raise FormatError(f"unsupported archive version {version} at byte offset {at}")
     if dim == 0:
         raise FormatError(f"dimension {dim} out of range at byte offset {at + 9}")
-    stream = _inflate(header[_ARC_HEADER.size:])
+    stream = _inflate(header[_ARC_HEADER.size:], at + _ARC_HEADER.size)
     try:
         tree, end = tree_from_bytes(stream)
     except FormatError as exc:

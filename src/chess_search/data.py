@@ -4,10 +4,11 @@ Two point kinds are supported: dense nonnegative real vectors, stored
 on disk in the CHESSVEC binary format, and equal-length strings over
 ``A C G T -``, stored as plain text (FASTA headers tolerated).
 
-CHESSVEC layout: magic ``CHESSVEC`` (8 ASCII bytes), version byte 0x01,
+CHESSVEC layout: magic ``CHESSVEC`` (8 ASCII bytes), version byte 0x02,
 point count as u64 little-endian, per-point dimension as u64
-little-endian, then ``n * dim`` IEEE-754 binary64 little-endian values,
-row major.
+little-endian, a CRC32 of those 25 bytes as u32 little-endian, then
+``n * dim`` IEEE-754 binary64 little-endian values, row major. Version 1
+had no CRC and is refused.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import enum
 import hashlib
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,8 +36,11 @@ __all__ = [
 ]
 
 VEC_MAGIC = b"CHESSVEC"
-VEC_VERSION = 1
+VEC_VERSION = 2
 _VEC_HEADER = struct.Struct("<8sBQQ")
+_U32 = struct.Struct("<I")
+#: where the values start: after the header and its CRC32
+_VEC_START = _VEC_HEADER.size + _U32.size
 
 
 class DatasetKind(enum.Enum):
@@ -165,7 +170,8 @@ def _dense_bytes(values: np.ndarray) -> bytes:
     """The CHESSVEC stream of an ``(n, dim)`` array: the bytes of a dense
     dataset's file and of its hash."""
     header = _VEC_HEADER.pack(VEC_MAGIC, VEC_VERSION, *values.shape)
-    return header + np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return b"".join((header, _U32.pack(zlib.crc32(header)),
+                     np.ascontiguousarray(values, dtype="<f8").tobytes()))
 
 
 def save_dense(dataset: Dataset, path) -> None:
@@ -176,29 +182,33 @@ def save_dense(dataset: Dataset, path) -> None:
 
 
 def load_dense(path) -> Dataset:
-    """Read a CHESSVEC file, verifying magic, version, size, and finiteness."""
+    """Read a CHESSVEC file, verifying magic, version, header CRC, size,
+    and finiteness."""
     raw = Path(path).read_bytes()
-    if len(raw) < _VEC_HEADER.size:
+    if len(raw) < _VEC_START:
         raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
     magic, version, n, dim = _VEC_HEADER.unpack_from(raw, 0)
     if magic != VEC_MAGIC:
         raise FormatError(f"{path}: bad magic at byte offset 0")
     if version != VEC_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 8")
+    if zlib.crc32(raw[:_VEC_HEADER.size]) != _U32.unpack_from(raw, _VEC_HEADER.size)[0]:
+        raise FormatError(f"{path}: header checksum mismatch at byte offset "
+                          f"{_VEC_HEADER.size}")
     if n < 1 or dim < 1:
         raise FormatError(f"{path}: header promises empty dataset at byte offset 9")
-    expected = _VEC_HEADER.size + 8 * n * dim
+    expected = _VEC_START + 8 * n * dim
     if len(raw) != expected:
         raise FormatError(
             f"{path}: payload size mismatch (expected {expected} bytes, "
             f"got {len(raw)}) at byte offset {min(len(raw), expected)}")
-    values = np.frombuffer(raw, dtype="<f8", offset=_VEC_HEADER.size).reshape(n, dim)
+    values = np.frombuffer(raw, dtype="<f8", offset=_VEC_START).reshape(n, dim)
     try:  # the constructor's scan is the one pass over the values
         return Dataset(DatasetKind.DENSE_VECTORS, values.astype(np.float64, copy=True))
     except DimensionError:
         flat = int(np.argmin(np.isfinite(values.ravel())))
         raise FormatError(f"{path}: non-finite value at byte offset "
-                          f"{_VEC_HEADER.size + 8 * flat}") from None
+                          f"{_VEC_START + 8 * flat}") from None
 
 
 def load_sequences(path) -> Dataset:

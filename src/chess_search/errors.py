@@ -11,7 +11,7 @@ class DimensionError(ChessError, ValueError):
 
 class DegenerateInputError(ChessError, ValueError):
     """An input is valid in shape but meaningless for the operation,
-    e.g. an all-zero vector under cosine distance."""
+    e.g. an all-zero vector under the chord distance."""
 
 
 class FormatError(ChessError, ValueError):

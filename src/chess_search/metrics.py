@@ -1,10 +1,9 @@
 """Distance functions, their properties, and comparison-count instrumentation.
 
-Four distances are provided. Euclidean and cosine apply to dense real
-vectors; Hamming and Levenshtein apply to aligned strings over the
-alphabet ``A C G T -``. Euclidean, Hamming, and Levenshtein are true
-metrics; cosine distance (1 - cosine similarity) violates the triangle
-inequality and therefore cannot guarantee exact pruning.
+Four distances are provided, all of them metrics. Euclidean and chord
+apply to dense real vectors; Hamming and Levenshtein to aligned strings
+over the alphabet ``A C G T -``. Chord is the Euclidean distance of the
+vectors scaled to unit length, ``sqrt(2 - 2 cos)``, a length in [0, 2].
 
 Levenshtein is computed exactly by Myers' bit-vector DP (Myers 1999, in
 Hyyro's 2003 global edit-distance form) over a packed block: every row
@@ -74,14 +73,14 @@ class MetricKind(enum.Enum):
     """Identifies a distance function and its structural properties."""
 
     EUCLIDEAN = "euclidean"
-    COSINE = "cosine"
+    CHORD = "chord"
     HAMMING = "hamming"
     LEVENSHTEIN = "levenshtein"
 
     @property
     def for_vectors(self) -> bool:
         """True when the distance applies to dense vectors, False for strings."""
-        return self in (MetricKind.EUCLIDEAN, MetricKind.COSINE)
+        return self in (MetricKind.EUCLIDEAN, MetricKind.CHORD)
 
     @property
     def wire_id(self) -> int:
@@ -104,11 +103,12 @@ class MetricKind(enum.Enum):
         raise ValueError(f"unknown metric id byte {wire_id}")
 
 
+#: id 1, cosine distance (1 - cos), is retired: its trees are refused
 _WIRE_IDS = {
     MetricKind.EUCLIDEAN: 0,
-    MetricKind.COSINE: 1,
     MetricKind.HAMMING: 2,
     MetricKind.LEVENSHTEIN: 3,
+    MetricKind.CHORD: 4,
 }
 
 
@@ -289,7 +289,7 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
     """
     # identity tests and ``np.add.reduce`` skip the per-call cost of the
     # enum property and of ``ndarray.sum``'s wrapper; results are the same
-    for_vectors = kind is MetricKind.EUCLIDEAN or kind is MetricKind.COSINE
+    for_vectors = kind is MetricKind.EUCLIDEAN or kind is MetricKind.CHORD
     if not (isinstance(q, np.ndarray) and q.ndim == 2):
         q = as_vector(q) if for_vectors else as_codes(q)
     elif q.shape != points.shape:
@@ -304,16 +304,17 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
             raise DimensionError(
                 f"dimension mismatch: points have dim {points.shape[-1]}, "
                 f"query has dim {q.shape[-1]}")
-        if kind is MetricKind.EUCLIDEAN:
-            diff = points - q
-            diff *= diff  # in place: one block-sized temporary, not two
-            result = np.sqrt(np.add.reduce(diff, axis=1))
-        else:
-            qn = np.sqrt(np.add.reduce(q * q, axis=-1))
-            norms = np.sqrt(np.add.reduce(points * points, axis=1))
-            if not (qn.all() and norms.all()):
-                raise DegenerateInputError("cosine distance undefined for the zero vector")
-            result = 1.0 - np.add.reduce(points * q, axis=1) / (norms * qn)
+        if kind is MetricKind.CHORD:  # the Euclidean distance of unit vectors
+            tops = [np.abs(x).max(axis=-1, keepdims=True) for x in (points, q)]
+            if not (tops[0].all() and tops[1].all()):
+                raise DegenerateInputError("chord distance undefined for the zero vector")
+            # at a largest magnitude of 1 the squares stay finite
+            points, q = (x / top for x, top in zip((points, q), tops))
+            points, q = (x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+                         for x in (points, q))
+        diff = points - q
+        diff *= diff  # in place: one block-sized temporary, not two
+        result = np.sqrt(np.add.reduce(diff, axis=1))
     elif points.ndim != 2:
         raise DimensionError("expected a 2-D block of string points")
     elif kind is MetricKind.HAMMING:
@@ -332,11 +333,10 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
 def distance(a, b, kind: MetricKind) -> float:
     """Distance between two points under the given kind.
 
-    Nonnegative, symmetric, and zero on identical points. Euclidean is
-    the L2 norm of the difference; cosine is one minus the cosine
-    similarity; Hamming counts differing positions of equal-length
-    strings; Levenshtein is the minimum number of single-character
-    edits (lengths may differ).
+    A metric. Euclidean is the L2 norm of the difference; chord is that
+    of the vectors scaled to unit length; Hamming counts differing
+    positions of equal-length strings; Levenshtein is the minimum number
+    of single-character edits (lengths may differ).
     """
     coerce = as_vector if kind.for_vectors else as_codes
     return float(distances_to(coerce(a)[np.newaxis], coerce(b), kind)[0])

@@ -11,10 +11,8 @@ it; any other child is descended into. Each contained cluster and each
 leaf reached is a slice of the tree's member permutation. The fine
 stage joins those slices and scans them in one pass, one kernel call per
 block of at most ``_BLOCK_BYTES`` of rows (the build's block size).
-When the distance obeys the triangle inequality this returns exactly
-the naive linear-scan result; false positives are impossible for any
-distance because every hit is an explicit pairwise comparison against
-r.
+Every offered distance obeys the triangle inequality, so this returns
+exactly the naive linear-scan result.
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
@@ -137,11 +135,9 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     bounds the kernel's rounding, ``4 (dim + 2)`` units of 2**-52.
     Hamming and Levenshtein distances are exact integers and get none.
     The containment test needs no slack: a contained cluster's points
-    still each pass ``<= r`` on their own, and under a distance that
-    breaks the triangle inequality (cosine) it can only add scanned
-    points. The walk scans nothing: it records the slice of ``order`` of
-    each leaf reached and each contained cluster, and after it one scan
-    covers them all. Comparisons count the center tests actually made
+    still each pass ``<= r`` on their own. The walk scans nothing: it
+    records the slice of ``order`` of each leaf reached and each
+    contained cluster, and after it one scan covers them all. Comparisons count the center tests actually made
     plus the points scanned, one kernel call per test and one per block
     of the scanned points.
     A dataset with fewer points than the tree covers is a
@@ -203,7 +199,7 @@ def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchRep
 
 
 def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
-    """The k nearest stored points, exact under metric distances.
+    """The k nearest stored points, exactly as a brute-force scan ranks them.
 
     Descends from the root toward the nearer child center (ties going
     left), one kernel call on both child centers per level, and stops at
@@ -212,9 +208,7 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
     nearest distance from above, so one range search at ``b`` holds the
     answer: its first k hits, which are sorted by distance and then
     index, so ties at the k-th position go to the lower index. The
-    report's ``final_radius`` is ``b``. Under cosine distance, which
-    breaks the triangle inequality, the range search may miss points
-    within ``b``, so the answer may be inexact or hold fewer than k.
+    report's ``final_radius`` is ``b``.
     """
     _check_covered(tree, dataset)
     n = tree.order.size

@@ -525,8 +525,8 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     The dataset must hold exactly the points the tree covers, or the
     insert is a :class:`DimensionError`. :meth:`Dataset.append_point` is
     the one check of the point; a point that fails it, or whose distance
-    to the root center is undefined (a cosine zero vector), leaves the
-    tree and the dataset as they were.
+    to the root center is undefined (a zero vector under the chord
+    distance), leaves the tree and the dataset as they were.
 
     Cost: one distance to the root center, then one kernel call per level
     on the two child centers; the chosen child's distance serves the next
@@ -550,7 +550,7 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
     try:
         d_node = float(distances_to(values[center[:1]], arr, metric)[0])
-    except DegenerateInputError:  # a cosine zero vector: take the point back out
+    except DegenerateInputError:  # a zero vector under chord: take it back out
         dataset.values, dataset._hash = before
         raise
 
@@ -634,11 +634,16 @@ def tree_from_bytes(raw: bytes) -> tuple[ClusterTree, int]:
     if version != TREE_VERSION:
         raise FormatError(f"unsupported tree version {version} at byte offset "
                           f"{len(TREE_MAGIC)}")
+    at = len(TREE_MAGIC) + 1  # the metric id byte, then the build config
     try:
         metric = MetricKind.from_wire_id(metric_id)
-        config = BuildConfig(max_depth=max_depth, min_size=min_size, seed=seed)
     except ValueError as exc:
-        raise FormatError(f"{exc} in tree header at byte offset 0") from None
+        raise FormatError(f"{exc} at byte offset {at}") from None
+    try:
+        config = BuildConfig(max_depth=max_depth, min_size=min_size, seed=seed)
+    except ValueError as exc:  # max_depth or min_size is 0
+        field = at + 1 if max_depth == 0 else at + 9
+        raise FormatError(f"{exc} at byte offset {field}") from None
     pos = _TREE_HEADER.size
     counts = {name: points if name == "order" else nodes for name, _ in _COLUMNS}
     end = pos + sum(np.dtype(wire).itemsize * counts[name] for name, wire in _COLUMNS)

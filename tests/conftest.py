@@ -2,7 +2,7 @@
 
 The acceptance corpora are pinned by seed so every run sees identical
 data: a one-dimensional manifold with skewed density for the dense
-criteria, a noisier variant with wide angular spread for the cosine
+criteria, a noisier variant with wide angular spread for the chord
 runs, and a mutation-generated aligned-string corpus.
 """
 
@@ -20,7 +20,7 @@ CORPUS_A_INSERTS = 100
 CORPUS_A_FRESH_QUERIES = 20
 CORPUS_A_SEED = 20250808
 
-COSINE_CORPUS_SEED = 31337
+CHORD_CORPUS_SEED = 31337
 STRINGS_SEED = 4242
 HOLDOUT_SEED = 99
 
@@ -92,8 +92,8 @@ def corpus_a(corpus_a_extended) -> Dataset:
 
 
 @pytest.fixture(scope="session")
-def corpus_a_cosine() -> Dataset:
-    return synth_manifold(CORPUS_A_N, 100, 1, 3.0, seed=COSINE_CORPUS_SEED,
+def corpus_a_chord() -> Dataset:
+    return synth_manifold(CORPUS_A_N, 100, 1, 3.0, seed=CHORD_CORPUS_SEED,
                           density_power=1.0)
 
 

@@ -3,7 +3,7 @@
 Corpora (pinned by seed in conftest):
   (a) 10,000-point synthetic 1-D manifold in 100-D (skewed density so the
       hierarchy keeps refining well past depth 30),
-  cosine variant: same shape with wide angular spread,
+  chord variant: same shape with wide angular spread,
   (b) 5,000 synthetic aligned strings of length 500 mutated from 20
       ancestors.
 
@@ -35,7 +35,7 @@ from conftest import (CORPUS_A_FRESH_QUERIES, CORPUS_A_INSERTS, CORPUS_A_N,
                       HOLDOUT_SEED, STRINGS_SEED, brute_force_knn,
                       synth_aligned_strings)
 
-E, C, H = MetricKind.EUCLIDEAN, MetricKind.COSINE, MetricKind.HAMMING
+E, C, H = MetricKind.EUCLIDEAN, MetricKind.CHORD, MetricKind.HAMMING
 L = MetricKind.LEVENSHTEIN
 DEPTHS = (10, 30, 50)
 BUILD_SEED = 1
@@ -89,20 +89,20 @@ def radii_a(split_a):
 
 
 @pytest.fixture(scope="module")
-def split_cos(corpus_a_cosine):
-    return hold_out(corpus_a_cosine, 50, seed=HOLDOUT_SEED)
+def split_chord(corpus_a_chord):
+    return hold_out(corpus_a_chord, 50, seed=HOLDOUT_SEED)
 
 
 @pytest.fixture(scope="module")
-def trees_cos(split_cos):
-    held_in, _ = split_cos
+def trees_chord(split_chord):
+    held_in, _ = split_chord
     return {d: build(held_in, C, BuildConfig(max_depth=d, seed=BUILD_SEED))
             for d in DEPTHS}
 
 
 @pytest.fixture(scope="module")
-def radii_cos(split_cos):
-    held_in, queries = split_cos
+def radii_chord(split_chord):
+    held_in, queries = split_chord
     return output_quantile_radii(held_in, queries, C, [3, 70])
 
 
@@ -161,7 +161,8 @@ def test_criterion_1_exactness_metric_distances(split_a, trees_a, radii_a,
 
 
 @pytest.mark.parametrize("split, trees, n_queries", [
-    ("split_a", "trees_a", 50), ("split_b", "trees_b", 10)])
+    ("split_a", "trees_a", 50), ("split_b", "trees_b", 10),
+    ("split_chord", "trees_chord", 50)])
 def test_range_search_is_exact_at_stored_distances(request, split, trees,
                                                    n_queries):
     # a radius equal to a stored distance puts that point on the ball's
@@ -178,7 +179,8 @@ def test_range_search_is_exact_at_stored_distances(request, split, trees,
 
 
 @pytest.mark.parametrize("split, trees", [
-    ("split_a", "trees_a"), ("split_b", "trees_b"), ("split_lev", "trees_lev")])
+    ("split_a", "trees_a"), ("split_b", "trees_b"), ("split_lev", "trees_lev"),
+    ("split_chord", "trees_chord")])
 def test_range_search_is_exact_at_containment_radii(request, split, trees):
     # a radius of d(q, center) + radius puts a cluster's farthest member
     # on the ball's edge, and the search takes that cluster whole at
@@ -195,25 +197,19 @@ def test_range_search_is_exact_at_containment_radii(request, split, trees):
                 naive_search(held_in, q, r, metric).hits
 
 
-def test_criterion_2_cosine_no_false_positives(split_cos, trees_cos, radii_cos):
-    held_in, queries = split_cos
-    rates = {}
-    with criterion("2 cosine: zero false positives, fn rate 0 to depth 30"):
-        for depth in DEPTHS:
-            fp = fn = total = 0
-            for q, r in itertools.product(queries, radii_cos):
-                got = rho_search(trees_cos[depth], q, r, held_in).hit_indices()
-                want = naive_search(held_in, q, r, C).hit_indices()
-                fp += len(got - want)
-                fn += len(want - got)
-                total += len(want)
-            rate = rates[depth] = fn / total if total else 0.0
-            assert fp == 0
-            if depth <= 30:
-                assert fn == 0 and rate == 0.0
-    for depth, rate in rates.items():
-        print(f"[acceptance]   cosine false-negative rate at depth {depth}: "
-              f"{rate:.2e}", flush=True)
+def test_criterion_2_chord_exactness(split_chord, trees_chord, radii_chord):
+    # the chord distance is a metric: no false positive and no false
+    # negative at any depth, as under Euclidean and Hamming
+    held_in, queries = split_chord
+    details = []
+    with criterion("2 exactness under chord at every depth", details):
+        total = 0
+        for q, r in itertools.product(queries, radii_chord):
+            want = naive_search(held_in, q, r, C).hits
+            for depth in DEPTHS:
+                assert rho_search(trees_chord[depth], q, r, held_in).hits == want
+            total += len(want)
+        details.append(f"{total} hits at each of depths {DEPTHS}")
 
 
 def test_criterion_3_pruning_speedup_trend(corpus_a, radii_a):
@@ -238,12 +234,12 @@ def test_criterion_3_pruning_speedup_trend(corpus_a, radii_a):
         print(rows_to_csv(rows), flush=True)
 
 
-def test_criterion_4_build_cost_bound(split_a, trees_a, split_cos, trees_cos,
+def test_criterion_4_build_cost_bound(split_a, trees_a, split_chord, trees_chord,
                                       split_b, trees_b):
     details = []
     with criterion("4 build comparisons within 3(d+1)n + n", details):
         worst = 0.0
-        for (held_in, _), trees in ((split_a, trees_a), (split_cos, trees_cos),
+        for (held_in, _), trees in ((split_a, trees_a), (split_chord, trees_chord),
                                     (split_b, trees_b)):
             for tree in trees.values():
                 bound = 3 * (tree.depth + 1) * held_in.n + held_in.n

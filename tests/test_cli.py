@@ -1,4 +1,5 @@
 import shlex
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,25 @@ def test_unknown_metric_is_runtime_error(dense_file, tmp_path, capsys):
                        "--metric", "manhattan", "--out", str(tmp_path / "t"))
     assert code == 1
     assert "unknown metric" in err
+
+
+def test_cosine_is_refused(dense_file, tmp_path, capsys):
+    # cosine distance is retired: neither a build nor an old tree reads it
+    # as the chord distance, whose radii are in other units
+    code, _, err = run(capsys, "build", "--input", str(dense_file),
+                       "--metric", "cosine", "--out", str(tmp_path / "t"))
+    assert code == 1
+    assert "unknown metric 'cosine'" in err
+    tree_path = tmp_path / "chord.tree"
+    run(capsys, "build", "--input", str(dense_file), "--metric", "chord",
+        "--out", str(tree_path))
+    raw = bytearray(tree_path.read_bytes())
+    raw[10] = 1  # the metric id byte; id 1 was cosine
+    raw[-4:] = zlib.crc32(raw[:-4]).to_bytes(4, "little")
+    tree_path.write_bytes(bytes(raw))
+    code, _, err = run(capsys, "info", "--tree", str(tree_path))
+    assert code == 1
+    assert err == f"error: {tree_path}: unknown metric id byte 1 at byte offset 10\n"
 
 
 def test_search_zero_radius_finds_the_query_itself(dense_file, tmp_path, capsys):

@@ -498,6 +498,42 @@ def test_archive_of_an_old_tree_version_is_refused(tmp_path):
         decompress(path)
 
 
+def test_archive_of_a_cosine_tree_is_refused(tmp_path):
+    # metric id 1 was the retired cosine distance: the tree stream names
+    # its metric byte, though the stream's CRC holds
+    raw = small_archive(tmp_path)
+    _, stream = archive_tree(raw)
+    stream = bytearray(stream)
+    stream[10] = 1
+    stream[-4:] = struct.pack("<I", zlib.crc32(stream[:-4]))
+    header = raw[HEADER:HEADER + _ARC_HEADER.size] + compress._deflate(bytes(stream), 1)
+    path = tmp_path / "forged.chess"  # CRC-valid
+    path.write_bytes(raw[:8] + compress._frame(header) + raw[first_block(raw):])
+    with pytest.raises(FormatError, match="^unknown metric id byte 1 at byte offset "
+                                          "10 of the header's tree stream, inflated "
+                                          f"from byte offset {HEADER + _ARC_HEADER.size}$"):
+        decompress(path)
+
+
+def test_corrupt_deflate_data_names_where_it_starts(tmp_path):
+    # three 0xFF bytes open a deflate block of the reserved type 3
+    raw = small_archive(tmp_path)
+    tree_at = HEADER + _ARC_HEADER.size
+    pos = first_block(raw)
+    block_at = pos + 8 + _BLOCK_HEADER.size  # after the length and block header
+    crc_at = pos + 8 + struct.unpack_from("<Q", raw, pos)[0]
+    block = bytearray(raw)
+    block[block_at:block_at + 3] = b"\xff" * 3
+    block[crc_at:crc_at + 4] = struct.pack("<I", zlib.crc32(block[pos + 8:crc_at]))
+    path = tmp_path / "forged.chess"  # CRC-valid
+    for forged, at in ((bytes(block), block_at),
+                       (rewrite_header(raw, tree_at, b"\xff" * 3), tree_at)):
+        path.write_bytes(forged)
+        with pytest.raises(FormatError, match=f"^corrupt deflate stream at byte "
+                                              f"offset {at}: .*invalid block type"):
+            decompress(path)
+
+
 def test_old_format_archive_is_refused(tmp_path):
     # the format before CHESSARC opened with the tree's CHESSTREE stream
     ds = synth_manifold(150, 6, 1, 0.1, seed=31)

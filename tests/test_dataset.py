@@ -1,5 +1,6 @@
 import copy
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ def test_roundtrip_is_byte_identical(tmp_path):
 
 
 def test_single_value_file_size(tmp_path):
-    # 25-byte header (magic + version + n + dim) plus one 8-byte value
+    # 25-byte header (magic + version + n + dim), its CRC32 and one value
     path = tmp_path / "one.vec"
     save_dense(Dataset.from_vectors([[7.0]]), path)
-    assert path.stat().st_size == 33
+    assert path.stat().st_size == 37
 
 
 def test_truncated_payload_names_offset(tmp_path):
@@ -58,9 +59,9 @@ def test_non_finite_value_names_offset(tmp_path):
     path = tmp_path / "nan.vec"
     ds = Dataset.from_vectors([[1.0, 2.0], [3.0, 4.0]])
     raw = bytearray(ds.to_canonical_bytes())
-    raw[25 + 8 * 2:25 + 8 * 3] = np.float64("nan").tobytes()
+    raw[29 + 8 * 2:29 + 8 * 3] = np.float64("nan").tobytes()
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=f"byte offset {25 + 16}"):
+    with pytest.raises(FormatError, match=f"byte offset {29 + 16}"):
         load_dense(path)
 
 
@@ -254,23 +255,21 @@ def test_dataset_equality_compares_kind_and_values():
 
 
 CHESSVEC = Dataset.from_vectors(np.arange(12.0).reshape(4, 3) / 7).to_canonical_bytes()
-HEADER_BITS = 8 * 25
+HEADER_BITS = 8 * 29  # the header and its CRC32
 
 
 def _load_or_equal(tmp_path, raw: bytes) -> None:
-    """A CHESSVEC stream loads to the original values or fails loudly.
-
-    The format has no checksum, so flips that trade bits between ``n``
-    and ``dim`` while keeping ``n * dim`` (4 x 3 read as 12 x 1) load the
-    same values, row major, in another shape; nothing else may load.
-    """
+    """A CHESSVEC stream loads to the original values if it is the
+    original stream, and fails loudly otherwise: the header's CRC32 also
+    refuses flips that trade bits between ``n`` and ``dim`` while keeping
+    ``n * dim`` (4 x 3 read as 12 x 1)."""
     path = tmp_path / "fuzz.vec"
     path.write_bytes(raw)
-    try:
-        ds = load_dense(path)
-    except FormatError:
+    if raw != CHESSVEC:
+        with pytest.raises(FormatError):
+            load_dense(path)
         return
-    assert ds.values.astype("<f8").tobytes() == CHESSVEC[25:]
+    assert load_dense(path).values.astype("<f8").tobytes() == CHESSVEC[29:]
 
 
 @settings(max_examples=300, deadline=None)
@@ -281,6 +280,26 @@ def test_chessvec_header_bit_flips_fail_loudly(tmp_path_factory, bits):
     for bit in bits:
         raw[bit // 8] ^= 1 << (bit % 8)
     _load_or_equal(tmp_path_factory.mktemp("flip"), bytes(raw))
+
+
+def test_chessvec_header_checksum_names_its_offset(tmp_path):
+    path = tmp_path / "flip.vec"
+    raw = bytearray(CHESSVEC)
+    raw[9], raw[17] = 12, 1  # 4 x 3 read as 12 x 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="header checksum mismatch at byte offset 25$"):
+        load_dense(path)
+    _load_or_equal(tmp_path, CHESSVEC)
+
+
+def test_chessvec_version_1_is_refused(tmp_path):
+    # version 1 had no header CRC: its files, and trees built on them,
+    # must be written again
+    path = tmp_path / "v1.vec"
+    v1 = struct.pack("<8sBQQ", b"CHESSVEC", 1, 4, 3) + CHESSVEC[29:]
+    path.write_bytes(v1)
+    with pytest.raises(FormatError, match="unsupported version 1 at byte offset 8$"):
+        load_dense(path)
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,7 @@ from chess_search import (ComparisonCounter, DegenerateInputError,
 from chess_search import metrics
 from chess_search.metrics import distances_to
 
-E, C, H, L = (MetricKind.EUCLIDEAN, MetricKind.COSINE, MetricKind.HAMMING,
+E, C, H, L = (MetricKind.EUCLIDEAN, MetricKind.CHORD, MetricKind.HAMMING,
               MetricKind.LEVENSHTEIN)
 
 
@@ -31,7 +31,17 @@ def test_hamming_single_substitution():
 
 
 def test_cosine_parallel_vectors():
+    # chord is sqrt(2 - 2 cos): 0 for parallel, 2 for opposite vectors
     assert distance((1.0, 0.0), (2.0, 0.0), C) == 0.0
+    assert distance((1.0, 0.0), (-3.0, 0.0), C) == 2.0
+    assert distance((1.0, 0.0), (0.0, 5.0), C) == np.sqrt(2.0)
+
+
+def test_chord_of_huge_and_tiny_vectors():
+    # squared, 1e200 overflows and 1e-200 underflows: rows are scaled to a
+    # largest magnitude of 1 before they are normalized
+    assert distance((1e200, 1e200), (1.0, 1.0), C) == 0.0
+    assert distance((1e-200, 0.0), (0.0, 1e-300), C) == np.sqrt(2.0)
 
 
 def test_levenshtein_examples():
@@ -43,6 +53,8 @@ def test_levenshtein_examples():
 def test_metric_properties():
     assert E.for_vectors and C.for_vectors
     assert not H.for_vectors and not L.for_vectors
+    # id 1, the retired cosine distance, is not reused
+    assert [kind.wire_id for kind in (E, H, L, C)] == [0, 2, 3, 4]
 
 
 def test_counter_increments_by_exactly_one():
@@ -111,9 +123,23 @@ def test_triangle_inequality_on_sampled_triples():
         assert distance(a, c, L) <= distance(a, b, L) + distance(b, c, L)
 
 
-def test_cosine_violates_triangle_inequality():
+def test_chord_obeys_triangle_inequality():
+    # cosine distance (1 - cos) broke it on these three: 1 > 2 (1 - 1/sqrt 2)
     a, b, c = (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)
-    assert distance(a, c, C) > distance(a, b, C) + distance(b, c, C)
+    assert distance(a, c, C) <= distance(a, b, C) + distance(b, c, C)
+    rng = np.random.default_rng(19)
+    for dim in (2, 3, 10, 60):
+        base = rng.normal(size=(200, dim))
+        triples = [rng.normal(size=(200, 3, dim)) * 10.0 ** rng.uniform(-3, 3),
+                   # near-parallel: small angles, where 1 - cos is quadratic
+                   base[:, None] + 1e-6 * rng.normal(size=(200, 3, dim)),
+                   # two near-antipodal ends: distances close to 2
+                   np.stack((base, rng.normal(size=(200, dim)),
+                             -base + 1e-3 * rng.normal(size=(200, dim))), axis=1)]
+        for a, b, c in np.concatenate(triples):
+            ab, bc, ac = distance(a, b, C), distance(b, c, C), distance(a, c, C)
+            assert ac <= (ab + bc) * (1 + 1e-12)
+            assert ab <= (ac + bc) * (1 + 1e-12)
 
 
 def test_distance_bounds_for_strings():
@@ -240,7 +266,7 @@ def paired_block(kind, rows: int, width: int, seed: int, integral: bool):
             scale = 10.0 ** rng.uniform(-3, 3)
             draw = lambda: rng.normal(size=(rows, width)) * scale
         points, queries = draw(), draw()
-        if kind is C:  # cosine is undefined on zero rows
+        if kind is C:  # chord is undefined on zero rows
             points[:, 0] += (points == 0).all(axis=1)
             queries[:, 0] += (queries == 0).all(axis=1)
         return points, queries

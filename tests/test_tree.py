@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -236,8 +238,9 @@ def identity_corpora():
         cases += [
             (f"euclidean-{seed}", synth_manifold(700, 12, 2, 0.05, seed=seed), E,
              BuildConfig(50, 10, seed)),
+            # chord, the distance of the angle between vectors
             (f"cosine-{seed}", synth_manifold(500, 8, 2, 0.5, seed=seed),
-             MetricKind.COSINE, BuildConfig(50, 5, seed)),
+             MetricKind.CHORD, BuildConfig(50, 5, seed)),
             (f"hamming-{seed}", strings, MetricKind.HAMMING, BuildConfig(50, 4, seed)),
             (f"levenshtein-{seed}", strings, MetricKind.LEVENSHTEIN,
              BuildConfig(6, 6, seed)),
@@ -600,7 +603,7 @@ def test_dataset_grown_after_last_insert_fails_checks(tmp_path, grow):
 
 def test_failed_insert_leaves_tree_and_dataset_unchanged(tmp_path):
     ds = synth_manifold(300, 6, 1, 0.05, seed=19)
-    tree = build(ds, MetricKind.COSINE, BuildConfig(max_depth=10, min_size=5, seed=5))
+    tree = build(ds, MetricKind.CHORD, BuildConfig(max_depth=10, min_size=5, seed=5))
     tree_bytes = tree_to_bytes(tree)
     compress_tree(tree, ds, Quantizer(), tmp_path / "before.chess")
     with pytest.raises(DegenerateInputError):
@@ -757,6 +760,19 @@ def test_old_tree_versions_are_refused(version):
     raw = bytearray(FUZZ_TREE)
     raw[len(b"CHESSTREE")] = version
     with pytest.raises(FormatError, match=f"unsupported tree version {version}"):
+        tree_from_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("offset, field, message", [
+    # id 1 was the retired cosine distance
+    (10, b"\x01", "unknown metric id byte 1"),
+    (11, struct.pack("<Q", 0), "max_depth must be positive, got 0"),
+    (19, struct.pack("<Q", 0), "min_size must be positive, got 0")])
+def test_bad_header_field_names_its_byte(offset, field, message):
+    raw = bytearray(FUZZ_TREE)
+    raw[offset:offset + len(field)] = field
+    raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))  # a valid checksum
+    with pytest.raises(FormatError, match=f"^{message} at byte offset {offset}$"):
         tree_from_bytes(bytes(raw))
 
 
