@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import Dataset, DatasetKind
 from .errors import FormatError
-from .metrics import _ALPHABET_CODES
+from .metrics import _ALPHABET_CODES, _coordinate_bound, _first_unbounded
 from .tree import ClusterTree, tree_from_bytes, tree_to_bytes
 
 __all__ = ["DEFAULT_QUANTUM", "Quantizer", "compress_tree", "decompress"]
@@ -82,15 +82,22 @@ def quantize(values: np.ndarray, quantum: float) -> np.ndarray:
     """Nearest grid index of every value, rounding halves away from zero;
     ``index * quantum`` is the value on the grid. An index of 2**62 or
     more in magnitude (above about 6e13 at the default quantum) is a
-    ValueError, so that the difference of two indices fits in int64."""
+    ValueError, so that the difference of two indices fits in int64, and
+    so is a grid value beyond the coordinate bound of a dataset whose
+    points are the rows of ``values``, which its archive could not
+    restore."""
     Quantizer(quantum)  # checks the quantum
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
     grid = np.floor(np.abs(values) / quantum + 0.5)
-    if grid.size and grid.max() >= 2.0 ** 62:
+    top = float(grid.max()) if grid.size else 0.0
+    bound = _coordinate_bound(values.shape[-1])
+    if top >= 2.0 ** 62 or top * quantum > bound:
         worst = float(np.abs(values).max())
+        why = ("its grid index reaches 2**62" if top >= 2.0 ** 62
+               else f"its grid value is beyond the coordinate bound +-{bound:.6g}")
         raise ValueError(f"cannot quantize magnitude {worst:.6g} at quantum "
-                         f"{quantum!r}: its grid index reaches 2**62")
+                         f"{quantum!r}: {why}")
     return (np.sign(values) * grid).astype(np.int64)
 
 
@@ -224,6 +231,10 @@ def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
     """Every point, in original order, from the blocks at ``pos``; and their end."""
     leaves, offsets = tree.leaf_offsets()
     dense = kind is DatasetKind.DENSE_VECTORS
+    # no int64 grid index times a quantum below the coordinate bound over
+    # 2**63 (about 5e134 / sqrt(dim)) leaves the bound: only a larger
+    # quantum needs the decoded values checked
+    check_bound = dense and quantum * 2.0 ** 63 > _coordinate_bound(dim)
     out, a = None, 0
     while a < leaves.size:
         start = pos
@@ -244,13 +255,18 @@ def _leaf_members(raw: bytes, pos: int, tree: ClusterTree, kind: DatasetKind,
             raise FormatError(f"decoded grid index leaves the int64 range in {block}")
         center = centers[-1:]
         grid = np.delete(total, heads, axis=0)
-        if not dense:
-            bad = np.flatnonzero(~np.isin(grid, _ALPHABET_CODES))
-            if bad.size:
-                leaf = int(np.searchsorted(np.cumsum(cards), bad[0] // dim, side="right"))
-                raise FormatError(f"decoded code {grid.flat[bad[0]]} is not in "
-                                  f"A, C, G, T, - in leaf {a + leaf} of {block}")
-        out[tree.order[offsets[a]:offsets[b]]] = grid * quantum if dense else grid
+        if dense:
+            grid = grid * quantum
+            bad = _first_unbounded(grid) if check_bound else -1
+        else:
+            codes = np.flatnonzero(~np.isin(grid, _ALPHABET_CODES))
+            bad = int(codes[0]) if codes.size else -1
+        if bad >= 0:
+            leaf = int(np.searchsorted(np.cumsum(cards), bad // dim, side="right"))
+            what = (f"value {grid.flat[bad]} is beyond +-{_coordinate_bound(dim):.6g}"
+                    if dense else f"code {grid.flat[bad]} is not in A, C, G, T, -")
+            raise FormatError(f"decoded {what} in leaf {a + leaf} of {block}")
+        out[tree.order[offsets[a]:offsets[b]]] = grid
         a = b
     return out, pos
 

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .metrics import _IN_ALPHABET, MetricKind, as_codes, as_vector
+from .metrics import (_IN_ALPHABET, MetricKind, _check_coordinates, _first_unbounded,
+                      as_codes, as_vector)
 
 __all__ = [
     "Dataset",
@@ -50,7 +51,13 @@ class DatasetKind(enum.Enum):
 
 @dataclass
 class Dataset:
-    """An ordered, fixed-shape point collection; dense values must be finite.
+    """An ordered, fixed-shape point collection.
+
+    Dense values must be finite and, in dimension ``dim``, at most
+    ``sqrt(max_double / (2 dim)) / 2`` in magnitude (about 6.1e152 at
+    dimension 60), so that no Euclidean distance between two points
+    overflows: the constructor and :meth:`coerce_point` refuse any other
+    with a :class:`DimensionError` naming the coordinate.
 
     Immutable under normal use; :meth:`append_point` exists only to
     support live insertion into an already-built tree and must not run
@@ -77,8 +84,8 @@ class Dataset:
         n, dim = self.values.shape
         if n < 1 or dim < 1:
             raise DimensionError(f"dataset must have n >= 1 and dim >= 1, got {n}x{dim}")
-        if self.kind is DatasetKind.DENSE_VECTORS and not np.isfinite(self.values).all():
-            raise DimensionError("dense values must be finite")
+        if self.kind is DatasetKind.DENSE_VECTORS:
+            _check_coordinates(self.values)
 
     def __eq__(self, other: object) -> bool:
         """Same kind and same values; the cached hash and spare buffer
@@ -108,10 +115,7 @@ class Dataset:
             raise DimensionError(
                 f"point has dim {arr.size}, dataset has dim {self.dim}")
         if self.kind is DatasetKind.DENSE_VECTORS:
-            finite = np.isfinite(arr)
-            if not finite.all():
-                i = int(np.flatnonzero(~finite)[0])
-                raise DimensionError(f"non-finite coordinate {arr[i]} at index {i}")
+            _check_coordinates(arr)
         return arr
 
     def __getstate__(self) -> dict:
@@ -183,7 +187,7 @@ def save_dense(dataset: Dataset, path) -> None:
 
 def load_dense(path) -> Dataset:
     """Read a CHESSVEC file, verifying magic, version, header CRC, size,
-    and finiteness."""
+    and that every value is finite and within the dataset's bound."""
     raw = Path(path).read_bytes()
     if len(raw) < _VEC_START:
         raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
@@ -205,10 +209,9 @@ def load_dense(path) -> Dataset:
     values = np.frombuffer(raw, dtype="<f8", offset=_VEC_START).reshape(n, dim)
     try:  # the constructor's scan is the one pass over the values
         return Dataset(DatasetKind.DENSE_VECTORS, values.astype(np.float64, copy=True))
-    except DimensionError:
-        flat = int(np.argmin(np.isfinite(values.ravel())))
-        raise FormatError(f"{path}: non-finite value at byte offset "
-                          f"{_VEC_START + 8 * flat}") from None
+    except DimensionError as exc:
+        offset = _VEC_START + 8 * _first_unbounded(values)
+        raise FormatError(f"{path}: {exc}, at byte offset {offset}") from None
 
 
 def load_sequences(path) -> Dataset:

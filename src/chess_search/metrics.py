@@ -28,6 +28,8 @@ to the same pair computed in isolation.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +137,46 @@ def as_vector(p) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError(f"expected a 1-D dense vector, got shape {arr.shape}")
     return arr
+
+
+def _coordinate_bound(dim: int) -> float:
+    """The largest coordinate magnitude a dense point of dimension ``dim``
+    may have. Two such points differ by at most twice it in each
+    coordinate, so their squared Euclidean distance is at most ``dim * (2
+    * bound) ** 2``, half the largest double: the kernel squares raw
+    differences, and its sum cannot overflow however it rounds."""
+    return math.sqrt(sys.float_info.max / 2 / dim) / 2
+
+
+def _first_unbounded(values: np.ndarray) -> int:
+    """Flat index of the first coordinate of ``values`` (one point, or rows
+    of points) that is not finite or lies beyond ``_coordinate_bound``,
+    or -1. When there is none it costs two reductions, which make no
+    temporary array."""
+    bound = _coordinate_bound(values.shape[-1])
+    # the ufuncs' own reductions skip the wrappers of ``ndarray.max`` and
+    # ``min``, which cost more than a point's whole check; Python floats
+    # compare NaN as False, and silently
+    if (float(np.maximum.reduce(values, axis=None)) <= bound
+            and float(np.minimum.reduce(values, axis=None)) >= -bound):
+        return -1
+    with np.errstate(invalid="ignore"):
+        return int(np.flatnonzero(~(np.abs(values) <= bound))[0])
+
+
+def _check_coordinates(values: np.ndarray) -> None:
+    """Raise :class:`DimensionError` at the first coordinate of ``values``
+    that :func:`_first_unbounded` finds."""
+    i = _first_unbounded(values)
+    if i < 0:
+        return
+    v, dim = float(values.flat[i]), values.shape[-1]
+    bound = _coordinate_bound(dim)
+    where = f"index {i}" if values.ndim == 1 else f"row {i // dim}, index {i % dim}"
+    if not math.isfinite(v):
+        raise DimensionError(f"dense values must be finite: {v} at {where}")
+    raise DimensionError(f"coordinate {v} at {where} is beyond +-{bound:.6g}, where "
+                         f"Euclidean distances in dimension {dim} can overflow")
 
 
 def _check_codes(arr: np.ndarray, what: str) -> None:
@@ -336,7 +378,14 @@ def distance(a, b, kind: MetricKind) -> float:
     A metric. Euclidean is the L2 norm of the difference; chord is that
     of the vectors scaled to unit length; Hamming counts differing
     positions of equal-length strings; Levenshtein is the minimum number
-    of single-character edits (lengths may differ).
+    of single-character edits (lengths may differ). A Euclidean
+    coordinate beyond the bound a dataset admits is a
+    :class:`DimensionError`, where the squares could overflow; chord
+    scales its rows first and takes any finite coordinate.
     """
     coerce = as_vector if kind.for_vectors else as_codes
-    return float(distances_to(coerce(a)[np.newaxis], coerce(b), kind)[0])
+    a, b = coerce(a), coerce(b)
+    if kind is MetricKind.EUCLIDEAN:
+        _check_coordinates(a)
+        _check_coordinates(b)
+    return float(distances_to(a[np.newaxis], b, kind)[0])

@@ -17,7 +17,13 @@ exactly the naive linear-scan result.
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
 the k-th nearest distance from above, and the first k hits of a range
-search at that bound are the answer.
+search at that bound are the answer. The query computes each point's
+distance once: the descent's center tests and the bound cluster's scan
+go into the range search, whose walk reads a center's distance from them
+instead of testing it again and whose fine scan skips every point whose
+distance is known. This is exact because the kernel gives a row the same
+bits whatever block it comes in (see ``metrics.distances_to``), so a
+distance read back equals the one a new kernel call would compute.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -105,6 +112,25 @@ def _scan(values: np.ndarray, members: np.ndarray | None, query, metric: MetricK
     return out
 
 
+def _scan_unseen(values: np.ndarray, members: np.ndarray, query, metric: MetricKind,
+                 counter: ComparisonCounter, block: int,
+                 known: dict[int, float]) -> tuple[np.ndarray, int]:
+    """Distances from ``query`` to ``values[members]``: a point's is read
+    from ``known`` (point index to distance) where it is there, and the
+    others are scanned by :func:`_scan`. Also returns how many were
+    scanned."""
+    if not known:
+        return _scan(values, members, query, metric, counter, block), members.size
+    # a distance is never NaN: the dataset's values are finite and bounded
+    dists = np.fromiter(map(known.get, members.tolist(), repeat(math.nan)),
+                        float, members.size)
+    unseen = np.isnan(dists)
+    scanned = int(np.count_nonzero(unseen))
+    if scanned:
+        dists[unseen] = _scan(values, members[unseen], query, metric, counter, block)
+    return dists, scanned
+
+
 def _check_radius(r: float) -> None:
     if r < 0 or not math.isfinite(r):
         raise ValueError(f"search radius must be finite and nonnegative, got {r}")
@@ -116,7 +142,8 @@ def _check_covered(tree: ClusterTree, dataset: Dataset) -> None:
                              f"dataset holds {dataset.n}")
 
 
-def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport:
+def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
+               _known: dict[int, float] | None = None) -> SearchReport:
     """All points within distance r of q, found by pruned tree descent.
 
     The root is always explored. Each child of an explored internal node
@@ -137,11 +164,20 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     The containment test needs no slack: a contained cluster's points
     still each pass ``<= r`` on their own. The walk scans nothing: it
     records the slice of ``order`` of each leaf reached and each
-    contained cluster, and after it one scan covers them all. Comparisons count the center tests actually made
-    plus the points scanned, one kernel call per test and one per block
-    of the scanned points.
+    contained cluster, and after it one scan covers them all.
+    Comparisons count the center tests actually made plus the points
+    scanned, one kernel call per test and one per block of the scanned
+    points; ``fraction_searched`` is the share of the dataset scanned.
     A dataset with fewer points than the tree covers is a
     :class:`DimensionError`.
+
+    ``_known`` serves :func:`knn_search` alone: distances from this same
+    query, keyed by point index, that it has already computed. The walk
+    reads a center's distance from it instead of testing the center and
+    adds each center it does test; the scan reads every point found there
+    and computes only the others. The kernel's results do not depend on
+    the block a row comes in, so the hits are those of a search without
+    it, bit for bit.
     """
     _check_radius(r)
     _check_covered(tree, dataset)
@@ -150,6 +186,8 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
     metric = tree.metric
     slack = 1.0 + 4 * (dataset.dim + 2) * 2.0 ** -52 if metric.for_vectors else 1.0
     counter = ComparisonCounter()
+    known = {} if _known is None else _known  # a plain search keeps it empty
+    recall = known.get
     slices: list[np.ndarray] = []
 
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
@@ -165,7 +203,11 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
         left = node + 1
         for child, child_off in ((left, off), (left + size(left), off + card(left))):
             c = center(child)
-            d_center = float(distances_to(values[c:c + 1], query, metric, counter)[0])
+            d_center = recall(c)
+            if d_center is None:
+                d_center = float(distances_to(values[c:c + 1], query, metric, counter)[0])
+                if _known is not None:
+                    known[c] = d_center
             rad = radius(child)
             if d_center <= (r + rad) * slack:  # explored, or scanned if contained
                 stack.append((child, child_off, d_center + rad <= r))
@@ -175,12 +217,12 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset) -> SearchReport
                             fraction_searched=0.0)
     members = np.concatenate(slices)
     block = _block_rows(values)
-    dists = _scan(values, members, query, metric, counter, block)
+    dists, scanned = _scan_unseen(values, members, query, metric, counter, block, known)
     within = dists <= r
     return SearchReport(hits=_sorted_hits(members[within], dists[within]),
                         comparisons=counter.count,
-                        leaves_visited=-(-members.size // block),
-                        fraction_searched=members.size / dataset.n)
+                        leaves_visited=-(-scanned // block),
+                        fraction_searched=scanned / dataset.n)
 
 
 def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchReport:
@@ -209,6 +251,15 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
     answer: its first k hits, which are sorted by distance and then
     index, so ties at the k-th position go to the lower index. The
     report's ``final_radius`` is ``b``.
+
+    Each point's distance is computed once. The descent skips a center it
+    has already tested (a child may share its parent's center), the scan
+    of the bound cluster skips the descent's centers, and the range
+    search gets every distance computed so far, so its walk tests no
+    center again and its scan covers only points not yet seen. The
+    kernel gives a row the same bits in any block, so the answer and its
+    distances are those of a search that computed everything anew;
+    ``comparisons`` counts the distances actually computed.
     """
     _check_covered(tree, dataset)
     n = tree.order.size
@@ -216,24 +267,30 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     query = dataset.coerce_point(q)
     values, metric = dataset.values, tree.metric
-    center, size, card = tree.center, tree.size, tree.cardinality
+    center, size, card = tree.center.item, tree.size.item, tree.cardinality.item
     counter = ComparisonCounter()
+    known: dict[int, float] = {}  # point index -> distance to the query
 
     node = off = 0
-    while size[node] > 1:
+    while size(node) > 1:
         left = node + 1
-        right = left + int(size[left])
-        d_left, d_right = distances_to(values[center[[left, right]]], query,
-                                       metric, counter).tolist()
-        child, child_off = (left, off) if d_left <= d_right \
-            else (right, off + int(card[left]))
-        if card[child] < k:
+        right = left + size(left)
+        pair = center(left), center(right)
+        new = [c for c in pair if c not in known]
+        if new:
+            known.update(zip(new, distances_to(values[new], query, metric,
+                                               counter).tolist()))
+        child, child_off = (left, off) if known[pair[0]] <= known[pair[1]] \
+            else (right, off + card(left))
+        if card(child) < k:
             break
         node, off = child, child_off
 
-    members = tree.order[off:off + int(card[node])]
-    dists = _scan(values, members, query, metric, counter, _block_rows(values))
+    members = tree.order[off:off + card(node)]
+    dists, _ = _scan_unseen(values, members, query, metric, counter,
+                            _block_rows(values), known)
+    known.update(zip(members.tolist(), dists.tolist()))
     bound = float(np.partition(dists, k - 1)[k - 1])
-    report = rho_search(tree, query, bound, dataset)
+    report = rho_search(tree, query, bound, dataset, _known=known)
     return KnnReport(hits=report.hits[:k], invocations=1, final_radius=bound,
                      comparisons=counter.count + report.comparisons)

@@ -15,6 +15,7 @@ from chess_search import compress
 from chess_search.compress import (_ARC_HEADER, _BLOCK_HEADER, DEFAULT_QUANTUM,
                                    _batches, _leaf_blocks, _runs, decode_leaf,
                                    encode_leaf, quantize)
+from chess_search.metrics import _coordinate_bound
 from chess_search.tree import serialize, tree_from_bytes, tree_to_bytes
 
 from conftest import shifted_strings, synth_aligned_strings
@@ -412,6 +413,27 @@ def test_compress_rejects_values_beyond_the_int64_grid(tmp_path):
         compress_tree(tree, ds, Quantizer(), tmp_path / "big.chess")
 
 
+def test_values_near_the_coordinate_bound_roundtrip(tmp_path):
+    # a coarse quantum keeps grid indices of values near the bound inside
+    # int64; the decompressed dataset passes the bound check again
+    b = _coordinate_bound(3)
+    values = np.random.default_rng(8).uniform(-b, b, (200, 3))
+    ds = Dataset.from_vectors(values)
+    tree = build(ds, E, BuildConfig(seed=0))
+    quantum = 2.0 ** 460
+    compress_tree(tree, ds, Quantizer(quantum), tmp_path / "near.chess")
+    restored = decompress(tmp_path / "near.chess")
+    assert np.abs(restored.values - ds.values).max() <= quantum / 2
+    assert np.array_equal(restored.values, grid(ds.values, quantum))
+    # a grid point past the bound could not be restored, so it is refused:
+    # at a quantum of b / 1.5, b rounds up to 2 quanta, 4b / 3
+    values[7, 1] = b
+    ds = Dataset.from_vectors(values)
+    tree = build(ds, E, BuildConfig(seed=0))
+    with pytest.raises(ValueError, match="beyond the coordinate bound"):
+        compress_tree(tree, ds, Quantizer(b / 1.5), tmp_path / "coarse.chess")
+
+
 def rewrite_header(raw: bytes, offset: int, field: bytes) -> bytes:
     """The archive with ``field`` written at ``offset`` of its header and
     the header's CRC fixed."""
@@ -429,6 +451,17 @@ def test_bad_quantum_in_archive_is_a_format_error(tmp_path, quantum):
     path = tmp_path / "forged.chess"
     path.write_bytes(rewrite_header(raw, HEADER + 1, struct.pack("<d", quantum)))
     with pytest.raises(FormatError, match=f"at byte offset {HEADER + 1}$"):
+        decompress(path)
+
+
+def test_decoded_value_beyond_the_coordinate_bound_is_a_format_error(tmp_path):
+    # a forged quantum inside its own range scales the grid past the bound
+    raw = small_archive(tmp_path)
+    path = tmp_path / "forged.chess"
+    path.write_bytes(rewrite_header(raw, HEADER + 1, struct.pack("<d", 2.0 ** 900)))
+    with pytest.raises(FormatError, match=f"decoded value .* is beyond .* in leaf "
+                                          f"\\d+ of the block at byte offset "
+                                          f"{first_block(raw)}$"):
         decompress(path)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chess_search import (Dataset, DatasetKind, DimensionError, FormatError,
                           load_dense, load_sequences, save_dense, synth_manifold)
+from chess_search.metrics import _coordinate_bound
 
 
 def test_header_echo(tmp_path):
@@ -82,6 +83,27 @@ def test_constructor_rejects_non_finite_dense_values(bad):
                  lambda: Dataset.from_vectors(values)):
         with pytest.raises(DimensionError, match="dense values must be finite"):
             make()
+
+
+def test_coordinates_beyond_the_bound_are_refused(tmp_path):
+    # a Euclidean distance between these overflowed to inf, so a search
+    # silently missed points; the bound keeps every squared sum finite
+    b = _coordinate_bound(2)
+    for big in (1e200, -1e200, np.nextafter(b, np.inf)):
+        with pytest.raises(DimensionError, match="at row 1, index 0 is beyond"):
+            Dataset.from_vectors([[0.0, 1.0], [big, 0.0], [1.5e200, 0.0]])
+        with pytest.raises(DimensionError, match="at index 1 is beyond"):
+            Dataset.from_vectors([[1.0, 2.0]]).coerce_point([0.0, big])
+    ds = Dataset.from_vectors([[b, -b], [-b, b]])
+    assert ds.coerce_point([b, b]).tolist() == [b, b]
+    # a file holding such a value is a format error at the value's offset
+    path = tmp_path / "big.vec"
+    raw = bytearray(ds.to_canonical_bytes())
+    raw[29 + 8 * 3:29 + 8 * 4] = np.float64(1e200).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"1e\\+200 at row 1, index 1 is beyond .*, "
+                                          f"at byte offset {29 + 24}$"):
+        load_dense(path)
 
 
 def test_constructor_takes_no_hash():

@@ -44,6 +44,19 @@ def test_chord_of_huge_and_tiny_vectors():
     assert distance((1e-200, 0.0), (0.0, 1e-300), C) == np.sqrt(2.0)
 
 
+def test_euclidean_distance_refuses_coordinates_whose_squares_overflow():
+    # squared, the difference 5e199 overflowed, and distance() returned inf
+    with pytest.raises(DimensionError, match="1e\\+200 at index 0 is beyond"):
+        distance((1e200, 0.0), (1.5e200, 0.0), E)
+    with pytest.raises(DimensionError, match="at index 1 is beyond"):
+        distance((0.0, 0.0), (1.0, -1e200), E)
+    # at the bound a dataset admits, the farthest pair is still finite
+    for dim in (1, 3, 9, 60):
+        b = metrics._coordinate_bound(dim)
+        got = distance(np.full(dim, b), np.full(dim, -b), E)
+        assert np.isclose(got, 2 * b * np.sqrt(dim), rtol=1e-14)
+
+
 def test_levenshtein_examples():
     assert distance("ACGT", "AGT", L) == 1.0
     assert distance("AAAA", "CCCC", L) == 4.0

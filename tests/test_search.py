@@ -9,7 +9,7 @@ from chess_search import (BuildConfig, ClusterTree, Dataset, DimensionError,
                           MetricKind, build, insert_point, knn_search,
                           naive_search, rho_search, synth_manifold)
 from chess_search import search
-from chess_search.metrics import distances_to
+from chess_search.metrics import _coordinate_bound, distances_to
 from chess_search.tree import _block_rows, tree_from_bytes, tree_to_bytes
 
 from conftest import brute_force_knn, node_members, synth_aligned_strings
@@ -184,6 +184,24 @@ def test_non_finite_query_rejected(small_manifold, bad):
         rho_search(tree, q, 1.0, ds)
     with pytest.raises(DimensionError, match="index 3"):
         knn_search(tree, q, 3, ds)
+
+
+def test_searches_are_exact_up_to_the_coordinate_bound():
+    # Both searches from point 0 at r = 1e201 used to return only point 0
+    # of these, as the distances to the others overflowed to inf; such a
+    # dataset, or query, is now refused where it enters
+    with pytest.raises(DimensionError, match="row 0, index 0"):
+        Dataset.from_vectors([[1e200, 0.0], [1.5e200, 0.0], [0.0, 1.0]])
+    b = _coordinate_bound(2)
+    ds = Dataset.from_vectors([[b, 0.0], [-b, 0.0], [0.0, 1.0], [b, -b], [-b, b]])
+    tree = build(ds, E, BuildConfig(max_depth=5, min_size=1, seed=0))
+    for r in (1e201, 3 * b):
+        got = rho_search(tree, ds.values[0], r, ds)
+        assert got.hits == naive_search(ds, ds.values[0], r, E).hits
+        assert got.hit_indices() == set(range(ds.n))
+    assert knn_search(tree, ds.values[0], ds.n, ds).hits == got.hits
+    with pytest.raises(DimensionError, match="index 0 is beyond"):
+        rho_search(tree, [1e200, 0.0], 1.0, ds)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -405,6 +423,69 @@ def test_knn_on_singleton_leaves_scans_far_fewer_than_n():
     assert np.mean(comparisons) < ds.n / 5
 
 
+@pytest.fixture()
+def knn_once(monkeypatch):
+    """``knn_search``, checking that the query computes no point's
+    distance twice: the search module's kernel calls record every row
+    they get by its bytes (the tests' points are distinct), the rows sum
+    to the report's comparisons, and the query makes one range search,
+    at the bound it reports."""
+    rows: list[bytes] = []
+    radii: list[float] = []
+
+    def kernel(points, q, kind, counter=None):
+        rows.extend(p.tobytes() for p in points)
+        return distances_to(points, q, kind, counter)
+
+    def range_search(*args, **kwargs):
+        radii.append(args[2])
+        return rho_search(*args, **kwargs)
+
+    monkeypatch.setattr(search, "distances_to", kernel)
+    monkeypatch.setattr(search, "rho_search", range_search)
+
+    def knn(tree, q, k, ds):
+        rows.clear()
+        radii.clear()
+        report = search.knn_search(tree, q, k, ds)
+        assert len(set(rows)) == len(rows) == report.comparisons
+        assert radii == [report.final_radius]
+        return report
+    return knn
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
+                                    MetricKind.LEVENSHTEIN])
+def test_knn_computes_each_distance_once(metric, knn_once):
+    # The range search at the bound used to test the descent's centers
+    # again and scan the bound cluster again. Here it reads both, its walk
+    # adds its own center tests, and its scan skips every point known.
+    # The answer stays bit for bit the linear scan's first k, on a built
+    # tree and on one grown by inserts
+    if metric.for_vectors:
+        ds = synth_manifold(600, 10, 1, 0.02, seed=23, density_power=2.0)
+    else:
+        ds = synth_aligned_strings(300, 40, 4, 0.05, seed=23)
+    config = BuildConfig(max_depth=20, min_size=4, seed=3)
+    grown = Dataset(ds.kind, ds.values[:ds.n // 3].copy())
+    trees = [build(ds, metric, config), build(grown, metric, config)]
+    for p in ds.values[grown.n:]:
+        insert_point(trees[1], p, grown)
+    assert grown == ds
+    for tree in trees:
+        for i in (0, 77, 201):
+            q = ds.values[i]
+            everything = naive_search(ds, q, float(distances_to(ds.values, q, metric).max()),
+                                      metric).hits
+            for k in (1, 10, ds.n):
+                report = knn_once(tree, q, k, ds)
+                assert report.hits == everything[:k]
+            # k = n bounds from the root's whole slice of order: after the
+            # descent's two center tests and that scan, every distance is
+            # known, so the range search computes none
+            assert report.comparisons == ds.n
+
+
 def caterpillar(ds: Dataset, rng: np.random.Generator,
                 leaf_size: int = 1) -> ClusterTree:
     """A tree over points on a line in which every internal node has a
@@ -445,10 +526,10 @@ def caterpillar(ds: Dataset, rng: np.random.Generator,
                        dataset_hash=ds.content_hash())
 
 
-def grow_deep_tree(leaf_size: int, seed: int) -> list:
+def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search) -> list:
     """Load a depth-1,500 caterpillar from v3 bytes, round-trip it, check
-    range and k-NN search against the oracle, insert 10 points and check
-    again. Returns every k-NN report."""
+    range and k-NN search (made by ``knn``) against the oracle, insert 10
+    points and check again. Returns every k-NN report."""
     rng = np.random.default_rng(seed)
     ds = Dataset.from_vectors(rng.uniform(0, 100, (1500 * leaf_size + 1, 1)))
     raw = tree_to_bytes(caterpillar(ds, rng, leaf_size))
@@ -464,7 +545,7 @@ def grow_deep_tree(leaf_size: int, seed: int) -> list:
                 want = naive_search(ds, q, r, E)
                 assert got.hits == want.hits
             for k in (1, 5):
-                got = knn_search(tree, q, k, ds)
+                got = knn(tree, q, k, ds)
                 dists = distances_to(ds.values, q, E)
                 assert [i for i, _ in got.hits] == brute_force_knn(ds.values, q, k, dists)
                 knn_reports.append(got)
@@ -480,13 +561,14 @@ def grow_deep_tree(leaf_size: int, seed: int) -> list:
     return knn_reports
 
 
-def test_depth_1500_tree_loads_searches_and_grows():
-    # singleton leaves: every k-NN query still makes one range search
-    reports = grow_deep_tree(leaf_size=1, seed=1500)
+def test_depth_1500_tree_loads_searches_and_grows(knn_once):
+    # singleton leaves: every k-NN query still makes one range search and
+    # computes each distance once
+    reports = grow_deep_tree(leaf_size=1, seed=1500, knn=knn_once)
     assert all(r.invocations == 1 and not r.used_fallback for r in reports)
 
 
-def test_depth_1500_tree_with_pair_leaves_loads_searches_and_grows():
+def test_depth_1500_tree_with_pair_leaves_loads_searches_and_grows(knn_once):
     # two-point leaves: k=1 bounds from a leaf, k=5 from a chain node
-    reports = grow_deep_tree(leaf_size=2, seed=1501)
+    reports = grow_deep_tree(leaf_size=2, seed=1501, knn=knn_once)
     assert all(r.invocations == 1 and not r.used_fallback for r in reports)
