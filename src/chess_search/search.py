@@ -1,16 +1,18 @@
 """Range and k-nearest-neighbor queries over a cluster tree.
 
 ``rho_search`` has two stages, as entropy-scaling search does. The
-coarse stage walks the flat pre-order tree with an explicit stack,
-testing each child center against the query and applying three rules:
-a child the query ball of radius r cannot intersect (center farther
-than ``r + radius[child]``, up to the rounding of a floating-point
-distance) is pruned; a child the ball wholly contains
-(``d + radius[child] <= r``) is kept without testing any center below
-it; any other child is descended into. Each contained cluster and each
-leaf reached is a slice of the tree's member permutation. The fine
-stage joins those slices and scans them in one pass, one kernel call per
-block of at most ``_BLOCK_BYTES`` of rows (the build's block size).
+coarse stage is one forward pass over the flat pre-order tree, from the
+root's first child on. It tests each node's center against the query,
+and the node has one of three outcomes. A node the query ball of radius
+r cannot intersect (center farther than ``r + radius[node]``, up to the
+rounding of a floating-point distance) is pruned, and the pass skips its
+subtree. A leaf, or a node the ball wholly contains
+(``d + radius[node] <= r``), has its slice of the tree's member
+permutation recorded, and the pass skips its subtree too: no center
+below it is tested. Any other node is explored: the pass steps to its
+first child, the next node in pre-order. The fine stage joins the
+recorded slices and scans them in one pass, one kernel call per block
+of at most ``_BLOCK_BYTES`` of rows (the build's block size).
 Every offered distance obeys the triangle inequality, so this returns
 exactly the naive linear-scan result.
 
@@ -164,7 +166,8 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     The containment test needs no slack: a contained cluster's points
     still each pass ``<= r`` on their own. The walk scans nothing: it
     records the slice of ``order`` of each leaf reached and each
-    contained cluster, and after it one scan covers them all.
+    contained cluster, and after it one scan covers them all, in the
+    order of their offsets in ``order``.
     Comparisons count the center tests actually made plus the points
     scanned, one kernel call per test and one per block of the scanned
     points; ``fraction_searched`` is the share of the dataset scanned.
@@ -188,29 +191,32 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     counter = ComparisonCounter()
     known = {} if _known is None else _known  # a plain search keeps it empty
     recall = known.get
-    slices: list[np.ndarray] = []
 
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
     # close to that of attribute access
     center, radius, size = tree.center.item, tree.radius.item, tree.size.item
     card, order = tree.cardinality.item, tree.order
-    stack = [(0, 0, False)]  # (node, offset of its slice of order, contained)
-    while stack:
-        node, off, contained = stack.pop()
-        if contained or size(node) == 1:
-            slices.append(order[off:off + card(node)])
-            continue
-        left = node + 1
-        for child, child_off in ((left, off), (left + size(left), off + card(left))):
-            c = center(child)
-            d_center = recall(c)
-            if d_center is None:
-                d_center = float(distances_to(values[c:c + 1], query, metric, counter)[0])
-                if _known is not None:
-                    known[c] = d_center
-            rad = radius(child)
-            if d_center <= (r + rad) * slack:  # explored, or scanned if contained
-                stack.append((child, child_off, d_center + rad <= r))
+    # the root is explored untested; ``off`` is where ``node``'s slice of
+    # order starts. An explored node steps to its first child, ``node + 1``;
+    # any other node is skipped with its subtree
+    end = size(0)
+    slices = [order] if end == 1 else []  # a one-node tree scans it all
+    node, off = 1, 0
+    while node < end:
+        c = center(node)
+        d_center = recall(c)
+        if d_center is None:
+            d_center = float(distances_to(values[c:c + 1], query, metric, counter)[0])
+            if _known is not None:
+                known[c] = d_center
+        rad = radius(node)
+        if d_center <= (r + rad) * slack:  # else pruned
+            if size(node) > 1 and d_center + rad > r:  # explored
+                node += 1
+                continue
+            slices.append(order[off:off + card(node)])  # a leaf, or contained
+        off += card(node)
+        node += size(node)
 
     if not slices:
         return SearchReport(hits=[], comparisons=counter.count, leaves_visited=0,

@@ -1,0 +1,83 @@
+"""The trajectory recorder, fed canned ``benchmarks/run.py`` output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+
+
+@pytest.fixture()
+def recorder(monkeypatch, tmp_path):
+    """``tools/bench_record.py`` writing under ``tmp_path``, its runs
+    answered by :func:`canned` and its commit fixed."""
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "commit", lambda: {"sha": "abc123", "dirty": False})
+    module.calls = []  # (workload, seed, trace) of every run, in order
+
+    def run(workload, seed, trace):
+        module.calls.append((workload, seed, trace))
+        return canned(workload, seed, trace)
+    monkeypatch.setattr(module, "run_benchmark", run)
+    return module
+
+
+def canned(workload: str, seed: int, trace: int, failed: bool = False) -> str:
+    """The output of one run, as ``run.py`` prints it: the ``env`` line,
+    one line per metric, then a JSON object. A timed run's
+    ``range_p50_ms`` is ten times the seed and its ``range_comparisons``
+    is 500; a traced run reports one per-layer metric."""
+    env = {"workload": workload, "seed": seed, "seconds": 20, "trace": trace}
+    metrics = ({"tree.depth": {"value": 36, "unit": "count"}} if trace else
+               {"range_p50_ms": {"value": 10.0 * seed, "unit": "ms"},
+                "range_comparisons": {"value": 500.0, "unit": "count"}})
+    lines = ["env " + json.dumps(env)]
+    lines += [f"{name:36s} {m['value']:14.6g} {m['unit']}" for name, m in metrics.items()]
+    lines.append(json.dumps({"correct": not failed, "attempted": 40,
+                             "failed": int(failed), "metrics": metrics}))
+    return "\n".join(lines) + "\n"
+
+
+def test_records_three_timed_seeds_and_one_traced_run(recorder, tmp_path):
+    assert recorder.main(["27"]) == 0
+    assert recorder.calls == [(w, seed, trace) for w in ("vec-query", "seq-edit", "vec-churn")
+                              for seed, trace in ((1, 0), (2, 0), (3, 0), (1, 1))]
+    record = json.loads((tmp_path / "BENCH_27.json").read_text())
+    assert record["pr"] == 27 and record["commit"] == {"sha": "abc123", "dirty": False}
+    assert list(record["workloads"]) == ["vec-query", "seq-edit", "vec-churn"]
+    churn = record["workloads"]["vec-churn"]
+    timed, traced = churn["timed"], churn["traced"]
+    assert [env["seed"] for env in timed["env"]] == [1, 2, 3]
+    assert timed["metrics"]["range_p50_ms"] == {"unit": "ms", "values": [10.0, 20.0, 30.0],
+                                                "median": 20.0}
+    assert timed["metrics"]["range_comparisons"]["values"] == [500.0] * 3
+    assert (timed["correct"], timed["failed"]) == (True, 0)
+    assert traced["env"] == [{"workload": "vec-churn", "seed": 1, "seconds": 20, "trace": 1}]
+    assert traced["metrics"] == {"tree.depth": {"unit": "count", "values": [36],
+                                                "median": 36}}
+    assert (traced["correct"], traced["failed"]) == (True, 0)
+
+
+@pytest.mark.parametrize("failing", [("seq-edit", 2), ("vec-churn", 1)])
+def test_a_failed_operation_writes_no_file(recorder, tmp_path, monkeypatch, failing):
+    monkeypatch.setattr(recorder, "run_benchmark", lambda workload, seed, trace:
+                        canned(workload, seed, trace, failed=(workload, seed) == failing))
+    assert recorder.main(["27"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_without_a_result_writes_no_file(recorder, tmp_path, monkeypatch):
+    monkeypatch.setattr(recorder, "run_benchmark", lambda *args: "Traceback ...\n")
+    assert recorder.main(["27"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [[], ["x"], ["27", "--seconds"]])
+def test_takes_only_the_pr_number(recorder, tmp_path, argv):
+    assert recorder.main(argv) == 2
+    assert recorder.calls == [] and list(tmp_path.iterdir()) == []

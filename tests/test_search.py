@@ -131,6 +131,111 @@ def test_walk_reconciles_kernel_calls(metric, kernel_calls):
             assert report.leaves_visited > 2
 
 
+def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float,
+                   slack: float) -> tuple[list[int], list[int]]:
+    """The nodes whose centers a range search tests and the nodes whose
+    slices of ``order`` it scans, each list in pre-order. A node is tested
+    when its parent is explored; ``dists`` holds the query's distance to
+    every point and ``slack`` the pruning test's rounding allowance."""
+    nodes = tree.size.size
+    parent = np.zeros(nodes, dtype=np.int64)
+    for p in np.flatnonzero(tree.size > 1):
+        parent[p + 1] = parent[p + 1 + tree.size[p + 1]] = p
+    explored = np.zeros(nodes, dtype=bool)
+    explored[0] = nodes > 1  # the root, untested
+    tested, scanned = [], [] if nodes > 1 else [0]
+    for node in range(1, nodes):
+        if not explored[parent[node]]:
+            continue
+        tested.append(node)
+        d, rad = dists[tree.center[node]], tree.radius[node]
+        if d > (r + rad) * slack:
+            continue
+        if tree.size[node] > 1 and d + rad > r:
+            explored[node] = True
+        else:
+            scanned.append(node)
+    return tested, scanned
+
+
+@pytest.fixture()
+def walk_order(monkeypatch):
+    """``rho_search``, checking the order of its walk against
+    :func:`reference_walk`. Its one-row center tests, each named by the
+    point its row views, are the reference's tested centers in pre-order,
+    so every explored node's left subtree is tested before its right
+    child. Its one scan pass gets the reference's slices of ``order``,
+    joined at strictly increasing offsets."""
+    centers: list[int] = []
+    scans: list[np.ndarray] = []
+    searched: dict[str, np.ndarray] = {}  # the values, while a check runs
+    scan = search._scan
+
+    def kernel(points, q, kind, counter=None):
+        values = searched.get("values")
+        if values is not None and np.may_share_memory(points, values):
+            assert len(points) == 1  # a view of one row: a center test
+            centers.append((points.ctypes.data - values.ctypes.data) // values.strides[0])
+        return distances_to(points, q, kind, counter)
+
+    def scanned(values, members, *args):
+        if searched:
+            scans.append(members)
+        return scan(values, members, *args)
+
+    monkeypatch.setattr(search, "distances_to", kernel)
+    monkeypatch.setattr(search, "_scan", scanned)
+
+    def checked(tree, q, r, ds):
+        searched["values"] = ds.values
+        centers.clear()
+        scans.clear()
+        report = rho_search(tree, q, r, ds)
+        searched.clear()
+        slack = 1.0 + 4 * (ds.dim + 2) * 2.0 ** -52 if tree.metric.for_vectors else 1.0
+        dists = distances_to(ds.values, ds.coerce_point(q), tree.metric)
+        tested, recorded = reference_walk(tree, dists, r, slack)
+        assert centers == tree.center[tested].tolist()
+        leaf_card = np.where(tree.size == 1, tree.cardinality, 0)
+        start = np.cumsum(leaf_card) - leaf_card  # where each node's slice begins
+        want = [tree.order[start[n]:start[n] + tree.cardinality[n]] for n in recorded]
+        if want:
+            assert len(scans) == 1 and np.array_equal(scans[0], np.concatenate(want))
+            position = np.argsort(tree.order)[scans[0]]
+            assert (np.diff(position) > 0).all()
+        else:
+            assert scans == []
+        return report
+    checked.centers, checked.scans = centers, scans
+    return checked
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
+                                    MetricKind.LEVENSHTEIN])
+def test_walk_tests_centers_and_scans_slices_in_pre_order(metric, walk_order):
+    # the walk is one forward pass over the pre-order columns: it tests
+    # the centers of a left subtree before the right child's, and it
+    # records slices of order at increasing offsets, which one pass scans
+    if metric.for_vectors:
+        ds = synth_manifold(600, 10, 1, 0.02, seed=13, density_power=2.0)
+    else:
+        ds = synth_aligned_strings(300, 60, 4, 0.05, seed=13)
+    tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
+    top = 4 * tree.radius[0]
+    for i in (0, 101, 277):
+        for r in (0.0, *(top * 2.0 ** -np.arange(12, -1, -1))):
+            report = walk_order(tree, ds.values[i], r, ds)
+            assert report.hits == naive_search(ds, ds.values[i], r, metric).hits
+    # a one-node tree: no center test, and one pass over all of order
+    leaf = build(ds, metric, BuildConfig(max_depth=20, min_size=ds.n, seed=3))
+    assert leaf.size.tolist() == [1]
+    report = walk_order(leaf, ds.values[5], top / 8, ds)
+    assert walk_order.centers == []
+    assert len(walk_order.scans) == 1 and np.array_equal(walk_order.scans[0], leaf.order)
+    assert report.comparisons == ds.n
+    assert report.hits == naive_search(ds, ds.values[5], top / 8, metric).hits
+
+
 HITS = st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 4), st.floats(0, 100)),
                 max_size=60, unique_by=lambda hit: hit[0])
 
@@ -526,10 +631,10 @@ def caterpillar(ds: Dataset, rng: np.random.Generator,
                        dataset_hash=ds.content_hash())
 
 
-def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search) -> list:
+def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search, rho=rho_search) -> list:
     """Load a depth-1,500 caterpillar from v3 bytes, round-trip it, check
-    range and k-NN search (made by ``knn``) against the oracle, insert 10
-    points and check again. Returns every k-NN report."""
+    range and k-NN search (made by ``rho`` and ``knn``) against the
+    oracle, insert 10 points and check again. Returns every k-NN report."""
     rng = np.random.default_rng(seed)
     ds = Dataset.from_vectors(rng.uniform(0, 100, (1500 * leaf_size + 1, 1)))
     raw = tree_to_bytes(caterpillar(ds, rng, leaf_size))
@@ -541,7 +646,7 @@ def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search) -> list:
     def check(tree):
         for q in rng.uniform(-5, 105, (4, 1)):
             for r in (0.0, 0.5, 5.0, 50.0):
-                got = rho_search(tree, q, r, ds)
+                got = rho(tree, q, r, ds)
                 want = naive_search(ds, q, r, E)
                 assert got.hits == want.hits
             for k in (1, 5):
@@ -572,3 +677,9 @@ def test_depth_1500_tree_with_pair_leaves_loads_searches_and_grows(knn_once):
     # two-point leaves: k=1 bounds from a leaf, k=5 from a chain node
     reports = grow_deep_tree(leaf_size=2, seed=1501, knn=knn_once)
     assert all(r.invocations == 1 and not r.used_fallback for r in reports)
+
+
+def test_depth_1500_tree_is_walked_in_pre_order(walk_order):
+    # the caterpillar puts a chain node's leaf child before or after the
+    # chain below it at random, so the walk's order shows on both sides
+    grow_deep_tree(leaf_size=1, seed=1502, rho=walk_order)

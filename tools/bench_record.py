@@ -1,0 +1,105 @@
+"""Record one point of the benchmark trajectory as ``BENCH_<pr>.json``.
+
+Usage, from the root of the repository::
+
+    python3 tools/bench_record.py 27
+
+It runs ``benchmarks/run.py`` for each workload at seeds 1, 2 and 3 with
+``--seconds 20 --trace 0``, and once at seed 1 with ``--trace 1``, one
+run at a time. It then writes ``BENCH_<pr>.json`` at the root of the
+repository, holding the commit, every run's ``env`` line, and for each
+workload every metric with its values (one per seed) and their median,
+plus ``correct`` and ``failed`` over the workload's runs. When any run
+reports a failed operation, or prints no result, it writes no file and
+exits nonzero. It needs only the standard library; the runs take about
+ten minutes on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("vec-query", "seq-edit", "vec-churn")
+SEEDS = (1, 2, 3)
+SECONDS = 20
+
+
+def run_benchmark(workload: str, seed: int, trace: int) -> str:
+    """The standard output of one ``run.py`` run."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True)
+    return done.stdout
+
+
+def commit() -> dict:
+    """The checked-out commit, and whether the working tree differs from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+
+
+def parse(stdout: str) -> tuple[dict, dict]:
+    """The ``env`` line and the closing JSON object of one run's output."""
+    lines = stdout.strip().splitlines()
+    env = [json.loads(line[4:]) for line in lines if line.startswith("env ")]
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise ValueError("the run printed no result") from None
+    if len(env) != 1 or not isinstance(result, dict):
+        raise ValueError("the run printed no result")
+    return env[0], result
+
+
+def summarize(runs: list[tuple[dict, dict]]) -> dict:
+    """One workload's runs: each metric's values in run order, and their
+    median."""
+    metrics: dict[str, dict] = {}
+    for _, result in runs:
+        for name, metric in result["metrics"].items():
+            entry = metrics.setdefault(name, {"unit": metric["unit"], "values": []})
+            entry["values"].append(metric["value"])
+    for entry in metrics.values():
+        entry["median"] = statistics.median(entry["values"])
+    return {"env": [env for env, _ in runs], "metrics": metrics,
+            "correct": all(result["correct"] for _, result in runs),
+            "failed": sum(result["failed"] for _, result in runs)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not args[0].isdigit():
+        print("usage: bench_record.py <pr number>", file=sys.stderr)
+        return 2
+    pr = int(args[0])
+    record = {"pr": pr, "commit": commit(), "seconds": SECONDS, "workloads": {}}
+    for workload in WORKLOADS:
+        try:
+            timed = [parse(run_benchmark(workload, seed, 0)) for seed in SEEDS]
+            traced = [parse(run_benchmark(workload, SEEDS[0], 1))]
+        except ValueError as err:
+            print(f"bench_record: {workload}: {err}", file=sys.stderr)
+            return 1
+        record["workloads"][workload] = {"timed": summarize(timed),
+                                         "traced": summarize(traced)}
+        failed = sum(record["workloads"][workload][k]["failed"] for k in ("timed", "traced"))
+        if failed:
+            print(f"bench_record: {workload}: {failed} operations failed; "
+                  "no file written", file=sys.stderr)
+            return 1
+    path = ROOT / f"BENCH_{pr}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
