@@ -4,7 +4,9 @@ The protocol holds out a seeded random sample of points as queries,
 builds one tree on the remainder at the deepest requested depth, cuts it
 at each requested depth (depth 0 is the root as one leaf), and runs both
 the pruned search and the naive linear scan for every (query, radius)
-cell.
+cell. Each cut works out its spokes and hubs, so it searches as the build
+of its depth does; with ``filters=False`` it has none, and searches by
+the paper's cluster pruning alone.
 Speedup is reported on the comparison-count basis (naive comparisons
 divided by pruned-search comparisons), which is hardware independent;
 wall-clock time of each pruned search is reported alongside. Rows
@@ -24,7 +26,7 @@ import numpy as np
 from .data import Dataset
 from .metrics import MetricKind
 from .search import naive_search, rho_search
-from .tree import BuildConfig, _truncated, build
+from .tree import BuildConfig, _spokes, _truncated, build
 
 __all__ = [
     "BenchmarkRow",
@@ -69,9 +71,10 @@ def hold_out(dataset: Dataset, num_queries: int, seed: int,
 
 def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
                   num_queries: int = 50, seed: int = 0, *,
-                  min_size: int = 10) -> list[BenchmarkRow]:
+                  min_size: int = 10, filters: bool = True) -> list[BenchmarkRow]:
     """One row per (depth, radius): comparison counts, wall times,
-    fraction searched, speedup, output sizes, and exactness tallies."""
+    fraction searched, speedup, output sizes, and exactness tallies.
+    ``filters=False`` searches every cut without spokes and hubs."""
     radii = [float(r) for r in radii]
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
@@ -90,6 +93,8 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
     rows = []
     for depth in depths:
         tree = _truncated(deepest, depth)
+        if filters:
+            _spokes(tree, held_in.values)
         for radius in radii:
             reports, times = [], np.empty(len(queries))
             for i, q in enumerate(queries):

@@ -10,6 +10,11 @@ maximum member distance to its center.
 Member distances to the freshly chosen child center fall out of the
 partitioning step, so radii cost no additional distance evaluations; the
 total build cost stays within ``3 * (depth + 1) * n + n`` comparisons.
+The same distances give every point's *spoke*, its distance to its
+leaf's center, and every node's *hub*, its center's distance to its
+parent's center, which a range search uses to rule points and subtrees
+out by the triangle inequality (the M-tree's parent-distance filter,
+Ciaccia, Patella and Zezula, VLDB 1997).
 A node's local fractal dimension is not stored: :func:`lfd_depth_profile`
 computes it from the tree and the dataset when it is read.
 
@@ -123,6 +128,19 @@ class ClusterTree:
     #: comparisons spent on each depth's nodes (the root's center and
     #: distances count toward depth 0); set by :func:`build`, not serialized
     build_comparisons_by_depth: list[int] = field(default_factory=list, repr=False)
+    #: every point's *spoke*, its distance to its leaf's center, indexed by
+    #: point (after inserts, entries past the last point are spare room, so
+    #: that an insert writes one entry and copies nothing), and every node's
+    #: *hub*, its center's distance to its parent's center (0 at the root).
+    #: :func:`build` and :func:`insert_point` keep both from distances they
+    #: compute anyway; :func:`deserialize` works them out with
+    #: :func:`_spokes`. Any other tree (parsed from bytes, constructed, or a
+    #: ``_truncated`` cut) has None until ``_spokes`` is called on it, and
+    #: a search uses no hub or spoke bound on it. Not serialized: deflated,
+    #: they would add 14.5% to the ``vec-query`` archive. Not constructor
+    #: arguments either, so a ``dataclasses.replace`` copy has none.
+    spoke: np.ndarray | None = field(default=None, init=False, repr=False)
+    hub: np.ndarray | None = field(default=None, init=False, repr=False)
     _hash: bytes | None = field(default=None, init=False, repr=False)
     # the grown dataset and its ``values`` at the tree's last insert, if
     # the hash has not been read or set since
@@ -332,14 +350,16 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
                  streams: list[int], seed: int, metric: MetricKind,
                  counter: ComparisonCounter | None,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split every node of a level in two: the one step that splits a node,
     in :func:`build` and :func:`insert_point` alike.
 
     ``members`` holds the nodes' members node after node, ``counts`` each
     in ascending point-index order; node ``k`` draws its seeds from stream
     ``streams[k]``. Returns the children's centers, members (stable within
-    each child), radii and counts, left child first.
+    each child), each member's distance to its child's center (0 for the
+    center itself, which is not compared), radii and counts, left child
+    first.
     """
     starts = np.cumsum(counts) - counts
     left, right = _level_poles(values, [
@@ -352,8 +372,9 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
     child = 2 * node_of + ~goes_left
     regroup = np.argsort(child, kind="stable")
     children = np.bincount(child, minlength=2 * counts.size)  # each at least 1
-    return (_interleave(left, right), members[regroup],
-            np.maximum.reduceat(own[regroup], np.cumsum(children) - children), children)
+    own = own[regroup]
+    return (_interleave(left, right), members[regroup], own,
+            np.maximum.reduceat(own, np.cumsum(children) - children), children)
 
 
 def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterTree:
@@ -388,21 +409,25 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     pair[i, j] = pair[j, i] = _paired_pass(values, seeds[j], seeds[i], metric, counter)
     root = int(seeds[int(np.argmin(pair.sum(axis=1)))])
     others = np.flatnonzero(np.arange(n) != root)
-    radius = np.array([_paired_pass(values, others, np.full(others.size, root),
-                                    metric, counter).max(initial=0.0)])
+    # every point's distance to its node's center at the current level; a
+    # leaf's members keep theirs, which become their spokes
+    near = np.zeros(n)
+    near[others] = _paired_pass(values, others, np.full(others.size, root), metric,
+                                counter)
+    radius = np.array([near.max()])
 
     # the current level: its members, then per node member count, center,
-    # radius, stream (heap numbering) and offset in ``order``
+    # radius, hub, stream (heap numbering) and offset in ``order``
     members = np.arange(n, dtype=np.int64)
-    counts, centers, streams, offsets = (np.array([n]), np.array([root]), [1],
-                                         np.array([0]))
+    counts, centers, hubs, streams, offsets = (np.array([n]), np.array([root]),
+                                               np.zeros(1), [1], np.array([0]))
     order = np.empty(n, dtype=np.int64)
     levels, spent = [], [0]  # spent: the comparison count after each depth
     for depth in itertools.count():
         split = (counts > config.min_size) & (radius != 0.0)
         if depth >= config.max_depth:
             split[:] = False
-        levels.append((centers, radius, counts, split, offsets,
+        levels.append((centers, radius, counts, hubs, split, offsets,
                        np.full(counts.size, depth)))
         leaf = np.repeat(~split, counts)
         starts = np.cumsum(counts) - counts
@@ -413,9 +438,13 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
 
         inside = np.repeat(split, counts)
         streams = [s for s, f in zip(streams, split.tolist()) if f]
-        centers, members, radius, counts = _level_split(
+        centers, members, own, radius, counts = _level_split(
             values, members[inside], counts[split], streams, config.seed, metric,
             counter)
+        # a child's center is a member of its parent: its hub is the
+        # distance the parent's level holds for it
+        hubs = near[centers]
+        near[members] = own
         streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
         offsets = _interleave(offsets[split], offsets[split] + counts[0::2])
         spent.append(counter.count)
@@ -425,12 +454,14 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     # node shares its offset only with its leftmost descendants
     *columns, internal, offset, depth = map(np.concatenate, zip(*levels))
     pre = np.lexsort((depth, offset))
-    center, radius, cardinality = (column[pre] for column in columns)
-    return ClusterTree(
+    center, radius, cardinality, hub = (column[pre] for column in columns)
+    tree = ClusterTree(
         center=center, radius=radius, cardinality=cardinality,
         size=_subtree_sizes(internal[pre]), order=order, metric=metric, config=config,
         dataset_hash=dataset.content_hash(), build_comparisons=counter.count,
         build_comparisons_by_depth=np.diff(spent).tolist())
+    tree.spoke, tree.hub = near, hub
+    return tree
 
 
 def _truncated(tree: ClusterTree, depth: int) -> ClusterTree:
@@ -439,6 +470,9 @@ def _truncated(tree: ClusterTree, depth: int) -> ClusterTree:
     ``depth >= 1`` this is byte for byte the tree a build with ``max_depth
     = depth`` makes; depth 0 is the root as one leaf. The build's
     comparison counts are not carried over.
+
+    A cut computes no distance, so it has no spokes or hubs; ``_spokes``
+    works them out, as the build of that depth makes them.
     """
     depths = tree.depths()
     keep = depths <= depth
@@ -473,6 +507,34 @@ def _node_stats(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.n
     dists = np.zeros(members.size)
     dists[rest] = _paired_pass(values, members[rest], centers[rest], tree.metric, None)
     return _level_stats(dists, card)
+
+
+def _spokes(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tree's spokes and hubs (see :class:`ClusterTree`), worked out
+    from ``values`` and stored on the tree first if it has none.
+
+    One paired pass: every point against its leaf's center, then every
+    child center against its parent's, as the build pairs them. A point
+    that is its own leaf's center, or a child that shares its parent's
+    center, is 0 and not compared, as in the build, whose values this
+    reproduces. That is at most ``n`` distances plus one per node, not
+    counted: they belong to no query."""
+    if tree.spoke is None:
+        leaves, _ = tree.leaf_offsets()
+        internal = np.flatnonzero(tree.size > 1)
+        left = internal + 1
+        child, parent = (np.concatenate((left, left + tree.size[left])),
+                         np.concatenate((internal, internal)))
+        points = np.concatenate((tree.order, tree.center[child]))
+        centers = np.concatenate((np.repeat(tree.center[leaves], tree.cardinality[leaves]),
+                                  tree.center[parent]))
+        rest = np.flatnonzero(points != centers)
+        dists = np.zeros(points.size)
+        dists[rest] = _paired_pass(values, points[rest], centers[rest], tree.metric, None)
+        n = tree.order.size
+        tree.spoke, tree.hub = np.empty(n), np.zeros(tree.size.size)
+        tree.spoke[tree.order], tree.hub[child] = dists[:n], dists[n:]
+    return tree.spoke, tree.hub
 
 
 def lfd_depth_profile(tree: ClusterTree, dataset: Dataset) -> list[tuple[int, int, float]]:
@@ -530,12 +592,15 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
 
     Cost: one distance to the root center, then one kernel call per level
     on the two child centers; the chosen child's distance serves the next
-    level's radius update. A split adds the build's cost for one node of
-    ``2 * min_size + 1`` members, about ``min_size`` inserts apart.
-    Besides that, an insert appends to the dataset (amortized O(1)),
-    shifts the tail of ``order`` by one and, on a split, the node columns
-    by two; the dataset hash is left to its first reader (see
-    :class:`ClusterTree`).
+    level's radius update, and at the leaf it is the point's spoke. A
+    split adds the build's cost for one node of ``2 * min_size + 1``
+    members, about ``min_size`` inserts apart; its partition distances are
+    the new leaves' spokes, and its poles' old spokes their hubs. Besides
+    that, an insert appends to the dataset and to the spokes (amortized
+    O(1)), shifts the tail of ``order`` by one and, on a split, the node
+    columns by two; the dataset hash is left to its first reader (see
+    :class:`ClusterTree`). A tree without spokes works them out first with
+    :func:`_spokes`.
 
     Requires exclusive access: no concurrent searches during mutation.
     """
@@ -553,6 +618,7 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     except DegenerateInputError:  # a zero vector under chord: take it back out
         dataset.values, dataset._hash = before
         raise
+    spoke, _ = _spokes(tree, values)
 
     path = []
     node = off = 0
@@ -575,6 +641,9 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     end = off + int(card[node])
     tree.order = np.concatenate((tree.order[:end - 1], [new_index],
                                  tree.order[end - 1:]))
+    if new_index == spoke.size:  # no spare room: double it
+        spoke = tree.spoke = np.concatenate((spoke, np.empty(spoke.size)))
+    spoke[new_index] = d_node  # the point's distance to its leaf's center
 
     # The build splits above ``min_size``; an insert waits for twice that.
     # A split costs about four plain inserts (0.25 against 0.065 ms, medians
@@ -584,13 +653,16 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     while (card[node] > 2 * config.min_size and radius[node] > 0.0
            and len(path) <= config.max_depth):
         members = np.sort(tree.order[off:off + int(card[node])])
-        centers, members, child_radius, counts = _level_split(
+        centers, members, own, child_radius, counts = _level_split(
             values, members, card[node:node + 1], [stream], config.seed, metric, None)
         tree.order[off:off + members.size] = members
+        hubs = spoke[centers]  # the children's: their centers' spokes in the node
+        spoke[members] = own
         size[path] += 2
-        tree.center, tree.radius, tree.cardinality, tree.size = (
+        tree.center, tree.radius, tree.cardinality, tree.size, tree.hub = (
             np.insert(column, node + 1, rows) for column, rows in
-            ((center, centers), (radius, child_radius), (card, counts), (size, [1, 1])))
+            ((center, centers), (radius, child_radius), (card, counts), (size, [1, 1]),
+             (tree.hub, hubs)))
         center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
         if new_index in members[:counts[0]]:  # on into the new point's child
             node, stream = node + 1, 2 * stream
@@ -732,7 +804,9 @@ def _read_tree_file(path) -> ClusterTree:
 
 
 def deserialize(path, dataset: Dataset) -> ClusterTree:
-    """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees."""
+    """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees.
+    Its spokes and hubs are worked out from ``dataset`` (see :func:`_spokes`),
+    so its searches use their bounds."""
     tree = _read_tree_file(path)
     if tree.dataset_hash != dataset.content_hash():
         raise FormatError(
@@ -742,4 +816,5 @@ def deserialize(path, dataset: Dataset) -> ClusterTree:
     if not dataset.compatible_with(tree.metric):
         raise FormatError(f"{path}: metric {tree.metric.value} does not apply "
                           f"to {dataset.kind.value} data")
+    _spokes(tree, dataset.values)
     return tree

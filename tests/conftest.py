@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from chess_search import Dataset, DatasetKind, synth_manifold
+from chess_search.metrics import distances_to
 
 # corpus (a): dense 1-D manifold; rows beyond CORPUS_A_N feed the
 # live-insertion criterion (same manifold, fresh points and queries)
@@ -77,6 +78,29 @@ def node_members(tree, node: int) -> np.ndarray:
     which starts after the members of the leaves before it."""
     off = int(tree.cardinality[:node][tree.size[:node] == 1].sum())
     return tree.order[off:off + int(tree.cardinality[node])]
+
+
+def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's distance to its leaf's center, by point index, and
+    every node's center's distance to its parent's center (0 at the
+    root), one kernel call per leaf and one per child: the point is the
+    row and the center the query, as the build pairs them."""
+    values, metric = ds.values, tree.metric
+    spoke = np.empty(tree.order.size)
+    hub = np.zeros(tree.size.size)
+    off = 0
+    for node in range(tree.size.size):
+        if tree.size[node] == 1:
+            members = tree.order[off:off + int(tree.cardinality[node])]
+            spoke[members] = distances_to(values[members], values[tree.center[node]],
+                                          metric)
+            off += members.size
+        else:
+            left = node + 1
+            for child in (left, left + tree.size[left]):
+                hub[child] = distances_to(values[tree.center[child]][np.newaxis],
+                                          values[tree.center[node]], metric)[0]
+    return spoke, hub
 
 
 @pytest.fixture(scope="session")

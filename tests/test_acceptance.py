@@ -162,7 +162,7 @@ def test_criterion_1_exactness_metric_distances(split_a, trees_a, radii_a,
 
 @pytest.mark.parametrize("split, trees, n_queries", [
     ("split_a", "trees_a", 50), ("split_b", "trees_b", 10),
-    ("split_chord", "trees_chord", 50)])
+    ("split_lev", "trees_lev", 20), ("split_chord", "trees_chord", 50)])
 def test_range_search_is_exact_at_stored_distances(request, split, trees,
                                                    n_queries):
     # a radius equal to a stored distance puts that point on the ball's
@@ -213,13 +213,17 @@ def test_criterion_2_chord_exactness(split_chord, trees_chord, radii_chord):
 
 
 def test_criterion_3_pruning_speedup_trend(corpus_a, radii_a):
-    # depth sweep; assertions pinned to the mid radii (mean outputs of
-    # ~10 and ~100 points), full table reported
+    # depth sweep of the paper's cluster pruning; assertions pinned to the
+    # mid radii (mean outputs of ~10 and ~100 points), full table
+    # reported. The spoke and hub bounds are not the paper's: with them the
+    # depth-10 tree's leaves (up to 2,127 points) filter like a pivot table
+    # on this 1-D manifold, and depth 10 beats depth 50 (speedup 862
+    # against 742 at ~10 hits). They never add a comparison to a query
     details = []
     with criterion("3 speedup trend with depth", details):
-        rows = run_benchmark(corpus_a, E, radii=radii_a, depths=[10, 50],
-                             num_queries=50, seed=HOLDOUT_SEED,
-                             min_size=10)
+        kwargs = dict(radii=radii_a, depths=[10, 50], num_queries=50,
+                      seed=HOLDOUT_SEED, min_size=10)
+        rows = run_benchmark(corpus_a, E, filters=False, **kwargs)
         by_key = {(r.depth, r.radius): r for r in rows}
         for radius in radii_a[1:3]:
             deep = by_key[(50, radius)]
@@ -231,7 +235,14 @@ def test_criterion_3_pruning_speedup_trend(corpus_a, radii_a):
                            f"{shallow.speedup_mean:.1f}@10 -> "
                            f"{deep.speedup_mean:.1f}@50, "
                            f"fraction@50 {deep.fraction_mean:.3f}")
-        print(rows_to_csv(rows), flush=True)
+        filtered = run_benchmark(corpus_a, E, **kwargs)
+        for plain, row in zip(rows, filtered):
+            assert row.comparisons_mean <= plain.comparisons_mean
+            assert row.false_pos == row.false_neg == 0
+        details.append("with spokes and hubs " + ", ".join(
+            f"{row.speedup_mean:.1f}@{row.depth}" for row in filtered
+            if row.radius == radii_a[1]))
+        print(rows_to_csv(rows + filtered), flush=True)
 
 
 def test_criterion_4_build_cost_bound(split_a, trees_a, split_chord, trees_chord,

@@ -42,11 +42,21 @@ def test_default_protocol_runs_fifty_queries(bench_dataset):
 
 
 def test_speedup_grows_with_depth(bench_dataset):
+    # the paper's cluster pruning gains with depth. The spoke and hub
+    # bounds are not the paper's: with them a shallow tree's large leaves
+    # filter like a pivot table, and here depth 2 reads a speedup of 86.9
+    # against depth 12's 45.4. They never add a comparison to a query
     rows = run_benchmark(bench_dataset, E, radii=[0.3], depths=[2, 12],
-                         num_queries=25, seed=4)
+                         num_queries=25, seed=4, filters=False)
     shallow, deep = rows
     assert deep.speedup_mean > shallow.speedup_mean
     assert deep.false_neg == 0 and shallow.false_neg == 0
+    filtered = run_benchmark(bench_dataset, E, radii=[0.3], depths=[2, 12],
+                             num_queries=25, seed=4)
+    for plain, row in zip(rows, filtered):
+        assert row.comparisons_mean <= plain.comparisons_mean
+        assert row.speedup_mean >= plain.speedup_mean
+        assert row.false_pos == row.false_neg == 0
 
 
 def test_exactness_zero_for_metric_distances(bench_dataset, corpus_b):

@@ -9,10 +9,12 @@ from chess_search import (BuildConfig, ClusterTree, Dataset, DimensionError,
                           MetricKind, build, insert_point, knn_search,
                           naive_search, rho_search, synth_manifold)
 from chess_search import search
+from chess_search import tree as tree_mod
 from chess_search.metrics import _coordinate_bound, distances_to
-from chess_search.tree import _block_rows, tree_from_bytes, tree_to_bytes
+from chess_search.tree import (_block_rows, _spokes, _truncated, deserialize, serialize,
+                               tree_from_bytes, tree_to_bytes)
 
-from conftest import brute_force_knn, node_members, synth_aligned_strings
+from conftest import brute_force_knn, node_members, reference_spokes, synth_aligned_strings
 
 E = MetricKind.EUCLIDEAN
 
@@ -131,42 +133,80 @@ def test_walk_reconciles_kernel_calls(metric, kernel_calls):
             assert report.leaves_visited > 2
 
 
-def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float,
-                   slack: float) -> tuple[list[int], list[int]]:
-    """The nodes whose centers a range search tests and the nodes whose
-    slices of ``order`` it scans, each list in pre-order. A node is tested
-    when its parent is explored; ``dists`` holds the query's distance to
-    every point and ``slack`` the pruning test's rounding allowance."""
+def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
+                   spoke: np.ndarray, hub: np.ndarray,
+                   ) -> tuple[list[int], np.ndarray, tuple[int, int]]:
+    """The nodes whose centers a range search tests, in pre-order; the
+    positions in ``order`` of the points it scans, ascending; and how
+    many nodes the hubs prune and points the spokes rule out. ``dists``
+    holds the query's distance to every point, ``spoke`` and ``hub`` the
+    tree's (see ``reference_spokes``; nan for a tree without them, which
+    rules nothing out) and ``slack`` the pruning test's
+    rounding allowance; ``eps = slack - 1`` widens the triangle bounds.
+
+    A node is reached when its parent is explored. Its center is not
+    tested again if a node before it had the same center. Otherwise,
+    when its parent was tested (not the root, which is explored
+    untested), it is pruned untested if ``|d(parent) - hub| - eps
+    (d(parent) + hub)`` exceeds ``(r + radius) * slack``. A reached leaf
+    does not scan a member whose ``|d(leaf) - spoke| - eps (d(leaf) +
+    spoke)`` exceeds ``r * slack``; a contained cluster scans all."""
+    eps = slack - 1.0
     nodes = tree.size.size
     parent = np.zeros(nodes, dtype=np.int64)
     for p in np.flatnonzero(tree.size > 1):
         parent[p + 1] = parent[p + 1 + tree.size[p + 1]] = p
+    leaf_card = np.where(tree.size == 1, tree.cardinality, 0)
+    start = np.cumsum(leaf_card) - leaf_card  # where each node's slice begins
     explored = np.zeros(nodes, dtype=bool)
     explored[0] = nodes > 1  # the root, untested
-    tested, scanned = [], [] if nodes > 1 else [0]
+    tested, seen = [], set()
+    scanned = [] if nodes > 1 else [np.arange(tree.order.size)]
+    by_hub = by_spoke = 0
     for node in range(1, nodes):
-        if not explored[parent[node]]:
+        p = parent[node]
+        if not explored[p]:
             continue
-        tested.append(node)
-        d, rad = dists[tree.center[node]], tree.radius[node]
-        if d > (r + rad) * slack:
+        c, rad = tree.center[node], tree.radius[node]
+        bound = (r + rad) * slack
+        if c not in seen:
+            if p > 0:
+                d_p, h = dists[tree.center[p]], hub[node]
+                if abs(d_p - h) - eps * (d_p + h) > bound:
+                    by_hub += 1
+                    continue
+            tested.append(node)
+            seen.add(c)
+        d = dists[c]
+        if d > bound:
             continue
-        if tree.size[node] > 1 and d + rad > r:
+        span = start[node] + np.arange(tree.cardinality[node])
+        if tree.size[node] == 1:
+            s = spoke[tree.order[span]]
+            out = np.abs(d - s) - eps * (d + s) > r * slack
+            by_spoke += int(np.count_nonzero(out))
+            scanned.append(span[~out])
+        elif d + rad > r:
             explored[node] = True
         else:
-            scanned.append(node)
-    return tested, scanned
+            scanned.append(span)
+    positions = np.concatenate(scanned) if scanned else np.zeros(0, dtype=np.int64)
+    return tested, positions, (by_hub, by_spoke)
 
 
 @pytest.fixture()
 def walk_order(monkeypatch):
-    """``rho_search``, checking the order of its walk against
-    :func:`reference_walk`. Its one-row center tests, each named by the
-    point its row views, are the reference's tested centers in pre-order,
-    so every explored node's left subtree is tested before its right
-    child. Its one scan pass gets the reference's slices of ``order``,
-    joined at strictly increasing offsets."""
+    """``rho_search``, checking its walk and its scan against
+    :func:`reference_walk`, on spokes and hubs that ``reference_spokes``
+    computes anew and the tree's must equal (nan for a tree without them,
+    which the search must leave without them). Its one-row center tests,
+    each named by the point its row views, are the reference's tested
+    centers in pre-order, so every explored node's left subtree is tested
+    before its right child. Its one scan pass gets the reference's
+    points, at strictly increasing offsets in ``order``. ``skips`` sums
+    the reference's nodes pruned by hubs and points ruled out by spokes."""
     centers: list[int] = []
+    skips = [0, 0]
     scans: list[np.ndarray] = []
     searched: dict[str, np.ndarray] = {}  # the values, while a check runs
     scan = search._scan
@@ -190,23 +230,30 @@ def walk_order(monkeypatch):
         searched["values"] = ds.values
         centers.clear()
         scans.clear()
+        bounded = tree.spoke is not None
         report = rho_search(tree, q, r, ds)
         searched.clear()
+        n = tree.order.size
+        if bounded:
+            spoke, hub = reference_spokes(tree, ds)
+            # an insert leaves spare room past the last spoke
+            assert np.array_equal(tree.spoke[:n], spoke) and np.array_equal(tree.hub, hub)
+        else:
+            assert tree.spoke is None and tree.hub is None
+            spoke, hub = np.full(n, np.nan), np.full(tree.size.size, np.nan)
         slack = 1.0 + 4 * (ds.dim + 2) * 2.0 ** -52 if tree.metric.for_vectors else 1.0
         dists = distances_to(ds.values, ds.coerce_point(q), tree.metric)
-        tested, recorded = reference_walk(tree, dists, r, slack)
+        tested, positions, ruled_out = reference_walk(tree, dists, r, slack, spoke, hub)
+        skips[:] = np.add(skips, ruled_out)
         assert centers == tree.center[tested].tolist()
-        leaf_card = np.where(tree.size == 1, tree.cardinality, 0)
-        start = np.cumsum(leaf_card) - leaf_card  # where each node's slice begins
-        want = [tree.order[start[n]:start[n] + tree.cardinality[n]] for n in recorded]
-        if want:
-            assert len(scans) == 1 and np.array_equal(scans[0], np.concatenate(want))
+        if positions.size:
+            assert len(scans) == 1 and np.array_equal(scans[0], tree.order[positions])
             position = np.argsort(tree.order)[scans[0]]
             assert (np.diff(position) > 0).all()
         else:
             assert scans == []
         return report
-    checked.centers, checked.scans = centers, scans
+    checked.centers, checked.scans, checked.skips = centers, scans, skips
     return checked
 
 
@@ -214,18 +261,29 @@ def walk_order(monkeypatch):
                                     MetricKind.LEVENSHTEIN])
 def test_walk_tests_centers_and_scans_slices_in_pre_order(metric, walk_order):
     # the walk is one forward pass over the pre-order columns: it tests
-    # the centers of a left subtree before the right child's, and it
-    # records slices of order at increasing offsets, which one pass scans
+    # the centers of a left subtree before the right child's, prunes by
+    # hubs, records slices of order at increasing offsets and rules out
+    # members by spokes; one pass scans the rest. A built tree and a
+    # parsed one whose spokes and hubs ``_spokes`` works out walk alike;
+    # a parsed tree without them walks by cluster pruning alone
     if metric.for_vectors:
         ds = synth_manifold(600, 10, 1, 0.02, seed=13, density_power=2.0)
     else:
         ds = synth_aligned_strings(300, 60, 4, 0.05, seed=13)
     tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
     top = 4 * tree.radius[0]
-    for i in (0, 101, 277):
-        for r in (0.0, *(top * 2.0 ** -np.arange(12, -1, -1))):
-            report = walk_order(tree, ds.values[i], r, ds)
-            assert report.hits == naive_search(ds, ds.values[i], r, metric).hits
+    parsed, bounded = (tree_from_bytes(tree_to_bytes(tree))[0] for _ in range(2))
+    _spokes(bounded, ds.values)
+    for t in (tree, bounded, parsed):
+        walk_order.skips[:] = [0, 0]
+        for i in (0, 101, 277):
+            for r in (0.0, *(top * 2.0 ** -np.arange(12, -1, -1))):
+                report = walk_order(t, ds.values[i], r, ds)
+                assert report.hits == naive_search(ds, ds.values[i], r, metric).hits
+        if t is parsed:
+            assert walk_order.skips == [0, 0]
+        else:
+            assert min(walk_order.skips) > 0  # both rules ruled something out
     # a one-node tree: no center test, and one pass over all of order
     leaf = build(ds, metric, BuildConfig(max_depth=20, min_size=ds.n, seed=3))
     assert leaf.size.tolist() == [1]
@@ -467,6 +525,24 @@ def test_knn_tie_at_kth_takes_lower_index():
     assert [i for i, _ in report.hits] == [0, 1]
 
 
+def test_knn_coerces_its_query_once(small_manifold, monkeypatch):
+    # the range search at the bound takes the query k-NN has coerced;
+    # a range search of its own still checks its query
+    ds, tree = small_manifold
+    coerced = []
+    coerce = Dataset.coerce_point
+
+    def counted(self, p):
+        coerced.append(p)
+        return coerce(self, p)
+
+    monkeypatch.setattr(Dataset, "coerce_point", counted)
+    knn_search(tree, ds.values[3] + 1e-3, 5, ds)
+    assert len(coerced) == 1
+    rho_search(tree, ds.values[3] + 1e-3, 0.1, ds)
+    assert len(coerced) == 2
+
+
 def test_knn_k_out_of_range(small_manifold):
     ds, tree = small_manifold
     with pytest.raises(ValueError):
@@ -589,6 +665,84 @@ def test_knn_computes_each_distance_once(metric, knn_once):
             # descent's two center tests and that scan, every distance is
             # known, so the range search computes none
             assert report.comparisons == ds.n
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
+                                    MetricKind.LEVENSHTEIN])
+def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
+    # A parsed tree or a cut has no spokes or hubs until ``_spokes`` works
+    # them out (``deserialize`` does; an insert does first); a search
+    # neither needs them nor stores them. Each tree answers as the linear
+    # scan, at stored distances and at containment radii, and so does
+    # k-NN; the spokes and hubs it holds are those a fresh pass computes
+    if metric.for_vectors:
+        ds = synth_manifold(450, 10, 1, 0.02, seed=29, density_power=2.0)
+    else:
+        ds = synth_aligned_strings(240, 40, 4, 0.05, seed=29)
+    config = BuildConfig(max_depth=20, min_size=4, seed=5)
+    built = build(ds, metric, config)
+    head = Dataset(ds.kind, ds.values[:ds.n // 2].copy())
+    grown, _ = tree_from_bytes(tree_to_bytes(build(head, metric, config)))
+    for p in ds.values[head.n:]:
+        insert_point(grown, p, head)
+    serialize(built, tmp_path / "t.tree")
+    cut = _truncated(built, 3)
+    _spokes(cut, ds.values)
+    trees = {"parsed": tree_from_bytes(tree_to_bytes(built))[0],
+             "loaded": deserialize(tmp_path / "t.tree", ds), "parsed, then grown": grown,
+             "cut": _truncated(built, 3), "cut, then worked out": cut}
+    rng = np.random.default_rng(29)
+    for name, tree in trees.items():
+        for i in rng.choice(ds.n, 4, replace=False):
+            q = ds.values[i]
+            everything = naive_search(ds, q, float(distances_to(ds.values, q, metric).max()),
+                                      metric).hits
+            for _, r in everything[:30:3]:  # stored distances
+                want = [h for h in everything if h[1] <= r]
+                assert rho_search(tree, q, r, ds).hits == want, name
+            for node in rng.choice(tree.size.size, 8):
+                c = tree.center[node]
+                r = float(distances_to(ds.values[c:c + 1], q, metric)[0] + tree.radius[node])
+                assert rho_search(tree, q, r, ds).hits == \
+                    naive_search(ds, q, r, metric).hits, name
+            for k in (1, 7):
+                assert knn_search(tree, q, k, ds).hits == everything[:k], name
+        if name in ("parsed", "cut"):
+            assert tree.spoke is None and tree.hub is None, name
+            continue
+        spoke, hub = reference_spokes(tree, ds)
+        assert np.array_equal(tree.spoke[:ds.n], spoke), name
+        assert np.array_equal(tree.hub, hub), name
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.LEVENSHTEIN])
+def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
+    # the build and inserts keep spokes and hubs from the distances they
+    # compute anyway, so no insert of theirs pays the pass over the
+    # dataset that a parsed tree pays once; they equal its result
+    worked_out = []
+    spokes = tree_mod._spokes
+
+    def recorded(tree, values):
+        worked_out.append(tree.spoke is None)
+        return spokes(tree, values)
+
+    monkeypatch.setattr(tree_mod, "_spokes", recorded)
+    if metric.for_vectors:
+        ds = synth_manifold(400, 10, 1, 0.02, seed=31, density_power=2.0)
+    else:
+        ds = synth_aligned_strings(200, 30, 4, 0.05, seed=31)
+    grown = Dataset(ds.kind, ds.values[:ds.n // 4].copy())
+    tree = build(grown, metric, BuildConfig(max_depth=20, min_size=3, seed=2))
+    nodes = tree.size.size
+    for p in ds.values[grown.n:]:
+        insert_point(tree, p, grown)
+        rho_search(tree, p, 1.0, grown)
+        knn_search(tree, p, 3, grown)
+    assert tree.size.size > nodes + 20  # the inserts split leaves
+    assert len(worked_out) == ds.n - ds.n // 4 and not any(worked_out)
+    spoke, hub = reference_spokes(tree, grown)
+    assert np.array_equal(tree.spoke[:grown.n], spoke) and np.array_equal(tree.hub, hub)
 
 
 def caterpillar(ds: Dataset, rng: np.random.Generator,
