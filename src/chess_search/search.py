@@ -24,7 +24,8 @@ to its parent's) puts ``|d_p - hub|`` beyond ``r + radius`` is pruned
 without its center test. A reached leaf's member whose *spoke* (its
 distance to the leaf's center, ``d``) puts ``|d - spoke|`` beyond ``r``
 cannot be a hit, and is not scanned. The build and inserts keep spokes
-and hubs from distances they compute anyway; see ``tree.ClusterTree``.
+and hubs from distances they compute anyway; one not known is nan, which
+rules nothing out (see ``tree.ClusterTree``).
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
@@ -178,8 +179,8 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     a member whose bound exceeds ``r`` is not scanned. Neither bound costs
     a distance; each costs a few float operations, per child for hubs and,
     for spokes, per member of a reached leaf that can lose one (``d > r``
-    or ``radius - d > r``). A tree without spokes and hubs (see
-    ``ClusterTree``) is searched without these two bounds.
+    or ``radius - d > r``). A spoke or hub that the tree does not know is
+    nan (see ``ClusterTree``), and bounds nothing.
 
     Computed vector distances carry rounding error, so a center that lies
     exactly at ``r + radius`` (collinear points) can read a few ulps
@@ -221,14 +222,11 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     # for k-NN what it computed before the search
     known = {} if _known is None else _known
     recall = known.get
-    spoke, hubs = tree.spoke, tree.hub
-    if spoke is None:  # no bounds: nan rules nothing out
-        spoke, hubs = np.full(tree.order.size, math.nan), np.full(tree.size.size, math.nan)
 
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
     # close to that of attribute access
     center, radius, size = tree.center.item, tree.radius.item, tree.size.item
-    card, order, hub = tree.cardinality.item, tree.order, hubs.item
+    card, order, hub = tree.cardinality.item, tree.order, tree.hub.item
     # the root is explored untested; ``off`` is where ``node``'s slice of
     # order starts. An explored node steps to its first child, ``node + 1``;
     # any other node is skipped with its subtree
@@ -245,11 +243,11 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
         bound = (r + rad) * slack
         d_center = recall(c)
         if d_center is None:
-            d_parent = handed.get(node)
-            if d_parent is not None:  # the hub bounds d(q, c) from below
-                h = hub(node)
-                d_center = abs(d_parent - h) - eps * (d_parent + h)
-            if d_center is None or not d_center > bound:  # a nan hub bounds nothing
+            # the hub bounds d(q, c) from below; a nan one, or the nan
+            # parent distance of the root's children, bounds nothing
+            d_parent, h = handed.get(node, math.nan), hub(node)
+            d_center = abs(d_parent - h) - eps * (d_parent + h)
+            if not d_center > bound:
                 d_center = known[c] = float(distances_to(values[c:c + 1], query, metric,
                                                          counter)[0])
         if d_center <= bound:  # else pruned
@@ -269,7 +267,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     members = np.concatenate(slices) if slices else order[:0]
     if lossy:  # |d - spoke| bounds a member's distance from below
         d = np.array(d_leaf).repeat([part.size for part in slices])
-        s = spoke[members]
+        s = tree.spoke[members]
         members = members[~(np.abs(d - s) - eps * (d + s) > r * slack)]
     if not members.size:
         return SearchReport(hits=[], comparisons=counter.count, leaves_visited=0,

@@ -132,20 +132,24 @@ class ClusterTree:
     #: point (after inserts, entries past the last point are spare room, so
     #: that an insert writes one entry and copies nothing), and every node's
     #: *hub*, its center's distance to its parent's center (0 at the root).
-    #: :func:`build` and :func:`insert_point` keep both from distances they
-    #: compute anyway; :func:`deserialize` works them out with
-    #: :func:`_spokes`. Any other tree (parsed from bytes, constructed, or a
-    #: ``_truncated`` cut) has None until ``_spokes`` is called on it, and
-    #: a search uses no hub or spoke bound on it. Not serialized: deflated,
-    #: they would add 14.5% to the ``vec-query`` archive. Not constructor
-    #: arguments either, so a ``dataclasses.replace`` copy has none.
-    spoke: np.ndarray | None = field(default=None, init=False, repr=False)
-    hub: np.ndarray | None = field(default=None, init=False, repr=False)
+    #: nan marks one not known, which a search reads as ruling nothing out:
+    #: a new tree (parsed, constructed or a ``_truncated`` cut) knows none,
+    #: :func:`build` and :func:`insert_point` write those they compute, and
+    #: :func:`_spokes` works them all out (:func:`deserialize` calls it).
+    #: Not serialized: deflated, they would add 14.5% to the ``vec-query``
+    #: archive. Not constructor arguments: an insert writes them in place,
+    #: so a ``dataclasses.replace`` copy makes its own, all nan.
+    spoke: np.ndarray = field(init=False, repr=False)
+    hub: np.ndarray = field(init=False, repr=False)
     _hash: bytes | None = field(default=None, init=False, repr=False)
     # the grown dataset and its ``values`` at the tree's last insert, if
     # the hash has not been read or set since
     _grown: tuple[Dataset, np.ndarray] | None = field(default=None, init=False,
                                                      repr=False)
+
+    def __post_init__(self) -> None:
+        self.spoke = np.full(self.order.size, math.nan)
+        self.hub = np.full(self.size.size, math.nan)
 
     def leaf_offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Pre-order leaf node indices, and where each leaf's slice of
@@ -471,8 +475,8 @@ def _truncated(tree: ClusterTree, depth: int) -> ClusterTree:
     = depth`` makes; depth 0 is the root as one leaf. The build's
     comparison counts are not carried over.
 
-    A cut computes no distance, so it has no spokes or hubs; ``_spokes``
-    works them out, as the build of that depth makes them.
+    A cut computes no distance, so it knows no spoke or hub (all nan);
+    ``_spokes`` works them out, as the build of that depth makes them.
     """
     depths = tree.depths()
     keep = depths <= depth
@@ -509,9 +513,9 @@ def _node_stats(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.n
     return _level_stats(dists, card)
 
 
-def _spokes(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tree's spokes and hubs (see :class:`ClusterTree`), worked out
-    from ``values`` and stored on the tree first if it has none.
+def _spokes(tree: ClusterTree, values: np.ndarray) -> None:
+    """Work out all of the tree's spokes and hubs (see :class:`ClusterTree`)
+    from ``values`` and store them on it.
 
     One paired pass: every point against its leaf's center, then every
     child center against its parent's, as the build pairs them. A point
@@ -519,22 +523,26 @@ def _spokes(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     center, is 0 and not compared, as in the build, whose values this
     reproduces. That is at most ``n`` distances plus one per node, not
     counted: they belong to no query."""
-    if tree.spoke is None:
-        leaves, _ = tree.leaf_offsets()
-        internal = np.flatnonzero(tree.size > 1)
-        left = internal + 1
-        child, parent = (np.concatenate((left, left + tree.size[left])),
-                         np.concatenate((internal, internal)))
-        points = np.concatenate((tree.order, tree.center[child]))
-        centers = np.concatenate((np.repeat(tree.center[leaves], tree.cardinality[leaves]),
-                                  tree.center[parent]))
-        rest = np.flatnonzero(points != centers)
-        dists = np.zeros(points.size)
-        dists[rest] = _paired_pass(values, points[rest], centers[rest], tree.metric, None)
-        n = tree.order.size
-        tree.spoke, tree.hub = np.empty(n), np.zeros(tree.size.size)
-        tree.spoke[tree.order], tree.hub[child] = dists[:n], dists[n:]
-    return tree.spoke, tree.hub
+    leaves, _ = tree.leaf_offsets()
+    internal = np.flatnonzero(tree.size > 1)
+    left = internal + 1
+    child, parent = (np.concatenate((left, left + tree.size[left])),
+                     np.concatenate((internal, internal)))
+    points = np.concatenate((tree.order, tree.center[child]))
+    centers = np.concatenate((np.repeat(tree.center[leaves], tree.cardinality[leaves]),
+                              tree.center[parent]))
+    rest = np.flatnonzero(points != centers)
+    dists = np.zeros(points.size)
+    dists[rest] = _paired_pass(values, points[rest], centers[rest], tree.metric, None)
+    n = tree.order.size
+    tree.spoke, tree.hub = np.empty(n), np.zeros(tree.size.size)
+    tree.spoke[tree.order], tree.hub[child] = dists[:n], dists[n:]
+
+
+def _check_exact_cover(tree: ClusterTree, dataset: Dataset) -> None:
+    if dataset.n != tree.order.size:
+        raise DimensionError(f"tree covers {tree.order.size} points, "
+                             f"dataset holds {dataset.n}")
 
 
 def lfd_depth_profile(tree: ClusterTree, dataset: Dataset) -> list[tuple[int, int, float]]:
@@ -552,9 +560,7 @@ def lfd_depth_profile(tree: ClusterTree, dataset: Dataset) -> list[tuple[int, in
     depth then decile, and decile means are nondecreasing within a
     depth by construction.
     """
-    if dataset.n != tree.order.size:
-        raise DimensionError(f"tree covers {tree.order.size} points, "
-                             f"dataset holds {dataset.n}")
+    _check_exact_cover(tree, dataset)
     _, lfd = _node_stats(tree, dataset.values)
     depths = tree.depths()
     ranked = np.lexsort((lfd, depths))
@@ -595,18 +601,15 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     level's radius update, and at the leaf it is the point's spoke. A
     split adds the build's cost for one node of ``2 * min_size + 1``
     members, about ``min_size`` inserts apart; its partition distances are
-    the new leaves' spokes, and its poles' old spokes their hubs. Besides
-    that, an insert appends to the dataset and to the spokes (amortized
-    O(1)), shifts the tail of ``order`` by one and, on a split, the node
-    columns by two; the dataset hash is left to its first reader (see
-    :class:`ClusterTree`). A tree without spokes works them out first with
-    :func:`_spokes`.
+    the new leaves' spokes, and its poles' old spokes (nan if not known)
+    their hubs. Besides that, an insert appends to the dataset and to the
+    spokes (amortized O(1)), shifts the tail of ``order`` by one and, on a
+    split, the node columns by two; the dataset hash is left to its first
+    reader (see :class:`ClusterTree`). It works out no other spoke or hub.
 
     Requires exclusive access: no concurrent searches during mutation.
     """
-    if dataset.n != tree.order.size:
-        raise DimensionError(f"tree covers {tree.order.size} points, "
-                             f"dataset holds {dataset.n}")
+    _check_exact_cover(tree, dataset)
     metric, config = tree.metric, tree.config
     before = dataset.values, dataset._hash
     new_index = dataset.append_point(point)
@@ -618,7 +621,6 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     except DegenerateInputError:  # a zero vector under chord: take it back out
         dataset.values, dataset._hash = before
         raise
-    spoke, _ = _spokes(tree, values)
 
     path = []
     node = off = 0
@@ -641,9 +643,9 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     end = off + int(card[node])
     tree.order = np.concatenate((tree.order[:end - 1], [new_index],
                                  tree.order[end - 1:]))
-    if new_index == spoke.size:  # no spare room: double it
-        spoke = tree.spoke = np.concatenate((spoke, np.empty(spoke.size)))
-    spoke[new_index] = d_node  # the point's distance to its leaf's center
+    if new_index == tree.spoke.size:  # no spare room: double it, none of it known
+        tree.spoke = np.concatenate((tree.spoke, np.full(new_index, math.nan)))
+    tree.spoke[new_index] = d_node  # the point's distance to its leaf's center
 
     # The build splits above ``min_size``; an insert waits for twice that.
     # A split costs about four plain inserts (0.25 against 0.065 ms, medians
@@ -656,8 +658,8 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
         centers, members, own, child_radius, counts = _level_split(
             values, members, card[node:node + 1], [stream], config.seed, metric, None)
         tree.order[off:off + members.size] = members
-        hubs = spoke[centers]  # the children's: their centers' spokes in the node
-        spoke[members] = own
+        hubs = tree.spoke[centers]  # the children's: their centers' spokes in the node
+        tree.spoke[members] = own
         size[path] += 2
         tree.center, tree.radius, tree.cardinality, tree.size, tree.hub = (
             np.insert(column, node + 1, rows) for column, rows in
@@ -804,9 +806,8 @@ def _read_tree_file(path) -> ClusterTree:
 
 
 def deserialize(path, dataset: Dataset) -> ClusterTree:
-    """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees.
-    Its spokes and hubs are worked out from ``dataset`` (see :func:`_spokes`),
-    so its searches use their bounds."""
+    """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees,
+    and work out all its spokes and hubs from ``dataset`` (see :func:`_spokes`)."""
     tree = _read_tree_file(path)
     if tree.dataset_hash != dataset.content_hash():
         raise FormatError(

@@ -103,6 +103,21 @@ def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return spoke, hub
 
 
+def checked_spokes(tree, ds: Dataset, *, known: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The tree's spokes, up to its last point (an insert leaves spare room
+    after it), and its hubs, each checked to be nan (not known) or bit for
+    bit what :func:`reference_spokes` computes. With ``known``, none may
+    be nan: a tree that was built, or whose spokes ``_spokes`` worked out,
+    knows them all, and inserts keep it so."""
+    got = tree.spoke[:tree.order.size], tree.hub
+    for have, want in zip(got, reference_spokes(tree, ds)):
+        mask = ~np.isnan(have)
+        assert have.size == want.size and have[mask].tobytes() == want[mask].tobytes()
+        assert mask.all() or not known
+    return got
+
+
 @pytest.fixture(scope="session")
 def corpus_a_extended() -> Dataset:
     n = CORPUS_A_N + CORPUS_A_INSERTS + CORPUS_A_FRESH_QUERIES

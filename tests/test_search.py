@@ -14,7 +14,8 @@ from chess_search.metrics import _coordinate_bound, distances_to
 from chess_search.tree import (_block_rows, _spokes, _truncated, deserialize, serialize,
                                tree_from_bytes, tree_to_bytes)
 
-from conftest import brute_force_knn, node_members, reference_spokes, synth_aligned_strings
+from conftest import (brute_force_knn, checked_spokes, node_members,
+                      synth_aligned_strings)
 
 E = MetricKind.EUCLIDEAN
 
@@ -140,8 +141,8 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
     positions in ``order`` of the points it scans, ascending; and how
     many nodes the hubs prune and points the spokes rule out. ``dists``
     holds the query's distance to every point, ``spoke`` and ``hub`` the
-    tree's (see ``reference_spokes``; nan for a tree without them, which
-    rules nothing out) and ``slack`` the pruning test's
+    tree's (see ``reference_spokes``; nan where the tree does not know
+    one, which rules nothing out) and ``slack`` the pruning test's
     rounding allowance; ``eps = slack - 1`` widens the triangle bounds.
 
     A node is reached when its parent is explored. Its center is not
@@ -197,9 +198,9 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
 @pytest.fixture()
 def walk_order(monkeypatch):
     """``rho_search``, checking its walk and its scan against
-    :func:`reference_walk`, on spokes and hubs that ``reference_spokes``
-    computes anew and the tree's must equal (nan for a tree without them,
-    which the search must leave without them). Its one-row center tests,
+    :func:`reference_walk`, on the tree's spokes and hubs: each must be
+    nan (not known) or equal what ``reference_spokes`` computes anew, and
+    the search must leave their bytes as they were. Its one-row center tests,
     each named by the point its row views, are the reference's tested
     centers in pre-order, so every explored node's left subtree is tested
     before its right child. Its one scan pass gets the reference's
@@ -230,17 +231,11 @@ def walk_order(monkeypatch):
         searched["values"] = ds.values
         centers.clear()
         scans.clear()
-        bounded = tree.spoke is not None
+        bounds = tree.spoke.tobytes(), tree.hub.tobytes()
         report = rho_search(tree, q, r, ds)
         searched.clear()
-        n = tree.order.size
-        if bounded:
-            spoke, hub = reference_spokes(tree, ds)
-            # an insert leaves spare room past the last spoke
-            assert np.array_equal(tree.spoke[:n], spoke) and np.array_equal(tree.hub, hub)
-        else:
-            assert tree.spoke is None and tree.hub is None
-            spoke, hub = np.full(n, np.nan), np.full(tree.size.size, np.nan)
+        assert (tree.spoke.tobytes(), tree.hub.tobytes()) == bounds
+        spoke, hub = checked_spokes(tree, ds)
         slack = 1.0 + 4 * (ds.dim + 2) * 2.0 ** -52 if tree.metric.for_vectors else 1.0
         dists = distances_to(ds.values, ds.coerce_point(q), tree.metric)
         tested, positions, ruled_out = reference_walk(tree, dists, r, slack, spoke, hub)
@@ -265,7 +260,8 @@ def test_walk_tests_centers_and_scans_slices_in_pre_order(metric, walk_order):
     # hubs, records slices of order at increasing offsets and rules out
     # members by spokes; one pass scans the rest. A built tree and a
     # parsed one whose spokes and hubs ``_spokes`` works out walk alike;
-    # a parsed tree without them walks by cluster pruning alone
+    # a parsed tree, which knows none (all nan), walks by cluster pruning
+    # alone
     if metric.for_vectors:
         ds = synth_manifold(600, 10, 1, 0.02, seed=13, density_power=2.0)
     else:
@@ -274,6 +270,8 @@ def test_walk_tests_centers_and_scans_slices_in_pre_order(metric, walk_order):
     top = 4 * tree.radius[0]
     parsed, bounded = (tree_from_bytes(tree_to_bytes(tree))[0] for _ in range(2))
     _spokes(bounded, ds.values)
+    for t in (tree, bounded):  # both know every spoke and hub
+        checked_spokes(t, ds, known=True)
     for t in (tree, bounded, parsed):
         walk_order.skips[:] = [0, 0]
         for i in (0, 101, 277):
@@ -670,11 +668,12 @@ def test_knn_computes_each_distance_once(metric, knn_once):
 @pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
                                     MetricKind.LEVENSHTEIN])
 def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
-    # A parsed tree or a cut has no spokes or hubs until ``_spokes`` works
-    # them out (``deserialize`` does; an insert does first); a search
-    # neither needs them nor stores them. Each tree answers as the linear
-    # scan, at stored distances and at containment radii, and so does
-    # k-NN; the spokes and hubs it holds are those a fresh pass computes
+    # A parsed tree or a cut knows no spoke or hub (all nan) until
+    # ``_spokes`` works them out (``deserialize`` does); an insert writes
+    # only those it computes, and a search writes none. Each tree answers
+    # as the linear scan, at stored distances and at containment radii,
+    # and so does k-NN; each spoke and hub it knows is what a fresh pass
+    # computes
     if metric.for_vectors:
         ds = synth_manifold(450, 10, 1, 0.02, seed=29, density_power=2.0)
     else:
@@ -707,27 +706,24 @@ def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
                     naive_search(ds, q, r, metric).hits, name
             for k in (1, 7):
                 assert knn_search(tree, q, k, ds).hits == everything[:k], name
+        known = [np.count_nonzero(~np.isnan(b)) for b in checked_spokes(tree, ds)]
         if name in ("parsed", "cut"):
-            assert tree.spoke is None and tree.hub is None, name
-            continue
-        spoke, hub = reference_spokes(tree, ds)
-        assert np.array_equal(tree.spoke[:ds.n], spoke), name
-        assert np.array_equal(tree.hub, hub), name
+            assert known == [0, 0], name
+        elif name == "parsed, then grown":  # the inserted points' spokes, and splits'
+            inserted = ds.n - ds.n // 2
+            assert inserted <= known[0] < ds.n and 0 < known[1] < tree.size.size, name
+        else:
+            assert known == [ds.n, tree.size.size], name
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.LEVENSHTEIN])
 def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
     # the build and inserts keep spokes and hubs from the distances they
-    # compute anyway, so no insert of theirs pays the pass over the
-    # dataset that a parsed tree pays once; they equal its result
+    # compute anyway, so no insert pays a pass over the dataset, not even
+    # on a parsed tree, which knows none; a built tree's stay those a
+    # fresh pass computes
     worked_out = []
-    spokes = tree_mod._spokes
-
-    def recorded(tree, values):
-        worked_out.append(tree.spoke is None)
-        return spokes(tree, values)
-
-    monkeypatch.setattr(tree_mod, "_spokes", recorded)
+    monkeypatch.setattr(tree_mod, "_spokes", lambda tree, values: worked_out.append(tree))
     if metric.for_vectors:
         ds = synth_manifold(400, 10, 1, 0.02, seed=31, density_power=2.0)
     else:
@@ -735,14 +731,37 @@ def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
     grown = Dataset(ds.kind, ds.values[:ds.n // 4].copy())
     tree = build(grown, metric, BuildConfig(max_depth=20, min_size=3, seed=2))
     nodes = tree.size.size
+    parsed_grown = Dataset(ds.kind, grown.values.copy())
+    parsed, _ = tree_from_bytes(tree_to_bytes(tree))
     for p in ds.values[grown.n:]:
         insert_point(tree, p, grown)
+        insert_point(parsed, p, parsed_grown)
         rho_search(tree, p, 1.0, grown)
         knn_search(tree, p, 3, grown)
     assert tree.size.size > nodes + 20  # the inserts split leaves
-    assert len(worked_out) == ds.n - ds.n // 4 and not any(worked_out)
-    spoke, hub = reference_spokes(tree, grown)
-    assert np.array_equal(tree.spoke[:grown.n], spoke) and np.array_equal(tree.hub, hub)
+    assert tree_to_bytes(parsed) == tree_to_bytes(tree)
+    assert worked_out == []
+    checked_spokes(tree, grown, known=True)
+
+
+def test_an_insert_into_a_parsed_tree_costs_its_descent(monkeypatch):
+    # a parsed tree knows no spoke, and its first insert works none out:
+    # it computes its descent's distances (and a split's), not one per point
+    ds = synth_manifold(2_001, 10, 1, 0.02, seed=37, density_power=2.0)
+    n = ds.n - 1
+    head = Dataset(ds.kind, ds.values[:n].copy())
+    tree, _ = tree_from_bytes(tree_to_bytes(build(head, E, BuildConfig(seed=4))))
+    rows = []
+    kernel = tree_mod.distances_to
+
+    def counted(points, q, kind, counter=None):
+        rows.append(len(points))
+        return kernel(points, q, kind, counter)
+
+    monkeypatch.setattr(tree_mod, "distances_to", counted)
+    insert_point(tree, ds.values[-1], head)
+    assert 0 < sum(rows) < n // 2
+    assert not np.isnan(tree.spoke[n])  # the new point's own
 
 
 def caterpillar(ds: Dataset, rng: np.random.Generator,
@@ -814,6 +833,8 @@ def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search, rho=rho_search) ->
     for p in rng.uniform(0, 100, (10, 1)):
         insert_point(tree, p, ds)
     assert tree.cardinality[0] == ds.n == n0 + 10
+    check(tree)
+    _spokes(tree, ds.values)  # and again with every spoke and hub known
     check(tree)
     again, _ = tree_from_bytes(tree_to_bytes(tree))
     assert tree_to_bytes(again) == tree_to_bytes(tree)

@@ -6,9 +6,10 @@ archive round trips, under all four metrics. Coordinates are small
 integers and strings are short, so exact ties, duplicates and collinear
 triples are the rule. After every step the tree must parse back from its
 bytes and hold exactly the radii that a fresh pass over the dataset
-computes, and the spokes and hubs too unless it has none (parsed or cut,
-until they are worked out); every search must answer as the linear scan
-and leave the tree as it found it.
+computes, and each of its spokes and hubs must be nan (not known) or
+exactly what that pass computes: none nan after a build or a pass that
+works them all out, however many inserts follow. Every search must
+answer as the linear scan and leave the tree as it found it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from chess_search.metrics import distances_to
 from chess_search.tree import (_node_stats, _spokes, _truncated, tree_from_bytes,
                                tree_to_bytes)
 
-from conftest import reference_spokes
+from conftest import checked_spokes
 
 LETTERS = b"ACGT-"
 
@@ -70,6 +71,10 @@ class IndexMachine(RuleBasedStateMachine):
         self.dataset = Dataset(self.kind, np.vstack([_as_row(self.kind, p) for p in rows]))
         self.config = BuildConfig(max_depth, min_size, seed)
         self.tree = build(self.dataset, metric, self.config)
+        self.known = True  # whether the tree knows every spoke and hub
+
+    def _bounds(self) -> tuple[bytes, bytes]:
+        return self.tree.spoke.tobytes(), self.tree.hub.tobytes()
 
     def _query(self, data):
         """A stored point or a fresh one."""
@@ -98,9 +103,9 @@ class IndexMachine(RuleBasedStateMachine):
             c = self.tree.center[node]
             r = float(distances_to(self.dataset.values[c:c + 1], q, self.metric)[0]
                       + self.tree.radius[node])
-        bounded = self.tree.spoke is not None
+        bounds = self._bounds()
         got = rho_search(self.tree, q, r, self.dataset)
-        assert (self.tree.spoke is not None) == bounded  # searches write nothing
+        assert self._bounds() == bounds  # searches write nothing
         assert got.hits == naive_search(self.dataset, q, r, self.metric).hits
         assert got.comparisons <= self.dataset.n + self.tree.size.size
 
@@ -110,19 +115,23 @@ class IndexMachine(RuleBasedStateMachine):
         n = self.dataset.n
         far = float(distances_to(self.dataset.values, q, self.metric).max())
         everything = naive_search(self.dataset, q, far, self.metric).hits
+        bounds = self._bounds()
         for k in range(1, n + 1):
             got = knn_search(self.tree, q, k, self.dataset)
+            assert self._bounds() == bounds
             assert got.hits == everything[:k]  # ties to the lower index
             assert got.comparisons <= n + self.tree.size.size
 
     @rule(depth=st.integers(0, 8))
     def truncate(self, depth):
         self.tree = _truncated(self.tree, depth)
-        assert self.tree.spoke is None
+        self.known = False
+        assert np.isnan(self.tree.spoke).all() and np.isnan(self.tree.hub).all()
 
     @rule()
     def work_out_spokes(self):
         _spokes(self.tree, self.dataset.values)
+        self.known = True
 
     @rule(reverse=st.booleans())
     def byte_round_trip(self, reverse):
@@ -134,8 +143,9 @@ class IndexMachine(RuleBasedStateMachine):
             tree = dataclasses.replace(tree, order=order)
         raw = tree_to_bytes(tree)
         self.tree, end = tree_from_bytes(raw)
+        self.known = False
         assert end == len(raw) and tree_to_bytes(self.tree) == raw
-        assert self.tree.spoke is None
+        assert np.isnan(self.tree.spoke).all() and np.isnan(self.tree.hub).all()
 
     @precondition(lambda self: self.dataset.n >= 2)
     @rule(data=st.data())
@@ -161,14 +171,9 @@ class IndexMachine(RuleBasedStateMachine):
         tree_from_bytes(tree_to_bytes(tree))  # runs the structure check
         radius, _ = _node_stats(tree, values)
         assert radius.tobytes() == tree.radius.tobytes()
-        # a tree without them (parsed or cut) gets them from ``_spokes``,
-        # on a copy so that later steps still search it without them
-        spoke, hub = (_spokes(dataclasses.replace(tree), values) if tree.spoke is None
-                      else (tree.spoke, tree.hub))
-        spoke = spoke[:self.dataset.n]  # past the last point: an insert's spare room
-        want_spoke, want_hub = reference_spokes(tree, self.dataset)
-        assert spoke.tobytes() == want_spoke.tobytes()
-        assert hub.tobytes() == want_hub.tobytes()
+        # each nan or as a fresh pass makes it; none nan while the tree
+        # knows them all (inserts keep that so)
+        checked_spokes(tree, self.dataset, known=self.known)
 
 
 IndexMachine.TestCase.settings = settings(max_examples=300, stateful_step_count=12,
