@@ -123,8 +123,13 @@ class Dataset:
         return {**self.__dict__, "_buffer": None}
 
     def append_point(self, p) -> int:
-        """Append one point, returning its index. Invalidates the cached hash."""
-        arr = self.coerce_point(p)
+        """Check and append one point, returning its index; a refused point
+        leaves the dataset as it was. Invalidates the cached hash. A tree
+        over this dataset no longer covers it: see :func:`insert_point`."""
+        return self._append(self.coerce_point(p))
+
+    def _append(self, arr: np.ndarray) -> int:
+        """Append a point :meth:`coerce_point` returned; returns its index."""
         n = self.n
         if self._buffer is None or n == len(self._buffer):
             self._buffer = np.empty((2 * n, self.dim), dtype=self.values.dtype)

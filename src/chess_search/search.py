@@ -49,9 +49,8 @@ from itertools import repeat
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionError
 from .metrics import ComparisonCounter, MetricKind, distances_to
-from .tree import ClusterTree, _block_rows
+from .tree import ClusterTree, _block_rows, _check_exact_cover
 
 __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_search"]
 
@@ -149,12 +148,6 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"search radius must be finite and nonnegative, got {r}")
 
 
-def _check_covered(tree: ClusterTree, dataset: Dataset) -> None:
-    if dataset.n < tree.order.size:
-        raise DimensionError(f"tree covers {tree.order.size} points, "
-                             f"dataset holds {dataset.n}")
-
-
 def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
                _known: dict[int, float] | None = None) -> SearchReport:
     """All points within distance r of q, found by pruned tree descent.
@@ -198,8 +191,9 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     Comparisons count the center tests actually made plus the points
     scanned, one kernel call per test and one per block of the scanned
     points; ``fraction_searched`` is the share of the dataset scanned.
-    A search does not write to the tree. A dataset with fewer points than
-    the tree covers is a :class:`DimensionError`.
+    A search does not write to the tree. A dataset other than exactly the
+    points the tree covers is a :class:`DimensionError`, not a search
+    that misses the points appended since the tree last grew.
 
     ``_known`` serves :func:`knn_search` alone: distances from this same
     query, keyed by point index, that it has already computed, and the
@@ -210,7 +204,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     hits are those of a search without it, bit for bit.
     """
     _check_radius(r)
-    _check_covered(tree, dataset)
+    _check_exact_cover(tree, dataset)
     # :func:`knn_search` passes the query it has coerced already
     query = dataset.coerce_point(q) if _known is None else q
     values = dataset.values
@@ -319,9 +313,10 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
     center again and its scan covers only points not yet seen. The
     kernel gives a row the same bits in any block, so the answer and its
     distances are those of a search that computed everything anew;
-    ``comparisons`` counts the distances actually computed.
+    ``comparisons`` counts the distances actually computed. As in
+    :func:`rho_search`, the dataset must hold exactly the tree's points.
     """
-    _check_covered(tree, dataset)
+    _check_exact_cover(tree, dataset)
     n = tree.order.size
     if not (isinstance(k, numbers.Integral) and 1 <= k <= n):
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")

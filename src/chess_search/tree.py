@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateInputError, DimensionError, FormatError
+from .errors import DimensionError, FormatError
 from .metrics import ComparisonCounter, MetricKind, distances_to
 
 __all__ = [
@@ -353,17 +353,19 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
                  streams: list[int], seed: int, metric: MetricKind,
-                 counter: ComparisonCounter | None,
+                 counter: ComparisonCounter | None, spoke: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split every node of a level in two: the one step that splits a node,
     in :func:`build` and :func:`insert_point` alike.
 
     ``members`` holds the nodes' members node after node, ``counts`` each
     in ascending point-index order; node ``k`` draws its seeds from stream
-    ``streams[k]``. Returns the children's centers, members (stable within
-    each child), each member's distance to its child's center (0 for the
-    center itself, which is not compared), radii and counts, left child
-    first.
+    ``streams[k]``. ``spoke`` holds every member's distance to its node's
+    center. A child's center is a member of its node, so the child's hub
+    is that center's entry; then each member's entry becomes its distance
+    to its child's center (0 for the center itself, which is not
+    compared). Returns the children's centers, members (stable within
+    each child), hubs, radii and counts, left child first.
     """
     starts = np.cumsum(counts) - counts
     left, right = _level_poles(values, [
@@ -376,8 +378,10 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
     child = 2 * node_of + ~goes_left
     regroup = np.argsort(child, kind="stable")
     children = np.bincount(child, minlength=2 * counts.size)  # each at least 1
-    own = own[regroup]
-    return (_interleave(left, right), members[regroup], own,
+    centers, members, own = _interleave(left, right), members[regroup], own[regroup]
+    hubs = spoke[centers]
+    spoke[members] = own
+    return (centers, members, hubs,
             np.maximum.reduceat(own, np.cumsum(children) - children), children)
 
 
@@ -442,13 +446,9 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
 
         inside = np.repeat(split, counts)
         streams = [s for s, f in zip(streams, split.tolist()) if f]
-        centers, members, own, radius, counts = _level_split(
+        centers, members, hubs, radius, counts = _level_split(
             values, members[inside], counts[split], streams, config.seed, metric,
-            counter)
-        # a child's center is a member of its parent: its hub is the
-        # distance the parent's level holds for it
-        hubs = near[centers]
-        near[members] = own
+            counter, near)
         streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
         offsets = _interleave(offsets[split], offsets[split] + counts[0::2])
         spent.append(counter.count)
@@ -590,11 +590,12 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     child still outgrow that rule (only a leaf of duplicates can leave one
     so), it splits in turn.
 
-    The dataset must hold exactly the points the tree covers, or the
-    insert is a :class:`DimensionError`. :meth:`Dataset.append_point` is
-    the one check of the point; a point that fails it, or whose distance
-    to the root center is undefined (a zero vector under the chord
-    distance), leaves the tree and the dataset as they were.
+    The insert checks before it writes, and undoes nothing: the dataset
+    must hold exactly the points the tree covers (else a
+    :class:`DimensionError`), :meth:`Dataset.coerce_point` must take the
+    point, and its distance to the root center must be defined (not a
+    zero vector under the chord distance). A refused point leaves the
+    tree and the dataset as they were; it is appended after the descent.
 
     Cost: one distance to the root center, then one kernel call per level
     on the two child centers; the chosen child's distance serves the next
@@ -610,17 +611,11 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     Requires exclusive access: no concurrent searches during mutation.
     """
     _check_exact_cover(tree, dataset)
+    arr = dataset.coerce_point(point)
     metric, config = tree.metric, tree.config
-    before = dataset.values, dataset._hash
-    new_index = dataset.append_point(point)
     values = dataset.values
-    arr = values[new_index]
     center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
-    try:
-        d_node = float(distances_to(values[center[:1]], arr, metric)[0])
-    except DegenerateInputError:  # a zero vector under chord: take it back out
-        dataset.values, dataset._hash = before
-        raise
+    d_node = float(distances_to(values[center[:1]], arr, metric)[0])
 
     path = []
     node = off = 0
@@ -640,6 +635,8 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     path.append(node)
     card[path] += 1
     radius[node] = max(radius[node], d_node)
+    new_index = dataset._append(arr)
+    values = dataset.values
     end = off + int(card[node])
     tree.order = np.concatenate((tree.order[:end - 1], [new_index],
                                  tree.order[end - 1:]))
@@ -655,11 +652,10 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     while (card[node] > 2 * config.min_size and radius[node] > 0.0
            and len(path) <= config.max_depth):
         members = np.sort(tree.order[off:off + int(card[node])])
-        centers, members, own, child_radius, counts = _level_split(
-            values, members, card[node:node + 1], [stream], config.seed, metric, None)
+        centers, members, hubs, child_radius, counts = _level_split(
+            values, members, card[node:node + 1], [stream], config.seed, metric, None,
+            tree.spoke)
         tree.order[off:off + members.size] = members
-        hubs = tree.spoke[centers]  # the children's: their centers' spokes in the node
-        tree.spoke[members] = own
         size[path] += 2
         tree.center, tree.radius, tree.cardinality, tree.size, tree.hub = (
             np.insert(column, node + 1, rows) for column, rows in
@@ -673,7 +669,7 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
         path.append(node)
 
     # rows of ``values`` are never rewritten, so the view is a snapshot
-    tree._grown = dataset, dataset.values
+    tree._grown = dataset, values
     return tree
 
 

@@ -80,6 +80,24 @@ def node_members(tree, node: int) -> np.ndarray:
     return tree.order[off:off + int(tree.cardinality[node])]
 
 
+def descent_leaves(tree, ds: Dataset) -> np.ndarray:
+    """The leaf each stored point's descent ends at, by point index: from
+    the root on into the child whose center is nearer, the left one on a
+    tie. A point's distances to all centers come from one kernel call,
+    the centers as rows and the point as the query, as a descent pairs
+    them."""
+    size, leaves = tree.size, np.empty(ds.n, dtype=np.int64)
+    for p in range(ds.n):
+        d = distances_to(ds.values[tree.center], ds.values[p], tree.metric)
+        node = 0
+        while size[node] > 1:
+            left = node + 1
+            right = left + size[left]
+            node = left if d[left] <= d[right] else right
+        leaves[p] = node
+    return leaves
+
+
 def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Every point's distance to its leaf's center, by point index, and
     every node's center's distance to its parent's center (0 at the

@@ -552,16 +552,25 @@ def test_knn_k_out_of_range(small_manifold):
     assert len(knn_search(tree, ds.values[0], np.int64(3), ds).hits) == 3
 
 
-def test_search_refuses_a_dataset_smaller_than_the_tree():
+def test_search_refuses_a_dataset_the_tree_does_not_cover_exactly():
+    # a tree misses every point appended since it last grew: searching a
+    # larger dataset would lose hits without a word
     ds = synth_manifold(300, 4, 1, 0.05, seed=20)
-    tree = build(ds, E, BuildConfig(max_depth=10, min_size=5, seed=6))
-    small = Dataset.from_vectors(ds.values[:50])
+    config = BuildConfig(max_depth=10, min_size=5, seed=6)
+    tree = build(ds, E, config)
     q = ds.values[0]
-    for search in (lambda: rho_search(tree, q, 1.0, small),
-                   lambda: knn_search(tree, q, 3, small)):
-        with pytest.raises(DimensionError,
-                           match="tree covers 300 points, dataset holds 50"):
-            search()
+    small = Dataset.from_vectors(ds.values[:50])
+    appended = Dataset.from_vectors(ds.values)
+    appended.append_point(q + 1e-3)
+    # another tree's insert grows the dataset both trees cover
+    shared = Dataset.from_vectors(ds.values)
+    insert_point(build(shared, E, config), q + 1e-3, shared)
+    for data in (small, appended, shared):
+        for search in (lambda: rho_search(tree, q, 1.0, data),
+                       lambda: knn_search(tree, q, 3, data)):
+            with pytest.raises(DimensionError,
+                               match=f"tree covers 300 points, dataset holds {data.n}"):
+                search()
 
 
 def test_knn_far_query_stays_exact():

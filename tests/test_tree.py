@@ -22,7 +22,7 @@ from chess_search.tree import (_TREE_HEADER, _level_partition, _level_stats,
                                _truncated, select_poles, tree_from_bytes,
                                tree_to_bytes)
 
-from conftest import node_members
+from conftest import descent_leaves, node_members
 
 E = MetricKind.EUCLIDEAN
 
@@ -669,6 +669,38 @@ def test_insert_refuses_a_dataset_the_tree_does_not_cover():
                        match="tree covers 100 points, dataset holds 50"):
         insert_point(tree, np.full(4, 0.5), small)
     assert small.n == 50 and tree.order.size == 100
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_every_stored_point_descends_to_its_own_leaf(metric):
+    # the build's partition, an insert's descent and k-NN's descent share
+    # one rule: on into the nearer child center, ties going left. So a
+    # descent toward a stored point ends at the leaf that holds it. No two
+    # base points are at distance 0: the build sends a right pole right
+    # even on a tie with the left pole, which a descent cannot see
+    rng = np.random.default_rng(43)
+    if metric.for_vectors:
+        ds = synth_manifold(400, 6, 2, 0.05, seed=43)
+    else:
+        rows = np.unique(LETTERS[rng.integers(0, 5, (420, 24))], axis=0)
+        ds = Dataset(DatasetKind.ALIGNED_STRINGS, rows[rng.permutation(400)])
+    base = Dataset(ds.kind, ds.values[:300].copy())
+    built = build(base, metric, BuildConfig(50, 4, 7))
+    grown = build(base, metric, BuildConfig(50, 4, 7))
+    grown_ds = Dataset(ds.kind, base.values.copy())
+    # fresh points and duplicates of stored ones, one copy each at most,
+    # so that a split's poles never coincide
+    points = np.concatenate((ds.values[300:], base.values[rng.choice(300, 40, False)]))
+    for p in points[rng.permutation(len(points))]:
+        insert_point(grown, p, grown_ds)
+    assert metric_entropy(grown) > metric_entropy(built)
+    parsed, _ = tree_from_bytes(tree_to_bytes(grown))
+    for tree, data in ((built, base), (grown, grown_ds), (parsed, grown_ds),
+                       (_truncated(built, built.depth // 2), base)):
+        leaves, bounds = tree.leaf_offsets()
+        want = np.empty(data.n, dtype=np.int64)
+        want[tree.order] = np.repeat(leaves, np.diff(bounds))
+        assert np.array_equal(descent_leaves(tree, data), want)
 
 
 def test_repr_of_grown_tree_does_not_hash(monkeypatch):
