@@ -31,12 +31,13 @@ rules nothing out (see ``tree.ClusterTree``).
 a cluster of at least k points; the k-th smallest distance in it bounds
 the k-th nearest distance from above, and the first k hits of a range
 search at that bound are the answer. The query computes each point's
-distance once: the descent's center tests and the bound cluster's scan
-go into the range search, whose walk reads a center's distance from them
-instead of testing it again and whose fine scan skips every point whose
-distance is known. This is exact because the kernel gives a row the same
-bits whatever block it comes in (see ``metrics.distances_to``), so a
-distance read back equals the one a new kernel call would compute.
+distance once, in few kernel calls: the descent's center tests, the
+bound cluster's scan and a pass that tests the range walk's centers in
+one call per depth go into the range search, whose walk then tests no
+center and whose scan skips every point whose distance is known. This is
+exact because the kernel gives a row the same bits whatever block it
+comes in (see ``metrics.distances_to``), so a distance read back equals
+the one a new kernel call would compute.
 """
 
 from __future__ import annotations
@@ -148,6 +149,12 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"search radius must be finite and nonnegative, got {r}")
 
 
+def _slack(metric: MetricKind, dim: int) -> tuple[float, float]:
+    """The walk's ``slack`` and ``eps`` (see :func:`rho_search`)."""
+    slack = 1.0 + 4 * (dim + 2) * 2.0 ** -52 if metric.for_vectors else 1.0
+    return slack, slack - 1.0
+
+
 def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
                _known: dict[int, float] | None = None) -> SearchReport:
     """All points within distance r of q, found by pruned tree descent.
@@ -209,8 +216,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     query = dataset.coerce_point(q) if _known is None else q
     values = dataset.values
     metric = tree.metric
-    slack = 1.0 + 4 * (dataset.dim + 2) * 2.0 ** -52 if metric.for_vectors else 1.0
-    eps = slack - 1.0
+    slack, eps = _slack(metric, dataset.dim)
     counter = ComparisonCounter()
     # this query's distances by point index: the walk's center tests, and
     # for k-NN what it computed before the search
@@ -294,6 +300,38 @@ def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchRep
                         leaves_visited=-(-len(values) // block), fraction_searched=1.0)
 
 
+def _test_centers_by_depth(tree: ClusterTree, query, r: float, dataset: Dataset,
+                           counter: ComparisonCounter, known: dict[int, float]) -> None:
+    """Adds to ``known`` the distance of each center that the walk of
+    ``rho_search(tree, query, r, dataset, _known=known)`` would test, one
+    kernel call per depth, so that walk tests none. It decides each node
+    by that walk's rules, by depth, not in pre-order: nodes share a center
+    only if one is the other's ancestor, so the order changes no decision."""
+    slack, eps = _slack(tree.metric, dataset.dim)
+    center, radius, size, hub = tree.center.item, tree.radius.item, tree.size.item, tree.hub.item
+    frontier = [(0, math.nan)] if size(0) > 1 else []  # explored nodes, with d
+    while frontier:
+        tested, nxt = [], []
+        for node, d_p in frontier:
+            for child in (node + 1, node + 1 + size(node + 1)):
+                d = known.get(center(child))
+                if d is None:
+                    h = hub(child)
+                    if not abs(d_p - h) - eps * (d_p + h) > (r + radius(child)) * slack:
+                        tested.append(child)
+                elif size(child) > 1 and d <= (r + (rad := radius(child))) * slack \
+                        and d + rad > r:
+                    nxt.append((child, d))
+        if tested:
+            new = [center(child) for child in tested]
+            dists = distances_to(dataset.values.take(new, axis=0), query, tree.metric,
+                                 counter).tolist()
+            known.update(zip(new, dists))
+            nxt += [(child, d) for child, d in zip(tested, dists) if size(child) > 1
+                    and d <= (r + radius(child)) * slack and d + radius(child) > r]
+        frontier = nxt
+
+
 def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
     """The k nearest stored points, exactly as a brute-force scan ranks them.
 
@@ -308,9 +346,10 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
 
     Each point's distance is computed once. The descent skips a center it
     has already tested (a child may share its parent's center), the scan
-    of the bound cluster skips the descent's centers, and the range
-    search gets every distance computed so far, so its walk tests no
-    center again and its scan covers only points not yet seen. The
+    of the bound cluster skips the descent's centers, and a pass tests
+    the range walk's other centers at ``b``, one kernel call per depth.
+    The range search gets every distance computed so far, so its walk
+    tests no center and its scan covers only points not yet seen. The
     kernel gives a row the same bits in any block, so the answer and its
     distances are those of a search that computed everything anew;
     ``comparisons`` counts the distances actually computed. As in
@@ -318,7 +357,7 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
     """
     _check_exact_cover(tree, dataset)
     n = tree.order.size
-    if not (isinstance(k, numbers.Integral) and 1 <= k <= n):
+    if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and 1 <= k <= n):
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     query = dataset.coerce_point(q)
     values, metric = dataset.values, tree.metric
@@ -332,8 +371,8 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
         right = left + size(left)
         pair = center(left), center(right)
         new = [c for c in pair if c not in known]
-        if new:
-            known.update(zip(new, distances_to(values[new], query, metric,
+        if new:  # ``take`` gathers rows in a third of ``values[new]``'s time
+            known.update(zip(new, distances_to(values.take(new, axis=0), query, metric,
                                                counter).tolist()))
         child, child_off = (left, off) if known[pair[0]] <= known[pair[1]] \
             else (right, off + card(left))
@@ -346,6 +385,7 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
                             _block_rows(values), known)
     known.update(zip(members.tolist(), dists.tolist()))
     bound = float(np.partition(dists, k - 1)[k - 1])
+    _test_centers_by_depth(tree, query, bound, dataset, counter, known)
     report = rho_search(tree, query, bound, dataset, _known=known)
     return KnnReport(hits=report.hits[:k], invocations=1, final_radius=bound,
                      comparisons=counter.count + report.comparisons)

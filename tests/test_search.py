@@ -550,6 +550,10 @@ def test_knn_k_out_of_range(small_manifold):
     with pytest.raises(ValueError, match="k must be an integer in"):
         knn_search(tree, ds.values[0], 2.5, ds)
     assert len(knn_search(tree, ds.values[0], np.int64(3), ds).hits) == 3
+    # a bool is no count, whether Python's or numpy's
+    for k in (True, np.True_):
+        with pytest.raises(ValueError, match="k must be an integer in"):
+            knn_search(tree, ds.values[0], k, ds)
 
 
 def test_search_refuses_a_dataset_the_tree_does_not_cover_exactly():
@@ -617,17 +621,23 @@ def knn_once(monkeypatch):
     distance twice: the search module's kernel calls record every row
     they get by its bytes (the tests' points are distinct), the rows sum
     to the report's comparisons, and the query makes one range search,
-    at the bound it reports."""
+    at the bound it reports. That search tests no center: each of its
+    kernel calls is a block of its scan."""
     rows: list[bytes] = []
     radii: list[float] = []
+    calls = [0]
 
     def kernel(points, q, kind, counter=None):
         rows.extend(p.tobytes() for p in points)
+        calls[0] += 1
         return distances_to(points, q, kind, counter)
 
     def range_search(*args, **kwargs):
         radii.append(args[2])
-        return rho_search(*args, **kwargs)
+        before = calls[0]
+        report = rho_search(*args, **kwargs)
+        assert calls[0] - before == report.leaves_visited
+        return report
 
     monkeypatch.setattr(search, "distances_to", kernel)
     monkeypatch.setattr(search, "rho_search", range_search)
@@ -672,6 +682,70 @@ def test_knn_computes_each_distance_once(metric, knn_once):
             # descent's two center tests and that scan, every distance is
             # known, so the range search computes none
             assert report.comparisons == ds.n
+
+
+def test_knn_tests_its_range_walks_centers_one_kernel_call_per_depth(kernel_calls):
+    # Mutants of a few ancestors under Levenshtein: at the k-NN bound the
+    # range walk reaches most clusters, so a call per center test would
+    # make some 70 calls a query. The descent makes one call per level,
+    # the bound cluster's scan one, the pass one per depth and the range
+    # search's scan one: the corpus fits in one block
+    ds = synth_aligned_strings(256, 32, 16, 0.1, seed=35)
+    tree = build(ds, MetricKind.LEVENSHTEIN, BuildConfig(max_depth=8, min_size=10, seed=0))
+    assert _block_rows(ds.values) >= ds.n
+    # the same stream goes on past the stored strings: 40 new ones
+    queries = synth_aligned_strings(296, 32, 16, 0.1, seed=35).values[ds.n:]
+    computed = []
+    for q in queries:
+        kernel_calls.clear()
+        report = knn_search(tree, q, 10, ds)
+        assert len(kernel_calls) <= 2 * tree.depth + 2
+        computed.append(report.comparisons)
+    # the walk reaches most clusters: the distances far outnumber the calls
+    assert np.mean(computed) > 4 * (2 * tree.depth + 2)
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
+                                    MetricKind.LEVENSHTEIN])
+def test_knn_pass_tests_the_centers_its_range_walk_would(metric, monkeypatch):
+    # The pass before the range search at the bound tests, by depth, the
+    # centers that search's walk would test in pre-order: it adds to the
+    # known distances exactly the keys, and the values, that a range
+    # search given a copy of them adds. On built, grown, parsed (no spoke
+    # or hub known) and cut trees
+    if metric.for_vectors:
+        ds = synth_manifold(450, 10, 1, 0.02, seed=35, density_power=2.0)
+    else:
+        ds = synth_aligned_strings(240, 40, 4, 0.05, seed=35)
+    config = BuildConfig(max_depth=20, min_size=4, seed=5)
+    built = build(ds, metric, config)
+    head = Dataset(ds.kind, ds.values[:ds.n // 2].copy())
+    grown = build(head, metric, config)
+    for p in ds.values[head.n:]:
+        insert_point(grown, p, head)
+    trees = {"built": built, "grown": grown,
+             "parsed": tree_from_bytes(tree_to_bytes(built))[0], "cut": _truncated(built, 6)}
+    added: list[int] = []
+    by_depth = search._test_centers_by_depth
+
+    def checked(tree, query, r, dataset, counter, known):
+        walked, before = dict(known), len(known)
+        by_depth(tree, query, r, dataset, counter, known)
+        rho_search(tree, query, r, dataset, _known=walked)
+        assert known == walked
+        added.append(len(known) - before)
+
+    monkeypatch.setattr(search, "_test_centers_by_depth", checked)
+    rng = np.random.default_rng(35)
+    for name, tree in trees.items():
+        added.clear()
+        for i in rng.choice(ds.n, 6, replace=False):
+            q = ds.values[i]
+            everything = naive_search(ds, q, float(distances_to(ds.values, q, metric).max()),
+                                      metric).hits
+            for k in (1, 10, 60):
+                assert knn_search(tree, q, k, ds).hits == everything[:k], name
+        assert len(added) == 18 and sum(added) > 0, name
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
