@@ -2,18 +2,16 @@
 
 k-NN descends toward the query to a cluster of at least k points, takes
 the k-th smallest distance in it as a bound radius, and keeps the first
-k hits of one range search at that radius. Before it, a pass tests the
-centers that range search's walk would test, one kernel call per depth.
-The range search is handed every distance the descent, the bound
-cluster's scan and the pass computed, so it tests no center and scans
-only points not yet seen: each point's distance is computed once per
-query, and the answer is the same bit for bit, since the kernel gives a
-row the same result in any block. The comparisons printed count only
-those distances. Inserting a point is a
-zero-radius descent into its leaf, however far outside it the point
-lands; a leaf that outgrows twice the build's ``min_size`` splits by
-the build's own step. Exits nonzero if any k-NN answer differs from
-brute force.
+k hits of one range search at that radius. The range search is handed
+every distance the descent and the bound cluster's scan computed. Its
+walk tests only the centers not yet known, one kernel call per depth,
+and it scans only points not yet seen: each point's distance is
+computed once per query, and the answer is the same bit for bit, since
+the kernel gives a row the same result in any block. The comparisons
+printed count only those distances. Inserting a point is a zero-radius
+descent into its leaf, however far outside it the point lands; a leaf
+that outgrows twice the build's ``min_size`` splits by the build's own
+step. Exits nonzero if any k-NN answer differs from brute force.
 """
 
 import sys

@@ -148,12 +148,13 @@ def _coordinate_bound(dim: int) -> float:
     return math.sqrt(sys.float_info.max / 2 / dim) / 2
 
 
-def _first_unbounded(values: np.ndarray) -> int:
+def _first_unbounded(values: np.ndarray, bound: float | None = None) -> int:
     """Flat index of the first coordinate of ``values`` (one point, or rows
-    of points) that is not finite or lies beyond ``_coordinate_bound``,
-    or -1. When there is none it costs two reductions, which make no
-    temporary array."""
-    bound = _coordinate_bound(values.shape[-1])
+    of points) that is not finite or lies beyond ``bound`` (by default
+    ``_coordinate_bound``), or -1. When there is none it costs two
+    reductions, which make no temporary array."""
+    if bound is None:
+        bound = _coordinate_bound(values.shape[-1])
     # the ufuncs' own reductions skip the wrappers of ``ndarray.max`` and
     # ``min``, which cost more than a point's whole check; Python floats
     # compare NaN as False, and silently
@@ -164,14 +165,16 @@ def _first_unbounded(values: np.ndarray) -> int:
         return int(np.flatnonzero(~(np.abs(values) <= bound))[0])
 
 
-def _check_coordinates(values: np.ndarray) -> None:
+def _check_coordinates(values: np.ndarray, bound: float | None = None) -> None:
     """Raise :class:`DimensionError` at the first coordinate of ``values``
-    that :func:`_first_unbounded` finds."""
-    i = _first_unbounded(values)
+    that :func:`_first_unbounded` finds beyond ``bound``."""
+    dim = values.shape[-1]
+    if bound is None:
+        bound = _coordinate_bound(dim)
+    i = _first_unbounded(values, bound)
     if i < 0:
         return
-    v, dim = float(values.flat[i]), values.shape[-1]
-    bound = _coordinate_bound(dim)
+    v = float(values.flat[i])
     where = f"index {i}" if values.ndim == 1 else f"row {i // dim}, index {i % dim}"
     if not math.isfinite(v):
         raise DimensionError(f"dense values must be finite: {v} at {where}")
@@ -381,11 +384,13 @@ def distance(a, b, kind: MetricKind) -> float:
     of single-character edits (lengths may differ). A Euclidean
     coordinate beyond the bound a dataset admits is a
     :class:`DimensionError`, where the squares could overflow; chord
-    scales its rows first and takes any finite coordinate.
+    scales its rows first and takes any finite coordinate. A coordinate
+    that is not finite is a :class:`DimensionError` under both.
     """
     coerce = as_vector if kind.for_vectors else as_codes
     a, b = coerce(a), coerce(b)
-    if kind is MetricKind.EUCLIDEAN:
-        _check_coordinates(a)
-        _check_coordinates(b)
+    if kind.for_vectors:
+        bound = None if kind is MetricKind.EUCLIDEAN else sys.float_info.max
+        _check_coordinates(a, bound)
+        _check_coordinates(b, bound)
     return float(distances_to(a[np.newaxis], b, kind)[0])

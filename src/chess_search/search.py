@@ -1,43 +1,44 @@
 """Range and k-nearest-neighbor queries over a cluster tree.
 
 ``rho_search`` has two stages, as entropy-scaling search does. The
-coarse stage is one forward pass over the flat pre-order tree, from the
-root's first child on. It tests each node's center against the query,
-and the node has one of three outcomes. A node the query ball of radius
-r cannot intersect (center farther than ``r + radius[node]``, up to the
-rounding of a floating-point distance) is pruned, and the pass skips its
-subtree. A leaf, or a node the ball wholly contains
-(``d + radius[node] <= r``), has its slice of the tree's member
-permutation recorded, and the pass skips its subtree too: no center
-below it is tested. Any other node is explored: the pass steps to its
-first child, the next node in pre-order. The fine stage joins the
-recorded slices and scans them in one pass, one kernel call per block
-of at most ``_BLOCK_BYTES`` of rows (the build's block size).
+coarse stage walks the flat pre-order tree one depth at a time, from
+the root's children on. At each depth it tests the centers of the
+children of the nodes it explored at the depth before, and each child
+has one of three outcomes. A child the query ball of radius r cannot
+intersect (center farther than ``r + radius[node]``, up to the rounding
+of a floating-point distance) is pruned with its subtree. A leaf, or a
+node the ball wholly contains (``d + radius[node] <= r``), has its
+slice of the tree's member permutation recorded, and no center below
+it is tested. Any other node is explored: its children are decided at
+the next depth. The fine stage sorts the recorded slices by their
+offsets, joins them and scans them in one pass, one kernel call per
+block of at most ``_BLOCK_BYTES`` of rows (the build's block size).
 Every offered distance obeys the triangle inequality, so this returns
 exactly the naive linear-scan result.
 
 Two more triangle-inequality bounds rule out work with distances the
 tree already holds (M-tree's parent-distance filter, Ciaccia, Patella
 and Zezula, VLDB 1997). An explored node hands its center's distance
-``d_p`` to both its children; a child whose *hub* (its center's distance
-to its parent's) puts ``|d_p - hub|`` beyond ``r + radius`` is pruned
-without its center test. A reached leaf's member whose *spoke* (its
-distance to the leaf's center, ``d``) puts ``|d - spoke|`` beyond ``r``
-cannot be a hit, and is not scanned. The build and inserts keep spokes
-and hubs from distances they compute anyway; one not known is nan, which
-rules nothing out (see ``tree.ClusterTree``).
+``d_p`` to both its children (the walk's frontier carries it); a child
+whose *hub* (its center's distance to its parent's) puts ``|d_p -
+hub|`` beyond ``r + radius`` is pruned without its center test. A
+reached leaf's member whose *spoke* (its distance to the leaf's center,
+``d``) puts ``|d - spoke|`` beyond ``r`` cannot be a hit, and is not
+scanned. The build and inserts keep spokes and hubs from distances they
+compute anyway; one not known is nan, which rules nothing out (see
+``tree.ClusterTree``).
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
 the k-th nearest distance from above, and the first k hits of a range
 search at that bound are the answer. The query computes each point's
-distance once, in few kernel calls: the descent's center tests, the
-bound cluster's scan and a pass that tests the range walk's centers in
-one call per depth go into the range search, whose walk then tests no
-center and whose scan skips every point whose distance is known. This is
-exact because the kernel gives a row the same bits whatever block it
-comes in (see ``metrics.distances_to``), so a distance read back equals
-the one a new kernel call would compute.
+distance once, in few kernel calls: the descent's center tests and the
+bound cluster's scan go into the range search, whose walk tests the
+other centers it needs in one call per depth and whose scan skips every
+point whose distance is known. This is exact because the kernel gives a
+row the same bits whatever block it comes in (see
+``metrics.distances_to``), so a distance read back equals the one a new
+kernel call would compute.
 """
 
 from __future__ import annotations
@@ -149,28 +150,26 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"search radius must be finite and nonnegative, got {r}")
 
 
-def _slack(metric: MetricKind, dim: int) -> tuple[float, float]:
-    """The walk's ``slack`` and ``eps`` (see :func:`rho_search`)."""
-    slack = 1.0 + 4 * (dim + 2) * 2.0 ** -52 if metric.for_vectors else 1.0
-    return slack, slack - 1.0
-
-
 def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
                _known: dict[int, float] | None = None) -> SearchReport:
     """All points within distance r of q, found by pruned tree descent.
 
-    The root is always explored. Each child of an explored internal node
-    is decided once, with ``d = d(q, center[child])``:
+    The walk goes one depth at a time. The root is always explored; each
+    child of an explored internal node is decided once, with ``d =
+    d(q, center[child])``:
 
     - if ``d + radius[child] <= r`` the ball holds the whole cluster, so
       under the triangle inequality every descendant would pass its own
       test: the child's slice of ``order`` is scanned whole and no
       center below the child is tested;
-    - else if ``d <= r + radius[child]`` the child is explored;
+    - else if ``d <= r + radius[child]`` the child is explored, and its
+      children are decided at the next depth;
     - else it is pruned.
 
     ``d`` costs a center test unless it is known: a child that shares its
-    parent's center (or any center tested before) reads it back. A child
+    parent's center (or any center tested before) reads it back. Nodes
+    share a center only if one is the other's ancestor, so the order in
+    which a depth's children are decided changes no decision. A child
     of an explored node other than the root is first held to its hub:
     ``|d_p - hub| <= d`` by the triangle inequality, with ``d_p`` the
     parent's distance, so when that lower bound already exceeds ``r +
@@ -205,10 +204,11 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     ``_known`` serves :func:`knn_search` alone: distances from this same
     query, keyed by point index, that it has already computed, and the
     query it has already coerced. The walk reads a center's distance from
-    it instead of testing the center and adds each center it does test;
-    the scan reads every point found there and computes only the others.
-    The kernel's results do not depend on the block a row comes in, so the
-    hits are those of a search without it, bit for bit.
+    it instead of testing the center, tests each depth's other centers in
+    one kernel call and adds them to it; the scan reads every point found
+    there and computes only the others. The kernel's results do not
+    depend on the block a row comes in, so the hits are those of a search
+    without it, bit for bit.
     """
     _check_radius(r)
     _check_exact_cover(tree, dataset)
@@ -216,57 +216,71 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     query = dataset.coerce_point(q) if _known is None else q
     values = dataset.values
     metric = tree.metric
-    slack, eps = _slack(metric, dataset.dim)
+    slack = 1.0 + 4 * (dataset.dim + 2) * 2.0 ** -52 if metric.for_vectors else 1.0
+    eps = slack - 1.0
     counter = ComparisonCounter()
     # this query's distances by point index: the walk's center tests, and
     # for k-NN what it computed before the search
     known = {} if _known is None else _known
-    recall = known.get
 
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
     # close to that of attribute access
     center, radius, size = tree.center.item, tree.radius.item, tree.size.item
     card, order, hub = tree.cardinality.item, tree.order, tree.hub.item
-    # the root is explored untested; ``off`` is where ``node``'s slice of
-    # order starts. An explored node steps to its first child, ``node + 1``;
-    # any other node is skipped with its subtree
-    end = size(0)
-    # the reached slices of order and the distance of their leaf's center
-    # (nan for a contained cluster, whose every member is a hit); a
-    # one-node tree scans it all
-    slices, d_leaf = ([order], [math.nan]) if end == 1 else ([], [])
-    handed = {}  # an explored node's children -> its center's distance
+    # one depth's explored nodes: (node, where its slice of order starts,
+    # its center's distance). The root is explored untested, and its nan
+    # distance bounds nothing
+    frontier = [(0, 0, math.nan)] if size(0) > 1 else []
+    # the reached slices of order, (offset, count, distance of their
+    # leaf's center), nan for a contained cluster, whose every member is
+    # a hit; a one-node tree scans it all
+    reached = [] if frontier else [(0, order.size, math.nan)]
     lossy = False  # whether the spoke filter can drop a reached leaf's point
-    node, off = 1, 0
-    while node < end:
-        c, rad = center(node), radius(node)
-        bound = (r + rad) * slack
-        d_center = recall(c)
-        if d_center is None:
-            # the hub bounds d(q, c) from below; a nan one, or the nan
-            # parent distance of the root's children, bounds nothing
-            d_parent, h = handed.get(node, math.nan), hub(node)
-            d_center = abs(d_parent - h) - eps * (d_parent + h)
-            if not d_center > bound:
-                d_center = known[c] = float(distances_to(values[c:c + 1], query, metric,
-                                                         counter)[0])
-        if d_center <= bound:  # else pruned
-            if size(node) > 1:
-                if d_center + rad > r:  # explored
-                    handed[node + 1] = handed[node + 1 + size(node + 1)] = d_center
-                    node += 1
-                    continue
-                d_leaf.append(math.nan)  # contained
-            else:  # a leaf: its spokes can rule members out
-                d_leaf.append(d_center)
-                lossy = lossy or d_center > r or rad - d_center > r
-            slices.append(order[off:off + card(node)])
-        off += card(node)
-        node += size(node)
+    while frontier:
+        children, new = [], []  # the children not pruned by hubs; untested centers
+        for node, off, d_p in frontier:
+            left = node + 1
+            for child, at in ((left, off), (left + size(left), off + card(left))):
+                c = center(child)
+                if c not in known:
+                    # the hub bounds d(q, c) from below; a nan one bounds nothing
+                    h = hub(child)
+                    if abs(d_p - h) - eps * (d_p + h) > (r + radius(child)) * slack:
+                        continue
+                    new.append(c)
+                children.append((child, at, c))
+        if new:
+            if _known is None:
+                # one kernel call per center: the benchmark harness counts a
+                # range read's center tests as its kernel calls less its scan
+                # blocks. ROADMAP item 2a has it read them from the report,
+                # and deletes this branch
+                for c in new:
+                    known[c] = float(distances_to(values[c:c + 1], query, metric,
+                                                  counter)[0])
+            else:
+                known.update(zip(new, distances_to(values.take(new, axis=0), query,
+                                                   metric, counter).tolist()))
+        frontier = []
+        for child, at, c in children:
+            d, rad = known[c], radius(child)
+            if d <= (r + rad) * slack:  # else pruned
+                if size(child) > 1:
+                    if d + rad > r:  # explored
+                        frontier.append((child, at, d))
+                        continue
+                    reached.append((at, card(child), math.nan))  # contained
+                else:  # a leaf: its spokes can rule members out
+                    reached.append((at, card(child), d))
+                    lossy = lossy or d > r or rad - d > r
 
+    # by offset: the scan then reads ``order`` front to back
+    reached.sort()
+    slices = [order[at:at + count] for at, count, _ in reached]
     members = np.concatenate(slices) if slices else order[:0]
     if lossy:  # |d - spoke| bounds a member's distance from below
-        d = np.array(d_leaf).repeat([part.size for part in slices])
+        d = np.array([d_leaf for *_, d_leaf in reached]).repeat(
+            [part.size for part in slices])
         s = tree.spoke[members]
         members = members[~(np.abs(d - s) - eps * (d + s) > r * slack)]
     if not members.size:
@@ -300,38 +314,6 @@ def naive_search(dataset: Dataset, q, r: float, metric: MetricKind) -> SearchRep
                         leaves_visited=-(-len(values) // block), fraction_searched=1.0)
 
 
-def _test_centers_by_depth(tree: ClusterTree, query, r: float, dataset: Dataset,
-                           counter: ComparisonCounter, known: dict[int, float]) -> None:
-    """Adds to ``known`` the distance of each center that the walk of
-    ``rho_search(tree, query, r, dataset, _known=known)`` would test, one
-    kernel call per depth, so that walk tests none. It decides each node
-    by that walk's rules, by depth, not in pre-order: nodes share a center
-    only if one is the other's ancestor, so the order changes no decision."""
-    slack, eps = _slack(tree.metric, dataset.dim)
-    center, radius, size, hub = tree.center.item, tree.radius.item, tree.size.item, tree.hub.item
-    frontier = [(0, math.nan)] if size(0) > 1 else []  # explored nodes, with d
-    while frontier:
-        tested, nxt = [], []
-        for node, d_p in frontier:
-            for child in (node + 1, node + 1 + size(node + 1)):
-                d = known.get(center(child))
-                if d is None:
-                    h = hub(child)
-                    if not abs(d_p - h) - eps * (d_p + h) > (r + radius(child)) * slack:
-                        tested.append(child)
-                elif size(child) > 1 and d <= (r + (rad := radius(child))) * slack \
-                        and d + rad > r:
-                    nxt.append((child, d))
-        if tested:
-            new = [center(child) for child in tested]
-            dists = distances_to(dataset.values.take(new, axis=0), query, tree.metric,
-                                 counter).tolist()
-            known.update(zip(new, dists))
-            nxt += [(child, d) for child, d in zip(tested, dists) if size(child) > 1
-                    and d <= (r + radius(child)) * slack and d + radius(child) > r]
-        frontier = nxt
-
-
 def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
     """The k nearest stored points, exactly as a brute-force scan ranks them.
 
@@ -345,15 +327,15 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
     report's ``final_radius`` is ``b``.
 
     Each point's distance is computed once. The descent skips a center it
-    has already tested (a child may share its parent's center), the scan
-    of the bound cluster skips the descent's centers, and a pass tests
-    the range walk's other centers at ``b``, one kernel call per depth.
-    The range search gets every distance computed so far, so its walk
-    tests no center and its scan covers only points not yet seen. The
-    kernel gives a row the same bits in any block, so the answer and its
-    distances are those of a search that computed everything anew;
-    ``comparisons`` counts the distances actually computed. As in
-    :func:`rho_search`, the dataset must hold exactly the tree's points.
+    has already tested (a child may share its parent's center), and the
+    scan of the bound cluster skips the descent's centers. The range
+    search gets every distance computed so far: its walk tests only the
+    centers not yet known, one kernel call per depth, and its scan covers
+    only points not yet seen. The kernel gives a row the same bits in any
+    block, so the answer and its distances are those of a search that
+    computed everything anew; ``comparisons`` counts the distances
+    actually computed. As in :func:`rho_search`, the dataset must hold
+    exactly the tree's points.
     """
     _check_exact_cover(tree, dataset)
     n = tree.order.size
@@ -385,7 +367,6 @@ def knn_search(tree: ClusterTree, q, k: int, dataset: Dataset) -> KnnReport:
                             _block_rows(values), known)
     known.update(zip(members.tolist(), dists.tolist()))
     bound = float(np.partition(dists, k - 1)[k - 1])
-    _test_centers_by_depth(tree, query, bound, dataset, counter, known)
     report = rho_search(tree, query, bound, dataset, _known=known)
     return KnnReport(hits=report.hits[:k], invocations=1, final_radius=bound,
                      comparisons=counter.count + report.comparisons)

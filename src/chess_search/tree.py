@@ -625,8 +625,10 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
         radius[node] = max(radius[node], d_node)
         left = node + 1
         right = left + int(size[left])
-        d_left, d_right = distances_to(values[center[[left, right]]], arr,
-                                       metric).tolist()
+        # ``take`` on Python ints gathers the two rows in under half the time
+        # of indexing with an index array
+        pair = values.take((center.item(left), center.item(right)), axis=0)
+        d_left, d_right = distances_to(pair, arr, metric).tolist()
         if d_left <= d_right:
             node, d_node, stream = left, d_left, 2 * stream
         else:

@@ -44,6 +44,17 @@ def test_chord_of_huge_and_tiny_vectors():
     assert distance((1e-200, 0.0), (0.0, 1e-300), C) == np.sqrt(2.0)
 
 
+@pytest.mark.parametrize("kind", [E, C])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vector_distances_refuse_non_finite_coordinates(kind, bad):
+    # chord answered nan for either, silently for nan and with a
+    # RuntimeWarning for an infinity, where Euclidean raised
+    with pytest.raises(DimensionError, match=f"must be finite: {bad} at index 0"):
+        distance([bad, 1.0], [1.0, 1.0], kind)
+    with pytest.raises(DimensionError, match=f"must be finite: {bad} at index 1"):
+        distance([1.0, 1.0], [1.0, bad], kind)
+
+
 def test_euclidean_distance_refuses_coordinates_whose_squares_overflow():
     # squared, the difference 5e199 overflowed, and distance() returned inf
     with pytest.raises(DimensionError, match="1e\\+200 at index 0 is beyond"):

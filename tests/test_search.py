@@ -202,10 +202,11 @@ def walk_order(monkeypatch):
     nan (not known) or equal what ``reference_spokes`` computes anew, and
     the search must leave their bytes as they were. Its one-row center tests,
     each named by the point its row views, are the reference's tested
-    centers in pre-order, so every explored node's left subtree is tested
-    before its right child. Its one scan pass gets the reference's
-    points, at strictly increasing offsets in ``order``. ``skips`` sums
-    the reference's nodes pruned by hubs and points ruled out by spokes."""
+    centers by depth, and at each depth in pre-order, so every depth's
+    centers are tested before the next depth's. Its one scan pass gets
+    the reference's points, at strictly increasing offsets in ``order``.
+    ``skips`` sums the reference's nodes pruned by hubs and points ruled
+    out by spokes."""
     centers: list[int] = []
     skips = [0, 0]
     scans: list[np.ndarray] = []
@@ -240,7 +241,9 @@ def walk_order(monkeypatch):
         dists = distances_to(ds.values, ds.coerce_point(q), tree.metric)
         tested, positions, ruled_out = reference_walk(tree, dists, r, slack, spoke, hub)
         skips[:] = np.add(skips, ruled_out)
-        assert centers == tree.center[tested].tolist()
+        depth = tree.depths()
+        by_depth = sorted(tested, key=lambda node: (depth[node], node))
+        assert centers == tree.center[by_depth].tolist()
         if positions.size:
             assert len(scans) == 1 and np.array_equal(scans[0], tree.order[positions])
             position = np.argsort(tree.order)[scans[0]]
@@ -254,14 +257,13 @@ def walk_order(monkeypatch):
 
 @pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
                                     MetricKind.LEVENSHTEIN])
-def test_walk_tests_centers_and_scans_slices_in_pre_order(metric, walk_order):
-    # the walk is one forward pass over the pre-order columns: it tests
-    # the centers of a left subtree before the right child's, prunes by
-    # hubs, records slices of order at increasing offsets and rules out
-    # members by spokes; one pass scans the rest. A built tree and a
-    # parsed one whose spokes and hubs ``_spokes`` works out walk alike;
-    # a parsed tree, which knows none (all nan), walks by cluster pruning
-    # alone
+def test_walk_tests_centers_and_scans_slices_by_depth(metric, walk_order):
+    # the walk goes one depth at a time: it tests a depth's centers in
+    # pre-order before the next depth's, prunes by hubs, records slices
+    # of order and rules out members by spokes; one pass scans the rest,
+    # at increasing offsets. A built tree and a parsed one whose spokes
+    # and hubs ``_spokes`` works out walk alike; a parsed tree, which
+    # knows none (all nan), walks by cluster pruning alone
     if metric.for_vectors:
         ds = synth_manifold(600, 10, 1, 0.02, seed=13, density_power=2.0)
     else:
@@ -621,8 +623,9 @@ def knn_once(monkeypatch):
     distance twice: the search module's kernel calls record every row
     they get by its bytes (the tests' points are distinct), the rows sum
     to the report's comparisons, and the query makes one range search,
-    at the bound it reports. That search tests no center: each of its
-    kernel calls is a block of its scan."""
+    at the bound it reports. That search tests the centers it needs one
+    depth at a time: its kernel calls other than its scan's blocks number
+    at most the tree's depth."""
     rows: list[bytes] = []
     radii: list[float] = []
     calls = [0]
@@ -636,7 +639,7 @@ def knn_once(monkeypatch):
         radii.append(args[2])
         before = calls[0]
         report = rho_search(*args, **kwargs)
-        assert calls[0] - before == report.leaves_visited
+        assert calls[0] - before - report.leaves_visited <= args[0].depth
         return report
 
     monkeypatch.setattr(search, "distances_to", kernel)
@@ -688,8 +691,8 @@ def test_knn_tests_its_range_walks_centers_one_kernel_call_per_depth(kernel_call
     # Mutants of a few ancestors under Levenshtein: at the k-NN bound the
     # range walk reaches most clusters, so a call per center test would
     # make some 70 calls a query. The descent makes one call per level,
-    # the bound cluster's scan one, the pass one per depth and the range
-    # search's scan one: the corpus fits in one block
+    # the bound cluster's scan one, the range walk one per depth and the
+    # range search's scan one: the corpus fits in one block
     ds = synth_aligned_strings(256, 32, 16, 0.1, seed=35)
     tree = build(ds, MetricKind.LEVENSHTEIN, BuildConfig(max_depth=8, min_size=10, seed=0))
     assert _block_rows(ds.values) >= ds.n
@@ -707,12 +710,13 @@ def test_knn_tests_its_range_walks_centers_one_kernel_call_per_depth(kernel_call
 
 @pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
                                     MetricKind.LEVENSHTEIN])
-def test_knn_pass_tests_the_centers_its_range_walk_would(metric, monkeypatch):
-    # The pass before the range search at the bound tests, by depth, the
-    # centers that search's walk would test in pre-order: it adds to the
-    # known distances exactly the keys, and the values, that a range
-    # search given a copy of them adds. On built, grown, parsed (no spoke
-    # or hub known) and cut trees
+def test_batched_walk_tests_the_centers_the_plain_walk_does(metric, monkeypatch):
+    # Given known distances, as k-NN gives them, the walk tests each depth's
+    # centers in one kernel call; a plain search tests each in a call of
+    # its own. From nothing known, at each k-NN bound, the batched walk
+    # adds to the known distances exactly the centers that the plain walk
+    # tests, with the same bits, and finds the same hits. On built, grown,
+    # parsed (no spoke or hub known) and cut trees
     if metric.for_vectors:
         ds = synth_manifold(450, 10, 1, 0.02, seed=35, density_power=2.0)
     else:
@@ -725,26 +729,41 @@ def test_knn_pass_tests_the_centers_its_range_walk_would(metric, monkeypatch):
         insert_point(grown, p, head)
     trees = {"built": built, "grown": grown,
              "parsed": tree_from_bytes(tree_to_bytes(built))[0], "cut": _truncated(built, 6)}
-    added: list[int] = []
-    by_depth = search._test_centers_by_depth
+    tested: dict[int, float] = {}  # the plain walk's center tests, by point
+    walking = [False]
 
-    def checked(tree, query, r, dataset, counter, known):
-        walked, before = dict(known), len(known)
-        by_depth(tree, query, r, dataset, counter, known)
-        rho_search(tree, query, r, dataset, _known=walked)
-        assert known == walked
-        added.append(len(known) - before)
+    def kernel(points, q, kind, counter=None):
+        dists = distances_to(points, q, kind, counter)
+        values = ds.values
+        if walking[0] and np.may_share_memory(points, values):
+            assert len(points) == 1  # a view of one row: a center test
+            tested[(points.ctypes.data - values.ctypes.data) // values.strides[0]] = \
+                float(dists[0])
+        return dists
 
-    monkeypatch.setattr(search, "_test_centers_by_depth", checked)
+    monkeypatch.setattr(search, "distances_to", kernel)
     rng = np.random.default_rng(35)
     for name, tree in trees.items():
-        added.clear()
+        added = []
         for i in rng.choice(ds.n, 6, replace=False):
             q = ds.values[i]
             everything = naive_search(ds, q, float(distances_to(ds.values, q, metric).max()),
                                       metric).hits
             for k in (1, 10, 60):
-                assert knn_search(tree, q, k, ds).hits == everything[:k], name
+                bound = knn_search(tree, q, k, ds)
+                assert bound.hits == everything[:k], name
+                tested.clear()
+                walking[0] = True
+                plain = rho_search(tree, q, bound.final_radius, ds)
+                walking[0] = False
+                known: dict[int, float] = {}
+                batched = rho_search(tree, ds.coerce_point(q), bound.final_radius, ds,
+                                     _known=known)
+                assert batched.hits == plain.hits, name
+                assert sorted(known) == sorted(tested), name
+                assert np.array([known[c] for c in tested]).tobytes() \
+                    == np.array(list(tested.values())).tobytes(), name
+                added.append(len(known))
         assert len(added) == 18 and sum(added) > 0, name
 
 
@@ -937,7 +956,8 @@ def test_depth_1500_tree_with_pair_leaves_loads_searches_and_grows(knn_once):
     assert all(r.invocations == 1 and not r.used_fallback for r in reports)
 
 
-def test_depth_1500_tree_is_walked_in_pre_order(walk_order):
+def test_depth_1500_tree_is_walked_by_depth(walk_order):
     # the caterpillar puts a chain node's leaf child before or after the
-    # chain below it at random, so the walk's order shows on both sides
+    # chain below it at random, so the walk's order shows on both sides,
+    # and its slices of order are reached out of offset order
     grow_deep_tree(leaf_size=1, seed=1502, rho=walk_order)

@@ -108,6 +108,14 @@ class IndexMachine(RuleBasedStateMachine):
         assert self._bounds() == bounds  # searches write nothing
         assert got.hits == naive_search(self.dataset, q, r, self.metric).hits
         assert got.comparisons <= self.dataset.n + self.tree.size.size
+        # the walk k-NN makes, which tests a depth's centers in one kernel
+        # call, tests the centers the plain walk tests and finds its hits
+        known: dict[int, float] = {}
+        batched = rho_search(self.tree, self.dataset.coerce_point(q), r, self.dataset,
+                             _known=known)
+        assert batched.hits == got.hits
+        scanned = round(got.fraction_searched * self.dataset.n)
+        assert len(known) == got.comparisons - scanned
 
     @rule(data=st.data())
     def knn(self, data):
