@@ -4,7 +4,7 @@ The protocol holds out a seeded random sample of points as queries,
 builds one tree on the remainder at the deepest requested depth, cuts it
 at each requested depth (depth 0 is the root as one leaf), and runs both
 the pruned search and the naive linear scan for every (query, radius)
-cell. Each cut works out its spokes and hubs, so it searches as the build
+cell. Each cut works out its spokes and rings, so it searches as the build
 of its depth does; with ``filters=False`` it knows none (all nan), and
 searches by the paper's cluster pruning alone.
 Speedup is reported on the comparison-count basis (naive comparisons
@@ -74,7 +74,7 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
                   min_size: int = 10, filters: bool = True) -> list[BenchmarkRow]:
     """One row per (depth, radius): comparison counts, wall times,
     fraction searched, speedup, output sizes, and exactness tallies.
-    ``filters=False`` searches every cut with no spoke or hub known."""
+    ``filters=False`` searches every cut with no spoke or ring known."""
     radii = [float(r) for r in radii]
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")

@@ -320,6 +320,13 @@ def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (n + counts[0] - counts[1]).astype(np.float64)
 
 
+def _rounding_slack(kind: MetricKind, dim: int) -> float:
+    """A relative allowance that bounds the rounding of a computed vector
+    distance of ``dim`` coordinates: ``4 (dim + 2)`` units of 2**-52 over
+    1. The string distances are exact integers and get none (1)."""
+    return 1.0 + 4 * (dim + 2) * 2.0 ** -52 if kind.for_vectors else 1.0
+
+
 def distances_to(points: np.ndarray, q, kind: MetricKind,
                  counter: ComparisonCounter | None = None) -> np.ndarray:
     """Distances from a query point to every row of a 2-D point block.

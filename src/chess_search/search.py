@@ -17,16 +17,17 @@ Every offered distance obeys the triangle inequality, so this returns
 exactly the naive linear-scan result.
 
 Two more triangle-inequality bounds rule out work with distances the
-tree already holds (M-tree's parent-distance filter, Ciaccia, Patella
-and Zezula, VLDB 1997). An explored node hands its center's distance
+tree already holds. An explored node hands its center's distance
 ``d_p`` to both its children (the walk's frontier carries it); a child
-whose *hub* (its center's distance to its parent's) puts ``|d_p -
-hub|`` beyond ``r + radius`` is pruned without its center test. A
-reached leaf's member whose *spoke* (its distance to the leaf's center,
-``d``) puts ``|d - spoke|`` beyond ``r`` cannot be a hit, and is not
-scanned. The build and inserts keep spokes and hubs from distances they
-compute anyway; one not known is nan, which rules nothing out (see
-``tree.ClusterTree``).
+whose *ring* (the range ``[lo, hi]`` of its members' distances to its
+parent's center; GNAT's range table, Brin, VLDB 1995) puts every
+member's ``max(d_p - hi, lo - d_p)`` beyond ``r`` is pruned without its
+center test. A reached leaf's member whose *spoke* (its distance to the
+leaf's center, ``d``) puts ``|d - spoke|`` beyond ``r`` cannot be a
+hit, and is not scanned (M-tree's parent-distance filter, Ciaccia,
+Patella and Zezula, VLDB 1997). The build and inserts keep spokes and
+rings from distances they compute anyway; one not known is nan, which
+rules nothing out (see ``tree.ClusterTree``).
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
@@ -51,7 +52,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import Dataset
-from .metrics import ComparisonCounter, MetricKind, distances_to
+from .metrics import ComparisonCounter, MetricKind, _rounding_slack, distances_to
 from .tree import ClusterTree, _block_rows, _check_exact_cover
 
 __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_search"]
@@ -170,25 +171,29 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     parent's center (or any center tested before) reads it back. Nodes
     share a center only if one is the other's ancestor, so the order in
     which a depth's children are decided changes no decision. A child
-    of an explored node other than the root is first held to its hub:
-    ``|d_p - hub| <= d`` by the triangle inequality, with ``d_p`` the
-    parent's distance, so when that lower bound already exceeds ``r +
-    radius[child]`` the child is pruned untested. A reached leaf's members
-    are held to their spokes the same way: ``|d - spoke| <= d(q, x)``, so
-    a member whose bound exceeds ``r`` is not scanned. Neither bound costs
-    a distance; each costs a few float operations, per child for hubs and,
-    for spokes, per member of a reached leaf that can lose one (``d > r``
-    or ``radius - d > r``). A spoke or hub that the tree does not know is
-    nan (see ``ClusterTree``), and bounds nothing.
+    of an explored node other than the root is first held to its ring:
+    every member ``x`` has ``d(q, x) >= max(d_p - hi, lo - d_p)`` by the
+    triangle inequality, with ``d_p`` the parent's distance, so when that
+    lower bound already exceeds ``r`` the child is pruned untested. Every
+    member lies within ``radius`` of the child's center, itself a member,
+    so ``lo`` and ``hi`` lie within ``radius`` of the center's own
+    distance to the parent's: the ring prunes every child that distance
+    alone would. A reached leaf's members are held to their spokes the
+    same way: ``|d - spoke| <= d(q, x)``, so a member whose bound exceeds
+    ``r`` is not scanned. Neither bound costs a distance; each costs a
+    few float operations, per child for rings and, for spokes, per member
+    of a reached leaf that can lose one (``d > r`` or ``radius - d >
+    r``). A spoke or ring that the tree does not know is nan (see
+    ``ClusterTree``), and bounds nothing.
 
     Computed vector distances carry rounding error, so a center that lies
     exactly at ``r + radius`` (collinear points) can read a few ulps
     beyond it; the pruning test therefore allows a relative slack that
     bounds the kernel's rounding, ``4 (dim + 2)`` units of 2**-52. The
-    hub and spoke bounds widen by the same relative amount, ``eps (d_p +
-    hub)`` and ``eps (d + spoke)`` with ``eps = slack - 1``, and are
-    compared with the slackened ``(r + radius) slack`` and ``r slack``.
-    Hamming and Levenshtein distances are exact integers and get none.
+    ring and spoke bounds widen by the same relative amount, ``eps (d_p +
+    hi)`` and ``eps (d + spoke)`` with ``eps = slack - 1``, and are
+    compared with the slackened ``r slack``. Hamming and Levenshtein
+    distances are exact integers and get none.
     The containment test needs no slack: a contained cluster's points
     still each pass ``<= r`` on their own. The walk scans nothing: it
     records the slice of ``order`` of each leaf reached and each
@@ -216,7 +221,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     query = dataset.coerce_point(q) if _known is None else q
     values = dataset.values
     metric = tree.metric
-    slack = 1.0 + 4 * (dataset.dim + 2) * 2.0 ** -52 if metric.for_vectors else 1.0
+    slack = _rounding_slack(metric, dataset.dim)
     eps = slack - 1.0
     counter = ComparisonCounter()
     # this query's distances by point index: the walk's center tests, and
@@ -226,7 +231,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
     # close to that of attribute access
     center, radius, size = tree.center.item, tree.radius.item, tree.size.item
-    card, order, hub = tree.cardinality.item, tree.order, tree.hub.item
+    card, order, lo, hi = tree.cardinality.item, tree.order, tree.lo.item, tree.hi.item
     # one depth's explored nodes: (node, where its slice of order starts,
     # its center's distance). The root is explored untested, and its nan
     # distance bounds nothing
@@ -237,15 +242,16 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     reached = [] if frontier else [(0, order.size, math.nan)]
     lossy = False  # whether the spoke filter can drop a reached leaf's point
     while frontier:
-        children, new = [], []  # the children not pruned by hubs; untested centers
+        children, new = [], []  # the children not pruned by rings; untested centers
         for node, off, d_p in frontier:
             left = node + 1
             for child, at in ((left, off), (left + size(left), off + card(left))):
                 c = center(child)
                 if c not in known:
-                    # the hub bounds d(q, c) from below; a nan one bounds nothing
-                    h = hub(child)
-                    if abs(d_p - h) - eps * (d_p + h) > (r + radius(child)) * slack:
+                    # the ring bounds every member's distance from below; a
+                    # nan one (or the root's nan d_p) bounds nothing
+                    a, b = lo(child), hi(child)
+                    if max(d_p - b, a - d_p) - eps * (d_p + b) > r * slack:
                         continue
                     new.append(c)
                 children.append((child, at, c))

@@ -98,41 +98,41 @@ def descent_leaves(tree, ds: Dataset) -> np.ndarray:
     return leaves
 
 
-def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every point's distance to its leaf's center, by point index, and
-    every node's center's distance to its parent's center (0 at the
-    root), one kernel call per leaf and one per child: the point is the
-    row and the center the query, as the build pairs them."""
+    every node's ring: the least and greatest of its members' distances
+    to its parent's center (nan at the root). One kernel call per leaf and
+    one per child: the point is the row and the center the query, as the
+    build pairs them."""
     values, metric = ds.values, tree.metric
     spoke = np.empty(tree.order.size)
-    hub = np.zeros(tree.size.size)
-    off = 0
+    lo, hi = np.full(tree.size.size, np.nan), np.full(tree.size.size, np.nan)
     for node in range(tree.size.size):
         if tree.size[node] == 1:
-            members = tree.order[off:off + int(tree.cardinality[node])]
+            members = node_members(tree, node)
             spoke[members] = distances_to(values[members], values[tree.center[node]],
                                           metric)
-            off += members.size
         else:
             left = node + 1
             for child in (left, left + tree.size[left]):
-                hub[child] = distances_to(values[tree.center[child]][np.newaxis],
-                                          values[tree.center[node]], metric)[0]
-    return spoke, hub
+                d = distances_to(values[node_members(tree, child)],
+                                 values[tree.center[node]], metric)
+                lo[child], hi[child] = d.min(), d.max()
+    return spoke, lo, hi
 
 
 def checked_spokes(tree, ds: Dataset, *, known: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tree's spokes, up to its last point (an insert leaves spare room
-    after it), and its hubs, each checked to be nan (not known) or bit for
-    bit what :func:`reference_spokes` computes. With ``known``, none may
-    be nan: a tree that was built, or whose spokes ``_spokes`` worked out,
-    knows them all, and inserts keep it so."""
-    got = tree.spoke[:tree.order.size], tree.hub
+    after it), and its rings, each checked to be nan (not known) or bit
+    for bit what :func:`reference_spokes` computes. With ``known``, none
+    may be nan but the root's ring: a tree that was built, or whose spokes
+    ``_spokes`` worked out, knows them all, and inserts keep it so."""
+    got = tree.spoke[:tree.order.size], tree.lo, tree.hi
     for have, want in zip(got, reference_spokes(tree, ds)):
         mask = ~np.isnan(have)
         assert have.size == want.size and have[mask].tobytes() == want[mask].tobytes()
-        assert mask.all() or not known
+        assert not known or np.array_equal(mask, ~np.isnan(want))
     return got
 
 

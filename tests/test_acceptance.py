@@ -215,10 +215,10 @@ def test_criterion_2_chord_exactness(split_chord, trees_chord, radii_chord):
 def test_criterion_3_pruning_speedup_trend(corpus_a, radii_a):
     # depth sweep of the paper's cluster pruning; assertions pinned to the
     # mid radii (mean outputs of ~10 and ~100 points), full table
-    # reported. The spoke and hub bounds are not the paper's: with them the
+    # reported. The spoke and ring bounds are not the paper's: with them the
     # depth-10 tree's leaves (up to 2,127 points) filter like a pivot table
-    # on this 1-D manifold, and depth 10 beats depth 50 (speedup 862
-    # against 742 at ~10 hits). They never add a comparison to a query
+    # on this 1-D manifold, and depth 10 beats depth 50 (speedup 906
+    # against 791 at ~10 hits). They never add a comparison to a query
     details = []
     with criterion("3 speedup trend with depth", details):
         kwargs = dict(radii=radii_a, depths=[10, 50], num_queries=50,
@@ -239,7 +239,7 @@ def test_criterion_3_pruning_speedup_trend(corpus_a, radii_a):
         for plain, row in zip(rows, filtered):
             assert row.comparisons_mean <= plain.comparisons_mean
             assert row.false_pos == row.false_neg == 0
-        details.append("with spokes and hubs " + ", ".join(
+        details.append("with spokes and rings " + ", ".join(
             f"{row.speedup_mean:.1f}@{row.depth}" for row in filtered
             if row.radius == radii_a[1]))
         print(rows_to_csv(rows + filtered), flush=True)

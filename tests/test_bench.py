@@ -42,10 +42,10 @@ def test_default_protocol_runs_fifty_queries(bench_dataset):
 
 
 def test_speedup_grows_with_depth(bench_dataset):
-    # the paper's cluster pruning gains with depth. The spoke and hub
+    # the paper's cluster pruning gains with depth. The spoke and ring
     # bounds are not the paper's: with them a shallow tree's large leaves
-    # filter like a pivot table, and here depth 2 reads a speedup of 86.9
-    # against depth 12's 45.4. They never add a comparison to a query
+    # filter like a pivot table, and here depth 2 reads a speedup of 90.8
+    # against depth 12's 48.1. They never add a comparison to a query
     rows = run_benchmark(bench_dataset, E, radii=[0.3], depths=[2, 12],
                          num_queries=25, seed=4, filters=False)
     shallow, deep = rows

@@ -135,22 +135,23 @@ def test_walk_reconciles_kernel_calls(metric, kernel_calls):
 
 
 def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
-                   spoke: np.ndarray, hub: np.ndarray,
+                   spoke: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    ) -> tuple[list[int], np.ndarray, tuple[int, int]]:
     """The nodes whose centers a range search tests, in pre-order; the
     positions in ``order`` of the points it scans, ascending; and how
-    many nodes the hubs prune and points the spokes rule out. ``dists``
-    holds the query's distance to every point, ``spoke`` and ``hub`` the
-    tree's (see ``reference_spokes``; nan where the tree does not know
-    one, which rules nothing out) and ``slack`` the pruning test's
-    rounding allowance; ``eps = slack - 1`` widens the triangle bounds.
+    many nodes the rings prune and points the spokes rule out. ``dists``
+    holds the query's distance to every point, ``spoke``, ``lo`` and
+    ``hi`` the tree's (see ``reference_spokes``; nan where the tree does
+    not know one, which rules nothing out) and ``slack`` the pruning
+    test's rounding allowance; ``eps = slack - 1`` widens the triangle
+    bounds.
 
     A node is reached when its parent is explored. Its center is not
     tested again if a node before it had the same center. Otherwise,
     when its parent was tested (not the root, which is explored
-    untested), it is pruned untested if ``|d(parent) - hub| - eps
-    (d(parent) + hub)`` exceeds ``(r + radius) * slack``. A reached leaf
-    does not scan a member whose ``|d(leaf) - spoke| - eps (d(leaf) +
+    untested), it is pruned untested if ``max(d(parent) - hi, lo -
+    d(parent)) - eps (d(parent) + hi)`` exceeds ``r * slack``. A reached
+    leaf does not scan a member whose ``|d(leaf) - spoke| - eps (d(leaf) +
     spoke)`` exceeds ``r * slack``; a contained cluster scans all."""
     eps = slack - 1.0
     nodes = tree.size.size
@@ -163,23 +164,24 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
     explored[0] = nodes > 1  # the root, untested
     tested, seen = [], set()
     scanned = [] if nodes > 1 else [np.arange(tree.order.size)]
-    by_hub = by_spoke = 0
+    by_ring = by_spoke = 0
     for node in range(1, nodes):
         p = parent[node]
         if not explored[p]:
             continue
         c, rad = tree.center[node], tree.radius[node]
-        bound = (r + rad) * slack
         if c not in seen:
             if p > 0:
-                d_p, h = dists[tree.center[p]], hub[node]
-                if abs(d_p - h) - eps * (d_p + h) > bound:
-                    by_hub += 1
+                d_p = dists[tree.center[p]]
+                # np.maximum, unlike max, gives nan if either side is nan
+                bound = np.maximum(d_p - hi[node], lo[node] - d_p)
+                if bound - eps * (d_p + hi[node]) > r * slack:
+                    by_ring += 1
                     continue
             tested.append(node)
             seen.add(c)
         d = dists[c]
-        if d > bound:
+        if d > (r + rad) * slack:
             continue
         span = start[node] + np.arange(tree.cardinality[node])
         if tree.size[node] == 1:
@@ -192,20 +194,20 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
         else:
             scanned.append(span)
     positions = np.concatenate(scanned) if scanned else np.zeros(0, dtype=np.int64)
-    return tested, positions, (by_hub, by_spoke)
+    return tested, positions, (by_ring, by_spoke)
 
 
 @pytest.fixture()
 def walk_order(monkeypatch):
     """``rho_search``, checking its walk and its scan against
-    :func:`reference_walk`, on the tree's spokes and hubs: each must be
+    :func:`reference_walk`, on the tree's spokes and rings: each must be
     nan (not known) or equal what ``reference_spokes`` computes anew, and
     the search must leave their bytes as they were. Its one-row center tests,
     each named by the point its row views, are the reference's tested
     centers by depth, and at each depth in pre-order, so every depth's
     centers are tested before the next depth's. Its one scan pass gets
     the reference's points, at strictly increasing offsets in ``order``.
-    ``skips`` sums the reference's nodes pruned by hubs and points ruled
+    ``skips`` sums the reference's nodes pruned by rings and points ruled
     out by spokes."""
     centers: list[int] = []
     skips = [0, 0]
@@ -232,14 +234,14 @@ def walk_order(monkeypatch):
         searched["values"] = ds.values
         centers.clear()
         scans.clear()
-        bounds = tree.spoke.tobytes(), tree.hub.tobytes()
+        bounds = [b.tobytes() for b in (tree.spoke, tree.lo, tree.hi)]
         report = rho_search(tree, q, r, ds)
         searched.clear()
-        assert (tree.spoke.tobytes(), tree.hub.tobytes()) == bounds
-        spoke, hub = checked_spokes(tree, ds)
+        assert [b.tobytes() for b in (tree.spoke, tree.lo, tree.hi)] == bounds
         slack = 1.0 + 4 * (ds.dim + 2) * 2.0 ** -52 if tree.metric.for_vectors else 1.0
         dists = distances_to(ds.values, ds.coerce_point(q), tree.metric)
-        tested, positions, ruled_out = reference_walk(tree, dists, r, slack, spoke, hub)
+        tested, positions, ruled_out = reference_walk(tree, dists, r, slack,
+                                                      *checked_spokes(tree, ds))
         skips[:] = np.add(skips, ruled_out)
         depth = tree.depths()
         by_depth = sorted(tested, key=lambda node: (depth[node], node))
@@ -259,10 +261,10 @@ def walk_order(monkeypatch):
                                     MetricKind.LEVENSHTEIN])
 def test_walk_tests_centers_and_scans_slices_by_depth(metric, walk_order):
     # the walk goes one depth at a time: it tests a depth's centers in
-    # pre-order before the next depth's, prunes by hubs, records slices
+    # pre-order before the next depth's, prunes by rings, records slices
     # of order and rules out members by spokes; one pass scans the rest,
     # at increasing offsets. A built tree and a parsed one whose spokes
-    # and hubs ``_spokes`` works out walk alike; a parsed tree, which
+    # and rings ``_spokes`` works out walk alike; a parsed tree, which
     # knows none (all nan), walks by cluster pruning alone
     if metric.for_vectors:
         ds = synth_manifold(600, 10, 1, 0.02, seed=13, density_power=2.0)
@@ -272,7 +274,7 @@ def test_walk_tests_centers_and_scans_slices_by_depth(metric, walk_order):
     top = 4 * tree.radius[0]
     parsed, bounded = (tree_from_bytes(tree_to_bytes(tree))[0] for _ in range(2))
     _spokes(bounded, ds.values)
-    for t in (tree, bounded):  # both know every spoke and hub
+    for t in (tree, bounded):  # both know every spoke and ring
         checked_spokes(t, ds, known=True)
     for t in (tree, bounded, parsed):
         walk_order.skips[:] = [0, 0]
@@ -292,6 +294,69 @@ def test_walk_tests_centers_and_scans_slices_by_depth(metric, walk_order):
     assert len(walk_order.scans) == 1 and np.array_equal(walk_order.scans[0], leaf.order)
     assert report.comparisons == ds.n
     assert report.hits == naive_search(ds, ds.values[5], top / 8, metric).hits
+
+
+@pytest.mark.parametrize("metric", [MetricKind.HAMMING, MetricKind.LEVENSHTEIN])
+def test_rings_test_a_subset_of_the_centers_hubs_test(metric, walk_order):
+    # A child's hub, its center's distance to its parent's, puts its
+    # members within [hub - radius, hub + radius] of the parent's center:
+    # the widest ring a hub implies, and under the integer metrics (no
+    # slack) the hub test exactly. On every query, the walk on the tree's
+    # rings tests a subset of the centers the walk on hubs tests, and both
+    # find the linear scan's hits
+    ds = synth_aligned_strings(300, 60, 4, 0.05, seed=13)
+    tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
+    values = ds.values
+    hub = np.full(tree.size.size, np.nan)
+    for p in np.flatnonzero(tree.size > 1):
+        for child in (p + 1, p + 1 + tree.size[p + 1]):
+            hub[child] = distances_to(values[tree.center[child]][np.newaxis],
+                                      values[tree.center[p]], metric)[0]
+    spared = 0
+    for i in range(0, ds.n, 30):
+        q = values[i]
+        dists = distances_to(values, q, metric)
+        for r in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0):
+            report = walk_order(tree, q, r, ds)  # walks as the reference on rings
+            ringed, _, _ = reference_walk(tree, dists, r, 1.0, tree.spoke, tree.lo, tree.hi)
+            hubbed, positions, _ = reference_walk(tree, dists, r, 1.0, tree.spoke,
+                                                  hub - tree.radius, hub + tree.radius)
+            assert set(ringed) <= set(hubbed)
+            spared += len(hubbed) - len(ringed)
+            points = tree.order[positions]
+            within = dists[points] <= r
+            assert report.hits == naive_search(ds, q, r, metric).hits
+            assert report.hits == [(int(i), float(d)) for d, i in
+                                   sorted(zip(dists[points][within], points[within]))]
+    assert spared > 0
+
+
+def test_ring_bound_allows_for_rounding():
+    # q, x and c on a line, x between: d(q, x) = d(q, c) - d(x, c), and a
+    # ball about q through x touches the ring of the leaf {x} whose parent
+    # is centered on c. Computed, the difference can exceed d(q, x) by
+    # ulps of the far larger d(q, c); the ring test's widening by eps
+    # (d_p + hi) keeps x a hit
+    rng = np.random.default_rng(5)
+    beyond = 0
+    for _ in range(20):
+        x = rng.uniform(0.5, 2.0)
+        ds = Dataset.from_vectors([[0.0], [x], [x + rng.uniform(1e5, 1e7)]])
+        d = distances_to(ds.values, ds.values[2], E)  # c is point 2
+        # the root {q, x, c} centered on q: a leaf {q}, and {x, c} centered
+        # on c, split into the leaves {x} and {c}
+        tree = ClusterTree(center=np.array([0, 0, 2, 1, 2]),
+                           radius=np.array([d[0], 0.0, d[1], 0.0, 0.0]),
+                           cardinality=np.array([3, 1, 2, 1, 1]),
+                           size=np.array([5, 1, 3, 1, 1]), order=np.arange(3),
+                           metric=E, config=BuildConfig(2, 1),
+                           dataset_hash=ds.content_hash())
+        _spokes(tree, ds.values)
+        r = float(distances_to(ds.values[1:2], ds.values[0], E)[0])
+        beyond += d[0] - tree.hi[3] > r * (1.0 + 4 * 3 * 2.0 ** -52)
+        assert rho_search(tree, ds.values[0], r, ds).hits == \
+            naive_search(ds, ds.values[0], r, E).hits == [(0, 0.0), (1, r)]
+    assert beyond > 0
 
 
 HITS = st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 4), st.floats(0, 100)),
@@ -716,7 +781,7 @@ def test_batched_walk_tests_the_centers_the_plain_walk_does(metric, monkeypatch)
     # its own. From nothing known, at each k-NN bound, the batched walk
     # adds to the known distances exactly the centers that the plain walk
     # tests, with the same bits, and finds the same hits. On built, grown,
-    # parsed (no spoke or hub known) and cut trees
+    # parsed (no spoke or ring known) and cut trees
     if metric.for_vectors:
         ds = synth_manifold(450, 10, 1, 0.02, seed=35, density_power=2.0)
     else:
@@ -770,11 +835,11 @@ def test_batched_walk_tests_the_centers_the_plain_walk_does(metric, monkeypatch)
 @pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
                                     MetricKind.LEVENSHTEIN])
 def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
-    # A parsed tree or a cut knows no spoke or hub (all nan) until
+    # A parsed tree or a cut knows no spoke or ring (all nan) until
     # ``_spokes`` works them out (``deserialize`` does); an insert writes
     # only those it computes, and a search writes none. Each tree answers
     # as the linear scan, at stored distances and at containment radii,
-    # and so does k-NN; each spoke and hub it knows is what a fresh pass
+    # and so does k-NN; each spoke and ring it knows is what a fresh pass
     # computes
     if metric.for_vectors:
         ds = synth_manifold(450, 10, 1, 0.02, seed=29, density_power=2.0)
@@ -810,17 +875,20 @@ def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
                 assert knn_search(tree, q, k, ds).hits == everything[:k], name
         known = [np.count_nonzero(~np.isnan(b)) for b in checked_spokes(tree, ds)]
         if name in ("parsed", "cut"):
-            assert known == [0, 0], name
-        elif name == "parsed, then grown":  # the inserted points' spokes, and splits'
+            assert known == [0, 0, 0], name
+        elif name == "parsed, then grown":
+            # the inserted points' spokes, and splits'; a split child's ring
+            # is known only where all its members' spokes were
             inserted = ds.n - ds.n // 2
-            assert inserted <= known[0] < ds.n and 0 < known[1] < tree.size.size, name
-        else:
-            assert known == [ds.n, tree.size.size], name
+            assert inserted <= known[0] < ds.n, name
+            assert known[1] == known[2] < tree.size.size - 1, name
+        else:  # the root has no ring
+            assert known == [ds.n, tree.size.size - 1, tree.size.size - 1], name
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.LEVENSHTEIN])
 def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
-    # the build and inserts keep spokes and hubs from the distances they
+    # the build and inserts keep spokes and rings from the distances they
     # compute anyway, so no insert pays a pass over the dataset, not even
     # on a parsed tree, which knows none; a built tree's stay those a
     # fresh pass computes
@@ -936,7 +1004,7 @@ def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search, rho=rho_search) ->
         insert_point(tree, p, ds)
     assert tree.cardinality[0] == ds.n == n0 + 10
     check(tree)
-    _spokes(tree, ds.values)  # and again with every spoke and hub known
+    _spokes(tree, ds.values)  # and again with every spoke and ring known
     check(tree)
     again, _ = tree_from_bytes(tree_to_bytes(tree))
     assert tree_to_bytes(again) == tree_to_bytes(tree)

@@ -6,7 +6,7 @@ archive round trips, under all four metrics. Coordinates are small
 integers and strings are short, so exact ties, duplicates and collinear
 triples are the rule. After every step the tree must parse back from its
 bytes and hold exactly the radii that a fresh pass over the dataset
-computes, and each of its spokes and hubs must be nan (not known) or
+computes, and each of its spokes and rings must be nan (not known) or
 exactly what that pass computes: none nan after a build or a pass that
 works them all out, however many inserts follow. Every search must
 answer as the linear scan and leave the tree as it found it.
@@ -71,10 +71,10 @@ class IndexMachine(RuleBasedStateMachine):
         self.dataset = Dataset(self.kind, np.vstack([_as_row(self.kind, p) for p in rows]))
         self.config = BuildConfig(max_depth, min_size, seed)
         self.tree = build(self.dataset, metric, self.config)
-        self.known = True  # whether the tree knows every spoke and hub
+        self.known = True  # whether the tree knows every spoke and ring
 
-    def _bounds(self) -> tuple[bytes, bytes]:
-        return self.tree.spoke.tobytes(), self.tree.hub.tobytes()
+    def _bounds(self) -> tuple[bytes, ...]:
+        return self.tree.spoke.tobytes(), self.tree.lo.tobytes(), self.tree.hi.tobytes()
 
     def _query(self, data):
         """A stored point or a fresh one."""
@@ -134,11 +134,13 @@ class IndexMachine(RuleBasedStateMachine):
     def truncate(self, depth):
         self.tree = _truncated(self.tree, depth)
         self.known = False
-        assert np.isnan(self.tree.spoke).all() and np.isnan(self.tree.hub).all()
+        assert all(np.isnan(b).all() for b in (self.tree.spoke, self.tree.lo, self.tree.hi))
 
     @rule()
     def work_out_spokes(self):
-        _spokes(self.tree, self.dataset.values)
+        # the pass gives back the radii the build gives
+        radius = _spokes(self.tree, self.dataset.values)
+        assert radius.tobytes() == self.tree.radius.tobytes()
         self.known = True
 
     @rule(reverse=st.booleans())
@@ -153,7 +155,7 @@ class IndexMachine(RuleBasedStateMachine):
         self.tree, end = tree_from_bytes(raw)
         self.known = False
         assert end == len(raw) and tree_to_bytes(self.tree) == raw
-        assert np.isnan(self.tree.spoke).all() and np.isnan(self.tree.hub).all()
+        assert all(np.isnan(b).all() for b in (self.tree.spoke, self.tree.lo, self.tree.hi))
 
     @precondition(lambda self: self.dataset.n >= 2)
     @rule(data=st.data())

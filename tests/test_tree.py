@@ -17,12 +17,13 @@ from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
                           rho_search, save_dense, serialize, synth_manifold)
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
+from chess_search import tree as tree_mod
 from chess_search.tree import (_TREE_HEADER, _level_partition, _level_stats,
-                               _node_stats, _sample_size, _subtree_sizes,
+                               _node_stats, _sample_size, _spokes, _subtree_sizes,
                                _truncated, select_poles, tree_from_bytes,
                                tree_to_bytes)
 
-from conftest import descent_leaves, node_members
+from conftest import descent_leaves, node_members, synth_aligned_strings
 
 E = MetricKind.EUCLIDEAN
 
@@ -327,6 +328,23 @@ def test_tree_invariants_on_built_trees(corpus_b):
             else:
                 assert (depths[node] == 25 or tree.cardinality[node] <= 8
                         or tree.radius[node] == 0.0)
+
+
+@pytest.mark.parametrize("pairs", [1, 5, 64])
+def test_load_pass_in_runs_of_nodes_gives_the_builds_values(pairs, monkeypatch):
+    # the load pass works out a bounded number of member pairs at a time,
+    # in runs of whole nodes; runs of any length give the build's radii,
+    # spokes and rings, and the same fractal dimensions, bit for bit
+    ds = synth_manifold(400, 6, 2, 0.05, seed=9)
+    tree = build(ds, E, BuildConfig(max_depth=12, min_size=3, seed=2))
+    radius, lfd = _node_stats(tree, ds.values)
+    monkeypatch.setattr(tree_mod, "_PASS_PAIRS", pairs)
+    parsed, _ = tree_from_bytes(tree_to_bytes(tree))
+    assert _spokes(parsed, ds.values).tobytes() == tree.radius.tobytes()
+    for name in ("spoke", "lo", "hi"):
+        assert getattr(parsed, name).tobytes() == getattr(tree, name).tobytes()
+    runs = _node_stats(tree, ds.values)
+    assert runs[0].tobytes() == radius.tobytes() and runs[1].tobytes() == lfd.tobytes()
 
 
 def test_lfd_singleton_is_zero():
@@ -741,6 +759,36 @@ def test_deserialize_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(FormatError, match="truncated"):
         deserialize(path, ds)
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.LEVENSHTEIN])
+def test_deserialize_refuses_a_radius_below_its_members(metric, tmp_path):
+    # a stream with one radius shrunk and its checksum made valid again
+    # passes every structural check, and a search pruning on it would
+    # drop hits. The load pass measures every node's members and refuses
+    # it, naming the node and its radius entry's byte offset. A vector
+    # radius short by less than the rounding slack a search allows loads
+    if metric.for_vectors:
+        ds = synth_manifold(200, 4, 1, 0.05, seed=3)
+    else:
+        ds = synth_aligned_strings(60, 20, 3, 0.1, seed=3)
+    tree = build(ds, metric, BuildConfig(max_depth=6, min_size=2, seed=1))
+    k = int(np.flatnonzero(tree.radius > 0)[-1])
+    at = _TREE_HEADER.size + 9 * tree.size.size + 8 * k
+    path = tmp_path / "t.tree"
+    for shrunk, refused in ((np.nextafter(tree.radius[k], 0), not metric.for_vectors),
+                            (tree.radius[k] * 0.9, True)):
+        raw = bytearray(tree_to_bytes(tree))
+        raw[at:at + 8] = struct.pack("<d", shrunk)
+        raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
+        assert tree_from_bytes(bytes(raw))[0].radius[k] == shrunk
+        path.write_bytes(raw)
+        if refused:
+            with pytest.raises(FormatError,
+                               match=f"radius of node {k} is .* at byte offset {at}$"):
+                deserialize(path, ds)
+        else:
+            assert deserialize(path, ds).radius[k] == shrunk
 
 
 def test_serialized_trees_search_identically(tmp_path):
