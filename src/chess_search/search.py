@@ -17,17 +17,19 @@ Every offered distance obeys the triangle inequality, so this returns
 exactly the naive linear-scan result.
 
 Two more triangle-inequality bounds rule out work with distances the
-tree already holds. An explored node hands its center's distance
-``d_p`` to both its children (the walk's frontier carries it); a child
-whose *ring* (the range ``[lo, hi]`` of its members' distances to its
-parent's center; GNAT's range table, Brin, VLDB 1995) puts every
-member's ``max(d_p - hi, lo - d_p)`` beyond ``r`` is pruned without its
-center test. A reached leaf's member whose *spoke* (its distance to the
-leaf's center, ``d``) puts ``|d - spoke|`` beyond ``r`` cannot be a
-hit, and is not scanned (M-tree's parent-distance filter, Ciaccia,
-Patella and Zezula, VLDB 1997). The build and inserts keep spokes and
-rings from distances they compute anyway; one not known is nan, which
-rules nothing out (see ``tree.ClusterTree``).
+tree already holds. Each node has a *ring* against each of its eight
+nearest ancestors: the range ``[lo, hi]`` of its members' distances to
+that ancestor's center (GNAT's range tables, Brin, VLDB 1995). The
+walk's frontier carries, for each explored node, the distances ``d_a``
+of it and its nearest explored ancestors, turned once into windows; a
+child is pruned without its center test when any ring puts every
+member's ``max(d_a - hi, lo - d_a)`` beyond ``r``. A reached leaf's
+member whose *spoke* (its distance to the leaf's center, ``d``) puts
+``|d - spoke|`` beyond ``r`` cannot be a hit, and is not scanned
+(M-tree's parent-distance filter, Ciaccia, Patella and Zezula, VLDB
+1997). The build and inserts keep spokes and rings from distances they
+compute anyway; one not known is nan, which rules nothing out (see
+``tree.ClusterTree``).
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
@@ -53,7 +55,7 @@ import numpy as np
 
 from .data import Dataset
 from .metrics import ComparisonCounter, MetricKind, _rounding_slack, distances_to
-from .tree import ClusterTree, _block_rows, _check_exact_cover
+from .tree import _RINGS, ClusterTree, _block_rows, _check_exact_cover
 
 __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_search"]
 
@@ -171,29 +173,38 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     parent's center (or any center tested before) reads it back. Nodes
     share a center only if one is the other's ancestor, so the order in
     which a depth's children are decided changes no decision. A child
-    of an explored node other than the root is first held to its ring:
-    every member ``x`` has ``d(q, x) >= max(d_p - hi, lo - d_p)`` by the
-    triangle inequality, with ``d_p`` the parent's distance, so when that
-    lower bound already exceeds ``r`` the child is pruned untested. Every
+    whose center is not known is first held to its rings: ring ``k`` is
+    ``[lo, hi]`` of its members' distances to the center of its ``(k +
+    1)``-th nearest ancestor, and every member ``x`` has ``d(q, x) >=
+    max(d_a - hi, lo - d_a)`` by the triangle inequality, with ``d_a``
+    that ancestor's distance, so when that lower bound already exceeds
+    ``r`` for any ``k`` the child is pruned untested. The root's center is
+    never tested, so its children have no ring to meet. Each explored
+    node turns its distance into a window once, and its children and
+    their descendants, eight levels down, meet it ring by ring. Every
     member lies within ``radius`` of the child's center, itself a member,
-    so ``lo`` and ``hi`` lie within ``radius`` of the center's own
-    distance to the parent's: the ring prunes every child that distance
+    so the parent's ring lies within ``radius`` of the center's own
+    distance to the parent's: the rings prune every child that distance
     alone would. A reached leaf's members are held to their spokes the
     same way: ``|d - spoke| <= d(q, x)``, so a member whose bound exceeds
     ``r`` is not scanned. Neither bound costs a distance; each costs a
-    few float operations, per child for rings and, for spokes, per member
-    of a reached leaf that can lose one (``d > r`` or ``radius - d >
-    r``). A spoke or ring that the tree does not know is nan (see
+    few float operations, per ring of a child and, for spokes, per
+    member of a reached leaf that can lose one (``d > r`` or ``radius - d
+    > r``). A spoke or ring that the tree does not know is nan (see
     ``ClusterTree``), and bounds nothing.
 
     Computed vector distances carry rounding error, so a center that lies
     exactly at ``r + radius`` (collinear points) can read a few ulps
     beyond it; the pruning test therefore allows a relative slack that
     bounds the kernel's rounding, ``4 (dim + 2)`` units of 2**-52. The
-    ring and spoke bounds widen by the same relative amount, ``eps (d_p +
-    hi)`` and ``eps (d + spoke)`` with ``eps = slack - 1``, and are
-    compared with the slackened ``r slack``. Hamming and Levenshtein
-    distances are exact integers and get none.
+    ring and spoke bounds widen each distance by the same relative
+    amount, ``eps = slack - 1``, and are compared with the slackened ``r
+    slack``: a ring prunes when ``hi (1 + eps) < d_a (1 - eps) - r slack``
+    or ``lo (1 - eps) > d_a (1 + eps) + r slack``, which the window
+    ``(low, high)`` of ``d_a`` holds solved for ``hi`` and ``lo``, and a
+    spoke when ``|d - spoke| - eps (d + spoke) > r slack``. Hamming and
+    Levenshtein distances are exact integers and get none; the window is
+    then ``(d_a - r, d_a + r)`` exactly.
     The containment test needs no slack: a contained cluster's points
     still each pass ``<= r`` on their own. The walk scans nothing: it
     records the slice of ``order`` of each leaf reached and each
@@ -231,11 +242,22 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     # ``item`` reads Python scalars, which keeps the walk's per-node cost
     # close to that of attribute access
     center, radius, size = tree.center.item, tree.radius.item, tree.size.item
-    card, order, lo, hi = tree.cardinality.item, tree.order, tree.lo.item, tree.hi.item
+    card, order = tree.cardinality.item, tree.order
+    # a node's rings, nearest ancestor first, are the ``width`` floats from
+    # ``width * node``: lo and hi in turn
+    width = 2 * _RINGS
+    rings = memoryview(tree.ring.reshape(-1))
+    # a ring [lo, hi] puts every member beyond r when hi < low or lo > high,
+    # with low = d shrink - inner and high = d grow + outer the window of its
+    # ancestor's distance d: hi (1 + eps) < d (1 - eps) - r slack and lo (1 -
+    # eps) > d (1 + eps) + r slack, solved for hi and lo once per explored node
+    shrink, grow = (1.0 - eps) / (1.0 + eps), (1.0 + eps) / (1.0 - eps)
+    inner, outer = r * slack / (1.0 + eps), r * slack / (1.0 - eps)
     # one depth's explored nodes: (node, where its slice of order starts,
-    # its center's distance). The root is explored untested, and its nan
-    # distance bounds nothing
-    frontier = [(0, 0, math.nan)] if size(0) > 1 else []
+    # the windows of the node and its nearest explored ancestors, nearest
+    # first, lows and highs in turn). The root is explored untested, and
+    # gives no window
+    frontier = [(0, 0, ())] if size(0) > 1 else []
     # the reached slices of order, (offset, count, distance of their
     # leaf's center), nan for a contained cluster, whose every member is
     # a hit; a one-node tree scans it all
@@ -243,18 +265,23 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     lossy = False  # whether the spoke filter can drop a reached leaf's point
     while frontier:
         children, new = [], []  # the children not pruned by rings; untested centers
-        for node, off, d_p in frontier:
+        for node, off, windows in frontier:
             left = node + 1
             for child, at in ((left, off), (left + size(left), off + card(left))):
                 c = center(child)
-                if c not in known:
-                    # the ring bounds every member's distance from below; a
-                    # nan one (or the root's nan d_p) bounds nothing
-                    a, b = lo(child), hi(child)
-                    if max(d_p - b, a - d_p) - eps * (d_p + b) > r * slack:
-                        continue
+                if c in known:
+                    children.append((child, at, c, windows))
+                    continue
+                # each ring bounds every member's distance from below; a nan
+                # one bounds nothing. Ring k meets window k
+                ring = iter(rings[width * child:width * child + len(windows)])
+                window = iter(windows)
+                for lo, hi, low, high in zip(ring, ring, window, window):
+                    if hi < low or lo > high:
+                        break
+                else:
                     new.append(c)
-                children.append((child, at, c))
+                    children.append((child, at, c, windows))
         if new:
             if _known is None:
                 # one kernel call per center: the benchmark harness counts a
@@ -268,12 +295,13 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
                 known.update(zip(new, distances_to(values.take(new, axis=0), query,
                                                    metric, counter).tolist()))
         frontier = []
-        for child, at, c in children:
+        for child, at, c, windows in children:
             d, rad = known[c], radius(child)
             if d <= (r + rad) * slack:  # else pruned
                 if size(child) > 1:
                     if d + rad > r:  # explored
-                        frontier.append((child, at, d))
+                        frontier.append((child, at, (d * shrink - inner, d * grow + outer,
+                                                     *windows[:width - 2])))
                         continue
                     reached.append((at, card(child), math.nan))  # contained
                 else:  # a leaf: its spokes can rule members out

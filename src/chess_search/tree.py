@@ -12,10 +12,11 @@ partitioning step, so radii cost no additional distance evaluations; the
 total build cost stays within ``3 * (depth + 1) * n + n`` comparisons.
 The same distances give every point's *spoke*, its distance to its
 leaf's center (the M-tree's parent-distance filter, Ciaccia, Patella
-and Zezula, VLDB 1997), and every node's *ring*, the range ``[lo, hi]``
-of its members' distances to its parent's center (GNAT's range table,
-Brin, VLDB 1995, kept for the parent only), which a range search uses
-to rule points and subtrees out by the triangle inequality.
+and Zezula, VLDB 1997), and every node's *rings*, the ranges ``[lo,
+hi]`` of its members' distances to the centers of its ``_RINGS``
+nearest ancestors (GNAT's range tables, Brin, VLDB 1995, kept for the
+eight nearest ancestors), which a range search uses to rule points and
+subtrees out by the triangle inequality.
 A node's local fractal dimension is not stored: :func:`lfd_depth_profile`
 computes it from the tree and the dataset when it is read.
 
@@ -92,6 +93,13 @@ _BLOCK_BYTES = 80 * 1024
 #: arrays that grow with both.
 _PASS_PAIRS = 1 << 17
 
+#: Ancestors each node keeps a ring against, nearest first. On the
+#: benchmark's seed-1 range reads, on trees as built, 8 rings make 0.7%
+#: more comparisons than rings against every ancestor on ``vec-churn``
+#: (39.62 against 39.34; 41.71 at 4 rings) and as many on ``seq-edit``;
+#: and a fixed width keeps the table at 16 floats a node, however deep.
+_RINGS = 8
+
 
 @dataclass
 class BuildConfig:
@@ -138,18 +146,24 @@ class ClusterTree:
     #: every point's *spoke*, its distance to its leaf's center, indexed by
     #: point (after inserts, entries past the last point are spare room, so
     #: that an insert writes one entry and copies nothing), and every node's
-    #: *ring*, the least (``lo``) and greatest (``hi``) of its members'
-    #: distances to its parent's center (nan at the root, which has none).
-    #: nan marks one not known, which a search reads as ruling nothing out:
-    #: a new tree (parsed, constructed or a ``_truncated`` cut) knows none,
-    #: :func:`build` and :func:`insert_point` write those they compute, and
-    #: :func:`_spokes` works them all out (:func:`deserialize` calls it).
+    #: *rings*, shape ``(nodes, _RINGS, 2)``: ``ring[i, k]`` is ``[lo, hi]``,
+    #: the least and greatest of node ``i``'s members' distances to the
+    #: center of its ``(k + 1)``-th nearest ancestor (its parent at ``k =
+    #: 0``). An entry past the node's ancestors is nan (the root's are all
+    #: nan), and so is one not known, which a search reads as ruling nothing
+    #: out: a new tree (parsed, constructed or a ``_truncated`` cut) knows
+    #: none, :func:`build` and :func:`insert_point` write those they compute,
+    #: and :func:`_spokes` works them all out (:func:`deserialize` calls it).
+    #: A ring the build or that pass wrote is exactly its range; an insert
+    #: keeps it so, but a split's children inherit their outer rings from
+    #: the split node's, which may be wider than their own members' range.
+    #: Known rings nest, which :func:`insert_point` relies on: a node's ring
+    #: against an ancestor lies within its parent's against that ancestor.
     #: Not serialized: deflated, spokes alone would add 14.5% to the
     #: ``vec-query`` archive. Not constructor arguments: an insert writes
     #: them in place, so a ``dataclasses.replace`` copy makes its own, all nan.
     spoke: np.ndarray = field(init=False, repr=False)
-    lo: np.ndarray = field(init=False, repr=False)
-    hi: np.ndarray = field(init=False, repr=False)
+    ring: np.ndarray = field(init=False, repr=False)
     _hash: bytes | None = field(default=None, init=False, repr=False)
     # the grown dataset and its ``values`` at the tree's last insert, if
     # the hash has not been read or set since
@@ -158,8 +172,7 @@ class ClusterTree:
 
     def __post_init__(self) -> None:
         self.spoke = np.full(self.order.size, math.nan)
-        self.lo = np.full(self.size.size, math.nan)
-        self.hi = np.full(self.size.size, math.nan)
+        self.ring = np.full((self.size.size, _RINGS, 2), math.nan)
 
     def leaf_offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Pre-order leaf node indices, and where each leaf's slice of
@@ -363,20 +376,22 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
                  streams: list[int], seed: int, metric: MetricKind,
-                 counter: ComparisonCounter | None, spoke: np.ndarray,
+                 counter: ComparisonCounter | None, near: list[np.ndarray],
                  ) -> tuple[np.ndarray, ...]:
     """Split every node of a level in two: the one step that splits a node,
     in :func:`build` and :func:`insert_point` alike.
 
     ``members`` holds the nodes' members node after node, ``counts`` each
     in ascending point-index order; node ``k`` draws its seeds from stream
-    ``streams[k]``. ``spoke`` holds every member's distance to its node's
-    center, so a child's ring is the least and greatest entry of its
-    members (nan if any is nan); then each member's entry becomes its
-    distance to its child's center (0 for the center itself, which is not
-    compared). Returns the children's centers, members (stable within
-    each child), ring ``lo`` and ``hi``, radii and counts, left child
-    first.
+    ``streams[k]``. ``near`` holds at most ``_RINGS`` point-indexed arrays
+    of distances, nearest center first: ``near[0]`` every member's to its
+    node's center and ``near[j]`` to the center of its node's ``j``-th
+    nearest ancestor. A child's ring ``j`` is the least and greatest of its
+    members' ``near[j]`` entries (nan if any is nan, and past ``near``).
+    Returns the children's centers, members (stable within each child),
+    rings, radii and counts, left child first, and every member's distance
+    to its child's center (0 for the center itself, which is not
+    compared), in the returned members' order.
     """
     starts = np.cumsum(counts) - counts
     left, right = _level_poles(values, [
@@ -391,11 +406,13 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
     children = np.bincount(child, minlength=2 * counts.size)  # each at least 1
     centers, members, own = _interleave(left, right), members[regroup], own[regroup]
     starts = np.cumsum(children) - children
-    parent = spoke[members]
-    spoke[members] = own
-    return (centers, members, np.minimum.reduceat(parent, starts),
-            np.maximum.reduceat(parent, starts), np.maximum.reduceat(own, starts),
-            children)
+    ancestors = np.empty((len(near), members.size))
+    for row, out in zip(near, ancestors):
+        row.take(members, out=out)
+    ring = np.full((children.size, _RINGS, 2), math.nan)
+    ring[:, :len(near), 0] = np.minimum.reduceat(ancestors, starts, axis=1).T
+    ring[:, :len(near), 1] = np.maximum.reduceat(ancestors, starts, axis=1).T
+    return centers, members, ring, np.maximum.reduceat(own, starts), children, own
 
 
 def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterTree:
@@ -413,7 +430,11 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     paired pass evaluates all seed pairs of the level and one more all
     partition distances, which also give the children's radii, and the
     members regroup stably into the next level, left child before right.
-    Leaves write their members into ``order`` at their offset. The
+    The last ``_RINGS`` levels' distances stay in a ring buffer of rows,
+    so the children's rings against their ``_RINGS`` nearest ancestors
+    are least and greatest entries of their members there: no distance
+    is added. Leaves write their members into ``order`` at their offset,
+    and their distances into the spokes. The
     pre-order columns are the levels' columns sorted by offset, the
     shallower node first among equal offsets, and the subtree sizes
     follow from which nodes split.
@@ -430,39 +451,45 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     pair[i, j] = pair[j, i] = _paired_pass(values, seeds[j], seeds[i], metric, counter)
     root = int(seeds[int(np.argmin(pair.sum(axis=1)))])
     others = np.flatnonzero(np.arange(n) != root)
-    # every point's distance to its node's center at the current level; a
-    # leaf's members keep theirs, which become their spokes
-    near = np.zeros(n)
-    near[others] = _paired_pass(values, others, np.full(others.size, root), metric,
-                                counter)
-    radius = np.array([near.max()])
+    # the last ``_RINGS`` levels' distances, level ``L`` in row ``L %
+    # _RINGS``: each member of a level's nodes has its distance to its node's
+    # center there (a row holds nothing for the other points), and leaves
+    # copy their members' into the spokes
+    near = np.empty((_RINGS, n))
+    near[0, root] = 0.0
+    near[0, others] = _paired_pass(values, others, np.full(others.size, root), metric,
+                                   counter)
+    spoke = np.empty(n)
+    radius = np.array([near[0].max()])
 
     # the current level: its members, then per node member count, center,
-    # radius, ring, stream (heap numbering) and offset in ``order``
+    # radius, rings, stream (heap numbering) and offset in ``order``
     members = np.arange(n, dtype=np.int64)
-    counts, centers, lo, hi, streams, offsets = (
-        np.array([n]), np.array([root]), np.full(1, math.nan), np.full(1, math.nan),
-        [1], np.array([0]))
+    counts, centers, ring, streams, offsets = (
+        np.array([n]), np.array([root]), np.full((1, _RINGS, 2), math.nan), [1],
+        np.array([0]))
     order = np.empty(n, dtype=np.int64)
     levels, spent = [], [0]  # spent: the comparison count after each depth
     for depth in itertools.count():
         split = (counts > config.min_size) & (radius != 0.0)
         if depth >= config.max_depth:
             split[:] = False
-        levels.append((centers, radius, counts, lo, hi, split, offsets,
+        levels.append((centers, radius, counts, ring, split, offsets,
                        np.full(counts.size, depth)))
         leaf = np.repeat(~split, counts)
         starts = np.cumsum(counts) - counts
-        order[np.flatnonzero(leaf) + np.repeat(offsets - starts, counts)[leaf]] = \
-            members[leaf]
+        done = members[leaf]
+        order[np.flatnonzero(leaf) + np.repeat(offsets - starts, counts)[leaf]] = done
+        spoke[done] = near[depth % _RINGS][done]
         if not split.any():
             break
 
         inside = np.repeat(split, counts)
         streams = [s for s, f in zip(streams, split.tolist()) if f]
-        centers, members, lo, hi, radius, counts = _level_split(
+        centers, members, ring, radius, counts, own = _level_split(
             values, members[inside], counts[split], streams, config.seed, metric,
-            counter, near)
+            counter, [near[(depth - k) % _RINGS] for k in range(min(depth + 1, _RINGS))])
+        near[(depth + 1) % _RINGS][members] = own
         streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
         offsets = _interleave(offsets[split], offsets[split] + counts[0::2])
         spent.append(counter.count)
@@ -472,13 +499,13 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     # node shares its offset only with its leftmost descendants
     *columns, internal, offset, depth = map(np.concatenate, zip(*levels))
     pre = np.lexsort((depth, offset))
-    center, radius, cardinality, lo, hi = (column[pre] for column in columns)
+    center, radius, cardinality, ring = (column[pre] for column in columns)
     tree = ClusterTree(
         center=center, radius=radius, cardinality=cardinality,
         size=_subtree_sizes(internal[pre]), order=order, metric=metric, config=config,
         dataset_hash=dataset.content_hash(), build_comparisons=counter.count,
         build_comparisons_by_depth=np.diff(spent).tolist())
-    tree.spoke, tree.lo, tree.hi = near, lo, hi
+    tree.spoke, tree.ring = spoke, ring
     return tree
 
 
@@ -511,6 +538,15 @@ def metric_entropy(tree: ClusterTree) -> int:
     return int(np.count_nonzero(tree.size == 1))
 
 
+def _pass_offsets(tree: ClusterTree) -> tuple[np.ndarray, np.ndarray]:
+    """Where each node's slice of ``order`` starts, after the leaves
+    before it, and where its block of :func:`_member_distances`' pass
+    starts, after the members of the nodes before it."""
+    card = tree.cardinality
+    leaf_card = np.where(tree.size == 1, card, 0)
+    return np.cumsum(leaf_card) - leaf_card, np.cumsum(card) - card
+
+
 def _member_distances(tree: ClusterTree, values: np.ndarray):
     """Every node's members and their distances to its center, node after
     node in pre-order and each node's in the order of its slice of
@@ -521,10 +557,7 @@ def _member_distances(tree: ClusterTree, values: np.ndarray):
     no query. Yields ``(a, b, members, distances)`` for runs of nodes
     ``a:b`` that start within each ``_PASS_PAIRS`` pairs of the pass."""
     card = tree.cardinality
-    leaf_card = np.where(tree.size == 1, card, 0)
-    # a node's slice of ``order`` starts after the leaves before it, and
-    # its block of the pass after the members of the nodes before it
-    off, start = np.cumsum(leaf_card) - leaf_card, np.cumsum(card) - card
+    off, start = _pass_offsets(tree)
     edges = (np.flatnonzero(np.diff(start // _PASS_PAIRS)) + 1).tolist()
     for a, b in zip([0, *edges], [*edges, card.size]):
         shift = np.repeat(off[a:b] - start[a:b] + start[a], card[a:b])
@@ -545,31 +578,59 @@ def _node_stats(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.n
     return tuple(map(np.concatenate, zip(*runs)))
 
 
+def _ancestors(size: np.ndarray) -> np.ndarray:
+    """Every node's ``_RINGS`` nearest ancestors, nearest first, by node:
+    -1 past the root."""
+    internal = np.flatnonzero(size > 1)
+    parent = np.full(size.size + 1, -1)  # the last entry is -1's own parent
+    parent[internal + 1] = parent[internal + 1 + size[internal + 1]] = internal
+    above = np.empty((size.size, _RINGS), dtype=np.int64)
+    above[:, 0] = parent[:-1]
+    for k in range(1, _RINGS):
+        above[:, k] = parent[above[:, k - 1]]
+    return above
+
+
 def _spokes(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
     """Work out all of the tree's spokes and rings (see :class:`ClusterTree`)
     from ``values`` and store them on it; return every node's radius as its
     members' distances give it.
 
     The one pass is :func:`_member_distances`. A leaf's block holds its
-    members' spokes. An internal node's block is its left child's members
-    and then its right child's, so each child's ring is the least and
-    greatest of its part of its parent's block. The values are the
-    build's, bit for bit."""
+    members' spokes. A node's members are one contiguous part of each of
+    its ancestors' blocks, so its ring ``k`` is the least and greatest of
+    its part of its ``(k + 1)``-th nearest ancestor's block. For each
+    ``k`` those parts are disjoint, and one ``reduceat`` per run of the
+    pass reduces them all. The values are the build's, bit for bit."""
     card, size = tree.cardinality, tree.size
     tree.spoke = np.empty(tree.order.size)
-    tree.lo, tree.hi = np.full(size.size, math.nan), np.full(size.size, math.nan)
+    tree.ring = np.full((size.size, _RINGS, 2), math.nan)
     radius = np.empty(size.size)
+    off, start = _pass_offsets(tree)
+    # for each k, the nodes with a (k + 1)-th ancestor and where their part
+    # of its block starts in the pass, in pass order
+    above, parts = _ancestors(size), []
+    for k in range(_RINGS):
+        below = np.flatnonzero(above[:, k] >= 0)
+        top = above[below, k]
+        at = start[top] + off[below] - off[top]
+        by = np.argsort(at)
+        parts.append((below[by], at[by]))
     for a, b, members, dists in _member_distances(tree, values):
         radius[a:b] = np.maximum.reduceat(dists, np.cumsum(card[a:b]) - card[a:b])
         internal = np.repeat(size[a:b] > 1, card[a:b])
         tree.spoke[members[~internal]] = dists[~internal]
-        left = a + np.flatnonzero(size[a:b] > 1) + 1
-        if left.size:
-            children = _interleave(left, left + size[left])
-            starts = np.cumsum(card[children]) - card[children]
-            parent = dists[internal]
-            tree.lo[children] = np.minimum.reduceat(parent, starts)
-            tree.hi[children] = np.maximum.reduceat(parent, starts)
+        for k, (below, at) in enumerate(parts):
+            i, j = np.searchsorted(at, (start[a], start[a] + dists.size))
+            if i == j:
+                continue
+            # each part's start and end in the run; the results at the ends
+            # reduce the gaps between parts, and are dropped
+            part = at[i:j] - start[a]
+            edges = _interleave(part, part + card[below[i:j]])
+            edges = edges[:-1] if edges[-1] == dists.size else edges
+            tree.ring[below[i:j], k, 0] = np.minimum.reduceat(dists, edges)[::2]
+            tree.ring[below[i:j], k, 1] = np.maximum.reduceat(dists, edges)[::2]
     return radius
 
 
@@ -633,14 +694,24 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
 
     Cost: one distance to the root center, then one kernel call per level
     on the two child centers. The point's distance to each node on its
-    path widens that node's radius and the ring of the next node on the
-    path, whose parent it is; at the leaf it is the point's spoke. Radii
-    and rings are widened in one vector operation each over the path
-    after the descent, and a nan ring stays nan. A
-    split adds the build's cost for one node of ``2 * min_size + 1``
-    members, about ``min_size`` inserts apart; its partition distances are
-    the new leaves' spokes, and its members' old spokes (nan if any is not
-    known) give their rings. Besides that, an insert appends to the
+    path widens that node's radius and the rings of the next ``_RINGS``
+    nodes on the path against its center; at the leaf it is the point's
+    spoke. The radii are widened in one vector operation over the path
+    after the descent. The rings nest, so for each node on the path the
+    widening goes up from the deepest ring against it and stops at the
+    first that already holds the distance, and a nan ring stays nan:
+    about one ring read per path node (15.4 for 13-node paths on
+    ``vec-churn``). In the benchmark, whose reads between inserts leave
+    the insert's code and data out of cache, that loop added 14 us to an
+    insert where one vector operation over the path's ``(path, _RINGS)``
+    block added 25 us (medians, 2-core x86 VM). A split adds the
+    build's cost for one node of ``2 * min_size + 1`` members, about
+    ``min_size`` inserts apart; its partition distances are the new
+    leaves' spokes, and its members' old spokes (nan if any is not known)
+    give their rings against the split node. Their outer rings are the
+    split node's own, one ancestor further out: a child's members are
+    some of the split node's, so its range lies within them, at no
+    distance. Besides that, an insert appends to the
     dataset and to the spokes (amortized O(1)), shifts the tail of
     ``order`` by one and, on a split, the node columns by two; the dataset
     hash is left to its first reader (see :class:`ClusterTree`). It works
@@ -674,13 +745,25 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
             off += int(card[left])
     path.append(node)
     d_path.append(d_node)
-    # index arrays made once cost less than four conversions of the list
+    # index arrays made once cost less than a conversion of the list per use
     nodes, d = np.array(path), np.array(d_path)
     card[nodes] += 1
     radius[nodes] = np.maximum(radius[nodes], d)
-    # a path node's parent is the one before it; np.minimum keeps a nan ring nan
-    tree.lo[nodes[1:]] = np.minimum(tree.lo[nodes[1:]], d[:-1])
-    tree.hi[nodes[1:]] = np.maximum(tree.hi[nodes[1:]], d[:-1])
+    # path node i's ring k is against path node j = i - 1 - k. Rings nest (a
+    # node's members are some of its parent's), so going up from the deepest
+    # ring against j, once one holds d[j] every shallower one does; a nan
+    # ring bounds nothing and stays nan
+    ring, item = tree.ring, tree.ring.item
+    for j, d_j in enumerate(d_path[:-1]):
+        for i in range(min(j + _RINGS, len(path) - 1), j, -1):
+            node, k = path[i], i - j - 1
+            lo, hi = item(node, k, 0), item(node, k, 1)
+            if lo <= d_j <= hi:
+                break
+            if d_j < lo:
+                ring[node, k, 0] = d_j
+            elif d_j > hi:
+                ring[node, k, 1] = d_j
     new_index = dataset._append(arr)
     values = dataset.values
     end = off + int(card[node])
@@ -698,15 +781,17 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     while (card[node] > 2 * config.min_size and radius[node] > 0.0
            and len(path) <= config.max_depth):
         members = np.sort(tree.order[off:off + int(card[node])])
-        centers, members, lo, hi, child_radius, counts = _level_split(
+        centers, members, child_ring, child_radius, counts, own = _level_split(
             values, members, card[node:node + 1], [stream], config.seed, metric, None,
-            tree.spoke)
+            [tree.spoke])
+        child_ring[:, 1:] = tree.ring[node, :-1]
+        tree.spoke[members] = own
         tree.order[off:off + members.size] = members
         size[path] += 2
-        tree.center, tree.radius, tree.cardinality, tree.size, tree.lo, tree.hi = (
-            np.insert(column, node + 1, rows) for column, rows in
+        tree.center, tree.radius, tree.cardinality, tree.size, tree.ring = (
+            np.insert(column, node + 1, rows, axis=0) for column, rows in
             ((center, centers), (radius, child_radius), (card, counts), (size, [1, 1]),
-             (tree.lo, lo), (tree.hi, hi)))
+             (tree.ring, child_ring)))
         center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
         if new_index in members[:counts[0]]:  # on into the new point's child
             node, stream = node + 1, 2 * stream
@@ -856,9 +941,9 @@ def deserialize(path, dataset: Dataset) -> ClusterTree:
     allows a vector distance, would make a search drop hits, so it is a
     :class:`FormatError` naming the node and its radius entry's byte
     offset. The pass costs one distance per member of every node: 294,306
-    pairs and about 75 ms on the ``vec-query`` corpus, a fifth of its
-    build (one core of a 2-core x86 VM). Its temporaries stay near
-    ``_PASS_PAIRS`` pairs.
+    pairs and about 75 ms on the ``vec-query`` corpus, a fourth of its
+    build, of which the eight rings take about 9 ms (best of 10, one core
+    of a 2-core x86 VM). Its temporaries stay near ``_PASS_PAIRS`` pairs.
     """
     tree = _read_tree_file(path)
     if tree.dataset_hash != dataset.content_hash():

@@ -13,6 +13,7 @@ import pytest
 
 from chess_search import Dataset, DatasetKind, synth_manifold
 from chess_search.metrics import distances_to
+from chess_search.tree import _RINGS
 
 # corpus (a): dense 1-D manifold; rows beyond CORPUS_A_N feed the
 # live-insertion criterion (same manifold, fresh points and queries)
@@ -98,42 +99,78 @@ def descent_leaves(tree, ds: Dataset) -> np.ndarray:
     return leaves
 
 
-def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ancestors(tree) -> list[list[int]]:
+    """Every node's ancestors, nearest first, by node."""
+    parent = {}
+    for p in np.flatnonzero(tree.size > 1).tolist():
+        left = p + 1
+        parent[left] = parent[left + int(tree.size[left])] = p
+    chains = [[]]
+    for node in range(1, tree.size.size):  # a parent comes before its children
+        chains.append([parent[node], *chains[parent[node]]])
+    return chains
+
+
+def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Every point's distance to its leaf's center, by point index, and
-    every node's ring: the least and greatest of its members' distances
-    to its parent's center (nan at the root). One kernel call per leaf and
-    one per child: the point is the row and the center the query, as the
-    build pairs them."""
+    every node's rings, shape ``(nodes, _RINGS, 2)``: ring ``k`` the least
+    and greatest of its members' distances to the center of its ``(k +
+    1)``-th nearest ancestor, nan past its ancestors. One kernel call per
+    leaf and one per node for its rings, each member as a row and the
+    center as its query, as the build pairs them."""
     values, metric = ds.values, tree.metric
     spoke = np.empty(tree.order.size)
-    lo, hi = np.full(tree.size.size, np.nan), np.full(tree.size.size, np.nan)
-    for node in range(tree.size.size):
+    ring = np.full((tree.size.size, _RINGS, 2), np.nan)
+    for node, above in enumerate(ancestors(tree)):
+        members = node_members(tree, node)
         if tree.size[node] == 1:
-            members = node_members(tree, node)
             spoke[members] = distances_to(values[members], values[tree.center[node]],
                                           metric)
-        else:
-            left = node + 1
-            for child in (left, left + tree.size[left]):
-                d = distances_to(values[node_members(tree, child)],
-                                 values[tree.center[node]], metric)
-                lo[child], hi[child] = d.min(), d.max()
-    return spoke, lo, hi
+        above = above[:_RINGS]
+        if above:
+            d = distances_to(values[np.tile(members, len(above))],
+                             values[np.repeat(tree.center[above], members.size)],
+                             metric).reshape(len(above), members.size)
+            ring[node, :len(above)] = np.column_stack((d.min(axis=1), d.max(axis=1)))
+    return spoke, ring
 
 
-def checked_spokes(tree, ds: Dataset, *, known: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def checked_spokes(tree, ds: Dataset, *, known: bool = False, exact: bool = True,
+                   want: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """The tree's spokes, up to its last point (an insert leaves spare room
-    after it), and its rings, each checked to be nan (not known) or bit
-    for bit what :func:`reference_spokes` computes. With ``known``, none
-    may be nan but the root's ring: a tree that was built, or whose spokes
-    ``_spokes`` worked out, knows them all, and inserts keep it so."""
-    got = tree.spoke[:tree.order.size], tree.lo, tree.hi
-    for have, want in zip(got, reference_spokes(tree, ds)):
+    after it), and its rings, each checked against :func:`reference_spokes`
+    (or ``want``, what it gave for this tree): a spoke is nan (not known)
+    or bit for bit the reference's, and so is a ring against a node's
+    parent. A ring past the node's ancestors is nan. An outer ring is nan
+    or, with ``exact``, bit for bit the reference's; without, it need
+    only hold the reference's range, as the rings a split's children
+    inherit do. Known rings nest: a node's ring against an ancestor lies
+    within its parent's. With ``known``, none may be nan but those past a
+    node's ancestors: a tree that was built, or whose spokes ``_spokes``
+    worked out, knows them all, and inserts keep it so."""
+    spoke, ring = tree.spoke[:tree.order.size], tree.ring
+    want_spoke, want_ring = reference_spokes(tree, ds) if want is None else want
+    assert ring.shape == want_ring.shape
+    for have, wanted in ((spoke, want_spoke), (ring[:, 0], want_ring[:, 0]),
+                         *([(ring[:, 1:], want_ring[:, 1:])] if exact else [])):
         mask = ~np.isnan(have)
-        assert have.size == want.size and have[mask].tobytes() == want[mask].tobytes()
-        assert not known or np.array_equal(mask, ~np.isnan(want))
-    return got
+        assert have.size == wanted.size and have[mask].tobytes() == wanted[mask].tobytes()
+    if not exact:
+        lo, hi = ring[:, 1:, 0], ring[:, 1:, 1]
+        assert not (lo > want_ring[:, 1:, 0]).any() and not (hi < want_ring[:, 1:, 1]).any()
+    assert np.isnan(ring[np.isnan(want_ring)]).all()
+    # rings nest: a node's ring against an ancestor lies within its
+    # parent's, where both are known
+    for node, above in enumerate(ancestors(tree)):
+        if above:
+            inner, outer = ring[node, 1:], ring[above[0], :-1]
+            both = ~np.isnan(inner[:, 0]) & ~np.isnan(outer[:, 0])
+            assert (inner[both, 0] >= outer[both, 0]).all()
+            assert (inner[both, 1] <= outer[both, 1]).all()
+    for have, wanted in ((spoke, want_spoke), (ring, want_ring)):
+        assert not known or np.array_equal(np.isnan(have), np.isnan(wanted))
+    return spoke, ring
 
 
 @pytest.fixture(scope="session")

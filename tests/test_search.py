@@ -11,11 +11,11 @@ from chess_search import (BuildConfig, ClusterTree, Dataset, DimensionError,
 from chess_search import search
 from chess_search import tree as tree_mod
 from chess_search.metrics import _coordinate_bound, distances_to
-from chess_search.tree import (_block_rows, _spokes, _truncated, deserialize, serialize,
-                               tree_from_bytes, tree_to_bytes)
+from chess_search.tree import (_RINGS, _block_rows, _spokes, _truncated, deserialize,
+                               serialize, tree_from_bytes, tree_to_bytes)
 
-from conftest import (brute_force_knn, checked_spokes, node_members,
-                      synth_aligned_strings)
+from conftest import (ancestors, brute_force_knn, checked_spokes, node_members,
+                      reference_spokes, synth_aligned_strings)
 
 E = MetricKind.EUCLIDEAN
 
@@ -135,29 +135,30 @@ def test_walk_reconciles_kernel_calls(metric, kernel_calls):
 
 
 def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
-                   spoke: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   spoke: np.ndarray, ring: np.ndarray,
                    ) -> tuple[list[int], np.ndarray, tuple[int, int]]:
     """The nodes whose centers a range search tests, in pre-order; the
     positions in ``order`` of the points it scans, ascending; and how
     many nodes the rings prune and points the spokes rule out. ``dists``
-    holds the query's distance to every point, ``spoke``, ``lo`` and
-    ``hi`` the tree's (see ``reference_spokes``; nan where the tree does
-    not know one, which rules nothing out) and ``slack`` the pruning
-    test's rounding allowance; ``eps = slack - 1`` widens the triangle
-    bounds.
+    holds the query's distance to every point, ``spoke`` and ``ring`` the
+    tree's (see ``reference_spokes``; nan where the tree does not know
+    one, which rules nothing out) and ``slack`` the pruning test's
+    rounding allowance; ``eps = slack - 1`` widens the triangle bounds.
 
     A node is reached when its parent is explored. Its center is not
-    tested again if a node before it had the same center. Otherwise,
-    when its parent was tested (not the root, which is explored
-    untested), it is pruned untested if ``max(d(parent) - hi, lo -
-    d(parent)) - eps (d(parent) + hi)`` exceeds ``r * slack``. A reached
-    leaf does not scan a member whose ``|d(leaf) - spoke| - eps (d(leaf) +
-    spoke)`` exceeds ``r * slack``; a contained cluster scans all."""
+    tested again if a node before it had the same center. Otherwise it is
+    pruned untested if one of its rings ``[lo, hi]``, the one against an
+    ancestor ``a`` other than the root (which is explored untested), puts
+    every member beyond ``r``: ``hi (1 + eps) < d(a) (1 - eps) - r slack``
+    or ``lo (1 - eps) > d(a) (1 + eps) + r slack``, solved for ``hi`` and
+    ``lo`` as the search solves them. A reached leaf does not scan a
+    member whose ``|d(leaf) - spoke| - eps (d(leaf) + spoke)`` exceeds ``r
+    * slack``; a contained cluster scans all."""
     eps = slack - 1.0
+    shrink, grow = (1.0 - eps) / (1.0 + eps), (1.0 + eps) / (1.0 - eps)
+    inner, outer = r * slack / (1.0 + eps), r * slack / (1.0 - eps)
     nodes = tree.size.size
-    parent = np.zeros(nodes, dtype=np.int64)
-    for p in np.flatnonzero(tree.size > 1):
-        parent[p + 1] = parent[p + 1 + tree.size[p + 1]] = p
+    chains = ancestors(tree)
     leaf_card = np.where(tree.size == 1, tree.cardinality, 0)
     start = np.cumsum(leaf_card) - leaf_card  # where each node's slice begins
     explored = np.zeros(nodes, dtype=bool)
@@ -166,18 +167,15 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
     scanned = [] if nodes > 1 else [np.arange(tree.order.size)]
     by_ring = by_spoke = 0
     for node in range(1, nodes):
-        p = parent[node]
-        if not explored[p]:
+        if not explored[chains[node][0]]:
             continue
         c, rad = tree.center[node], tree.radius[node]
         if c not in seen:
-            if p > 0:
-                d_p = dists[tree.center[p]]
-                # np.maximum, unlike max, gives nan if either side is nan
-                bound = np.maximum(d_p - hi[node], lo[node] - d_p)
-                if bound - eps * (d_p + hi[node]) > r * slack:
-                    by_ring += 1
-                    continue
+            d_a = dists[tree.center[chains[node][:-1][:ring.shape[1]]]]
+            lo, hi = ring[node, :d_a.size, 0], ring[node, :d_a.size, 1]
+            if ((hi < d_a * shrink - inner) | (lo > d_a * grow + outer)).any():
+                by_ring += 1
+                continue
             tested.append(node)
             seen.add(c)
         d = dists[c]
@@ -213,6 +211,7 @@ def walk_order(monkeypatch):
     skips = [0, 0]
     scans: list[np.ndarray] = []
     searched: dict[str, np.ndarray] = {}  # the values, while a check runs
+    references = {}  # reference_spokes of each tree checked, by its bytes
     scan = search._scan
 
     def kernel(points, q, kind, counter=None):
@@ -234,14 +233,19 @@ def walk_order(monkeypatch):
         searched["values"] = ds.values
         centers.clear()
         scans.clear()
-        bounds = [b.tobytes() for b in (tree.spoke, tree.lo, tree.hi)]
+        bounds = [b.tobytes() for b in (tree.spoke, tree.ring)]
         report = rho_search(tree, q, r, ds)
         searched.clear()
-        assert [b.tobytes() for b in (tree.spoke, tree.lo, tree.hi)] == bounds
+        assert [b.tobytes() for b in (tree.spoke, tree.ring)] == bounds
         slack = 1.0 + 4 * (ds.dim + 2) * 2.0 ** -52 if tree.metric.for_vectors else 1.0
         dists = distances_to(ds.values, ds.coerce_point(q), tree.metric)
-        tested, positions, ruled_out = reference_walk(tree, dists, r, slack,
-                                                      *checked_spokes(tree, ds))
+        key = tree_to_bytes(tree)
+        if key not in references:
+            references[key] = reference_spokes(tree, ds)
+        # an insert's split may leave outer rings wider than their range
+        tested, positions, ruled_out = reference_walk(
+            tree, dists, r, slack, *checked_spokes(tree, ds, exact=False,
+                                                    want=references[key]))
         skips[:] = np.add(skips, ruled_out)
         depth = tree.depths()
         by_depth = sorted(tested, key=lambda node: (depth[node], node))
@@ -307,20 +311,21 @@ def test_rings_test_a_subset_of_the_centers_hubs_test(metric, walk_order):
     ds = synth_aligned_strings(300, 60, 4, 0.05, seed=13)
     tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
     values = ds.values
-    hub = np.full(tree.size.size, np.nan)
+    hubbed_rings = np.full_like(tree.ring, np.nan)  # one ring each, from the hub
     for p in np.flatnonzero(tree.size > 1):
         for child in (p + 1, p + 1 + tree.size[p + 1]):
-            hub[child] = distances_to(values[tree.center[child]][np.newaxis],
-                                      values[tree.center[p]], metric)[0]
+            hub = distances_to(values[tree.center[child]][np.newaxis],
+                               values[tree.center[p]], metric)[0]
+            hubbed_rings[child, 0] = hub - tree.radius[child], hub + tree.radius[child]
     spared = 0
     for i in range(0, ds.n, 30):
         q = values[i]
         dists = distances_to(values, q, metric)
         for r in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0):
             report = walk_order(tree, q, r, ds)  # walks as the reference on rings
-            ringed, _, _ = reference_walk(tree, dists, r, 1.0, tree.spoke, tree.lo, tree.hi)
+            ringed, _, _ = reference_walk(tree, dists, r, 1.0, tree.spoke, tree.ring)
             hubbed, positions, _ = reference_walk(tree, dists, r, 1.0, tree.spoke,
-                                                  hub - tree.radius, hub + tree.radius)
+                                                  hubbed_rings)
             assert set(ringed) <= set(hubbed)
             spared += len(hubbed) - len(ringed)
             points = tree.order[positions]
@@ -331,32 +336,74 @@ def test_rings_test_a_subset_of_the_centers_hubs_test(metric, walk_order):
     assert spared > 0
 
 
+@pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
+                                    MetricKind.LEVENSHTEIN])
+def test_outer_rings_test_a_subset_of_the_centers_parent_rings_test(metric):
+    # The same tree with every ring but the one against the parent unknown
+    # walks as rings did against the parent alone. On every query the walk
+    # with all its rings tests a subset of the centers that walk tests,
+    # and makes no more comparisons; range and k-NN answers are identical
+    if metric.for_vectors:
+        ds = synth_manifold(600, 4, 2, 0.02, seed=41)
+    else:
+        ds = synth_aligned_strings(300, 60, 4, 0.05, seed=41)
+    tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
+    parent_only, _ = tree_from_bytes(tree_to_bytes(tree))
+    parent_only.spoke = tree.spoke.copy()
+    parent_only.ring[:, 0] = tree.ring[:, 0]
+    far = float(distances_to(ds.values, ds.values[0], metric).max())
+    spared = 0
+    for i in range(0, ds.n, 20):
+        q = ds.coerce_point(ds.values[i])
+        for r in far * 2.0 ** -np.arange(10, 0, -1):
+            outer, inner = {}, {}
+            got = rho_search(tree, q, r, ds, _known=outer)
+            want = rho_search(parent_only, q, r, ds, _known=inner)
+            assert set(outer) <= set(inner)
+            assert got.hits == want.hits == naive_search(ds, q, r, metric).hits
+            assert got.comparisons <= want.comparisons
+            spared += want.comparisons - got.comparisons
+        for k in (1, 10):
+            got, want = knn_search(tree, q, k, ds), knn_search(parent_only, q, k, ds)
+            assert got.hits == want.hits and got.comparisons <= want.comparisons
+    assert spared > 0
+
+
 def test_ring_bound_allows_for_rounding():
-    # q, x and c on a line, x between: d(q, x) = d(q, c) - d(x, c), and a
-    # ball about q through x touches the ring of the leaf {x} whose parent
-    # is centered on c. Computed, the difference can exceed d(q, x) by
-    # ulps of the far larger d(q, c); the ring test's widening by eps
-    # (d_p + hi) keeps x a hit
+    # q, x and c on a line in the plane: with x between q and c, d(q, x) =
+    # d(q, c) - d(x, c); with q between c and x, d(q, x) = d(x, c) - d(q,
+    # c). A ball about q through x touches the ring of the leaf {x} whose
+    # parent is centered on c. Computed, the difference can exceed d(q, x)
+    # by ulps of the far larger d(q, c), on either side of the ring's
+    # window; the ring test's widening by eps keeps x a hit
     rng = np.random.default_rng(5)
-    beyond = 0
-    for _ in range(20):
-        x = rng.uniform(0.5, 2.0)
-        ds = Dataset.from_vectors([[0.0], [x], [x + rng.uniform(1e5, 1e7)]])
-        d = distances_to(ds.values, ds.values[2], E)  # c is point 2
-        # the root {q, x, c} centered on q: a leaf {q}, and {x, c} centered
-        # on c, split into the leaves {x} and {c}
-        tree = ClusterTree(center=np.array([0, 0, 2, 1, 2]),
-                           radius=np.array([d[0], 0.0, d[1], 0.0, 0.0]),
-                           cardinality=np.array([3, 1, 2, 1, 1]),
-                           size=np.array([5, 1, 3, 1, 1]), order=np.arange(3),
-                           metric=E, config=BuildConfig(2, 1),
-                           dataset_hash=ds.content_hash())
-        _spokes(tree, ds.values)
-        r = float(distances_to(ds.values[1:2], ds.values[0], E)[0])
-        beyond += d[0] - tree.hi[3] > r * (1.0 + 4 * 3 * 2.0 ** -52)
-        assert rho_search(tree, ds.values[0], r, ds).hits == \
-            naive_search(ds, ds.values[0], r, E).hits == [(0, 0.0), (1, r)]
-    assert beyond > 0
+    slack = 1.0 + 4 * (2 + 2) * 2.0 ** -52
+    beyond = {False: 0, True: 0}  # whether q lies between c and x
+    for _ in range(40):
+        for q_between in (False, True):
+            u = rng.normal(size=2)
+            u /= np.linalg.norm(u)
+            x, far = rng.uniform(0.5, 2.0), rng.uniform(1e5, 1e7)
+            ds = Dataset.from_vectors([[0.0, 0.0], x * u,
+                                       -far * u if q_between else (x + far) * u])
+            d = distances_to(ds.values, ds.values[2], E)  # c is point 2
+            # the root {q, x, c} centered on q: a leaf {q}, and {x, c}
+            # centered on c, split into the leaves {x} and {c}
+            tree = ClusterTree(center=np.array([0, 0, 2, 1, 2]),
+                               radius=np.array([d[0], 0.0, d[1], 0.0, 0.0]),
+                               cardinality=np.array([3, 1, 2, 1, 1]),
+                               size=np.array([5, 1, 3, 1, 1]), order=np.arange(3),
+                               metric=E, config=BuildConfig(2, 1),
+                               dataset_hash=ds.content_hash())
+            _spokes(tree, ds.values)
+            r = float(distances_to(ds.values[1:2], ds.values[0], E)[0])
+            lo, hi = tree.ring[3, 0]
+            # the ring lies outside the window unwidened
+            beyond[q_between] += lo > d[0] + r * slack if q_between \
+                else hi < d[0] - r * slack
+            assert rho_search(tree, ds.values[0], r, ds).hits == \
+                naive_search(ds, ds.values[0], r, E).hits == [(0, 0.0), (1, r)]
+    assert min(beyond.values()) > 0
 
 
 HITS = st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 4), st.floats(0, 100)),
@@ -873,17 +920,21 @@ def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
                     naive_search(ds, q, r, metric).hits, name
             for k in (1, 7):
                 assert knn_search(tree, q, k, ds).hits == everything[:k], name
-        known = [np.count_nonzero(~np.isnan(b)) for b in checked_spokes(tree, ds)]
+        spoke, ring = checked_spokes(tree, ds, exact=name != "parsed, then grown")
+        known = [np.count_nonzero(~np.isnan(b)) for b in (spoke, ring[..., 0], ring[..., 1])]
+        # a node has a ring against each of its nearest _RINGS ancestors
+        rings = int(np.minimum(tree.depths(), _RINGS).sum())
         if name in ("parsed", "cut"):
             assert known == [0, 0, 0], name
         elif name == "parsed, then grown":
             # the inserted points' spokes, and splits'; a split child's ring
-            # is known only where all its members' spokes were
+            # against the split node is known only where all its members'
+            # spokes were, and it inherits the split node's others
             inserted = ds.n - ds.n // 2
             assert inserted <= known[0] < ds.n, name
-            assert known[1] == known[2] < tree.size.size - 1, name
-        else:  # the root has no ring
-            assert known == [ds.n, tree.size.size - 1, tree.size.size - 1], name
+            assert known[1] == known[2] < rings, name
+        else:
+            assert known == [ds.n, rings, rings], name
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.LEVENSHTEIN])
@@ -911,7 +962,7 @@ def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
     assert tree.size.size > nodes + 20  # the inserts split leaves
     assert tree_to_bytes(parsed) == tree_to_bytes(tree)
     assert worked_out == []
-    checked_spokes(tree, grown, known=True)
+    checked_spokes(tree, grown, known=True, exact=False)
 
 
 def test_an_insert_into_a_parsed_tree_costs_its_descent(monkeypatch):
@@ -1005,6 +1056,9 @@ def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search, rho=rho_search) ->
     assert tree.cardinality[0] == ds.n == n0 + 10
     check(tree)
     _spokes(tree, ds.values)  # and again with every spoke and ring known
+    # eight rings a node, however deep the tree, each as a fresh pass makes it
+    assert tree.ring.shape == (tree.size.size, _RINGS, 2)
+    checked_spokes(tree, ds, known=True)
     check(tree)
     again, _ = tree_from_bytes(tree_to_bytes(tree))
     assert tree_to_bytes(again) == tree_to_bytes(tree)

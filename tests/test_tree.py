@@ -341,7 +341,7 @@ def test_load_pass_in_runs_of_nodes_gives_the_builds_values(pairs, monkeypatch):
     monkeypatch.setattr(tree_mod, "_PASS_PAIRS", pairs)
     parsed, _ = tree_from_bytes(tree_to_bytes(tree))
     assert _spokes(parsed, ds.values).tobytes() == tree.radius.tobytes()
-    for name in ("spoke", "lo", "hi"):
+    for name in ("spoke", "ring"):
         assert getattr(parsed, name).tobytes() == getattr(tree, name).tobytes()
     runs = _node_stats(tree, ds.values)
     assert runs[0].tobytes() == radius.tobytes() and runs[1].tobytes() == lfd.tobytes()
