@@ -4,9 +4,10 @@ The protocol holds out a seeded random sample of points as queries,
 builds one tree on the remainder at the deepest requested depth, cuts it
 at each requested depth (depth 0 is the root as one leaf), and runs both
 the pruned search and the naive linear scan for every (query, radius)
-cell. Each cut works out its spokes and rings, so it searches as the build
+cell. Each cut works out its pivots and rings, so it searches as the build
 of its depth does; with ``filters=False`` it knows none (all nan), and
-searches by the paper's cluster pruning alone.
+searches by the paper's cluster pruning alone, testing the center of
+every cluster it reaches.
 Speedup is reported on the comparison-count basis (naive comparisons
 divided by pruned-search comparisons), which is hardware independent;
 wall-clock time of each pruned search is reported alongside. Rows
@@ -74,7 +75,8 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
                   min_size: int = 10, filters: bool = True) -> list[BenchmarkRow]:
     """One row per (depth, radius): comparison counts, wall times,
     fraction searched, speedup, output sizes, and exactness tallies.
-    ``filters=False`` searches every cut with no spoke or ring known."""
+    ``filters=False`` searches every cut with no pivot or ring known: every
+    reached leaf's center is tested, as the paper's search tests it."""
     radii = [float(r) for r in radii]
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")

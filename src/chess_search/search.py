@@ -17,19 +17,11 @@ Every offered distance obeys the triangle inequality, so this returns
 exactly the naive linear-scan result.
 
 Two more triangle-inequality bounds rule out work with distances the
-tree already holds. Each node has a *ring* against each of its eight
-nearest ancestors: the range ``[lo, hi]`` of its members' distances to
-that ancestor's center (GNAT's range tables, Brin, VLDB 1995). The
-walk's frontier carries, for each explored node, the distances ``d_a``
-of it and its nearest explored ancestors, turned once into windows; a
-child is pruned without its center test when any ring puts every
-member's ``max(d_a - hi, lo - d_a)`` beyond ``r``. A reached leaf's
-member whose *spoke* (its distance to the leaf's center, ``d``) puts
-``|d - spoke|`` beyond ``r`` cannot be a hit, and is not scanned
-(M-tree's parent-distance filter, Ciaccia, Patella and Zezula, VLDB
-1997). The build and inserts keep spokes and rings from distances they
-compute anyway; one not known is nan, which rules nothing out (see
-``tree.ClusterTree``).
+tree already holds (see ``tree.ClusterTree`` and :func:`rho_search`): a
+node's *rings* (GNAT's range tables, Brin, VLDB 1995) prune it without
+its center test, and a point's *pivots* (LAESA's pivot table, Micó,
+Oncina and Vidal, 1994) stand in for its leaf's center test and rule
+it out of the scan.
 
 ``knn_search`` makes one range search. A descent toward the query finds
 a cluster of at least k points; the k-th smallest distance in it bounds
@@ -58,6 +50,9 @@ from .metrics import ComparisonCounter, MetricKind, _rounding_slack, distances_t
 from .tree import _RINGS, ClusterTree, _block_rows, _check_exact_cover
 
 __all__ = ["SearchReport", "KnnReport", "rho_search", "naive_search", "knn_search"]
+
+#: A window that rules nothing out
+_OPEN = (-math.inf, math.inf)
 
 
 @dataclass
@@ -185,26 +180,28 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     member lies within ``radius`` of the child's center, itself a member,
     so the parent's ring lies within ``radius`` of the center's own
     distance to the parent's: the rings prune every child that distance
-    alone would. A reached leaf's members are held to their spokes the
-    same way: ``|d - spoke| <= d(q, x)``, so a member whose bound exceeds
-    ``r`` is not scanned. Neither bound costs a distance; each costs a
-    few float operations, per ring of a child and, for spokes, per
-    member of a reached leaf that can lose one (``d > r`` or ``radius - d
-    > r``). A spoke or ring that the tree does not know is nan (see
-    ``ClusterTree``), and bounds nothing.
+    alone would. A leaf that survives its rings and knows its ring 0 is
+    recorded untested:
+    its members' pivots stand in for its center test, and its center, a
+    member, is scanned once instead of tested and then scanned again.
+    Before the scan one filter holds every reached leaf's members to
+    their pivots as the rings hold them all, ``|d_a - p| <= d(q, x)``:
+    column 0 against the leaf's own center where its distance is known,
+    column ``k`` against its ``k``-th ancestor's. Neither bound costs a
+    distance. A pivot or ring the tree does not know is nan and bounds
+    nothing; a leaf whose ring 0 is not known (a parsed tree before
+    ``_spokes``, a cut) is tested.
 
     Computed vector distances carry rounding error, so a center that lies
     exactly at ``r + radius`` (collinear points) can read a few ulps
     beyond it; the pruning test therefore allows a relative slack that
     bounds the kernel's rounding, ``4 (dim + 2)`` units of 2**-52. The
-    ring and spoke bounds widen each distance by the same relative
-    amount, ``eps = slack - 1``, and are compared with the slackened ``r
-    slack``: a ring prunes when ``hi (1 + eps) < d_a (1 - eps) - r slack``
-    or ``lo (1 - eps) > d_a (1 + eps) + r slack``, which the window
-    ``(low, high)`` of ``d_a`` holds solved for ``hi`` and ``lo``, and a
-    spoke when ``|d - spoke| - eps (d + spoke) > r slack``. Hamming and
-    Levenshtein distances are exact integers and get none; the window is
-    then ``(d_a - r, d_a + r)`` exactly.
+    ring and pivot bounds widen each distance by ``eps = slack - 1``: a
+    ring prunes when ``hi (1 + eps) < d_a (1 - eps) - r slack`` or ``lo
+    (1 - eps) > d_a (1 + eps) + r slack``, solved for ``hi`` and ``lo``
+    once into the window ``(low, high)`` of ``d_a``, and a pivot outside
+    it rules its member out. Hamming and Levenshtein distances are exact
+    integers and get none: the window is ``(d_a - r, d_a + r)``.
     The containment test needs no slack: a contained cluster's points
     still each pass ``<= r`` on their own. The walk scans nothing: it
     records the slice of ``order`` of each leaf reached and each
@@ -247,10 +244,8 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     # ``width * node``: lo and hi in turn
     width = 2 * _RINGS
     rings = memoryview(tree.ring.reshape(-1))
-    # a ring [lo, hi] puts every member beyond r when hi < low or lo > high,
-    # with low = d shrink - inner and high = d grow + outer the window of its
-    # ancestor's distance d: hi (1 + eps) < d (1 - eps) - r slack and lo (1 -
-    # eps) > d (1 + eps) + r slack, solved for hi and lo once per explored node
+    # the window (low, high) = (d shrink - inner, d grow + outer) of a
+    # distance d: a ring or pivot below low or above high is beyond r slack
     shrink, grow = (1.0 - eps) / (1.0 + eps), (1.0 + eps) / (1.0 - eps)
     inner, outer = r * slack / (1.0 + eps), r * slack / (1.0 - eps)
     # one depth's explored nodes: (node, where its slice of order starts,
@@ -258,11 +253,10 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     # first, lows and highs in turn). The root is explored untested, and
     # gives no window
     frontier = [(0, 0, ())] if size(0) > 1 else []
-    # the reached slices of order, (offset, count, distance of their
-    # leaf's center), nan for a contained cluster, whose every member is
-    # a hit; a one-node tree scans it all
-    reached = [] if frontier else [(0, order.size, math.nan)]
-    lossy = False  # whether the spoke filter can drop a reached leaf's point
+    # the reached slices of order: (offset, count, the windows of their
+    # members' pivot columns, column 0 first, or () for a contained
+    # cluster, whose every member is a hit); a one-node tree scans it all
+    reached = [] if frontier else [(0, order.size, ())]
     while frontier:
         children, new = [], []  # the children not pruned by rings; untested centers
         for node, off, windows in frontier:
@@ -274,14 +268,18 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
                     continue
                 # each ring bounds every member's distance from below; a nan
                 # one bounds nothing. Ring k meets window k
-                ring = iter(rings[width * child:width * child + len(windows)])
+                base = width * child
+                ring = iter(rings[base:base + len(windows)])
                 window = iter(windows)
                 for lo, hi, low, high in zip(ring, ring, window, window):
                     if hi < low or lo > high:
                         break
                 else:
-                    new.append(c)
-                    children.append((child, at, c, windows))
+                    if size(child) > 1 or not windows or rings[base] != rings[base]:
+                        new.append(c)
+                        children.append((child, at, c, windows))
+                    else:  # a leaf whose ring 0 is known: its pivots stand in for a test
+                        reached.append((at, card(child), (*_OPEN, *windows[:width - 2])))
         if new:
             if _known is None:
                 # one kernel call per center: the benchmark harness counts a
@@ -298,25 +296,36 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
         for child, at, c, windows in children:
             d, rad = known[c], radius(child)
             if d <= (r + rad) * slack:  # else pruned
-                if size(child) > 1:
-                    if d + rad > r:  # explored
-                        frontier.append((child, at, (d * shrink - inner, d * grow + outer,
-                                                     *windows[:width - 2])))
-                        continue
-                    reached.append((at, card(child), math.nan))  # contained
-                else:  # a leaf: its spokes can rule members out
-                    reached.append((at, card(child), d))
-                    lossy = lossy or d > r or rad - d > r
+                windows = (d * shrink - inner, d * grow + outer, *windows[:width - 2])
+                if size(child) == 1:
+                    reached.append((at, card(child), windows))
+                elif d + rad > r:  # explored
+                    frontier.append((child, at, windows))
+                else:
+                    reached.append((at, card(child), ()))  # contained
 
     # by offset: the scan then reads ``order`` front to back
     reached.sort()
     slices = [order[at:at + count] for at, count, _ in reached]
     members = np.concatenate(slices) if slices else order[:0]
-    if lossy:  # |d - spoke| bounds a member's distance from below
-        d = np.array([d_leaf for *_, d_leaf in reached]).repeat(
-            [part.size for part in slices])
-        s = tree.spoke[members]
-        members = members[~(np.abs(d - s) - eps * (d + s) > r * slack)]
+    held = [w + _OPEN * (_RINGS - len(w) // 2) for *_, w in reached if w]
+    if held:  # |d_a - pivot| bounds a member's distance from below
+        count = [c for _, c, w in reached if w]
+        windows = np.array(held)
+        low = windows[:, 0::2].repeat(count, axis=0)
+        high = windows[:, 1::2].repeat(count, axis=0)
+        # the leaves' members, where contained clusters were reached too
+        hold = None if len(held) == len(reached) else np.array(
+            [bool(w) for *_, w in reached]).repeat([c for _, c, _ in reached])
+        # ``take`` gathers rows in a third of fancy indexing's time
+        pivots = tree.pivot.take(members if hold is None else members[hold], axis=0)
+        out = pivots < low
+        out |= pivots > high
+        out = out.any(axis=1)
+        if hold is not None:
+            hold[hold] = out
+            out = hold
+        members = members[~out]
     if not members.size:
         return SearchReport(hits=[], comparisons=counter.count, leaves_visited=0,
                             fraction_searched=0.0)

@@ -10,13 +10,14 @@ maximum member distance to its center.
 Member distances to the freshly chosen child center fall out of the
 partitioning step, so radii cost no additional distance evaluations; the
 total build cost stays within ``3 * (depth + 1) * n + n`` comparisons.
-The same distances give every point's *spoke*, its distance to its
-leaf's center (the M-tree's parent-distance filter, Ciaccia, Patella
-and Zezula, VLDB 1997), and every node's *rings*, the ranges ``[lo,
-hi]`` of its members' distances to the centers of its ``_RINGS``
-nearest ancestors (GNAT's range tables, Brin, VLDB 1995, kept for the
-eight nearest ancestors), which a range search uses to rule points and
-subtrees out by the triangle inequality.
+The same distances give every point's *pivots*, its distances to the
+centers of its leaf and the leaf's nearest ancestors, ``_RINGS`` of
+them (LAESA's pivot table, Micó, Oncina and Vidal, Pattern Recognition
+Letters 1994, with the tree's own centers as pivots), and every node's
+*rings*, the ranges ``[lo, hi]`` of its members' distances to the
+centers of its ``_RINGS`` nearest ancestors (GNAT's range tables, Brin,
+VLDB 1995, kept for the eight nearest ancestors), which a range search
+uses to rule points and subtrees out by the triangle inequality.
 A node's local fractal dimension is not stored: :func:`lfd_depth_profile`
 computes it from the tree and the dataset when it is read.
 
@@ -143,26 +144,30 @@ class ClusterTree:
     #: comparisons spent on each depth's nodes (the root's center and
     #: distances count toward depth 0); set by :func:`build`, not serialized
     build_comparisons_by_depth: list[int] = field(default_factory=list, repr=False)
-    #: every point's *spoke*, its distance to its leaf's center, indexed by
-    #: point (after inserts, entries past the last point are spare room, so
-    #: that an insert writes one entry and copies nothing), and every node's
-    #: *rings*, shape ``(nodes, _RINGS, 2)``: ``ring[i, k]`` is ``[lo, hi]``,
-    #: the least and greatest of node ``i``'s members' distances to the
-    #: center of its ``(k + 1)``-th nearest ancestor (its parent at ``k =
-    #: 0``). An entry past the node's ancestors is nan (the root's are all
-    #: nan), and so is one not known, which a search reads as ruling nothing
-    #: out: a new tree (parsed, constructed or a ``_truncated`` cut) knows
-    #: none, :func:`build` and :func:`insert_point` write those they compute,
-    #: and :func:`_spokes` works them all out (:func:`deserialize` calls it).
-    #: A ring the build or that pass wrote is exactly its range; an insert
-    #: keeps it so, but a split's children inherit their outer rings from
-    #: the split node's, which may be wider than their own members' range.
-    #: Known rings nest, which :func:`insert_point` relies on: a node's ring
-    #: against an ancestor lies within its parent's against that ancestor.
-    #: Not serialized: deflated, spokes alone would add 14.5% to the
-    #: ``vec-query`` archive. Not constructor arguments: an insert writes
-    #: them in place, so a ``dataclasses.replace`` copy makes its own, all nan.
-    spoke: np.ndarray = field(init=False, repr=False)
+    #: every point's *pivots*, shape ``(points, _RINGS)``: ``pivot[x, k]``
+    #: is point ``x``'s distance to the center of its leaf's ``k``-th
+    #: nearest ancestor-or-self (the leaf itself at ``k = 0``). After
+    #: inserts, rows past the last point are spare room, so that an insert
+    #: writes one row and copies nothing. Every node's *rings*, shape
+    #: ``(nodes, _RINGS, 2)``: ``ring[i, k]`` is ``[lo, hi]``, the least and
+    #: greatest of node ``i``'s members' distances to the center of its
+    #: ``(k + 1)``-th nearest ancestor (its parent at ``k = 0``), so a
+    #: leaf's ring ``k`` is the range of its members' pivot column ``k + 1``.
+    #: An entry past the root is nan (the root's rings are all nan), and so
+    #: is one not known, which a search reads as ruling nothing out: a new
+    #: tree (parsed, constructed or a ``_truncated`` cut) knows none,
+    #: :func:`build` and :func:`insert_point` write those they compute, and
+    #: :func:`_spokes` works them all out (:func:`deserialize` calls it).
+    #: Every known entry is exactly its distance or range, and a ring is
+    #: known only where all its members' distances are: a leaf's known
+    #: ring ``k`` holds every member's pivot column ``k + 1``, which the
+    #: search relies on. Known rings nest, which :func:`insert_point`
+    #: relies on: a node's ring against an ancestor lies within its
+    #: parent's against that ancestor. Not serialized: deflated, the pivot
+    #: table's first column alone would add 14.5% to the ``vec-query``
+    #: archive. Not constructor arguments: an insert writes them in place,
+    #: so a ``dataclasses.replace`` copy makes its own, all nan.
+    pivot: np.ndarray = field(init=False, repr=False)
     ring: np.ndarray = field(init=False, repr=False)
     _hash: bytes | None = field(default=None, init=False, repr=False)
     # the grown dataset and its ``values`` at the tree's last insert, if
@@ -171,7 +176,9 @@ class ClusterTree:
                                                      repr=False)
 
     def __post_init__(self) -> None:
-        self.spoke = np.full(self.order.size, math.nan)
+        # one read-only nan shared by every row: a tree that knows no pivot
+        # (parsed, cut or copied) holds no table until an insert grows one
+        self.pivot = np.broadcast_to(math.nan, (self.order.size, _RINGS))
         self.ring = np.full((self.size.size, _RINGS, 2), math.nan)
 
     def leaf_offsets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -434,10 +441,11 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     so the children's rings against their ``_RINGS`` nearest ancestors
     are least and greatest entries of their members there: no distance
     is added. Leaves write their members into ``order`` at their offset,
-    and their distances into the spokes. The
-    pre-order columns are the levels' columns sorted by offset, the
-    shallower node first among equal offsets, and the subtree sizes
-    follow from which nodes split.
+    and copy their members' entries of the buffer, their own level's
+    first, into the pivot table (nan past the root). The pre-order
+    columns are the levels' columns sorted by offset, the shallower node
+    first among equal offsets, and the subtree sizes follow from which
+    nodes split.
     """
     if not dataset.compatible_with(metric):
         raise DimensionError(
@@ -454,12 +462,12 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     # the last ``_RINGS`` levels' distances, level ``L`` in row ``L %
     # _RINGS``: each member of a level's nodes has its distance to its node's
     # center there (a row holds nothing for the other points), and leaves
-    # copy their members' into the spokes
+    # copy their members' into the pivot table
     near = np.empty((_RINGS, n))
     near[0, root] = 0.0
     near[0, others] = _paired_pass(values, others, np.full(others.size, root), metric,
                                    counter)
-    spoke = np.empty(n)
+    pivot = np.full((n, _RINGS), math.nan)
     radius = np.array([near[0].max()])
 
     # the current level: its members, then per node member count, center,
@@ -480,7 +488,9 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
         starts = np.cumsum(counts) - counts
         done = members[leaf]
         order[np.flatnonzero(leaf) + np.repeat(offsets - starts, counts)[leaf]] = done
-        spoke[done] = near[depth % _RINGS][done]
+        # the leaf's level first, then its ancestors' up to the root
+        above = [(depth - k) % _RINGS for k in range(min(depth + 1, _RINGS))]
+        pivot[done, :len(above)] = near[:, done][above].T
         if not split.any():
             break
 
@@ -505,7 +515,7 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
         size=_subtree_sizes(internal[pre]), order=order, metric=metric, config=config,
         dataset_hash=dataset.content_hash(), build_comparisons=counter.count,
         build_comparisons_by_depth=np.diff(spent).tolist())
-    tree.spoke, tree.ring = spoke, ring
+    tree.pivot, tree.ring = pivot, ring
     return tree
 
 
@@ -516,7 +526,7 @@ def _truncated(tree: ClusterTree, depth: int) -> ClusterTree:
     = depth`` makes; depth 0 is the root as one leaf. The build's
     comparison counts are not carried over.
 
-    A cut computes no distance, so it knows no spoke or ring (all nan);
+    A cut computes no distance, so it knows no pivot or ring (all nan);
     ``_spokes`` works them out, as the build of that depth makes them.
     """
     depths = tree.depths()
@@ -592,19 +602,25 @@ def _ancestors(size: np.ndarray) -> np.ndarray:
 
 
 def _spokes(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
-    """Work out all of the tree's spokes and rings (see :class:`ClusterTree`)
+    """Work out all of the tree's pivots and rings (see :class:`ClusterTree`)
     from ``values`` and store them on it; return every node's radius as its
     members' distances give it.
 
-    The one pass is :func:`_member_distances`. A leaf's block holds its
-    members' spokes. A node's members are one contiguous part of each of
-    its ancestors' blocks, so its ring ``k`` is the least and greatest of
-    its part of its ``(k + 1)``-th nearest ancestor's block. For each
-    ``k`` those parts are disjoint, and one ``reduceat`` per run of the
-    pass reduces them all. The values are the build's, bit for bit."""
+    The one pass is :func:`_member_distances`. A node's block holds its
+    members' distances to its center: each goes to the member's pivot
+    column ``k``, the member's leaf's depth less the node's, where ``k <
+    _RINGS``. A node's members are one contiguous part of each of its
+    ancestors' blocks, so its ring ``k`` is the least and greatest of its
+    part of its ``(k + 1)``-th nearest ancestor's block. For each ``k``
+    those parts are disjoint, and one ``reduceat`` per run of the pass
+    reduces them all. The values are the build's, bit for bit."""
     card, size = tree.cardinality, tree.size
-    tree.spoke = np.empty(tree.order.size)
+    tree.pivot = np.full((tree.order.size, _RINGS), math.nan)
     tree.ring = np.full((size.size, _RINGS, 2), math.nan)
+    depth = tree.depths()
+    leaves, _ = tree.leaf_offsets()
+    leaf_depth = np.empty(tree.order.size, dtype=np.int64)
+    leaf_depth[tree.order] = np.repeat(depth[leaves], card[leaves])
     radius = np.empty(size.size)
     off, start = _pass_offsets(tree)
     # for each k, the nodes with a (k + 1)-th ancestor and where their part
@@ -618,8 +634,9 @@ def _spokes(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
         parts.append((below[by], at[by]))
     for a, b, members, dists in _member_distances(tree, values):
         radius[a:b] = np.maximum.reduceat(dists, np.cumsum(card[a:b]) - card[a:b])
-        internal = np.repeat(size[a:b] > 1, card[a:b])
-        tree.spoke[members[~internal]] = dists[~internal]
+        column = leaf_depth[members] - np.repeat(depth[a:b], card[a:b])
+        kept = column < _RINGS
+        tree.pivot[members[kept], column[kept]] = dists[kept]
         for k, (below, at) in enumerate(parts):
             i, j = np.searchsorted(at, (start[a], start[a] + dists.size))
             if i == j:
@@ -695,9 +712,10 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     Cost: one distance to the root center, then one kernel call per level
     on the two child centers. The point's distance to each node on its
     path widens that node's radius and the rings of the next ``_RINGS``
-    nodes on the path against its center; at the leaf it is the point's
-    spoke. The radii are widened in one vector operation over the path
-    after the descent. The rings nest, so for each node on the path the
+    nodes on the path against its center; the last ``_RINGS`` of them,
+    the leaf's first, are the point's row of the pivot table. The radii
+    are widened in one vector operation over the path after the
+    descent. The rings nest, so for each node on the path the
     widening goes up from the deepest ring against it and stops at the
     first that already holds the distance, and a nan ring stays nan:
     about one ring read per path node (15.4 for 13-node paths on
@@ -706,16 +724,15 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     insert where one vector operation over the path's ``(path, _RINGS)``
     block added 25 us (medians, 2-core x86 VM). A split adds the
     build's cost for one node of ``2 * min_size + 1`` members, about
-    ``min_size`` inserts apart; its partition distances are the new
-    leaves' spokes, and its members' old spokes (nan if any is not known)
-    give their rings against the split node. Their outer rings are the
-    split node's own, one ancestor further out: a child's members are
-    some of the split node's, so its range lies within them, at no
-    distance. Besides that, an insert appends to the
-    dataset and to the spokes (amortized O(1)), shifts the tail of
-    ``order`` by one and, on a split, the node columns by two; the dataset
-    hash is left to its first reader (see :class:`ClusterTree`). It works
-    out no other spoke or ring.
+    ``min_size`` inserts apart. Its members' pivot rows move one column
+    right, the split node's own column becoming their column 1 and their
+    partition distances their column 0, and the new leaves' eight rings
+    are the ranges of the rows as they were (nan where any member's
+    entry is not known), at no distance. Besides that, an insert appends
+    to the dataset and to the pivot table (amortized O(1)), shifts the
+    tail of ``order`` by one and, on a split, the node columns by two;
+    the dataset hash is left to its first reader (see
+    :class:`ClusterTree`). It works out no other pivot or ring.
 
     Requires exclusive access: no concurrent searches during mutation.
     """
@@ -769,9 +786,15 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     end = off + int(card[node])
     tree.order = np.concatenate((tree.order[:end - 1], [new_index],
                                  tree.order[end - 1:]))
-    if new_index == tree.spoke.size:  # no spare room: double it, none of it known
-        tree.spoke = np.concatenate((tree.spoke, np.full(new_index, math.nan)))
-    tree.spoke[new_index] = d_node  # the point's distance to its leaf's center
+    if new_index == len(tree.pivot):
+        # no spare room: add an eighth, none of it known. At 64 bytes a
+        # point, doubling would hold 1.25 MB of spare rows for a
+        # 19,500-point tree after its first insert
+        spare = np.full((new_index // 8 + 1, _RINGS), math.nan)
+        tree.pivot = np.concatenate((tree.pivot, spare))
+    # the point's distances to its leaf's center and its nearest ancestors'
+    known = min(len(d_path), _RINGS)
+    tree.pivot[new_index, :known] = d[:-known - 1:-1]
 
     # The build splits above ``min_size``; an insert waits for twice that.
     # A split costs about four plain inserts (0.25 against 0.065 ms, medians
@@ -782,10 +805,16 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
            and len(path) <= config.max_depth):
         members = np.sort(tree.order[off:off + int(card[node])])
         centers, members, child_ring, child_radius, counts, own = _level_split(
-            values, members, card[node:node + 1], [stream], config.seed, metric, None,
-            [tree.spoke])
-        child_ring[:, 1:] = tree.ring[node, :-1]
-        tree.spoke[members] = own
+            values, members, card[node:node + 1], [stream], config.seed, metric, None, [])
+        # the children's rings are the ranges of their members' pivot rows,
+        # which then move one column right, the partition distance first.
+        # The rows are gathered here: ``take`` in the split would copy each
+        # strided column of the table whole
+        rows = tree.pivot[members]
+        edges = [0, int(counts[0])]
+        child_ring[..., 0] = np.minimum.reduceat(rows, edges)
+        child_ring[..., 1] = np.maximum.reduceat(rows, edges)
+        tree.pivot[members] = np.column_stack((own, rows[:, :-1]))
         tree.order[off:off + members.size] = members
         size[path] += 2
         tree.center, tree.radius, tree.cardinality, tree.size, tree.ring = (
@@ -934,16 +963,17 @@ def _read_tree_file(path) -> ClusterTree:
 
 def deserialize(path, dataset: Dataset) -> ClusterTree:
     """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees,
-    and work out all its spokes and rings from ``dataset`` (see :func:`_spokes`).
+    and work out all its pivots and rings from ``dataset`` (see :func:`_spokes`).
 
     The same pass verifies every stored radius: one below the greatest of
     its members' distances, by more than the rounding slack a search
     allows a vector distance, would make a search drop hits, so it is a
     :class:`FormatError` naming the node and its radius entry's byte
     offset. The pass costs one distance per member of every node: 294,306
-    pairs and about 75 ms on the ``vec-query`` corpus, a fourth of its
-    build, of which the eight rings take about 9 ms (best of 10, one core
-    of a 2-core x86 VM). Its temporaries stay near ``_PASS_PAIRS`` pairs.
+    pairs and about 85 ms on the ``vec-query`` corpus, a fourth of its
+    build, of which the eight rings take about 9 ms and the pivot table
+    about 7 ms (best of 10, one core of a 2-core x86 VM). Its temporaries
+    stay near ``_PASS_PAIRS`` pairs.
     """
     tree = _read_tree_file(path)
     if tree.dataset_hash != dataset.content_hash():

@@ -112,54 +112,59 @@ def ancestors(tree) -> list[list[int]]:
 
 
 def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Every point's distance to its leaf's center, by point index, and
-    every node's rings, shape ``(nodes, _RINGS, 2)``: ring ``k`` the least
-    and greatest of its members' distances to the center of its ``(k +
-    1)``-th nearest ancestor, nan past its ancestors. One kernel call per
-    leaf and one per node for its rings, each member as a row and the
-    center as its query, as the build pairs them."""
+    """Every point's pivots, shape ``(points, _RINGS)``: column ``k`` its
+    distance to the center of its leaf's ``k``-th nearest ancestor-or-self,
+    nan past the root; and every node's rings, shape ``(nodes, _RINGS,
+    2)``: ring ``k`` the least and greatest of its members' distances to
+    the center of its ``(k + 1)``-th nearest ancestor, nan past its
+    ancestors. One kernel call per leaf for its pivots and one per node for
+    its rings, each member as a row and the center as its query, as the
+    build pairs them."""
     values, metric = ds.values, tree.metric
-    spoke = np.empty(tree.order.size)
+    pivot = np.full((tree.order.size, _RINGS), np.nan)
     ring = np.full((tree.size.size, _RINGS, 2), np.nan)
+
+    def paired(members, centers):  # each member against each center
+        return distances_to(values[np.tile(members, len(centers))],
+                            values[np.repeat(tree.center[centers], members.size)],
+                            metric).reshape(len(centers), members.size)
+
     for node, above in enumerate(ancestors(tree)):
         members = node_members(tree, node)
         if tree.size[node] == 1:
-            spoke[members] = distances_to(values[members], values[tree.center[node]],
-                                          metric)
+            chain = [node, *above][:_RINGS]
+            pivot[members, :len(chain)] = paired(members, chain).T
         above = above[:_RINGS]
         if above:
-            d = distances_to(values[np.tile(members, len(above))],
-                             values[np.repeat(tree.center[above], members.size)],
-                             metric).reshape(len(above), members.size)
+            d = paired(members, above)
             ring[node, :len(above)] = np.column_stack((d.min(axis=1), d.max(axis=1)))
-    return spoke, ring
+    return pivot, ring
 
 
-def checked_spokes(tree, ds: Dataset, *, known: bool = False, exact: bool = True,
+def checked_spokes(tree, ds: Dataset, *, known: bool = False,
                    want: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The tree's spokes, up to its last point (an insert leaves spare room
-    after it), and its rings, each checked against :func:`reference_spokes`
-    (or ``want``, what it gave for this tree): a spoke is nan (not known)
-    or bit for bit the reference's, and so is a ring against a node's
-    parent. A ring past the node's ancestors is nan. An outer ring is nan
-    or, with ``exact``, bit for bit the reference's; without, it need
-    only hold the reference's range, as the rings a split's children
-    inherit do. Known rings nest: a node's ring against an ancestor lies
-    within its parent's. With ``known``, none may be nan but those past a
-    node's ancestors: a tree that was built, or whose spokes ``_spokes``
+    """The tree's pivot table, up to its last point (an insert leaves spare
+    rows after it), and its rings, each checked against
+    :func:`reference_spokes` (or ``want``, what it gave for this tree):
+    every entry is nan (not known) or bit for bit the reference's, and nan
+    where the reference's is (past the root). A leaf's known ring ``k``
+    holds all its members' pivot column ``k + 1``, so each of those is
+    known. Known rings nest: a node's ring against an ancestor lies within
+    its parent's. With ``known``, no entry may be nan but those past the
+    root: a tree that was built, or whose pivots and rings ``_spokes``
     worked out, knows them all, and inserts keep it so."""
-    spoke, ring = tree.spoke[:tree.order.size], tree.ring
-    want_spoke, want_ring = reference_spokes(tree, ds) if want is None else want
-    assert ring.shape == want_ring.shape
-    for have, wanted in ((spoke, want_spoke), (ring[:, 0], want_ring[:, 0]),
-                         *([(ring[:, 1:], want_ring[:, 1:])] if exact else [])):
+    pivot, ring = tree.pivot[:tree.order.size], tree.ring
+    want_pivot, want_ring = reference_spokes(tree, ds) if want is None else want
+    for have, wanted in ((pivot, want_pivot), (ring, want_ring)):
+        assert have.shape == wanted.shape
         mask = ~np.isnan(have)
-        assert have.size == wanted.size and have[mask].tobytes() == wanted[mask].tobytes()
-    if not exact:
-        lo, hi = ring[:, 1:, 0], ring[:, 1:, 1]
-        assert not (lo > want_ring[:, 1:, 0]).any() and not (hi < want_ring[:, 1:, 1]).any()
-    assert np.isnan(ring[np.isnan(want_ring)]).all()
+        assert have[mask].tobytes() == wanted[mask].tobytes()
+        assert np.isnan(have[np.isnan(wanted)]).all()
+        assert not known or np.array_equal(np.isnan(have), np.isnan(wanted))
+    for node in np.flatnonzero(tree.size == 1):
+        rows = pivot[node_members(tree, node), 1:]
+        assert not np.isnan(rows[:, ~np.isnan(ring[node, :-1, 0])]).any()
     # rings nest: a node's ring against an ancestor lies within its
     # parent's, where both are known
     for node, above in enumerate(ancestors(tree)):
@@ -168,9 +173,7 @@ def checked_spokes(tree, ds: Dataset, *, known: bool = False, exact: bool = True
             both = ~np.isnan(inner[:, 0]) & ~np.isnan(outer[:, 0])
             assert (inner[both, 0] >= outer[both, 0]).all()
             assert (inner[both, 1] <= outer[both, 1]).all()
-    for have, wanted in ((spoke, want_spoke), (ring, want_ring)):
-        assert not known or np.array_equal(np.isnan(have), np.isnan(wanted))
-    return spoke, ring
+    return pivot, ring
 
 
 @pytest.fixture(scope="session")

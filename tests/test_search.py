@@ -135,12 +135,12 @@ def test_walk_reconciles_kernel_calls(metric, kernel_calls):
 
 
 def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
-                   spoke: np.ndarray, ring: np.ndarray,
+                   pivot: np.ndarray, ring: np.ndarray,
                    ) -> tuple[list[int], np.ndarray, tuple[int, int]]:
     """The nodes whose centers a range search tests, in pre-order; the
     positions in ``order`` of the points it scans, ascending; and how
-    many nodes the rings prune and points the spokes rule out. ``dists``
-    holds the query's distance to every point, ``spoke`` and ``ring`` the
+    many nodes the rings prune and points the pivots rule out. ``dists``
+    holds the query's distance to every point, ``pivot`` and ``ring`` the
     tree's (see ``reference_spokes``; nan where the tree does not know
     one, which rules nothing out) and ``slack`` the pruning test's
     rounding allowance; ``eps = slack - 1`` widens the triangle bounds.
@@ -151,9 +151,14 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
     ancestor ``a`` other than the root (which is explored untested), puts
     every member beyond ``r``: ``hi (1 + eps) < d(a) (1 - eps) - r slack``
     or ``lo (1 - eps) > d(a) (1 + eps) + r slack``, solved for ``hi`` and
-    ``lo`` as the search solves them. A reached leaf does not scan a
-    member whose ``|d(leaf) - spoke| - eps (d(leaf) + spoke)`` exceeds ``r
-    * slack``; a contained cluster scans all."""
+    ``lo`` as the search solves them, into the window ``(d(a) shrink -
+    inner, d(a) grow + outer)``. A leaf that survives its rings, has an
+    ancestor other than the root and knows its ring 0 is reached without
+    its center test; every other node's center is tested. A reached leaf
+    does not scan a member one of whose pivot columns lies outside its
+    window: column 0 that of the leaf's own center, where its distance is
+    known, and column ``k`` that of its ``k``-th ancestor, but the root. A
+    contained cluster scans all."""
     eps = slack - 1.0
     shrink, grow = (1.0 - eps) / (1.0 + eps), (1.0 + eps) / (1.0 - eps)
     inner, outer = r * slack / (1.0 + eps), r * slack / (1.0 - eps)
@@ -165,40 +170,49 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
     explored[0] = nodes > 1  # the root, untested
     tested, seen = [], set()
     scanned = [] if nodes > 1 else [np.arange(tree.order.size)]
-    by_ring = by_spoke = 0
+    by_ring = by_pivot = 0
     for node in range(1, nodes):
         if not explored[chains[node][0]]:
             continue
         c, rad = tree.center[node], tree.radius[node]
+        leaf = tree.size[node] == 1
+        d_a = dists[tree.center[chains[node][:-1]]]  # but the root's
+        d = dists[c]
         if c not in seen:
-            d_a = dists[tree.center[chains[node][:-1][:ring.shape[1]]]]
-            lo, hi = ring[node, :d_a.size, 0], ring[node, :d_a.size, 1]
-            if ((hi < d_a * shrink - inner) | (lo > d_a * grow + outer)).any():
+            near = d_a[:ring.shape[1]]
+            lo, hi = ring[node, :near.size, 0], ring[node, :near.size, 1]
+            if ((hi < near * shrink - inner) | (lo > near * grow + outer)).any():
                 by_ring += 1
                 continue
-            tested.append(node)
-            seen.add(c)
-        d = dists[c]
-        if d > (r + rad) * slack:
+            if leaf and d_a.size and not np.isnan(ring[node, 0, 0]):
+                d = None  # reached untested
+            else:
+                tested.append(node)
+                seen.add(c)
+        if d is not None and d > (r + rad) * slack:
             continue
         span = start[node] + np.arange(tree.cardinality[node])
-        if tree.size[node] == 1:
-            s = spoke[tree.order[span]]
-            out = np.abs(d - s) - eps * (d + s) > r * slack
-            by_spoke += int(np.count_nonzero(out))
+        if leaf:
+            p = pivot[tree.order[span]]
+            centers = [(0, d)] if d is not None else []
+            centers += list(enumerate(d_a[:pivot.shape[1] - 1], start=1))
+            out = np.zeros(span.size, dtype=bool)
+            for k, d_k in centers:
+                out |= (p[:, k] < d_k * shrink - inner) | (p[:, k] > d_k * grow + outer)
+            by_pivot += int(np.count_nonzero(out))
             scanned.append(span[~out])
         elif d + rad > r:
             explored[node] = True
         else:
             scanned.append(span)
     positions = np.concatenate(scanned) if scanned else np.zeros(0, dtype=np.int64)
-    return tested, positions, (by_ring, by_spoke)
+    return tested, positions, (by_ring, by_pivot)
 
 
 @pytest.fixture()
 def walk_order(monkeypatch):
     """``rho_search``, checking its walk and its scan against
-    :func:`reference_walk`, on the tree's spokes and rings: each must be
+    :func:`reference_walk`, on the tree's pivots and rings: each must be
     nan (not known) or equal what ``reference_spokes`` computes anew, and
     the search must leave their bytes as they were. Its one-row center tests,
     each named by the point its row views, are the reference's tested
@@ -206,7 +220,7 @@ def walk_order(monkeypatch):
     centers are tested before the next depth's. Its one scan pass gets
     the reference's points, at strictly increasing offsets in ``order``.
     ``skips`` sums the reference's nodes pruned by rings and points ruled
-    out by spokes."""
+    out by pivots."""
     centers: list[int] = []
     skips = [0, 0]
     scans: list[np.ndarray] = []
@@ -233,19 +247,17 @@ def walk_order(monkeypatch):
         searched["values"] = ds.values
         centers.clear()
         scans.clear()
-        bounds = [b.tobytes() for b in (tree.spoke, tree.ring)]
+        bounds = [b.tobytes() for b in (tree.pivot, tree.ring)]
         report = rho_search(tree, q, r, ds)
         searched.clear()
-        assert [b.tobytes() for b in (tree.spoke, tree.ring)] == bounds
+        assert [b.tobytes() for b in (tree.pivot, tree.ring)] == bounds
         slack = 1.0 + 4 * (ds.dim + 2) * 2.0 ** -52 if tree.metric.for_vectors else 1.0
         dists = distances_to(ds.values, ds.coerce_point(q), tree.metric)
         key = tree_to_bytes(tree)
         if key not in references:
             references[key] = reference_spokes(tree, ds)
-        # an insert's split may leave outer rings wider than their range
         tested, positions, ruled_out = reference_walk(
-            tree, dists, r, slack, *checked_spokes(tree, ds, exact=False,
-                                                    want=references[key]))
+            tree, dists, r, slack, *checked_spokes(tree, ds, want=references[key]))
         skips[:] = np.add(skips, ruled_out)
         depth = tree.depths()
         by_depth = sorted(tested, key=lambda node: (depth[node], node))
@@ -266,8 +278,8 @@ def walk_order(monkeypatch):
 def test_walk_tests_centers_and_scans_slices_by_depth(metric, walk_order):
     # the walk goes one depth at a time: it tests a depth's centers in
     # pre-order before the next depth's, prunes by rings, records slices
-    # of order and rules out members by spokes; one pass scans the rest,
-    # at increasing offsets. A built tree and a parsed one whose spokes
+    # of order and rules out members by pivots; one pass scans the rest,
+    # at increasing offsets. A built tree and a parsed one whose pivots
     # and rings ``_spokes`` works out walk alike; a parsed tree, which
     # knows none (all nan), walks by cluster pruning alone
     if metric.for_vectors:
@@ -278,7 +290,7 @@ def test_walk_tests_centers_and_scans_slices_by_depth(metric, walk_order):
     top = 4 * tree.radius[0]
     parsed, bounded = (tree_from_bytes(tree_to_bytes(tree))[0] for _ in range(2))
     _spokes(bounded, ds.values)
-    for t in (tree, bounded):  # both know every spoke and ring
+    for t in (tree, bounded):  # both know every pivot and ring
         checked_spokes(t, ds, known=True)
     for t in (tree, bounded, parsed):
         walk_order.skips[:] = [0, 0]
@@ -323,8 +335,8 @@ def test_rings_test_a_subset_of_the_centers_hubs_test(metric, walk_order):
         dists = distances_to(values, q, metric)
         for r in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0):
             report = walk_order(tree, q, r, ds)  # walks as the reference on rings
-            ringed, _, _ = reference_walk(tree, dists, r, 1.0, tree.spoke, tree.ring)
-            hubbed, positions, _ = reference_walk(tree, dists, r, 1.0, tree.spoke,
+            ringed, _, _ = reference_walk(tree, dists, r, 1.0, tree.pivot, tree.ring)
+            hubbed, positions, _ = reference_walk(tree, dists, r, 1.0, tree.pivot,
                                                   hubbed_rings)
             assert set(ringed) <= set(hubbed)
             spared += len(hubbed) - len(ringed)
@@ -334,6 +346,64 @@ def test_rings_test_a_subset_of_the_centers_hubs_test(metric, walk_order):
             assert report.hits == [(int(i), float(d)) for d, i in
                                    sorted(zip(dists[points][within], points[within]))]
     assert spared > 0
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.LEVENSHTEIN])
+def test_a_leaf_with_a_known_ring_is_reached_untested(metric, monkeypatch):
+    # A leaf below a root child knows its ring against its parent, whose
+    # center the walk has tested: a range search reads its members' pivots
+    # in place of its center's distance, which it used to compute and then
+    # compute again in the scan. A cut knows no ring, and the search tests
+    # the center of every leaf it reaches, as the paper's search does. A
+    # leaf is reached when its parent is explored: tested, not pruned and
+    # not contained
+    if metric.for_vectors:
+        ds = synth_manifold(600, 10, 1, 0.02, seed=43, density_power=2.0)
+    else:
+        ds = synth_aligned_strings(300, 60, 4, 0.05, seed=43)
+    tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
+    cut = _truncated(tree, tree.depth)
+    assert np.array_equal(cut.center, tree.center) and np.array_equal(cut.size, tree.size)
+    assert np.isnan(cut.ring).all()
+    tested: list[int] = []
+
+    def kernel(points, q, kind, counter=None):
+        if len(points) == 1 and np.may_share_memory(points, ds.values):
+            tested.append((points.ctypes.data - ds.values.ctypes.data)
+                          // ds.values.strides[0])
+        return distances_to(points, q, kind, counter)
+
+    monkeypatch.setattr(search, "distances_to", kernel)
+    chains = ancestors(tree)
+    slack = 1.0 + 4 * (ds.dim + 2) * 2.0 ** -52 if metric.for_vectors else 1.0
+    # the leaves below a root child whose center is none of their ancestors'
+    leaves = [leaf for leaf in np.flatnonzero(tree.size == 1).tolist() if len(chains[leaf]) > 1
+              and tree.center[leaf] not in tree.center[chains[leaf]]]
+    untested = on_cut = 0
+    for i in range(0, ds.n, 25):
+        q = ds.values[i]
+        dists = distances_to(ds.values, q, metric)
+        for r in (0.0, float(np.quantile(dists, 0.02)), float(np.quantile(dists, 0.1))):
+            for t in (tree, cut):
+                tested.clear()
+                assert rho_search(t, q, r, ds).hits == naive_search(ds, q, r, metric).hits
+                centers = set(tested)
+                explored = np.zeros(tree.size.size, dtype=bool)
+                explored[0] = True
+                for node in range(1, tree.size.size):  # parents come first
+                    d, rad = dists[tree.center[node]], tree.radius[node]
+                    explored[node] = (explored[chains[node][0]] and tree.size[node] > 1
+                                      and tree.center[node] in centers
+                                      and r < d + rad and d <= (r + rad) * slack)
+                for leaf in leaves:
+                    reached = explored[chains[leaf][0]]
+                    if t is cut:
+                        assert not reached or tree.center[leaf] in centers
+                        on_cut += reached
+                    else:
+                        assert tree.center[leaf] not in centers
+                        untested += reached
+    assert untested > 20 and on_cut > 20
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
@@ -349,7 +419,8 @@ def test_outer_rings_test_a_subset_of_the_centers_parent_rings_test(metric):
         ds = synth_aligned_strings(300, 60, 4, 0.05, seed=41)
     tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
     parent_only, _ = tree_from_bytes(tree_to_bytes(tree))
-    parent_only.spoke = tree.spoke.copy()
+    parent_only.pivot = tree.pivot.copy()
+    parent_only.pivot[:, 2:] = np.nan  # as known as the rings are
     parent_only.ring[:, 0] = tree.ring[:, 0]
     far = float(distances_to(ds.values, ds.values[0], metric).max())
     spared = 0
@@ -828,7 +899,7 @@ def test_batched_walk_tests_the_centers_the_plain_walk_does(metric, monkeypatch)
     # its own. From nothing known, at each k-NN bound, the batched walk
     # adds to the known distances exactly the centers that the plain walk
     # tests, with the same bits, and finds the same hits. On built, grown,
-    # parsed (no spoke or ring known) and cut trees
+    # parsed (no pivot or ring known) and cut trees
     if metric.for_vectors:
         ds = synth_manifold(450, 10, 1, 0.02, seed=35, density_power=2.0)
     else:
@@ -882,11 +953,11 @@ def test_batched_walk_tests_the_centers_the_plain_walk_does(metric, monkeypatch)
 @pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
                                     MetricKind.LEVENSHTEIN])
 def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
-    # A parsed tree or a cut knows no spoke or ring (all nan) until
+    # A parsed tree or a cut knows no pivot or ring (all nan) until
     # ``_spokes`` works them out (``deserialize`` does); an insert writes
     # only those it computes, and a search writes none. Each tree answers
     # as the linear scan, at stored distances and at containment radii,
-    # and so does k-NN; each spoke and ring it knows is what a fresh pass
+    # and so does k-NN; each pivot and ring it knows is what a fresh pass
     # computes
     if metric.for_vectors:
         ds = synth_manifold(450, 10, 1, 0.02, seed=29, density_power=2.0)
@@ -920,26 +991,33 @@ def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
                     naive_search(ds, q, r, metric).hits, name
             for k in (1, 7):
                 assert knn_search(tree, q, k, ds).hits == everything[:k], name
-        spoke, ring = checked_spokes(tree, ds, exact=name != "parsed, then grown")
-        known = [np.count_nonzero(~np.isnan(b)) for b in (spoke, ring[..., 0], ring[..., 1])]
-        # a node has a ring against each of its nearest _RINGS ancestors
-        rings = int(np.minimum(tree.depths(), _RINGS).sum())
+        pivot, ring = checked_spokes(tree, ds)
+        known = [np.count_nonzero(~np.isnan(b))
+                 for b in (pivot[:, 0], ring[..., 0], ring[..., 1], pivot)]
+        # a node has a ring against each of its nearest _RINGS ancestors,
+        # and a point a pivot against its leaf and as many of its ancestors
+        depths = tree.depths()
+        rings = int(np.minimum(depths, _RINGS).sum())
+        leaves = np.flatnonzero(tree.size == 1)
+        pivots = int((tree.cardinality[leaves]
+                      * np.minimum(depths[leaves] + 1, _RINGS)).sum())
         if name in ("parsed", "cut"):
-            assert known == [0, 0, 0], name
+            assert known == [0, 0, 0, 0], name
         elif name == "parsed, then grown":
-            # the inserted points' spokes, and splits'; a split child's ring
-            # against the split node is known only where all its members'
-            # spokes were, and it inherits the split node's others
+            # the inserted points' pivots, and splits' partition distances;
+            # a split child's ring is known only where all its members'
+            # pivots against that ancestor were
             inserted = ds.n - ds.n // 2
             assert inserted <= known[0] < ds.n, name
             assert known[1] == known[2] < rings, name
+            assert known[3] < pivots, name
         else:
-            assert known == [ds.n, rings, rings], name
+            assert known == [ds.n, rings, rings, pivots], name
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.LEVENSHTEIN])
 def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
-    # the build and inserts keep spokes and rings from the distances they
+    # the build and inserts keep pivots and rings from the distances they
     # compute anyway, so no insert pays a pass over the dataset, not even
     # on a parsed tree, which knows none; a built tree's stay those a
     # fresh pass computes
@@ -962,11 +1040,11 @@ def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
     assert tree.size.size > nodes + 20  # the inserts split leaves
     assert tree_to_bytes(parsed) == tree_to_bytes(tree)
     assert worked_out == []
-    checked_spokes(tree, grown, known=True, exact=False)
+    checked_spokes(tree, grown, known=True)
 
 
 def test_an_insert_into_a_parsed_tree_costs_its_descent(monkeypatch):
-    # a parsed tree knows no spoke, and its first insert works none out:
+    # a parsed tree knows no pivot, and its first insert works none out:
     # it computes its descent's distances (and a split's), not one per point
     ds = synth_manifold(2_001, 10, 1, 0.02, seed=37, density_power=2.0)
     n = ds.n - 1
@@ -982,7 +1060,7 @@ def test_an_insert_into_a_parsed_tree_costs_its_descent(monkeypatch):
     monkeypatch.setattr(tree_mod, "distances_to", counted)
     insert_point(tree, ds.values[-1], head)
     assert 0 < sum(rows) < n // 2
-    assert not np.isnan(tree.spoke[n])  # the new point's own
+    assert not np.isnan(tree.pivot[n, 0])  # the new point's own
 
 
 def caterpillar(ds: Dataset, rng: np.random.Generator,
@@ -1055,7 +1133,7 @@ def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search, rho=rho_search) ->
         insert_point(tree, p, ds)
     assert tree.cardinality[0] == ds.n == n0 + 10
     check(tree)
-    _spokes(tree, ds.values)  # and again with every spoke and ring known
+    _spokes(tree, ds.values)  # and again with every pivot and ring known
     # eight rings a node, however deep the tree, each as a fresh pass makes it
     assert tree.ring.shape == (tree.size.size, _RINGS, 2)
     checked_spokes(tree, ds, known=True)

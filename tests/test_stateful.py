@@ -6,14 +6,15 @@ archive round trips, under all four metrics. Coordinates are small
 integers and strings are short, so exact ties, duplicates and collinear
 triples are the rule. After every step the tree must parse back from its
 bytes and hold exactly the radii that a fresh pass over the dataset
-computes. Each of its spokes and rings must be nan (not known) or
-exactly what that pass computes, but for the outer rings (against a
-node's grandparent and beyond) after an insert, which need only hold
-that pass's range: a split's children inherit them from the split node.
-Rings past a node's ancestors are nan, and none other is after a build
-or a pass that works them all out, however many inserts follow; known
-rings nest, as inserts rely on. Every search must answer as the linear
-scan and leave the tree as it found it.
+computes. Each entry of its pivot table and each of its rings must be
+nan (not known) or bit for bit what that pass computes, after a split
+too, whose children take all their rings from their members' pivots.
+Entries past the root are nan, and none other is after a build or a
+pass that works them all out, however many inserts follow; a leaf's
+known ring makes its members' pivots against that ancestor known, as
+searches rely on, and known rings nest, as inserts rely on. Every
+search must answer as the linear scan and leave the tree as it found
+it.
 """
 
 from __future__ import annotations
@@ -75,11 +76,10 @@ class IndexMachine(RuleBasedStateMachine):
         self.dataset = Dataset(self.kind, np.vstack([_as_row(self.kind, p) for p in rows]))
         self.config = BuildConfig(max_depth, min_size, seed)
         self.tree = build(self.dataset, metric, self.config)
-        self.known = True  # whether the tree knows every spoke and ring
-        self.exact = True  # whether no insert has widened or inherited a ring since
+        self.known = True  # whether the tree knows every pivot and ring
 
     def _bounds(self) -> tuple[bytes, ...]:
-        return self.tree.spoke.tobytes(), self.tree.ring.tobytes()
+        return self.tree.pivot.tobytes(), self.tree.ring.tobytes()
 
     def _query(self, data):
         """A stored point or a fresh one."""
@@ -94,7 +94,8 @@ class IndexMachine(RuleBasedStateMachine):
         else:
             point = _as_row(self.kind, data.draw(self.points))
         insert_point(self.tree, point, self.dataset)
-        self.exact = False
+        # a split's children take their eight rings from their members'
+        # pivots: the invariant holds each to a fresh pass, bit for bit
 
     @rule(data=st.data(), how=st.sampled_from(["zero", "stored distance", "containment"]))
     def range_search(self, data, how):
@@ -139,15 +140,15 @@ class IndexMachine(RuleBasedStateMachine):
     @rule(depth=st.integers(0, 8))
     def truncate(self, depth):
         self.tree = _truncated(self.tree, depth)
-        self.known, self.exact = False, True
-        assert all(np.isnan(b).all() for b in (self.tree.spoke, self.tree.ring))
+        self.known = False
+        assert all(np.isnan(b).all() for b in (self.tree.pivot, self.tree.ring))
 
     @rule()
     def work_out_spokes(self):
         # the pass gives back the radii the build gives
         radius = _spokes(self.tree, self.dataset.values)
         assert radius.tobytes() == self.tree.radius.tobytes()
-        self.known = self.exact = True
+        self.known = True
 
     @rule(reverse=st.booleans())
     def byte_round_trip(self, reverse):
@@ -159,9 +160,9 @@ class IndexMachine(RuleBasedStateMachine):
             tree = dataclasses.replace(tree, order=order)
         raw = tree_to_bytes(tree)
         self.tree, end = tree_from_bytes(raw)
-        self.known, self.exact = False, True
+        self.known = False
         assert end == len(raw) and tree_to_bytes(self.tree) == raw
-        assert all(np.isnan(b).all() for b in (self.tree.spoke, self.tree.ring))
+        assert all(np.isnan(b).all() for b in (self.tree.pivot, self.tree.ring))
 
     @precondition(lambda self: self.dataset.n >= 2)
     @rule(data=st.data())
@@ -187,10 +188,9 @@ class IndexMachine(RuleBasedStateMachine):
         tree_from_bytes(tree_to_bytes(tree))  # runs the structure check
         radius, _ = _node_stats(tree, values)
         assert radius.tobytes() == tree.radius.tobytes()
-        # each nan or as a fresh pass makes it (an outer ring after inserts:
-        # holding its range); none nan while the tree knows them all
-        # (inserts keep that so) but past a node's ancestors
-        checked_spokes(tree, self.dataset, known=self.known, exact=self.exact)
+        # each nan or as a fresh pass makes it; none nan while the tree
+        # knows them all (inserts keep that so) but past the root
+        checked_spokes(tree, self.dataset, known=self.known)
 
 
 IndexMachine.TestCase.settings = settings(max_examples=300, stateful_step_count=12,

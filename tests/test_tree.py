@@ -334,14 +334,14 @@ def test_tree_invariants_on_built_trees(corpus_b):
 def test_load_pass_in_runs_of_nodes_gives_the_builds_values(pairs, monkeypatch):
     # the load pass works out a bounded number of member pairs at a time,
     # in runs of whole nodes; runs of any length give the build's radii,
-    # spokes and rings, and the same fractal dimensions, bit for bit
+    # pivots and rings, and the same fractal dimensions, bit for bit
     ds = synth_manifold(400, 6, 2, 0.05, seed=9)
     tree = build(ds, E, BuildConfig(max_depth=12, min_size=3, seed=2))
     radius, lfd = _node_stats(tree, ds.values)
     monkeypatch.setattr(tree_mod, "_PASS_PAIRS", pairs)
     parsed, _ = tree_from_bytes(tree_to_bytes(tree))
     assert _spokes(parsed, ds.values).tobytes() == tree.radius.tobytes()
-    for name in ("spoke", "ring"):
+    for name in ("pivot", "ring"):
         assert getattr(parsed, name).tobytes() == getattr(tree, name).tobytes()
     runs = _node_stats(tree, ds.values)
     assert runs[0].tobytes() == radius.tobytes() and runs[1].tobytes() == lfd.tobytes()
