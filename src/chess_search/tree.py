@@ -17,7 +17,10 @@ Letters 1994, with the tree's own centers as pivots), and every node's
 *rings*, the ranges ``[lo, hi]`` of its members' distances to the
 centers of its ``_RINGS`` nearest ancestors (GNAT's range tables, Brin,
 VLDB 1995, kept for the eight nearest ancestors), which a range search
-uses to rule points and subtrees out by the triangle inequality.
+uses to rule points and subtrees out by the triangle inequality. One
+step makes both in the build, a split and the load (:func:`_ring_step`):
+a node's rings are the column ranges of its members' pivot rows as its
+parent left them, which then take their distances to its center in front.
 A node's local fractal dimension is not stored: :func:`lfd_depth_profile`
 computes it from the tree and the dataset when it is read.
 
@@ -87,12 +90,6 @@ _COLUMNS = (("flags", "u1"), ("center", "<u8"), ("radius", "<f8"),
 #: Bytes of the rows gathered for one kernel call of a build pass or a
 #: search scan; a build call also gathers as many bytes of queries.
 _BLOCK_BYTES = 80 * 1024
-
-#: Member pairs the load pass (:func:`_member_distances`) works out at a
-#: time: a node's members number up to ``n``, and all nodes' up to ``n``
-#: times the depth, so a pass over all of them at once would hold index
-#: arrays that grow with both.
-_PASS_PAIRS = 1 << 17
 
 #: Ancestors each node keeps a ring against, nearest first. On the
 #: benchmark's seed-1 range reads, on trees as built, 8 rings make 0.7%
@@ -381,24 +378,42 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack((a, b)).reshape(-1)
 
 
+def _ring_step(pivots: np.ndarray, starts: np.ndarray,
+               own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level's rings from its members' pivot rows, then the rows one
+    level down: the one step that makes every ring and pivot.
+
+    ``pivots[k, j]`` is member ``j``'s distance to the center of its
+    parent's ``k``-th nearest ancestor-or-self (nan where not known; no
+    row past the root or ``_RINGS``), the members node after node, each
+    node's from ``starts``. A node's ring ``k`` is the least and greatest
+    of its members' ``pivots[k]``, nan if any is nan or past the rows.
+    Returns the rings, shape ``(nodes, _RINGS, 2)``, and the pivots moved
+    one row down, ``own``, each member's distance to its node's center,
+    in front.
+    """
+    ring = np.full((starts.size, _RINGS, 2), math.nan)
+    ring[:, :len(pivots), 0] = np.minimum.reduceat(pivots, starts, axis=1).T
+    ring[:, :len(pivots), 1] = np.maximum.reduceat(pivots, starts, axis=1).T
+    return ring, np.vstack((own, pivots[:_RINGS - 1]))
+
+
 def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
                  streams: list[int], seed: int, metric: MetricKind,
-                 counter: ComparisonCounter | None, near: list[np.ndarray],
+                 counter: ComparisonCounter | None, pivots: np.ndarray,
                  ) -> tuple[np.ndarray, ...]:
     """Split every node of a level in two: the one step that splits a node,
     in :func:`build` and :func:`insert_point` alike.
 
     ``members`` holds the nodes' members node after node, ``counts`` each
     in ascending point-index order; node ``k`` draws its seeds from stream
-    ``streams[k]``. ``near`` holds at most ``_RINGS`` point-indexed arrays
-    of distances, nearest center first: ``near[0]`` every member's to its
-    node's center and ``near[j]`` to the center of its node's ``j``-th
-    nearest ancestor. A child's ring ``j`` is the least and greatest of its
-    members' ``near[j]`` entries (nan if any is nan, and past ``near``).
-    Returns the children's centers, members (stable within each child),
-    rings, radii and counts, left child first, and every member's distance
-    to its child's center (0 for the center itself, which is not
-    compared), in the returned members' order.
+    ``streams[k]``. ``pivots`` holds the members' pivot rows as its
+    columns, their node's center first (see :func:`_ring_step`); they
+    regroup with the members, give the children's rings and take the
+    partition distances in front, at no distance. Returns the children's
+    centers, members (stable within each child), rings, radii and counts,
+    left child first, and the members' pivots as the children leave them
+    (a child's center at 0, not compared).
     """
     starts = np.cumsum(counts) - counts
     left, right = _level_poles(values, [
@@ -411,15 +426,11 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
     child = 2 * node_of + ~goes_left
     regroup = np.argsort(child, kind="stable")
     children = np.bincount(child, minlength=2 * counts.size)  # each at least 1
-    centers, members, own = _interleave(left, right), members[regroup], own[regroup]
+    centers, members, pivots, own = (_interleave(left, right), members[regroup],
+                                     pivots.take(regroup, axis=1), own[regroup])
     starts = np.cumsum(children) - children
-    ancestors = np.empty((len(near), members.size))
-    for row, out in zip(near, ancestors):
-        row.take(members, out=out)
-    ring = np.full((children.size, _RINGS, 2), math.nan)
-    ring[:, :len(near), 0] = np.minimum.reduceat(ancestors, starts, axis=1).T
-    ring[:, :len(near), 1] = np.maximum.reduceat(ancestors, starts, axis=1).T
-    return centers, members, ring, np.maximum.reduceat(own, starts), children, own
+    ring, pivots = _ring_step(pivots, starts, own)
+    return centers, members, ring, np.maximum.reduceat(own, starts), children, pivots
 
 
 def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterTree:
@@ -432,17 +443,19 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
 
     The build goes one depth at a time. A level holds the members of its
     nodes, node after node, each node's in ascending point-index order,
-    and each node's radius, the maximum of its members' distances to its
-    center. Every splitting node draws its seeds from its own stream; one
-    paired pass evaluates all seed pairs of the level and one more all
-    partition distances, which also give the children's radii, and the
-    members regroup stably into the next level, left child before right.
-    The last ``_RINGS`` levels' distances stay in a ring buffer of rows,
-    so the children's rings against their ``_RINGS`` nearest ancestors
-    are least and greatest entries of their members there: no distance
-    is added. Leaves write their members into ``order`` at their offset,
-    and copy their members' entries of the buffer, their own level's
-    first, into the pivot table (nan past the root). The pre-order
+    their pivot rows, and each node's radius, the maximum of its members'
+    distances to its center. Every splitting node draws its seeds from
+    its own stream; one paired pass evaluates all seed pairs of the level
+    and one more all partition distances, which also give the children's
+    radii, and the members and their rows regroup stably into the next
+    level, left child before right, the rows giving the children's rings
+    and taking the partition distances in front (:func:`_level_split`):
+    no distance is added. The rows are the columns of one array, cut at
+    the root, so each ring reduces contiguous memory and no nan; rows of
+    eight, nan past the root, made the ``vec-query`` build 5-7% slower
+    (in process, one core of a 2-core x86 VM). Leaves write their members
+    into ``order`` at their offset and their rows into the pivot table.
+    The pre-order
     columns are the levels' columns sorted by offset, the shallower node
     first among equal offsets, and the subtree sizes follow from which
     nodes split.
@@ -459,24 +472,18 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     pair[i, j] = pair[j, i] = _paired_pass(values, seeds[j], seeds[i], metric, counter)
     root = int(seeds[int(np.argmin(pair.sum(axis=1)))])
     others = np.flatnonzero(np.arange(n) != root)
-    # the last ``_RINGS`` levels' distances, level ``L`` in row ``L %
-    # _RINGS``: each member of a level's nodes has its distance to its node's
-    # center there (a row holds nothing for the other points), and leaves
-    # copy their members' into the pivot table
-    near = np.empty((_RINGS, n))
-    near[0, root] = 0.0
-    near[0, others] = _paired_pass(values, others, np.full(others.size, root), metric,
-                                   counter)
-    pivot = np.full((n, _RINGS), math.nan)
-    radius = np.array([near[0].max()])
-
-    # the current level: its members, then per node member count, center,
-    # radius, rings, stream (heap numbering) and offset in ``order``
+    own = np.zeros(n)
+    own[others] = _paired_pass(values, others, np.full(others.size, root), metric,
+                               counter)
+    # the current level: its members and their pivot rows, then per node
+    # member count, center, radius, rings, stream (heap numbering) and
+    # offset in ``order``
     members = np.arange(n, dtype=np.int64)
-    counts, centers, ring, streams, offsets = (
-        np.array([n]), np.array([root]), np.full((1, _RINGS, 2), math.nan), [1],
-        np.array([0]))
+    ring, pivots = _ring_step(np.empty((0, n)), np.array([0]), own)
+    counts, centers, radius, streams, offsets = (
+        np.array([n]), np.array([root]), np.array([own.max()]), [1], np.array([0]))
     order = np.empty(n, dtype=np.int64)
+    pivot = np.full((n, _RINGS), math.nan)
     levels, spent = [], [0]  # spent: the comparison count after each depth
     for depth in itertools.count():
         split = (counts > config.min_size) & (radius != 0.0)
@@ -486,20 +493,17 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
                        np.full(counts.size, depth)))
         leaf = np.repeat(~split, counts)
         starts = np.cumsum(counts) - counts
-        done = members[leaf]
-        order[np.flatnonzero(leaf) + np.repeat(offsets - starts, counts)[leaf]] = done
-        # the leaf's level first, then its ancestors' up to the root
-        above = [(depth - k) % _RINGS for k in range(min(depth + 1, _RINGS))]
-        pivot[done, :len(above)] = near[:, done][above].T
+        done, at = members[leaf], np.flatnonzero(leaf)
+        order[at + np.repeat(offsets - starts, counts)[leaf]] = done
+        pivot[done, :len(pivots)] = pivots.take(at, axis=1).T
         if not split.any():
             break
 
         inside = np.repeat(split, counts)
         streams = [s for s, f in zip(streams, split.tolist()) if f]
-        centers, members, ring, radius, counts, own = _level_split(
+        centers, members, ring, radius, counts, pivots = _level_split(
             values, members[inside], counts[split], streams, config.seed, metric,
-            counter, [near[(depth - k) % _RINGS] for k in range(min(depth + 1, _RINGS))])
-        near[(depth + 1) % _RINGS][members] = own
+            counter, pivots.take(np.flatnonzero(inside), axis=1))
         streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
         offsets = _interleave(offsets[split], offsets[split] + counts[0::2])
         spent.append(counter.count)
@@ -548,57 +552,39 @@ def metric_entropy(tree: ClusterTree) -> int:
     return int(np.count_nonzero(tree.size == 1))
 
 
-def _pass_offsets(tree: ClusterTree) -> tuple[np.ndarray, np.ndarray]:
-    """Where each node's slice of ``order`` starts, after the leaves
-    before it, and where its block of :func:`_member_distances`' pass
-    starts, after the members of the nodes before it."""
-    card = tree.cardinality
-    leaf_card = np.where(tree.size == 1, card, 0)
-    return np.cumsum(leaf_card) - leaf_card, np.cumsum(card) - card
+def _levels(tree: ClusterTree, values: np.ndarray):
+    """Yield ``(nodes, members, distances)`` for every depth from the root:
+    its nodes in pre-order, their members node after node, and each
+    member's distance to its node's center, the build's distances.
 
-
-def _member_distances(tree: ClusterTree, values: np.ndarray):
-    """Every node's members and their distances to its center, node after
-    node in pre-order and each node's in the order of its slice of
-    ``order``: one paired pass, the member as the row and the center as
-    the query, as the build pairs them. A center is at 0 and not
-    compared, as in the build, whose distances this reproduces. That is
-    one distance per member of every node, not counted: they belong to
-    no query. Yields ``(a, b, members, distances)`` for runs of nodes
-    ``a:b`` that start within each ``_PASS_PAIRS`` pairs of the pass."""
-    card = tree.cardinality
-    off, start = _pass_offsets(tree)
-    edges = (np.flatnonzero(np.diff(start // _PASS_PAIRS)) + 1).tolist()
-    for a, b in zip([0, *edges], [*edges, card.size]):
-        shift = np.repeat(off[a:b] - start[a:b] + start[a], card[a:b])
-        members = tree.order[np.arange(shift.size) + shift]
-        centers = np.repeat(tree.center[a:b], card[a:b])
+    A depth's members are the depth above's less its leaves': pre-order
+    slices of ``order``. Each depth is one paired pass of at most ``n``
+    pairs, the member as the row and the center as the query, as the build
+    pairs them; a center is at 0 and not compared. The distances belong to
+    no query and are not counted."""
+    depth = tree.depths()
+    by_depth = np.argsort(depth, kind="stable")
+    edges = np.cumsum(np.bincount(depth)).tolist()
+    members = tree.order
+    for a, b in zip([0, *edges], edges):
+        nodes = by_depth[a:b]
+        card = tree.cardinality[nodes]
+        centers = np.repeat(tree.center[nodes], card)
         rest = np.flatnonzero(members != centers)
         dists = np.zeros(members.size)
         dists[rest] = _paired_pass(values, members[rest], centers[rest], tree.metric,
                                    None)
-        yield a, b, members, dists
+        yield nodes, members, dists
+        members = members[np.repeat(tree.size[nodes] > 1, card)]
 
 
 def _node_stats(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radius and local fractal dimension of every node in pre-order, from
-    :func:`_member_distances`; the radii are the build's."""
-    runs = [_level_stats(dists, tree.cardinality[a:b])
-            for a, b, _, dists in _member_distances(tree, values)]
-    return tuple(map(np.concatenate, zip(*runs)))
-
-
-def _ancestors(size: np.ndarray) -> np.ndarray:
-    """Every node's ``_RINGS`` nearest ancestors, nearest first, by node:
-    -1 past the root."""
-    internal = np.flatnonzero(size > 1)
-    parent = np.full(size.size + 1, -1)  # the last entry is -1's own parent
-    parent[internal + 1] = parent[internal + 1 + size[internal + 1]] = internal
-    above = np.empty((size.size, _RINGS), dtype=np.int64)
-    above[:, 0] = parent[:-1]
-    for k in range(1, _RINGS):
-        above[:, k] = parent[above[:, k - 1]]
-    return above
+    :func:`_levels`; the radii are the build's."""
+    radius, lfd = np.empty(tree.size.size), np.empty(tree.size.size)
+    for nodes, _, dists in _levels(tree, values):
+        radius[nodes], lfd[nodes] = _level_stats(dists, tree.cardinality[nodes])
+    return radius, lfd
 
 
 def _spokes(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
@@ -606,48 +592,24 @@ def _spokes(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
     from ``values`` and store them on it; return every node's radius as its
     members' distances give it.
 
-    The one pass is :func:`_member_distances`. A node's block holds its
-    members' distances to its center: each goes to the member's pivot
-    column ``k``, the member's leaf's depth less the node's, where ``k <
-    _RINGS``. A node's members are one contiguous part of each of its
-    ancestors' blocks, so its ring ``k`` is the least and greatest of its
-    part of its ``(k + 1)``-th nearest ancestor's block. For each ``k``
-    those parts are disjoint, and one ``reduceat`` per run of the pass
-    reduces them all. The values are the build's, bit for bit."""
-    card, size = tree.cardinality, tree.size
+    Depth by depth over :func:`_levels`, the members' pivot rows take the
+    build's step (:func:`_ring_step`): they give the depth's rings and
+    shift one column right, the members' distances to their node's center
+    going in front. A leaf's members' rows are then their pivots, and the
+    rest go on to the next depth. The values are the build's, bit for
+    bit."""
     tree.pivot = np.full((tree.order.size, _RINGS), math.nan)
-    tree.ring = np.full((size.size, _RINGS, 2), math.nan)
-    depth = tree.depths()
-    leaves, _ = tree.leaf_offsets()
-    leaf_depth = np.empty(tree.order.size, dtype=np.int64)
-    leaf_depth[tree.order] = np.repeat(depth[leaves], card[leaves])
-    radius = np.empty(size.size)
-    off, start = _pass_offsets(tree)
-    # for each k, the nodes with a (k + 1)-th ancestor and where their part
-    # of its block starts in the pass, in pass order
-    above, parts = _ancestors(size), []
-    for k in range(_RINGS):
-        below = np.flatnonzero(above[:, k] >= 0)
-        top = above[below, k]
-        at = start[top] + off[below] - off[top]
-        by = np.argsort(at)
-        parts.append((below[by], at[by]))
-    for a, b, members, dists in _member_distances(tree, values):
-        radius[a:b] = np.maximum.reduceat(dists, np.cumsum(card[a:b]) - card[a:b])
-        column = leaf_depth[members] - np.repeat(depth[a:b], card[a:b])
-        kept = column < _RINGS
-        tree.pivot[members[kept], column[kept]] = dists[kept]
-        for k, (below, at) in enumerate(parts):
-            i, j = np.searchsorted(at, (start[a], start[a] + dists.size))
-            if i == j:
-                continue
-            # each part's start and end in the run; the results at the ends
-            # reduce the gaps between parts, and are dropped
-            part = at[i:j] - start[a]
-            edges = _interleave(part, part + card[below[i:j]])
-            edges = edges[:-1] if edges[-1] == dists.size else edges
-            tree.ring[below[i:j], k, 0] = np.minimum.reduceat(dists, edges)[::2]
-            tree.ring[below[i:j], k, 1] = np.maximum.reduceat(dists, edges)[::2]
+    radius, tree.ring = np.empty(tree.size.size), np.empty((tree.size.size, _RINGS, 2))
+    pivots = np.empty((0, tree.order.size))
+    for nodes, members, dists in _levels(tree, values):
+        card = tree.cardinality[nodes]
+        starts = np.cumsum(card) - card
+        radius[nodes] = np.maximum.reduceat(dists, starts)
+        tree.ring[nodes], pivots = _ring_step(pivots, starts, dists)
+        leaf = np.repeat(tree.size[nodes] == 1, card)
+        at, rest = np.flatnonzero(leaf), np.flatnonzero(~leaf)
+        tree.pivot[members[at], :len(pivots)] = pivots.take(at, axis=1).T
+        pivots = pivots.take(rest, axis=1)
     return radius
 
 
@@ -664,8 +626,8 @@ def lfd_depth_profile(tree: ClusterTree, dataset: Dataset) -> list[tuple[int, in
     count within half its radius of its center, 0 for a singleton or a
     zero radius. It is computed here from the tree and ``dataset``, so it
     is exact on a grown tree too, at one distance per member of every
-    node: 294,306 pairs and about 0.1 s on the ``vec-query`` corpus, a
-    quarter of its build (2-core x86 VM).
+    node: 285,345 pairs, about 70 ms on the seed-1 ``vec-query`` index,
+    a quarter of its build (best of 10, one core of a 2-core x86 VM).
 
     Clusters at each depth are ranked by fractal dimension and split
     into ten rank buckets; empty buckets are omitted. Rows are sorted by
@@ -724,11 +686,10 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     insert where one vector operation over the path's ``(path, _RINGS)``
     block added 25 us (medians, 2-core x86 VM). A split adds the
     build's cost for one node of ``2 * min_size + 1`` members, about
-    ``min_size`` inserts apart. Its members' pivot rows move one column
-    right, the split node's own column becoming their column 1 and their
-    partition distances their column 0, and the new leaves' eight rings
-    are the ranges of the rows as they were (nan where any member's
-    entry is not known), at no distance. Besides that, an insert appends
+    ``min_size`` inserts apart. As in the build, :func:`_level_split`
+    takes the members' pivot rows to the new leaves' rings (nan where any
+    member's entry is not known) and then puts the partition distances in
+    front of them, at no distance. Besides that, an insert appends
     to the dataset and to the pivot table (amortized O(1)), shifts the
     tail of ``order`` by one and, on a split, the node columns by two;
     the dataset hash is left to its first reader (see
@@ -804,21 +765,14 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     while (card[node] > 2 * config.min_size and radius[node] > 0.0
            and len(path) <= config.max_depth):
         members = np.sort(tree.order[off:off + int(card[node])])
-        centers, members, child_ring, child_radius, counts, own = _level_split(
-            values, members, card[node:node + 1], [stream], config.seed, metric, None, [])
-        # the children's rings are the ranges of their members' pivot rows,
-        # which then move one column right, the partition distance first.
-        # The rows are gathered here: ``take`` in the split would copy each
-        # strided column of the table whole
-        rows = tree.pivot[members]
-        edges = [0, int(counts[0])]
-        child_ring[..., 0] = np.minimum.reduceat(rows, edges)
-        child_ring[..., 1] = np.maximum.reduceat(rows, edges)
-        tree.pivot[members] = np.column_stack((own, rows[:, :-1]))
+        centers, members, child_ring, child_radius, counts, pivots = _level_split(
+            values, members, card[node:node + 1], [stream], config.seed, metric, None,
+            tree.pivot[members].T)
+        tree.pivot[members] = pivots.T
         tree.order[off:off + members.size] = members
         size[path] += 2
         tree.center, tree.radius, tree.cardinality, tree.size, tree.ring = (
-            np.insert(column, node + 1, rows, axis=0) for column, rows in
+            np.insert(column, node + 1, added, axis=0) for column, added in
             ((center, centers), (radius, child_radius), (card, counts), (size, [1, 1]),
              (tree.ring, child_ring)))
         center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
@@ -854,6 +808,12 @@ def tree_from_bytes(raw: bytes) -> tuple[ClusterTree, int]:
     :class:`FormatError` naming a byte offset. The returned tree is not
     yet bound to a dataset: callers are responsible for checking
     ``dataset_hash`` (see :func:`deserialize`).
+
+    The stream holds no pivot or ring: the tree knows none until
+    :func:`_spokes` works them out (:func:`deserialize` does). An insert
+    before then learns only the rows it writes, so a split leaf's rings,
+    from its members' rows, are nan but for inserted points: searches
+    stay exact, but test the children those rings would prune.
     """
     if len(raw) < _TREE_HEADER.size:
         raise FormatError(f"truncated tree header at byte offset {len(raw)}")
@@ -969,11 +929,10 @@ def deserialize(path, dataset: Dataset) -> ClusterTree:
     its members' distances, by more than the rounding slack a search
     allows a vector distance, would make a search drop hits, so it is a
     :class:`FormatError` naming the node and its radius entry's byte
-    offset. The pass costs one distance per member of every node: 294,306
-    pairs and about 85 ms on the ``vec-query`` corpus, a fourth of its
-    build, of which the eight rings take about 9 ms and the pivot table
-    about 7 ms (best of 10, one core of a 2-core x86 VM). Its temporaries
-    stay near ``_PASS_PAIRS`` pairs.
+    offset. The pass costs one distance per member of every node: 285,345
+    pairs and about 95 ms on the benchmark's seed-1 ``vec-query`` index, a
+    third of its build, of which the rings and pivot table take about 30
+    ms (best of 10, one core of a 2-core x86 VM).
     """
     tree = _read_tree_file(path)
     if tree.dataset_hash != dataset.content_hash():

@@ -1,7 +1,9 @@
 """The trajectory recorder, fed canned ``benchmarks/run.py`` output."""
 
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,3 +83,30 @@ def test_a_run_without_a_result_writes_no_file(recorder, tmp_path, monkeypatch):
 def test_takes_only_the_pr_number(recorder, tmp_path, argv):
     assert recorder.main(argv) == 2
     assert recorder.calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_a_dirty_tree_records_the_digest_of_its_diff(monkeypatch, tmp_path):
+    # the real ``commit`` on a scratch repository: clean, then with an edit
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               "-c", "commit.gpgsign=false", *args],
+                              cwd=tmp_path, capture_output=True, check=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    git("add", "code.py")
+    git("commit", "-q", "-m", "one")
+    sha = git("rev-parse", "HEAD").decode().strip()
+    assert module.commit() == {"sha": sha, "dirty": False}
+
+    (tmp_path / "code.py").write_text("x = 2\n")
+    dirty = module.commit()
+    assert dirty == {"sha": sha, "dirty": True,
+                     "diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest()}
+    (tmp_path / "code.py").write_text("x = 3\n")
+    assert module.commit()["diff_sha256"] != dirty["diff_sha256"]

@@ -17,7 +17,6 @@ from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
                           rho_search, save_dense, serialize, synth_manifold)
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
-from chess_search import tree as tree_mod
 from chess_search.tree import (_TREE_HEADER, _level_partition, _level_stats,
                                _node_stats, _sample_size, _spokes, _subtree_sizes,
                                _truncated, select_poles, tree_from_bytes,
@@ -330,21 +329,25 @@ def test_tree_invariants_on_built_trees(corpus_b):
                         or tree.radius[node] == 0.0)
 
 
-@pytest.mark.parametrize("pairs", [1, 5, 64])
-def test_load_pass_in_runs_of_nodes_gives_the_builds_values(pairs, monkeypatch):
-    # the load pass works out a bounded number of member pairs at a time,
-    # in runs of whole nodes; runs of any length give the build's radii,
-    # pivots and rings, and the same fractal dimensions, bit for bit
-    ds = synth_manifold(400, 6, 2, 0.05, seed=9)
-    tree = build(ds, E, BuildConfig(max_depth=12, min_size=3, seed=2))
-    radius, lfd = _node_stats(tree, ds.values)
-    monkeypatch.setattr(tree_mod, "_PASS_PAIRS", pairs)
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_load_pass_gives_the_builds_values(metric):
+    # the load pass works depth by depth, each depth's members the depth
+    # above's less its leaves'; under every metric it gives the build's
+    # radii, pivots and rings, and the node-at-a-time build's fractal
+    # dimensions, bit for bit
+    if metric in (MetricKind.HAMMING, MetricKind.LEVENSHTEIN):
+        ds = synth_aligned_strings(300, 24, 6, 0.15, seed=9)
+    else:
+        ds = synth_manifold(400, 6, 2, 0.05, seed=9)
+    config = BuildConfig(max_depth=12, min_size=3, seed=2)
+    tree = build(ds, metric, config)
     parsed, _ = tree_from_bytes(tree_to_bytes(tree))
     assert _spokes(parsed, ds.values).tobytes() == tree.radius.tobytes()
     for name in ("pivot", "ring"):
         assert getattr(parsed, name).tobytes() == getattr(tree, name).tobytes()
-    runs = _node_stats(tree, ds.values)
-    assert runs[0].tobytes() == radius.tobytes() and runs[1].tobytes() == lfd.tobytes()
+    radius, lfd = _node_stats(tree, ds.values)
+    assert radius.tobytes() == tree.radius.tobytes()
+    assert lfd.tobytes() == reference_build(ds, metric, config)["lfd"].tobytes()
 
 
 def test_lfd_singleton_is_zero():

@@ -7,7 +7,8 @@ Usage, from the root of the repository::
 It runs ``benchmarks/run.py`` for each workload at seeds 1, 2 and 3 with
 ``--seconds 20 --trace 0``, and once at seed 1 with ``--trace 1``, one
 run at a time. It then writes ``BENCH_<pr>.json`` at the root of the
-repository, holding the commit, every run's ``env`` line, and for each
+repository, holding the commit (and, when the working tree differs from
+it, the SHA-256 of that difference), every run's ``env`` line, and for each
 workload every metric with its values (one per seed) and their median,
 plus ``correct`` and ``failed`` over the workload's runs. When any run
 reports a failed operation, or prints no result, it writes no file and
@@ -17,6 +18,7 @@ ten minutes on a 2-core VM.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import statistics
 import subprocess
@@ -39,11 +41,18 @@ def run_benchmark(workload: str, seed: int, trace: int) -> str:
 
 
 def commit() -> dict:
-    """The checked-out commit, and whether the working tree differs from it."""
-    def git(*args: str) -> str:
+    """The checked-out commit and whether the working tree differs from it.
+    A dirty tree also gets ``diff_sha256``, the SHA-256 of ``git diff
+    HEAD``, so that the record names the code it measured (untracked files
+    are not in that diff)."""
+    def git(*args: str) -> bytes:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip()
-    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+                              check=True).stdout
+    record = {"sha": git("rev-parse", "HEAD").decode().strip(),
+              "dirty": bool(git("status", "--porcelain").strip())}
+    if record["dirty"]:
+        record["diff_sha256"] = hashlib.sha256(git("diff", "HEAD")).hexdigest()
+    return record
 
 
 def parse(stdout: str) -> tuple[dict, dict]:
