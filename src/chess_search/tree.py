@@ -21,6 +21,9 @@ uses to rule points and subtrees out by the triangle inequality. One
 step makes both in the build, a split and the load (:func:`_ring_step`):
 a node's rings are the column ranges of its members' pivot rows as its
 parent left them, which then take their distances to its center in front.
+The same step keeps each node's *center pivots*, its center's pivot row
+as its parent left it, which a k-NN descent reads to choose a child
+without testing either center.
 A node's local fractal dimension is not stored: :func:`lfd_depth_profile`
 computes it from the tree and the dataset when it is read.
 
@@ -160,12 +163,20 @@ class ClusterTree:
     #: ring ``k`` holds every member's pivot column ``k + 1``, which the
     #: search relies on. Known rings nest, which :func:`insert_point`
     #: relies on: a node's ring against an ancestor lies within its
-    #: parent's against that ancestor. Not serialized: deflated, the pivot
-    #: table's first column alone would add 14.5% to the ``vec-query``
-    #: archive. Not constructor arguments: an insert writes them in place,
-    #: so a ``dataclasses.replace`` copy makes its own, all nan.
+    #: parent's against that ancestor. Every node's *center pivots*, shape
+    #: ``(nodes, _RINGS)``: ``center_pivot[i, k]`` is the distance from node
+    #: ``i``'s center to the center of its ``(k + 1)``-th nearest ancestor,
+    #: the center's pivot row as its parent left it, so the step that makes
+    #: the rings makes them too, at no distance; ``search.knn_search``'s
+    #: descent reads them. They are nan past the root and where not known,
+    #: as pivots and rings are, and known as the center's pivots are. Not
+    #: serialized: deflated, the pivot table's first column alone would add
+    #: 14.5% to the ``vec-query`` archive, and all three come from one load
+    #: pass. Not constructor arguments: an insert writes them in place, so
+    #: a ``dataclasses.replace`` copy makes its own, all nan.
     pivot: np.ndarray = field(init=False, repr=False)
     ring: np.ndarray = field(init=False, repr=False)
+    center_pivot: np.ndarray = field(init=False, repr=False)
     _hash: bytes | None = field(default=None, init=False, repr=False)
     # the grown dataset and its ``values`` at the tree's last insert, if
     # the hash has not been read or set since
@@ -174,9 +185,11 @@ class ClusterTree:
 
     def __post_init__(self) -> None:
         # one read-only nan shared by every row: a tree that knows no pivot
-        # (parsed, cut or copied) holds no table until an insert grows one
+        # (parsed, cut or copied) holds no table until an insert grows one.
+        # It knows no ring or center pivot either
         self.pivot = np.broadcast_to(math.nan, (self.order.size, _RINGS))
         self.ring = np.full((self.size.size, _RINGS, 2), math.nan)
+        self.center_pivot = np.full((self.size.size, _RINGS), math.nan)
 
     def leaf_offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Pre-order leaf node indices, and where each leaf's slice of
@@ -378,24 +391,28 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack((a, b)).reshape(-1)
 
 
-def _ring_step(pivots: np.ndarray, starts: np.ndarray,
-               own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A level's rings from its members' pivot rows, then the rows one
-    level down: the one step that makes every ring and pivot.
+def _ring_step(pivots: np.ndarray, starts: np.ndarray, own: np.ndarray,
+               at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A level's rings and center pivots from its members' pivot rows, then
+    the rows one level down: the one step that makes every ring and pivot.
 
     ``pivots[k, j]`` is member ``j``'s distance to the center of its
     parent's ``k``-th nearest ancestor-or-self (nan where not known; no
     row past the root or ``_RINGS``), the members node after node, each
-    node's from ``starts``. A node's ring ``k`` is the least and greatest
-    of its members' ``pivots[k]``, nan if any is nan or past the rows.
-    Returns the rings, shape ``(nodes, _RINGS, 2)``, and the pivots moved
-    one row down, ``own``, each member's distance to its node's center,
-    in front.
+    node's from ``starts``, and ``at`` is where each node's center is
+    among them. A node's ring ``k`` is the least and greatest of its
+    members' ``pivots[k]``, nan if any is nan or past the rows, and its
+    center pivot ``k`` is its center's ``pivots[k]``, nan past the rows.
+    Returns the rings, shape ``(nodes, _RINGS, 2)``, the center pivots,
+    shape ``(nodes, _RINGS)``, and the pivots moved one row down, ``own``,
+    each member's distance to its node's center, in front.
     """
     ring = np.full((starts.size, _RINGS, 2), math.nan)
     ring[:, :len(pivots), 0] = np.minimum.reduceat(pivots, starts, axis=1).T
     ring[:, :len(pivots), 1] = np.maximum.reduceat(pivots, starts, axis=1).T
-    return ring, np.vstack((own, pivots[:_RINGS - 1]))
+    center = np.full((starts.size, _RINGS), math.nan)
+    center[:, :len(pivots)] = pivots.take(at, axis=1).T
+    return ring, center, np.vstack((own, pivots[:_RINGS - 1]))
 
 
 def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
@@ -409,11 +426,12 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
     in ascending point-index order; node ``k`` draws its seeds from stream
     ``streams[k]``. ``pivots`` holds the members' pivot rows as its
     columns, their node's center first (see :func:`_ring_step`); they
-    regroup with the members, give the children's rings and take the
-    partition distances in front, at no distance. Returns the children's
-    centers, members (stable within each child), rings, radii and counts,
-    left child first, and the members' pivots as the children leave them
-    (a child's center at 0, not compared).
+    regroup with the members, give the children's rings, and each child's
+    center's column is its center pivots, before the rows take the
+    partition distances in front: all at no distance. Returns the
+    children's centers, members (stable within each child), rings, center
+    pivots, radii and counts, left child first, and the members' pivots
+    as the children leave them (a child's center at 0, not compared).
     """
     starts = np.cumsum(counts) - counts
     left, right = _level_poles(values, [
@@ -429,8 +447,11 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
     centers, members, pivots, own = (_interleave(left, right), members[regroup],
                                      pivots.take(regroup, axis=1), own[regroup])
     starts = np.cumsum(children) - children
-    ring, pivots = _ring_step(pivots, starts, own)
-    return centers, members, ring, np.maximum.reduceat(own, starts), children, pivots
+    # each pole lands on its own side, once
+    at = np.flatnonzero(members == np.repeat(centers, children))
+    ring, center_pivot, pivots = _ring_step(pivots, starts, own, at)
+    return (centers, members, ring, center_pivot, np.maximum.reduceat(own, starts),
+            children, pivots)
 
 
 def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterTree:
@@ -449,16 +470,15 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     and one more all partition distances, which also give the children's
     radii, and the members and their rows regroup stably into the next
     level, left child before right, the rows giving the children's rings
-    and taking the partition distances in front (:func:`_level_split`):
-    no distance is added. The rows are the columns of one array, cut at
-    the root, so each ring reduces contiguous memory and no nan; rows of
-    eight, nan past the root, made the ``vec-query`` build 5-7% slower
-    (in process, one core of a 2-core x86 VM). Leaves write their members
-    into ``order`` at their offset and their rows into the pivot table.
-    The pre-order
-    columns are the levels' columns sorted by offset, the shallower node
-    first among equal offsets, and the subtree sizes follow from which
-    nodes split.
+    and center pivots and taking the partition distances in front
+    (:func:`_level_split`): no distance is added. The rows are the columns
+    of one array, cut at the root, so each ring reduces contiguous memory
+    and no nan; rows of eight, nan past the root, made the ``vec-query``
+    build 5-7% slower (in process, one core of a 2-core x86 VM). Leaves
+    write their members into ``order`` at their offset and their rows into
+    the pivot table. The pre-order columns are the levels' columns sorted
+    by offset, the shallower node first among equal offsets, and the
+    subtree sizes follow from which nodes split.
     """
     if not dataset.compatible_with(metric):
         raise DimensionError(
@@ -479,7 +499,8 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     # member count, center, radius, rings, stream (heap numbering) and
     # offset in ``order``
     members = np.arange(n, dtype=np.int64)
-    ring, pivots = _ring_step(np.empty((0, n)), np.array([0]), own)
+    ring, center_pivot, pivots = _ring_step(np.empty((0, n)), np.array([0]), own,
+                                            np.array([root]))
     counts, centers, radius, streams, offsets = (
         np.array([n]), np.array([root]), np.array([own.max()]), [1], np.array([0]))
     order = np.empty(n, dtype=np.int64)
@@ -489,7 +510,7 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
         split = (counts > config.min_size) & (radius != 0.0)
         if depth >= config.max_depth:
             split[:] = False
-        levels.append((centers, radius, counts, ring, split, offsets,
+        levels.append((centers, radius, counts, ring, center_pivot, split, offsets,
                        np.full(counts.size, depth)))
         leaf = np.repeat(~split, counts)
         starts = np.cumsum(counts) - counts
@@ -501,7 +522,7 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
 
         inside = np.repeat(split, counts)
         streams = [s for s, f in zip(streams, split.tolist()) if f]
-        centers, members, ring, radius, counts, pivots = _level_split(
+        centers, members, ring, center_pivot, radius, counts, pivots = _level_split(
             values, members[inside], counts[split], streams, config.seed, metric,
             counter, pivots.take(np.flatnonzero(inside), axis=1))
         streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
@@ -513,13 +534,13 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     # node shares its offset only with its leftmost descendants
     *columns, internal, offset, depth = map(np.concatenate, zip(*levels))
     pre = np.lexsort((depth, offset))
-    center, radius, cardinality, ring = (column[pre] for column in columns)
+    center, radius, cardinality, ring, center_pivot = (column[pre] for column in columns)
     tree = ClusterTree(
         center=center, radius=radius, cardinality=cardinality,
         size=_subtree_sizes(internal[pre]), order=order, metric=metric, config=config,
         dataset_hash=dataset.content_hash(), build_comparisons=counter.count,
         build_comparisons_by_depth=np.diff(spent).tolist())
-    tree.pivot, tree.ring = pivot, ring
+    tree.pivot, tree.ring, tree.center_pivot = pivot, ring, center_pivot
     return tree
 
 
@@ -588,24 +609,27 @@ def _node_stats(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _spokes(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
-    """Work out all of the tree's pivots and rings (see :class:`ClusterTree`)
-    from ``values`` and store them on it; return every node's radius as its
-    members' distances give it.
+    """Work out all of the tree's pivots, rings and center pivots (see
+    :class:`ClusterTree`) from ``values`` and store them on it; return
+    every node's radius as its members' distances give it.
 
     Depth by depth over :func:`_levels`, the members' pivot rows take the
-    build's step (:func:`_ring_step`): they give the depth's rings and
-    shift one column right, the members' distances to their node's center
-    going in front. A leaf's members' rows are then their pivots, and the
-    rest go on to the next depth. The values are the build's, bit for
-    bit."""
+    build's step (:func:`_ring_step`): they give the depth's rings, each
+    node's center's row gives its center pivots, and the rows shift one
+    column right, the members' distances to their node's center going in
+    front. A leaf's members' rows are then their pivots, and the rest go
+    on to the next depth. The values are the build's, bit for bit."""
     tree.pivot = np.full((tree.order.size, _RINGS), math.nan)
     radius, tree.ring = np.empty(tree.size.size), np.empty((tree.size.size, _RINGS, 2))
+    tree.center_pivot = np.empty((tree.size.size, _RINGS))
     pivots = np.empty((0, tree.order.size))
     for nodes, members, dists in _levels(tree, values):
         card = tree.cardinality[nodes]
         starts = np.cumsum(card) - card
         radius[nodes] = np.maximum.reduceat(dists, starts)
-        tree.ring[nodes], pivots = _ring_step(pivots, starts, dists)
+        center_at = np.flatnonzero(members == np.repeat(tree.center[nodes], card))
+        tree.ring[nodes], tree.center_pivot[nodes], pivots = _ring_step(
+            pivots, starts, dists, center_at)
         leaf = np.repeat(tree.size[nodes] == 1, card)
         at, rest = np.flatnonzero(leaf), np.flatnonzero(~leaf)
         tree.pivot[members[at], :len(pivots)] = pivots.take(at, axis=1).T
@@ -688,10 +712,15 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     build's cost for one node of ``2 * min_size + 1`` members, about
     ``min_size`` inserts apart. As in the build, :func:`_level_split`
     takes the members' pivot rows to the new leaves' rings (nan where any
-    member's entry is not known) and then puts the partition distances in
-    front of them, at no distance. Besides that, an insert appends
-    to the dataset and to the pivot table (amortized O(1)), shifts the
-    tail of ``order`` by one and, on a split, the node columns by two;
+    member's entry is not known) and each new leaf's center's row to its
+    center pivots, and then puts the partition distances in front of the
+    rows, at no distance; the new rows go in after the split leaf's, as
+    the node columns' do. The insert's own descent reads no center pivot:
+    they decide few of its levels, and the reads cost more than the tests
+    they save. Besides that, an
+    insert appends to the dataset and to the pivot table (amortized O(1)),
+    shifts the tail of ``order`` by one and, on a split, the node columns
+    and the ring and center pivot tables by two;
     the dataset hash is left to its first reader (see
     :class:`ClusterTree`). It works out no other pivot or ring.
 
@@ -765,16 +794,17 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     while (card[node] > 2 * config.min_size and radius[node] > 0.0
            and len(path) <= config.max_depth):
         members = np.sort(tree.order[off:off + int(card[node])])
-        centers, members, child_ring, child_radius, counts, pivots = _level_split(
-            values, members, card[node:node + 1], [stream], config.seed, metric, None,
-            tree.pivot[members].T)
+        (centers, members, child_ring, child_center_pivot, child_radius, counts,
+         pivots) = _level_split(values, members, card[node:node + 1], [stream],
+                                config.seed, metric, None, tree.pivot[members].T)
         tree.pivot[members] = pivots.T
         tree.order[off:off + members.size] = members
         size[path] += 2
-        tree.center, tree.radius, tree.cardinality, tree.size, tree.ring = (
+        (tree.center, tree.radius, tree.cardinality, tree.size, tree.ring,
+         tree.center_pivot) = (
             np.insert(column, node + 1, added, axis=0) for column, added in
             ((center, centers), (radius, child_radius), (card, counts), (size, [1, 1]),
-             (tree.ring, child_ring)))
+             (tree.ring, child_ring), (tree.center_pivot, child_center_pivot)))
         center, radius, card, size = tree.center, tree.radius, tree.cardinality, tree.size
         if new_index in members[:counts[0]]:  # on into the new point's child
             node, stream = node + 1, 2 * stream
@@ -809,11 +839,12 @@ def tree_from_bytes(raw: bytes) -> tuple[ClusterTree, int]:
     yet bound to a dataset: callers are responsible for checking
     ``dataset_hash`` (see :func:`deserialize`).
 
-    The stream holds no pivot or ring: the tree knows none until
-    :func:`_spokes` works them out (:func:`deserialize` does). An insert
-    before then learns only the rows it writes, so a split leaf's rings,
-    from its members' rows, are nan but for inserted points: searches
-    stay exact, but test the children those rings would prune.
+    The stream holds no pivot, ring or center pivot: the tree knows none
+    until :func:`_spokes` works them out (:func:`deserialize` does). An
+    insert before then learns only the rows it writes, so a split leaf's
+    rings and center pivots, from its members' rows, are nan but for
+    inserted points: searches stay exact, but test the children those
+    rings would prune and the centers those pivots would spare.
     """
     if len(raw) < _TREE_HEADER.size:
         raise FormatError(f"truncated tree header at byte offset {len(raw)}")
@@ -923,7 +954,8 @@ def _read_tree_file(path) -> ClusterTree:
 
 def deserialize(path, dataset: Dataset) -> ClusterTree:
     """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees,
-    and work out all its pivots and rings from ``dataset`` (see :func:`_spokes`).
+    and work out all its pivots, rings and center pivots from ``dataset``
+    (see :func:`_spokes`); the stream holds none of them.
 
     The same pass verifies every stored radius: one below the greatest of
     its members' distances, by more than the rounding slack a search

@@ -111,18 +111,21 @@ def ancestors(tree) -> list[list[int]]:
     return chains
 
 
-def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every point's pivots, shape ``(points, _RINGS)``: column ``k`` its
     distance to the center of its leaf's ``k``-th nearest ancestor-or-self,
-    nan past the root; and every node's rings, shape ``(nodes, _RINGS,
-    2)``: ring ``k`` the least and greatest of its members' distances to
-    the center of its ``(k + 1)``-th nearest ancestor, nan past its
-    ancestors. One kernel call per leaf for its pivots and one per node for
-    its rings, each member as a row and the center as its query, as the
-    build pairs them."""
+    nan past the root; every node's rings, shape ``(nodes, _RINGS, 2)``:
+    ring ``k`` the least and greatest of its members' distances to the
+    center of its ``(k + 1)``-th nearest ancestor, nan past its ancestors;
+    and every node's center pivots, shape ``(nodes, _RINGS)``: column ``k``
+    its center's distance to that same center. One kernel call per leaf
+    for its pivots and one per node for its rings, each member as a row
+    and the center as its query, as the build pairs them; a node's center
+    pivots are its center's entries of that call."""
     values, metric = ds.values, tree.metric
     pivot = np.full((tree.order.size, _RINGS), np.nan)
     ring = np.full((tree.size.size, _RINGS, 2), np.nan)
+    center_pivot = np.full((tree.size.size, _RINGS), np.nan)
 
     def paired(members, centers):  # each member against each center
         return distances_to(values[np.tile(members, len(centers))],
@@ -138,25 +141,28 @@ def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
         if above:
             d = paired(members, above)
             ring[node, :len(above)] = np.column_stack((d.min(axis=1), d.max(axis=1)))
-    return pivot, ring
+            center_pivot[node, :len(above)] = d[:, members == tree.center[node]][:, 0]
+    return pivot, ring, center_pivot
 
 
 def checked_spokes(tree, ds: Dataset, *, known: bool = False,
-                   want: tuple[np.ndarray, np.ndarray] | None = None,
+                   want: tuple[np.ndarray, ...] | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The tree's pivot table, up to its last point (an insert leaves spare
     rows after it), and its rings, each checked against
-    :func:`reference_spokes` (or ``want``, what it gave for this tree):
-    every entry is nan (not known) or bit for bit the reference's, and nan
-    where the reference's is (past the root). A leaf's known ring ``k``
-    holds all its members' pivot column ``k + 1``, so each of those is
-    known. Known rings nest: a node's ring against an ancestor lies within
-    its parent's. With ``known``, no entry may be nan but those past the
-    root: a tree that was built, or whose pivots and rings ``_spokes``
-    worked out, knows them all, and inserts keep it so."""
+    :func:`reference_spokes` (or ``want``, what it gave for this tree), as
+    are its center pivots: every entry is nan (not known) or bit for bit
+    the reference's, and nan where the reference's is (past the root). A
+    leaf's known ring ``k`` holds all its members' pivot column ``k + 1``,
+    so each of those is known. Known rings nest: a node's ring against an
+    ancestor lies within its parent's. With ``known``, no entry may be nan
+    but those past the root: a tree that was built, or whose pivots and
+    rings ``_spokes`` worked out, knows them all, and inserts keep it
+    so."""
     pivot, ring = tree.pivot[:tree.order.size], tree.ring
-    want_pivot, want_ring = reference_spokes(tree, ds) if want is None else want
-    for have, wanted in ((pivot, want_pivot), (ring, want_ring)):
+    want_pivot, want_ring, want_center = reference_spokes(tree, ds) if want is None else want
+    for have, wanted in ((pivot, want_pivot), (ring, want_ring),
+                         (tree.center_pivot, want_center)):
         assert have.shape == wanted.shape
         mask = ~np.isnan(have)
         assert have[mask].tobytes() == wanted[mask].tobytes()

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -864,9 +865,10 @@ def test_knn_computes_each_distance_once(metric, knn_once):
             for k in (1, 10, ds.n):
                 report = knn_once(tree, q, k, ds)
                 assert report.hits == everything[:k]
-            # k = n bounds from the root's whole slice of order: after the
-            # descent's two center tests and that scan, every distance is
-            # known, so the range search computes none
+            # k = n bounds from the root's whole slice of order: neither
+            # root child holds n points, so the descent tests no center, and
+            # after that scan every distance is known, so the range search
+            # computes none
             assert report.comparisons == ds.n
 
 
@@ -889,6 +891,121 @@ def test_knn_tests_its_range_walks_centers_one_kernel_call_per_depth(kernel_call
         computed.append(report.comparisons)
     # the walk reaches most clusters: the distances far outnumber the calls
     assert np.mean(computed) > 4 * (2 * tree.depth + 2)
+
+
+def blind_copy(tree: ClusterTree) -> ClusterTree:
+    """The tree as it is, but knowing none of its center pivots."""
+    blind = copy.copy(tree)
+    blind.center_pivot = np.full_like(tree.center_pivot, np.nan)
+    return blind
+
+
+@pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,
+                                    MetricKind.LEVENSHTEIN])
+def test_center_pivots_skip_descent_tests_and_change_no_answer(metric):
+    # Where a child center's distance, bounded by the center pivots, must
+    # lie below its sibling's, the descent takes that child untested. It
+    # decides as the tests would: the same bound cluster, so the same
+    # ``final_radius`` and hits, against the same tree knowing no center
+    # pivot, on stored, held-out and far or off-manifold queries. Every
+    # distance is one the tree without them computes too
+    rng = np.random.default_rng(45)
+    n = 500 if metric.for_vectors else 300
+    if metric.for_vectors:
+        every = synth_manifold(n + 20, 10, 1, 0.02, seed=45, density_power=2.0)
+        stored = every.values[:n]
+        off = stored[rng.choice(n, 10)] + rng.normal(0, 0.5, (10, 10))
+        far = [stored.max(axis=0) + 1e3, -stored.max(axis=0) * 50]
+    else:
+        every = synth_aligned_strings(n + 20, 40, 4, 0.05, seed=45)
+        stored = every.values[:n]
+        alphabet = np.frombuffer(b"ACGT-", dtype=np.uint8)
+        off = alphabet[rng.integers(0, 5, (10, 40))]
+        far = [np.full(40, ord("-"), dtype=np.uint8)]
+    ds = Dataset(every.kind, stored.copy())
+    queries = [*stored[rng.choice(n, 20, replace=False)], *every.values[n:], *off, *far]
+    tree = build(ds, metric, BuildConfig(max_depth=30, min_size=4, seed=9))
+    blind = blind_copy(tree)
+    total = {"pivots": 0, "blind": 0}
+    for q in queries:
+        everything = naive_search(ds, q, float(distances_to(ds.values, q, metric).max()),
+                                  metric).hits
+        for k in (1, 5, 20):
+            got, want = knn_search(tree, q, k, ds), knn_search(blind, q, k, ds)
+            assert got.hits == want.hits == everything[:k]
+            assert got.final_radius == want.final_radius
+            assert got.comparisons <= want.comparisons
+            total["pivots"] += got.comparisons
+            total["blind"] += want.comparisons
+    assert total["pivots"] < total["blind"]
+
+
+def test_center_pivot_bounds_allow_for_rounding():
+    # q, a, l and r on a line in the plane, a the tested center between q
+    # and l, and q between a and r, placed so that d(q, l) = d(q, a) + d(a,
+    # l) equals d(q, r) = d(a, r) - d(q, a): each child's bound is tight
+    # and the two tie. Computed, the bounds can read r as farther than l
+    # while the distances read l as farther than r, by ulps of the far
+    # larger distances; widened by eps, the bounds decide nothing there,
+    # so the descent tests both, as a tree without center pivots does
+    rng = np.random.default_rng(6)
+    eps = 4 * (2 + 2) * 2.0 ** -52
+    wrong = 0  # cases where unwidened bounds would go against the distances
+    for _ in range(300):
+        u = rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        d, p = rng.uniform(1e5, 1e7), rng.uniform(0.5, 2.0)
+        q = rng.uniform(-1e6, 1e6, 2)
+        # the points a, l, r and s, the last far off
+        ds = Dataset.from_vectors(q + np.outer([-d, -(d + p), d + p, 1e9], u))
+        # the root {a, l, r, s}: a child {a, l, r} centered on a, split into
+        # {l, a} centered on l and the leaf {r}; and the leaf {s}
+        dist = distances_to(ds.values, ds.values[0], E)
+        tree = ClusterTree(center=np.array([0, 0, 1, 2, 3]),
+                           radius=np.array([dist[3], dist[1:3].max(), p, 0.0, 0.0]),
+                           cardinality=np.array([4, 3, 2, 1, 1]),
+                           size=np.array([5, 3, 1, 1, 1]), order=np.array([1, 0, 2, 3]),
+                           metric=E, config=BuildConfig(2, 1),
+                           dataset_hash=ds.content_hash())
+        _spokes(tree, ds.values)
+        x = distances_to(ds.values, q, E)
+        pl, pr = tree.center_pivot[2, 0], tree.center_pivot[3, 0]
+        wrong += bool(pr - x[0] > x[0] + pl and x[1] > x[2])
+        assert pr * (1 - eps) / (1 + eps) - x[0] <= (x[0] + pl) * (1 + eps) / (1 - eps)
+        got, want = knn_search(tree, q, 1, ds), knn_search(blind_copy(tree), q, 1, ds)
+        assert got.hits == want.hits and got.final_radius == want.final_radius
+        assert got.comparisons == want.comparisons
+    assert wrong > 0
+
+
+def test_center_pivots_cut_the_descents_kernel_calls_on_a_deep_tree(monkeypatch):
+    # On a depth >= 20 manifold the descent tests a level's two centers in
+    # one kernel call; the center pivots decide levels without one. The
+    # calls before the range search (descent and bound scan) fall
+    ds = synth_manifold(3000, 10, 1, 0.0, seed=46, density_power=4.0)
+    tree = build(ds, E, BuildConfig(max_depth=50, min_size=2, seed=1))
+    assert tree.depth >= 20
+    calls = [0]
+
+    def kernel(points, q, kind, counter=None):
+        calls[0] += 1
+        return distances_to(points, q, kind, counter)
+
+    def range_search(*args, **kwargs):
+        descent.append(calls[0])
+        return rho_search(*args, **kwargs)
+
+    monkeypatch.setattr(search, "distances_to", kernel)
+    monkeypatch.setattr(search, "rho_search", range_search)
+    before = {}
+    for name, t in (("pivots", tree), ("blind", blind_copy(tree))):
+        descent = []
+        for i in range(0, ds.n, 60):
+            calls[0] = 0
+            search.knn_search(t, ds.values[i] + 1e-3, 5, ds)
+        before[name] = descent
+    assert all(a <= b for a, b in zip(before["pivots"], before["blind"]))
+    assert sum(before["pivots"]) < 0.8 * sum(before["blind"])
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.CHORD, MetricKind.HAMMING,

@@ -79,7 +79,8 @@ class IndexMachine(RuleBasedStateMachine):
         self.known = True  # whether the tree knows every pivot and ring
 
     def _bounds(self) -> tuple[bytes, ...]:
-        return self.tree.pivot.tobytes(), self.tree.ring.tobytes()
+        return tuple(b.tobytes() for b in (self.tree.pivot, self.tree.ring,
+                                           self.tree.center_pivot))
 
     def _query(self, data):
         """A stored point or a fresh one."""
@@ -141,7 +142,8 @@ class IndexMachine(RuleBasedStateMachine):
     def truncate(self, depth):
         self.tree = _truncated(self.tree, depth)
         self.known = False
-        assert all(np.isnan(b).all() for b in (self.tree.pivot, self.tree.ring))
+        assert all(np.isnan(b).all() for b in (self.tree.pivot, self.tree.ring,
+                                               self.tree.center_pivot))
 
     @rule()
     def work_out_spokes(self):
@@ -162,7 +164,8 @@ class IndexMachine(RuleBasedStateMachine):
         self.tree, end = tree_from_bytes(raw)
         self.known = False
         assert end == len(raw) and tree_to_bytes(self.tree) == raw
-        assert all(np.isnan(b).all() for b in (self.tree.pivot, self.tree.ring))
+        assert all(np.isnan(b).all() for b in (self.tree.pivot, self.tree.ring,
+                                               self.tree.center_pivot))
 
     @precondition(lambda self: self.dataset.n >= 2)
     @rule(data=st.data())
