@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .metrics import (_IN_ALPHABET, MetricKind, _check_coordinates, _first_unbounded,
-                      as_codes, as_vector)
+from .metrics import (_IN_ALPHABET, MetricKind, _check_codes, _check_coordinates,
+                      _first_unbounded, _illegal, as_codes, as_vector)
 
 __all__ = [
     "Dataset",
@@ -56,8 +56,9 @@ class Dataset:
     Dense values must be finite and, in dimension ``dim``, at most
     ``sqrt(max_double / (2 dim)) / 2`` in magnitude (about 6.1e152 at
     dimension 60), so that no Euclidean distance between two points
-    overflows: the constructor and :meth:`coerce_point` refuse any other
-    with a :class:`DimensionError` naming the coordinate.
+    overflows; string values must be uint8 codes of ``A C G T -``. The
+    constructor and :meth:`coerce_point` refuse any other with a
+    :class:`DimensionError` naming the coordinate.
 
     Immutable under normal use; :meth:`append_point` exists only to
     support live insertion into an already-built tree and must not run
@@ -86,6 +87,8 @@ class Dataset:
             raise DimensionError(f"dataset must have n >= 1 and dim >= 1, got {n}x{dim}")
         if self.kind is DatasetKind.DENSE_VECTORS:
             _check_coordinates(self.values)
+        else:
+            _check_codes(self.values, "string dataset of uint8 codes")
 
     def __eq__(self, other: object) -> bool:
         """Same kind and same values; the cached hash and spare buffer
@@ -222,29 +225,28 @@ def load_dense(path) -> Dataset:
 def load_sequences(path) -> Dataset:
     """Read aligned strings, one per line; FASTA ``>`` headers are skipped.
 
-    Input is upper-cased, CRLF endings are tolerated, and duplicate
-    records are dropped keeping the first occurrence.
+    Read as bytes: ASCII letters are upper-cased, CRLF endings tolerated,
+    and duplicate records dropped keeping the first occurrence. Any other
+    byte outside ``A C G T -`` is a :class:`FormatError` at its line and
+    byte column.
     """
-    text = Path(path).read_bytes().decode("utf-8")
     records: dict[bytes, None] = {}  # keeps the first occurrence's place
     dim: int | None = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        record = line.rstrip("\r").upper()
-        if not record or record.startswith(">"):
+    for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+        record = line.rstrip(b"\r").upper()
+        if not record or record.startswith(b">"):
             continue
-        codes = record.encode("ascii", errors="replace")
-        bad = np.flatnonzero(~_IN_ALPHABET[np.frombuffer(codes, dtype=np.uint8)])
+        bad = np.flatnonzero(~_IN_ALPHABET[np.frombuffer(record, dtype=np.uint8)])
         if bad.size:
             col = int(bad[0])
-            raise FormatError(
-                f"{path}: illegal character {record[col]!r} at line {lineno}, "
-                f"column {col + 1}")
+            raise FormatError(f"{path}: {_illegal(record[col])} at line {lineno}, "
+                              f"column {col + 1}")
         if dim is None:
-            dim = len(codes)
-        elif len(codes) != dim:
+            dim = len(record)
+        elif len(record) != dim:
             raise FormatError(
-                f"{path}: line {lineno} has length {len(codes)}, expected {dim}")
-        records.setdefault(codes)
+                f"{path}: line {lineno} has length {len(record)}, expected {dim}")
+        records.setdefault(record)
     if not records:
         raise FormatError(f"{path}: no records found")
     values = np.frombuffer(bytearray(b"".join(records)), dtype=np.uint8)

@@ -1,28 +1,22 @@
 """Distance functions, their properties, and comparison-count instrumentation.
 
-Four distances are provided, all of them metrics. Euclidean and chord
-apply to dense real vectors; Hamming and Levenshtein to aligned strings
-over the alphabet ``A C G T -``. Chord is the Euclidean distance of the
-vectors scaled to unit length, ``sqrt(2 - 2 cos)``, a length in [0, 2].
+Four distances are provided, all of them metrics. Euclidean (the L2
+norm of the difference) and chord apply to dense real vectors; Hamming
+(differing positions of equal-length strings) and Levenshtein (the
+fewest single-character edits; lengths may differ) to aligned strings
+over the alphabet ``A C G T -``. Chord is the Euclidean distance of
+the vectors scaled to unit length, ``sqrt(2 - 2 cos)``, a length in [0,
+2]. Levenshtein is computed exactly by Myers' bit-vector DP over a
+packed block of rows.
 
-Levenshtein is computed exactly by Myers' bit-vector DP (Myers 1999, in
-Hyyro's 2003 global edit-distance form) over a packed block: every row
-of the block is a pattern in its own segment of one Python int, so one
-pass over the query's characters yields the distance to every row. A
-call costs about 6 us plus 17 big-integer operations per query
-character: one or two 32-long rows take about 25 us, 32 rows about
-40 us and 512 rows about 235 us (thread CPU time, 2-core x86 VM,
-CPython 3.11), so small calls pay mostly for the loop over the query.
-
-Every distance evaluation that matters for cost accounting goes through
-a :class:`ComparisonCounter`. :func:`distances_to` takes its queries as
-rows: a block of queries paired with a block of points row by row stays
-as it is, and a single query (a leaf scan, a center test) is one 1-D
-row that numpy broadcasts over the points, which costs nothing, where
-reshaping it to ``(1, dim)`` would add work to each of the hundreds of
-such calls a search makes. One formula per metric serves both, so a
-distance computed during a leaf scan or a tree build is bit-identical
-to the same pair computed in isolation.
+Each distance is one :class:`MetricKind` record. :func:`distances_to`
+checks a query, calls the record's kernel and charges a
+:class:`ComparisonCounter`, through which every distance evaluation that
+matters for cost accounting goes. Its queries come as rows: a paired
+block stays as it is, and a single query (a leaf scan, a center test) is
+one 1-D row that numpy broadcasts over the points, which costs nothing,
+where reshaping it to ``(1, dim)`` would add work to each of the
+hundreds of such calls a search makes.
 """
 
 from __future__ import annotations
@@ -69,49 +63,6 @@ _BIT_COUNT_ROWS = 16
 #: Per letter, the table that ``bytes.translate`` uses to write a block's
 #: codes as the binary digits of that letter's match mask.
 _DIGITS = {c: bytes(b"01"[i == c] for i in range(256)) for c in STRING_ALPHABET}
-
-
-class MetricKind(enum.Enum):
-    """Identifies a distance function and its structural properties."""
-
-    EUCLIDEAN = "euclidean"
-    CHORD = "chord"
-    HAMMING = "hamming"
-    LEVENSHTEIN = "levenshtein"
-
-    @property
-    def for_vectors(self) -> bool:
-        """True when the distance applies to dense vectors, False for strings."""
-        return self in (MetricKind.EUCLIDEAN, MetricKind.CHORD)
-
-    @property
-    def wire_id(self) -> int:
-        """Stable one-byte identifier used by the on-disk tree format."""
-        return _WIRE_IDS[self]
-
-    @classmethod
-    def from_name(cls, name: str) -> "MetricKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown metric {name!r}; expected one of "
-                             f"{', '.join(m.value for m in cls)}") from None
-
-    @classmethod
-    def from_wire_id(cls, wire_id: int) -> "MetricKind":
-        for kind, value in _WIRE_IDS.items():
-            if value == wire_id:
-                return kind
-        raise ValueError(f"unknown metric id byte {wire_id}")
-
-
-#: id 1, cosine distance (1 - cos), is retired: its trees are refused
-_WIRE_IDS = {
-    MetricKind.EUCLIDEAN: 0,
-    MetricKind.HAMMING: 2,
-    MetricKind.LEVENSHTEIN: 3,
-    MetricKind.CHORD: 4,
-}
 
 
 @dataclass
@@ -165,6 +116,13 @@ def _first_unbounded(values: np.ndarray, bound: float | None = None) -> int:
         return int(np.flatnonzero(~(np.abs(values) <= bound))[0])
 
 
+def _where(values: np.ndarray, i: int) -> str:
+    """Names flat index ``i`` of one point or of rows of points."""
+    if values.ndim < 2:
+        return f"index {i}"
+    return f"row {i // values.shape[1]}, index {i % values.shape[1]}"
+
+
 def _check_coordinates(values: np.ndarray, bound: float | None = None) -> None:
     """Raise :class:`DimensionError` at the first coordinate of ``values``
     that :func:`_first_unbounded` finds beyond ``bound``."""
@@ -175,32 +133,37 @@ def _check_coordinates(values: np.ndarray, bound: float | None = None) -> None:
     if i < 0:
         return
     v = float(values.flat[i])
-    where = f"index {i}" if values.ndim == 1 else f"row {i // dim}, index {i % dim}"
+    where = _where(values, i)
     if not math.isfinite(v):
         raise DimensionError(f"dense values must be finite: {v} at {where}")
     raise DimensionError(f"coordinate {v} at {where} is beyond +-{bound:.6g}, where "
                          f"Euclidean distances in dimension {dim} can overflow")
 
 
+def _illegal(code: int) -> str:
+    """Names a code outside the alphabet: ASCII as itself, another byte in hex."""
+    return f"illegal character {chr(code)!r}" if code < 0x80 else f"illegal byte 0x{code:02x}"
+
+
 def _check_codes(arr: np.ndarray, what: str) -> None:
-    """Raise unless ``arr`` holds codes of ``A C G T -``; ``what`` names
-    it in the error."""
+    """Raise unless ``arr`` holds uint8 codes of ``A C G T -``, naming the
+    first other code and its place; ``what`` names ``arr`` in the error."""
     if arr.dtype != np.uint8:
         raise DimensionError(f"expected a {what}, got dtype {arr.dtype}")
     if arr.tobytes().translate(None, STRING_ALPHABET):
-        bad = np.flatnonzero(~_IN_ALPHABET[arr.reshape(-1)])
-        raise DimensionError(f"illegal character {chr(arr.flat[bad[0]])!r}; "
+        i = int(np.flatnonzero(~_IN_ALPHABET[arr.reshape(-1)])[0])
+        raise DimensionError(f"{_illegal(int(arr.flat[i]))} at {_where(arr, i)}; "
                              f"alphabet is A, C, G, T, -")
 
 
 def as_codes(p) -> np.ndarray:
     """Coerce a string point to a 1-D uint8 array of character codes.
 
-    Accepts ``str``, ``bytes``, or an existing uint8 array. Input letters
-    are upper-cased; characters outside ``A C G T -`` are rejected.
+    Accepts ``str``, ``bytes``, or an existing uint8 array. A ``str`` is
+    upper-cased as UTF-8 bytes; codes outside ``A C G T -`` are refused.
     """
     if isinstance(p, str):
-        p = p.upper().encode("ascii", errors="replace")
+        p = p.encode(errors="replace").upper()
     if isinstance(p, (bytes, bytearray)):
         p = np.frombuffer(bytes(p), dtype=np.uint8)
     arr = np.asarray(p)
@@ -260,25 +223,24 @@ def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     at once: a 1-D q is the query of every row (a search), a 2-D q pairs
     one query with each row (a build).
 
-    Myers' bit-vector DP in Hyyro's global form: row ``k`` of the block
-    is the pattern held in bits ``k*seg .. k*seg+m-1`` of one Python int,
-    and each query character advances every row's DP column with a fixed
-    number of big-integer operations. The match mask of a step holds,
-    for every row, where its pattern has that row's query character: one
-    mask per letter for a shared query (:func:`_shared_masks`), one per
-    column for paired rows (whose segments are rounded up to whole
-    bytes, see :func:`_paired_masks`). ``pv``/``mv`` hold the +1/-1
-    vertical deltas of the current column, so the last column's bottom
-    cell is ``len(q) + popcount(pv) - popcount(mv)`` per segment.
+    Myers' bit-vector DP (Myers 1999) in Hyyro's 2003 global edit-distance
+    form: row ``k`` of the block is the pattern held in bits ``k*seg ..
+    k*seg+m-1`` of one Python int, and each query character advances
+    every row's DP column with 17 big-integer operations. The match mask
+    of a step holds, for every row, where its pattern has that row's
+    query character: one mask per letter for a shared query
+    (:func:`_shared_masks`), one per column for paired rows (whose
+    segments are rounded up to whole bytes, see :func:`_paired_masks`).
+    ``pv``/``mv`` hold the +1/-1 vertical deltas of the current column,
+    so the last column's bottom cell is ``len(q) + popcount(pv) -
+    popcount(mv)`` per segment.
 
     Every integer in the loop stays nonnegative: ``~x`` is written
     ``x ^ full``, which spares CPython the sign handling of negative big
-    ints and nearly halves the loop on 512 rows. Up to
-    ``_TRANSLATE_BITS`` bits the shared masks come from
-    ``bytes.translate``, and up to ``_BIT_COUNT_ROWS`` rows the distances
-    from ``int.bit_count``; past them numpy packs and counts the bits.
-    What is left of a call besides the loop is about 6 us, so a call of
-    one or two 32-long rows (about 25 us) is mostly its 32 steps.
+    ints and nearly halves the loop on 512 rows. A call costs about 6 us
+    besides the loop: one or two 32-long rows take about 25 us, 32 rows
+    about 40 us and 512 rows about 235 us (thread CPU time, 2-core x86
+    VM, CPython 3.11), so small calls pay mostly for the loop.
     """
     rows, m = points.shape
     shared = q.ndim == 1
@@ -320,6 +282,71 @@ def _levenshtein_block(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (n + counts[0] - counts[1]).astype(np.float64)
 
 
+def _euclidean(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    if points.shape[1] != q.shape[-1]:
+        raise DimensionError(f"dimension mismatch: points have dim {points.shape[1]}, "
+                             f"query has dim {q.shape[-1]}")
+    diff = points - q
+    diff *= diff  # in place: one block-sized temporary, not two
+    # ``np.add.reduce`` skips the per-call cost of ``ndarray.sum``'s wrapper
+    return np.sqrt(np.add.reduce(diff, axis=1))
+
+
+def _chord(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The Euclidean distance of the rows scaled to unit length."""
+    if points.shape[1] == q.shape[-1]:  # else ``_euclidean`` refuses them
+        tops = [np.abs(x).max(axis=-1, keepdims=True) for x in (points, q)]
+        if not (tops[0].all() and tops[1].all()):
+            raise DegenerateInputError("chord distance undefined for the zero vector")
+        # at a largest magnitude of 1 the squares stay finite
+        points, q = (x / top for x, top in zip((points, q), tops))
+        points, q = (x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+                     for x in (points, q))
+    return _euclidean(points, q)
+
+
+def _hamming(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    if points.shape[1] != q.shape[-1]:
+        raise DimensionError(f"Hamming distance requires equal lengths: "
+                             f"{points.shape[1]} vs {q.shape[-1]}")
+    return np.add.reduce(points != q, axis=1).astype(np.float64)
+
+
+class MetricKind(enum.Enum):
+    """One distance as a record: its name (``value``), its one-byte
+    CHESSTREE ``wire_id`` (Euclidean 0, Hamming 2, Levenshtein 3, chord
+    4; id 1, the retired cosine distance 1 - cos, is refused),
+    ``for_vectors`` (dense vectors, else strings) and ``kernel(points,
+    q)``, the float64 distances from a query that :func:`distances_to`
+    checked to each row of a 2-D block."""
+
+    def __new__(cls, value: str, wire_id: int, for_vectors: bool, kernel):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.wire_id, member.for_vectors, member.kernel = wire_id, for_vectors, kernel
+        return member
+
+    EUCLIDEAN = "euclidean", 0, True, _euclidean
+    CHORD = "chord", 4, True, _chord
+    HAMMING = "hamming", 2, False, _hamming
+    LEVENSHTEIN = "levenshtein", 3, False, _levenshtein_block
+
+    @classmethod
+    def from_name(cls, name: str) -> "MetricKind":
+        try:
+            return cls(name.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown metric {name!r}; expected one of "
+                             f"{', '.join(m.value for m in cls)}") from None
+
+    @classmethod
+    def from_wire_id(cls, wire_id: int) -> "MetricKind":
+        for kind in cls:
+            if kind.wire_id == wire_id:
+                return kind
+        raise ValueError(f"unknown metric id byte {wire_id}")
+
+
 def _rounding_slack(kind: MetricKind, dim: int) -> float:
     """A relative allowance that bounds the rounding of a computed vector
     distance of ``dim`` coordinates: ``4 (dim + 2)`` units of 2**-52 over
@@ -334,49 +361,23 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
     The query comes as rows. A 2-D array ``q`` of the same shape as
     ``points`` is a block of queries paired with the rows: row ``k`` of
     the result is ``d(points[k], q[k])``. A single query is one 1-D row
-    that broadcasts over them. One formula per metric serves both, so
+    that broadcasts over them. One kernel per metric serves both, so
     the result for a given row does not depend on which other rows are
     in the block, nor on whether its query came alone or in a block. The
     counter, when given, is charged one comparison per row.
     """
-    # identity tests and ``np.add.reduce`` skip the per-call cost of the
-    # enum property and of ``ndarray.sum``'s wrapper; results are the same
-    for_vectors = kind is MetricKind.EUCLIDEAN or kind is MetricKind.CHORD
+    if points.ndim != 2:
+        raise DimensionError(f"expected a 2-D point block, got shape {points.shape}")
     if not (isinstance(q, np.ndarray) and q.ndim == 2):
-        q = as_vector(q) if for_vectors else as_codes(q)
+        q = as_vector(q) if kind.for_vectors else as_codes(q)
     elif q.shape != points.shape:
         raise DimensionError(f"query block has shape {q.shape}, "
                              f"points have shape {points.shape}")
-    elif for_vectors:
+    elif kind.for_vectors:
         q = np.asarray(q, dtype=np.float64)
     else:
         _check_codes(q, "string point block")
-    if for_vectors:
-        if points.ndim != 2 or points.shape[1] != q.shape[-1]:
-            raise DimensionError(
-                f"dimension mismatch: points have dim {points.shape[-1]}, "
-                f"query has dim {q.shape[-1]}")
-        if kind is MetricKind.CHORD:  # the Euclidean distance of unit vectors
-            tops = [np.abs(x).max(axis=-1, keepdims=True) for x in (points, q)]
-            if not (tops[0].all() and tops[1].all()):
-                raise DegenerateInputError("chord distance undefined for the zero vector")
-            # at a largest magnitude of 1 the squares stay finite
-            points, q = (x / top for x, top in zip((points, q), tops))
-            points, q = (x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
-                         for x in (points, q))
-        diff = points - q
-        diff *= diff  # in place: one block-sized temporary, not two
-        result = np.sqrt(np.add.reduce(diff, axis=1))
-    elif points.ndim != 2:
-        raise DimensionError("expected a 2-D block of string points")
-    elif kind is MetricKind.HAMMING:
-        if points.shape[1] != q.shape[-1]:
-            raise DimensionError(
-                f"Hamming distance requires equal lengths: "
-                f"{points.shape[1]} vs {q.shape[-1]}")
-        result = np.add.reduce(points != q, axis=1).astype(np.float64)
-    else:
-        result = _levenshtein_block(points, q)
+    result = kind.kernel(points, q)
     if counter is not None:
         counter.add(len(points))
     return result
@@ -385,11 +386,7 @@ def distances_to(points: np.ndarray, q, kind: MetricKind,
 def distance(a, b, kind: MetricKind) -> float:
     """Distance between two points under the given kind.
 
-    A metric. Euclidean is the L2 norm of the difference; chord is that
-    of the vectors scaled to unit length; Hamming counts differing
-    positions of equal-length strings; Levenshtein is the minimum number
-    of single-character edits (lengths may differ). A Euclidean
-    coordinate beyond the bound a dataset admits is a
+    A Euclidean coordinate beyond the bound a dataset admits is a
     :class:`DimensionError`, where the squares could overflow; chord
     scales its rows first and takes any finite coordinate. A coordinate
     that is not finite is a :class:`DimensionError` under both.

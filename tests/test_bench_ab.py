@@ -99,7 +99,8 @@ def test_compare_reads_the_bounds_and_skips_unlisted_metrics(ab):
 def test_pairs_alternate_which_side_runs_first(ab, monkeypatch, tmp_path, capsys):
     calls = []
 
-    def run(checkout, workload, seed, seconds):
+    def run(checkout, workload, seed, seconds, trace):
+        assert trace == 0
         calls.append((checkout.name, workload, seed, seconds))
         return output(knn_p50_ms=9.0 if checkout.name == "change" else 10.0 + seed / 100)
     monkeypatch.setattr(ab, "run_benchmark", run)

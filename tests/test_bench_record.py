@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -22,7 +23,8 @@ def recorder(monkeypatch, tmp_path):
     monkeypatch.setattr(module, "commit", lambda: {"sha": "abc123", "dirty": False})
     module.calls = []  # (workload, seed, trace) of every run, in order
 
-    def run(workload, seed, trace):
+    def run(checkout, workload, seed, seconds, trace):
+        assert (checkout, seconds) == (tmp_path, 20)
         module.calls.append((workload, seed, trace))
         return canned(workload, seed, trace)
     monkeypatch.setattr(module, "run_benchmark", run)
@@ -67,7 +69,8 @@ def test_records_three_timed_seeds_and_one_traced_run(recorder, tmp_path):
 
 @pytest.mark.parametrize("failing", [("seq-edit", 2), ("vec-churn", 1)])
 def test_a_failed_operation_writes_no_file(recorder, tmp_path, monkeypatch, failing):
-    monkeypatch.setattr(recorder, "run_benchmark", lambda workload, seed, trace:
+    monkeypatch.setattr(recorder, "run_benchmark",
+                        lambda checkout, workload, seed, seconds, trace:
                         canned(workload, seed, trace, failed=(workload, seed) == failing))
     assert recorder.main(["27"]) == 1
     assert list(tmp_path.iterdir()) == []
@@ -110,3 +113,19 @@ def test_a_dirty_tree_records_the_digest_of_its_diff(monkeypatch, tmp_path):
                      "diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest()}
     (tmp_path / "code.py").write_text("x = 3\n")
     assert module.commit()["diff_sha256"] != dirty["diff_sha256"]
+
+
+def test_every_run_is_pinned_to_one_core(tmp_path):
+    # the real runner on a checkout whose ``run.py`` prints its arguments,
+    # its working directory and the cores it may use
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text(
+        "import json, os, sys\n"
+        "print(json.dumps([sys.argv[1:], os.getcwd(), sorted(os.sched_getaffinity(0))]))\n")
+    args, cwd, cores = json.loads(module.run_benchmark(tmp_path, "seq-edit", 5, 2, 1))
+    assert args == ["--workload", "seq-edit", "--seed", "5", "--seconds", "2",
+                    "--trace", "1"]
+    assert Path(cwd) == tmp_path and cores == [max(os.sched_getaffinity(0))]

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import struct
 
 import numpy as np
@@ -145,6 +146,30 @@ def test_sequences_illegal_character_names_column(tmp_path):
     path.write_text("ACGT\nACXT\n")
     with pytest.raises(FormatError, match="line 2, column 3"):
         load_sequences(path)
+
+
+@pytest.mark.parametrize("raw, where, what", [
+    (b"ACGT\n\xff\xfeAC\n", "line 2, column 1", "illegal byte 0xff"),
+    ("\ufeffACGT\nACGT\n".encode(), "line 1, column 1", "illegal byte 0xef"),
+    # ``str.upper`` would turn the sharp s into "SS"; its bytes stay as they are
+    ("ACGT\nA\u00dfC\n".encode(), "line 2, column 2", "illegal byte 0xc3"),
+])
+def test_sequences_refuse_bytes_outside_the_alphabet(tmp_path, raw, where, what):
+    path = tmp_path / "s.txt"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=f"{what} at {where}$"):
+        load_sequences(path)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.frombuffer(b"ACGTACNT", dtype=np.uint8).reshape(2, 4),
+     "illegal character 'N' at row 1, index 2"),
+    (np.frombuffer(b"ACGTACGT", dtype=np.uint8).reshape(2, 4).astype(np.int64),
+     "expected a string dataset of uint8 codes, got dtype int64"),
+])
+def test_string_datasets_are_checked_when_constructed(values, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        Dataset(DatasetKind.ALIGNED_STRINGS, values)
 
 
 def test_sequences_unequal_length_names_line(tmp_path):

@@ -81,6 +81,22 @@ def test_metric_properties():
     assert [kind.wire_id for kind in (E, H, L, C)] == [0, 2, 3, 4]
 
 
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_each_metric_is_one_record(kind):
+    assert MetricKind.from_wire_id(kind.wire_id) is kind
+    assert MetricKind.from_name(kind.value) is kind
+    assert MetricKind.from_name(f" {kind.value.upper()} ") is kind
+    assert kind.for_vectors == (kind in (E, C))
+    assert list(MetricKind) == [E, C, H, L]
+    assert [k.wire_id for k in MetricKind] == [0, 4, 2, 3]  # unique, 1 retired
+    with pytest.raises(ValueError, match="unknown metric id byte 1"):
+        MetricKind.from_wire_id(1)
+    # the record's kernel is what ``distances_to`` calls
+    points, q = paired_block(kind, 5, 7, seed=11, integral=False)
+    assert (distances_to(points, q[0], kind).tobytes()
+            == kind.kernel(points, q[0]).tobytes())
+
+
 def test_counter_increments_by_exactly_one():
     counter = ComparisonCounter()
     distances_to(np.array([[3.0, 4.0]]), (1.0, 2.0), E, counter)
@@ -270,6 +286,10 @@ def test_shape_and_kind_errors():
         distance((1.0, 2.0), (1.0, 2.0), H)
     with pytest.raises(DimensionError):
         distance("ABCD", "ACGT", H)
+    # a str is upper-cased as its UTF-8 bytes: the sharp s stays a
+    # non-ASCII byte, where ``str.upper`` would make it "SS"
+    with pytest.raises(DimensionError, match="illegal byte 0xc3 at index 1"):
+        distance("a\u00dfct", "ACGT", L)
 
 
 def test_cosine_rejects_zero_vector():

@@ -36,14 +36,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
-import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from bench_record import WORKLOADS, parse
+from bench_record import WORKLOADS, parse, run_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Share of the pairs the change must win for a gain
@@ -59,18 +57,6 @@ def parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
     return seeds
-
-
-def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> str:
-    """The standard output of one untraced ``run.py`` run in ``checkout``,
-    pinned to the last core this process may use, as every run is."""
-    cpu = max(os.sched_getaffinity(0))
-    done = subprocess.run(
-        [sys.executable, str(checkout / "benchmarks" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True,
-        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-    return done.stdout
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -167,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     print(f"bench_ab: {workload} seed {seed} {side}", file=sys.stderr)
                     _, result = parse(run_benchmark(sides[side], workload, seed,
-                                                    args.seconds))
+                                                    args.seconds, 0))
                     results[side].append(result)
         except ValueError as err:
             print(f"bench_ab: {workload}: {err}", file=sys.stderr)

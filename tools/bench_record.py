@@ -6,13 +6,14 @@ Usage, from the root of the repository::
 
 It runs ``benchmarks/run.py`` for each workload at seeds 1, 2 and 3 with
 ``--seconds 20 --trace 0``, and once at seed 1 with ``--trace 1``, one
-run at a time. It then writes ``BENCH_<pr>.json`` at the root of the
-repository, holding the commit (and, when the working tree differs from
-it, the SHA-256 of that difference), every run's ``env`` line, and for each
-workload every metric with its values (one per seed) and their median,
-plus ``correct`` and ``failed`` over the workload's runs. When any run
-reports a failed operation, or prints no result, it writes no file and
-exits nonzero. It needs only the standard library; the runs take about
+run at a time, each pinned to the last core this process may use. It
+then writes ``BENCH_<pr>.json`` at the root of the repository, holding
+the commit (and, when the working tree differs from it, the SHA-256 of
+that difference), every run's ``env`` line, and for each workload every
+metric with its values (one per seed) and their median, plus
+``correct`` and ``failed`` over the workload's runs. When any run reports
+a failed operation, or prints no result, it writes no file and exits
+nonzero. It needs only the standard library; the runs take about
 ten minutes on a 2-core VM.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -31,12 +33,16 @@ SEEDS = (1, 2, 3)
 SECONDS = 20
 
 
-def run_benchmark(workload: str, seed: int, trace: int) -> str:
-    """The standard output of one ``run.py`` run."""
+def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int,
+                  trace: int) -> str:
+    """The standard output of one ``run.py`` run in ``checkout``, pinned to
+    the last core this process may use, as every run is."""
+    cpu = max(os.sched_getaffinity(0))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True)
+        [sys.executable, str(checkout / "benchmarks" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     return done.stdout
 
 
@@ -92,8 +98,9 @@ def main(argv: list[str] | None = None) -> int:
     record = {"pr": pr, "commit": commit(), "seconds": SECONDS, "workloads": {}}
     for workload in WORKLOADS:
         try:
-            timed = [parse(run_benchmark(workload, seed, 0)) for seed in SEEDS]
-            traced = [parse(run_benchmark(workload, SEEDS[0], 1))]
+            timed = [parse(run_benchmark(ROOT, workload, seed, SECONDS, 0))
+                     for seed in SEEDS]
+            traced = [parse(run_benchmark(ROOT, workload, SEEDS[0], SECONDS, 1))]
         except ValueError as err:
             print(f"bench_record: {workload}: {err}", file=sys.stderr)
             return 1
