@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset
 from .metrics import MetricKind
 from .search import naive_search, rho_search
-from .tree import BuildConfig, _spokes, _truncated, build
+from .tree import BuildConfig, _load_pass, _truncated, build
 
 __all__ = [
     "BenchmarkRow",
@@ -96,7 +96,7 @@ def run_benchmark(dataset: Dataset, metric: MetricKind, radii, depths,
     for depth in depths:
         tree = _truncated(deepest, depth)
         if filters:
-            _spokes(tree, held_in.values)
+            _load_pass(tree, held_in.values)
         for radius in radii:
             reports, times = [], np.empty(len(queries))
             for i, q in enumerate(queries):

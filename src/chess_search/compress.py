@@ -311,5 +311,5 @@ def decompress(path) -> Dataset:
     kind = DatasetKind.DENSE_VECTORS if dense else DatasetKind.ALIGNED_STRINGS
     out, pos = _leaf_members(raw, pos, tree, kind, dim, quantum)
     if pos != len(raw):
-        raise FormatError(f"trailing bytes at offset {pos}")
+        raise FormatError(f"trailing bytes at byte offset {pos}")
     return Dataset(kind, out)

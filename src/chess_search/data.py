@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .metrics import (_IN_ALPHABET, MetricKind, _check_codes, _check_coordinates,
-                      _first_unbounded, _illegal, as_codes, as_vector)
+from .metrics import (_IN_ALPHABET, STRING_ALPHABET, MetricKind, _check_codes,
+                      _check_coordinates, _first_unbounded, _illegal, as_codes, as_vector)
 
 __all__ = [
     "Dataset",
@@ -207,8 +207,9 @@ def load_dense(path) -> Dataset:
     if zlib.crc32(raw[:_VEC_HEADER.size]) != _U32.unpack_from(raw, _VEC_HEADER.size)[0]:
         raise FormatError(f"{path}: header checksum mismatch at byte offset "
                           f"{_VEC_HEADER.size}")
-    if n < 1 or dim < 1:
-        raise FormatError(f"{path}: header promises empty dataset at byte offset 9")
+    if n < 1 or dim < 1:  # n is at byte 9, dim at 17
+        raise FormatError(f"{path}: header promises empty dataset at byte offset "
+                          f"{9 if n < 1 else 17}")
     expected = _VEC_START + 8 * n * dim
     if len(raw) != expected:
         raise FormatError(
@@ -236,9 +237,8 @@ def load_sequences(path) -> Dataset:
         record = line.rstrip(b"\r").upper()
         if not record or record.startswith(b">"):
             continue
-        bad = np.flatnonzero(~_IN_ALPHABET[np.frombuffer(record, dtype=np.uint8)])
-        if bad.size:
-            col = int(bad[0])
+        if record.translate(None, STRING_ALPHABET):  # numpy only finds the column
+            col = int(np.flatnonzero(~_IN_ALPHABET[np.frombuffer(record, np.uint8)])[0])
             raise FormatError(f"{path}: {_illegal(record[col])} at line {lineno}, "
                               f"column {col + 1}")
         if dim is None:

@@ -159,13 +159,14 @@ def _check_codes(arr: np.ndarray, what: str) -> None:
 def as_codes(p) -> np.ndarray:
     """Coerce a string point to a 1-D uint8 array of character codes.
 
-    Accepts ``str``, ``bytes``, or an existing uint8 array. A ``str`` is
-    upper-cased as UTF-8 bytes; codes outside ``A C G T -`` are refused.
+    Accepts ``str``, ``bytes``, or an existing uint8 array. Bytes, and a
+    ``str`` as UTF-8 bytes, are upper-cased as ``load_sequences`` reads a
+    line; codes outside ``A C G T -`` are refused.
     """
     if isinstance(p, str):
-        p = p.encode(errors="replace").upper()
+        p = p.encode(errors="replace")
     if isinstance(p, (bytes, bytearray)):
-        p = np.frombuffer(bytes(p), dtype=np.uint8)
+        p = np.frombuffer(bytes(p).upper(), dtype=np.uint8)
     arr = np.asarray(p)
     _check_codes(arr, "string point")
     if arr.ndim != 1 or arr.size == 0:

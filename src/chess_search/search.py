@@ -196,7 +196,7 @@ def rho_search(tree: ClusterTree, q, r: float, dataset: Dataset, *,
     column ``k`` against its ``k``-th ancestor's. Neither bound costs a
     distance. A pivot or ring the tree does not know is nan and bounds
     nothing; a leaf whose ring 0 is not known (a parsed tree before
-    ``_spokes``, a cut) is tested.
+    ``_load_pass``, a cut) is tested.
 
     Computed vector distances carry rounding error, so a center that lies
     exactly at ``r + radius`` (collinear points) can read a few ulps

@@ -18,9 +18,10 @@ Letters 1994, with the tree's own centers as pivots), and every node's
 centers of its ``_RINGS`` nearest ancestors (GNAT's range tables, Brin,
 VLDB 1995, kept for the eight nearest ancestors), which a range search
 uses to rule points and subtrees out by the triangle inequality. One
-step makes both in the build, a split and the load (:func:`_ring_step`):
-a node's rings are the column ranges of its members' pivot rows as its
-parent left them, which then take their distances to its center in front.
+step makes both and the radii in the build, a split and the load
+(:func:`_ring_step`): a node's rings are the column ranges of its
+members' pivot rows as its parent left them, which then take their
+distances to its center, the greatest its radius, in front.
 The same step keeps each node's *center pivots*, its center's pivot row
 as its parent left it, which a k-NN descent reads to choose a child
 without testing either center.
@@ -104,20 +105,23 @@ _RINGS = 8
 
 @dataclass
 class BuildConfig:
-    """Build parameters; the seed is normalized to an unsigned 64-bit value."""
+    """Build parameters, integers (numpy's too, not bools) held as Python
+    ints; the seed is normalized to an unsigned 64-bit value."""
 
     max_depth: int = 50
     min_size: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_depth", "min_size"):
-            value = getattr(self, name)
-            if value <= 0:
+        for name, value in dataclasses.asdict(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # numpy arithmetic would wrap
+            if name != "seed" and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-            if value >= 2 ** 64:  # CHESSTREE stores both as u64
+            if name != "seed" and value >= 2 ** 64:  # CHESSTREE stores both as u64
                 raise ValueError(f"{name} must be below 2**64, got {value}")
-        self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed &= 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(eq=False)
@@ -157,7 +161,7 @@ class ClusterTree:
     #: is one not known, which a search reads as ruling nothing out: a new
     #: tree (parsed, constructed or a ``_truncated`` cut) knows none,
     #: :func:`build` and :func:`insert_point` write those they compute, and
-    #: :func:`_spokes` works them all out (:func:`deserialize` calls it).
+    #: :func:`_load_pass` works them all out (:func:`deserialize` calls it).
     #: Every known entry is exactly its distance or range, and a ring is
     #: known only where all its members' distances are: a leaf's known
     #: ring ``k`` holds every member's pivot column ``k + 1``, which the
@@ -391,28 +395,32 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack((a, b)).reshape(-1)
 
 
-def _ring_step(pivots: np.ndarray, starts: np.ndarray, own: np.ndarray,
-               at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A level's rings and center pivots from its members' pivot rows, then
-    the rows one level down: the one step that makes every ring and pivot.
+def _ring_step(pivots: np.ndarray, members: np.ndarray, centers: np.ndarray,
+               counts: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A level's radii, rings and center pivots, then its members' pivot
+    rows one level down: the one step that makes every per-node bound.
 
-    ``pivots[k, j]`` is member ``j``'s distance to the center of its
-    parent's ``k``-th nearest ancestor-or-self (nan where not known; no
-    row past the root or ``_RINGS``), the members node after node, each
-    node's from ``starts``, and ``at`` is where each node's center is
-    among them. A node's ring ``k`` is the least and greatest of its
-    members' ``pivots[k]``, nan if any is nan or past the rows, and its
-    center pivot ``k`` is its center's ``pivots[k]``, nan past the rows.
-    Returns the rings, shape ``(nodes, _RINGS, 2)``, the center pivots,
-    shape ``(nodes, _RINGS)``, and the pivots moved one row down, ``own``,
-    each member's distance to its node's center, in front.
+    ``members`` holds the nodes' members node after node, ``counts`` each,
+    ``own`` their distances to their node's center (one of them, in
+    ``centers``), and ``pivots[k, j]`` member ``j``'s distance to the
+    center of its parent's ``k``-th nearest ancestor-or-self (nan where
+    not known; no row past the root or ``_RINGS``). A node's radius is the
+    greatest of its members' ``own``, its ring ``k`` the least and
+    greatest of their ``pivots[k]``, nan if any is nan or past the rows,
+    and its center pivot ``k`` its center's ``pivots[k]``, nan past the
+    rows. Returns the radii, the rings, shape ``(nodes, _RINGS, 2)``, the
+    center pivots, shape ``(nodes, _RINGS)``, and the rows one level down,
+    ``own`` in front.
     """
+    starts = np.cumsum(counts) - counts
+    at = np.flatnonzero(members == np.repeat(centers, counts))  # once in each node
     ring = np.full((starts.size, _RINGS, 2), math.nan)
     ring[:, :len(pivots), 0] = np.minimum.reduceat(pivots, starts, axis=1).T
     ring[:, :len(pivots), 1] = np.maximum.reduceat(pivots, starts, axis=1).T
     center = np.full((starts.size, _RINGS), math.nan)
     center[:, :len(pivots)] = pivots.take(at, axis=1).T
-    return ring, center, np.vstack((own, pivots[:_RINGS - 1]))
+    return (np.maximum.reduceat(own, starts), ring, center,
+            np.vstack((own, pivots[:_RINGS - 1])))
 
 
 def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
@@ -425,13 +433,11 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
     ``members`` holds the nodes' members node after node, ``counts`` each
     in ascending point-index order; node ``k`` draws its seeds from stream
     ``streams[k]``. ``pivots`` holds the members' pivot rows as its
-    columns, their node's center first (see :func:`_ring_step`); they
-    regroup with the members, give the children's rings, and each child's
-    center's column is its center pivots, before the rows take the
-    partition distances in front: all at no distance. Returns the
-    children's centers, members (stable within each child), rings, center
-    pivots, radii and counts, left child first, and the members' pivots
-    as the children leave them (a child's center at 0, not compared).
+    columns, which regroup with the members. Returns the children's
+    centers, members (stable within each child) and counts, left child
+    first, each member's distance to its child's center (0 for the
+    center, not compared) and the regrouped rows: what :func:`_ring_step`
+    takes.
     """
     starts = np.cumsum(counts) - counts
     left, right = _level_poles(values, [
@@ -443,15 +449,9 @@ def _level_split(values: np.ndarray, members: np.ndarray, counts: np.ndarray,
                                       metric, counter)
     child = 2 * node_of + ~goes_left
     regroup = np.argsort(child, kind="stable")
-    children = np.bincount(child, minlength=2 * counts.size)  # each at least 1
-    centers, members, pivots, own = (_interleave(left, right), members[regroup],
-                                     pivots.take(regroup, axis=1), own[regroup])
-    starts = np.cumsum(children) - children
-    # each pole lands on its own side, once
-    at = np.flatnonzero(members == np.repeat(centers, children))
-    ring, center_pivot, pivots = _ring_step(pivots, starts, own, at)
-    return (centers, members, ring, center_pivot, np.maximum.reduceat(own, starts),
-            children, pivots)
+    return (_interleave(left, right), members[regroup],
+            np.bincount(child, minlength=2 * counts.size),  # each at least 1
+            own[regroup], pivots.take(regroup, axis=1))
 
 
 def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterTree:
@@ -462,23 +462,23 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     are the poles of their parent's partition. Identical inputs produce
     identical trees.
 
-    The build goes one depth at a time. A level holds the members of its
-    nodes, node after node, each node's in ascending point-index order,
-    their pivot rows, and each node's radius, the maximum of its members'
-    distances to its center. Every splitting node draws its seeds from
-    its own stream; one paired pass evaluates all seed pairs of the level
-    and one more all partition distances, which also give the children's
-    radii, and the members and their rows regroup stably into the next
-    level, left child before right, the rows giving the children's rings
-    and center pivots and taking the partition distances in front
-    (:func:`_level_split`): no distance is added. The rows are the columns
-    of one array, cut at the root, so each ring reduces contiguous memory
-    and no nan; rows of eight, nan past the root, made the ``vec-query``
-    build 5-7% slower (in process, one core of a 2-core x86 VM). Leaves
-    write their members into ``order`` at their offset and their rows into
-    the pivot table. The pre-order columns are the levels' columns sorted
-    by offset, the shallower node first among equal offsets, and the
-    subtree sizes follow from which nodes split.
+    The build goes one depth at a time, the root first. A level holds
+    the members of its nodes, node after node, each node's in ascending
+    point-index order, their distances to their node's center and their
+    pivot rows, which give each node's radius, rings and center pivots
+    and take the distances in front (:func:`_ring_step`). Every splitting
+    node draws its seeds from its own stream; one paired pass evaluates
+    all seed pairs of the level and one more all partition distances, and
+    the members, distances and rows regroup stably into the next level,
+    left child before right (:func:`_level_split`): no distance is added.
+    The rows are the columns of one array, cut at the root, so each ring
+    reduces contiguous memory and no nan; rows of eight, nan past the
+    root, made the ``vec-query`` build 5-7% slower (in process, one core
+    of a 2-core x86 VM). Leaves write their members into ``order`` at
+    their offset and their rows into the pivot table. The pre-order
+    columns are the levels' columns sorted by offset, the shallower node
+    first among equal offsets, and the subtree sizes follow from which
+    nodes split.
     """
     if not dataset.compatible_with(metric):
         raise DimensionError(
@@ -495,18 +495,17 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
     own = np.zeros(n)
     own[others] = _paired_pass(values, others, np.full(others.size, root), metric,
                                counter)
-    # the current level: its members and their pivot rows, then per node
-    # member count, center, radius, rings, stream (heap numbering) and
-    # offset in ``order``
-    members = np.arange(n, dtype=np.int64)
-    ring, center_pivot, pivots = _ring_step(np.empty((0, n)), np.array([0]), own,
-                                            np.array([root]))
-    counts, centers, radius, streams, offsets = (
-        np.array([n]), np.array([root]), np.array([own.max()]), [1], np.array([0]))
+    # the current level: its members, their distances to their node's
+    # center and their pivot rows, then per node member count, center,
+    # stream (heap numbering) and offset in ``order``
+    members, pivots = np.arange(n, dtype=np.int64), np.empty((0, n))
+    counts, centers, streams, offsets = np.array([n]), np.array([root]), [1], np.array([0])
     order = np.empty(n, dtype=np.int64)
     pivot = np.full((n, _RINGS), math.nan)
     levels, spent = [], [0]  # spent: the comparison count after each depth
     for depth in itertools.count():
+        radius, ring, center_pivot, pivots = _ring_step(pivots, members, centers,
+                                                        counts, own)
         split = (counts > config.min_size) & (radius != 0.0)
         if depth >= config.max_depth:
             split[:] = False
@@ -522,7 +521,7 @@ def build(dataset: Dataset, metric: MetricKind, config: BuildConfig) -> ClusterT
 
         inside = np.repeat(split, counts)
         streams = [s for s, f in zip(streams, split.tolist()) if f]
-        centers, members, ring, center_pivot, radius, counts, pivots = _level_split(
+        centers, members, counts, own, pivots = _level_split(
             values, members[inside], counts[split], streams, config.seed, metric,
             counter, pivots.take(np.flatnonzero(inside), axis=1))
         streams = [t for s in streams for t in (2 * s, 2 * s + 1)]
@@ -552,7 +551,7 @@ def _truncated(tree: ClusterTree, depth: int) -> ClusterTree:
     comparison counts are not carried over.
 
     A cut computes no distance, so it knows no pivot or ring (all nan);
-    ``_spokes`` works them out, as the build of that depth makes them.
+    ``_load_pass`` works them out, as the build of that depth makes them.
     """
     depths = tree.depths()
     keep = depths <= depth
@@ -608,15 +607,15 @@ def _node_stats(tree: ClusterTree, values: np.ndarray) -> tuple[np.ndarray, np.n
     return radius, lfd
 
 
-def _spokes(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
+def _load_pass(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
     """Work out all of the tree's pivots, rings and center pivots (see
     :class:`ClusterTree`) from ``values`` and store them on it; return
     every node's radius as its members' distances give it.
 
-    Depth by depth over :func:`_levels`, the members' pivot rows take the
-    build's step (:func:`_ring_step`): they give the depth's rings, each
-    node's center's row gives its center pivots, and the rows shift one
-    column right, the members' distances to their node's center going in
+    Depth by depth over :func:`_levels`, the members' distances to their
+    node's center and their pivot rows take the build's step
+    (:func:`_ring_step`), which gives the depth's radii, rings and center
+    pivots and shifts the rows one column right, the distances going in
     front. A leaf's members' rows are then their pivots, and the rest go
     on to the next depth. The values are the build's, bit for bit."""
     tree.pivot = np.full((tree.order.size, _RINGS), math.nan)
@@ -625,11 +624,8 @@ def _spokes(tree: ClusterTree, values: np.ndarray) -> np.ndarray:
     pivots = np.empty((0, tree.order.size))
     for nodes, members, dists in _levels(tree, values):
         card = tree.cardinality[nodes]
-        starts = np.cumsum(card) - card
-        radius[nodes] = np.maximum.reduceat(dists, starts)
-        center_at = np.flatnonzero(members == np.repeat(tree.center[nodes], card))
-        tree.ring[nodes], tree.center_pivot[nodes], pivots = _ring_step(
-            pivots, starts, dists, center_at)
+        radius[nodes], tree.ring[nodes], tree.center_pivot[nodes], pivots = _ring_step(
+            pivots, members, tree.center[nodes], card, dists)
         leaf = np.repeat(tree.size[nodes] == 1, card)
         at, rest = np.flatnonzero(leaf), np.flatnonzero(~leaf)
         tree.pivot[members[at], :len(pivots)] = pivots.take(at, axis=1).T
@@ -695,33 +691,31 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     zero vector under the chord distance). A refused point leaves the
     tree and the dataset as they were; it is appended after the descent.
 
-    Cost: one distance to the root center, then one kernel call per level
-    on the two child centers. The point's distance to each node on its
-    path widens that node's radius and the rings of the next ``_RINGS``
-    nodes on the path against its center; the last ``_RINGS`` of them,
-    the leaf's first, are the point's row of the pivot table. The radii
-    are widened in one vector operation over the path after the
-    descent. The rings nest, so for each node on the path the
-    widening goes up from the deepest ring against it and stops at the
-    first that already holds the distance, and a nan ring stays nan:
-    about one ring read per path node (15.4 for 13-node paths on
-    ``vec-churn``). In the benchmark, whose reads between inserts leave
-    the insert's code and data out of cache, that loop added 14 us to an
-    insert where one vector operation over the path's ``(path, _RINGS)``
-    block added 25 us (medians, 2-core x86 VM). A split adds the
-    build's cost for one node of ``2 * min_size + 1`` members, about
-    ``min_size`` inserts apart. As in the build, :func:`_level_split`
-    takes the members' pivot rows to the new leaves' rings (nan where any
-    member's entry is not known) and each new leaf's center's row to its
-    center pivots, and then puts the partition distances in front of the
-    rows, at no distance; the new rows go in after the split leaf's, as
-    the node columns' do. The insert's own descent reads no center pivot:
-    they decide few of its levels, and the reads cost more than the tests
-    they save. Besides that, an
-    insert appends to the dataset and to the pivot table (amortized O(1)),
-    shifts the tail of ``order`` by one and, on a split, the node columns
-    and the ring and center pivot tables by two;
-    the dataset hash is left to its first reader (see
+    Cost: one distance to the root center, then one kernel call per level on
+    the two child centers. The point's distance to each node on its path
+    widens that node's radius and the rings of the next ``_RINGS`` nodes on
+    the path against its center; the last ``_RINGS`` of them, the leaf's
+    first, are the point's row of the pivot table. The radii are widened in
+    one vector operation over the path after the descent. The rings nest, so
+    for each node on the path the widening goes up from the deepest ring
+    against it and stops at the first that already holds the distance, and a
+    nan ring stays nan: about one ring read per path node (15.4 for 13-node
+    paths on ``vec-churn``). In the benchmark, whose reads between inserts
+    leave the insert's code and data out of cache, that loop added 14 us to an
+    insert where one vector operation over the path's ``(path, _RINGS)`` block
+    added 25 us (medians, 2-core x86 VM). A split adds the build's cost for
+    one node of ``2 * min_size + 1`` members, about ``min_size`` inserts
+    apart. As in the build, :func:`_level_split` splits the leaf and
+    :func:`_ring_step` takes the partition distances to the new leaves' radii,
+    the members' pivot rows to their rings (nan where any member's entry is
+    not known) and each new leaf's center's row to its center pivots, and then
+    puts the distances in front of the rows, at no distance; the new rows go
+    in after the split leaf's, as the node columns' do. The insert's own
+    descent reads no center pivot: they decide few of its levels, and the
+    reads cost more than the tests they save. Besides that, an insert appends
+    to the dataset and to the pivot table (amortized O(1)), shifts the tail of
+    ``order`` by one and, on a split, the node columns and the ring and center
+    pivot tables by two; the dataset hash is left to its first reader (see
     :class:`ClusterTree`). It works out no other pivot or ring.
 
     Requires exclusive access: no concurrent searches during mutation.
@@ -794,9 +788,11 @@ def insert_point(tree: ClusterTree, point, dataset: Dataset) -> ClusterTree:
     while (card[node] > 2 * config.min_size and radius[node] > 0.0
            and len(path) <= config.max_depth):
         members = np.sort(tree.order[off:off + int(card[node])])
-        (centers, members, child_ring, child_center_pivot, child_radius, counts,
-         pivots) = _level_split(values, members, card[node:node + 1], [stream],
-                                config.seed, metric, None, tree.pivot[members].T)
+        centers, members, counts, own, pivots = _level_split(
+            values, members, card[node:node + 1], [stream], config.seed, metric, None,
+            tree.pivot[members].T)
+        child_radius, child_ring, child_center_pivot, pivots = _ring_step(
+            pivots, members, centers, counts, own)
         tree.pivot[members] = pivots.T
         tree.order[off:off + members.size] = members
         size[path] += 2
@@ -840,7 +836,7 @@ def tree_from_bytes(raw: bytes) -> tuple[ClusterTree, int]:
     ``dataset_hash`` (see :func:`deserialize`).
 
     The stream holds no pivot, ring or center pivot: the tree knows none
-    until :func:`_spokes` works them out (:func:`deserialize` does). An
+    until :func:`_load_pass` works them out (:func:`deserialize` does). An
     insert before then learns only the rows it writes, so a split leaf's
     rings and center pivots, from its members' rows, are nan but for
     inserted points: searches stay exact, but test the children those
@@ -955,7 +951,7 @@ def _read_tree_file(path) -> ClusterTree:
 def deserialize(path, dataset: Dataset) -> ClusterTree:
     """Load a CHESSTREE file, refusing trailing bytes and other datasets' trees,
     and work out all its pivots, rings and center pivots from ``dataset``
-    (see :func:`_spokes`); the stream holds none of them.
+    (see :func:`_load_pass`); the stream holds none of them.
 
     The same pass verifies every stored radius: one below the greatest of
     its members' distances, by more than the rounding slack a search
@@ -973,9 +969,9 @@ def deserialize(path, dataset: Dataset) -> ClusterTree:
             f"(hash {tree.dataset_hash.hex()[:16]}..., "
             f"dataset {dataset.content_hash().hex()[:16]}...)")
     if not dataset.compatible_with(tree.metric):
-        raise FormatError(f"{path}: metric {tree.metric.value} does not apply "
-                          f"to {dataset.kind.value} data")
-    radius = _spokes(tree, dataset.values)
+        raise FormatError(f"{path}: metric {tree.metric.value} does not apply to "
+                          f"{dataset.kind.value} data, at byte offset {len(TREE_MAGIC) + 1}")
+    radius = _load_pass(tree, dataset.values)
     short = np.flatnonzero(tree.radius * _rounding_slack(tree.metric, dataset.dim) < radius)
     if short.size:
         k = int(short[0])

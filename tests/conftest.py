@@ -111,7 +111,7 @@ def ancestors(tree) -> list[list[int]]:
     return chains
 
 
-def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def reference_bounds(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every point's pivots, shape ``(points, _RINGS)``: column ``k`` its
     distance to the center of its leaf's ``k``-th nearest ancestor-or-self,
     nan past the root; every node's rings, shape ``(nodes, _RINGS, 2)``:
@@ -145,22 +145,22 @@ def reference_spokes(tree, ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndar
     return pivot, ring, center_pivot
 
 
-def checked_spokes(tree, ds: Dataset, *, known: bool = False,
+def checked_bounds(tree, ds: Dataset, *, known: bool = False,
                    want: tuple[np.ndarray, ...] | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The tree's pivot table, up to its last point (an insert leaves spare
     rows after it), and its rings, each checked against
-    :func:`reference_spokes` (or ``want``, what it gave for this tree), as
+    :func:`reference_bounds` (or ``want``, what it gave for this tree), as
     are its center pivots: every entry is nan (not known) or bit for bit
     the reference's, and nan where the reference's is (past the root). A
     leaf's known ring ``k`` holds all its members' pivot column ``k + 1``,
     so each of those is known. Known rings nest: a node's ring against an
     ancestor lies within its parent's. With ``known``, no entry may be nan
     but those past the root: a tree that was built, or whose pivots and
-    rings ``_spokes`` worked out, knows them all, and inserts keep it
+    rings ``_load_pass`` worked out, knows them all, and inserts keep it
     so."""
     pivot, ring = tree.pivot[:tree.order.size], tree.ring
-    want_pivot, want_ring, want_center = reference_spokes(tree, ds) if want is None else want
+    want_pivot, want_ring, want_center = reference_bounds(tree, ds) if want is None else want
     for have, wanted in ((pivot, want_pivot), (ring, want_ring),
                          (tree.center_pivot, want_center)):
         assert have.shape == wanted.shape

@@ -239,7 +239,7 @@ def test_criterion_3_pruning_speedup_trend(corpus_a, radii_a):
         for plain, row in zip(rows, filtered):
             assert row.comparisons_mean <= plain.comparisons_mean
             assert row.false_pos == row.false_neg == 0
-        details.append("with spokes and rings " + ", ".join(
+        details.append("with rings and pivots " + ", ".join(
             f"{row.speedup_mean:.1f}@{row.depth}" for row in filtered
             if row.radius == radii_a[1]))
         print(rows_to_csv(rows + filtered), flush=True)

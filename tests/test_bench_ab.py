@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-SPEC = {"run_seconds": 20, "end_to_end": [
+SPEC = {"run_seconds": 20, "workloads": [{"name": "vec-query"}, {"name": "seq-phylo"}],
+        "end_to_end": [
     {"name": "knn_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
     {"name": "range_qps", "unit": "1/s", "better": "higher", "bound": 0.25}]}
 
@@ -122,3 +123,20 @@ def test_a_run_without_a_result_fails(ab, monkeypatch, tmp_path):
     assert ab.main([str(tmp_path), str(tmp_path), "--workloads", "seq-edit",
                     "--seeds", "4"]) == 1
 
+
+
+def test_the_workloads_and_seconds_come_from_the_benchmark_file(ab, monkeypatch, tmp_path):
+    # by default every workload BENCHMARK.json lists, for its run_seconds;
+    # --workloads takes only those
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace):
+        calls.append((workload, seconds))
+        return output(knn_p50_ms=10.0)
+    monkeypatch.setattr(ab, "run_benchmark", run)
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    assert ab.main([str(tmp_path), str(tmp_path), "--seeds", "4"]) == 0
+    assert calls == [("vec-query", 20)] * 2 + [("seq-phylo", 20)] * 2
+    with pytest.raises(SystemExit):
+        ab.main([str(tmp_path), str(tmp_path), "--workloads", "vec-churn"])

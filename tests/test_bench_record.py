@@ -10,25 +10,39 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+WORKLOADS = ["vec-query", "seq-edit", "vec-churn"]
+
+
+def write_spec(root: Path, workloads: list[str], seconds: int) -> None:
+    """A ``BENCHMARK.json`` stub: the workloads' names and ``run_seconds``."""
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": seconds, "workloads": [{"name": w} for w in workloads]}))
 
 
 @pytest.fixture()
 def recorder(monkeypatch, tmp_path):
-    """``tools/bench_record.py`` writing under ``tmp_path``, its runs
-    answered by :func:`canned` and its commit fixed."""
+    """``tools/bench_record.py`` writing under ``tmp_path`` and reading its
+    ``BENCHMARK.json`` stub there, its runs answered by :func:`canned` and
+    its commit fixed."""
     spec = importlib.util.spec_from_file_location("bench_record", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "ROOT", tmp_path)
     monkeypatch.setattr(module, "commit", lambda: {"sha": "abc123", "dirty": False})
-    module.calls = []  # (workload, seed, trace) of every run, in order
+    write_spec(tmp_path, WORKLOADS, 20)
+    module.calls = []  # (workload, seed, seconds, trace) of every run, in order
 
     def run(checkout, workload, seed, seconds, trace):
-        assert (checkout, seconds) == (tmp_path, 20)
-        module.calls.append((workload, seed, trace))
+        assert checkout == tmp_path
+        module.calls.append((workload, seed, seconds, trace))
         return canned(workload, seed, trace)
     monkeypatch.setattr(module, "run_benchmark", run)
     return module
+
+
+def written(root: Path) -> list[str]:
+    """The files under ``root`` besides the ``BENCHMARK.json`` stub."""
+    return sorted(p.name for p in root.iterdir() if p.name != "BENCHMARK.json")
 
 
 def canned(workload: str, seed: int, trace: int, failed: bool = False) -> str:
@@ -49,11 +63,11 @@ def canned(workload: str, seed: int, trace: int, failed: bool = False) -> str:
 
 def test_records_three_timed_seeds_and_one_traced_run(recorder, tmp_path):
     assert recorder.main(["27"]) == 0
-    assert recorder.calls == [(w, seed, trace) for w in ("vec-query", "seq-edit", "vec-churn")
+    assert recorder.calls == [(w, seed, 20, trace) for w in WORKLOADS
                               for seed, trace in ((1, 0), (2, 0), (3, 0), (1, 1))]
     record = json.loads((tmp_path / "BENCH_27.json").read_text())
     assert record["pr"] == 27 and record["commit"] == {"sha": "abc123", "dirty": False}
-    assert list(record["workloads"]) == ["vec-query", "seq-edit", "vec-churn"]
+    assert record["seconds"] == 20 and list(record["workloads"]) == WORKLOADS
     churn = record["workloads"]["vec-churn"]
     timed, traced = churn["timed"], churn["traced"]
     assert [env["seed"] for env in timed["env"]] == [1, 2, 3]
@@ -73,19 +87,29 @@ def test_a_failed_operation_writes_no_file(recorder, tmp_path, monkeypatch, fail
                         lambda checkout, workload, seed, seconds, trace:
                         canned(workload, seed, trace, failed=(workload, seed) == failing))
     assert recorder.main(["27"]) == 1
-    assert list(tmp_path.iterdir()) == []
+    assert written(tmp_path) == []
 
 
 def test_a_run_without_a_result_writes_no_file(recorder, tmp_path, monkeypatch):
     monkeypatch.setattr(recorder, "run_benchmark", lambda *args: "Traceback ...\n")
     assert recorder.main(["27"]) == 1
-    assert list(tmp_path.iterdir()) == []
+    assert written(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [[], ["x"], ["27", "--seconds"]])
 def test_takes_only_the_pr_number(recorder, tmp_path, argv):
     assert recorder.main(argv) == 2
-    assert recorder.calls == [] and list(tmp_path.iterdir()) == []
+    assert recorder.calls == [] and written(tmp_path) == []
+
+
+def test_the_workloads_and_seconds_come_from_the_benchmark_file(recorder, tmp_path):
+    # a workload added to BENCHMARK.json reaches the recorder unedited
+    write_spec(tmp_path, ["seq-edit", "seq-phylo"], 7)
+    assert recorder.main(["28"]) == 0
+    assert recorder.calls == [(w, seed, 7, trace) for w in ("seq-edit", "seq-phylo")
+                              for seed, trace in ((1, 0), (2, 0), (3, 0), (1, 1))]
+    record = json.loads((tmp_path / "BENCH_28.json").read_text())
+    assert record["seconds"] == 7 and list(record["workloads"]) == ["seq-edit", "seq-phylo"]
 
 
 def test_a_dirty_tree_records_the_digest_of_its_diff(monkeypatch, tmp_path):

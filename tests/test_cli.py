@@ -284,6 +284,20 @@ def test_missing_query_source_is_usage_error(dense_file, tmp_path, capsys):
         assert "unrecognized arguments: --holdout 5" in err
 
 
+@pytest.mark.parametrize("sub", [["search", "--radius", "1.0"], ["knn", "--k", "1"]])
+def test_queries_of_another_kind_are_a_usage_error(dense_file, fasta_file, tmp_path,
+                                                   capsys, sub):
+    tree_path, out_file = tmp_path / "t.tree", tmp_path / "hits.csv"
+    run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",
+        "--out", str(tree_path))
+    code, out, err = run(capsys, *sub, "--tree", str(tree_path), "--input",
+                         str(dense_file), "--queries", str(fasta_file),
+                         "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == "usage error: query file kind does not match the dataset\n"
+    assert not out_file.exists()
+
+
 def test_knn_one_row_per_query(dense_file, tmp_path, capsys):
     tree_path = tmp_path / "t.tree"
     run(capsys, "build", "--input", str(dense_file), "--metric", "euclidean",

@@ -516,6 +516,14 @@ def test_trailing_bytes_in_the_header_tree_stream_are_refused(tmp_path):
         decompress(path)
 
 
+def test_trailing_bytes_after_the_last_block_are_refused(tmp_path):
+    raw = small_archive(tmp_path)
+    path = tmp_path / "long.chess"
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(FormatError, match=f"^trailing bytes at byte offset {len(raw)}$"):
+        decompress(path)
+
+
 def test_archive_of_an_old_tree_version_is_refused(tmp_path):
     # the tree stream carries its own version, and its faults name offsets
     # inside the inflated stream

@@ -2,6 +2,7 @@ import copy
 import math
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ def test_empty_dataset_rejected():
         Dataset.from_vectors(np.empty((0, 3)))
     with pytest.raises(DimensionError):
         Dataset.from_strings([])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Dataset(DatasetKind.DENSE_VECTORS, np.zeros(3)),
+     "expected a 2-D array, got shape (3,)"),
+    (lambda: Dataset.from_strings(["ACGT", "ACGT", "ACG"]),
+     "record 3 has length 3, expected 4")])
+def test_malformed_datasets_name_their_shape(make, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("records", [["acgt", "AC-t"], [b"acgt", b"AC-t"],
+                                     [bytearray(b"acgt"), b"ac-T"]])
+def test_strings_and_bytes_are_upper_cased_alike(records):
+    # as load_sequences upper-cases every line it reads
+    assert Dataset.from_strings(records).values.tobytes() == b"ACGTAC-T"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -166,6 +184,8 @@ def test_sequences_refuse_bytes_outside_the_alphabet(tmp_path, raw, where, what)
      "illegal character 'N' at row 1, index 2"),
     (np.frombuffer(b"ACGTACGT", dtype=np.uint8).reshape(2, 4).astype(np.int64),
      "expected a string dataset of uint8 codes, got dtype int64"),
+    (np.frombuffer(b"ACGTACGT", dtype=np.uint8).reshape(2, 2, 2),
+     "expected a 2-D array, got shape (2, 2, 2)"),
 ])
 def test_string_datasets_are_checked_when_constructed(values, message):
     with pytest.raises(DimensionError, match=re.escape(message)):
@@ -176,6 +196,14 @@ def test_sequences_unequal_length_names_line(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("ACGT\nACG\n")
     with pytest.raises(FormatError, match="line 2"):
+        load_sequences(path)
+
+
+@pytest.mark.parametrize("raw", [b"", b"\n\n", b">header\r\n>another\n"])
+def test_sequences_without_records_are_refused(tmp_path, raw):
+    path = tmp_path / "s.txt"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: no records found$"):
         load_sequences(path)
 
 
@@ -337,6 +365,17 @@ def test_chessvec_header_checksum_names_its_offset(tmp_path):
     with pytest.raises(FormatError, match="header checksum mismatch at byte offset 25$"):
         load_dense(path)
     _load_or_equal(tmp_path, CHESSVEC)
+
+
+@pytest.mark.parametrize("n, dim, offset", [(0, 3, 9), (4, 0, 17), (0, 0, 9)])
+def test_chessvec_empty_header_names_the_zero_field(tmp_path, n, dim, offset):
+    # a CRC-valid header that promises no values, n at byte 9 and dim at 17
+    header = struct.pack("<8sBQQ", b"CHESSVEC", 2, n, dim)
+    path = tmp_path / "empty.vec"
+    path.write_bytes(header + struct.pack("<I", zlib.crc32(header)))
+    with pytest.raises(FormatError, match=f"header promises empty dataset at byte "
+                                          f"offset {offset}$"):
+        load_dense(path)
 
 
 def test_chessvec_version_1_is_refused(tmp_path):

@@ -292,6 +292,20 @@ def test_shape_and_kind_errors():
         distance("a\u00dfct", "ACGT", L)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: metrics.as_vector([[1.0, 2.0], [3.0, 4.0]]),
+     "expected a 1-D dense vector, got shape (2, 2)"),
+    (lambda: metrics.as_codes(np.frombuffer(b"ACGT", dtype=np.uint8).reshape(1, 4)),
+     "expected a 1-D string point, got shape (1, 4)"),
+    (lambda: distances_to(np.zeros(3), np.zeros(3), E),
+     "expected a 2-D point block, got shape (3,)"),
+    (lambda: distances_to(np.frombuffer(b"ACGT", dtype=np.uint8), "ACGT", H),
+     "expected a 2-D point block, got shape (4,)")])
+def test_points_and_blocks_of_the_wrong_rank_name_their_shape(call, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_cosine_rejects_zero_vector():
     with pytest.raises(DegenerateInputError):
         distance((0.0, 0.0), (1.0, 2.0), C)

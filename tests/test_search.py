@@ -12,11 +12,11 @@ from chess_search import (BuildConfig, ClusterTree, Dataset, DimensionError,
 from chess_search import search
 from chess_search import tree as tree_mod
 from chess_search.metrics import _coordinate_bound, distances_to
-from chess_search.tree import (_RINGS, _block_rows, _spokes, _truncated, deserialize,
+from chess_search.tree import (_RINGS, _block_rows, _load_pass, _truncated, deserialize,
                                serialize, tree_from_bytes, tree_to_bytes)
 
-from conftest import (ancestors, brute_force_knn, checked_spokes, node_members,
-                      reference_spokes, synth_aligned_strings)
+from conftest import (ancestors, brute_force_knn, checked_bounds, node_members,
+                      reference_bounds, synth_aligned_strings)
 
 E = MetricKind.EUCLIDEAN
 
@@ -142,7 +142,7 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
     positions in ``order`` of the points it scans, ascending; and how
     many nodes the rings prune and points the pivots rule out. ``dists``
     holds the query's distance to every point, ``pivot`` and ``ring`` the
-    tree's (see ``reference_spokes``; nan where the tree does not know
+    tree's (see ``reference_bounds``; nan where the tree does not know
     one, which rules nothing out) and ``slack`` the pruning test's
     rounding allowance; ``eps = slack - 1`` widens the triangle bounds.
 
@@ -214,7 +214,7 @@ def reference_walk(tree: ClusterTree, dists: np.ndarray, r: float, slack: float,
 def walk_order(monkeypatch):
     """``rho_search``, checking its walk and its scan against
     :func:`reference_walk`, on the tree's pivots and rings: each must be
-    nan (not known) or equal what ``reference_spokes`` computes anew, and
+    nan (not known) or equal what ``reference_bounds`` computes anew, and
     the search must leave their bytes as they were. Its one-row center tests,
     each named by the point its row views, are the reference's tested
     centers by depth, and at each depth in pre-order, so every depth's
@@ -226,7 +226,7 @@ def walk_order(monkeypatch):
     skips = [0, 0]
     scans: list[np.ndarray] = []
     searched: dict[str, np.ndarray] = {}  # the values, while a check runs
-    references = {}  # reference_spokes of each tree checked, by its bytes
+    references = {}  # reference_bounds of each tree checked, by its bytes
     scan = search._scan
 
     def kernel(points, q, kind, counter=None):
@@ -256,9 +256,9 @@ def walk_order(monkeypatch):
         dists = distances_to(ds.values, ds.coerce_point(q), tree.metric)
         key = tree_to_bytes(tree)
         if key not in references:
-            references[key] = reference_spokes(tree, ds)
+            references[key] = reference_bounds(tree, ds)
         tested, positions, ruled_out = reference_walk(
-            tree, dists, r, slack, *checked_spokes(tree, ds, want=references[key]))
+            tree, dists, r, slack, *checked_bounds(tree, ds, want=references[key]))
         skips[:] = np.add(skips, ruled_out)
         depth = tree.depths()
         by_depth = sorted(tested, key=lambda node: (depth[node], node))
@@ -281,7 +281,7 @@ def test_walk_tests_centers_and_scans_slices_by_depth(metric, walk_order):
     # pre-order before the next depth's, prunes by rings, records slices
     # of order and rules out members by pivots; one pass scans the rest,
     # at increasing offsets. A built tree and a parsed one whose pivots
-    # and rings ``_spokes`` works out walk alike; a parsed tree, which
+    # and rings ``_load_pass`` works out walk alike; a parsed tree, which
     # knows none (all nan), walks by cluster pruning alone
     if metric.for_vectors:
         ds = synth_manifold(600, 10, 1, 0.02, seed=13, density_power=2.0)
@@ -290,9 +290,9 @@ def test_walk_tests_centers_and_scans_slices_by_depth(metric, walk_order):
     tree = build(ds, metric, BuildConfig(max_depth=20, min_size=4, seed=3))
     top = 4 * tree.radius[0]
     parsed, bounded = (tree_from_bytes(tree_to_bytes(tree))[0] for _ in range(2))
-    _spokes(bounded, ds.values)
+    _load_pass(bounded, ds.values)
     for t in (tree, bounded):  # both know every pivot and ring
-        checked_spokes(t, ds, known=True)
+        checked_bounds(t, ds, known=True)
     for t in (tree, bounded, parsed):
         walk_order.skips[:] = [0, 0]
         for i in (0, 101, 277):
@@ -467,7 +467,7 @@ def test_ring_bound_allows_for_rounding():
                                size=np.array([5, 1, 3, 1, 1]), order=np.arange(3),
                                metric=E, config=BuildConfig(2, 1),
                                dataset_hash=ds.content_hash())
-            _spokes(tree, ds.values)
+            _load_pass(tree, ds.values)
             r = float(distances_to(ds.values[1:2], ds.values[0], E)[0])
             lo, hi = tree.ring[3, 0]
             # the ring lies outside the window unwidened
@@ -967,7 +967,7 @@ def test_center_pivot_bounds_allow_for_rounding():
                            size=np.array([5, 3, 1, 1, 1]), order=np.array([1, 0, 2, 3]),
                            metric=E, config=BuildConfig(2, 1),
                            dataset_hash=ds.content_hash())
-        _spokes(tree, ds.values)
+        _load_pass(tree, ds.values)
         x = distances_to(ds.values, q, E)
         pl, pr = tree.center_pivot[2, 0], tree.center_pivot[3, 0]
         wrong += bool(pr - x[0] > x[0] + pl and x[1] > x[2])
@@ -1071,7 +1071,7 @@ def test_batched_walk_tests_the_centers_the_plain_walk_does(metric, monkeypatch)
                                     MetricKind.LEVENSHTEIN])
 def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
     # A parsed tree or a cut knows no pivot or ring (all nan) until
-    # ``_spokes`` works them out (``deserialize`` does); an insert writes
+    # ``_load_pass`` works them out (``deserialize`` does); an insert writes
     # only those it computes, and a search writes none. Each tree answers
     # as the linear scan, at stored distances and at containment radii,
     # and so does k-NN; each pivot and ring it knows is what a fresh pass
@@ -1088,7 +1088,7 @@ def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
         insert_point(grown, p, head)
     serialize(built, tmp_path / "t.tree")
     cut = _truncated(built, 3)
-    _spokes(cut, ds.values)
+    _load_pass(cut, ds.values)
     trees = {"parsed": tree_from_bytes(tree_to_bytes(built))[0],
              "loaded": deserialize(tmp_path / "t.tree", ds), "parsed, then grown": grown,
              "cut": _truncated(built, 3), "cut, then worked out": cut}
@@ -1108,7 +1108,7 @@ def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
                     naive_search(ds, q, r, metric).hits, name
             for k in (1, 7):
                 assert knn_search(tree, q, k, ds).hits == everything[:k], name
-        pivot, ring = checked_spokes(tree, ds)
+        pivot, ring = checked_bounds(tree, ds)
         known = [np.count_nonzero(~np.isnan(b))
                  for b in (pivot[:, 0], ring[..., 0], ring[..., 1], pivot)]
         # a node has a ring against each of its nearest _RINGS ancestors,
@@ -1133,13 +1133,13 @@ def test_searches_are_exact_on_trees_the_build_did_not_make(metric, tmp_path):
 
 
 @pytest.mark.parametrize("metric", [E, MetricKind.LEVENSHTEIN])
-def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
+def test_built_and_grown_trees_never_run_the_load_pass(metric, monkeypatch):
     # the build and inserts keep pivots and rings from the distances they
     # compute anyway, so no insert pays a pass over the dataset, not even
     # on a parsed tree, which knows none; a built tree's stay those a
     # fresh pass computes
     worked_out = []
-    monkeypatch.setattr(tree_mod, "_spokes", lambda tree, values: worked_out.append(tree))
+    monkeypatch.setattr(tree_mod, "_load_pass", lambda tree, values: worked_out.append(tree))
     if metric.for_vectors:
         ds = synth_manifold(400, 10, 1, 0.02, seed=31, density_power=2.0)
     else:
@@ -1157,7 +1157,7 @@ def test_built_and_grown_trees_never_work_out_their_spokes(metric, monkeypatch):
     assert tree.size.size > nodes + 20  # the inserts split leaves
     assert tree_to_bytes(parsed) == tree_to_bytes(tree)
     assert worked_out == []
-    checked_spokes(tree, grown, known=True)
+    checked_bounds(tree, grown, known=True)
 
 
 def test_an_insert_into_a_parsed_tree_costs_its_descent(monkeypatch):
@@ -1250,10 +1250,10 @@ def grow_deep_tree(leaf_size: int, seed: int, knn=knn_search, rho=rho_search) ->
         insert_point(tree, p, ds)
     assert tree.cardinality[0] == ds.n == n0 + 10
     check(tree)
-    _spokes(tree, ds.values)  # and again with every pivot and ring known
+    _load_pass(tree, ds.values)  # and again with every pivot and ring known
     # eight rings a node, however deep the tree, each as a fresh pass makes it
     assert tree.ring.shape == (tree.size.size, _RINGS, 2)
-    checked_spokes(tree, ds, known=True)
+    checked_bounds(tree, ds, known=True)
     check(tree)
     again, _ = tree_from_bytes(tree_to_bytes(tree))
     assert tree_to_bytes(again) == tree_to_bytes(tree)

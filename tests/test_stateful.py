@@ -33,10 +33,10 @@ from chess_search import (BuildConfig, Dataset, DatasetKind, MetricKind, Quantiz
                           build, compress_tree, decompress, insert_point, knn_search,
                           naive_search, rho_search)
 from chess_search.metrics import distances_to
-from chess_search.tree import (_node_stats, _spokes, _truncated, tree_from_bytes,
+from chess_search.tree import (_load_pass, _node_stats, _truncated, tree_from_bytes,
                                tree_to_bytes)
 
-from conftest import checked_spokes
+from conftest import checked_bounds
 
 LETTERS = b"ACGT-"
 
@@ -146,9 +146,9 @@ class IndexMachine(RuleBasedStateMachine):
                                                self.tree.center_pivot))
 
     @rule()
-    def work_out_spokes(self):
+    def run_load_pass(self):
         # the pass gives back the radii the build gives
-        radius = _spokes(self.tree, self.dataset.values)
+        radius = _load_pass(self.tree, self.dataset.values)
         assert radius.tobytes() == self.tree.radius.tobytes()
         self.known = True
 
@@ -193,7 +193,7 @@ class IndexMachine(RuleBasedStateMachine):
         assert radius.tobytes() == tree.radius.tobytes()
         # each nan or as a fresh pass makes it; none nan while the tree
         # knows them all (inserts keep that so) but past the root
-        checked_spokes(tree, self.dataset, known=self.known)
+        checked_bounds(tree, self.dataset, known=self.known)
 
 
 IndexMachine.TestCase.settings = settings(max_examples=300, stateful_step_count=12,

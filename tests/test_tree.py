@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 import zlib
 
@@ -18,7 +19,7 @@ from chess_search import (BuildConfig, ComparisonCounter, Dataset, DatasetKind,
 from chess_search.compress import DEFAULT_QUANTUM
 from chess_search.metrics import distances_to
 from chess_search.tree import (_TREE_HEADER, _level_partition, _level_stats,
-                               _node_stats, _sample_size, _spokes, _subtree_sizes,
+                               _load_pass, _node_stats, _sample_size, _subtree_sizes,
                                _truncated, select_poles, tree_from_bytes,
                                tree_to_bytes)
 
@@ -42,6 +43,29 @@ def test_build_config_validation():
         assert getattr(BuildConfig(**{name: 2**64 - 1}), name) == 2**64 - 1
         with pytest.raises(ValueError, match=rf"{name} must be below 2\*\*64"):
             BuildConfig(**{name: 2**64})
+
+
+@pytest.mark.parametrize("args, name", [
+    # a tree built with these could not be written: CHESSTREE stores integers
+    ((2.5, 5, 0), "max_depth"), ((10, 5.5, 0), "min_size"), ((10, 5, 1.5), "seed"),
+    ((10, 5, np.float64(1)), "seed"),
+    # a bool is no count, nor a seed
+    ((True, 5, 0), "max_depth"), ((10, False, 0), "min_size"), ((10, 5, np.True_), "seed")])
+def test_build_config_refuses_what_is_not_an_integer(args, name):
+    value = args[("max_depth", "min_size", "seed").index(name)]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "
+                                         f"{re.escape(repr(value))}$"):
+        BuildConfig(*args)
+
+
+def test_build_config_takes_numpy_integers():
+    # held as Python ints: ``2 * min_size`` in uint8 would wrap at 128
+    config = BuildConfig(np.int64(3), np.uint8(2), np.int32(-1))
+    assert (config.max_depth, config.min_size, config.seed) == (3, 2, 2**64 - 1)
+    assert all(type(v) is int for v in dataclasses.astuple(config))
+    ds = line_dataset([0.0, 1.0, 10.0, 11.0, 30.0])
+    tree, _ = tree_from_bytes(tree_to_bytes(build(ds, E, config)))
+    assert tree.config == BuildConfig(3, 2, -1)
 
 
 def test_select_poles_two_members():
@@ -342,7 +366,7 @@ def test_load_pass_gives_the_builds_values(metric):
     config = BuildConfig(max_depth=12, min_size=3, seed=2)
     tree = build(ds, metric, config)
     parsed, _ = tree_from_bytes(tree_to_bytes(tree))
-    assert _spokes(parsed, ds.values).tobytes() == tree.radius.tobytes()
+    assert _load_pass(parsed, ds.values).tobytes() == tree.radius.tobytes()
     for name in ("pivot", "ring"):
         assert getattr(parsed, name).tobytes() == getattr(tree, name).tobytes()
     radius, lfd = _node_stats(tree, ds.values)
@@ -754,6 +778,20 @@ def test_deserialize_refuses_wrong_dataset(tmp_path):
         deserialize(path, other)
 
 
+def test_deserialize_refuses_a_metric_that_does_not_fit_the_data(tmp_path):
+    # a Euclidean tree's metric byte rewritten to Hamming, its CRC32 valid
+    ds = line_dataset([0.0, 1.0, 10.0])
+    raw = bytearray(tree_to_bytes(build(ds, E, BuildConfig(seed=9))))
+    raw[10] = MetricKind.HAMMING.wire_id
+    raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
+    path = tmp_path / "t.tree"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: metric hamming does not apply to dense data, at byte offset 10")
+            + "$"):
+        deserialize(path, ds)
+
+
 def test_deserialize_truncated(tmp_path):
     ds = line_dataset([0.0, 1.0, 10.0])
     tree = build(ds, E, BuildConfig(seed=9))
@@ -890,6 +928,22 @@ def test_structural_faults_name_a_byte_offset(change, message):
     # tree_to_bytes writes a valid checksum, so only the structure is wrong
     raw = tree_to_bytes(dataclasses.replace(tree, **change(tree)))
     with pytest.raises(FormatError, match=f"{message}.* at byte offset \\d+"):
+        tree_from_bytes(raw)
+
+
+@pytest.mark.parametrize("change, message, column", [
+    # no node at all: the flags column starts, empty, after the header
+    (lambda tree: {name: getattr(tree, name)[:0]
+                   for name in ("center", "radius", "cardinality", "size")},
+     "tree without nodes", 0),
+    # the cardinality column follows the flags, the centers and the radii
+    (_with("cardinality", 0, 59), "root cardinality differs from the 60 points", 17)])
+def test_faults_at_the_first_node_name_its_offset(change, message, column):
+    tree, _ = tree_from_bytes(FUZZ_TREE)
+    raw = tree_to_bytes(dataclasses.replace(tree, **change(tree)))
+    nodes = struct.unpack_from("<Q", raw, _TREE_HEADER.size - 16)[0]
+    at = _TREE_HEADER.size + column * nodes
+    with pytest.raises(FormatError, match=f"^{message} \\(entry 0\\) at byte offset {at}$"):
         tree_from_bytes(raw)
 
 

@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from bench_record import WORKLOADS, parse, run_benchmark
+from bench_record import parse, run_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Share of the pairs the change must win for a gain
@@ -139,9 +139,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
-    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("4-13"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("4-13"))
     parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}

@@ -4,17 +4,18 @@ Usage, from the root of the repository::
 
     python3 tools/bench_record.py 27
 
-It runs ``benchmarks/run.py`` for each workload at seeds 1, 2 and 3 with
-``--seconds 20 --trace 0``, and once at seed 1 with ``--trace 1``, one
-run at a time, each pinned to the last core this process may use. It
-then writes ``BENCH_<pr>.json`` at the root of the repository, holding
-the commit (and, when the working tree differs from it, the SHA-256 of
-that difference), every run's ``env`` line, and for each workload every
-metric with its values (one per seed) and their median, plus
-``correct`` and ``failed`` over the workload's runs. When any run reports
-a failed operation, or prints no result, it writes no file and exits
-nonzero. It needs only the standard library; the runs take about
-ten minutes on a 2-core VM.
+It runs ``benchmarks/run.py`` for each workload ``BENCHMARK.json``
+lists, at seeds 1, 2 and 3 with ``--trace 0`` and once at seed 1 with
+``--trace 1``, each for the file's ``run_seconds`` (20), one run at a
+time, each pinned to the last core this process may use. It then writes
+``BENCH_<pr>.json`` at the root of the repository, holding the commit
+(and, when the working tree differs from it, the SHA-256 of that
+difference), every run's ``env`` line, and for each workload every
+metric with its values (one per seed) and their median, plus ``correct``
+and ``failed`` over the workload's runs. When any run reports a failed
+operation, or prints no result, it writes no file and exits nonzero. It
+needs only the standard library; the runs take about ten minutes on a
+2-core VM.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("vec-query", "seq-edit", "vec-churn")
 SEEDS = (1, 2, 3)
-SECONDS = 20
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int,
@@ -95,12 +94,14 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: bench_record.py <pr number>", file=sys.stderr)
         return 2
     pr = int(args[0])
-    record = {"pr": pr, "commit": commit(), "seconds": SECONDS, "workloads": {}}
-    for workload in WORKLOADS:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    record = {"pr": pr, "commit": commit(), "seconds": seconds, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
         try:
-            timed = [parse(run_benchmark(ROOT, workload, seed, SECONDS, 0))
+            timed = [parse(run_benchmark(ROOT, workload, seed, seconds, 0))
                      for seed in SEEDS]
-            traced = [parse(run_benchmark(ROOT, workload, SEEDS[0], SECONDS, 1))]
+            traced = [parse(run_benchmark(ROOT, workload, SEEDS[0], seconds, 1))]
         except ValueError as err:
             print(f"bench_record: {workload}: {err}", file=sys.stderr)
             return 1
